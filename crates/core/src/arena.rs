@@ -17,6 +17,7 @@
 //! worker a private arena without threading `&mut` through the facade.
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use scalesim_memory::{AddrRuns, BufferPool, IntervalSet};
 use scalesim_systolic::FoldDemandRuns;
@@ -41,8 +42,23 @@ pub struct SimArena {
     pub a_scratch: AddrRuns,
 }
 
+/// Threads that have touched their arena so far, process-wide.
+static ARENAS_CREATED: AtomicUsize = AtomicUsize::new(0);
+
 thread_local! {
-    static ARENA: RefCell<SimArena> = RefCell::new(SimArena::default());
+    static ARENA: RefCell<SimArena> = {
+        ARENAS_CREATED.fetch_add(1, Ordering::Relaxed);
+        RefCell::new(SimArena::default())
+    };
+}
+
+/// How many threads have created a [`SimArena`] since the process started:
+/// each thread's first [`with_arena`] counts once. A test hook — the
+/// difference across a sweep is the number of distinct threads that
+/// simulated in it.
+#[doc(hidden)]
+pub fn arenas_created() -> usize {
+    ARENAS_CREATED.load(Ordering::Relaxed)
 }
 
 /// Runs `f` with this thread's [`SimArena`].

@@ -27,11 +27,17 @@
 //! Every task runs under [`run_caught`]; the first panic aborts the run
 //! and is returned as the typed [`SimError`].
 //!
+//! The executor's workers are the threads that simulate: a layer run
+//! inside a task keeps its partition tiles on the worker (see
+//! `Simulator::run_layer`), so a pool of `N` workers means `N` simulating
+//! threads, each with one warm arena.
+//!
 //! Determinism is unaffected by stealing: tasks only *compute* (each
 //! writes its own result slot), and result consumers assemble or emit in
 //! a fixed order — which worker ran a task, and when, is invisible in the
 //! output.
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -294,6 +300,40 @@ pub struct ExecSummary {
     pub worker_busy: Vec<f64>,
 }
 
+thread_local! {
+    /// True while this thread is inside [`Executor::run_worker`].
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is currently running an [`Executor`]'s
+/// schedule loop. Work that would otherwise fan out over fresh threads
+/// (a layer's partition tiles) stays on the worker instead: the pool's
+/// worker count is then the bound on simulating threads, and the tiles
+/// reuse the worker's warm [`crate::arena::SimArena`].
+pub(crate) fn on_worker() -> bool {
+    ON_WORKER.with(Cell::get)
+}
+
+/// Marks the thread as an executor worker until dropped (restoring the
+/// previous mark, so a nested `run_worker` leaves the outer one intact).
+struct WorkerMark {
+    outer: bool,
+}
+
+impl WorkerMark {
+    fn set() -> WorkerMark {
+        WorkerMark {
+            outer: ON_WORKER.with(|mark| mark.replace(true)),
+        }
+    }
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        ON_WORKER.with(|mark| mark.set(self.outer));
+    }
+}
+
 /// A panic-safe work-stealing executor over a fixed task set.
 ///
 /// Construction distributes task indices `0..tasks` over per-worker
@@ -301,18 +341,13 @@ pub struct ExecSummary {
 /// consecutive layers of the same jobs, and steals grab whole tails of
 /// other jobs). Workers call [`Executor::run_worker`] — typically from a
 /// scoped thread each — which loops: pop own deque, else steal from a
-/// random victim, else yield until every task has retired. Each task body
+/// random victim, and returns once every deque is empty. Each task body
 /// runs under `catch_unwind`; the first panic records a typed
 /// [`SimError`], aborts every worker, and is returned from the panicking
 /// worker's `run_worker` so the caller can poison downstream consumers.
 pub struct Executor {
     deques: Vec<Deque>,
     stats: Vec<WorkerStats>,
-    /// Tasks that finished executing (successfully or by panic). Workers
-    /// may only exit when this reaches `total` (or on abort): an empty
-    /// deque sweep is *not* proof of completion while peers still run.
-    retired: AtomicUsize,
-    total: usize,
     abort: AtomicBool,
     error: Mutex<Option<SimError>>,
 }
@@ -330,8 +365,6 @@ impl Executor {
         Executor {
             deques,
             stats: (0..workers).map(|_| WorkerStats::new()).collect(),
-            retired: AtomicUsize::new(0),
-            total: tasks,
             abort: AtomicBool::new(false),
             error: Mutex::new(None),
         }
@@ -371,6 +404,7 @@ impl Executor {
         F: Fn(usize),
         L: Fn(usize) -> String,
     {
+        let _mark = WorkerMark::set();
         let started = Instant::now();
         let mut rng = (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let stats = &self.stats[worker];
@@ -385,7 +419,6 @@ impl Executor {
                 .busy_nanos
                 .fetch_add(task_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
             stats.executed.fetch_add(1, Ordering::Relaxed);
-            self.retired.fetch_add(1, Ordering::Release);
             if let Err(panic) = run {
                 let err = SimError::new(label(t), panic_message(panic.as_ref()));
                 {
@@ -408,8 +441,12 @@ impl Executor {
     }
 
     /// Next task for `worker`: own deque first, then a randomized sweep
-    /// of the other deques, yielding between sweeps until all tasks have
-    /// retired or the run aborts.
+    /// of the other deques. `None` once the run aborts or there is nothing
+    /// left to take: the task set is fixed at construction and tasks never
+    /// push tasks, so a sweep that found every deque empty stays true, and
+    /// the worker returns instead of spinning until its peers finish the
+    /// tasks they hold. Only a lost race (`Steal::Retry`) calls for
+    /// another sweep.
     fn find_task(&self, worker: usize, rng: &mut u64) -> Option<usize> {
         loop {
             if self.abort.load(Ordering::Relaxed) {
@@ -418,12 +455,9 @@ impl Executor {
             if let Some(t) = self.deques[worker].pop() {
                 return Some(t);
             }
-            if self.retired.load(Ordering::Acquire) >= self.total {
-                return None;
-            }
             let n = self.deques.len();
             let start = (xorshift(rng) as usize) % n;
-            let mut stolen = None;
+            let mut contended = false;
             for k in 0..n {
                 let victim = (start + k) % n;
                 if victim == worker {
@@ -431,21 +465,17 @@ impl Executor {
                 }
                 match self.deques[victim].steal() {
                     Steal::Task(t) => {
-                        stolen = Some(t);
-                        break;
+                        self.stats[worker].stolen.fetch_add(1, Ordering::Relaxed);
+                        return Some(t);
                     }
-                    // Retry means contention, not emptiness; the next
-                    // sweep (after the completion re-check) covers it.
-                    Steal::Retry | Steal::Empty => {}
+                    Steal::Retry => contended = true,
+                    Steal::Empty => {}
                 }
             }
-            match stolen {
-                Some(t) => {
-                    self.stats[worker].stolen.fetch_add(1, Ordering::Relaxed);
-                    return Some(t);
-                }
-                None => std::thread::yield_now(),
+            if !contended {
+                return None;
             }
+            std::hint::spin_loop();
         }
     }
 

@@ -19,13 +19,15 @@
 //!   survive ([`Frontier::within_band`]). Survivors are ranked by
 //!   predicted runtime.
 //! * **Stage 2 — budgeted refinement.** Survivors are simulated through
-//!   the shared [`SweepEngine`] (inheriting its result cache, the
-//!   process-wide layer cache and crossbeam parallelism) in fixed-size
-//!   batches. After each batch the measured frontier and the
-//!   measured/predicted error distribution are updated, and the next batch
-//!   is chosen by [`acquisition_score`] — the candidates whose corrected
-//!   predictions fall furthest below the measured frontier, i.e. the
-//!   largest analytical-vs-measured gaps in the frontier neighborhood.
+//!   the shared [`SweepEngine`] (inheriting its result cache and the
+//!   process-wide layer cache) in fixed-size batches, all on the workers
+//!   of one sweep session. After each batch the measured frontier and the
+//!   correction of the workloads it measured are updated, and the next
+//!   batch is chosen by [`acquisition_score`] — the candidates whose
+//!   corrected predictions fall furthest below the measured frontier,
+//!   i.e. the largest analytical-vs-measured gaps in the frontier
+//!   neighborhood. A batch costs its simulations plus a rescoring of the
+//!   survivors of the workloads it touched.
 //!
 //! Determinism: with [`ExploreBudget::Sims`] (or unlimited), the same plan
 //! and budget produce byte-identical output at any `jobs` count — batch
@@ -33,7 +35,7 @@
 //! break on plan order. [`ExploreBudget::WallClock`] necessarily trades
 //! that away: it stops at a machine-dependent batch boundary.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -48,8 +50,8 @@ use scalesim_topology::{GemmShape, Topology};
 
 use crate::report::NetworkReport;
 use crate::sweep::{
-    escape_json, sweep_row_fields, DataflowChoice, NullSink, PointSpec, SweepEngine, SweepError,
-    SweepPlan,
+    escape_json, sweep_row_fields, DataflowChoice, NullSink, PointSpec, ProgressTicker,
+    SweepEngine, SweepError, SweepPlan,
 };
 
 /// Metric names the explore engine records. Part of the public API:
@@ -206,8 +208,12 @@ impl MeasuredPoint {
 
     /// Measured/predicted ratio — ≥ 1.0 by the lower-bound contract.
     pub fn error_ratio(&self) -> f64 {
-        self.measured() as f64 / (self.predicted.max(1)) as f64
+        error_ratio(self.measured(), self.predicted)
     }
+}
+
+fn error_ratio(measured: u64, predicted: u64) -> f64 {
+    measured as f64 / predicted.max(1) as f64
 }
 
 /// The result of stages 0–1 alone: the analytical evaluation and pruning
@@ -290,12 +296,19 @@ impl ExploreOutcome {
             .collect()
     }
 
-    /// Whether `point` (by plan index) is on its workload's measured
-    /// frontier.
-    fn on_frontier(&self, index: usize) -> bool {
-        self.frontiers()
+    /// For each point of `measured`, in that order: whether it is on its
+    /// workload's measured frontier. One pass over [`Self::frontiers`] for
+    /// all points, so writers pay the grouping and sorting once.
+    pub fn frontier_membership(&self) -> Vec<bool> {
+        let on_frontier: HashSet<usize> = self
+            .frontiers()
             .iter()
-            .any(|(_, points)| points.iter().any(|p| p.spec.index == index))
+            .flat_map(|(_, points)| points.iter().map(|p| p.spec.index))
+            .collect();
+        self.measured
+            .iter()
+            .map(|p| on_frontier.contains(&p.spec.index))
+            .collect()
     }
 
     /// Writes the measured points as CSV ([`EXPLORE_CSV_HEADER`] + one row
@@ -306,12 +319,7 @@ impl ExploreOutcome {
     /// Propagates writer errors.
     pub fn write_csv<W: io::Write>(&self, mut writer: W) -> io::Result<()> {
         writer.write_all(EXPLORE_CSV_HEADER.as_bytes())?;
-        let on_frontier: Vec<bool> = self
-            .measured
-            .iter()
-            .map(|p| self.on_frontier(p.spec.index))
-            .collect();
-        for (point, frontier) in self.measured.iter().zip(on_frontier) {
+        for (point, frontier) in self.measured.iter().zip(self.frontier_membership()) {
             let (prefix, suffix) = sweep_row_fields(&point.spec, &point.report);
             writeln!(
                 writer,
@@ -329,7 +337,7 @@ impl ExploreOutcome {
     ///
     /// Propagates writer errors.
     pub fn write_jsonl<W: io::Write>(&self, mut writer: W) -> io::Result<()> {
-        for point in &self.measured {
+        for (point, frontier) in self.measured.iter().zip(self.frontier_membership()) {
             let report = &point.report;
             writeln!(
                 writer,
@@ -351,7 +359,7 @@ impl ExploreOutcome {
                 report.total_dram_bytes(),
                 report.peak_required_bandwidth(),
                 report.total_energy().total(),
-                self.on_frontier(point.spec.index),
+                frontier,
             )?;
         }
         writer.flush()
@@ -540,24 +548,24 @@ impl ExploreEngine {
             simulate: 0.0,
         };
 
-        // Stage 2: budgeted refinement through the sweep engine.
+        // Stage 2: budgeted refinement through one sweep session, so the
+        // plan is prepared once and the workers (and their arenas) live
+        // for all batches.
         let stage2_span = scalesim_telemetry::trace::span("explore.stage2");
         let started = Instant::now();
-        let mut remaining = pruned_space.survivors;
-        let mut measured: Vec<MeasuredPoint> = Vec::new();
-        let mut cache_hits = 0u64;
+        let survivors = pruned_space.survivors;
         let sims_allowed = match options.budget {
             ExploreBudget::Sims(n) => n,
             ExploreBudget::Unlimited | ExploreBudget::WallClock(_) => usize::MAX,
         };
         // Progress bookkeeping: ETA extrapolates wall time per predicted
         // cycle over the predicted cycles still queued for measurement.
-        let target = remaining.len().min(sims_allowed);
+        let target = survivors.len().min(sims_allowed);
         let predicted_total: u128 = if options.progress {
             // Cap at the sims budget: the cheapest-predicted points go
             // first, so the first `target` entries approximate the set
             // that will actually be measured.
-            remaining
+            survivors
                 .iter()
                 .take(target)
                 .map(|s| u128::from(s.predicted))
@@ -566,86 +574,58 @@ impl ExploreEngine {
             0
         };
         let mut predicted_done: u128 = 0;
-        while !remaining.is_empty() && measured.len() < sims_allowed {
-            if let ExploreBudget::WallClock(limit) = options.budget {
-                if started.elapsed() >= limit {
-                    break;
+        let mut cache_hits = 0u64;
+        let mut acquisition = Acquisition::new(plan, &survivors);
+        let mut measured: Vec<MeasuredPoint> = Vec::with_capacity(target);
+        let print_progress = |measured: usize, cache_hits: u64, predicted_done: u128| {
+            let elapsed = started.elapsed().as_secs_f64();
+            let eta = if predicted_done > 0 {
+                elapsed / predicted_done as f64
+                    * predicted_total.saturating_sub(predicted_done) as f64
+            } else {
+                0.0
+            };
+            eprintln!(
+                "explore {}: stage 2 measured {measured}/{target} points ({cache_hits} cache hits), ETA {eta:.0}s",
+                plan.name,
+            );
+        };
+        // (when, measured count) of the last progress line.
+        let mut last_line = (started, 0);
+        self.sweep.session(plan, options.jobs, |run_batch| {
+            while acquisition.unmeasured() > 0 && measured.len() < sims_allowed {
+                if let ExploreBudget::WallClock(limit) = options.budget {
+                    if started.elapsed() >= limit {
+                        break;
+                    }
+                }
+                let take = REFINE_BATCH
+                    .min(acquisition.unmeasured())
+                    .min(sims_allowed - measured.len());
+                let batch = acquisition.next_batch(take);
+                let specs = batch.iter().map(|&s| survivors[s].spec.clone()).collect();
+                let outcome = run_batch(specs, &mut NullSink)?;
+                cache_hits += outcome.cache_hits;
+                for (&s, result) in batch.iter().zip(outcome.results) {
+                    let predicted = survivors[s].predicted;
+                    predicted_done += u128::from(predicted);
+                    acquisition.record(s, result.report.total_effective_cycles());
+                    measured.push(MeasuredPoint {
+                        spec: result.spec,
+                        predicted,
+                        report: result.report,
+                    });
+                }
+                acquisition.rescore();
+                if options.progress && last_line.0.elapsed() >= ProgressTicker::INTERVAL {
+                    print_progress(measured.len(), cache_hits, predicted_done);
+                    last_line = (Instant::now(), measured.len());
                 }
             }
-            let take = REFINE_BATCH
-                .min(remaining.len())
-                .min(sims_allowed - measured.len());
-            // Acquisition ordering: before any measurement the predicted
-            // ranking stands; afterwards, corrected predictions furthest
-            // below the measured frontier come first.
-            if !measured.is_empty() {
-                let global = median_ratio(measured.iter());
-                let corrections: HashMap<&str, f64> = plan
-                    .workloads
-                    .iter()
-                    .map(|w| {
-                        let of_workload = measured.iter().filter(|p| p.spec.workload == w.label);
-                        let ratio = if of_workload.clone().next().is_some() {
-                            median_ratio(of_workload)
-                        } else {
-                            global
-                        };
-                        (w.label.as_str(), ratio)
-                    })
-                    .collect();
-                let measured_frontiers: HashMap<&str, Frontier> = plan
-                    .workloads
-                    .iter()
-                    .map(|w| {
-                        let points = measured
-                            .iter()
-                            .filter(|p| p.spec.workload == w.label)
-                            .map(|p| (p.spec.budget, p.measured()));
-                        (w.label.as_str(), Frontier::build(points))
-                    })
-                    .collect();
-                remaining.sort_by(|a, b| {
-                    let score = |s: &SurvivorPoint| {
-                        acquisition_score(
-                            s.spec.budget,
-                            s.predicted,
-                            corrections[s.spec.workload.as_str()],
-                            &measured_frontiers[s.spec.workload.as_str()],
-                        )
-                    };
-                    score(b)
-                        .total_cmp(&score(a))
-                        .then(a.spec.index.cmp(&b.spec.index))
-                });
-            }
-            let batch: Vec<SurvivorPoint> = remaining.drain(..take).collect();
-            let specs: Vec<PointSpec> = batch.iter().map(|s| s.spec.clone()).collect();
-            let outcome = self
-                .sweep
-                .run_points(plan, specs, options.jobs, &mut NullSink)?;
-            cache_hits += outcome.cache_hits;
-            for (survivor, result) in batch.into_iter().zip(outcome.results) {
-                predicted_done += u128::from(survivor.predicted);
-                measured.push(MeasuredPoint {
-                    spec: survivor.spec,
-                    predicted: survivor.predicted,
-                    report: result.report,
-                });
-            }
-            if options.progress {
-                let elapsed = started.elapsed().as_secs_f64();
-                let eta = if predicted_done > 0 {
-                    elapsed / predicted_done as f64
-                        * predicted_total.saturating_sub(predicted_done) as f64
-                } else {
-                    0.0
-                };
-                eprintln!(
-                    "explore {}: stage 2 measured {}/{target} points ({cache_hits} cache hits), ETA {eta:.0}s",
-                    plan.name,
-                    measured.len(),
-                );
-            }
+            Ok(())
+        })?;
+        if options.progress && last_line.1 != measured.len() {
+            print_progress(measured.len(), cache_hits, predicted_done);
         }
         drop(stage2_span);
         measured.sort_by_key(|p| p.spec.index);
@@ -673,9 +653,135 @@ impl ExploreEngine {
     }
 }
 
-/// Median measured/predicted ratio over an iterator of measured points.
-fn median_ratio<'a>(points: impl Iterator<Item = &'a MeasuredPoint>) -> f64 {
-    ErrorStats::from_ratios(points.map(MeasuredPoint::error_ratio).collect()).p50
+/// Stage 2's choice of what to simulate next, kept incrementally.
+///
+/// A survivor's [`acquisition_score`] depends only on its own workload's
+/// measurements: that workload's measured [`Frontier`] and its correction
+/// (the median measured/predicted ratio). A batch measures at most
+/// [`REFINE_BATCH`] workloads, so after it only those workloads' frontiers,
+/// corrections and survivors' scores are recomputed; every other cached
+/// score is still exact. The next batch is the top of the unmeasured
+/// survivors by (score descending under `total_cmp`, plan index
+/// ascending) — a strict total order, so a partial selection returns
+/// what a full sort would.
+struct Acquisition {
+    /// Per survivor, in stage-1 rank order.
+    candidates: Vec<Candidate>,
+    /// Per survivor: its score against what has been measured so far.
+    /// `+inf` while its workload has no measurement.
+    scores: Vec<f64>,
+    /// Survivors not yet handed out by [`Acquisition::next_batch`].
+    unmeasured: Vec<usize>,
+    /// Per distinct workload label.
+    workloads: Vec<WorkloadMeasurements>,
+    /// Workloads measured since the last [`Acquisition::rescore`].
+    touched: Vec<usize>,
+}
+
+struct Candidate {
+    workload: usize,
+    budget: u64,
+    predicted: u64,
+    plan_index: usize,
+}
+
+#[derive(Default)]
+struct WorkloadMeasurements {
+    /// This workload's survivors.
+    members: Vec<usize>,
+    /// Its measured `(budget, effective cycles)` points.
+    points: Vec<(u64, u64)>,
+    /// Their measured/predicted ratios.
+    ratios: Vec<f64>,
+}
+
+impl Acquisition {
+    fn new(plan: &SweepPlan, survivors: &[SurvivorPoint]) -> Acquisition {
+        let ids = plan.workload_index();
+        let mut workloads: Vec<WorkloadMeasurements> = Vec::new();
+        workloads.resize_with(plan.workloads.len(), WorkloadMeasurements::default);
+        let candidates: Vec<Candidate> = survivors
+            .iter()
+            .enumerate()
+            .map(|(s, survivor)| {
+                let workload = ids[survivor.spec.workload.as_str()];
+                workloads[workload].members.push(s);
+                Candidate {
+                    workload,
+                    budget: survivor.spec.budget,
+                    predicted: survivor.predicted,
+                    plan_index: survivor.spec.index,
+                }
+            })
+            .collect();
+        Acquisition {
+            scores: vec![f64::INFINITY; candidates.len()],
+            unmeasured: (0..candidates.len()).collect(),
+            candidates,
+            workloads,
+            touched: Vec::new(),
+        }
+    }
+
+    /// Survivors not yet handed out.
+    fn unmeasured(&self) -> usize {
+        self.unmeasured.len()
+    }
+
+    /// Removes and returns the next `take` survivors to simulate, best
+    /// first. `take` must be in `1..=self.unmeasured()`.
+    fn next_batch(&mut self, take: usize) -> Vec<usize> {
+        // Before any measurement the stage-1 ranking stands: the first
+        // batch is read off the front.
+        if self.unmeasured.len() < self.candidates.len() {
+            let (scores, candidates) = (&self.scores, &self.candidates);
+            let by_rank = |a: &usize, b: &usize| {
+                scores[*b]
+                    .total_cmp(&scores[*a])
+                    .then(candidates[*a].plan_index.cmp(&candidates[*b].plan_index))
+            };
+            if take < self.unmeasured.len() {
+                self.unmeasured.select_nth_unstable_by(take - 1, by_rank);
+            }
+            self.unmeasured[..take].sort_unstable_by(by_rank);
+        }
+        let batch = self.unmeasured[..take].to_vec();
+        // Refill the holes from the tail; the order of the rest is free,
+        // since every later batch is selected, not read off the front.
+        for hole in (0..take).rev() {
+            self.unmeasured.swap_remove(hole);
+        }
+        batch
+    }
+
+    /// Records that `survivor` measured `cycles` effective cycles.
+    fn record(&mut self, survivor: usize, cycles: u64) {
+        let candidate = &self.candidates[survivor];
+        let workload = &mut self.workloads[candidate.workload];
+        workload.points.push((candidate.budget, cycles));
+        workload
+            .ratios
+            .push(error_ratio(cycles, candidate.predicted));
+        if !self.touched.contains(&candidate.workload) {
+            self.touched.push(candidate.workload);
+        }
+    }
+
+    /// Brings the scores up to date with everything recorded: rebuilds the
+    /// frontier and correction of each workload measured since the last
+    /// call and rescores its survivors.
+    fn rescore(&mut self) {
+        for workload in self.touched.drain(..) {
+            let measurements = &self.workloads[workload];
+            let frontier = Frontier::build(measurements.points.iter().copied());
+            let correction = ErrorStats::from_ratios(measurements.ratios.clone()).p50;
+            for &s in &measurements.members {
+                let candidate = &self.candidates[s];
+                self.scores[s] =
+                    acquisition_score(candidate.budget, candidate.predicted, correction, &frontier);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -830,6 +936,154 @@ mod tests {
         assert_eq!(sims1, 10);
         assert_eq!(sims1, sims4);
         assert_eq!(csv1, csv4, "explore output must not depend on jobs");
+    }
+
+    /// The acquisition rule as first written, kept as the oracle for
+    /// [`Acquisition`]: before every batch it rebuilds every workload's
+    /// correction (the global median standing in for unmeasured workloads)
+    /// and measured frontier from all measurements so far, and fully
+    /// sorts the survivors that are left.
+    struct WholeRecompute<'a> {
+        plan: &'a SweepPlan,
+        remaining: Vec<SurvivorPoint>,
+        measured: Vec<(SurvivorPoint, u64)>,
+    }
+
+    impl WholeRecompute<'_> {
+        fn next_batch(&mut self, take: usize) -> Vec<SurvivorPoint> {
+            if !self.measured.is_empty() {
+                let median = |points: &mut dyn Iterator<Item = &(SurvivorPoint, u64)>| {
+                    let ratios = points.map(|(s, cycles)| error_ratio(*cycles, s.predicted));
+                    ErrorStats::from_ratios(ratios.collect()).p50
+                };
+                let global = median(&mut self.measured.iter());
+                let corrections: HashMap<&str, f64> = self
+                    .plan
+                    .workloads
+                    .iter()
+                    .map(|w| {
+                        let mut of_workload = self
+                            .measured
+                            .iter()
+                            .filter(|(s, _)| s.spec.workload == w.label)
+                            .peekable();
+                        let ratio = if of_workload.peek().is_some() {
+                            median(&mut of_workload)
+                        } else {
+                            global
+                        };
+                        (w.label.as_str(), ratio)
+                    })
+                    .collect();
+                let frontiers: HashMap<&str, Frontier> = self
+                    .plan
+                    .workloads
+                    .iter()
+                    .map(|w| {
+                        let points = self
+                            .measured
+                            .iter()
+                            .filter(|(s, _)| s.spec.workload == w.label)
+                            .map(|(s, cycles)| (s.spec.budget, *cycles));
+                        (w.label.as_str(), Frontier::build(points))
+                    })
+                    .collect();
+                self.remaining.sort_by(|a, b| {
+                    let score = |s: &SurvivorPoint| {
+                        acquisition_score(
+                            s.spec.budget,
+                            s.predicted,
+                            corrections[s.spec.workload.as_str()],
+                            &frontiers[s.spec.workload.as_str()],
+                        )
+                    };
+                    score(b)
+                        .total_cmp(&score(a))
+                        .then(a.spec.index.cmp(&b.spec.index))
+                });
+            }
+            self.remaining.drain(..take).collect()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Batch by batch, the incremental selection hands out the plan
+        /// indices the whole recompute would, in the same order — on small
+        /// random plans with stalls (so corrections differ by workload)
+        /// and a budget that ends in a short batch.
+        #[test]
+        fn incremental_acquisition_matches_the_whole_recompute(
+            dims in proptest::collection::vec((24u64..200, 4u64..64, 24u64..200), 3..6),
+            first_budget_exp in 8u32..10,
+            budgets in 2usize..4,
+            bandwidth in 2u64..24,
+            keep_within in 5u64..80,
+            sims in 9usize..64,
+        ) {
+            let mut plan = SweepPlan::new("acquisition-oracle");
+            plan.base.dram_bandwidth = Some(bandwidth as f64);
+            for (i, (m, k, n)) in dims.into_iter().enumerate() {
+                let label = format!("W{i}");
+                plan.workloads.push(SweepWorkload {
+                    topology: Topology::from_layers(&label, vec![Layer::gemm("l0", m, k, n)]),
+                    label,
+                });
+            }
+            plan.budgets = (0..budgets as u32).map(|b| 1 << (first_budget_exp + b)).collect();
+            plan.aspects = AspectAxis::All;
+            plan.dataflows = vec![
+                DataflowChoice::Fixed(Dataflow::OutputStationary),
+                DataflowChoice::Fixed(Dataflow::WeightStationary),
+                DataflowChoice::Auto,
+            ];
+            let sims = if sims % REFINE_BATCH == 0 { sims + 3 } else { sims };
+
+            let survivors = ExploreEngine::with_registry(64, &Registry::new())
+                .prune(&plan, keep_within as f64)
+                .unwrap()
+                .survivors;
+            // Every survivor's measurement, by plan index.
+            let cycles: HashMap<usize, u64> = SweepEngine::with_registry(4096, &Registry::new())
+                .run_points(
+                    &plan,
+                    survivors.iter().map(|s| s.spec.clone()).collect(),
+                    2,
+                    &mut NullSink,
+                )
+                .unwrap()
+                .results
+                .iter()
+                .map(|r| (r.spec.index, r.report.total_effective_cycles()))
+                .collect();
+
+            let mut acquisition = Acquisition::new(&plan, &survivors);
+            let mut oracle = WholeRecompute {
+                plan: &plan,
+                remaining: survivors.clone(),
+                measured: Vec::new(),
+            };
+            let mut done = 0;
+            while acquisition.unmeasured() > 0 && done < sims {
+                let take = REFINE_BATCH.min(acquisition.unmeasured()).min(sims - done);
+                let batch = acquisition.next_batch(take);
+                let expected = oracle.next_batch(take);
+                proptest::prop_assert_eq!(
+                    batch.iter().map(|&s| survivors[s].spec.index).collect::<Vec<_>>(),
+                    expected.iter().map(|s| s.spec.index).collect::<Vec<_>>(),
+                    "batch after {} measurements", done
+                );
+                for (s, survivor) in batch.into_iter().zip(expected) {
+                    let measured = cycles[&survivor.spec.index];
+                    acquisition.record(s, measured);
+                    oracle.measured.push((survivor, measured));
+                }
+                acquisition.rescore();
+                done += take;
+            }
+            proptest::prop_assert_eq!(acquisition.unmeasured(), oracle.remaining.len());
+        }
     }
 
     #[test]

@@ -28,7 +28,8 @@ use crate::report::{LayerReport, NetworkReport};
 /// larger grid every layer's output space is tiled across `P_R × P_C`
 /// identical arrays that execute in parallel, with the SRAM budget divided
 /// evenly (Sections III-C / IV-A of the paper). Partitions are simulated
-/// concurrently on OS threads.
+/// concurrently on OS threads, except inside a sweep, explore or server
+/// worker, which simulates them in tile order itself.
 ///
 /// See the crate-level docs for examples.
 #[derive(Debug, Clone)]
@@ -554,10 +555,15 @@ fn partition_tiles(shape: GemmShape, grid: PartitionGrid) -> Vec<Tile> {
     tiles
 }
 
-/// Simulates each tile (compute schedule + DRAM model), in parallel across
-/// OS threads when there are several. Phase wall time (compute schedule vs
-/// DRAM interface walk) accumulates into `phases` from every thread, and
-/// demand-stream volume (elements vs runs) into `volume`.
+/// Simulates each tile (compute schedule + DRAM model) and returns the
+/// results in tile order. Called from outside any executor (CLI `run`,
+/// library callers) several tiles run in parallel across fresh OS threads;
+/// inside an [`crate::exec::Executor`] task they run one after the other
+/// on that worker, which keeps the simulating threads at the pool's worker
+/// count and the fold loop on the worker's warm arena. Phase wall time
+/// (compute schedule vs DRAM interface walk) accumulates into `phases`
+/// from every thread, and demand-stream volume (elements vs runs) into
+/// `volume`.
 #[allow(clippy::too_many_arguments)]
 fn run_partitions(
     tiles: &[Tile],
@@ -630,7 +636,7 @@ fn run_partitions(
         (compute, dram, stall)
     };
 
-    if tiles.len() <= 1 {
+    if tiles.len() <= 1 || crate::exec::on_worker() {
         return tiles.iter().map(run_tile).collect();
     }
 

@@ -6,8 +6,11 @@
 //! product of array budgets, aspect ratios, partition grids and workloads.
 //! [`SweepPlan`] names such a product, and [`SweepEngine`] evaluates it
 //!
-//! * **in parallel** — a crossbeam scoped worker pool (`--jobs N`) pulls
-//!   points off a shared work list;
+//! * **in parallel** — up to `--jobs N` scoped worker threads per run take
+//!   (point, layer) tasks from a work-stealing [`Executor`]; they are the
+//!   only threads that simulate (a partitioned layer's tiles run on the
+//!   worker that took the layer), and a caller with several batches of
+//!   points — the explore pipeline — keeps them for all of them;
 //! * **memoized** — every point is content-addressed by the same canonical
 //!   job text the `scalesim-server` cache uses ([`canonical_job_text`]),
 //!   deduplicated through a [`ShardedLru`], so duplicate points inside a
@@ -381,6 +384,16 @@ impl SweepPlan {
             plan.base.dram_bandwidth = Some(bw);
         }
         Ok(plan)
+    }
+
+    /// Dense workload ids: each label's position in `workloads` (the last
+    /// one, should a label repeat).
+    pub(crate) fn workload_index(&self) -> HashMap<&str, usize> {
+        self.workloads
+            .iter()
+            .enumerate()
+            .map(|(i, w)| (w.label.as_str(), i))
+            .collect()
     }
 
     /// The dataflow axis with the empty-means-base default applied.
@@ -1024,7 +1037,7 @@ impl From<SimError> for SweepError {
     }
 }
 
-/// A prepared point: its spec plus everything a worker needs.
+/// A prepared point: its spec plus the distinct job that answers it.
 struct PreparedPoint {
     spec: PointSpec,
     distinct: usize,
@@ -1128,8 +1141,8 @@ impl Slots {
 }
 
 /// The parallel, memoizing sweep executor: a content-addressed result
-/// cache (shared across every plan run on the same engine) plus a scoped
-/// worker pool per run.
+/// cache (shared across every plan run on the same engine) plus one set of
+/// scoped worker threads per run.
 ///
 /// Determinism: duplicate points are simulated once and results are
 /// emitted in plan order, so the output stream is byte-identical to a
@@ -1152,7 +1165,7 @@ pub struct SweepEngine {
 /// line; progress never touches stdout, so piped sweep output is
 /// unaffected. When progress is off the per-point cost is a single
 /// `Option` branch — no allocation, no clock read.
-struct ProgressTicker {
+pub(crate) struct ProgressTicker {
     label: String,
     total: usize,
     /// Fresh simulations this run must execute; rate and ETA are based on
@@ -1167,7 +1180,7 @@ struct ProgressTicker {
 }
 
 impl ProgressTicker {
-    const INTERVAL: Duration = Duration::from_millis(500);
+    pub(crate) const INTERVAL: Duration = Duration::from_millis(500);
 
     fn new(label: &str, total: usize, sims_total: usize, cache_hits: u64) -> ProgressTicker {
         let now = Instant::now();
@@ -1334,16 +1347,19 @@ impl SweepEngine {
     /// Runs an explicit list of points against `plan`'s base configuration
     /// and workloads, streaming each to `sink` in the order given.
     ///
-    /// This is the entry the explore pipeline uses to simulate the
-    /// survivors of analytical pruning: the points need not be the plan's
-    /// full expansion, but every spec's workload label must name one of
-    /// the plan's workloads. Dedup, caching and the determinism contract
-    /// are identical to [`SweepEngine::run_streaming`].
+    /// The points need not be the plan's full expansion, but every spec's
+    /// workload label must name one of the plan's workloads. Dedup, caching
+    /// and the determinism contract are identical to
+    /// [`SweepEngine::run_streaming`]. This is a session of one batch; the
+    /// explore pipeline, which simulates the survivors of analytical
+    /// pruning eight at a time, keeps one session open for all of its
+    /// batches.
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::Plan`] when a point references a workload the
-    /// plan does not define, and [`SweepError::Io`] when the sink fails.
+    /// plan does not define, [`SweepError::Io`] when the sink fails and
+    /// [`SweepError::Sim`] when a simulation panics.
     pub fn run_points(
         &self,
         plan: &SweepPlan,
@@ -1351,37 +1367,161 @@ impl SweepEngine {
         jobs: usize,
         sink: &mut dyn SweepSink,
     ) -> Result<SweepOutcome, SweepError> {
-        // Canonical topology text per workload, for content keys.
-        let csvs: Vec<String> = plan
-            .workloads
-            .iter()
-            .map(|w| topology_to_csv(&w.topology))
-            .collect();
-        let workload_index: HashMap<&str, usize> = plan
-            .workloads
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (w.label.as_str(), i))
-            .collect();
+        self.session(plan, jobs, |run_batch| run_batch(points, sink))
+    }
 
-        // Deduplicate points into distinct jobs by content key.
+    /// Opens a sweep session over `plan` and hands `body` the function
+    /// that runs one batch of points in it (the contract of
+    /// [`SweepEngine::run_points`], batch by batch).
+    ///
+    /// What the batches share is set up once: the plan's canonical
+    /// topology texts, label index and layer lists, and up to `jobs`
+    /// worker threads. Workers start with the first batch that needs
+    /// them, park on a condition variable between batches and exit when
+    /// `body` returns, so a worker's thread-local
+    /// [`crate::arena::SimArena`] stays warm for the whole session: the
+    /// hundreds of 8-point batches of an exploration cost their
+    /// simulations, not thread start-up. Each batch gets a fresh
+    /// [`Executor`] over its (job, layer) tasks, and the calling thread is
+    /// its in-order emitter.
+    ///
+    /// A panicking simulation fails its batch with [`SweepError::Sim`]:
+    /// the first panic wins, every unfilled slot is poisoned and the
+    /// emitter never hangs.
+    pub(crate) fn session<R>(
+        &self,
+        plan: &SweepPlan,
+        jobs: usize,
+        body: impl FnOnce(&mut RunBatch<'_>) -> Result<R, SweepError>,
+    ) -> Result<R, SweepError> {
+        let session = Session::new(self, plan, jobs);
+        let pool = WorkerPool::default();
+        std::thread::scope(|scope| {
+            // Dropped when `body` returns or unwinds: parked workers must
+            // wake up and exit, or the scope would never join.
+            let _stop = StopOnDrop(&pool);
+            let mut spawned = 0;
+            body(&mut |points, sink| {
+                let (batch, prepared) = Batch::prepare(&session, points)?;
+                self.cache_hits.add(batch.cache_hits);
+                sink.begin(plan, prepared.len())?;
+                let batch = Arc::new(batch);
+                let simulating = !batch.tasks.is_empty();
+                if simulating {
+                    pool.start(&batch);
+                    while spawned < batch.exec.workers() {
+                        let (pool, worker) = (&pool, spawned);
+                        scope.spawn(move || pool.worker_loop(worker));
+                        spawned += 1;
+                    }
+                }
+                let emitted = batch.emit(prepared, sink);
+                if simulating {
+                    // After an emit error the executor is aborted: the
+                    // workers finish the task in hand and report in.
+                    pool.wait_idle();
+                }
+                let results = emitted?;
+                sink.end()?;
+                Ok(batch.outcome(results))
+            })
+        })
+    }
+}
+
+/// The function a [`SweepEngine::session`] hands its body: runs one batch
+/// of points, streaming them to the sink in the order given.
+pub(crate) type RunBatch<'a> =
+    dyn FnMut(Vec<PointSpec>, &mut dyn SweepSink) -> Result<SweepOutcome, SweepError> + 'a;
+
+/// What every batch of a session shares, set up once.
+struct Session<'a> {
+    engine: &'a SweepEngine,
+    plan: &'a SweepPlan,
+    jobs: usize,
+    /// Canonical topology text per workload, for content keys.
+    csvs: Vec<String>,
+    workload_index: HashMap<&'a str, usize>,
+    layer_lists: Vec<Vec<&'a Layer>>,
+    faults: FaultPlan,
+    network_runs: Arc<Counter>,
+}
+
+impl<'a> Session<'a> {
+    fn new(engine: &'a SweepEngine, plan: &'a SweepPlan, jobs: usize) -> Session<'a> {
+        Session {
+            engine,
+            plan,
+            jobs: jobs.max(1),
+            csvs: plan
+                .workloads
+                .iter()
+                .map(|w| topology_to_csv(&w.topology))
+                .collect(),
+            workload_index: plan.workload_index(),
+            layer_lists: plan
+                .workloads
+                .iter()
+                .map(|w| w.topology.iter().collect())
+                .collect(),
+            faults: engine.faults.lock().unwrap().clone(),
+            network_runs: scalesim_telemetry::global().counter(
+                crate::simulator::telemetry_names::NETWORK_RUNS,
+                "Topologies simulated end to end.",
+            ),
+        }
+    }
+}
+
+/// One batch of points in flight: its distinct jobs, their (job, layer)
+/// tasks, the executor scheduling those and the slots the emitter reads.
+/// Shared between the session's workers and the emitting thread.
+struct Batch<'a> {
+    session: &'a Session<'a>,
+    distinct: Vec<DistinctJob>,
+    /// The jobs the cache could not answer, as indices into `distinct`.
+    pending: Vec<usize>,
+    /// (index into `pending`, layer).
+    tasks: Vec<(usize, usize)>,
+    /// One per pending job.
+    states: Vec<JobState>,
+    /// One per distinct job.
+    slots: Slots,
+    cache_hits: u64,
+    sims_done: AtomicUsize,
+    exec: Executor,
+}
+
+impl<'a> Batch<'a> {
+    /// Deduplicates `points` into distinct jobs by content key, probes the
+    /// cross-plan cache and lays out one task per (pending job, layer).
+    fn prepare(
+        session: &'a Session<'a>,
+        points: Vec<PointSpec>,
+    ) -> Result<(Batch<'a>, Vec<PreparedPoint>), SweepError> {
         let mut distinct_of_key: HashMap<u128, usize> = HashMap::new();
         let mut distinct: Vec<DistinctJob> = Vec::new();
         let mut prepared: Vec<PreparedPoint> = Vec::with_capacity(points.len());
         for spec in points {
-            let workload = *workload_index.get(spec.workload.as_str()).ok_or_else(|| {
-                SweepError::plan(format!(
-                    "point references unknown workload `{}`",
-                    spec.workload
-                ))
-            })?;
-            let config = spec.config(&plan.base);
+            let workload = *session
+                .workload_index
+                .get(spec.workload.as_str())
+                .ok_or_else(|| {
+                    SweepError::plan(format!(
+                        "point references unknown workload `{}`",
+                        spec.workload
+                    ))
+                })?;
+            let config = spec.config(&session.plan.base);
             let auto = spec.dataflow == DataflowChoice::Auto;
-            let key = ContentKey::from_content(
-                canonical_job_text(&config, &spec.workload, spec.grid, &csvs[workload], auto)
-                    .as_bytes(),
-            )
-            .0;
+            let text = canonical_job_text(
+                &config,
+                &spec.workload,
+                spec.grid,
+                &session.csvs[workload],
+                auto,
+            );
+            let key = ContentKey::from_content(text.as_bytes()).0;
             let slot = *distinct_of_key.entry(key).or_insert_with(|| {
                 distinct.push(DistinctJob {
                     key,
@@ -1398,41 +1538,27 @@ impl SweepEngine {
             });
         }
 
-        // Probe the cross-plan cache; whatever is left needs simulating.
         let slots = Slots::new(distinct.len());
         let mut pending: Vec<usize> = Vec::new();
         for (i, job) in distinct.iter().enumerate() {
-            match self.cache.get(job.key) {
+            match session.engine.cache.get(job.key) {
                 Some(report) => slots.fill(i, report),
                 None => pending.push(i),
             }
         }
-        let simulations = pending.len() as u64;
-        let cache_hits = prepared.len() as u64 - simulations;
-        self.cache_hits.add(cache_hits);
-
-        sink.begin(plan, prepared.len())?;
-        let faults = self.faults.lock().unwrap().clone();
 
         // One task per (pending job, layer): layer costs vary by orders
         // of magnitude with fold count, so layer-granularity tasks plus
         // work stealing keep the pool balanced where whole-point
         // scheduling lets one unlucky worker set the tail latency.
-        let layer_lists: Vec<Vec<&Layer>> = plan
-            .workloads
-            .iter()
-            .map(|w| w.topology.iter().collect())
-            .collect();
-        let mut tasks: Vec<(usize, usize)> = Vec::new(); // (pending index, layer)
+        let mut tasks: Vec<(usize, usize)> = Vec::new();
         let mut states: Vec<JobState> = Vec::with_capacity(pending.len());
         for (p, &job_index) in pending.iter().enumerate() {
-            let layers = layer_lists[distinct[job_index].workload].len();
+            let layers = session.layer_lists[distinct[job_index].workload].len();
             // An empty topology still gets one task, so its slot is
             // filled by the same assembly path as everything else.
             let job_tasks = layers.max(1);
-            for layer in 0..job_tasks {
-                tasks.push((p, layer));
-            }
+            tasks.extend((0..job_tasks).map(|layer| (p, layer)));
             states.push(JobState {
                 layers: Mutex::new(vec![None; layers]),
                 remaining: AtomicUsize::new(job_tasks),
@@ -1440,164 +1566,266 @@ impl SweepEngine {
                 latency_micros: AtomicU64::new(0),
             });
         }
-        let sims_done = AtomicUsize::new(0);
-        let exec = Executor::new(tasks.len(), jobs.max(1));
-
-        let mut results: Vec<SweepResult> = Vec::with_capacity(prepared.len());
-        let mut ticker = self.progress.then(|| {
-            ProgressTicker::new(
-                &format!("sweep {}", plan.name),
-                prepared.len(),
-                pending.len(),
-                cache_hits,
-            )
-        });
-
-        let run_task = |t: usize| {
-            let (p, layer_index) = tasks[t];
-            let job_index = pending[p];
-            let job = &distinct[job_index];
-            let workload = &plan.workloads[job.workload];
-            let state = &states[p];
-            {
-                let mut started = state.started.lock().unwrap();
-                if started.is_none() {
-                    *started = Some(Instant::now());
-                }
-            }
-            faults.apply(workload.topology.name());
-            if let Some(layer) = layer_lists[job.workload].get(layer_index) {
-                let mut sim = Simulator::new(job.config).with_grid(job.grid);
-                if job.auto {
-                    sim = sim.with_auto_dataflow();
-                }
-                let report = sim.run_layer(layer);
-                state.layers.lock().unwrap()[layer_index] = Some(report);
-            }
-            if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Last task of the job: assemble the layer reports in
-                // layer order — exactly what `run_topology` produces, so
-                // the result is byte-identical to a serial run no matter
-                // which workers simulated which layers.
-                let layers = std::mem::take(&mut *state.layers.lock().unwrap())
-                    .into_iter()
-                    .map(|r| r.expect("every layer task stored its report"))
-                    .collect();
-                scalesim_telemetry::global()
-                    .counter(
-                        crate::simulator::telemetry_names::NETWORK_RUNS,
-                        "Topologies simulated end to end.",
-                    )
-                    .inc();
-                let report = Arc::new(NetworkReport::new(workload.topology.name(), layers));
-                let elapsed = state
-                    .started
-                    .lock()
-                    .unwrap()
-                    .expect("assembly follows the first task")
-                    .elapsed();
-                state
-                    .latency_micros
-                    .store(elapsed.as_micros() as u64, Ordering::Relaxed);
-                self.point_seconds.observe_duration(elapsed);
-                self.simulations.inc();
-                sims_done.fetch_add(1, Ordering::Relaxed);
-                self.cache.insert(job.key, Arc::clone(&report));
-                slots.fill(job_index, report);
-            }
+        let batch = Batch {
+            session,
+            cache_hits: (prepared.len() - pending.len()) as u64,
+            exec: Executor::new(tasks.len(), session.jobs),
+            distinct,
+            pending,
+            tasks,
+            states,
+            slots,
+            sims_done: AtomicUsize::new(0),
         };
-        let task_label = |t: usize| {
-            let (p, _) = tasks[t];
-            plan.workloads[distinct[pending[p]].workload]
+        Ok((batch, prepared))
+    }
+
+    /// Simulates task `t`: one layer of one pending job. The task that
+    /// retires a job's last layer assembles the report, caches it and
+    /// fills the job's slot.
+    fn run_task(&self, t: usize) {
+        let session = self.session;
+        let (p, layer_index) = self.tasks[t];
+        let job_index = self.pending[p];
+        let job = &self.distinct[job_index];
+        let workload = &session.plan.workloads[job.workload];
+        let state = &self.states[p];
+        state
+            .started
+            .lock()
+            .unwrap()
+            .get_or_insert_with(Instant::now);
+        session.faults.apply(workload.topology.name());
+        if let Some(layer) = session.layer_lists[job.workload].get(layer_index) {
+            let mut sim = Simulator::new(job.config).with_grid(job.grid);
+            if job.auto {
+                sim = sim.with_auto_dataflow();
+            }
+            let report = sim.run_layer(layer);
+            state.layers.lock().unwrap()[layer_index] = Some(report);
+        }
+        if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Last task of the job: assemble the layer reports in layer
+            // order — exactly what `run_topology` produces, so the result
+            // is byte-identical to a serial run no matter which workers
+            // simulated which layers.
+            let layers = std::mem::take(&mut *state.layers.lock().unwrap())
+                .into_iter()
+                .map(|r| r.expect("every layer task stored its report"))
+                .collect();
+            session.network_runs.inc();
+            let report = Arc::new(NetworkReport::new(workload.topology.name(), layers));
+            let elapsed = state
+                .started
+                .lock()
+                .unwrap()
+                .expect("assembly follows the first task")
+                .elapsed();
+            state
+                .latency_micros
+                .store(elapsed.as_micros() as u64, Ordering::Relaxed);
+            let engine = session.engine;
+            engine.point_seconds.observe_duration(elapsed);
+            engine.simulations.inc();
+            self.sims_done.fetch_add(1, Ordering::Relaxed);
+            engine.cache.insert(job.key, Arc::clone(&report));
+            self.slots.fill(job_index, report);
+        }
+    }
+
+    /// Worker `worker`'s share of the batch. A panic must fail the sweep,
+    /// not hang it: it poisons every unfilled slot, so the emitter wakes
+    /// with the typed error.
+    fn run_worker(&self, worker: usize) {
+        let label = |t: usize| {
+            let (p, _) = self.tasks[t];
+            let workload = self.distinct[self.pending[p]].workload;
+            self.session.plan.workloads[workload]
                 .topology
                 .name()
                 .to_owned()
         };
+        if let Some(err) = self.exec.run_worker(worker, |t| self.run_task(t), label) {
+            self.slots.poison(&err);
+        }
+    }
 
-        let emit = crossbeam::thread::scope(|scope| -> Result<(), SweepError> {
-            if !tasks.is_empty() {
-                for worker in 0..exec.workers() {
-                    let exec = &exec;
-                    let run_task = &run_task;
-                    let task_label = &task_label;
-                    let slots = &slots;
-                    scope.spawn(move |_| {
-                        let _worker_span =
-                            scalesim_telemetry::trace::span_with("sweep.worker", || {
-                                vec![("worker", worker.to_string())]
-                            });
-                        if let Some(err) = exec.run_worker(worker, run_task, task_label) {
-                            // A panic must fail the sweep, not hang it:
-                            // poison every unfilled slot so the emitter
-                            // wakes with the typed error.
-                            slots.poison(&err);
-                        }
-                    });
-                }
-            }
-            // The calling thread is the emitter: strict plan order.
-            for point in &prepared {
-                let state = if ticker.is_some() {
-                    // Bounded waits so the ticker keeps printing worker
-                    // progress while a slow head-of-line point runs.
-                    loop {
-                        match slots.wait_for(point.distinct, ProgressTicker::INTERVAL) {
-                            Some(state) => break state,
-                            None => {
-                                if let Some(ticker) = ticker.as_mut() {
-                                    ticker.heartbeat(sims_done.load(Ordering::Relaxed));
-                                }
-                            }
-                        }
+    /// The emitter, run by the session's calling thread: waits for each
+    /// point's slot in the order given and streams it to `sink`. Aborts
+    /// the executor on a poisoned slot or a sink error.
+    fn emit(
+        &self,
+        prepared: Vec<PreparedPoint>,
+        sink: &mut dyn SweepSink,
+    ) -> Result<Vec<SweepResult>, SweepError> {
+        let engine = self.session.engine;
+        let mut ticker = engine.progress.then(|| {
+            ProgressTicker::new(
+                &format!("sweep {}", self.session.plan.name),
+                prepared.len(),
+                self.pending.len(),
+                self.cache_hits,
+            )
+        });
+        let mut results: Vec<SweepResult> = Vec::with_capacity(prepared.len());
+        for point in prepared {
+            let state = match ticker.as_mut() {
+                // Bounded waits so the ticker keeps printing worker
+                // progress while a slow head-of-line point runs.
+                Some(ticker) => loop {
+                    match self
+                        .slots
+                        .wait_for(point.distinct, ProgressTicker::INTERVAL)
+                    {
+                        Some(state) => break state,
+                        None => ticker.heartbeat(self.sims_done.load(Ordering::Relaxed)),
                     }
-                } else {
-                    slots.wait(point.distinct)
-                };
-                let report = match state {
-                    Ok(report) => report,
-                    Err(err) => {
-                        exec.abort();
-                        return Err(SweepError::Sim(err));
-                    }
-                };
-                if let Err(e) = sink.point(&point.spec, &report) {
-                    exec.abort();
-                    return Err(SweepError::Io(e));
+                },
+                None => self.slots.wait(point.distinct),
+            };
+            let report = match state {
+                Ok(report) => report,
+                Err(err) => {
+                    self.exec.abort();
+                    return Err(SweepError::Sim(err));
                 }
-                self.points_total.inc();
-                if let Some(ticker) = ticker.as_mut() {
-                    ticker.tick(sims_done.load(Ordering::Relaxed));
-                }
-                results.push(SweepResult {
-                    spec: point.spec.clone(),
-                    report,
-                });
+            };
+            if let Err(e) = sink.point(&point.spec, &report) {
+                self.exec.abort();
+                return Err(SweepError::Io(e));
             }
-            Ok(())
-        })
-        .expect("sweep workers never unwind");
-        emit?;
-        sink.end()?;
+            engine.points_total.inc();
+            if let Some(ticker) = ticker.as_mut() {
+                ticker.tick(self.sims_done.load(Ordering::Relaxed));
+            }
+            results.push(SweepResult {
+                spec: point.spec,
+                report,
+            });
+        }
+        Ok(results)
+    }
 
-        let exec_summary = if tasks.is_empty() {
+    /// The batch's outcome, once its workers have reported in.
+    fn outcome(&self, results: Vec<SweepResult>) -> SweepOutcome {
+        let engine = self.session.engine;
+        let exec = if self.tasks.is_empty() {
             ExecSummary::default()
         } else {
-            exec.summary()
+            self.exec.summary()
         };
-        self.exec_tasks.add(exec_summary.tasks);
-        self.exec_steals.add(exec_summary.steals);
-
-        Ok(SweepOutcome {
-            plan_name: plan.name.clone(),
+        engine.exec_tasks.add(exec.tasks);
+        engine.exec_steals.add(exec.steals);
+        SweepOutcome {
+            plan_name: self.session.plan.name.clone(),
             results,
-            simulations,
-            cache_hits,
-            point_latencies_micros: states
+            simulations: self.pending.len() as u64,
+            cache_hits: self.cache_hits,
+            point_latencies_micros: self
+                .states
                 .iter()
                 .map(|s| s.latency_micros.load(Ordering::Relaxed))
                 .collect(),
-            exec: exec_summary,
-        })
+            exec,
+        }
+    }
+}
+
+/// A session's worker threads and the batch they are working on. Workers
+/// park on `wake` between batches; the session's thread parks on `idle`
+/// until the workers of the batch it handed over have all reported in.
+#[derive(Default)]
+struct WorkerPool<'a> {
+    state: Mutex<PoolState<'a>>,
+    wake: Condvar,
+    idle: Condvar,
+}
+
+#[derive(Default)]
+struct PoolState<'a> {
+    batch: Option<Arc<Batch<'a>>>,
+    /// Bumped with every batch handed over, so a worker can tell a new
+    /// batch from the one it has just finished.
+    generation: u64,
+    /// Workers of the current batch that have not reported in yet.
+    running: usize,
+    stop: bool,
+}
+
+impl<'a> WorkerPool<'a> {
+    /// Hands `batch` to the workers `0..batch.exec.workers()`.
+    fn start(&self, batch: &Arc<Batch<'a>>) {
+        let mut state = self.state.lock().unwrap();
+        state.batch = Some(Arc::clone(batch));
+        state.generation += 1;
+        state.running = batch.exec.workers();
+        self.wake.notify_all();
+    }
+
+    /// Blocks until every worker of the current batch has returned from
+    /// its schedule loop, then lets go of the batch.
+    fn wait_idle(&self) {
+        let mut state = self.state.lock().unwrap();
+        while state.running > 0 {
+            state = self.idle.wait(state).unwrap();
+        }
+        state.batch = None;
+    }
+
+    /// Worker `worker`'s thread: takes its share of every batch that has
+    /// one for it, until the session ends.
+    fn worker_loop(&self, worker: usize) {
+        let _span = scalesim_telemetry::trace::span_with("sweep.worker", || {
+            vec![("worker", worker.to_string())]
+        });
+        let mut seen = 0;
+        loop {
+            let batch = {
+                let mut state = self.state.lock().unwrap();
+                loop {
+                    if state.stop {
+                        return;
+                    }
+                    if state.generation != seen {
+                        seen = state.generation;
+                        match &state.batch {
+                            Some(batch) if worker < batch.exec.workers() => {
+                                break Arc::clone(batch)
+                            }
+                            _ => {}
+                        }
+                    }
+                    state = self.wake.wait(state).unwrap();
+                }
+            };
+            batch.run_worker(worker);
+            drop(batch);
+            let mut state = self.state.lock().unwrap();
+            state.running -= 1;
+            if state.running == 0 {
+                self.idle.notify_all();
+            }
+        }
+    }
+}
+
+/// Ends a session's workers when dropped: aborts the batch in flight, if
+/// the session is unwinding out of one, and wakes every parked worker.
+struct StopOnDrop<'p, 'a>(&'p WorkerPool<'a>);
+
+impl Drop for StopOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        // A poisoned lock means a worker panicked outside any task, which
+        // `worker_loop` has no code to do; stop the rest regardless.
+        let mut state = match self.0.state.lock() {
+            Ok(state) => state,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        if let Some(batch) = &state.batch {
+            batch.exec.abort();
+        }
+        state.stop = true;
+        self.0.wake.notify_all();
     }
 }
 

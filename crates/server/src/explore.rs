@@ -25,7 +25,6 @@
 //! its telemetry lands in the engine registry so the
 //! `scalesim_explore_*` series show up on `GET /metrics`.
 
-use std::collections::HashSet;
 use std::time::Duration;
 
 use scalesim::{ExploreBudget, ExploreEngine, ExploreOptions, ExploreOutcome, MeasuredPoint};
@@ -125,13 +124,7 @@ pub fn run_explore(engine: &Engine, body: &Json) -> Result<Json, JobError> {
 }
 
 fn outcome_json(outcome: &ExploreOutcome) -> Json {
-    let frontiers = outcome.frontiers();
-    let on_frontier: HashSet<*const MeasuredPoint> = frontiers
-        .iter()
-        .flat_map(|(_, points)| points.iter().map(|p| *p as *const MeasuredPoint))
-        .collect();
-
-    let point_json = |p: &MeasuredPoint| {
+    let point_json = |p: &MeasuredPoint, on_frontier: bool| {
         Json::obj(vec![
             ("workload", Json::str(p.spec.workload.clone())),
             ("budget", Json::Int(p.spec.budget.into())),
@@ -142,21 +135,25 @@ fn outcome_json(outcome: &ExploreOutcome) -> Json {
             ("predicted_cycles", Json::Int(p.predicted.into())),
             ("cycles", Json::Int(p.report.total_cycles().into())),
             ("effective_cycles", Json::Int(p.measured().into())),
-            (
-                "on_frontier",
-                Json::Bool(on_frontier.contains(&(p as *const MeasuredPoint))),
-            ),
+            ("on_frontier", Json::Bool(on_frontier)),
         ])
     };
 
-    let frontier_json: Vec<Json> = frontiers
+    let points_json: Vec<Json> = outcome
+        .measured
+        .iter()
+        .zip(outcome.frontier_membership())
+        .map(|(p, on_frontier)| point_json(p, on_frontier))
+        .collect();
+    let frontier_json: Vec<Json> = outcome
+        .frontiers()
         .iter()
         .map(|(workload, points)| {
             Json::obj(vec![
                 ("workload", Json::str(*workload)),
                 (
                     "points",
-                    Json::Arr(points.iter().map(|p| point_json(p)).collect()),
+                    Json::Arr(points.iter().map(|p| point_json(p, true)).collect()),
                 ),
             ])
         })
@@ -195,10 +192,7 @@ fn outcome_json(outcome: &ExploreOutcome) -> Json {
                 ),
             ]),
         ),
-        (
-            "points",
-            Json::Arr(outcome.measured.iter().map(point_json).collect()),
-        ),
+        ("points", Json::Arr(points_json)),
         ("frontiers", Json::Arr(frontier_json)),
     ])
 }

@@ -254,15 +254,31 @@ fn explore_recovers_frontier_of_a_hundred_thousand_point_space() {
         assert_eq!(explored, full, "frontier diverged for {workload}");
     }
 
-    // Byte-identical output across worker counts. The second run hits the
-    // warm cache, but emission order is derived from the plan alone, so
-    // any jobs-dependence in ordering would still surface here.
-    let mut first = Vec::new();
-    outcome.write_csv(&mut first).unwrap();
+    // Byte-identical output across worker counts. A rerun on the warm
+    // engine simulates nothing, so it pins that emission order derives
+    // from the plan alone; a fresh engine per worker count simulates every
+    // survivor again (over the shared layer cache), so batch composition
+    // and assembly under 1, 2, 4 and 7 workers are compared too.
+    let csv = |outcome: &scalesim::ExploreOutcome| {
+        let mut text = Vec::new();
+        outcome.write_csv(&mut text).unwrap();
+        text
+    };
+    let first = csv(&outcome);
     let rerun = engine
         .run(&plan, &ExploreOptions { jobs: 1, ..options })
         .expect("rerun");
-    let mut second = Vec::new();
-    rerun.write_csv(&mut second).unwrap();
-    assert_eq!(first, second, "explore output depends on worker count");
+    assert_eq!(rerun.cache_hits, rerun.simulated as u64);
+    assert_eq!(first, csv(&rerun), "explore output depends on worker count");
+    for jobs in [1, 2, 4, 7] {
+        let fresh = ExploreEngine::new(8192)
+            .run(&plan, &ExploreOptions { jobs, ..options })
+            .expect("fresh run");
+        assert_eq!(fresh.cache_hits, 0);
+        assert_eq!(
+            first,
+            csv(&fresh),
+            "explore output differs at {jobs} workers"
+        );
+    }
 }

@@ -15,10 +15,13 @@
 //!   scalar twin of the run-granular profile.
 //! * The production fold loop (arena-pooled buffers, lending demand
 //!   iterator, deferred output installs) performs **zero heap allocation**
-//!   once warm, measured with a counting global allocator.
+//!   once warm, measured with a counting global allocator — also for the
+//!   tiles of a partitioned layer simulated inside an executor task.
 
 use proptest::prelude::*;
 
+use scalesim::exec::Executor;
+use scalesim::{PartitionGrid, SimConfig, Simulator};
 use scalesim_memory::scalar::{extend_runs_scalar, ScalarIntervalSet};
 use scalesim_memory::{
     AddrRuns, BufferPool, ConvAddressMap, DoubleBuffer, DramModel, GemmAddressMap, IntervalSet,
@@ -27,7 +30,7 @@ use scalesim_memory::{
 use scalesim_systolic::{
     fold_demand_runs, fold_demand_runs_in, ArrayShape, Dataflow, FoldDemandRuns,
 };
-use scalesim_topology::{ConvLayerBuilder, GemmShape};
+use scalesim_topology::{ConvLayerBuilder, GemmShape, Layer};
 
 // ---------------------------------------------------------------------------
 // Counting allocator: thread-local so parallel test threads don't interfere.
@@ -522,5 +525,70 @@ fn fold_loop_is_allocation_free_after_warmup() {
         dedup = back;
         let _ = dedup;
         assert_eq!(allocs, 0, "{df:?}: warm fold loop must not touch the heap");
+    }
+}
+
+/// Allocations `Simulator::run_layer` performs on this thread for `layer`
+/// when called from inside an executor task, layer cache cleared first so
+/// the fold loop really runs.
+fn run_layer_allocations_in_executor_task(sim: &Simulator, layer: &Layer) -> u64 {
+    scalesim::layer_cache::clear();
+    let allocations = Cell::new(0);
+    let exec = Executor::new(1, 1);
+    let panic = exec.run_worker(
+        0,
+        |_| {
+            let before = allocations_on_this_thread();
+            sim.run_layer(layer);
+            allocations.set(allocations_on_this_thread() - before);
+        },
+        |_| layer.name().to_owned(),
+    );
+    assert_eq!(panic, None);
+    allocations.get()
+}
+
+/// Inside an executor task the tiles of a partitioned layer run on the
+/// worker itself, so all of them draw on its one warm arena: a 2x2-grid
+/// layer of 1024 folds costs a handful of per-layer allocations (report,
+/// address map, cache entry — the same handful as a layer of 64 folds,
+/// give or take one), nothing per fold, and no other thread's arena is
+/// touched.
+#[test]
+fn partitioned_layer_in_executor_task_is_allocation_free_per_fold() {
+    /// Generous room for the per-layer allocations (14 to 16 today).
+    const PER_LAYER: u64 = 32;
+    let config = SimConfig::builder()
+        .array(ArrayShape::square(8))
+        .sram_kb(4, 4, 2)
+        .build();
+    // 8x8 and 32x32 folds of the 8x8 array, split over four tiles.
+    let few_folds = Layer::gemm("few", 64, 48, 64);
+    let many_folds = Layer::gemm("many", 256, 48, 256);
+    // WS spills partial sums (real flushes of deferred installs); OS
+    // exercises pure deferral.
+    for dataflow in [Dataflow::OutputStationary, Dataflow::WeightStationary] {
+        let sim =
+            Simulator::new(SimConfig { dataflow, ..config }).with_grid(PartitionGrid::new(2, 2));
+        // Warm-up: the arena's scratch reaches its high-water mark and
+        // both layer names get their telemetry series.
+        for layer in [&few_folds, &many_folds, &many_folds] {
+            run_layer_allocations_in_executor_task(&sim, layer);
+        }
+        // No other test of this binary simulates a layer, so the
+        // process-wide arena count is this test's own.
+        let arenas = scalesim::arena::arenas_created();
+        let many = run_layer_allocations_in_executor_task(&sim, &many_folds);
+        let few = run_layer_allocations_in_executor_task(&sim, &few_folds);
+        assert!(
+            many <= PER_LAYER && many.abs_diff(few) <= 2,
+            "{dataflow:?}: {many} allocations for 1024 folds, {few} for 64: \
+             the warm fold loop must not touch the heap"
+        );
+        assert_eq!(
+            scalesim::arena::arenas_created(),
+            arenas,
+            "{dataflow:?}: tiles must run on the executor worker's own arena"
+        );
     }
 }

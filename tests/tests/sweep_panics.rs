@@ -4,32 +4,13 @@
 //! runs under a watchdog so a reintroduced hang fails the suite instead
 //! of stalling it.
 
-use std::sync::mpsc;
-use std::thread;
-use std::time::Duration;
-
 use scalesim::sweep::{
     AspectAxis, CsvSink, DataflowChoice, GridAxis, SweepEngine, SweepError, SweepPlan,
     SweepWorkload,
 };
 use scalesim::{ArrayShape, ExploreEngine, ExploreOptions, FaultPlan, SimConfig};
+use scalesim_integration::watchdog;
 use scalesim_topology::{Layer, Topology};
-
-/// Fails the calling test if `f` does not finish within `secs` seconds —
-/// the hang these tests exist to catch manifests as an infinite wait.
-fn watchdog<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    let worker = thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(value) => {
-            worker.join().expect("watchdogged closure panicked");
-            value
-        }
-        Err(_) => panic!("sweep did not complete within {secs}s — the panic-hang is back"),
-    }
-}
 
 fn workload(name: &str, m: u64) -> SweepWorkload {
     SweepWorkload {
