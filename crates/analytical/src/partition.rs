@@ -60,6 +60,19 @@ impl fmt::Display for PartitionGrid {
     }
 }
 
+impl std::str::FromStr for PartitionGrid {
+    type Err = String;
+
+    /// Parses the `PRxPC` spelling [`fmt::Display`] writes, both counts
+    /// nonzero (spaces around either are ignored).
+    fn from_str(s: &str) -> Result<PartitionGrid, String> {
+        let count = |text: &str| text.trim().parse().ok().filter(|&n: &u64| n > 0);
+        s.split_once('x')
+            .and_then(|(rows, cols)| Some(PartitionGrid::new(count(rows)?, count(cols)?)))
+            .ok_or_else(|| format!("grid `{s}` is not PRxPC with nonzero counts"))
+    }
+}
+
 /// A complete scale-out configuration: the grid plus the per-partition
 /// array shape. Total MACs = `P_R · P_C · R · C`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -191,6 +204,18 @@ mod tests {
 
     fn dims(m: u64, k: u64, n: u64) -> MappedDims {
         GemmShape::new(m, k, n).project(Dataflow::OutputStationary)
+    }
+
+    #[test]
+    fn grid_parses_what_it_displays_and_nothing_else() {
+        for grid in [PartitionGrid::monolithic(), PartitionGrid::new(4, 2)] {
+            assert_eq!(grid.to_string().parse(), Ok(grid));
+        }
+        assert_eq!(" 8 x 16 ".parse(), Ok(PartitionGrid::new(8, 16)));
+        for bad in ["", "4", "4x", "x4", "0x2", "2x0", "2x2x2", "-1x2", "axb"] {
+            let err = bad.parse::<PartitionGrid>().unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+        }
     }
 
     #[test]

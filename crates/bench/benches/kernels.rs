@@ -2,7 +2,9 @@
 //! their scalar twins, at the granularity the simulator actually calls
 //! them — per run, not per element.
 //!
-//! Three tiers, matching the `kernel_*` keys in `BENCH_sweep.json`:
+//! Three tiers, matching `memory.run_merge_ns_per_run`,
+//! `memory.buffer_epoch_ns_per_run` and `memory.reuse_profile_ns_per_run`
+//! of the repo benchmark (`benchmark/README.md`):
 //!
 //! * **run-merge** — `AddrRuns::extend_runs` (one boundary check + two
 //!   memcpys) vs the per-run push loop, and `IntervalSet::insert_with_gaps`

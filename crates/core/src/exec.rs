@@ -14,18 +14,31 @@
 //! by workload name and delays or panics their simulation, exercising the
 //! recovery paths without real overload or real bugs.
 //!
-//! # The work-stealing executor
+//! # The executor
 //!
-//! [`Executor`] schedules a fixed set of tasks over per-worker Chase–Lev
-//! deques with random stealing. Tasks are split at *layer* granularity —
+//! [`Executor`] schedules a fixed set of tasks over per-worker *blocks*:
+//! the task indices `0..tasks` are cut into one contiguous block per
+//! worker, and a block is nothing but its range and an atomic count of
+//! the tasks taken from it. A worker takes tasks from its own block with
+//! `fetch_add` and, once that is dry, from the next workers' blocks in
+//! round-robin order — a *steal*; every taker walks a block from its last
+//! index to its first. Tasks are split at *layer* granularity —
 //! layer costs vary by orders of magnitude with fold count, so whole-point
 //! scheduling lets one unlucky worker set the tail latency of the whole
-//! sweep; layer tasks let idle workers steal the remainder of an expensive
-//! point. The task set is known up front, so the deques are fixed-capacity
-//! rings of plain task indices: no growth, no ownership hand-off, and the
-//! only unsafe-free synchronization is the classic top-CAS steal protocol.
-//! Every task runs under [`run_caught`]; the first panic aborts the run
-//! and is returned as the typed [`SimError`].
+//! sweep; layer tasks let idle workers take over the remainder of an
+//! expensive block. Every task runs under [`run_caught`]; the first panic
+//! aborts the run and is returned as the typed [`SimError`].
+//!
+//! Why blocks and not one shared cursor, which is simpler still: against
+//! the per-worker deques this replaced, one global cursor measured
+//! `explore_gemm_100k` `pass_s` 0.627 → 0.721 (0 of 6 pairs won) and
+//! `cpu_s_per_pass` ×1.19 — more work, not more waiting: neighbouring
+//! points share layers (`auto` sits next to its fixed dataflow) and two
+//! workers then simulate one layer at once, the layer cache having no
+//! single-flight. Blocks keep neighbours on one worker. Why last index
+//! first: an in-order emitter waits for a batch's first point, and handing
+//! it over mid-batch measured `pass_s` ×1.057 there (0 of 10 pairs won);
+//! from the last index it is ×1.004. DESIGN.md §3.9 has the measurements.
 //!
 //! The executor's workers are the threads that simulate: a layer run
 //! inside a task keeps its partition tiles on the worker (see
@@ -39,7 +52,8 @@
 
 use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -50,9 +64,9 @@ use crate::simulator::{telemetry_names as sim_telemetry, Simulator};
 
 /// Metric names the executor records into the process-global registry.
 pub mod telemetry_names {
-    /// Counter: tasks executed by work-stealing executors (any outcome).
+    /// Counter: tasks executed by executors (any outcome).
     pub const TASKS: &str = "scalesim_exec_tasks_total";
-    /// Counter: tasks obtained by stealing from another worker's deque.
+    /// Counter: tasks a worker took from another worker's block.
     pub const STEALS: &str = "scalesim_exec_steals_total";
 }
 
@@ -177,93 +191,28 @@ impl FaultPlan {
     }
 }
 
-/// A fixed-capacity Chase–Lev deque of task indices.
+/// One worker's share of the task set: the contiguous task indices
+/// `tasks`, of which the last `taken` are gone. `taken` only grows, so a
+/// block found dry stays dry.
 ///
-/// The owner pushes and pops at the bottom; thieves race for the top
-/// element with a CAS. Because the full task set is pushed before any
-/// worker starts (the spawn provides the happens-before edge) and the
-/// elements are plain `usize`s in atomic cells, the structure needs no
-/// unsafe code and never grows: capacity is the next power of two at or
-/// above the task count.
-struct Deque {
-    top: AtomicIsize,
-    bottom: AtomicIsize,
-    buf: Box<[AtomicUsize]>,
-    mask: usize,
+/// `Relaxed` is enough for the cursor: it publishes nothing. What a task
+/// index refers to was written before the workers got the executor
+/// (thread spawn, or the mutex under which a session hands a batch to its
+/// parked workers, orders that), and `fetch_add` alone makes every index
+/// go to exactly one taker.
+struct Block {
+    tasks: Range<usize>,
+    taken: AtomicUsize,
 }
 
-enum Steal {
-    Task(usize),
-    Empty,
-    /// Lost the top CAS to another thief (or the owner's last-element
-    /// pop); the deque may still have work — try again.
-    Retry,
-}
-
-impl Deque {
-    fn with_capacity(tasks: usize) -> Deque {
-        let cap = tasks.next_power_of_two().max(2);
-        Deque {
-            top: AtomicIsize::new(0),
-            bottom: AtomicIsize::new(0),
-            buf: (0..cap).map(|_| AtomicUsize::new(0)).collect(),
-            mask: cap - 1,
-        }
-    }
-
-    /// Owner-side push. Only called while distributing the task set,
-    /// before any worker thread exists, so capacity is never exceeded.
-    fn push(&self, task: usize) {
-        let b = self.bottom.load(Ordering::Relaxed);
-        self.buf[(b as usize) & self.mask].store(task, Ordering::Relaxed);
-        self.bottom.store(b + 1, Ordering::Release);
-    }
-
-    /// Owner-side pop from the bottom (LIFO for locality).
-    fn pop(&self) -> Option<usize> {
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        self.bottom.store(b, Ordering::Relaxed);
-        std::sync::atomic::fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::Relaxed);
-        if t <= b {
-            let task = self.buf[(b as usize) & self.mask].load(Ordering::Relaxed);
-            if t == b {
-                // Single element left: race thieves for it via `top`.
-                let won = self
-                    .top
-                    .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                    .is_ok();
-                self.bottom.store(b + 1, Ordering::Relaxed);
-                won.then_some(task)
-            } else {
-                Some(task)
-            }
-        } else {
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            None
-        }
-    }
-
-    /// Thief-side steal from the top (FIFO: steals take the oldest task,
-    /// which under block distribution is the start of another job).
-    fn steal(&self) -> Steal {
-        let t = self.top.load(Ordering::Acquire);
-        std::sync::atomic::fence(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::Acquire);
-        if t < b {
-            let task = self.buf[(t as usize) & self.mask].load(Ordering::Relaxed);
-            if self
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok()
-            {
-                Steal::Task(task)
-            } else {
-                Steal::Retry
-            }
-        } else {
-            Steal::Empty
-        }
+impl Block {
+    /// Takes the block's next task, if it has one left, walking the block
+    /// from its last index to its first (see the module docs for why). A
+    /// worker stops visiting a block that told it `None`, so the cursor
+    /// overshoots the block's length by at most the worker count.
+    fn take(&self) -> Option<usize> {
+        let n = self.taken.fetch_add(1, Ordering::Relaxed);
+        (n < self.tasks.len()).then(|| self.tasks.end - 1 - n)
     }
 }
 
@@ -293,7 +242,7 @@ impl WorkerStats {
 pub struct ExecSummary {
     /// Tasks executed (including a panicking one, if any).
     pub tasks: u64,
-    /// Tasks obtained by stealing from another worker's deque.
+    /// Tasks a worker took from another worker's block.
     pub steals: u64,
     /// Per-worker busy fraction in `[0, 1]`: time spent inside task
     /// bodies over the worker's wall time in the pool.
@@ -334,19 +283,19 @@ impl Drop for WorkerMark {
     }
 }
 
-/// A panic-safe work-stealing executor over a fixed task set.
+/// A panic-safe executor over a fixed task set.
 ///
-/// Construction distributes task indices `0..tasks` over per-worker
-/// Chase–Lev deques in contiguous blocks (so a worker's own queue holds
-/// consecutive layers of the same jobs, and steals grab whole tails of
-/// other jobs). Workers call [`Executor::run_worker`] — typically from a
-/// scoped thread each — which loops: pop own deque, else steal from a
-/// random victim, and returns once every deque is empty. Each task body
-/// runs under `catch_unwind`; the first panic records a typed
-/// [`SimError`], aborts every worker, and is returned from the panicking
-/// worker's `run_worker` so the caller can poison downstream consumers.
+/// Construction cuts the task indices `0..tasks` into one contiguous
+/// block per worker (so a worker's own block holds consecutive layers
+/// of the same jobs). Workers call [`Executor::run_worker`] — typically
+/// from a scoped thread each — which loops: take from the own block, else
+/// from the next block that has anything left, and returns once every
+/// block is dry. Each task body runs under `catch_unwind`; the first
+/// panic records a typed [`SimError`], aborts every worker, and is returned
+/// from the panicking worker's `run_worker` so the caller can poison
+/// downstream consumers.
 pub struct Executor {
-    deques: Vec<Deque>,
+    blocks: Vec<Block>,
     stats: Vec<WorkerStats>,
     abort: AtomicBool,
     error: Mutex<Option<SimError>>,
@@ -354,16 +303,17 @@ pub struct Executor {
 
 impl Executor {
     /// An executor over tasks `0..tasks` for `workers` workers, the task
-    /// indices block-distributed over the workers' deques.
+    /// indices cut into one contiguous block per worker.
     pub fn new(tasks: usize, workers: usize) -> Executor {
         let workers = workers.max(1).min(tasks.max(1));
         let per = tasks.div_ceil(workers);
-        let deques: Vec<Deque> = (0..workers).map(|_| Deque::with_capacity(per)).collect();
-        for task in 0..tasks {
-            deques[task / per].push(task);
-        }
         Executor {
-            deques,
+            blocks: (0..workers)
+                .map(|w| Block {
+                    tasks: (w * per).min(tasks)..((w + 1) * per).min(tasks),
+                    taken: AtomicUsize::new(0),
+                })
+                .collect(),
             stats: (0..workers).map(|_| WorkerStats::new()).collect(),
             abort: AtomicBool::new(false),
             error: Mutex::new(None),
@@ -372,7 +322,7 @@ impl Executor {
 
     /// Actual worker count (clamped to the task count, minimum one).
     pub fn workers(&self) -> usize {
-        self.deques.len()
+        self.blocks.len()
     }
 
     /// Requests an orderly stop: workers finish their current task and
@@ -406,10 +356,11 @@ impl Executor {
     {
         let _mark = WorkerMark::set();
         let started = Instant::now();
-        let mut rng = (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let stats = &self.stats[worker];
         let mut result = None;
-        while let Some(t) = self.find_task(worker, &mut rng) {
+        // How many blocks, starting with its own, this worker has found dry.
+        let mut dry = 0;
+        while let Some(t) = self.find_task(worker, &mut dry) {
             let _span = scalesim_telemetry::trace::span_with("exec.task", || {
                 vec![("task", t.to_string()), ("worker", worker.to_string())]
             });
@@ -440,43 +391,23 @@ impl Executor {
         result
     }
 
-    /// Next task for `worker`: own deque first, then a randomized sweep
-    /// of the other deques. `None` once the run aborts or there is nothing
-    /// left to take: the task set is fixed at construction and tasks never
-    /// push tasks, so a sweep that found every deque empty stays true, and
-    /// the worker returns instead of spinning until its peers finish the
-    /// tasks they hold. Only a lost race (`Steal::Retry`) calls for
-    /// another sweep.
-    fn find_task(&self, worker: usize, rng: &mut u64) -> Option<usize> {
-        loop {
-            if self.abort.load(Ordering::Relaxed) {
-                return None;
-            }
-            if let Some(t) = self.deques[worker].pop() {
+    /// Next task for `worker`: from its own block, then from the blocks
+    /// after it, round-robin. `dry` counts the blocks already found
+    /// empty, which stay empty — the task set is fixed at construction and
+    /// tasks never push tasks — so each is visited once. `None` once the
+    /// run aborts or every block is dry: the worker returns instead of
+    /// waiting for its peers to finish the tasks they hold.
+    fn find_task(&self, worker: usize, dry: &mut usize) -> Option<usize> {
+        while *dry < self.blocks.len() && !self.abort.load(Ordering::Relaxed) {
+            if let Some(t) = self.blocks[(worker + *dry) % self.blocks.len()].take() {
+                if *dry > 0 {
+                    self.stats[worker].stolen.fetch_add(1, Ordering::Relaxed);
+                }
                 return Some(t);
             }
-            let n = self.deques.len();
-            let start = (xorshift(rng) as usize) % n;
-            let mut contended = false;
-            for k in 0..n {
-                let victim = (start + k) % n;
-                if victim == worker {
-                    continue;
-                }
-                match self.deques[victim].steal() {
-                    Steal::Task(t) => {
-                        self.stats[worker].stolen.fetch_add(1, Ordering::Relaxed);
-                        return Some(t);
-                    }
-                    Steal::Retry => contended = true,
-                    Steal::Empty => {}
-                }
-            }
-            if !contended {
-                return None;
-            }
-            std::hint::spin_loop();
+            *dry += 1;
         }
+        None
     }
 
     /// Scheduling counters of the run so far (stable once every
@@ -509,69 +440,36 @@ impl Executor {
     }
 }
 
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-/// Simulates every layer of `topology` as independent panic-guarded tasks
-/// on `workers` threads (inline on the caller when one worker suffices)
-/// and assembles the per-layer reports in layer order — byte-identical to
-/// [`Simulator::run_topology`], including the network-runs counter, but a
-/// panicking layer (or injected fault) returns a typed [`SimError`]
-/// instead of unwinding. `faults` is applied once per task, keyed by the
-/// topology name; pass an empty plan outside tests.
+/// Simulates the layers of `topology` in order on the calling thread, each
+/// under [`run_caught`], and assembles the per-layer reports —
+/// byte-identical to [`Simulator::run_topology`], including the
+/// network-runs counter, but a panicking layer (or injected fault) returns
+/// a typed [`SimError`] instead of unwinding. `faults` is applied once per
+/// layer, keyed by the topology name; pass an empty plan outside tests.
+///
+/// The caller is a pool's simulating thread (the server's workers), so it
+/// is marked as one for the duration, like an [`Executor`] worker: a
+/// partitioned layer's tiles run on it instead of on fresh threads.
 ///
 /// # Errors
 ///
-/// The first panic among the layer tasks, as a [`SimError`].
+/// The first layer's panic, as a [`SimError`].
 pub fn run_topology_guarded(
     sim: &Simulator,
     topology: &Topology,
-    workers: usize,
     faults: &FaultPlan,
 ) -> Result<NetworkReport, SimError> {
-    let layers: Vec<_> = topology.iter().collect();
+    let _mark = WorkerMark::set();
     let name = topology.name();
-    let done: Vec<Mutex<Option<crate::report::LayerReport>>> =
-        (0..layers.len()).map(|_| Mutex::new(None)).collect();
-    let exec = Executor::new(layers.len(), workers);
-    let task = |t: usize| {
-        faults.apply(name);
-        let report = sim.run_layer(layers[t]);
-        *done[t].lock().unwrap() = Some(report);
-    };
-    let label = |_: usize| name.to_owned();
-    if exec.workers() == 1 {
-        if let Some(err) = exec.run_worker(0, task, label) {
-            return Err(err);
-        }
-    } else {
-        crossbeam::thread::scope(|scope| {
-            for worker in 0..exec.workers() {
-                let exec = &exec;
-                let task = &task;
-                let label = &label;
-                scope.spawn(move |_| exec.run_worker(worker, task, label));
-            }
-        })
-        .expect("executor workers never unwind");
-        if let Some(err) = exec.error() {
-            return Err(err);
-        }
+    // Sized exactly: the report outlives the run in result caches, and
+    // collecting through `Result` would leave the vector room to spare.
+    let mut reports = Vec::with_capacity(topology.len());
+    for layer in topology.iter() {
+        reports.push(run_caught(name, || {
+            faults.apply(name);
+            sim.run_layer(layer)
+        })?);
     }
-    let reports = done
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every layer task completed")
-        })
-        .collect();
     scalesim_telemetry::global()
         .counter(
             sim_telemetry::NETWORK_RUNS,
@@ -625,37 +523,121 @@ mod tests {
         .unwrap();
     }
 
+    /// A seeded delay for task `t`: nothing, a yield or a short spin, so
+    /// every seed drives the workers through a different interleaving.
+    fn jitter(seed: u64, t: usize) {
+        let mut x = (seed ^ t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        x ^= x >> 29;
+        match x % 4 {
+            0 => std::thread::yield_now(),
+            1 => (0..x % 257).for_each(|_| std::hint::spin_loop()),
+            _ => {}
+        }
+    }
+
+    fn run_counts(counts: &[AtomicU64]) -> Vec<u64> {
+        counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+    }
+
     #[test]
     fn every_task_executes_exactly_once() {
-        // Uneven task costs force stealing; the per-task counters prove
-        // exactly-once execution under it.
-        for workers in [1, 2, 3, 8] {
-            let total = 257;
+        // Worker counts 1..=8 against task counts on both sides of every
+        // block boundary, under seeded delays.
+        for workers in 1..=8usize {
+            for total in [0, 1, workers - 1, workers, workers + 1, 257, 10_000] {
+                let seed = (workers * 10_007 + total) as u64;
+                let counts: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
+                let exec = Executor::new(total, workers);
+                assert_eq!(exec.workers(), workers.min(total.max(1)));
+                drive(&exec, |t| {
+                    jitter(seed, t);
+                    counts[t].fetch_add(1, Ordering::Relaxed);
+                });
+                assert_eq!(
+                    run_counts(&counts),
+                    vec![1; total],
+                    "{total} tasks on {workers} workers"
+                );
+                let summary = exec.summary();
+                assert_eq!(summary.tasks, total as u64);
+                assert_eq!(summary.worker_busy.len(), exec.workers());
+                assert!(exec.error().is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn a_slow_block_is_drained_by_the_other_workers() {
+        // Worker 0 sits in the first task it takes (its block's last index)
+        // until some other task of that block has run — which only another
+        // worker can have taken.
+        for workers in 2..=8usize {
+            let total = 16 * workers;
             let counts: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
+            let taken_over = AtomicBool::new(false);
             let exec = Executor::new(total, workers);
             drive(&exec, |t| {
-                if t % 16 == 0 {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
                 counts[t].fetch_add(1, Ordering::Relaxed);
+                if t == 15 {
+                    let started = Instant::now();
+                    while !taken_over.load(Ordering::Acquire) {
+                        assert!(
+                            started.elapsed() < Duration::from_secs(60),
+                            "nobody took over worker 0's block"
+                        );
+                        std::thread::yield_now();
+                    }
+                } else if t < 15 {
+                    taken_over.store(true, Ordering::Release);
+                }
             });
-            for (t, count) in counts.iter().enumerate() {
-                assert_eq!(
-                    count.load(Ordering::Relaxed),
-                    1,
-                    "task {t} ran a wrong number of times with {workers} workers"
-                );
-            }
+            assert_eq!(run_counts(&counts), vec![1; total]);
             let summary = exec.summary();
             assert_eq!(summary.tasks, total as u64);
-            assert_eq!(summary.worker_busy.len(), exec.workers());
-            assert!(exec.error().is_none());
+            assert!(summary.steals > 0, "{workers} workers stole nothing");
+            assert!(summary.steals <= total as u64);
+        }
+    }
+
+    #[test]
+    fn a_panic_or_abort_mid_run_stops_every_worker_and_repeats_no_task() {
+        for workers in 1..=8usize {
+            for (seed, panics) in [(1u64, true), (2, false)] {
+                let total = 10_000;
+                // The task that ends the run: somewhere in the first block.
+                let fatal = (seed as usize * 7919 + workers) % (total / 8);
+                let counts: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
+                let exec = Executor::new(total, workers);
+                // `drive` returning is every worker having stopped.
+                drive(&exec, |t| {
+                    jitter(seed + workers as u64, t);
+                    counts[t].fetch_add(1, Ordering::Relaxed);
+                    if t == fatal {
+                        if panics {
+                            panic!("task {t} exploded");
+                        }
+                        exec.abort();
+                    }
+                });
+                let ran = run_counts(&counts);
+                assert!(ran.iter().all(|&n| n <= 1), "a task ran twice");
+                assert_eq!(ran[fatal], 1);
+                assert_eq!(exec.summary().tasks, ran.iter().sum::<u64>());
+                assert!(exec.aborted());
+                assert_eq!(
+                    exec.error(),
+                    panics.then(|| SimError::new(
+                        fatal.to_string(),
+                        format!("task {fatal} exploded")
+                    ))
+                );
+            }
         }
     }
 
     #[test]
     fn uneven_blocks_get_rebalanced_by_stealing() {
-        // All the slow tasks start on worker 0's deque; with more workers
+        // All the slow tasks start in worker 0's block; with more workers
         // than one, some of them must be stolen.
         let total = 64;
         let exec = Executor::new(total, 4);
@@ -707,11 +689,8 @@ mod tests {
         let sim = Simulator::new(crate::config::SimConfig::default());
         let topology = networks::alexnet();
         let direct = sim.run_topology(&topology);
-        for workers in [1, 4] {
-            let guarded =
-                run_topology_guarded(&sim, &topology, workers, &FaultPlan::new()).unwrap();
-            assert_eq!(direct.to_csv(), guarded.to_csv());
-        }
+        let guarded = run_topology_guarded(&sim, &topology, &FaultPlan::new()).unwrap();
+        assert_eq!(direct.to_csv(), guarded.to_csv());
     }
 
     #[test]
@@ -720,10 +699,8 @@ mod tests {
         let sim = Simulator::new(crate::config::SimConfig::default());
         let topology = networks::alexnet();
         let faults = FaultPlan::new().panic("alexnet", "guarded fault");
-        for workers in [1, 3] {
-            let err = run_topology_guarded(&sim, &topology, workers, &faults).unwrap_err();
-            assert_eq!(err.task, "alexnet");
-            assert_eq!(err.message, "guarded fault");
-        }
+        let err = run_topology_guarded(&sim, &topology, &faults).unwrap_err();
+        assert_eq!(err.task, "alexnet");
+        assert_eq!(err.message, "guarded fault");
     }
 }

@@ -7,7 +7,7 @@
 //! [`SweepPlan`] names such a product, and [`SweepEngine`] evaluates it
 //!
 //! * **in parallel** — up to `--jobs N` scoped worker threads per run take
-//!   (point, layer) tasks from a work-stealing [`Executor`]; they are the
+//!   (point, layer) tasks from a block-scheduled [`Executor`]; they are the
 //!   only threads that simulate (a partitioned layer's tiles run on the
 //!   worker that took the layer), and a caller with several batches of
 //!   points — the explore pipeline — keeps them for all of them;
@@ -61,10 +61,10 @@ pub mod telemetry_names {
     pub const CACHE_EVICTIONS: &str = "scalesim_sweep_cache_evictions_total";
     /// Gauge: results currently held by the sweep result cache.
     pub const CACHE_RESIDENT: &str = "scalesim_sweep_cache_resident_entries";
-    /// Counter: layer-granularity tasks executed by the sweep's
-    /// work-stealing pool (re-exported from [`crate::exec`]).
+    /// Counter: layer-granularity tasks executed by the sweep's pool
+    /// (re-exported from [`crate::exec`]).
     pub const EXEC_TASKS: &str = crate::exec::telemetry_names::TASKS;
-    /// Counter: tasks obtained by stealing from another worker.
+    /// Counter: tasks a worker took from another worker's block.
     pub const EXEC_STEALS: &str = crate::exec::telemetry_names::STEALS;
 }
 
@@ -112,7 +112,7 @@ pub fn canonical_job_text(
 
 /// The dataflow axis of a sweep: a fixed mapping or per-layer auto
 /// selection (the analytical model picks the fastest mapping per layer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataflowChoice {
     /// Every layer runs the given dataflow.
     Fixed(Dataflow),
@@ -219,13 +219,92 @@ impl SweepPlan {
     /// Adds a workload resolved by name via [`networks::by_name`]
     /// (built-in networks or Table IV layer tags like `TF0`).
     pub fn workload(mut self, name: &str) -> Result<SweepPlan, SweepError> {
-        let topology = networks::by_name(name)
-            .ok_or_else(|| SweepError::plan(format!("unknown workload `{name}`")))?;
-        self.workloads.push(SweepWorkload {
-            label: topology.name().to_owned(),
-            topology,
-        });
+        self.set("workload", name).map_err(SweepError::plan)?;
         Ok(self)
+    }
+
+    /// Sets one key of the plan grammar (the table under
+    /// [`SweepPlan::parse`]): the plan file is a sequence of these, and
+    /// the server's JSON plan maps its fields onto the same keys, so the
+    /// two spellings cannot drift. List-valued keys append; a later
+    /// scalar replaces an earlier one.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message naming the rejected key or value.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let list = || value.split(',').map(str::trim).filter(|s| !s.is_empty());
+        match key {
+            "name" => self.name = value.to_owned(),
+            "workload" => {
+                for name in list() {
+                    let topology = networks::by_name(name)
+                        .ok_or_else(|| format!("unknown workload `{name}`"))?;
+                    self.workloads.push(SweepWorkload {
+                        label: topology.name().to_owned(),
+                        topology,
+                    });
+                }
+            }
+            "budget" => {
+                for token in list() {
+                    self.budgets
+                        .push(parse_budget(token).ok_or_else(|| format!("bad budget `{token}`"))?);
+                }
+            }
+            "min_dim" => {
+                self.min_dim = value
+                    .parse()
+                    .map_err(|_| format!("bad min_dim `{value}`"))?;
+            }
+            "grid" => {
+                self.grids = if value.eq_ignore_ascii_case("all") {
+                    GridAxis::PowersOfTwo
+                } else {
+                    GridAxis::Explicit(list().map(str::parse).collect::<Result<_, _>>()?)
+                };
+            }
+            "aspect" => {
+                self.aspects = match value.to_ascii_lowercase().as_str() {
+                    "squareish" | "square" => AspectAxis::Squareish,
+                    "all" => AspectAxis::All,
+                    other => return Err(format!("bad aspect `{other}` (want squareish or all)")),
+                };
+            }
+            "dataflow" => {
+                for token in list() {
+                    self.dataflows.push(token.parse()?);
+                }
+            }
+            "bandwidth" => {
+                let bw: f64 = value
+                    .parse()
+                    .map_err(|_| format!("bad bandwidth `{value}`"))?;
+                if !(bw.is_finite() && bw > 0.0) {
+                    return Err("bandwidth must be positive".into());
+                }
+                self.base.dram_bandwidth = Some(bw);
+            }
+            _ => {
+                let cfg_key = key
+                    .strip_prefix("config.")
+                    .ok_or_else(|| format!("unknown plan key `{key}`"))?;
+                // The base written out and read back with the override as
+                // its last line: `parse_config` stays the one place that
+                // knows Table I's keys and their checks.
+                let text = format!("{}{cfg_key} : {value}\n", self.base.to_config_string());
+                self.base = parse_config(&text).map_err(|e| {
+                    // Its line number counts lines of `text`, not of the plan.
+                    let msg = e.to_string();
+                    let msg = match msg.split_once(": ") {
+                        Some((at, rest)) if at.starts_with("line ") => rest,
+                        _ => &msg,
+                    };
+                    format!("{key}: {msg}")
+                })?;
+            }
+        }
+        Ok(())
     }
 
     /// Parses the plan-file format: `key = value` lines (`:` works too),
@@ -272,14 +351,6 @@ impl SweepPlan {
 
     fn parse_with_origin(text: &str, origin: Option<&str>) -> Result<SweepPlan, SweepError> {
         let mut plan = SweepPlan::new("sweep");
-        let mut overrides = String::new();
-        let mut bandwidth = None;
-        // Diagnostic prefix: `origin:line:` when a file name is known,
-        // bare `line N:` otherwise (the historical format).
-        let at = |lineno: usize| match origin {
-            Some(name) => format!("{name}:{}", lineno + 1),
-            None => format!("line {}", lineno + 1),
-        };
         for (lineno, raw) in text.lines().enumerate() {
             let line = match raw.split_once('#') {
                 Some((before, _)) => before.trim(),
@@ -288,100 +359,16 @@ impl SweepPlan {
             if line.is_empty() {
                 continue;
             }
-            let (key, value) = line
-                .split_once('=')
+            line.split_once('=')
                 .or_else(|| line.split_once(':'))
-                .ok_or_else(|| {
-                    SweepError::plan(format!("{}: expected `key = value`", at(lineno)))
+                .ok_or_else(|| "expected `key = value`".to_owned())
+                .and_then(|(key, value)| plan.set(key.trim(), value.trim()))
+                // Diagnostic prefix: `origin:line:` when a file name is
+                // known, bare `line N:` otherwise (the historical format).
+                .map_err(|msg| match origin {
+                    Some(name) => SweepError::plan(format!("{name}:{}: {msg}", lineno + 1)),
+                    None => SweepError::plan(format!("line {}: {msg}", lineno + 1)),
                 })?;
-            let (key, value) = (key.trim(), value.trim());
-            let fail = |msg: String| SweepError::plan(format!("{}: {msg}", at(lineno)));
-            match key {
-                "name" => plan.name = value.to_owned(),
-                "workload" => {
-                    for name in value.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                        plan = plan.workload(name).map_err(|e| fail(e.to_string()))?;
-                    }
-                }
-                "budget" => {
-                    for token in value.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                        plan.budgets.push(
-                            parse_budget(token)
-                                .ok_or_else(|| fail(format!("bad budget `{token}`")))?,
-                        );
-                    }
-                }
-                "min_dim" => {
-                    plan.min_dim = value
-                        .parse()
-                        .map_err(|_| fail(format!("bad min_dim `{value}`")))?;
-                }
-                "grid" => {
-                    if value.eq_ignore_ascii_case("all") {
-                        plan.grids = GridAxis::PowersOfTwo;
-                    } else {
-                        let mut grids = Vec::new();
-                        for token in value.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                            let (r, c) = token
-                                .split_once('x')
-                                .ok_or_else(|| fail(format!("grid `{token}` is not PRxPC")))?;
-                            let r: u64 = r
-                                .trim()
-                                .parse()
-                                .map_err(|_| fail(format!("bad grid rows `{r}`")))?;
-                            let c: u64 = c
-                                .trim()
-                                .parse()
-                                .map_err(|_| fail(format!("bad grid cols `{c}`")))?;
-                            if r == 0 || c == 0 {
-                                return Err(fail("grid dimensions must be nonzero".into()));
-                            }
-                            grids.push(PartitionGrid::new(r, c));
-                        }
-                        plan.grids = GridAxis::Explicit(grids);
-                    }
-                }
-                "aspect" => {
-                    plan.aspects = match value.to_ascii_lowercase().as_str() {
-                        "squareish" | "square" => AspectAxis::Squareish,
-                        "all" => AspectAxis::All,
-                        other => {
-                            return Err(fail(format!(
-                                "bad aspect `{other}` (want squareish or all)"
-                            )))
-                        }
-                    };
-                }
-                "dataflow" => {
-                    for token in value.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                        plan.dataflows.push(token.parse().map_err(fail)?);
-                    }
-                }
-                "bandwidth" => {
-                    let bw: f64 = value
-                        .parse()
-                        .map_err(|_| fail(format!("bad bandwidth `{value}`")))?;
-                    if !(bw.is_finite() && bw > 0.0) {
-                        return Err(fail("bandwidth must be positive".into()));
-                    }
-                    bandwidth = Some(bw);
-                }
-                _ => match key.strip_prefix("config.") {
-                    Some(cfg_key) => {
-                        overrides.push_str(&format!("{cfg_key} : {value}\n"));
-                    }
-                    None => return Err(fail(format!("unknown plan key `{key}`"))),
-                },
-            }
-        }
-        if !overrides.is_empty() {
-            plan.base = parse_config(&overrides).map_err(|e| match origin {
-                Some(name) => SweepError::plan(format!("{name}: config override: {e}")),
-                None => SweepError::plan(format!("config override: {e}")),
-            })?;
-        }
-        if let Some(bw) = bandwidth {
-            plan.base.dram_bandwidth = Some(bw);
         }
         Ok(plan)
     }
@@ -748,7 +735,7 @@ pub struct SweepOutcome {
     /// start to assembly — in microseconds, in work-list order. One entry
     /// per entry of `simulations`; feeds the tail-latency bench tier.
     pub point_latencies_micros: Vec<u64>,
-    /// Work-stealing scheduler counters for this run (tasks, steals,
+    /// Scheduler counters for this run (tasks, steals,
     /// per-worker busy fractions).
     pub exec: ExecSummary,
 }
@@ -776,63 +763,78 @@ impl SweepOutcome {
     /// fastest point by effective cycles, plus the sweet spot across the
     /// group's partition counts (points ordered by partition count).
     pub fn summarize(&self) -> Vec<GroupSummary<'_>> {
-        let mut order: Vec<(&str, u64, DataflowChoice)> = Vec::new();
-        let mut groups: HashMap<(&str, u64, String), Vec<&SweepResult>> = HashMap::new();
-        for result in &self.results {
-            let key = (
-                result.spec.workload.as_str(),
-                result.spec.budget,
-                result.spec.dataflow.to_string(),
-            );
-            let members = groups.entry(key).or_default();
-            if members.is_empty() {
-                order.push((
-                    result.spec.workload.as_str(),
-                    result.spec.budget,
-                    result.spec.dataflow,
-                ));
-            }
-            members.push(result);
-        }
-        order
+        summarize_groups(self.results.iter().map(|r| (&r.spec, &*r.report)))
             .into_iter()
-            .map(|(workload, budget, dataflow)| {
-                let mut members = groups
-                    .remove(&(workload, budget, dataflow.to_string()))
-                    .expect("group recorded in order");
-                let best = members
-                    .iter()
-                    .copied()
-                    .min_by_key(|r| (r.report.total_effective_cycles(), r.spec.index))
-                    .expect("nonempty group");
-                members.sort_by_key(|r| (r.spec.partitions(), r.spec.index));
-                let distinct_counts = {
-                    let mut counts: Vec<u64> =
-                        members.iter().map(|r| r.spec.partitions()).collect();
-                    counts.dedup();
-                    counts.len()
-                };
-                let sweet_spot = if distinct_counts > 1 {
-                    let cycles: Vec<u64> =
-                        members.iter().map(|r| r.report.total_cycles()).collect();
-                    let bw: Vec<f64> = members
-                        .iter()
-                        .map(|r| r.report.peak_required_bandwidth())
-                        .collect();
-                    sweet_spot_index(&cycles, &bw).map(|i| members[i])
-                } else {
-                    None
-                };
+            .map(|group| {
+                let best = &self.results[group.best];
                 GroupSummary {
-                    workload,
-                    budget,
-                    dataflow,
+                    workload: &best.spec.workload,
+                    budget: best.spec.budget,
+                    dataflow: best.spec.dataflow,
                     best,
-                    sweet_spot,
+                    sweet_spot: group.sweet_spot.map(|i| &self.results[i]),
                 }
             })
             .collect()
     }
+}
+
+/// One (workload, budget, dataflow) group of a point series, as positions
+/// in the series [`summarize_groups`] was given.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupIndices {
+    /// The point with the lowest effective (stall-inclusive) runtime; ties
+    /// go to the lower plan index.
+    pub best: usize,
+    /// The runtime/bandwidth crossing over the group's partition series
+    /// (Sec. IV-A); `None` when the group holds a single partition count.
+    pub sweet_spot: Option<usize>,
+}
+
+/// Groups a series of simulated points by (workload, budget, dataflow), in
+/// order of first appearance, and finds each group's fastest point and
+/// sweet spot. The one implementation behind [`SweepOutcome::summarize`]
+/// and the server's `/sweep` summary.
+pub fn summarize_groups<'a>(
+    points: impl IntoIterator<Item = (&'a PointSpec, &'a NetworkReport)>,
+) -> Vec<GroupIndices> {
+    let points: Vec<(&PointSpec, &NetworkReport)> = points.into_iter().collect();
+    let mut group_of: HashMap<(&str, u64, DataflowChoice), usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, (spec, _)) in points.iter().enumerate() {
+        let key = (spec.workload.as_str(), spec.budget, spec.dataflow);
+        let group = *group_of.entry(key).or_insert(groups.len());
+        if group == groups.len() {
+            groups.push(Vec::new());
+        }
+        groups[group].push(i);
+    }
+    groups
+        .into_iter()
+        .map(|mut members| {
+            let best = members
+                .iter()
+                .copied()
+                .min_by_key(|&i| (points[i].1.total_effective_cycles(), points[i].0.index))
+                .expect("nonempty group");
+            members.sort_by_key(|&i| (points[i].0.partitions(), points[i].0.index));
+            let count = |i: usize| points[i].0.partitions();
+            let sweet_spot = if count(members[0]) != count(members[members.len() - 1]) {
+                let cycles: Vec<u64> = members
+                    .iter()
+                    .map(|&i| points[i].1.total_cycles())
+                    .collect();
+                let bw: Vec<f64> = members
+                    .iter()
+                    .map(|&i| points[i].1.peak_required_bandwidth())
+                    .collect();
+                sweet_spot_index(&cycles, &bw).map(|s| members[s])
+            } else {
+                None
+            };
+            GroupIndices { best, sweet_spot }
+        })
+        .collect()
 }
 
 /// Where a sweep streams its rows. Called from the engine's emitter in
@@ -1284,11 +1286,11 @@ impl SweepEngine {
             ),
             exec_tasks: registry.counter(
                 telemetry_names::EXEC_TASKS,
-                "Layer-granularity tasks executed by the work-stealing pool.",
+                "Layer-granularity tasks executed by the sweep pool.",
             ),
             exec_steals: registry.counter(
                 telemetry_names::EXEC_STEALS,
-                "Tasks obtained by stealing from another worker's deque.",
+                "Tasks a worker took from another worker's block.",
             ),
             progress: false,
             faults: Mutex::new(FaultPlan::default()),
@@ -1549,7 +1551,7 @@ impl<'a> Batch<'a> {
 
         // One task per (pending job, layer): layer costs vary by orders
         // of magnitude with fold count, so layer-granularity tasks plus
-        // work stealing keep the pool balanced where whole-point
+        // stealing keep the pool balanced where whole-point
         // scheduling lets one unlucky worker set the tail latency.
         let mut tasks: Vec<(usize, usize)> = Vec::new();
         let mut states: Vec<JobState> = Vec::with_capacity(pending.len());
@@ -2161,6 +2163,17 @@ mod tests {
         assert!(SweepPlan::parse("dataflow = rs").is_err());
         assert!(SweepPlan::parse("grid = 0x2").is_err());
         assert!(SweepPlan::parse("no_equals_sign").is_err());
+        // A rejected override is reported at its own line of the plan.
+        let err = SweepPlan::parse_named("workload = TF1\nconfig.Bogus = 1\n", "p.plan");
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "p.plan:2: config.Bogus: unknown parameter `Bogus`"
+        );
+        let err = SweepPlan::parse("config.ArrayHeight = 0").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 1: config.ArrayHeight: parameter `ArrayHeight` must be nonzero"
+        );
     }
 
     #[test]

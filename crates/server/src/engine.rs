@@ -20,13 +20,15 @@
 //! The leader queue is **bounded** ([`EngineOptions::queue_depth`]). A
 //! leader that would grow it past the bound is *shed* with
 //! [`JobError::Overloaded`] (carrying a back-off hint derived from recent
-//! simulation times) instead of queueing without limit. Callers can pass a
-//! deadline; when it expires before the result is ready they get
-//! [`JobError::DeadlineExpired`] while the in-flight leader keeps running
-//! and its result still lands in the cache. After [`Engine::shutdown`],
-//! submissions fail fast with [`JobError::ShuttingDown`] — nothing is ever
-//! enqueued onto a pool whose workers are exiting, so no caller can block
-//! forever on a slot that will never be filled.
+//! simulation times) instead of queueing without limit. Submission
+//! ([`Engine::submit`]) never blocks; the one blocking point is
+//! [`Ticket::wait`], which takes a deadline: when it expires before the
+//! result is ready the caller gets [`JobError::DeadlineExpired`] while the
+//! in-flight leader keeps running and its result still lands in the
+//! cache. After [`Engine::shutdown`], submissions fail fast with
+//! [`JobError::ShuttingDown`] — nothing is ever enqueued onto a pool whose
+//! workers are exiting, so no caller can block forever on a slot that will
+//! never be filled.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -587,116 +589,92 @@ impl Engine {
     /// Runs a job to completion, deduplicating against the cache and any
     /// identical in-flight simulation. Blocks the calling thread.
     pub fn run(&self, job: &SimJob) -> Result<(Arc<SimResult>, Served), JobError> {
-        self.run_normalized(job.normalize()?)
-    }
-
-    /// [`Engine::run`] with a completion deadline: when `deadline` passes
-    /// before the result is ready the call returns
-    /// [`JobError::DeadlineExpired`], while the in-flight simulation keeps
-    /// running and its result still lands in the cache.
-    pub fn run_with_deadline(
-        &self,
-        job: &SimJob,
-        deadline: Option<Instant>,
-    ) -> Result<(Arc<SimResult>, Served), JobError> {
-        self.run_normalized_with_deadline(job.normalize()?, deadline)
+        self.run_with_context(job, None, JobContext::internal())
     }
 
     /// Runs an already-normalized job through the pool, cache and
-    /// single-flight table. This is the entry point for callers that build
-    /// [`NormalizedJob`]s directly — e.g. the `POST /sweep` planner, which
-    /// expands one plan into many jobs and must share this engine's cache.
+    /// single-flight table, for callers that build [`NormalizedJob`]s
+    /// directly.
     pub fn run_normalized(
         &self,
         normalized: NormalizedJob,
     ) -> Result<(Arc<SimResult>, Served), JobError> {
-        self.run_normalized_with_deadline(normalized, None)
+        self.submit(normalized, JobContext::internal())?.wait(None)
     }
 
-    /// [`Engine::run_normalized`] with a completion deadline.
-    pub fn run_normalized_with_deadline(
-        &self,
-        normalized: NormalizedJob,
-        deadline: Option<Instant>,
-    ) -> Result<(Arc<SimResult>, Served), JobError> {
-        self.run_normalized_with_context(normalized, deadline, JobContext::internal())
-    }
-
-    /// [`Engine::run_with_deadline`] carrying request context for the
-    /// flight recorder.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Engine::run_with_deadline`].
+    /// [`Engine::run`] with a completion deadline and the request context
+    /// the flight recorder files the job under: when `deadline` passes
+    /// before the result is ready the call returns
+    /// [`JobError::DeadlineExpired`], while the in-flight simulation keeps
+    /// running and its result still lands in the cache.
     pub fn run_with_context(
         &self,
         job: &SimJob,
         deadline: Option<Instant>,
         ctx: JobContext<'_>,
     ) -> Result<(Arc<SimResult>, Served), JobError> {
-        self.run_normalized_with_context(job.normalize()?, deadline, ctx)
+        self.submit(job.normalize()?, ctx)?.wait(deadline)
     }
 
-    /// The full submission path: deadline plus request context. Every
-    /// terminal outcome leaves one [`JobRecord`] in the flight recorder —
-    /// hit/joined/shed/deadline/shutdown are recorded here by the
-    /// requesting thread; fresh and failed are recorded by the worker that
-    /// ran the simulation (with queue-wait and worker identity).
+    /// Hands a job to the engine without waiting for it: probes the cache,
+    /// joins an identical in-flight simulation or becomes its leader and
+    /// queues it, subject to admission control. Never blocks;
+    /// [`Ticket::wait`] collects the result. A caller with many jobs — the
+    /// `POST /sweep` planner — submits several before it waits for the
+    /// first, from its own thread.
+    ///
+    /// Every terminal outcome leaves one [`JobRecord`] in the flight
+    /// recorder: hit, shed and shutdown are recorded here, joined and
+    /// deadline by [`Ticket::wait`], fresh and failed by the worker that
+    /// ran the simulation (with queue wait and worker identity).
     ///
     /// # Errors
     ///
-    /// Same contract as [`Engine::run_with_deadline`].
-    pub fn run_normalized_with_context(
-        &self,
+    /// [`JobError::ShuttingDown`] after [`Engine::shutdown`], and
+    /// [`JobError::Overloaded`] when the job would have to queue behind
+    /// [`EngineOptions::queue_depth`] others.
+    pub fn submit<'a>(
+        &'a self,
         normalized: NormalizedJob,
-        deadline: Option<Instant>,
-        ctx: JobContext<'_>,
-    ) -> Result<(Arc<SimResult>, Served), JobError> {
+        ctx: JobContext<'a>,
+    ) -> Result<Ticket<'a>, JobError> {
+        let shared = &*self.shared;
         let key = normalized.key();
-        let stats = &self.shared.stats;
+        let stats = &shared.stats;
+        let record = |outcome, sim_micros| {
+            shared.record_job(&key, ctx.route, ctx.request_id, outcome, 0, sim_micros, "")
+        };
+        let hit = |result: Arc<SimResult>| {
+            stats.lru_hits.inc();
+            stats.completed.inc();
+            record("hit", result.sim_wall_micros);
+            Ticket {
+                shared,
+                ctx,
+                key,
+                state: TicketState::Hit(result),
+            }
+        };
         // Fail fast on a stopped pool: enqueueing here would park the
         // caller on a slot no worker will ever fill.
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            self.shared
-                .record_job(&key, ctx.route, ctx.request_id, "shutdown", 0, 0, "");
+        if shared.shutdown.load(Ordering::SeqCst) {
+            record("shutdown", 0);
             return Err(JobError::ShuttingDown);
         }
         stats.accepted.inc();
 
-        if let Some(result) = self.shared.cache.get(key.0) {
-            stats.lru_hits.inc();
-            stats.completed.inc();
-            self.shared.record_job(
-                &key,
-                ctx.route,
-                ctx.request_id,
-                "hit",
-                0,
-                result.sim_wall_micros,
-                "",
-            );
-            return Ok((result, Served::Cache));
+        if let Some(result) = shared.cache.get(key.0) {
+            return Ok(hit(result));
         }
 
         // Slow path: become the leader for this key, or join an existing one.
         let (slot, leader) = {
-            let mut inflight = self.shared.inflight.lock().unwrap();
+            let mut inflight = shared.inflight.lock().unwrap();
             // A leader may have completed between the cache probe and this
             // lock; its result is in the cache (inserted before the inflight
             // entry is removed), so re-check under the lock.
-            if let Some(result) = self.shared.cache.get(key.0) {
-                stats.lru_hits.inc();
-                stats.completed.inc();
-                self.shared.record_job(
-                    &key,
-                    ctx.route,
-                    ctx.request_id,
-                    "hit",
-                    0,
-                    result.sim_wall_micros,
-                    "",
-                );
-                return Ok((result, Served::Cache));
+            if let Some(result) = shared.cache.get(key.0) {
+                return Ok(hit(result));
             }
             match inflight.get(&key.0) {
                 Some(slot) => (Arc::clone(slot), false),
@@ -709,16 +687,15 @@ impl Engine {
         };
 
         if leader {
-            let mut queue = self.shared.queue.lock().unwrap();
+            let mut queue = shared.queue.lock().unwrap();
             // Admission control, decided under the queue lock so the bound
             // and the shutdown flag are race-free with workers exiting.
-            if self.shared.shutdown.load(Ordering::SeqCst) {
+            if shared.shutdown.load(Ordering::SeqCst) {
                 drop(queue);
-                self.shared
-                    .record_job(&key, ctx.route, ctx.request_id, "shutdown", 0, 0, "");
+                record("shutdown", 0);
                 return Err(self.abandon_leader(&key, &slot, JobError::ShuttingDown));
             }
-            if queue.len() >= self.shared.queue_depth {
+            if queue.len() >= shared.queue_depth {
                 let retry_after_ms = self.retry_after_hint_ms(queue.len());
                 drop(queue);
                 stats.shed.inc();
@@ -729,8 +706,7 @@ impl Engine {
                         ("retry_after_ms", &retry_after_ms.to_string()),
                     ],
                 );
-                self.shared
-                    .record_job(&key, ctx.route, ctx.request_id, "shed", 0, 0, "");
+                record("shed", 0);
                 return Err(self.abandon_leader(
                     &key,
                     &slot,
@@ -747,49 +723,16 @@ impl Engine {
             });
             stats.queue_depth.set(queue.len() as i64);
             drop(queue);
-            self.shared.queue_cv.notify_one();
+            shared.queue_cv.notify_one();
         } else {
             slot.joiners.fetch_add(1, Ordering::Relaxed);
             stats.joins.inc();
         }
-
-        let Some(outcome) = slot.wait_timeout(deadline) else {
-            stats.deadline_expired.inc();
-            self.shared
-                .record_job(&key, ctx.route, ctx.request_id, "deadline", 0, 0, "");
-            return Err(JobError::DeadlineExpired);
-        };
-        stats.completed.inc();
-        match &outcome {
-            Ok(_) if leader => stats.fresh.inc(),
-            Ok(result) => {
-                self.shared.record_job(
-                    &key,
-                    ctx.route,
-                    ctx.request_id,
-                    "joined",
-                    0,
-                    result.sim_wall_micros,
-                    "",
-                );
-            }
-            Err(e) => {
-                stats.errors.inc();
-                log::error(
-                    "engine.job_failed",
-                    &[("key", &key.to_string()), ("error", &e.to_string())],
-                );
-            }
-        }
-        outcome.map(|r| {
-            (
-                r,
-                if leader {
-                    Served::Fresh
-                } else {
-                    Served::Joined
-                },
-            )
+        Ok(Ticket {
+            shared,
+            ctx,
+            key,
+            state: TicketState::Pending { slot, leader },
         })
     }
 
@@ -805,6 +748,11 @@ impl Engine {
     /// the HTTP layer's graceful drain to decide when shutdown is complete.
     pub fn is_idle(&self) -> bool {
         self.shared.queue.lock().unwrap().is_empty() && self.shared.stats.in_flight.get() <= 0
+    }
+
+    /// The number of simulator worker threads.
+    pub(crate) fn workers(&self) -> usize {
+        self.shared.workers
     }
 
     /// The configured bound on the leader queue.
@@ -857,6 +805,74 @@ impl Engine {
     }
 }
 
+/// A job [`Engine::submit`] accepted: the claim on its result.
+pub struct Ticket<'a> {
+    shared: &'a Shared,
+    ctx: JobContext<'a>,
+    key: JobKey,
+    state: TicketState,
+}
+
+enum TicketState {
+    /// Answered by the cache at submission.
+    Hit(Arc<SimResult>),
+    /// Queued as the leader of its key, or joined to one in flight.
+    Pending { slot: Arc<Slot>, leader: bool },
+}
+
+impl Ticket<'_> {
+    /// False when the cache answered at submission, so
+    /// [`Ticket::wait`] returns at once and the job holds no queue slot.
+    pub fn is_pending(&self) -> bool {
+        matches!(self.state, TicketState::Pending { .. })
+    }
+
+    /// Blocks until the job's result is ready, or `deadline` passes.
+    ///
+    /// # Errors
+    ///
+    /// [`JobError::DeadlineExpired`] at the deadline — the in-flight
+    /// simulation keeps running and its result still lands in the cache —
+    /// and the simulation's own failure, shared by a leader and its
+    /// joiners.
+    pub fn wait(self, deadline: Option<Instant>) -> Result<(Arc<SimResult>, Served), JobError> {
+        let Ticket {
+            shared, ctx, key, ..
+        } = self;
+        let (slot, leader) = match self.state {
+            TicketState::Hit(result) => return Ok((result, Served::Cache)),
+            TicketState::Pending { slot, leader } => (slot, leader),
+        };
+        let stats = &shared.stats;
+        let record = |outcome, sim_micros| {
+            shared.record_job(&key, ctx.route, ctx.request_id, outcome, 0, sim_micros, "")
+        };
+        let Some(outcome) = slot.wait_timeout(deadline) else {
+            stats.deadline_expired.inc();
+            record("deadline", 0);
+            return Err(JobError::DeadlineExpired);
+        };
+        stats.completed.inc();
+        match &outcome {
+            Ok(_) if leader => stats.fresh.inc(),
+            Ok(result) => record("joined", result.sim_wall_micros),
+            Err(e) => {
+                stats.errors.inc();
+                log::error(
+                    "engine.job_failed",
+                    &[("key", &key.to_string()), ("error", &e.to_string())],
+                );
+            }
+        }
+        let served = if leader {
+            Served::Fresh
+        } else {
+            Served::Joined
+        };
+        outcome.map(|result| (result, served))
+    }
+}
+
 fn worker_loop(shared: Arc<Shared>) {
     loop {
         let QueuedJob {
@@ -890,10 +906,10 @@ fn worker_loop(shared: Arc<Shared>) {
         if job.auto_dataflow {
             sim = sim.with_auto_dataflow();
         }
-        // The panic-safe executor catches panics (including injected
-        // faults) at every layer-task boundary, so a simulator bug in one
-        // layer surfaces as a typed error instead of unwinding the worker.
-        let run = scalesim::exec::run_topology_guarded(&sim, &job.topology, 1, &faults);
+        // Panics (including injected faults) are caught at every layer
+        // boundary, so a simulator bug in one layer surfaces as a typed
+        // error instead of unwinding the worker.
+        let run = scalesim::exec::run_topology_guarded(&sim, &job.topology, &faults);
         let sim_wall = started.elapsed();
         let sim_wall_micros = sim_wall.as_micros() as u64;
         let worker = std::thread::current();
@@ -1016,6 +1032,38 @@ mod tests {
         for (result, _) in &results {
             assert_eq!(result.to_json().to_string(), first_json);
         }
+        engine.shutdown();
+    }
+
+    /// `submit` hands over without waiting: one thread holds the tickets
+    /// of several queued jobs and of a duplicate and a hit, then collects.
+    #[test]
+    fn one_thread_submits_many_jobs_before_waiting_for_any() {
+        let engine = Engine::new(1, 64);
+        engine.inject_faults(FaultPlan::new().delay("tiny", Duration::from_millis(20)));
+        let job_n = |n: u64| {
+            let mut job = small_job();
+            job.config.push(("IfmapSramSz".into(), n.to_string()));
+            job.normalize().unwrap()
+        };
+        engine.run_normalized(job_n(0)).unwrap();
+        let ctx = JobContext::internal();
+        let tickets: Vec<Ticket<'_>> = [1, 2, 3, 1, 0]
+            .iter()
+            .map(|&n| engine.submit(job_n(n), ctx).unwrap())
+            .collect();
+        // A queued or joined job completes when it is waited for.
+        assert_eq!(engine.stats().completed.get(), 2, "the warm-up and the hit");
+        let pending: Vec<bool> = tickets.iter().map(Ticket::is_pending).collect();
+        assert_eq!(pending, [true, true, true, true, false]);
+        let served: Vec<Served> = tickets
+            .into_iter()
+            .map(|t| t.wait(None).unwrap().1)
+            .collect();
+        use Served::{Cache, Fresh, Joined};
+        assert_eq!(served, [Fresh, Fresh, Fresh, Joined, Cache]);
+        assert_eq!(engine.stats().simulations.get(), 4);
+        assert_eq!(engine.stats().completed.get(), 6);
         engine.shutdown();
     }
 
@@ -1214,8 +1262,9 @@ mod tests {
         let engine = Engine::new(1, 16);
         engine.inject_faults(FaultPlan::new().delay("tiny", Duration::from_millis(200)));
         let job = small_job();
+        let deadline = Instant::now() + Duration::from_millis(10);
         let err = engine
-            .run_with_deadline(&job, Some(Instant::now() + Duration::from_millis(10)))
+            .run_with_context(&job, Some(deadline), JobContext::internal())
             .unwrap_err();
         assert_eq!(err, JobError::DeadlineExpired);
         assert_eq!(engine.stats().deadline_expired.get(), 1);

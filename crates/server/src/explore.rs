@@ -20,10 +20,11 @@
 //! [`scalesim::explore`](scalesim::ExploreEngine): analytical lower-bound
 //! prediction over every candidate, Pareto-band pruning, then
 //! cycle-accurate simulation of the survivors under the budget. Each
-//! request uses its own [`ExploreEngine`] (stage 2 needs full simulation
-//! reports, which the shared `/simulate` result cache does not retain), but
-//! its telemetry lands in the engine registry so the
-//! `scalesim_explore_*` series show up on `GET /metrics`.
+//! request uses its own [`ExploreEngine`] and its sweep session's workers,
+//! not the server's pool and result cache (which does keep full reports,
+//! [`crate::engine::SimResult::report`]: sharing it is open work), but its
+//! telemetry lands in the engine registry so the `scalesim_explore_*`
+//! series show up on `GET /metrics`.
 
 use std::time::Duration;
 

@@ -40,11 +40,15 @@
 //! * **Admission control** — the engine's leader queue is bounded; a job
 //!   that would overflow it is shed with HTTP 503 plus a `Retry-After`
 //!   header (seconds, derived from recent simulation times).
-//! * **Deadlines** — `/simulate` honors an `X-Scalesim-Deadline-Ms`
-//!   request header (capped wait, HTTP 504 on expiry) and applies
-//!   [`ServerOptions::default_deadline`] when the client sends none. The
-//!   in-flight simulation keeps running on expiry and its result still
-//!   lands in the cache for the next request.
+//! * **Deadlines** — `/simulate` and `/sweep` honor an
+//!   `X-Scalesim-Deadline-Ms` request header (capped wait, HTTP 504 on
+//!   expiry) and apply [`ServerOptions::default_deadline`] when the client
+//!   sends none. The simulations in flight keep running on expiry and
+//!   their results still land in the cache for the next request.
+//! * **Sweep bounds** — `/sweep` refuses a plan of more than
+//!   [`crate::sweep::MAX_SWEEP_POINTS`] points with HTTP 400 before
+//!   expanding it, and keeps no more points in flight than the engine's
+//!   queue admits, so it never sheds itself.
 //! * **Connection limiting** — a counting semaphore bounds concurrent
 //!   connection threads ([`ServerOptions::max_connections`]); excess
 //!   connections wait in the TCP accept backlog instead of spawning
@@ -92,8 +96,8 @@ pub struct ServerOptions {
     /// Maximum concurrent connection threads; excess connections wait in
     /// the TCP accept backlog (minimum 1).
     pub max_connections: usize,
-    /// Deadline applied to `/simulate` requests that carry no
-    /// `X-Scalesim-Deadline-Ms` header; `None` waits indefinitely.
+    /// Deadline applied to `/simulate` and `/sweep` requests that carry
+    /// no `X-Scalesim-Deadline-Ms` header; `None` waits indefinitely.
     pub default_deadline: Option<Duration>,
     /// Per-socket read/write timeout.
     pub socket_timeout: Duration,
@@ -523,7 +527,7 @@ fn route(context: &Context, req: &Request, deadline: Option<Instant>, request_id
         ("POST", "/sweep") => {
             let plan = Json::parse(&req.body)
                 .map_err(|e| JobError::bad_request(format!("invalid JSON: {e}")))
-                .and_then(|json| crate::sweep::run_sweep(engine, &json));
+                .and_then(|json| crate::sweep::run_sweep(engine, &json, deadline, request_id));
             match plan {
                 Ok(response) => Routed::json(200, response.to_string()),
                 Err(e) => error_response(&e),

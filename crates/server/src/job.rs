@@ -348,21 +348,8 @@ pub fn builtin_network(name: &str) -> Result<Topology, JobError> {
 }
 
 fn parse_grid(text: &str) -> Result<(u64, u64), JobError> {
-    let (pr, pc) = text
-        .split_once('x')
-        .ok_or_else(|| JobError::bad_request(format!("grid expects PRxPC, got `{text}`")))?;
-    let pr: u64 = pr
-        .trim()
-        .parse()
-        .map_err(|_| JobError::bad_request(format!("bad grid rows `{pr}`")))?;
-    let pc: u64 = pc
-        .trim()
-        .parse()
-        .map_err(|_| JobError::bad_request(format!("bad grid cols `{pc}`")))?;
-    if pr == 0 || pc == 0 {
-        return Err(JobError::bad_request("grid dimensions must be nonzero"));
-    }
-    Ok((pr, pc))
+    let grid: PartitionGrid = text.parse().map_err(JobError::bad_request)?;
+    Ok((grid.rows(), grid.cols()))
 }
 
 /// A fully resolved job: canonical configuration, parsed topology, grid.

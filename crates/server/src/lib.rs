@@ -21,10 +21,10 @@
 //!   manifest-driven batch runner ([`batch`]) that emits one combined
 //!   REPORT CSV. Both are wired to the `scale-sim` binary's `serve` and
 //!   `batch` subcommands via [`cli`].
-//! * **Sweeps** ([`sweep`]) — `POST /sweep` expands a design-space plan
-//!   (the same plan model as `scalesim::sweep`) and runs every point
-//!   through the engine, sharing its cache and single-flight table with
-//!   ordinary `/simulate` traffic.
+//! * **Sweeps** ([`sweep`]) — `POST /sweep` walks a design-space plan
+//!   (the plan grammar of `scalesim::sweep`, spelled in JSON) and submits
+//!   every point to the engine from the connection's thread, sharing its
+//!   cache and single-flight table with ordinary `/simulate` traffic.
 //! * **Exploration** ([`explore`]) — `POST /explore` takes the same plan
 //!   plus `keep_within` / `budget` knobs and runs the analytical-guided
 //!   pipeline of [`scalesim::ExploreEngine`]: predict every candidate with
@@ -72,7 +72,7 @@ pub mod sweep;
 pub use batch::{parse_manifest, run_batch, run_batch_with_retry, BatchOutcome, RetryPolicy};
 pub use cache::ShardedLru;
 pub use engine::{
-    Engine, EngineOptions, FaultPlan, JobContext, JobRecord, Served, SimResult, Stats,
+    Engine, EngineOptions, FaultPlan, JobContext, JobRecord, Served, SimResult, Stats, Ticket,
     FLIGHT_RECORDER_CAPACITY,
 };
 pub use http::{Server, ServerHandle, ServerOptions};

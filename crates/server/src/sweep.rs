@@ -1,18 +1,19 @@
 //! `POST /sweep`: design-space sweeps over the engine's shared cache.
 //!
-//! The request body is a JSON rendering of a core
-//! [`SweepPlan`]. The handler expands the plan,
-//! turns every point into a [`NormalizedJob`] and pushes it through
-//! [`Engine::run_normalized`] from a small pool of submitter threads — so
-//! sweep points share the engine's result cache and single-flight dedup
-//! with ordinary `POST /simulate` traffic (they hash the same
-//! [`canonical_job_text`](scalesim::sweep::canonical_job_text)). The
-//! response lists points in plan order regardless of completion order, so
-//! the simulated figures for identical plans are byte-identical; only the
-//! per-point `served` markers (miss / hit / joined) and the summary's
+//! The request body is a JSON rendering of a core [`SweepPlan`]. The
+//! handler walks the plan's points on the connection thread: each becomes
+//! a [`NormalizedJob`] handed to [`Engine::submit`], a bounded number of
+//! them ahead of the one being waited for, so sweep points share the
+//! engine's result cache and single-flight dedup with ordinary
+//! `POST /simulate` traffic (they hash the same
+//! [`canonical_job_text`](scalesim::sweep::canonical_job_text)) and a sweep
+//! starts no thread of its own. The response lists points in plan order,
+//! so the simulated figures for identical plans are byte-identical; only
+//! the per-point `served` markers (miss / hit / joined) and the summary's
 //! `simulations` / `cache_hits` counters reflect cache state.
 //!
-//! Plan JSON:
+//! Plan JSON — the plan-file grammar of [`SweepPlan::parse`] with JSON
+//! types; every field maps onto one [`SweepPlan::set`] key:
 //!
 //! ```json
 //! {
@@ -28,26 +29,21 @@
 //! }
 //! ```
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::collections::VecDeque;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use scalesim::sweep::{
-    sweet_spot_index, telemetry_names, AspectAxis, DataflowChoice, GridAxis, PointSpec, SweepPlan,
-    SweepWorkload,
-};
-use scalesim::PartitionGrid;
+use scalesim::sweep::{summarize_groups, telemetry_names, DataflowChoice, PointSpec, SweepPlan};
 use scalesim_telemetry::Histogram;
 
-use crate::engine::{Engine, Served, SimResult};
-use crate::job::{builtin_network, JobError, NormalizedJob};
+use crate::engine::{Engine, JobContext, Served, SimResult, Ticket};
+use crate::job::{JobError, NormalizedJob};
 use crate::json::Json;
 
-/// How many submitter threads feed the engine per sweep request. The
-/// engine's own worker pool bounds actual simulation parallelism; the
-/// submitters only need to keep it saturated.
-const SUBMITTERS: usize = 8;
+/// The most points one `POST /sweep` may expand to: a 4 MiB body can name
+/// millions, and the count is known before any point exists. `/explore`
+/// has no cap — it prices candidates analytically and simulates few.
+pub const MAX_SWEEP_POINTS: usize = 4096;
 
 /// Parses the `POST /sweep` body into a core [`SweepPlan`].
 ///
@@ -59,171 +55,95 @@ pub fn parse_sweep_plan(value: &Json) -> Result<SweepPlan, JobError> {
     let obj = value
         .as_object()
         .ok_or_else(|| JobError::bad_request("sweep plan must be a JSON object"))?;
-    for (key, _) in obj {
-        match key.as_str() {
-            "name" | "workloads" | "budgets" | "min_dim" | "grids" | "aspect" | "dataflows"
-            | "config" | "bandwidth" => {}
+    // A scalar, or a list of them, as the text the plan grammar reads.
+    let scalar = |value: &Json| match value {
+        Json::Str(s) => Some(s.clone()),
+        Json::Int(i) => Some(i.to_string()),
+        Json::Float(f) => Some(f.to_string()),
+        _ => None,
+    };
+    let list = |value: &Json| {
+        let texts: Option<Vec<String>> = value.as_array()?.iter().map(scalar).collect();
+        Some(texts?.join(","))
+    };
+    for required in ["workloads", "budgets"] {
+        if value.get(required).is_none() {
+            return Err(JobError::bad_request(format!(
+                "sweep plan has no `{required}`"
+            )));
+        }
+    }
+    let mut plan = SweepPlan::new("sweep");
+    for (field, value) in obj {
+        let (text, want) = match field.as_str() {
+            "name" | "aspect" => (value.as_str().map(str::to_owned), "a string"),
+            "workloads" | "dataflows" => (list(value), "an array of strings"),
+            "budgets" => (list(value), "an array of integers"),
+            "grids" => (
+                value.as_str().map(str::to_owned).or_else(|| list(value)),
+                "\"all\" or an array of \"PRxPC\" strings",
+            ),
+            "min_dim" | "bandwidth" => (value.as_f64().and_then(|_| scalar(value)), "a number"),
+            "config" => {
+                let pairs = value
+                    .as_object()
+                    .ok_or_else(|| JobError::bad_request("`config` must be an object"))?;
+                for (k, v) in pairs {
+                    let text = scalar(v).ok_or_else(|| {
+                        JobError::bad_request(format!(
+                            "config value for `{k}` must be a string or number"
+                        ))
+                    })?;
+                    plan.set(&format!("config.{k}"), &text)
+                        .map_err(JobError::bad_request)?;
+                }
+                continue;
+            }
             other => {
                 return Err(JobError::bad_request(format!(
                     "unknown sweep plan field `{other}`"
                 )))
             }
-        }
-    }
-
-    let mut plan = SweepPlan::new(
-        value
-            .get("name")
-            .map(|n| {
-                n.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| JobError::bad_request("`name` must be a string"))
-            })
-            .transpose()?
-            .unwrap_or_else(|| "sweep".to_owned()),
-    );
-
-    let workloads = value
-        .get("workloads")
-        .and_then(Json::as_array)
-        .ok_or_else(|| JobError::bad_request("`workloads` must be an array of names"))?;
-    for w in workloads {
-        let name = w
-            .as_str()
-            .ok_or_else(|| JobError::bad_request("`workloads` entries must be strings"))?;
-        let topology = builtin_network(name)?;
-        plan.workloads.push(SweepWorkload {
-            label: topology.name().to_owned(),
-            topology,
-        });
-    }
-
-    let budgets = value
-        .get("budgets")
-        .and_then(Json::as_array)
-        .ok_or_else(|| JobError::bad_request("`budgets` must be an array of integers"))?;
-    for b in budgets {
-        plan.budgets.push(
-            b.as_u64()
-                .ok_or_else(|| JobError::bad_request("`budgets` entries must be integers"))?,
-        );
-    }
-
-    if let Some(min_dim) = value.get("min_dim") {
-        plan.min_dim = min_dim
-            .as_u64()
-            .ok_or_else(|| JobError::bad_request("`min_dim` must be an integer"))?;
-    }
-
-    if let Some(grids) = value.get("grids") {
-        plan.grids = match grids {
-            Json::Str(s) if s.eq_ignore_ascii_case("all") => GridAxis::PowersOfTwo,
-            Json::Arr(items) => {
-                let mut parsed = Vec::new();
-                for item in items {
-                    let text = item.as_str().ok_or_else(|| {
-                        JobError::bad_request("`grids` entries must be \"PRxPC\" strings")
-                    })?;
-                    let (r, c) = text.split_once('x').ok_or_else(|| {
-                        JobError::bad_request(format!("grid `{text}` is not PRxPC"))
-                    })?;
-                    let r: u64 = r
-                        .trim()
-                        .parse()
-                        .map_err(|_| JobError::bad_request(format!("bad grid rows `{r}`")))?;
-                    let c: u64 = c
-                        .trim()
-                        .parse()
-                        .map_err(|_| JobError::bad_request(format!("bad grid cols `{c}`")))?;
-                    if r == 0 || c == 0 {
-                        return Err(JobError::bad_request("grid dimensions must be nonzero"));
-                    }
-                    parsed.push(PartitionGrid::new(r, c));
-                }
-                GridAxis::Explicit(parsed)
-            }
-            _ => {
-                return Err(JobError::bad_request(
-                    "`grids` must be \"all\" or an array of \"PRxPC\" strings",
-                ))
-            }
         };
+        let text =
+            text.ok_or_else(|| JobError::bad_request(format!("`{field}` must be {want}")))?;
+        // The list-valued fields are the grammar's keys in the plural.
+        let key = field.strip_suffix('s').unwrap_or(field);
+        plan.set(key, &text).map_err(JobError::bad_request)?;
     }
-
-    if let Some(aspect) = value.get("aspect") {
-        plan.aspects = match aspect.as_str() {
-            Some(s) if s.eq_ignore_ascii_case("squareish") || s.eq_ignore_ascii_case("square") => {
-                AspectAxis::Squareish
-            }
-            Some(s) if s.eq_ignore_ascii_case("all") => AspectAxis::All,
-            _ => {
-                return Err(JobError::bad_request(
-                    "`aspect` must be \"squareish\" or \"all\"",
-                ))
-            }
-        };
-    }
-
-    if let Some(dataflows) = value.get("dataflows") {
-        let items = dataflows
-            .as_array()
-            .ok_or_else(|| JobError::bad_request("`dataflows` must be an array of strings"))?;
-        for df in items {
-            let text = df
-                .as_str()
-                .ok_or_else(|| JobError::bad_request("`dataflows` entries must be strings"))?;
-            plan.dataflows
-                .push(text.parse().map_err(JobError::bad_request)?);
-        }
-    }
-
-    if let Some(config) = value.get("config") {
-        let pairs = config
-            .as_object()
-            .ok_or_else(|| JobError::bad_request("`config` must be an object"))?;
-        let mut override_text = String::new();
-        for (k, v) in pairs {
-            let text = match v {
-                Json::Str(s) => s.clone(),
-                Json::Int(i) => i.to_string(),
-                Json::Float(f) => f.to_string(),
-                _ => {
-                    return Err(JobError::bad_request(format!(
-                        "config value for `{k}` must be a string or number"
-                    )))
-                }
-            };
-            override_text.push_str(&format!("{k} : {text}\n"));
-        }
-        plan.base = scalesim::parse_config(&override_text)
-            .map_err(|e| JobError::bad_request(format!("config override: {e}")))?;
-    }
-
-    if let Some(bw) = value.get("bandwidth") {
-        let bw = bw
-            .as_f64()
-            .ok_or_else(|| JobError::bad_request("`bandwidth` must be a number"))?;
-        if !(bw.is_finite() && bw > 0.0) {
-            return Err(JobError::bad_request("bandwidth must be positive"));
-        }
-        plan.base.dram_bandwidth = Some(bw);
-    }
-
     Ok(plan)
 }
 
-/// Parses, expands and runs a sweep plan against `engine`, returning the
-/// full response body. Blocks until every point is served.
+/// Parses and runs a sweep plan against `engine`, returning the full
+/// response body. Blocks until every point is served or `deadline` passes;
+/// `request_id` tags the points' flight-recorder entries. At most
+/// `min(2 × engine workers, queue depth)` submitted points are unfinished
+/// at any time: enough to keep the workers fed, and never more than the
+/// engine's queue admits, so a sweep cannot shed itself.
 ///
 /// # Errors
 ///
-/// [`JobError::BadRequest`] for invalid plans, [`JobError::Internal`] when
-/// a point's simulation fails.
-pub fn run_sweep(engine: &Engine, body: &Json) -> Result<Json, JobError> {
+/// [`JobError::BadRequest`] for invalid plans and plans of more than
+/// [`MAX_SWEEP_POINTS`] points; otherwise the first failing point's error
+/// in plan order — [`JobError::DeadlineExpired`] at the deadline, while
+/// the points already submitted finish and land in the cache.
+pub fn run_sweep(
+    engine: &Engine,
+    body: &Json,
+    deadline: Option<Instant>,
+    request_id: &str,
+) -> Result<Json, JobError> {
     let plan = parse_sweep_plan(body)?;
-    let points = plan
-        .expand()
+    let mut points = plan
+        .points()
         .map_err(|e| JobError::bad_request(e.to_string()))?;
+    if points.len() > MAX_SWEEP_POINTS {
+        return Err(JobError::bad_request(format!(
+            "plan expands to {} points, more than the {MAX_SWEEP_POINTS} one /sweep serves; \
+             narrow it, or send it to /explore, which simulates only the candidates worth it",
+            points.len()
+        )));
+    }
 
     let registry = engine.registry();
     let points_total = registry.counter(
@@ -244,58 +164,50 @@ pub fn run_sweep(engine: &Engine, body: &Json) -> Result<Json, JobError> {
         &Histogram::duration_buckets(),
     );
 
-    let topology_of: HashMap<&str, usize> = plan
-        .workloads
-        .iter()
-        .enumerate()
-        .map(|(i, w)| (w.label.as_str(), i))
-        .collect();
-
-    type PointOutcome = Result<(Arc<SimResult>, Served), JobError>;
-    let outcomes: Mutex<Vec<Option<PointOutcome>>> = Mutex::new(vec![None; points.len()]);
-    let next = AtomicUsize::new(0);
-    let submitters = SUBMITTERS.min(points.len()).max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..submitters {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = points.get(i) else { break };
-                let workload = topology_of[spec.workload.as_str()];
+    let ctx = JobContext {
+        route: "/sweep",
+        request_id,
+    };
+    let window = (2 * engine.workers()).min(engine.queue_depth_limit());
+    let mut served_points: Vec<(PointSpec, Arc<SimResult>, Served)> =
+        Vec::with_capacity(points.len());
+    // Submitted and not yet waited for, in plan order; `unfinished` counts
+    // those the cache did not answer.
+    let mut tickets: VecDeque<(PointSpec, Ticket<'_>)> = VecDeque::new();
+    let mut unfinished = 0;
+    let mut simulations = 0u64;
+    loop {
+        if unfinished < window {
+            if let Some(spec) = points.next() {
+                let workload = plan.workloads.iter().rfind(|w| w.label == spec.workload);
                 let job = NormalizedJob {
                     config: spec.config(&plan.base),
-                    topology: plan.workloads[workload].topology.clone(),
+                    topology: workload
+                        .expect("a plan's points name its workloads")
+                        .topology
+                        .clone(),
                     grid: spec.grid,
                     auto_dataflow: spec.dataflow == DataflowChoice::Auto,
                 };
-                let started = Instant::now();
-                let outcome = engine.run_normalized_with_context(
-                    job,
-                    None,
-                    crate::engine::JobContext {
-                        route: "/sweep",
-                        request_id: "",
-                    },
-                );
-                if matches!(outcome, Ok((_, Served::Fresh))) {
-                    point_seconds.observe_duration(started.elapsed());
-                }
-                outcomes.lock().unwrap()[i] = Some(outcome);
-            });
+                let ticket = engine.submit(job, ctx)?;
+                unfinished += usize::from(ticket.is_pending());
+                tickets.push_back((spec, ticket));
+                continue;
+            }
         }
-    });
-
-    let outcomes = outcomes.into_inner().unwrap();
-    let mut served_points: Vec<(PointSpec, Arc<SimResult>, Served)> =
-        Vec::with_capacity(points.len());
-    for (spec, outcome) in points.into_iter().zip(outcomes) {
-        let (result, served) = outcome.expect("every point was claimed by a submitter")?;
+        // The window is full or the plan is submitted: take the oldest.
+        let Some((spec, ticket)) = tickets.pop_front() else {
+            break;
+        };
+        unfinished -= usize::from(ticket.is_pending());
+        let (result, served) = ticket.wait(deadline)?;
+        if served == Served::Fresh {
+            simulations += 1;
+            point_seconds.observe_duration(Duration::from_micros(result.sim_wall_micros));
+        }
         served_points.push((spec, result, served));
     }
 
-    let simulations = served_points
-        .iter()
-        .filter(|(_, _, served)| *served == Served::Fresh)
-        .count() as u64;
     let cache_hits = served_points.len() as u64 - simulations;
     points_total.add(served_points.len() as u64);
     simulations_metric.add(simulations);
@@ -305,6 +217,42 @@ pub fn run_sweep(engine: &Engine, body: &Json) -> Result<Json, JobError> {
         .iter()
         .map(|(spec, result, served)| point_json(spec, result, *served))
         .collect();
+    let point_ref = |i: usize| {
+        let (spec, result, _) = &served_points[i];
+        Json::obj(vec![
+            ("index", Json::Int((i as u64).into())),
+            ("grid", Json::str(spec.grid.to_string())),
+            ("array", Json::str(spec.array.to_string())),
+            ("partitions", Json::Int(spec.partitions().into())),
+            (
+                "effective_cycles",
+                Json::Int(result.report.total_effective_cycles().into()),
+            ),
+        ])
+    };
+    // One summary object per (workload, budget, dataflow) group: the
+    // fastest point and the runtime/bandwidth sweet spot over the group's
+    // partition series.
+    let groups: Vec<Json> = summarize_groups(
+        served_points
+            .iter()
+            .map(|(spec, result, _)| (spec, &result.report)),
+    )
+    .into_iter()
+    .map(|group| {
+        let spec = &served_points[group.best].0;
+        Json::obj(vec![
+            ("workload", Json::str(spec.workload.clone())),
+            ("budget", Json::Int(spec.budget.into())),
+            ("dataflow", Json::str(spec.dataflow.to_string())),
+            ("best", point_ref(group.best)),
+            (
+                "sweet_spot",
+                group.sweet_spot.map(point_ref).unwrap_or(Json::Null),
+            ),
+        ])
+    })
+    .collect();
     Ok(Json::obj(vec![
         ("plan", Json::str(plan.name.clone())),
         ("points", Json::Arr(rows)),
@@ -314,7 +262,7 @@ pub fn run_sweep(engine: &Engine, body: &Json) -> Result<Json, JobError> {
                 ("points", Json::Int((served_points.len() as u64).into())),
                 ("simulations", Json::Int(simulations.into())),
                 ("cache_hits", Json::Int(cache_hits.into())),
-                ("groups", Json::Arr(group_summaries(&served_points))),
+                ("groups", Json::Arr(groups)),
             ]),
         ),
     ]))
@@ -350,75 +298,6 @@ fn point_json(spec: &PointSpec, result: &SimResult, served: Served) -> Json {
     ])
 }
 
-/// One summary object per (workload, budget, dataflow) group: the fastest
-/// point and the runtime/bandwidth sweet spot over the group's partition
-/// series (mirrors [`scalesim::sweep::SweepOutcome::summarize`]).
-fn group_summaries(points: &[(PointSpec, Arc<SimResult>, Served)]) -> Vec<Json> {
-    let mut order: Vec<(String, u64, String)> = Vec::new();
-    let mut groups: HashMap<(String, u64, String), Vec<usize>> = HashMap::new();
-    for (i, (spec, _, _)) in points.iter().enumerate() {
-        let key = (
-            spec.workload.clone(),
-            spec.budget,
-            spec.dataflow.to_string(),
-        );
-        let members = groups.entry(key.clone()).or_default();
-        if members.is_empty() {
-            order.push(key);
-        }
-        members.push(i);
-    }
-    order
-        .into_iter()
-        .map(|key| {
-            let mut members = groups.remove(&key).expect("group recorded in order");
-            let (workload, budget, dataflow) = key;
-            let best = members
-                .iter()
-                .copied()
-                .min_by_key(|&i| (points[i].1.report.total_effective_cycles(), i))
-                .expect("nonempty group");
-            members.sort_by_key(|&i| (points[i].0.partitions(), i));
-            let cycles: Vec<u64> = members
-                .iter()
-                .map(|&i| points[i].1.report.total_cycles())
-                .collect();
-            let bw: Vec<f64> = members
-                .iter()
-                .map(|&i| points[i].1.report.peak_required_bandwidth())
-                .collect();
-            let mut partition_counts: Vec<u64> =
-                members.iter().map(|&i| points[i].0.partitions()).collect();
-            partition_counts.dedup();
-            let sweet = if partition_counts.len() > 1 {
-                sweet_spot_index(&cycles, &bw).map(|s| members[s])
-            } else {
-                None
-            };
-            let point_ref = |i: usize| {
-                let (spec, result, _) = &points[i];
-                Json::obj(vec![
-                    ("index", Json::Int((i as u64).into())),
-                    ("grid", Json::str(spec.grid.to_string())),
-                    ("array", Json::str(spec.array.to_string())),
-                    ("partitions", Json::Int(spec.partitions().into())),
-                    (
-                        "effective_cycles",
-                        Json::Int(result.report.total_effective_cycles().into()),
-                    ),
-                ])
-            };
-            Json::obj(vec![
-                ("workload", Json::str(workload)),
-                ("budget", Json::Int(budget.into())),
-                ("dataflow", Json::str(dataflow)),
-                ("best", point_ref(best)),
-                ("sweet_spot", sweet.map(point_ref).unwrap_or(Json::Null)),
-            ])
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,6 +319,27 @@ mod tests {
     }
 
     #[test]
+    fn json_and_plan_file_spell_the_same_plan() {
+        let json = Json::parse(
+            r#"{"name":"both","workloads":["TF0","alexnet"],"budgets":[1024,4096],
+                "min_dim":16,"grids":["1x1","2x2"],"aspect":"all",
+                "dataflows":["os","auto"],"bandwidth":12.5,
+                "config":{"IfmapSramSz":64,"OfmapOffset":"30000000","Dataflow":"ws"}}"#,
+        )
+        .unwrap();
+        let text = "name = both\nworkload = TF0, alexnet\nbudget = 2^10, 4096\n\
+                    min_dim = 16\ngrid = 1x1, 2x2\naspect = all\ndataflow = os, auto\n\
+                    bandwidth = 12.5\nconfig.IfmapSramSz = 64\n\
+                    config.OfmapOffset = 30000000\nconfig.Dataflow = ws\n";
+        let plan = parse_sweep_plan(&json).unwrap();
+        assert_eq!(plan, SweepPlan::parse(text).unwrap());
+        assert_eq!(plan.base.dram_bandwidth, Some(12.5));
+        assert_eq!(plan.base.ifmap_sram_kb, 64);
+        assert_eq!(plan.base.offsets.ofmap, 30_000_000);
+        assert_eq!(plan.expand().unwrap().len(), 2 * (3 + 1 + 5 + 3) * 2);
+    }
+
+    #[test]
     fn plan_rejects_bad_requests() {
         assert!(parse_sweep_plan(&Json::parse(r#"{"budgets":[1]}"#).unwrap()).is_err());
         assert!(parse_sweep_plan(
@@ -456,7 +356,7 @@ mod tests {
     fn sweep_runs_through_the_engine_cache() {
         let engine = Engine::new(4, 64);
         let body = plan_json("");
-        let first = run_sweep(&engine, &body).unwrap();
+        let first = run_sweep(&engine, &body, None, "").unwrap();
         let summary = first.get("summary").unwrap();
         assert_eq!(summary.get("points").and_then(Json::as_u64), Some(5));
         assert_eq!(summary.get("simulations").and_then(Json::as_u64), Some(5));
@@ -464,7 +364,7 @@ mod tests {
 
         // Re-running the identical plan is served entirely from cache and
         // the points (minus the `served` marker) are identical.
-        let second = run_sweep(&engine, &body).unwrap();
+        let second = run_sweep(&engine, &body, None, "").unwrap();
         let summary = second.get("summary").unwrap();
         assert_eq!(summary.get("simulations").and_then(Json::as_u64), Some(0));
         assert_eq!(summary.get("cache_hits").and_then(Json::as_u64), Some(5));
@@ -501,7 +401,7 @@ mod tests {
         // A sweep point and an equivalent /simulate job share one cache
         // entry: the job arriving second must be a hit, not a fresh run.
         let engine = Engine::new(2, 64);
-        run_sweep(&engine, &plan_json("")).unwrap();
+        run_sweep(&engine, &plan_json(""), None, "").unwrap();
         let sims_after_sweep = engine.stats().simulations.get();
 
         let mut job = crate::job::SimJob::builtin("TF1");
@@ -522,7 +422,7 @@ mod tests {
     fn groups_carry_best_and_sweet_spot() {
         let engine = Engine::new(4, 64);
         let body = plan_json("");
-        let response = run_sweep(&engine, &body).unwrap();
+        let response = run_sweep(&engine, &body, None, "").unwrap();
         let groups = response
             .get("summary")
             .and_then(|s| s.get("groups"))

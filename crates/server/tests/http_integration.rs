@@ -249,10 +249,22 @@ fn sweep_route_runs_plans_and_reuses_the_cache() {
     let summary = body.get("summary").unwrap();
     assert_eq!(summary.get("simulations").and_then(Json::as_u64), Some(5));
     assert_eq!(summary.get("cache_hits").and_then(Json::as_u64), Some(0));
+    // The body, byte for byte, as recorded from the last commit whose
+    // `/sweep` ran on submitter threads with its own group summary (every
+    // point of a cold sweep is `"served":"miss"` on both).
+    assert_eq!(first.body, include_str!("data/sweep_itest_parent.json"));
 
-    // Identical plan again: zero fresh simulations.
+    // Identical plan again: zero fresh simulations, and the same points
+    // but for how they were served.
     let second = request(handle.addr(), "POST", "/sweep", Some(plan)).unwrap();
     assert_eq!(second.status, 200);
+    let points_of = |body: &str| {
+        let end = body
+            .find("\"summary\"")
+            .expect("summary follows the points");
+        body[..end].replace("\"served\":\"hit\"", "\"served\":\"miss\"")
+    };
+    assert_eq!(points_of(&second.body), points_of(&first.body));
     let body = Json::parse(&second.body).unwrap();
     let summary = body.get("summary").unwrap();
     assert_eq!(summary.get("simulations").and_then(Json::as_u64), Some(0));

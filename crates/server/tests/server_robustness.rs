@@ -164,6 +164,117 @@ fn expired_deadline_returns_504_and_still_caches() {
     handle.stop();
 }
 
+/// The five-point TF1 plan the sweep tests post; the fault plans key on
+/// its workload name.
+const TF1_PLAN: &str = r#"{"name": "robust", "workloads": ["TF1"], "budgets": [1024],
+    "config": {"IfmapSramSz": 64, "FilterSramSz": 64, "OfmapSramSz": 32}}"#;
+
+/// `/sweep` obeys `X-Scalesim-Deadline-Ms` like `/simulate`: 504 at the
+/// deadline, the points it had submitted by then finish and land in the
+/// cache, and its flight-recorder entries carry the request's id.
+#[test]
+fn sweep_past_its_deadline_returns_504_and_its_leaders_still_cache() {
+    let engine = Engine::with_options(EngineOptions {
+        workers: 1,
+        cache_capacity: 64,
+        queue_depth: 64,
+    });
+    engine.inject_faults(FaultPlan::new().delay("TF1", Duration::from_millis(300)));
+    let handle = Server::bind("127.0.0.1:0", engine.clone())
+        .expect("bind ephemeral port")
+        .spawn();
+
+    let expired = request_with_headers(
+        handle.addr(),
+        "POST",
+        "/sweep",
+        Some(TF1_PLAN),
+        &[
+            ("X-Scalesim-Deadline-Ms", "100"),
+            ("X-Scalesim-Request-Id", "sweep-504"),
+        ],
+    )
+    .unwrap();
+    assert_eq!(expired.status, 504, "body: {}", expired.body);
+    assert!(expired.body.contains("deadline expired"));
+
+    // One worker: the sweep had two points out (2 x workers) when it
+    // expired. Both still simulate; nothing else was submitted.
+    let patience = Instant::now() + Duration::from_secs(30);
+    while !engine.is_idle() {
+        assert!(Instant::now() < patience, "the leaders never finished");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(engine.stats().simulations.get(), 2);
+    let jobs = engine.recent_jobs();
+    let outcomes: Vec<&str> = jobs.iter().map(|j| j.outcome).collect();
+    assert_eq!(outcomes, ["deadline", "fresh", "fresh"]);
+    assert!(jobs
+        .iter()
+        .all(|j| j.route == "/sweep" && j.request_id == "sweep-504"));
+
+    engine.inject_faults(FaultPlan::new());
+    let repeat = request(handle.addr(), "POST", "/sweep", Some(TF1_PLAN)).unwrap();
+    assert_eq!(repeat.status, 200, "body: {}", repeat.body);
+    let body = Json::parse(&repeat.body).unwrap();
+    let served: Vec<&str> = body
+        .get("points")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .map(|p| p.get("served").and_then(Json::as_str).unwrap())
+        .collect();
+    assert_eq!(served, ["hit", "hit", "miss", "miss", "miss"]);
+
+    handle.stop();
+}
+
+/// A plan with more points than the queue holds, on one worker: the sweep
+/// keeps at most `min(2 x workers, queue_depth)` points out, so it
+/// completes without shedding itself.
+#[test]
+fn sweep_wider_than_the_queue_never_sheds_itself() {
+    let handle = start(
+        ServerOptions::default(),
+        EngineOptions {
+            workers: 1,
+            cache_capacity: 64,
+            queue_depth: 2,
+        },
+        FaultPlan::new().delay("TF1", Duration::from_millis(20)),
+    );
+    let response = request(handle.addr(), "POST", "/sweep", Some(TF1_PLAN)).unwrap();
+    assert_eq!(response.status, 200, "body: {}", response.body);
+    let body = Json::parse(&response.body).unwrap();
+    let summary = body.get("summary").unwrap();
+    assert_eq!(summary.get("points").and_then(Json::as_u64), Some(5));
+    assert_eq!(summary.get("simulations").and_then(Json::as_u64), Some(5));
+    let metrics = request(handle.addr(), "GET", "/metrics", None).unwrap();
+    assert!(metrics.body.contains("scalesim_jobs_shed_total 0"));
+    handle.stop();
+}
+
+/// A plan that would expand past the point cap is a 400 naming the count,
+/// answered before any point exists.
+#[test]
+fn sweep_over_the_point_cap_is_a_bad_request() {
+    let handle = start(
+        ServerOptions::default(),
+        EngineOptions::default(),
+        FaultPlan::new(),
+    );
+    let budgets = vec!["1024"; 1000].join(",");
+    let plan = format!(r#"{{"workloads": ["TF1"], "budgets": [{budgets}]}}"#);
+    let response = request(handle.addr(), "POST", "/sweep", Some(&plan)).unwrap();
+    assert_eq!(response.status, 400, "body: {}", response.body);
+    assert!(response.body.contains("5000 points"), "{}", response.body);
+    assert!(response.body.contains("/explore"));
+    let stats = request(handle.addr(), "GET", "/stats", None).unwrap();
+    let stats = Json::parse(&stats.body).unwrap();
+    assert_eq!(stats.get("accepted").and_then(Json::as_u64), Some(0));
+    handle.stop();
+}
+
 /// Graceful drain: the in-flight request completes 200, `/healthz` reports
 /// `draining`, new jobs shed with 503 while probes still answer, and the
 /// listener is closed once drained.
