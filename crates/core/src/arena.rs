@@ -38,7 +38,8 @@ pub struct SimArena {
     /// First-use dedup set for the A stream, loaned to the demand iterator
     /// via `fold_demand_runs_in` and reclaimed after each layer.
     pub a_seen: IntervalSet,
-    /// Raw `a_span` scratch, loaned alongside `a_seen`.
+    /// The A stream the demand iterator generates once per fold row and
+    /// copies into every fold of it, loaned alongside `a_seen`.
     pub a_scratch: AddrRuns,
 }
 

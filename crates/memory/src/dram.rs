@@ -165,6 +165,14 @@ pub struct DramModel {
     /// WS/IS) need never be applied unless a spill arrives later — the
     /// flush replays them in order, so buffer state at every epoch is
     /// identical to eager installation.
+    ///
+    /// Nothing here caps its length; the producer's labels do. The demand
+    /// generator emits one `o_writes` run per fold whose label block ends
+    /// where the next fold's begins when the fold's tile is full, so
+    /// between flushes this holds at most `fold_rows + fold_cols` runs of
+    /// 16 bytes — one per fold row and one per fold of a ragged last row
+    /// for a layer that never spills, one per fold column between two
+    /// spilling fold rows — not one per fold.
     pending_o: AddrRuns,
 }
 

@@ -188,16 +188,42 @@ fn demand_for_fold<M: AddressMap + ?Sized>(dims: &MappedDims, fold: &Fold, map: 
 /// enumeration.
 ///
 /// The **B** and **O** streams carry *canonical labels* rather than real
-/// addresses: per fold, coordinate `(k, n)` or `(m, n)` maps to a dense
-/// label chosen so each loop nest emits maximal runs. The address-map
-/// contract guarantees B and O coordinates map to distinct real addresses,
-/// so the relabeling is a bijection applied consistently across the layer
-/// — and FIFO buffer hit/miss/eviction counts depend only on the equality
-/// pattern of the stream, not on the address values. The resulting
+/// addresses, and the labels are *tile-major*: every coordinate a fold
+/// touches gets a label inside a block that belongs to the fold's tile,
+/// ascending in the legacy loop order, so `b`, `o_spill` and `o_writes`
+/// are each exactly **one run per fold**. With `T` the temporal extent,
+/// `R × C` the array, `(fr, fc)` the fold, `r′ × c′` its tile, `i < r′`
+/// and `j < c′` the offsets inside it and `t < T` the temporal index:
+///
+/// | stream | label | independent of | label space |
+/// |---|---|---|---|
+/// | OS `O[m][n]`, WS `B[k][n]` | `(fr·F_C + fc)·R·C + i·c′ + j` | — (one fold touches each element) | `F_R·F_C·R·C` |
+/// | OS `B[t][n]` | `fc·C·T + j·T + t` | `fr` | `S_C·T` |
+/// | WS `O[t][n]`, IS `O[m][t]` | `fc·C·T + t·c′ + j` | `fr` | `S_C·T` |
+/// | IS `B[k][t]` | `fr·R·T + t·r′ + i` | `fc` | `S_R·T` |
+///
+/// Each is a layer-wide injection. Fold tiles are aligned and `r′ ≤ R`,
+/// `c′ ≤ C`, so the block of one tile — `[fc·C·T, (fc·C + c′)·T)`,
+/// `[fr·R·T, (fr·R + r′)·T)` or `R·C` labels from the fold index — ends
+/// before the next begins; inside a block the offsets are a mixed-radix
+/// number. A stream that later folds revisit (WS/IS partial sums along
+/// `fr`, OS `B` along `fr`, IS `B` along `fc`) has a label that does not
+/// depend on that fold index, so a revisited coordinate gets its label
+/// back. The address-map contract guarantees B and O coordinates map to
+/// distinct real addresses, so the relabeling is a bijection applied
+/// consistently across the layer — and FIFO buffer hit/miss/eviction
+/// counts depend only on the equality pattern of the stream, not on the
+/// address values. The resulting
 /// [`DramSummary`](scalesim_memory::DramSummary) is therefore identical to
 /// the legacy element path (the workspace equivalence property suite pins
 /// this). Real-address consumers (trace export) keep using
 /// [`fold_demands`].
+///
+/// Every label is below its space's bound in the table. `S_C·T` and
+/// `S_R·T` are element counts of an operand matrix, and the tile-major
+/// bound is at most `R·C·S_R·S_C` (`F_R·R ≤ S_R + R − 1 ≤ S_R·R`), within
+/// a factor `R·C` of the `S_R·S_C` the row-major labels it replaces
+/// reached.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FoldDemandRuns {
     /// The fold this demand belongs to.
@@ -271,10 +297,18 @@ pub struct FoldDemandsRuns<'a, M: ?Sized> {
     dims: MappedDims,
     map: &'a M,
     plan: FoldPlan,
-    /// Per-fold first-use dedup for the A stream, reused across folds.
+    /// `R·C`, the size of one fold's block of tile-major labels.
+    tile: u64,
+    /// First-use dedup for the A stream, cleared whenever it is generated.
     a_seen: IntervalSet,
-    /// Scratch for raw `a_span` output before dedup.
+    /// The deduplicated A stream last generated, copied into every fold
+    /// it serves: all folds of a fold row under OS and WS, one fold under
+    /// IS.
     a_scratch: AddrRuns,
+    /// What `a_scratch` was generated for: the fold row (OS, WS) or the
+    /// fold index (IS). `None` until the first fold, so whatever a loaned
+    /// `a_scratch` held is never served.
+    a_key: Option<u64>,
 }
 
 /// Enumerates each fold's demand as address runs — the run-compressed
@@ -293,6 +327,7 @@ pub struct FoldDemandsRuns<'a, M: ?Sized> {
 /// assert_eq!(folds.len(), 4);
 /// assert_eq!(folds[0].a.element_count(), 4 * 4); // 4 rows x T=4 elements
 /// assert_eq!(folds[0].a.run_count(), 1); // ... adjacent rows fuse to one run
+/// assert_eq!(folds[0].run_count(), 3); // ... and B and O are one run each
 /// ```
 pub fn fold_demand_runs<'a, M: AddressMap + ?Sized>(
     dims: &MappedDims,
@@ -302,7 +337,7 @@ pub fn fold_demand_runs<'a, M: AddressMap + ?Sized>(
     fold_demand_runs_in(dims, array, map, IntervalSet::new(), AddrRuns::new())
 }
 
-/// [`fold_demand_runs`] with caller-provided dedup scratch, so repeated
+/// [`fold_demand_runs`] with caller-provided A-stream scratch, so repeated
 /// layer simulations on one worker reuse the grown storage. Reclaim it
 /// with [`FoldDemandsRuns::into_scratch`] when the iterator is exhausted.
 pub fn fold_demand_runs_in<'a, M: AddressMap + ?Sized>(
@@ -316,15 +351,18 @@ pub fn fold_demand_runs_in<'a, M: AddressMap + ?Sized>(
         dims: *dims,
         map,
         plan: FoldPlan::new(dims, array),
+        tile: array.macs(),
         a_seen,
         a_scratch,
+        a_key: None,
     }
 }
 
 impl<'a, M: AddressMap + ?Sized> FoldDemandsRuns<'a, M> {
     /// Produces the next fold's demand into caller-owned scratch instead
     /// of allocating a fresh [`FoldDemandRuns`]. Returns `false` when the
-    /// plan is exhausted (leaving `out` cleared).
+    /// plan is exhausted (leaving `out` cleared). What `out` held before
+    /// does not matter, so a caller may rotate several.
     ///
     /// This is the hot-path lending form of the [`Iterator`] impl: the
     /// simulator fold loop reuses one `FoldDemandRuns` for the whole
@@ -335,21 +373,106 @@ impl<'a, M: AddressMap + ?Sized> FoldDemandsRuns<'a, M> {
         let Some(fold) = self.plan.next() else {
             return false;
         };
-        fill_demand_runs_for_fold(
-            &self.dims,
-            &fold,
-            self.map,
-            &mut self.a_seen,
-            &mut self.a_scratch,
-            out,
-        );
+        self.fill_demand_runs_for_fold(&fold, out);
         true
     }
 
-    /// Returns the dedup scratch for reuse by the next layer's iterator —
-    /// the counterpart of [`fold_demand_runs_in`].
+    /// Returns the A-stream scratch for reuse by the next layer's iterator
+    /// — the counterpart of [`fold_demand_runs_in`].
     pub fn into_scratch(self) -> (IntervalSet, AddrRuns) {
         (self.a_seen, self.a_scratch)
+    }
+
+    /// Fills the cleared `out` with `fold`'s demand, in the labels of the
+    /// [`FoldDemandRuns`] table. B and O are one push each: the legacy
+    /// loop nest of every arm walks its tile's label block in ascending
+    /// order, so the whole nest is one run, the block. `out`'s stream
+    /// buffers and the iterator's scratch are reused across folds, so the
+    /// generator allocates nothing in steady state.
+    fn fill_demand_runs_for_fold(&mut self, fold: &Fold, out: &mut FoldDemandRuns) {
+        let t = self.dims.temporal;
+        let ru = fold.rows_used;
+        let cu = fold.cols_used;
+        out.fold = *fold;
+        let fold_index = fold.fr * self.plan.fold_cols() + fold.fc;
+        let tile_block = fold_index * self.tile;
+        // The block of the fold column: OS `B[·][n]`, WS `O[·][n]` and IS
+        // `O[m][·]` for the tile's `cu` columns, `T` labels each.
+        let col_block = fold.col_base * t;
+        let spill = fold.fr > 0;
+
+        match self.dims.dataflow {
+            Dataflow::OutputStationary => {
+                // A[row_base+i][0..T], loop (i, k): the fold row's alone.
+                let spans = (0..ru).map(|i| (fold.row_base + i, 0, t));
+                self.a_stream(fold.fr, spans, &mut out.a);
+                // B[k][col_base+j], loop (j, k).
+                out.b.push(col_block, cu * t);
+                // O[row_base+i][col_base+j], loop (i, j), this fold only.
+                out.o_writes.push(tile_block, ru * cu);
+            }
+            Dataflow::WeightStationary => {
+                // B[row_base+i][col_base+j], loop (i, j), this fold only.
+                out.b.push(tile_block, ru * cu);
+                // A[mt][row_base..+ru], loop (mt, i): the fold row's alone.
+                let spans = (0..t).map(|mt| (mt, fold.row_base, ru));
+                self.a_stream(fold.fr, spans, &mut out.a);
+                // O[mt][col_base+j], loop (mt, j), accumulated along fr.
+                if spill {
+                    out.o_spill.push(col_block, t * cu);
+                }
+                out.o_writes.push(col_block, t * cu);
+            }
+            Dataflow::InputStationary => {
+                // A[col_base+j][row_base..+ru], loop (j, i): this fold's.
+                let spans = (0..cu).map(|j| (fold.col_base + j, fold.row_base, ru));
+                self.a_stream(fold_index, spans, &mut out.a);
+                // B[row_base+i][nt], loop (nt, i), shared along fc.
+                out.b.push(fold.row_base * t, t * ru);
+                // O[col_base+j][nt], loop (nt, j), accumulated along fr.
+                if spill {
+                    out.o_spill.push(col_block, t * cu);
+                }
+                out.o_writes.push(col_block, t * cu);
+            }
+        }
+    }
+
+    /// Appends to the cleared `out` the A stream of the spans
+    /// `A[m][k0..k0+len]` that `spans` yields as `(m, k0, len)`: real
+    /// addresses, deduplicated in first-use order — each maximal novel
+    /// sub-range of each span in ascending `k` order, exactly the order
+    /// the element-wise `push_unique` loop produces. `key` names what the
+    /// stream is a function of; while it repeats, `spans` is not walked
+    /// and the stream generated for it is copied (two memcpys).
+    ///
+    /// The stream is built in `a_scratch`, which outlives the layer in the
+    /// caller's arena, with `out` as staging for raw `a_span` output — so
+    /// a warm fold loop allocates nothing, whichever `out` it passes.
+    fn a_stream(
+        &mut self,
+        key: u64,
+        spans: impl Iterator<Item = (u64, u64, u64)>,
+        out: &mut AddrRuns,
+    ) {
+        if self.a_key != Some(key) {
+            self.a_key = Some(key);
+            self.a_seen.clear();
+            self.a_scratch.clear();
+            for (m, k0, len) in spans {
+                out.clear();
+                self.map.a_span(m, k0, len, out);
+                for run in out.iter_runs() {
+                    // Fused probe: enumerate the novel sub-ranges and mark
+                    // them seen with one binary search over the dedup set.
+                    let stream = &mut self.a_scratch;
+                    self.a_seen
+                        .insert_with_gaps(run.start, run.end(), |s, e| stream.push(s, e - s));
+                }
+            }
+            out.clear();
+        }
+        out.extend_runs(&self.a_scratch);
     }
 }
 
@@ -367,114 +490,6 @@ impl<'a, M: AddressMap + ?Sized> Iterator for FoldDemandsRuns<'a, M> {
 }
 
 impl<'a, M: AddressMap + ?Sized> ExactSizeIterator for FoldDemandsRuns<'a, M> {}
-
-/// Appends `A[m][k0..k0+len]` to `out`, deduplicated against `seen`
-/// (first-use order): each maximal novel sub-range of each span run is
-/// emitted in ascending `k` order — exactly the order the element-wise
-/// `push_unique` loop produces.
-fn push_a_dedup<M: AddressMap + ?Sized>(
-    map: &M,
-    m: u64,
-    k0: u64,
-    len: u64,
-    seen: &mut IntervalSet,
-    scratch: &mut AddrRuns,
-    out: &mut AddrRuns,
-) {
-    scratch.clear();
-    map.a_span(m, k0, len, scratch);
-    for run in scratch.iter_runs() {
-        // Fused probe: enumerate the novel sub-ranges and mark them seen
-        // with one binary search over the dedup set.
-        seen.insert_with_gaps(run.start, run.end(), |s, e| out.push(s, e - s));
-    }
-}
-
-/// Fills `out` with the fold's demand. `out` must be cleared by the
-/// caller; its stream buffers (and `a_seen` / `a_scratch`) are reused
-/// across folds so the generator allocates nothing in steady state.
-fn fill_demand_runs_for_fold<M: AddressMap + ?Sized>(
-    dims: &MappedDims,
-    fold: &Fold,
-    map: &M,
-    a_seen: &mut IntervalSet,
-    a_scratch: &mut AddrRuns,
-    out: &mut FoldDemandRuns,
-) {
-    let t = dims.temporal;
-    let ru = fold.rows_used;
-    let cu = fold.cols_used;
-    out.fold = *fold;
-    let a = &mut out.a;
-    let b = &mut out.b;
-    let o_spill = &mut out.o_spill;
-    let o_writes = &mut out.o_writes;
-    a_seen.clear();
-
-    match dims.dataflow {
-        Dataflow::OutputStationary => {
-            // A: real addresses, row-major over (i, k) — one span per row.
-            for i in 0..ru {
-                push_a_dedup(map, fold.row_base + i, 0, t, a_seen, a_scratch, a);
-            }
-            // B: loop (j, k) over B[k][col_base+j]; label (k, n) -> n·T + k
-            // makes each j a run of T and the whole fold one run.
-            b.push((fold.col_base) * t, cu * t);
-            // O: loop (i, j) over O[row_base+i][col_base+j]; label
-            // (m, n) -> m·SC + n makes each row a run of cu.
-            let sc = dims.spatial_cols;
-            for i in 0..ru {
-                o_writes.push((fold.row_base + i) * sc + fold.col_base, cu);
-            }
-        }
-        Dataflow::WeightStationary => {
-            let k_base = fold.row_base;
-            let n_base = fold.col_base;
-            // B: loop (i, j) over B[k_base+i][n_base+j]; label
-            // (k, n) -> k·SC + n.
-            let sc = dims.spatial_cols;
-            for i in 0..ru {
-                b.push((k_base + i) * sc + n_base, cu);
-            }
-            // A: real addresses, loop (mt, i) -> A[mt][k_base+i].
-            for mt in 0..t {
-                push_a_dedup(map, mt, k_base, ru, a_seen, a_scratch, a);
-            }
-            // O: loop (mt, j) over O[mt][n_base+j]; label (m, n) -> m·SC + n.
-            let spill = fold.fr > 0;
-            for mt in 0..t {
-                let start = mt * sc + n_base;
-                if spill {
-                    o_spill.push(start, cu);
-                }
-                o_writes.push(start, cu);
-            }
-        }
-        Dataflow::InputStationary => {
-            let k_base = fold.row_base;
-            let m_base = fold.col_base;
-            // A: real addresses, loop (j, i) -> A[m_base+j][k_base+i].
-            for j in 0..cu {
-                push_a_dedup(map, m_base + j, k_base, ru, a_seen, a_scratch, a);
-            }
-            // B: loop (nt, i) over B[k_base+i][nt]; label (k, n) -> n·SR + k.
-            let sr = dims.spatial_rows;
-            for nt in 0..t {
-                b.push(nt * sr + k_base, ru);
-            }
-            // O: loop (nt, j) over O[m_base+j][nt]; label (m, n) -> n·SC + m.
-            let sc = dims.spatial_cols;
-            let spill = fold.fr > 0;
-            for nt in 0..t {
-                let start = nt * sc + m_base;
-                if spill {
-                    o_spill.push(start, cu);
-                }
-                o_writes.push(start, cu);
-            }
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -582,8 +597,8 @@ mod tests {
 
     /// Checks the run-compressed generator against the legacy enumeration:
     /// A element sequences must be identical; B/O streams must have equal
-    /// per-fold sizes and be related by one layer-wide bijection per
-    /// operand.
+    /// per-fold sizes, be related by one layer-wide bijection per operand,
+    /// and be one run each wherever the legacy stream is not empty.
     fn check_runs_match_legacy<M: AddressMap>(dims: &MappedDims, array: ArrayShape, map: &M) {
         use std::collections::HashMap;
         let legacy: Vec<FoldDemand> = fold_demands(dims, array, map).collect();
@@ -605,6 +620,11 @@ mod tests {
         };
         for (d, dr) in legacy.iter().zip(&runs) {
             assert_eq!(d.fold, dr.fold);
+            assert_eq!(dr.b.run_count(), 1, "B runs in fold {:?}", d.fold);
+            assert_eq!(dr.o_writes.run_count(), 1, "O runs in fold {:?}", d.fold);
+            let spills = dims.dataflow != Dataflow::OutputStationary && d.fold.fr > 0;
+            assert_eq!(d.o_spill.is_empty(), !spills);
+            assert_eq!(dr.o_spill.run_count(), usize::from(spills));
             // A: exact element equality (real addresses, first-use order).
             assert_eq!(
                 d.a,
@@ -652,12 +672,36 @@ mod tests {
 
     #[test]
     fn run_compression_is_effective_on_gemm() {
-        // The whole point: far fewer runs than elements.
+        // The whole point: far fewer runs than elements. Adjacent full
+        // GEMM rows fuse to one A run, and B and O are one run by label.
         let shape = GemmShape::new(64, 64, 64);
         let dims = shape.project(Dataflow::OutputStationary);
         let map = GemmAddressMap::from_shape(shape, RegionOffsets::default());
         for d in fold_demand_runs(&dims, ArrayShape::square(16), &map) {
-            assert!(d.run_count() * 8 <= d.element_count());
+            assert_eq!(d.run_count(), 3);
+        }
+    }
+
+    #[test]
+    fn rotating_scratch_objects_yields_the_same_streams() {
+        // The A stream of a fold row is generated once and staged through
+        // whichever `out` the caller passed for that fold; the other folds
+        // of the row must not depend on it.
+        let layer = ConvLayer::new("t", 9, 9, 3, 3, 2, 11, 1).unwrap();
+        let map = ConvAddressMap::new(&layer, RegionOffsets::default());
+        let array = ArrayShape::new(8, 4);
+        for df in Dataflow::ALL {
+            let dims = layer.shape().project(df);
+            assert!(FoldPlan::new(&dims, array).fold_cols() >= 3);
+            let one: Vec<FoldDemandRuns> = fold_demand_runs(&dims, array, &map).collect();
+            let mut demands = fold_demand_runs(&dims, array, &map);
+            let mut scratch = [FoldDemandRuns::default(), FoldDemandRuns::default()];
+            for (index, expected) in one.iter().enumerate() {
+                let out = &mut scratch[index % 2];
+                assert!(demands.next_into(out));
+                assert_eq!(out, expected, "{df:?} fold {index}");
+            }
+            assert!(!demands.next_into(&mut scratch[0]));
         }
     }
 }

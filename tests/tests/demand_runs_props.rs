@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 use scalesim_memory::{
     AddrRuns, ConvAddressMap, DoubleBuffer, DramModel, GemmAddressMap, OperandBufferSpec,
-    RegionOffsets, RunBuffer, StallModel,
+    RegionOffsets, RunBuffer, StallModel, SubGemmMap,
 };
 use scalesim_systolic::{fold_demand_runs, fold_demands, ArrayShape, Dataflow};
 use scalesim_topology::{ConvLayerBuilder, GemmShape};
@@ -196,6 +196,41 @@ proptest! {
         let dims = layer.shape().project(Dataflow::ALL[df_idx]);
         let map = ConvAddressMap::new(&layer, RegionOffsets::default());
         check_streams_are_faithful(&dims, ArrayShape::new(4, 4), &map)?;
+    }
+
+    /// One tile of a partitioned convolution, as `run_partitions` builds it:
+    /// the layer's map behind a `SubGemmMap` at a non-zero `(m_off, n_off)`,
+    /// the tile's own `M x N` ragged against the array. Both contracts hold
+    /// on the tile as they do on the layer.
+    #[test]
+    fn partition_tile_run_path_matches_element_path(
+        m_off in 1u64..20,
+        n_off in 1u64..5,
+        m_len in 1u64..30,
+        n_len in 1u64..8,
+        stride in 1u64..3,
+        bufs in (8u64..1024, 8u64..1024, 8u64..1024),
+        df_idx in 0usize..3,
+    ) {
+        // 12x12 ifmap, 3x3x2 filters: 100 or 25 output pixels, 12 filters.
+        let layer = ConvLayerBuilder::new("p")
+            .ifmap(12, 12)
+            .filter(3, 3)
+            .channels(2)
+            .num_filters(12)
+            .stride(stride)
+            .build()
+            .unwrap();
+        let shape = layer.shape();
+        prop_assume!(m_off + m_len <= shape.m && n_off + n_len <= shape.n);
+        // Not a multiple of the 4x4 array in either tile dimension.
+        prop_assume!(m_len % 4 != 0 && n_len % 4 != 0);
+        let map = ConvAddressMap::new(&layer, RegionOffsets::default());
+        let tile = SubGemmMap::new(&map, m_off, n_off);
+        let dims = GemmShape::new(m_len, shape.k, n_len).project(Dataflow::ALL[df_idx]);
+        let array = ArrayShape::new(4, 4);
+        check_paths_agree(&dims, array, &tile, bufs)?;
+        check_streams_are_faithful(&dims, array, &tile)?;
     }
 
     /// RunBuffer is the same FIFO double buffer as DoubleBuffer, for any

@@ -41,16 +41,23 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocator call that hands out a block of `size` bytes.
+fn count_allocation(size: usize) {
+    ALLOC_COUNT.with(|c| c.set(c.get() + 1));
+    ALLOC_BYTES.with(|c| c.set(c.get() + size as u64));
 }
 
 struct CountingAllocator;
 
-// SAFETY: delegates every operation to `System`; the counter is a plain
-// thread-local `Cell<u64>` with const initialization (no lazy allocation,
+// SAFETY: delegates every operation to `System`; the counters are plain
+// thread-local `Cell<u64>`s with const initialization (no lazy allocation,
 // no destructor), so the bookkeeping itself never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.with(|c| c.set(c.get() + 1));
+        count_allocation(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -59,7 +66,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A growth may move or extend the block: either way it is heap
         // traffic the steady-state fold loop must not produce.
-        ALLOC_COUNT.with(|c| c.set(c.get() + 1));
+        count_allocation(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -69,6 +76,12 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations_on_this_thread() -> u64 {
     ALLOC_COUNT.with(|c| c.get())
+}
+
+/// Bytes of every block handed out on this thread so far, regrown blocks
+/// at their new size.
+fn allocated_bytes_on_this_thread() -> u64 {
+    ALLOC_BYTES.with(|c| c.get())
 }
 
 // ---------------------------------------------------------------------------
@@ -526,6 +539,37 @@ fn fold_loop_is_allocation_free_after_warmup() {
         let _ = dedup;
         assert_eq!(allocs, 0, "{df:?}: warm fold loop must not touch the heap");
     }
+}
+
+/// A layer that never spills never flushes its deferred output installs,
+/// so `pending_o` holds every `o_writes` run of the layer when it ends. The
+/// tile-major labels bound that: a full fold's block ends where the next
+/// fold's begins, so a fold row of OS writes is one run however many folds
+/// it has (a ragged last fold row: one per fold). Cold, on 153,600 folds,
+/// the whole loop allocates about 40 KB; one run per array row per fold
+/// would be 67 MB.
+#[test]
+fn cold_os_fold_loop_allocation_is_bounded_by_fold_rows_not_folds() {
+    let spec = OperandBufferSpec::from_kb(64, 1);
+    // 600 x 256 folds of the 8x8 array, the last fold column 4 wide.
+    let shape = GemmShape::new(4800, 4, 2044);
+    let dims = shape.project(Dataflow::OutputStationary);
+    let map = GemmAddressMap::from_shape(shape, RegionOffsets::default());
+    let before = allocated_bytes_on_this_thread();
+    let _ = fold_loop_allocations(
+        &dims,
+        ArrayShape::square(8),
+        &map,
+        (spec, spec, spec),
+        &mut BufferPool::new(),
+        &mut FoldDemandRuns::default(),
+        (IntervalSet::new(), AddrRuns::new()),
+    );
+    let bytes = allocated_bytes_on_this_thread() - before;
+    assert!(
+        bytes < 1 << 20,
+        "{bytes} bytes allocated by a cold OS layer"
+    );
 }
 
 /// Allocations `Simulator::run_layer` performs on this thread for `layer`
