@@ -11,7 +11,8 @@
 //!   (fused probe/gap-walk/union) vs the `BTreeMap` twin.
 //! * **buffer epoch** — `RunBuffer::epoch` span-batched FIFO miss
 //!   classification vs `DoubleBuffer::epoch` walking the same stream
-//!   element by element.
+//!   element by element, and the O(1) answer to a sealed stream shown
+//!   again to a buffer it thrashes (a fold row's A stream under WS).
 //! * **reuse profile** — batched `ReuseProfile::from_runs` vs the
 //!   element-walk `from_demands`.
 //!
@@ -137,6 +138,24 @@ fn bench_buffer_epoch(c: &mut Criterion) {
             let mut misses = 0;
             for epoch in black_box(&epochs) {
                 misses += buf.epoch(epoch.iter_elements()).misses;
+            }
+            misses
+        })
+    });
+    // One duplicate-free stream of four bufferfuls, sealed, shown 64 times
+    // to a buffer it thrashes: walked once (rule 3 of `RunBuffer::epoch`),
+    // then answered from the fixed point. Unsealed, all 64 are walked.
+    let mut fold_row = AddrRuns::with_capacity(4096);
+    for i in 0..4096 {
+        fold_row.push(i * 48, 32);
+    }
+    fold_row.seal_distinct();
+    group.bench_function("run_buffer_sealed_repeat", |b| {
+        b.iter(|| {
+            let mut buf = RunBuffer::new(capacity);
+            let mut misses = 0;
+            for _ in 0..64 {
+                misses += buf.epoch(black_box(&fold_row)).misses;
             }
             misses
         })

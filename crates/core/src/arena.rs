@@ -38,8 +38,10 @@ pub struct SimArena {
     /// First-use dedup set for the A stream, loaned to the demand iterator
     /// via `fold_demand_runs_in` and reclaimed after each layer.
     pub a_seen: IntervalSet,
-    /// The A stream the demand iterator generates once per fold row and
-    /// copies into every fold of it, loaned alongside `a_seen`.
+    /// The A stream the demand iterator generates and seals once per fold
+    /// row and copies, seal and all, into every fold of it; loaned
+    /// alongside `a_seen`. Whatever seal it comes back with is dropped
+    /// when the next layer's iterator clears it.
     pub a_scratch: AddrRuns,
 }
 

@@ -134,9 +134,13 @@ impl SimConfig {
     }
 }
 
+/// One partition's share of an SRAM of `kb` kilobytes. The byte count
+/// saturates like [`OperandBufferSpec::from_kb`]: a size past `u64::MAX`
+/// bytes is the unbounded buffer, not a buffer of the bytes left after
+/// the product wraps.
 fn scaled_spec(kb: u64, word_bytes: u64, partitions: u64) -> OperandBufferSpec {
     OperandBufferSpec {
-        size_bytes: (kb * 1024) / partitions.max(1),
+        size_bytes: kb.saturating_mul(1024) / partitions.max(1),
         word_bytes,
     }
 }
@@ -406,6 +410,18 @@ mod tests {
         assert_eq!(c.ofmap_buffer(2).size_bytes, 128 * 1024);
         // Zero partitions clamps rather than dividing by zero.
         assert_eq!(c.filter_buffer(0).size_bytes, 512 * 1024);
+    }
+
+    #[test]
+    fn an_enormous_sram_is_unbounded_not_empty() {
+        // `IfmapSramSz = 18014398509481984` parses; times 1024 it is 2^64
+        // bytes, which used to wrap to a buffer of none.
+        let c = parse_config("IfmapSramSz : 18014398509481984\n").unwrap();
+        assert_eq!(c.ifmap_sram_kb, 1 << 54);
+        assert_eq!(c.ifmap_buffer(1).size_bytes, u64::MAX);
+        assert_eq!(c.ifmap_buffer(4).size_bytes, u64::MAX / 4);
+        let c = SimConfig::builder().sram_kb(u64::MAX, 512, 256).build();
+        assert_eq!(c.ifmap_buffer(1).size_bytes, u64::MAX);
     }
 
     #[test]

@@ -2193,6 +2193,35 @@ mod tests {
     }
 
     #[test]
+    fn an_enormous_sram_reads_what_a_merely_sufficient_one_does() {
+        // 2^54 KB times 1024 is 2^64 bytes: the product used to wrap to an
+        // IFMAP buffer of no bytes, refetching every fold's A stream.
+        let dram_bytes = |ifmap_kb: &str| {
+            let text = format!(
+                "workload = TF1\nbudget = 2^10\ngrid = 1x1, 2x2\ndataflow = ws\n\
+                 config.IfmapSramSz = {ifmap_kb}\n\
+                 config.FilterSramSz = 64\nconfig.OfmapSramSz = 32\n"
+            );
+            let plan = SweepPlan::parse(&text).unwrap();
+            let outcome = SweepEngine::with_registry(8, &Registry::new())
+                .run(&plan, 1)
+                .unwrap();
+            let bytes: Vec<u64> = outcome
+                .results
+                .iter()
+                .map(|point| point.report.total_dram_bytes())
+                .collect();
+            assert_eq!(bytes.len(), 2);
+            bytes
+        };
+        // 1 GB holds TF1's whole IFMAP; 1 KB does not hold a fold row's.
+        let sufficient = dram_bytes("1048576");
+        assert_eq!(dram_bytes("18014398509481984"), sufficient);
+        assert_eq!(dram_bytes("18446744073709551615"), sufficient);
+        assert!(dram_bytes("1")[0] > sufficient[0]);
+    }
+
+    #[test]
     fn summarize_finds_best_and_sweet_spot_per_group() {
         let mut plan = small_plan();
         plan.budgets = vec![1 << 10, 1 << 12];

@@ -31,9 +31,14 @@ pub struct OperandBufferSpec {
 
 impl OperandBufferSpec {
     /// Creates a spec from a size in kilobytes, the unit Table I uses.
+    ///
+    /// The byte count saturates: a size of 2^54 KB or more — which a config
+    /// file or a `/simulate` body can carry — is `u64::MAX` bytes, the
+    /// unbounded buffer such a number means, where the unchecked product
+    /// wrapped to a buffer of zero bytes (release) or panicked (debug).
     pub fn from_kb(kb: u64, word_bytes: u64) -> Self {
         OperandBufferSpec {
-            size_bytes: kb * 1024,
+            size_bytes: kb.saturating_mul(1024),
             word_bytes: word_bytes.max(1),
         }
     }
@@ -278,6 +283,18 @@ impl DramModel {
     /// Processes one fold of run-compressed demand — the hot path. See
     /// [`DramModel::fold`] for the operand semantics; all buffer traffic
     /// here is computed per-run instead of per-element.
+    ///
+    /// A *sealed* `a_demand` ([`AddrRuns::seal_distinct`]; the demand
+    /// generator seals every A stream and promises its addresses distinct)
+    /// that repeats the fold before costs O(1) once the IFMAP buffer has
+    /// reached a fixed point of it. The three fixed points — a walk that
+    /// missed nothing changed nothing; a walk that evicted nothing left
+    /// every demanded element resident; a walk of more than a bufferful
+    /// that hit nothing left the FIFO holding the stream's tail, which the
+    /// same distinct stream evicts just ahead of itself for ever — and
+    /// their proofs are on [`RunBuffer::epoch`], which owns the state they
+    /// are about. This function knows nothing of seals: an unsealed stream
+    /// (as [`DramModel::fold`] builds) is walked, with the same counts.
     pub fn fold_runs(
         &mut self,
         duration: u64,
@@ -437,6 +454,18 @@ mod tests {
     }
 
     #[test]
+    fn an_enormous_size_saturates_to_the_unbounded_buffer() {
+        // 2^54 KB is 2^64 bytes: the product used to wrap to 0 bytes.
+        for kb in [1 << 54, (1 << 54) + 1, u64::MAX] {
+            assert_eq!(OperandBufferSpec::from_kb(kb, 1).size_bytes, u64::MAX);
+        }
+        assert_eq!(
+            OperandBufferSpec::from_kb((1 << 54) - 1, 1).size_bytes,
+            u64::MAX - 1023
+        );
+    }
+
+    #[test]
     fn cold_start_fetches_everything_once() {
         let mut dram = DramModel::new(kb(64), kb(64), kb(64));
         let t = dram.fold(
@@ -539,6 +568,66 @@ mod tests {
         let (reads, writes) = tracer.finish().unwrap();
         assert!(!reads.is_empty());
         assert!(!writes.is_empty());
+    }
+
+    #[test]
+    fn sealed_repeats_survive_interruption_by_any_other_fold() {
+        // The model knows nothing of seals, so whatever interrupts a run of
+        // sealed repeats — a traced fold, which walks; another sealed
+        // stream — it must agree fold for fold with a model fed unsealed
+        // copies of the same streams, which is walked every time.
+        use crate::dram_trace::DramTraceWriter;
+        let stream: AddrRuns = (10..16u64).chain(40..46).collect();
+        let other: AddrRuns = (13..19u64).chain(300..302).collect();
+        // (A buffer bytes, stream resident beforehand): the first sealed
+        // fold is all hits (rule 1), misses without evicting (rule 2),
+        // all misses of more than a bufferful (rule 3).
+        for (a_bytes, warm) in [(64, true), (64, false), (5, false)] {
+            let spec = |size_bytes| OperandBufferSpec {
+                size_bytes,
+                word_bytes: 1,
+            };
+            for interruption in 0..3 {
+                for position in 0..5 {
+                    let mut fast = DramModel::new(spec(a_bytes), kb(1), kb(1));
+                    let mut walked = DramModel::new(spec(a_bytes), kb(1), kb(1));
+                    let mut tracer = DramTraceWriter::new(Vec::new(), Vec::new());
+                    let none = AddrRuns::new();
+                    if warm {
+                        fast.fold_runs(9, &stream, &none, &none, &none);
+                        walked.fold_runs(9, &stream, &none, &none, &none);
+                    }
+                    let mut sealed = stream.clone();
+                    sealed.seal_distinct();
+                    for fold in 0..5 {
+                        if fold == position {
+                            let mut interrupt = |model: &mut DramModel, seal: bool| {
+                                let a = if interruption == 0 { &stream } else { &other };
+                                if interruption < 2 {
+                                    let a = a.iter_elements().collect();
+                                    model
+                                        .fold_traced(9, a, vec![], vec![], vec![], &mut tracer)
+                                        .unwrap()
+                                } else {
+                                    let mut a = a.clone();
+                                    if seal {
+                                        a.seal_distinct();
+                                    }
+                                    model.fold_runs(9, &a, &none, &none, &none)
+                                }
+                            };
+                            assert_eq!(interrupt(&mut fast, true), interrupt(&mut walked, false));
+                        }
+                        assert_eq!(
+                            fast.fold_runs(9, &sealed, &none, &none, &none),
+                            walked.fold_runs(9, &stream, &none, &none, &none),
+                            "{a_bytes} bytes, interruption {interruption} before fold {fold}"
+                        );
+                    }
+                    assert_eq!(fast.finish(), walked.finish());
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,13 @@
 //! and `BTreeMap`-based implementations survive as scalar twins in
 //! [`crate::scalar`] for differential testing.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The next seal [`AddrRuns::seal_distinct`] hands out. Starts at 1: zero is
+/// "not sealed". `Relaxed` is enough, a seal publishes no other data — all
+/// that matters is that no two calls return the same value.
+static NEXT_SEAL: AtomicU64 = AtomicU64::new(1);
+
 /// One maximal contiguous address run: `start, start+1, …, start+len-1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AddrRun {
@@ -61,12 +68,29 @@ impl AddrRun {
 /// let back: Vec<u64> = runs.iter_elements().collect();
 /// assert_eq!(back, vec![5, 6, 7, 20, 21, 7]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// A stream may carry a *seal* ([`AddrRuns::seal_distinct`]): its
+/// producer's promise that it is complete and free of duplicates, under a
+/// name two streams share only if one was copied from the other. Equality
+/// compares the streams and ignores the seal.
+#[derive(Debug, Clone, Default)]
 pub struct AddrRuns {
     starts: Vec<u64>,
     lens: Vec<u64>,
     elements: u64,
+    /// Zero, or the value [`AddrRuns::seal_distinct`] drew. Every mutator
+    /// zeroes it: a changed stream is not the stream that was sealed.
+    seal: u64,
 }
+
+impl PartialEq for AddrRuns {
+    /// Same runs in the same order, sealed or not.
+    fn eq(&self, other: &AddrRuns) -> bool {
+        self.starts == other.starts && self.lens == other.lens
+    }
+}
+
+impl Eq for AddrRuns {}
 
 impl AddrRuns {
     /// An empty stream.
@@ -80,12 +104,15 @@ impl AddrRuns {
             starts: Vec::with_capacity(runs),
             lens: Vec::with_capacity(runs),
             elements: 0,
+            seal: 0,
         }
     }
 
     /// Appends the run `[start, start+len)`, coalescing with the previous
-    /// run when exactly adjacent. A zero-length push is a no-op.
+    /// run when exactly adjacent. A zero-length push changes no run (and,
+    /// like every mutator, drops the seal).
     pub fn push(&mut self, start: u64, len: u64) {
+        self.seal = 0;
         if len == 0 {
             return;
         }
@@ -107,6 +134,7 @@ impl AddrRuns {
     /// already maximally coalesced), so this is one boundary check plus two
     /// `extend_from_slice` copies — not a per-run loop.
     pub fn extend_runs(&mut self, other: &AddrRuns) {
+        self.seal = 0;
         let mut from = 0;
         if let (Some(&last_start), Some(&last_len)) = (self.starts.last(), self.lens.last()) {
             if let Some(&first_start) = other.starts.first() {
@@ -167,6 +195,69 @@ impl AddrRuns {
         self.starts.clear();
         self.lens.clear();
         self.elements = 0;
+        self.seal = 0;
+    }
+
+    /// Declares the stream complete and its addresses pairwise distinct,
+    /// and names it: the seal is a nonzero number no other call in this
+    /// process returns. [`Clone`] and [`AddrRuns::copy_from`] carry it to
+    /// the copy; `push`, `extend_runs` and `clear` drop it; `==` ignores
+    /// it. So two streams with the same nonzero [`AddrRuns::seal`] are the
+    /// same stream, element for element, and a consumer may tell "this
+    /// stream again" in O(1) without keeping a copy — which is what
+    /// [`RunBuffer::epoch`](crate::RunBuffer::epoch) does with it.
+    ///
+    /// What the consumer concludes from a repeated seal, with `S` the
+    /// element count: a walk that missed nothing changed nothing, so the
+    /// repeat hits all `S` again; a walk that evicted nothing (and has a
+    /// buffer) left all `S` resident, so the repeat hits them; a walk that
+    /// hit nothing, of `S > capacity > 0`, left the FIFO holding the
+    /// stream's tail, and the same *distinct* stream then evicts each
+    /// element before it comes round — `S` misses, `S` evictions, same
+    /// state. Only the last needs distinctness (`[1, 2, 3, 1]` through a
+    /// capacity of 2 hits its leading `1` the second time), and it is why
+    /// sealing promises it.
+    ///
+    /// Distinctness is the *caller's* promise and is not checked here
+    /// (debug builds of `RunBuffer` check it where the stream is
+    /// consumed). The demand generator can make it because it builds the
+    /// A stream from the gaps of a first-use dedup set; a stream with a
+    /// repeated address must stay unsealed. Sealing two equal streams
+    /// gives two seals: the name says where a stream came from, not what
+    /// it holds.
+    ///
+    /// ```
+    /// use scalesim_memory::AddrRuns;
+    ///
+    /// let mut stream: AddrRuns = (0..8u64).collect();
+    /// assert_eq!(stream.seal(), 0);
+    /// stream.seal_distinct();
+    /// let copy = stream.clone();
+    /// assert!(copy.seal() != 0 && copy.seal() == stream.seal());
+    /// stream.push(100, 1); // no longer the stream that was sealed
+    /// assert_eq!(stream.seal(), 0);
+    /// ```
+    pub fn seal_distinct(&mut self) {
+        self.seal = NEXT_SEAL.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The seal [`AddrRuns::seal_distinct`] set, or zero for a stream that
+    /// makes no promise.
+    pub fn seal(&self) -> u64 {
+        self.seal
+    }
+
+    /// Makes this stream a copy of `other` — runs, element count and seal
+    /// — reusing this stream's allocations, where the derived `clone_from`
+    /// would drop them for a fresh clone: a target that has held a stream
+    /// as long is copied onto without touching the heap.
+    pub fn copy_from(&mut self, other: &AddrRuns) {
+        self.starts.clear();
+        self.starts.extend_from_slice(&other.starts);
+        self.lens.clear();
+        self.lens.extend_from_slice(&other.lens);
+        self.elements = other.elements;
+        self.seal = other.seal;
     }
 
     /// The uncompressed element sequence.
@@ -447,6 +538,79 @@ mod tests {
         let snapshot = a.clone();
         a.extend_runs(&AddrRuns::new());
         assert_eq!(a, snapshot);
+    }
+
+    fn sealed(elems: std::ops::Range<u64>) -> AddrRuns {
+        let mut runs: AddrRuns = elems.collect();
+        runs.seal_distinct();
+        runs
+    }
+
+    #[test]
+    fn only_seal_distinct_seals() {
+        assert_eq!(AddrRuns::new().seal(), 0);
+        assert_eq!(AddrRuns::with_capacity(4).seal(), 0);
+        assert_eq!((0..8u64).collect::<AddrRuns>().seal(), 0);
+        assert_ne!(sealed(0..8).seal(), 0);
+    }
+
+    #[test]
+    fn every_mutator_drops_the_seal() {
+        let mut runs = sealed(0..8);
+        runs.push(100, 1);
+        assert_eq!(runs.seal(), 0);
+        // ... even one that changes no run: the stream is "complete" only
+        // until somebody touches it.
+        let mut runs = sealed(0..8);
+        runs.push(100, 0);
+        assert_eq!(runs.seal(), 0);
+        let mut runs = sealed(0..8);
+        runs.clear();
+        assert_eq!(runs.seal(), 0);
+        // extend_runs names neither side's stream: not into a sealed
+        // non-empty target, and not the sealed source's into an empty one.
+        let mut runs = sealed(0..8);
+        runs.extend_runs(&(20..24u64).collect());
+        assert_eq!(runs.seal(), 0);
+        let mut runs = sealed(0..8);
+        runs.extend_runs(&sealed(20..24));
+        assert_eq!(runs.seal(), 0);
+        let mut empty = AddrRuns::new();
+        empty.extend_runs(&sealed(0..8));
+        assert_eq!(empty.seal(), 0);
+        assert_eq!(empty, sealed(0..8));
+    }
+
+    #[test]
+    fn clone_and_copy_from_carry_the_seal() {
+        let source = sealed(0..8);
+        assert_eq!(source.clone().seal(), source.seal());
+        // Onto an empty, an unsealed and a differently sealed target.
+        for mut target in [AddrRuns::new(), (50..90u64).collect(), sealed(3..5)] {
+            target.copy_from(&source);
+            assert_eq!(target.seal(), source.seal());
+            assert_eq!(target, source);
+            assert_eq!(target.element_count(), 8);
+        }
+        // Copying an unsealed stream unseals the target.
+        let mut target = sealed(3..5);
+        target.copy_from(&(0..8u64).collect());
+        assert_eq!(target.seal(), 0);
+        assert_eq!(target, source);
+    }
+
+    #[test]
+    fn a_seal_names_a_stream_not_its_content() {
+        // Equal streams sealed apart get different seals (a consumer walks
+        // the second, correctly), and `==` does not look at the seal.
+        let (one, two) = (sealed(0..8), sealed(0..8));
+        assert_ne!(one.seal(), two.seal());
+        assert_eq!(one, two);
+        assert_eq!(one, (0..8u64).collect::<AddrRuns>());
+        // Sealing again renames.
+        let mut again = one.clone();
+        again.seal_distinct();
+        assert_ne!(again.seal(), one.seal());
     }
 
     #[test]

@@ -230,6 +230,20 @@ pub struct FoldDemandRuns {
     pub fold: Fold,
     /// Unique operand-A (IFMAP) address runs, real addresses, first-use
     /// order.
+    ///
+    /// Sealed by the generator ([`AddrRuns::seal_distinct`]), which
+    /// promises that no address repeats within it: the stream is the gaps
+    /// of a first-use dedup set. All folds served by one generated stream
+    /// — a fold row under OS and WS, a single fold under IS — carry the
+    /// same seal, and
+    /// [`RunBuffer::epoch`](scalesim_memory::RunBuffer::epoch) answers the
+    /// repeats from the fixed point the first one reached: all hits again
+    /// after a walk that missed nothing (nothing changed) or evicted
+    /// nothing (everything demanded is resident), all misses again after a
+    /// walk of more than a bufferful that hit nothing (the FIFO holds the
+    /// stream's tail, and a stream without duplicates evicts each element
+    /// before it comes round). Pushing to the stream drops the seal; a
+    /// consumer that edits it gets the walk.
     pub a: AddrRuns,
     /// Operand-B (filter) demand runs, canonical labels.
     pub b: AddrRuns,
@@ -444,7 +458,16 @@ impl<'a, M: AddressMap + ?Sized> FoldDemandsRuns<'a, M> {
     /// sub-range of each span in ascending `k` order, exactly the order
     /// the element-wise `push_unique` loop produces. `key` names what the
     /// stream is a function of; while it repeats, `spans` is not walked
-    /// and the stream generated for it is copied (two memcpys).
+    /// and the stream generated for it is handed out again by
+    /// [`AddrRuns::copy_from`] — two memcpys and the seal.
+    ///
+    /// The stream is sealed ([`AddrRuns::seal_distinct`]) as soon as it is
+    /// generated, and this is the place that can promise what a seal
+    /// means: the stream is complete, and it is built from nothing but the
+    /// gaps of `a_seen`, each marked seen as it is emitted, so no address
+    /// occurs twice. Every fold the stream serves carries the same seal,
+    /// which is how the IFMAP buffer knows it is being shown the stream of
+    /// the fold before without comparing or keeping it.
     ///
     /// The stream is built in `a_scratch`, which outlives the layer in the
     /// caller's arena, with `out` as staging for raw `a_span` output — so
@@ -470,9 +493,9 @@ impl<'a, M: AddressMap + ?Sized> FoldDemandsRuns<'a, M> {
                         .insert_with_gaps(run.start, run.end(), |s, e| stream.push(s, e - s));
                 }
             }
-            out.clear();
+            self.a_scratch.seal_distinct();
         }
-        out.extend_runs(&self.a_scratch);
+        out.copy_from(&self.a_scratch);
     }
 }
 

@@ -19,10 +19,10 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 
 use scalesim_memory::{
-    AddrRuns, ConvAddressMap, DoubleBuffer, DramModel, GemmAddressMap, OperandBufferSpec,
-    RegionOffsets, RunBuffer, StallModel, SubGemmMap,
+    AddrRuns, ConvAddressMap, DoubleBuffer, DramModel, GemmAddressMap, IntervalSet,
+    OperandBufferSpec, RegionOffsets, RunBuffer, StallModel, SubGemmMap,
 };
-use scalesim_systolic::{fold_demand_runs, fold_demands, ArrayShape, Dataflow};
+use scalesim_systolic::{fold_demand_runs, fold_demands, ArrayShape, Dataflow, FoldPlan};
 use scalesim_topology::{ConvLayerBuilder, GemmShape};
 
 fn spec(bytes: u64) -> OperandBufferSpec {
@@ -107,6 +107,94 @@ fn check_streams_are_faithful(
         o_map.check(&ld.o_writes, &rd.o_writes)?;
     }
     Ok(())
+}
+
+/// The regime the fixed-point A epochs live in and the random cases below
+/// rarely reach: OS and WS (one A stream per fold row), at least three
+/// folds per fold row, and an IFMAP buffer smaller than that stream, so
+/// the repeats thrash (rule 3) — next to sizes where they fit (rule 2)
+/// and hit (rule 1). The legacy `fold()` side builds unsealed streams and
+/// is walked every fold: it is the oracle.
+#[test]
+fn fixed_point_epochs_match_the_element_path_on_thrashing_fold_rows() {
+    let array = ArrayShape::new(4, 4);
+    let gemm = GemmShape::new(40, 10, 18);
+    let gemm_map = GemmAddressMap::from_shape(gemm, RegionOffsets::default());
+    let conv = ConvLayerBuilder::new("t")
+        .ifmap(9, 9)
+        .filter(3, 3)
+        .channels(2)
+        .num_filters(14)
+        .stride(1)
+        .build()
+        .unwrap();
+    let conv_map = ConvAddressMap::new(&conv, RegionOffsets::default());
+    for df in [Dataflow::OutputStationary, Dataflow::WeightStationary] {
+        for (dims, map) in [
+            (
+                gemm.project(df),
+                &gemm_map as &dyn scalesim_memory::AddressMap,
+            ),
+            (conv.shape().project(df), &conv_map),
+        ] {
+            assert!(FoldPlan::new(&dims, array).fold_cols() >= 3, "{df:?}");
+            let row_stream = fold_demand_runs(&dims, array, map)
+                .map(|d| d.a.element_count())
+                .min()
+                .unwrap();
+            assert!(row_stream > 16, "{df:?}: {row_stream}");
+            // Smaller than any fold row's stream, then exactly the smallest
+            // one, then everything fits.
+            for a_buf in [7, 16, row_stream - 1, row_stream, 1 << 20] {
+                check_paths_agree(&dims, array, map, (a_buf, 64, 24)).unwrap();
+            }
+        }
+    }
+}
+
+/// How often the IFMAP buffer of a layer is walked, exactly. The seeded
+/// GEMM of the spill workload, `4000 x 84 x 1024` under WS on 32x32 with
+/// 64 KB of IFMAP SRAM: a fold row's A stream is 4000 runs of 32, twice
+/// the buffer, and each of the 3 fold rows shows it to the buffer 32
+/// times. The first showing is walked and arms rule 3; 96 walks before
+/// the streams were sealed.
+#[test]
+fn thrashing_ws_gemm_walks_its_a_buffer_once_per_fold_row() {
+    let shape = GemmShape::new(4000, 84, 1024);
+    let dims = shape.project(Dataflow::WeightStationary);
+    let array = ArrayShape::square(32);
+    let map = GemmAddressMap::from_shape(shape, RegionOffsets::default());
+    let mut a_buf = RunBuffer::new(OperandBufferSpec::from_kb(64, 1).capacity_elems() as u64);
+    let (mut folds, mut misses) = (0, 0);
+    for demand in fold_demand_runs(&dims, array, &map) {
+        assert!(demand.a.element_count() > a_buf.capacity());
+        misses += a_buf.epoch(&demand.a).misses;
+        folds += 1;
+    }
+    assert_eq!(folds, 96);
+    assert_eq!(a_buf.walked_epochs(), 3);
+    // Every showing misses everything: 32 fold columns x the whole of A.
+    assert_eq!(misses, 32 * 4000 * 84);
+}
+
+/// An OS GEMM whose whole A operand fits the buffer: the first fold of a
+/// fold row misses without evicting (rule 2), the rest of the row is
+/// answered all-hit.
+#[test]
+fn fitting_os_gemm_walks_its_a_buffer_once_per_fold_row() {
+    let shape = GemmShape::new(100, 48, 70);
+    let dims = shape.project(Dataflow::OutputStationary);
+    let array = ArrayShape::square(8);
+    let plan = FoldPlan::new(&dims, array);
+    assert_eq!((plan.fold_rows(), plan.fold_cols()), (13, 9));
+    let map = GemmAddressMap::from_shape(shape, RegionOffsets::default());
+    let mut a_buf = RunBuffer::new(100 * 48);
+    let mut misses = 0;
+    for demand in fold_demand_runs(&dims, array, &map) {
+        misses += a_buf.epoch(&demand.a).misses;
+    }
+    assert_eq!(a_buf.walked_epochs(), 13);
+    assert_eq!(misses, 100 * 48);
 }
 
 proptest! {
@@ -259,6 +347,48 @@ proptest! {
             prop_assert_eq!(runs_buf.resident_count(), elems_buf.resident_count() as u64);
             for addr in (0..440).step_by(7) {
                 prop_assert_eq!(runs_buf.contains(addr), elems_buf.contains(addr));
+            }
+        }
+    }
+
+    /// One sealed, duplicate-free stream shown to a RunBuffer up to five
+    /// times from any pre-state is the element FIFO shown its elements as
+    /// often — stats of every epoch and the working set after it — at the
+    /// capacities on either side of every rule's boundary: no buffer, one
+    /// element, half the stream, one short of it, exactly it (all-miss
+    /// then all-hit: rule 3 must not fire), one more, twice, unbounded.
+    #[test]
+    fn sealed_repeats_match_double_buffer_at_every_rule_boundary(
+        pre in prop::collection::vec((0u64..400, 1u64..16), 0..8),
+        spans in prop::collection::vec((0u64..400, 1u64..16), 1..12),
+        repeats in 1usize..=5,
+    ) {
+        // Dedup in first-use order, as the demand generator does.
+        let mut seen = IntervalSet::new();
+        let mut stream = AddrRuns::new();
+        for &(start, len) in &spans {
+            seen.insert_with_gaps(start, start + len, |s, e| stream.push(s, e - s));
+        }
+        stream.seal_distinct();
+        let elems: Vec<u64> = stream.iter_elements().collect();
+        let s = stream.element_count();
+        let mut pre_runs = AddrRuns::new();
+        for &(start, len) in &pre {
+            pre_runs.push(start, len);
+        }
+        for capacity in [0, 1, s / 2, s - 1, s, s + 1, 2 * s, u64::MAX] {
+            let mut runs_buf = RunBuffer::new(capacity);
+            let mut elems_buf = DoubleBuffer::new(capacity as usize);
+            runs_buf.epoch(&pre_runs);
+            elems_buf.epoch(pre_runs.iter_elements());
+            for repeat in 0..repeats {
+                let rs = runs_buf.epoch(&stream);
+                let es = elems_buf.epoch(elems.iter().copied());
+                prop_assert_eq!(rs, es, "capacity {}, repeat {}", capacity, repeat);
+                prop_assert_eq!(runs_buf.resident_count(), elems_buf.resident_count() as u64);
+                for addr in 0..416 {
+                    prop_assert_eq!(runs_buf.contains(addr), elems_buf.contains(addr));
+                }
             }
         }
     }

@@ -541,6 +541,29 @@ fn fold_loop_is_allocation_free_after_warmup() {
     }
 }
 
+/// `AddrRuns::copy_from` is how the demand generator hands a fold row's A
+/// stream to each fold: onto a target that has held a stream as long, it
+/// copies runs, element count and seal without touching the heap.
+#[test]
+fn copy_from_onto_a_warm_target_does_not_allocate() {
+    let mut source: AddrRuns = (0..64u64).map(|i| i * 3).collect();
+    source.seal_distinct();
+    let mut shorter: AddrRuns = (0..20u64).map(|i| i * 5).collect();
+    shorter.seal_distinct();
+    let mut target = AddrRuns::new();
+    target.copy_from(&source);
+    let before = allocations_on_this_thread();
+    for _ in 0..3 {
+        target.copy_from(&shorter);
+        assert_eq!((target.seal(), target.run_count()), (shorter.seal(), 20));
+        target.clear();
+        target.copy_from(&source);
+        assert_eq!((target.seal(), target.run_count()), (source.seal(), 64));
+    }
+    assert_eq!(allocations_on_this_thread() - before, 0);
+    assert_eq!(target, source);
+}
+
 /// A layer that never spills never flushes its deferred output installs,
 /// so `pending_o` holds every `o_writes` run of the layer when it ends. The
 /// tile-major labels bound that: a full fold's block ends where the next
