@@ -37,6 +37,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 use std::time::Instant;
 
+use scalesim::cache::ShardedLru;
 use scalesim::{NetworkReport, Simulator};
 
 // The fault-injection hook lives with the panic-safe executor in core, so
@@ -45,7 +46,6 @@ use scalesim::{NetworkReport, Simulator};
 pub use scalesim::exec::FaultPlan;
 use scalesim_telemetry::{log, Counter, FlightRecorder, Gauge, Histogram, Registry};
 
-use crate::cache::ShardedLru;
 use crate::job::{JobError, JobKey, NormalizedJob, SimJob};
 use crate::json::Json;
 

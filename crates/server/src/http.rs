@@ -1,5 +1,6 @@
 //! A minimal HTTP/1.1 front end over the [`Engine`], built directly on
-//! `std::net` — no async runtime, thread per connection.
+//! `std::net` — no async runtime; a small set of threads that each accept
+//! a connection and serve it to completion (see *Connection threads*).
 //!
 //! Routes:
 //!
@@ -23,8 +24,8 @@
 //!   serving state (`ok` while serving, `draining` once shutdown has
 //!   begun), so fleet probes can detect stale deploys and pull a draining
 //!   instance out of rotation; answers immediately even while long
-//!   simulations are running (handled on its own connection thread, never
-//!   queued behind the worker pool).
+//!   simulations are running (handled on a connection thread of its own,
+//!   never queued behind the worker pool).
 //! * `GET /debug/jobs` — the engine's flight recorder: the last
 //!   [`crate::engine::FLIGHT_RECORDER_CAPACITY`] job records (key, route,
 //!   request id, outcome, queue wait, simulation time, worker), oldest
@@ -49,16 +50,48 @@
 //!   [`crate::sweep::MAX_SWEEP_POINTS`] points with HTTP 400 before
 //!   expanding it, and keeps no more points in flight than the engine's
 //!   queue admits, so it never sheds itself.
-//! * **Connection limiting** — a counting semaphore bounds concurrent
-//!   connection threads ([`ServerOptions::max_connections`]); excess
-//!   connections wait in the TCP accept backlog instead of spawning
-//!   unbounded threads. Accept errors (e.g. fd exhaustion) back off
-//!   briefly instead of spinning, counted in
+//! * **Connection limiting** — no more than
+//!   [`ServerOptions::max_connections`] connection threads exist; when all
+//!   of them are inside a connection nobody calls `accept()` and excess
+//!   connections wait in the TCP accept backlog. Accept errors (e.g. fd
+//!   exhaustion) back off briefly instead of spinning, counted in
 //!   `scalesim_http_accept_errors_total`.
 //! * **Graceful drain** — [`ServerHandle::drain`] flips `/healthz` to
 //!   `draining`, stops the engine accepting new jobs (they shed with 503),
 //!   waits a bounded grace period for in-flight work and connections to
-//!   finish, then stops the accept loop.
+//!   finish, then stops the connection threads.
+//!
+//! # Connection threads
+//!
+//! A request costs no thread spawn: `http-conn` threads outlive their
+//! connections. Each blocks in `accept()` on the one listener, serves the
+//! connection it gets (socket timeouts, header and body caps, the
+//! `scalesim_http_connections_active` gauge) and goes back to `accept()`.
+//!
+//! * **Growth** — [`Server::spawn`] starts one thread. A thread is *busy*
+//!   from the moment it takes a connection until its reply is ready to
+//!   write; one that becomes busy and finds every thread busy starts one
+//!   more, while fewer than `max_connections` exist. So the set is the
+//!   peak number of requests in progress at once plus one: a probe is
+//!   never queued behind a long simulation while the cap has room, a
+//!   steady load spawns nothing once its peak has been seen, and the set
+//!   never shrinks (an idle thread costs a stack's address space).
+//!   Busy ends *before* the reply is written, not when the thread is back
+//!   in `accept()`: the client's next connection can arrive before the
+//!   thread that answered it has run again, and a rule that counted that
+//!   thread out would add a thread per such race, without bound on a
+//!   loaded machine. The reply is tried without blocking; only if it does
+//!   not fit the socket's send buffer is the thread busy again while the
+//!   peer drains it.
+//! * **Stop** — when [`ServerHandle::stop`] or [`ServerHandle::drain`]
+//!   returns, the listener is closed (a connect is refused, the port can
+//!   be bound again) and no thread is in `accept()`: a thread looks for
+//!   the listener before it blocks and again when it wakes, and the
+//!   stopper connects once per idle thread to wake it and waits until all
+//!   of them have exited. A busy thread finishes its reply, then exits.
+//! * **Unwinding** — a handler that panics closes its connection
+//!   unanswered; `catch_unwind` keeps the thread, and drop guards keep the
+//!   gauge and the thread counts right, so capacity is not lost.
 //!
 //! Every response carries an `X-Scalesim-Request-Id` header — the client's
 //! own if it sent one, a generated `pid-sequence` id otherwise — and every
@@ -74,10 +107,11 @@
 //! enforced with [`Read::take`] on the raw stream, so a peer that never
 //! sends a line terminator cannot buffer more than the cap into memory.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use scalesim_telemetry::{log, Counter, Gauge, Histogram};
@@ -93,8 +127,10 @@ const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 /// behavior everywhere a knob is not set explicitly.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerOptions {
-    /// Maximum concurrent connection threads; excess connections wait in
-    /// the TCP accept backlog (minimum 1).
+    /// Maximum connection threads, which is the maximum of connections
+    /// served at once; the set grows to it only under that much
+    /// concurrency, and excess connections wait in the TCP accept backlog
+    /// (minimum 1).
     pub max_connections: usize,
     /// Deadline applied to `/simulate` and `/sweep` requests that carry
     /// no `X-Scalesim-Deadline-Ms` header; `None` waits indefinitely.
@@ -113,46 +149,50 @@ impl Default for ServerOptions {
     }
 }
 
-/// A counting semaphore bounding concurrent connection threads. Plain
-/// Mutex + Condvar: the accept loop blocks in `acquire` when saturated,
-/// which pushes backpressure into the TCP accept backlog.
-struct Semaphore {
-    free: Mutex<usize>,
-    cv: Condvar,
+/// The `route` label of each latency histogram, indexed by
+/// [`route_index`]: a bounded set, which caps the metric's cardinality.
+const ROUTE_LABELS: [&str; 9] = [
+    "simulate",
+    "sweep",
+    "explore",
+    "stats",
+    "healthz",
+    "metrics",
+    "debug_jobs",
+    "debug_trace",
+    "other",
+];
+
+/// The index in [`ROUTE_LABELS`] of a request path; unknown paths —
+/// including unparseable requests — collapse into `other`.
+fn route_index(path: &str) -> usize {
+    match path {
+        "/simulate" => 0,
+        "/sweep" => 1,
+        "/explore" => 2,
+        "/stats" => 3,
+        "/healthz" => 4,
+        "/metrics" => 5,
+        "/debug/jobs" => 6,
+        "/debug/trace" => 7,
+        _ => 8,
+    }
 }
 
-impl Semaphore {
-    fn new(permits: usize) -> Semaphore {
-        Semaphore {
-            free: Mutex::new(permits.max(1)),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a permit is free; returns `false` if `stop` was set
-    /// while waiting (polled so a stopped server can't wedge on a
-    /// saturated limiter).
-    fn acquire(&self, stop: &AtomicBool) -> bool {
-        let mut free = self.free.lock().unwrap();
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                return false;
-            }
-            if *free > 0 {
-                *free -= 1;
-                return true;
-            }
-            (free, _) = self
-                .cv
-                .wait_timeout(free, Duration::from_millis(50))
-                .unwrap();
-        }
-    }
-
-    fn release(&self) {
-        *self.free.lock().unwrap() += 1;
-        self.cv.notify_one();
-    }
+/// The set of `http-conn` threads and the listener they share.
+struct ConnThreads {
+    /// The listening socket while serving; `None` once the server has
+    /// stopped. A thread clones the `Arc` to block in `accept()` and drops
+    /// the clone as soon as `accept()` returns, so the socket closes when
+    /// [`ServerHandle::stop_accepting`] has seen every thread that is not
+    /// `busy` exit and dropped the reference it took from here.
+    listener: Option<Arc<TcpListener>>,
+    /// Threads alive; never more than [`ServerOptions::max_connections`].
+    alive: usize,
+    /// Threads that hold a connection and may yet wait on its peer or on
+    /// the engine (see [`Busy`]). The others are in `accept()` or get
+    /// there without waiting on anything but the processor.
+    busy: usize,
 }
 
 /// Shared per-server state handed to every connection thread.
@@ -163,9 +203,23 @@ struct Context {
     options: ServerOptions,
     /// Set once drain begins: `/healthz` reports `draining`.
     draining: AtomicBool,
-    conn_limiter: Semaphore,
+    threads: Mutex<ConnThreads>,
+    /// Signalled when `alive` falls, which
+    /// [`ServerHandle::stop_accepting`] waits for.
+    thread_left: Condvar,
     connections: Arc<Gauge>,
     accept_errors: Arc<Counter>,
+    /// `scalesim_http_request_seconds`, one series per [`ROUTE_LABELS`]
+    /// entry.
+    latency: [Arc<Histogram>; ROUTE_LABELS.len()],
+}
+
+impl Context {
+    /// Every update of [`ConnThreads`] is one assignment, so the counts
+    /// are valid even if a holder of the lock panicked.
+    fn threads(&self) -> MutexGuard<'_, ConnThreads> {
+        self.threads.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A bound, not-yet-serving HTTP server.
@@ -178,8 +232,6 @@ pub struct Server {
 /// or gracefully via [`ServerHandle::drain`].
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
     context: Arc<Context>,
 }
 
@@ -206,17 +258,32 @@ impl Server {
             "scalesim_http_accept_errors_total",
             "Accept-loop errors (e.g. fd exhaustion); each backs off briefly.",
         );
+        let buckets = Histogram::duration_buckets();
+        let latency = ROUTE_LABELS.map(|route| {
+            registry.histogram_with(
+                "scalesim_http_request_seconds",
+                "HTTP request latency from first byte read to response write.",
+                &buckets,
+                &[("route", route)],
+            )
+        });
         Ok(Server {
             listener,
             context: Arc::new(Context {
                 engine,
                 started: Instant::now(),
                 request_seq: AtomicU64::new(0),
-                conn_limiter: Semaphore::new(options.max_connections),
                 options,
                 draining: AtomicBool::new(false),
+                threads: Mutex::new(ConnThreads {
+                    listener: None,
+                    alive: 0,
+                    busy: 0,
+                }),
+                thread_left: Condvar::new(),
                 connections,
                 accept_errors,
+                latency,
             }),
         })
     }
@@ -226,62 +293,161 @@ impl Server {
         self.listener.local_addr().expect("bound listener has addr")
     }
 
-    /// Serves until the returned handle is stopped or drained. The accept
-    /// loop runs on its own thread; each connection gets a thread, bounded
-    /// by the connection limiter.
+    /// Serves until the returned handle is stopped or drained, on
+    /// `http-conn` threads that each accept and serve: this starts the
+    /// first, and the set grows with the load up to
+    /// [`ServerOptions::max_connections`] (see the module's *Connection
+    /// threads*).
     pub fn spawn(self) -> ServerHandle {
         let addr = self.local_addr();
-        let context = Arc::clone(&self.context);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name("http-accept".into())
-            .spawn(move || self.accept_loop(stop_flag))
-            .expect("spawn http accept thread");
+        *self.context.threads() = ConnThreads {
+            listener: Some(Arc::new(self.listener)),
+            alive: 1,
+            busy: 0,
+        };
+        spawn_conn_thread(&self.context).expect("spawn the first http connection thread");
         ServerHandle {
             addr,
-            stop,
-            accept_thread: Some(accept_thread),
+            context: self.context,
+        }
+    }
+}
+
+/// Starts one `http-conn` thread, which the caller has already counted in
+/// [`ConnThreads::alive`]; on failure the count is given back. The thread
+/// is detached: a hard stop does not wait for the connection it may be in.
+fn spawn_conn_thread(context: &Arc<Context>) -> std::io::Result<()> {
+    let member = Arc::clone(context);
+    let spawned = std::thread::Builder::new()
+        .name("http-conn".into())
+        .spawn(move || conn_thread(&member));
+    if spawned.is_err() {
+        context.threads().alive -= 1;
+    }
+    spawned.map(drop)
+}
+
+/// Gives a thread's place in [`ConnThreads::alive`] back however the
+/// thread ends.
+struct Member<'a>(&'a Context);
+
+impl Drop for Member<'_> {
+    fn drop(&mut self) {
+        self.0.threads().alive -= 1;
+        self.0.thread_left.notify_all();
+    }
+}
+
+/// Counts one connection in `scalesim_http_connections_active` until
+/// dropped, unwinding included.
+struct ActiveConnection<'a>(&'a Gauge);
+
+impl<'a> ActiveConnection<'a> {
+    fn new(gauge: &'a Gauge) -> ActiveConnection<'a> {
+        gauge.add(1);
+        ActiveConnection(gauge)
+    }
+}
+
+impl Drop for ActiveConnection<'_> {
+    fn drop(&mut self) {
+        self.0.sub(1);
+    }
+}
+
+/// A connection thread's mark in [`ConnThreads::busy`], given back when
+/// dropped, unwinding included. Taking the mark is what grows the set: a
+/// thread that finds every thread busy starts one more while the cap has
+/// room, so that a request is never queued behind a peer or a simulation
+/// somebody else waits on. The mark is released *before* the reply is
+/// written (see [`write_reply`]), not when the thread is back in
+/// `accept()`: the client's next connection can arrive before the thread
+/// that answered it has run again, and must not count that thread busy.
+struct Busy<'a> {
+    context: &'a Arc<Context>,
+    held: bool,
+}
+
+impl<'a> Busy<'a> {
+    fn new(context: &'a Arc<Context>) -> Busy<'a> {
+        let mut busy = Busy {
             context,
+            held: false,
+        };
+        busy.hold();
+        busy
+    }
+
+    fn hold(&mut self) {
+        debug_assert!(!self.held);
+        self.held = true;
+        let context = self.context;
+        let grow = {
+            let mut threads = context.threads();
+            threads.busy += 1;
+            let grow = threads.busy == threads.alive
+                && threads.listener.is_some()
+                && threads.alive < context.options.max_connections;
+            threads.alive += usize::from(grow);
+            grow
+        };
+        if grow {
+            if let Err(e) = spawn_conn_thread(context) {
+                log::error("http.spawn_failed", &[("error", &e.to_string())]);
+            }
         }
     }
 
-    fn accept_loop(self, stop: Arc<AtomicBool>) {
-        // Accept-error backoff: under fd exhaustion (EMFILE) `accept`
-        // fails continuously; sleeping between retries keeps the thread
-        // from spinning at 100% CPU while the condition lasts.
-        let mut backoff = Duration::from_millis(1);
-        loop {
-            if !self.context.conn_limiter.acquire(&stop) {
-                return;
+    fn release(&mut self) {
+        if std::mem::take(&mut self.held) {
+            self.context.threads().busy -= 1;
+        }
+    }
+}
+
+impl Drop for Busy<'_> {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+/// The life of one `http-conn` thread: accept, serve the connection to
+/// completion, accept again, until the server stops.
+fn conn_thread(context: &Arc<Context>) {
+    let _member = Member(context);
+    // Accept-error backoff: under fd exhaustion (EMFILE) `accept` fails
+    // continuously; sleeping between retries keeps the thread from
+    // spinning at 100% CPU while the condition lasts.
+    let mut backoff = Duration::from_millis(1);
+    loop {
+        // A stopped server has no listener: looked for before blocking...
+        let Some(listener) = context.threads().listener.clone() else {
+            return;
+        };
+        let accepted = listener.accept();
+        drop(listener);
+        // ...and after waking, which is how `stop_accepting` gets the
+        // blocked threads out.
+        if context.threads().listener.is_none() {
+            return;
+        }
+        match accepted {
+            Ok((stream, _)) => {
+                backoff = Duration::from_millis(1);
+                let _active = ActiveConnection::new(&context.connections);
+                let mut busy = Busy::new(context);
+                // A handler that unwinds costs its connection (the stream
+                // closes unanswered), not this thread.
+                let handler = AssertUnwindSafe(|| handle_connection(&stream, context, &mut busy));
+                if catch_unwind(handler).is_err() {
+                    log::error("http.handler_panicked", &[]);
+                }
             }
-            match self.listener.accept() {
-                _ if stop.load(Ordering::SeqCst) => return,
-                Ok((stream, _)) => {
-                    backoff = Duration::from_millis(1);
-                    let context = Arc::clone(&self.context);
-                    context.connections.add(1);
-                    // Permit and gauge travel with the connection thread.
-                    let spawned =
-                        std::thread::Builder::new()
-                            .name("http-conn".into())
-                            .spawn(move || {
-                                let _ = handle_connection(stream, &context);
-                                context.connections.sub(1);
-                                context.conn_limiter.release();
-                            });
-                    if spawned.is_err() {
-                        self.context.connections.sub(1);
-                        self.context.conn_limiter.release();
-                    }
-                }
-                Err(e) => {
-                    self.context.conn_limiter.release();
-                    self.context.accept_errors.inc();
-                    log::debug("http.accept_error", &[("error", &e.to_string())]);
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(Duration::from_millis(100));
-                }
+            Err(e) => {
+                context.accept_errors.inc();
+                log::debug("http.accept_error", &[("error", &e.to_string())]);
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(Duration::from_millis(100));
             }
         }
     }
@@ -306,11 +472,12 @@ impl ServerHandle {
 
     /// Gracefully drains the server: `/healthz` flips to `draining`, the
     /// engine sheds new jobs with [`JobError::ShuttingDown`] (HTTP 503)
-    /// while already-queued work completes, and the accept loop keeps
-    /// answering probes until in-flight work and connections finish or
-    /// `grace` expires. Returns `true` if everything drained within the
-    /// grace period.
-    pub fn drain(mut self, grace: Duration) -> bool {
+    /// while already-queued work completes, and the connection threads
+    /// keep answering probes until in-flight work and connections finish
+    /// or `grace` expires; then the listener is closed as by
+    /// [`ServerHandle::stop`]. Returns `true` if everything drained within
+    /// the grace period.
+    pub fn drain(self, grace: Duration) -> bool {
         self.context.draining.store(true, Ordering::SeqCst);
         self.context.engine.shutdown();
         let deadline = Instant::now() + grace;
@@ -327,20 +494,42 @@ impl ServerHandle {
         drained
     }
 
-    /// Stops accepting connections and joins the accept thread. In-flight
-    /// connections finish on their own threads. (Hard stop: does not wait
-    /// for them — use [`ServerHandle::drain`] for a graceful exit.)
-    pub fn stop(mut self) {
+    /// Stops accepting: when this returns the listener is closed (a
+    /// connect is refused, the port can be bound again) and no thread is
+    /// left in `accept()`. A thread inside a connection finishes its reply
+    /// and exits. (Hard stop: does not wait for those — use
+    /// [`ServerHandle::drain`] for a graceful exit.)
+    pub fn stop(self) {
         self.stop_accepting();
     }
 
-    fn stop_accepting(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // The accept loop is blocked in `accept()`; poke it awake.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(thread) = self.accept_thread.take() {
-            let _ = thread.join();
+    fn stop_accepting(&self) {
+        let mut threads = self.context.threads();
+        let listener = threads.listener.take();
+        // A busy thread looks for the listener before it accepts again and
+        // exits by itself; the others may be in `accept()`.
+        while threads.alive > threads.busy {
+            // One connection wakes one thread blocked in `accept()`, which
+            // sees the listener gone and leaves.
+            let idle = threads.alive - threads.busy;
+            drop(threads);
+            for _ in 0..idle {
+                let _ = TcpStream::connect(self.addr);
+            }
+            // The timeout covers a wake-up lost to a full backlog, and a
+            // thread that turned busy again in `write_reply`.
+            (threads, _) = self
+                .context
+                .thread_left
+                .wait_timeout_while(
+                    self.context.threads(),
+                    Duration::from_millis(50),
+                    |threads| threads.alive > threads.busy,
+                )
+                .unwrap_or_else(PoisonError::into_inner);
         }
+        // The last reference: this closes the socket.
+        drop(listener);
     }
 }
 
@@ -373,14 +562,18 @@ struct Request {
     deadline_ms: Option<u64>,
 }
 
-fn handle_connection(stream: TcpStream, context: &Context) -> std::io::Result<()> {
+fn handle_connection(
+    stream: &TcpStream,
+    context: &Context,
+    busy: &mut Busy<'_>,
+) -> std::io::Result<()> {
     stream.set_read_timeout(Some(context.options.socket_timeout))?;
     stream.set_write_timeout(Some(context.options.socket_timeout))?;
     // `take` bounds what a peer can make us buffer: a request line or
     // header sent without `\n` hits the cap as a clean EOF instead of
     // growing a String without limit. The limit is raised to the body cap
     // once headers are in.
-    let mut reader = BufReader::new(stream.try_clone()?.take(MAX_HEADER_BYTES as u64));
+    let mut reader = BufReader::new(stream.take(MAX_HEADER_BYTES as u64));
     let received = Instant::now();
 
     // Malformed requests flow through the same response/telemetry tail as
@@ -413,26 +606,22 @@ fn handle_connection(stream: TcpStream, context: &Context) -> std::io::Result<()
     // request in the histogram. (The wire time is not in `elapsed`, but
     // the histogram's contract is request handling, not socket flush.)
     let elapsed = received.elapsed();
-    request_latency(context, &path).observe_duration(elapsed);
+    context.latency[route_index(&path)].observe_duration(elapsed);
 
-    let result = respond(
-        &stream,
-        routed.status,
-        &headers,
-        routed.content_type,
-        &routed.body,
-    );
-    log::info(
-        "http.request",
-        &[
-            ("id", &request_id),
-            ("method", &method),
-            ("path", &path),
-            ("status", &routed.status.to_string()),
-            ("micros", &(elapsed.as_micros() as u64).to_string()),
-        ],
-    );
-    result
+    if log::enabled(log::Level::Info) {
+        log::info(
+            "http.request",
+            &[
+                ("id", &request_id),
+                ("method", &method),
+                ("path", &path),
+                ("status", &routed.status.to_string()),
+                ("micros", &(elapsed.as_micros() as u64).to_string()),
+            ],
+        );
+    }
+    let reply = render_reply(routed.status, &headers, routed.content_type, &routed.body);
+    write_reply(stream, reply.as_bytes(), busy)
 }
 
 fn mint_id(context: &Context) -> String {
@@ -440,29 +629,6 @@ fn mint_id(context: &Context) -> String {
         "{:x}-{}",
         std::process::id(),
         context.request_seq.fetch_add(1, Ordering::Relaxed)
-    )
-}
-
-/// The per-route request latency histogram, labeled with a bounded route
-/// set (unknown paths — including unparseable requests — collapse into
-/// `other` to cap metric cardinality).
-fn request_latency(context: &Context, path: &str) -> Arc<Histogram> {
-    let route = match path {
-        "/simulate" => "simulate",
-        "/sweep" => "sweep",
-        "/explore" => "explore",
-        "/stats" => "stats",
-        "/healthz" => "healthz",
-        "/metrics" => "metrics",
-        "/debug/jobs" => "debug_jobs",
-        "/debug/trace" => "debug_trace",
-        _ => "other",
-    };
-    context.engine.registry().histogram_with(
-        "scalesim_http_request_seconds",
-        "HTTP request latency from first byte read to response write.",
-        &Histogram::duration_buckets(),
-        &[("route", route)],
     )
 }
 
@@ -575,6 +741,8 @@ fn route(context: &Context, req: &Request, deadline: Option<Instant>, request_id
                 ),
             }
         }
+        #[cfg(test)]
+        ("GET", "/debug/panic") => panic!("injected handler panic"),
         ("GET" | "POST", _) => Routed::json(404, error_body("no such route").to_string()),
         _ => Routed::json(405, error_body("method not allowed").to_string()),
     }
@@ -615,7 +783,7 @@ fn error_body(msg: &str) -> Json {
 /// exhausted before a line terminator arrived — the `take` limit turns an
 /// unbounded header into a clean EOF instead of unbounded buffering.
 fn read_header_line(
-    reader: &mut BufReader<std::io::Take<TcpStream>>,
+    reader: &mut BufReader<std::io::Take<&TcpStream>>,
     line: &mut String,
     what: &str,
 ) -> Result<(), String> {
@@ -630,7 +798,7 @@ fn read_header_line(
 
 /// Reads one request off the wire, with both the header block and the body
 /// bounded by `Read::take` limits.
-fn read_request(reader: &mut BufReader<std::io::Take<TcpStream>>) -> Result<Request, String> {
+fn read_request(reader: &mut BufReader<std::io::Take<&TcpStream>>) -> Result<Request, String> {
     let mut request_line = String::new();
     read_header_line(reader, &mut request_line, "request line")?;
     let mut parts = request_line.split_whitespace();
@@ -696,13 +864,12 @@ fn read_request(reader: &mut BufReader<std::io::Take<TcpStream>>) -> Result<Requ
     })
 }
 
-fn respond(
-    mut stream: &TcpStream,
+fn render_reply(
     status: u16,
     extra_headers: &[(&str, &str)],
     content_type: &str,
     body: &str,
-) -> std::io::Result<()> {
+) -> String {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -722,8 +889,29 @@ fn respond(
     }
     response.push_str("\r\n");
     response.push_str(body);
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
+    response
+}
+
+/// Writes the reply, the last thing a connection does. A reply that fits
+/// the socket's send buffer — nearly every one — cannot wait on the peer,
+/// so the thread gives up its [`Busy`] mark first and tries without
+/// blocking; if the peer has to drain the buffer before the rest goes out,
+/// which may take the socket timeout, the thread is busy again while it
+/// waits.
+fn write_reply(mut stream: &TcpStream, reply: &[u8], busy: &mut Busy<'_>) -> std::io::Result<()> {
+    busy.release();
+    stream.set_nonblocking(true)?;
+    let sent = match stream.write(reply) {
+        Ok(sent) => sent,
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => 0,
+        Err(e) => return Err(e),
+    };
+    if sent < reply.len() {
+        busy.hold();
+        stream.set_nonblocking(false)?;
+        stream.write_all(&reply[sent..])?;
+    }
+    Ok(())
 }
 
 /// A tiny blocking HTTP client for tests and the batch tool's self-checks.
@@ -835,5 +1023,46 @@ pub mod client {
             headers,
             body,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// With a single connection thread, losing it to a panic would leave
+    /// nobody to answer: a handler that unwinds must cost its connection
+    /// only, and leave the gauge and the thread counts as they were.
+    #[test]
+    fn an_unwinding_handler_costs_its_connection_and_no_thread() {
+        let options = ServerOptions {
+            max_connections: 1,
+            ..ServerOptions::default()
+        };
+        let server = Server::bind_with("127.0.0.1:0", Engine::new(1, 4), options).unwrap();
+        let context = Arc::clone(&server.context);
+        let handle = server.spawn();
+
+        for _ in 0..3 {
+            let reply = client::request(handle.addr(), "GET", "/debug/panic", None);
+            assert!(reply.is_err(), "the connection closes unanswered");
+        }
+        let health = client::request(handle.addr(), "GET", "/healthz", None).unwrap();
+        assert_eq!(health.status, 200);
+
+        // The reply is written before the thread is back in `accept()`.
+        let patience = Instant::now() + Duration::from_secs(5);
+        while context.threads().busy != 0 || context.connections.get() != 0 {
+            assert!(Instant::now() < patience, "the thread never came back");
+            std::thread::yield_now();
+        }
+        assert_eq!(context.threads().alive, 1);
+
+        handle.stop();
+        let patience = Instant::now() + Duration::from_secs(5);
+        while context.threads().alive != 0 {
+            assert!(Instant::now() < patience, "the thread never exited");
+            std::thread::yield_now();
+        }
     }
 }

@@ -15,7 +15,7 @@
 //!   to one content-addressed [`JobKey`].
 //! * **Engine** ([`engine`]) — a worker pool with *single-flight*
 //!   deduplication (concurrent identical jobs run one simulation; the rest
-//!   join it) in front of a sharded LRU result cache ([`cache`]).
+//!   join it) in front of a sharded LRU result cache ([`ShardedLru`]).
 //! * **Front ends** — an HTTP/1.1 service ([`http`]; `POST /simulate`,
 //!   `POST /sweep`, `GET /stats`, `GET /metrics`, `GET /healthz`) and a
 //!   manifest-driven batch runner ([`batch`]) that emits one combined
@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod cache;
 pub mod cli;
 pub mod engine;
 pub mod explore;
@@ -70,7 +69,6 @@ pub mod signals;
 pub mod sweep;
 
 pub use batch::{parse_manifest, run_batch, run_batch_with_retry, BatchOutcome, RetryPolicy};
-pub use cache::ShardedLru;
 pub use engine::{
     Engine, EngineOptions, FaultPlan, JobContext, JobRecord, Served, SimResult, Stats, Ticket,
     FLIGHT_RECORDER_CAPACITY,
@@ -78,3 +76,4 @@ pub use engine::{
 pub use http::{Server, ServerHandle, ServerOptions};
 pub use job::{JobError, JobKey, NormalizedJob, SimJob, Workload};
 pub use json::Json;
+pub use scalesim::cache::ShardedLru;

@@ -1,7 +1,9 @@
 //! Overload and shutdown behavior over real TCP sockets: queue-full
 //! shedding (503 + `Retry-After`), request deadlines (504, result still
 //! cached), graceful drain, slowloris/oversized-header rejection with
-//! bounded memory, and telemetry on the malformed-request path.
+//! bounded memory, telemetry on the malformed-request path, and the set of
+//! `http-conn` threads: no spawn per request, the `max_connections` cap,
+//! and what `stop`/`drain` leave behind.
 //!
 //! Slow simulations are staged with the engine's deterministic
 //! [`FaultPlan`] hook instead of real heavy jobs, so every test is fast
@@ -9,12 +11,56 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use scalesim_server::http::client::{request, request_with_headers};
 use scalesim_server::{
     Engine, EngineOptions, FaultPlan, Json, Server, ServerHandle, ServerOptions,
 };
+
+/// Thread names are per process and the tests of this file share one: a
+/// test that counts `http-conn` threads holds this for writing, every
+/// other test — each starts a server — for reading.
+static SERVERS: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    SERVERS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The calling test is the only one running, and the threads the earlier
+/// ones stopped have exited.
+fn alone() -> RwLockWriteGuard<'static, ()> {
+    let guard = SERVERS.write().unwrap_or_else(PoisonError::into_inner);
+    wait_for_conn_threads(0);
+    guard
+}
+
+/// The `http-conn` threads of this process.
+fn conn_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task lists this process's threads")
+        .filter_map(Result::ok)
+        .filter(|task| {
+            std::fs::read_to_string(task.path().join("comm"))
+                .is_ok_and(|name| name.trim_end() == "http-conn")
+        })
+        .count()
+}
+
+/// A stopped server's threads exit on their own time; waits for the count.
+fn wait_for_conn_threads(want: usize) {
+    let patience = Instant::now() + Duration::from_secs(10);
+    while conn_threads() != want {
+        assert!(
+            Instant::now() < patience,
+            "{} http-conn threads, expected {want}",
+            conn_threads()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
 
 /// A distinct tiny inline job: varying `IfmapSramSz` changes the job key
 /// while the workload name stays `tiny` (the fault plans key on it).
@@ -52,6 +98,7 @@ fn raw_exchange(addr: std::net::SocketAddr, bytes: &[u8], patience: Duration) ->
 /// admitted, and counts the shed jobs in `/metrics`.
 #[test]
 fn burst_past_queue_bound_sheds_with_503() {
+    let _shared = shared();
     let handle = start(
         ServerOptions::default(),
         EngineOptions {
@@ -112,6 +159,7 @@ fn burst_past_queue_bound_sheds_with_503() {
 /// job later returns 200 from the cache having simulated exactly once.
 #[test]
 fn expired_deadline_returns_504_and_still_caches() {
+    let _shared = shared();
     let handle = start(
         ServerOptions::default(),
         EngineOptions {
@@ -174,6 +222,7 @@ const TF1_PLAN: &str = r#"{"name": "robust", "workloads": ["TF1"], "budgets": [1
 /// cache, and its flight-recorder entries carry the request's id.
 #[test]
 fn sweep_past_its_deadline_returns_504_and_its_leaders_still_cache() {
+    let _shared = shared();
     let engine = Engine::with_options(EngineOptions {
         workers: 1,
         cache_capacity: 64,
@@ -234,6 +283,7 @@ fn sweep_past_its_deadline_returns_504_and_its_leaders_still_cache() {
 /// completes without shedding itself.
 #[test]
 fn sweep_wider_than_the_queue_never_sheds_itself() {
+    let _shared = shared();
     let handle = start(
         ServerOptions::default(),
         EngineOptions {
@@ -258,6 +308,7 @@ fn sweep_wider_than_the_queue_never_sheds_itself() {
 /// answered before any point exists.
 #[test]
 fn sweep_over_the_point_cap_is_a_bad_request() {
+    let _shared = shared();
     let handle = start(
         ServerOptions::default(),
         EngineOptions::default(),
@@ -280,6 +331,7 @@ fn sweep_over_the_point_cap_is_a_bad_request() {
 /// listener is closed once drained.
 #[test]
 fn drain_completes_in_flight_work_and_sheds_new_jobs() {
+    let _shared = shared();
     let handle = start(
         ServerOptions::default(),
         EngineOptions {
@@ -338,6 +390,7 @@ fn drain_completes_in_flight_work_and_sheds_new_jobs() {
 /// "until newline" forever.
 #[test]
 fn oversized_headers_without_newline_are_rejected() {
+    let _shared = shared();
     let handle = start(
         ServerOptions {
             socket_timeout: Duration::from_millis(500),
@@ -371,6 +424,7 @@ fn oversized_headers_without_newline_are_rejected() {
 /// request id and latency telemetry (the early-400 observability fix).
 #[test]
 fn stalled_and_malformed_requests_are_visible_telemetry() {
+    let _shared = shared();
     let handle = start(
         ServerOptions {
             socket_timeout: Duration::from_millis(300),
@@ -438,6 +492,7 @@ fn route_count(metrics: &str, route: &str) -> u64 {
 /// exactly once in its route's latency histogram.
 #[test]
 fn shed_and_explore_responses_share_the_access_telemetry() {
+    let _shared = shared();
     let handle = start(
         ServerOptions::default(),
         EngineOptions {
@@ -485,6 +540,7 @@ fn shed_and_explore_responses_share_the_access_telemetry() {
 /// `GET /debug/jobs`.
 #[test]
 fn debug_jobs_reports_shed_and_fresh_outcomes() {
+    let _shared = shared();
     let handle = start(
         ServerOptions::default(),
         EngineOptions {
@@ -546,6 +602,7 @@ fn debug_jobs_reports_shed_and_fresh_outcomes() {
 /// serving afterwards.
 #[test]
 fn injected_panic_returns_500_and_a_failed_record() {
+    let _shared = shared();
     let handle = start(
         ServerOptions::default(),
         EngineOptions {
@@ -590,4 +647,146 @@ fn injected_panic_returns_500_and_a_failed_record() {
     assert_eq!(ok.status, 200, "workers keep serving after a panic");
 
     handle.stop();
+}
+
+fn healthz(addr: std::net::SocketAddr) {
+    let health = request(addr, "GET", "/healthz", None).expect("healthz");
+    assert_eq!(health.status, 200);
+}
+
+/// Connection threads outlive their connections: a sequential client is
+/// served by the two threads its first request left — one inside the
+/// connection, one more so that somebody is in `accept()` meanwhile — and
+/// no request after that costs a thread.
+#[test]
+fn sequential_requests_spawn_no_thread_after_warm_up() {
+    let _alone = alone();
+    let handle = start(
+        ServerOptions::default(),
+        EngineOptions::default(),
+        FaultPlan::new(),
+    );
+    for _ in 0..3 {
+        healthz(handle.addr());
+    }
+    // (A thread names itself, so the second may take a moment to show.)
+    wait_for_conn_threads(2);
+    for _ in 0..300 {
+        healthz(handle.addr());
+    }
+    assert_eq!(conn_threads(), 2, "requests must not cost threads");
+    handle.stop();
+}
+
+/// `max_connections = 2`: two clients that stall mid-header hold both
+/// threads, so a third waits in the accept backlog until one of them runs
+/// into the socket timeout; never are more than two connections (or
+/// threads) in service.
+#[test]
+fn max_connections_caps_the_threads_and_the_rest_wait_in_the_backlog() {
+    let _alone = alone();
+    let socket_timeout = Duration::from_millis(800);
+    let handle = start(
+        ServerOptions {
+            max_connections: 2,
+            socket_timeout,
+            ..ServerOptions::default()
+        },
+        EngineOptions::default(),
+        FaultPlan::new(),
+    );
+    let addr = handle.addr();
+    let active = handle.engine().registry().gauge(
+        "scalesim_http_connections_active",
+        "HTTP connections currently being served.",
+    );
+
+    let stalled_at = Instant::now();
+    let _stalled: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .write_all(b"POST /simulate HTTP/1.1\r\nContent-Le")
+                .expect("half a request");
+            stream
+        })
+        .collect();
+    let patience = Instant::now() + Duration::from_secs(5);
+    while active.get() < 2 {
+        assert!(Instant::now() < patience, "the stalled pair was not taken");
+        std::thread::yield_now();
+    }
+    assert_eq!(conn_threads(), 2, "the set stops growing at the cap");
+
+    let answered = AtomicBool::new(false);
+    let peak = AtomicI64::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !answered.load(Ordering::SeqCst) {
+                peak.fetch_max(active.get(), Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        healthz(addr);
+        answered.store(true, Ordering::SeqCst);
+    });
+    let waited = stalled_at.elapsed();
+    assert!(
+        waited >= socket_timeout * 9 / 10,
+        "answered after {waited:?}: a third connection was served beside the stalled two"
+    );
+    assert!(waited < socket_timeout + Duration::from_secs(4));
+    assert_eq!(peak.load(Ordering::SeqCst), 2);
+    assert_eq!(conn_threads(), 2);
+
+    handle.stop();
+}
+
+/// When `stop()` or `drain()` returns the listener is closed — a connect
+/// is refused and the port can be bound again — and every thread exits:
+/// those in `accept()` at once, one inside a connection after its reply.
+#[test]
+fn stop_and_drain_close_the_listener_and_leave_no_thread() {
+    let _alone = alone();
+    for graceful in [false, true] {
+        let handle = start(
+            ServerOptions::default(),
+            EngineOptions::default(),
+            FaultPlan::new().delay("tiny", Duration::from_millis(400)),
+        );
+        let addr = handle.addr();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(move || healthz(addr));
+            }
+        });
+        assert!(conn_threads() >= 2, "a second thread waits in accept()");
+
+        let in_flight = std::thread::spawn(move || {
+            request(addr, "POST", "/simulate", Some(&tiny_job(0))).expect("in-flight POST")
+        });
+        let patience = Instant::now() + Duration::from_secs(5);
+        while handle.engine().is_idle() {
+            assert!(Instant::now() < patience, "the slow job never started");
+            std::thread::yield_now();
+        }
+        if graceful {
+            assert!(handle.drain(Duration::from_secs(10)));
+        } else {
+            handle.stop();
+        }
+
+        let refused = TcpStream::connect(addr).expect_err("the listener is closed");
+        assert_eq!(refused.kind(), std::io::ErrorKind::ConnectionRefused);
+        let successor = Server::bind(&addr.to_string(), Engine::new(1, 4))
+            .expect("the port can be bound again");
+        // A hard stop left the connection to finish by itself.
+        assert_eq!(in_flight.join().unwrap().status, 200);
+        wait_for_conn_threads(0);
+
+        let successor = successor.spawn();
+        healthz(addr);
+        successor.stop();
+        wait_for_conn_threads(0);
+    }
 }
