@@ -10,8 +10,8 @@
 //!
 //! Run: `cargo run --release -p scalesim-bench --bin ext_pipeline`
 
+use scalesim::sweep::squareish;
 use scalesim::{run_pipeline, ArrayShape, PartitionGrid, SimConfig, Simulator};
-use scalesim_bench::squareish;
 use scalesim_topology::{networks, Topology};
 
 const INPUTS: u64 = 256;

@@ -12,8 +12,8 @@
 //!
 //! Run: `cargo run --release -p scalesim-bench --bin ext_stall_sweep`
 
+use scalesim::sweep::squareish;
 use scalesim::{ArrayShape, PartitionGrid, SimConfig, Simulator};
-use scalesim_bench::squareish;
 use scalesim_topology::networks;
 
 fn main() {

@@ -1,12 +1,10 @@
-//! Shared helpers for the benchmark and figure-harness binaries.
+//! Shared helpers for the figure-harness binaries.
 //!
-//! The actual deliverables live in `src/bin/` (one binary per paper table /
-//! figure) and `benches/` (criterion performance benchmarks of the
-//! simulator itself); this library holds the small amount of code they
-//! share.
+//! The deliverables live in `src/bin/` (one binary per paper table /
+//! figure); this library holds the small amount of code they share. The
+//! simulator's own speed is measured by the standalone package in
+//! `benchmark/` at the repository root, not here.
 
 pub mod harness;
-pub mod sweep;
 
 pub use harness::{mac_budgets, print_series, Series};
-pub use sweep::squareish;

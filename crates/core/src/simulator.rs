@@ -333,13 +333,15 @@ impl Simulator {
             config.ofmap_buffer(1),
         );
         let mut tracer = DramTraceWriter::new(reads, writes);
+        // Real addresses in every stream: the B and O streams of the run
+        // generator `run_layer` uses carry labels, which a trace cannot print.
         for d in fold_demands(&dims, config.array, &*map) {
             dram.fold_traced(
                 d.fold.duration,
-                d.a,
-                d.b,
-                d.o_spill,
-                d.o_writes,
+                &d.a,
+                &d.b,
+                &d.o_spill,
+                &d.o_writes,
                 &mut tracer,
             )?;
         }

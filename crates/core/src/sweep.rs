@@ -1951,8 +1951,17 @@ mod tests {
     #[test]
     fn squareish_splits() {
         assert_eq!(squareish(1), (1, 1));
+        assert_eq!(squareish(2), (2, 1));
+        assert_eq!(squareish(4), (2, 2));
         assert_eq!(squareish(8), (4, 2));
         assert_eq!(squareish(1 << 14), (128, 128));
+        assert_eq!(squareish(1 << 16), (256, 256));
+    }
+
+    #[test]
+    #[should_panic(expected = "power")]
+    fn non_power_of_two_panics() {
+        let _ = squareish(12);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use std::collections::VecDeque;
 
-use crate::fast_hash::AddrSet;
 use crate::runs::{AddrRun, AddrRuns, IntervalSet};
 
 /// Per-epoch classification of a demand stream.
@@ -24,149 +23,16 @@ pub struct EpochStats {
     pub evictions: u64,
 }
 
-/// A double-buffered operand SRAM: a FIFO working set of element addresses.
+/// A double-buffered operand SRAM: a FIFO working set of address
+/// *intervals*.
 ///
-/// ```
-/// use scalesim_memory::DoubleBuffer;
-///
-/// let mut buf = DoubleBuffer::new(2);
-/// let first = buf.epoch([1, 2].iter().copied());
-/// assert_eq!(first.misses, 2);
-/// let second = buf.epoch([2, 3].iter().copied()); // 2 hits, 3 misses, 1 evicted
-/// assert_eq!((second.hits, second.misses, second.evictions), (1, 1, 1));
-/// ```
-#[derive(Debug, Clone)]
-pub struct DoubleBuffer {
-    capacity: usize,
-    resident: AddrSet,
-    order: VecDeque<u64>,
-}
-
-impl DoubleBuffer {
-    /// Creates a buffer holding at most `capacity_elems` elements.
-    ///
-    /// A capacity of zero models "no buffer": every demand misses.
-    pub fn new(capacity_elems: usize) -> Self {
-        DoubleBuffer {
-            capacity: capacity_elems,
-            resident: AddrSet::default(),
-            order: VecDeque::new(),
-        }
-    }
-
-    /// An effectively infinite buffer (everything fetched exactly once).
-    pub fn unbounded() -> Self {
-        DoubleBuffer::new(usize::MAX)
-    }
-
-    /// The configured capacity in elements.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Elements currently resident.
-    pub fn resident_count(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// Whether `addr` is currently resident.
-    pub fn contains(&self, addr: u64) -> bool {
-        self.resident.contains(&addr)
-    }
-
-    /// Runs one epoch (one fold's worth) of demand through the buffer.
-    ///
-    /// Demands should be the epoch's unique addresses in first-use order;
-    /// intra-epoch reuse is served by the SRAM itself and is not interface
-    /// traffic. Misses are inserted in demand order, evicting the oldest
-    /// resident addresses when the buffer is full (so an epoch whose working
-    /// set exceeds the capacity thrashes, as the real hardware would).
-    pub fn epoch(&mut self, demand: impl IntoIterator<Item = u64>) -> EpochStats {
-        self.run_epoch(demand, None)
-    }
-
-    /// Like [`DoubleBuffer::epoch`], but also returns the missed addresses
-    /// in fetch order — the input to DRAM trace reconstruction
-    /// ([`crate::DramTraceWriter`]).
-    pub fn epoch_with_misses(
-        &mut self,
-        demand: impl IntoIterator<Item = u64>,
-    ) -> (EpochStats, Vec<u64>) {
-        let mut misses = Vec::new();
-        let stats = self.run_epoch(demand, Some(&mut misses));
-        (stats, misses)
-    }
-
-    fn run_epoch(
-        &mut self,
-        demand: impl IntoIterator<Item = u64>,
-        mut misses: Option<&mut Vec<u64>>,
-    ) -> EpochStats {
-        let mut stats = EpochStats::default();
-        for addr in demand {
-            if self.resident.contains(&addr) {
-                stats.hits += 1;
-                continue;
-            }
-            stats.misses += 1;
-            if let Some(misses) = misses.as_deref_mut() {
-                misses.push(addr);
-            }
-            if self.capacity == 0 {
-                continue;
-            }
-            while self.resident.len() >= self.capacity {
-                if let Some(old) = self.order.pop_front() {
-                    self.resident.remove(&old);
-                    stats.evictions += 1;
-                } else {
-                    break;
-                }
-            }
-            self.resident.insert(addr);
-            self.order.push_back(addr);
-        }
-        stats
-    }
-
-    /// Installs `addr` into the working set *without* counting a miss —
-    /// models write-allocation (an output produced on-chip is resident
-    /// without ever being fetched). Evicts FIFO-oldest entries as needed;
-    /// returns the number of evictions.
-    pub fn install(&mut self, addr: u64) -> u64 {
-        if self.capacity == 0 || self.resident.contains(&addr) {
-            return 0;
-        }
-        let mut evictions = 0;
-        while self.resident.len() >= self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.resident.remove(&old);
-                evictions += 1;
-            } else {
-                break;
-            }
-        }
-        self.resident.insert(addr);
-        self.order.push_back(addr);
-        evictions
-    }
-
-    /// Drops all resident data (e.g. between layers).
-    pub fn clear(&mut self) {
-        self.resident.clear();
-        self.order.clear();
-    }
-}
-
-/// The run-granular equivalent of [`DoubleBuffer`]: a FIFO working set of
-/// address *intervals*.
-///
-/// Produces exactly the same hit/miss/eviction counts and the same final
-/// resident set as feeding the uncompressed element stream through a
-/// [`DoubleBuffer`] — FIFO hits cause no state change, so a maximal
-/// resident span batches into one hit count, and a maximal missing span
-/// batches into one insert + one tail eviction sweep. Work is O(runs ×
-/// log spans) instead of O(elements).
+/// Produces exactly the hit/miss/eviction counts and the final resident
+/// set of a FIFO fed the uncompressed element stream one address at a time
+/// (the test suite's element-granular oracle is that FIFO, and the
+/// property suites compare the two) — FIFO hits cause no state change, so
+/// a maximal resident span batches into one hit count, and a maximal
+/// missing span batches into one insert + one tail eviction sweep. Work is
+/// O(runs × log spans) instead of O(elements).
 ///
 /// ```
 /// use scalesim_memory::{AddrRuns, RunBuffer};
@@ -248,8 +114,13 @@ impl RunBuffer {
     }
 
     /// Runs one epoch (one fold's worth) of run-compressed demand through
-    /// the buffer. Semantics match [`DoubleBuffer::epoch`] on the
-    /// equivalent element stream.
+    /// the buffer.
+    ///
+    /// Demands should be the epoch's unique addresses in first-use order;
+    /// intra-epoch reuse is served by the SRAM itself and is not interface
+    /// traffic. Misses are inserted in demand order, evicting the oldest
+    /// resident addresses when the buffer is full (so an epoch whose working
+    /// set exceeds the capacity thrashes, as the real hardware would).
     ///
     /// # Fixed-point epochs
     ///
@@ -434,8 +305,9 @@ impl RunBuffer {
     }
 
     /// Installs the runs into the working set *without* miss accounting —
-    /// the run-granular [`DoubleBuffer::install`] (write-allocation).
-    /// Returns the number of evictions.
+    /// models write-allocation (an output produced on-chip is resident
+    /// without ever being fetched). Evicts FIFO-oldest data as needed;
+    /// returns the number of evictions.
     pub fn install(&mut self, runs: &AddrRuns) -> u64 {
         self.forget_repeat();
         if self.capacity == 0 {
@@ -518,117 +390,8 @@ impl RunBuffer {
 mod tests {
     use super::*;
 
-    #[test]
-    fn cold_buffer_misses_everything_once() {
-        let mut buf = DoubleBuffer::new(100);
-        let stats = buf.epoch(0..10);
-        assert_eq!(stats.misses, 10);
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.evictions, 0);
-        assert_eq!(buf.resident_count(), 10);
-    }
-
-    #[test]
-    fn warm_buffer_hits_repeats() {
-        let mut buf = DoubleBuffer::new(100);
-        buf.epoch(0..10);
-        let stats = buf.epoch(0..10);
-        assert_eq!(stats.hits, 10);
-        assert_eq!(stats.misses, 0);
-    }
-
-    #[test]
-    fn fifo_eviction_order() {
-        let mut buf = DoubleBuffer::new(3);
-        buf.epoch([1, 2, 3]);
-        let stats = buf.epoch([4]); // evicts 1
-        assert_eq!(stats.evictions, 1);
-        assert!(!buf.contains(1));
-        assert!(buf.contains(2));
-        assert!(buf.contains(4));
-    }
-
-    #[test]
-    fn zero_capacity_always_misses() {
-        let mut buf = DoubleBuffer::new(0);
-        assert_eq!(buf.epoch([1, 1, 1]).misses, 3);
-        assert_eq!(buf.resident_count(), 0);
-    }
-
-    #[test]
-    fn epoch_larger_than_capacity_thrashes() {
-        let mut buf = DoubleBuffer::new(4);
-        // 8 unique addresses through a 4-entry buffer: all miss.
-        let first = buf.epoch(0..8);
-        assert_eq!(first.misses, 8);
-        // Repeat: the first half was evicted, so it misses again.
-        let second = buf.epoch(0..8);
-        assert_eq!(second.misses, 8);
-    }
-
-    #[test]
-    fn intra_epoch_repeat_hits_after_insert() {
-        let mut buf = DoubleBuffer::new(10);
-        let stats = buf.epoch([5, 5, 6, 5]);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.hits, 2);
-    }
-
-    #[test]
-    fn clear_empties_the_working_set() {
-        let mut buf = DoubleBuffer::new(10);
-        buf.epoch(0..5);
-        buf.clear();
-        assert_eq!(buf.resident_count(), 0);
-        assert_eq!(buf.epoch(0..5).misses, 5);
-    }
-
-    #[test]
-    fn install_write_allocates_without_miss_accounting() {
-        let mut buf = DoubleBuffer::new(2);
-        assert_eq!(buf.install(1), 0);
-        assert_eq!(buf.install(2), 0);
-        assert_eq!(buf.install(3), 1); // evicts 1
-        assert!(buf.contains(3));
-        assert!(!buf.contains(1));
-        // Re-installing a resident address is a no-op.
-        assert_eq!(buf.install(3), 0);
-        // Installed data hits on demand.
-        assert_eq!(buf.epoch([2, 3]).hits, 2);
-    }
-
-    #[test]
-    fn install_into_zero_capacity_is_noop() {
-        let mut buf = DoubleBuffer::new(0);
-        assert_eq!(buf.install(7), 0);
-        assert!(!buf.contains(7));
-    }
-
-    #[test]
-    fn unbounded_never_evicts() {
-        let mut buf = DoubleBuffer::unbounded();
-        let stats = buf.epoch(0..10_000);
-        assert_eq!(stats.evictions, 0);
-        assert_eq!(buf.resident_count(), 10_000);
-    }
-
     fn runs_of(elems: &[u64]) -> AddrRuns {
         elems.iter().copied().collect()
-    }
-
-    #[test]
-    fn run_buffer_matches_double_buffer_basics() {
-        let mut db = DoubleBuffer::new(3);
-        let mut rb = RunBuffer::new(3);
-        for epoch in [&[1u64, 2, 3][..], &[4], &[2, 3, 4], &[10, 11, 12, 13]] {
-            let ds = db.epoch(epoch.iter().copied());
-            let rs = rb.epoch(&runs_of(epoch));
-            assert_eq!(ds, rs, "epoch {epoch:?}");
-            assert_eq!(db.resident_count() as u64, rb.resident_count());
-            for addr in 0..20 {
-                assert_eq!(db.contains(addr), rb.contains(addr), "addr {addr}");
-            }
-        }
     }
 
     #[test]
@@ -639,73 +402,6 @@ mod tests {
         assert_eq!(buf.resident_count(), 0);
         assert_eq!(buf.install(&runs_of(&[7])), 0);
         assert!(!buf.contains(7));
-    }
-
-    #[test]
-    fn run_buffer_self_evicts_oversized_segment() {
-        // A single 8-element run through a 4-entry buffer keeps its tail,
-        // exactly as the element-wise FIFO does.
-        let mut db = DoubleBuffer::new(4);
-        let mut rb = RunBuffer::new(4);
-        let elems: Vec<u64> = (0..8).collect();
-        assert_eq!(db.epoch(elems.iter().copied()), rb.epoch(&runs_of(&elems)));
-        for addr in 0..8 {
-            assert_eq!(db.contains(addr), rb.contains(addr));
-        }
-        assert!(rb.contains(7) && !rb.contains(3));
-    }
-
-    #[test]
-    fn run_buffer_install_matches_element_install() {
-        let mut db = DoubleBuffer::new(2);
-        let mut rb = RunBuffer::new(2);
-        let installs = [1u64, 2, 3, 3];
-        let mut db_ev = 0;
-        for &addr in &installs {
-            db_ev += db.install(addr);
-        }
-        let mut rb_ev = 0;
-        for &addr in &installs {
-            rb_ev += rb.install(&runs_of(&[addr]));
-        }
-        assert_eq!(db_ev, rb_ev);
-        for addr in 0..5 {
-            assert_eq!(db.contains(addr), rb.contains(addr));
-        }
-        assert_eq!(rb.epoch(&runs_of(&[2, 3])).hits, 2);
-    }
-
-    #[test]
-    fn run_buffer_epoch_with_misses_orders_like_element_path() {
-        let mut db = DoubleBuffer::new(4);
-        let mut rb = RunBuffer::new(4);
-        db.epoch([10u64, 11].iter().copied());
-        rb.epoch(&runs_of(&[10, 11]));
-        // 10, 11 hit; 12, 13 then 5 miss (two separate runs).
-        let (ds, dm) = db.epoch_with_misses([10u64, 11, 12, 13, 5].iter().copied());
-        let mut rm = AddrRuns::new();
-        let rs = rb.epoch_with_misses(&runs_of(&[10, 11, 12, 13, 5]), &mut rm);
-        assert_eq!(ds, rs);
-        assert_eq!(dm, rm.iter_elements().collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn run_buffer_thrash_matches_double_buffer() {
-        // Alternating working sets through a small buffer: a stress of the
-        // eviction bookkeeping across many epochs.
-        let mut db = DoubleBuffer::new(16);
-        let mut rb = RunBuffer::new(16);
-        for round in 0..20u64 {
-            let base = (round % 3) * 10;
-            let elems: Vec<u64> = (base..base + 12).chain(100..104).collect();
-            let ds = db.epoch(elems.iter().copied());
-            let rs = rb.epoch(&runs_of(&elems));
-            assert_eq!(ds, rs, "round {round}");
-            assert_eq!(db.resident_count() as u64, rb.resident_count());
-            for addr in 0..110 {
-                assert_eq!(db.contains(addr), rb.contains(addr));
-            }
-        }
     }
 
     fn sealed(elems: &[u64]) -> AddrRuns {
@@ -730,40 +426,6 @@ mod tests {
     ];
 
     #[test]
-    fn sealed_repeats_are_answered_from_the_fixed_point() {
-        let stats = |hits, misses, evictions| EpochStats {
-            hits,
-            misses,
-            evictions,
-        };
-        // Per case: the first epoch's stats, every later epoch's, and how
-        // many of five epochs are walked.
-        let expected = [
-            (stats(12, 0, 0), stats(12, 0, 0), 1),
-            (stats(0, 12, 0), stats(12, 0, 0), 1),
-            (stats(0, 12, 7), stats(0, 12, 12), 1),
-        ];
-        for (&(capacity, pre), (first, repeat, walks)) in FIXED_POINT_CASES.iter().zip(expected) {
-            let mut rb = RunBuffer::new(capacity);
-            let mut db = DoubleBuffer::new(capacity as usize);
-            rb.epoch(&runs_of(pre));
-            db.epoch(pre.iter().copied());
-            let walked_before = rb.walked_epochs();
-            let stream = sealed(&STREAM);
-            for epoch in 0..5 {
-                let rs = rb.epoch(&stream);
-                assert_eq!(rs, db.epoch(STREAM), "capacity {capacity}, epoch {epoch}");
-                assert_eq!(rs, if epoch == 0 { first } else { repeat });
-                assert_eq!(rb.resident_count(), db.resident_count() as u64);
-                for addr in 0..120 {
-                    assert_eq!(rb.contains(addr), db.contains(addr), "addr {addr}");
-                }
-            }
-            assert_eq!(rb.walked_epochs() - walked_before, walks);
-        }
-    }
-
-    #[test]
     fn a_stream_of_exactly_a_bufferful_is_rule_two_not_rule_three() {
         // S == capacity: all-miss, then all-hit. Rule 3 (`S > capacity`)
         // would answer all-miss for ever.
@@ -772,21 +434,6 @@ mod tests {
         assert_eq!(rb.epoch(&stream).misses, 12);
         assert_eq!(rb.epoch(&stream).hits, 12);
         assert_eq!(rb.walked_epochs(), 1);
-    }
-
-    #[test]
-    fn an_unsealed_duplicate_stream_is_walked_every_time() {
-        // The counter-example to rule 3 on a stream that repeats an
-        // address: through a capacity of 2 it ends holding {3, 1}, so the
-        // second epoch hits its leading 1. Unsealed, it is simply walked.
-        let dup = runs_of(&[1, 2, 3, 1]);
-        let mut rb = RunBuffer::new(2);
-        let mut db = DoubleBuffer::new(2);
-        for _ in 0..3 {
-            assert_eq!(rb.epoch(&dup), db.epoch([1, 2, 3, 1]));
-        }
-        assert_eq!(rb.epoch(&dup).hits, 1);
-        assert_eq!(rb.walked_epochs(), 4);
     }
 
     #[test]

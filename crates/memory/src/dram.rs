@@ -49,7 +49,7 @@ impl OperandBufferSpec {
     }
 }
 
-/// Per-fold interface traffic, returned by [`DramModel::fold`].
+/// Per-fold interface traffic, returned by [`DramModel::fold_runs`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FoldTraffic {
     /// Compute duration of the fold in cycles.
@@ -138,16 +138,19 @@ impl DramSummary {
 
 /// The per-layer DRAM interface model.
 ///
-/// Feed it each fold in execution order via [`DramModel::fold`], then call
-/// [`DramModel::finish`].
+/// Feed it each fold in execution order via [`DramModel::fold_runs`], then
+/// call [`DramModel::finish`].
 ///
 /// ```
-/// use scalesim_memory::{DramModel, OperandBufferSpec};
+/// use scalesim_memory::{AddrRuns, DramModel, OperandBufferSpec};
 ///
 /// let spec = OperandBufferSpec::from_kb(1, 1); // 1 KB, 1-byte words
 /// let mut dram = DramModel::new(spec, spec, spec);
 /// // Fold 0: 100 cycles, touches A[0..100] and B[0..10], writes 5 outputs.
-/// dram.fold(100, (0..100).collect(), (1000..1010).collect(), vec![], (2000..2005).collect());
+/// let a: AddrRuns = (0..100).collect();
+/// let b: AddrRuns = (1000..1010).collect();
+/// let writes: AddrRuns = (2000..2005).collect();
+/// dram.fold_runs(100, &a, &b, &AddrRuns::new(), &writes);
 /// let summary = dram.finish();
 /// assert_eq!(summary.reads_a, 100);
 /// assert_eq!(summary.writes_o, 5);
@@ -163,7 +166,6 @@ pub struct DramModel {
     /// Reused across [`DramModel::fold_traced`] calls (clear-don't-drop)
     /// so the traced path allocates per layer, not per fold.
     trace_miss_runs: AddrRuns,
-    trace_miss_elems: Vec<u64>,
     /// Output installs deferred until the next non-empty spill epoch. The
     /// OFMAP buffer is only observable through spill epochs, so installs
     /// from spill-free folds (all of OS, the first contraction fold of
@@ -233,7 +235,6 @@ impl DramModel {
                 ..DramSummary::default()
             },
             trace_miss_runs: AddrRuns::new(),
-            trace_miss_elems: Vec::new(),
             pending_o: AddrRuns::new(),
         }
     }
@@ -247,7 +248,8 @@ impl DramModel {
         }
     }
 
-    /// Processes one fold given element-granular demand vectors.
+    /// Processes one fold of run-compressed demand; all buffer traffic is
+    /// computed per run, not per element.
     ///
     /// * `duration` — the fold's compute cycles (Eq. 3 of the paper).
     /// * `a_demand` / `b_demand` — the fold's unique operand addresses in
@@ -261,29 +263,6 @@ impl DramModel {
     ///   behaviour — and are write-allocated into the OFMAP buffer so later
     ///   spill reads can hit.
     ///
-    /// This is a compatibility wrapper over [`DramModel::fold_runs`]: the
-    /// vectors are run-length compressed order-preservingly (only
-    /// consecutive ascending-adjacent addresses coalesce), so the counts
-    /// are identical to feeding the elements one by one.
-    pub fn fold(
-        &mut self,
-        duration: u64,
-        a_demand: Vec<u64>,
-        b_demand: Vec<u64>,
-        o_spill: Vec<u64>,
-        o_writes: Vec<u64>,
-    ) -> FoldTraffic {
-        let a: AddrRuns = a_demand.into_iter().collect();
-        let b: AddrRuns = b_demand.into_iter().collect();
-        let o_spill: AddrRuns = o_spill.into_iter().collect();
-        let o_writes: AddrRuns = o_writes.into_iter().collect();
-        self.fold_runs(duration, &a, &b, &o_spill, &o_writes)
-    }
-
-    /// Processes one fold of run-compressed demand — the hot path. See
-    /// [`DramModel::fold`] for the operand semantics; all buffer traffic
-    /// here is computed per-run instead of per-element.
-    ///
     /// A *sealed* `a_demand` ([`AddrRuns::seal_distinct`]; the demand
     /// generator seals every A stream and promises its addresses distinct)
     /// that repeats the fold before costs O(1) once the IFMAP buffer has
@@ -294,7 +273,7 @@ impl DramModel {
     /// same distinct stream evicts just ahead of itself for ever — and
     /// their proofs are on [`RunBuffer::epoch`], which owns the state they
     /// are about. This function knows nothing of seals: an unsealed stream
-    /// (as [`DramModel::fold`] builds) is walked, with the same counts.
+    /// (one collected from elements, say) is walked, with the same counts.
     pub fn fold_runs(
         &mut self,
         duration: u64,
@@ -325,10 +304,11 @@ impl DramModel {
         )
     }
 
-    /// Like [`DramModel::fold`], but also reconstructs the interface
+    /// Like [`DramModel::fold_runs`], but also reconstructs the interface
     /// schedule into `tracer` (the "DRAM R/W" trace of Fig. 2): the fold's
     /// miss addresses in fetch order as the read trace, the produced
-    /// outputs as the write trace.
+    /// outputs as the write trace. The streams must carry real addresses —
+    /// they are what the trace prints.
     ///
     /// # Errors
     ///
@@ -336,39 +316,35 @@ impl DramModel {
     pub fn fold_traced<W: std::io::Write>(
         &mut self,
         duration: u64,
-        a_demand: Vec<u64>,
-        b_demand: Vec<u64>,
-        o_spill: Vec<u64>,
-        o_writes: Vec<u64>,
+        a_demand: &AddrRuns,
+        b_demand: &AddrRuns,
+        o_spill: &AddrRuns,
+        o_writes: &AddrRuns,
         tracer: &mut crate::dram_trace::DramTraceWriter<W>,
     ) -> std::io::Result<FoldTraffic> {
-        let a: AddrRuns = a_demand.into_iter().collect();
-        let b: AddrRuns = b_demand.into_iter().collect();
-        let o_spill: AddrRuns = o_spill.into_iter().collect();
         // Miss runs come out in fetch order; expanding them reproduces the
         // element-granular miss sequence exactly (within a missing span the
         // element order is ascending, and spans appear in demand order).
-        // Both scratch buffers persist across folds (clear-don't-drop).
+        // The scratch stream persists across folds (clear-don't-drop).
         self.flush_pending_o();
         self.trace_miss_runs.clear();
-        let a_stats = self.a_buf.epoch_with_misses(&a, &mut self.trace_miss_runs);
-        let b_stats = self.b_buf.epoch_with_misses(&b, &mut self.trace_miss_runs);
+        let a_stats = self
+            .a_buf
+            .epoch_with_misses(a_demand, &mut self.trace_miss_runs);
+        let b_stats = self
+            .b_buf
+            .epoch_with_misses(b_demand, &mut self.trace_miss_runs);
         let o_stats = self
             .o_buf
-            .epoch_with_misses(&o_spill, &mut self.trace_miss_runs);
-        self.trace_miss_elems.clear();
-        self.trace_miss_elems
-            .extend(self.trace_miss_runs.iter_elements());
-        tracer.fold(duration, &self.trace_miss_elems, &o_writes)?;
-        let o_write_count = o_writes.len() as u64;
-        let o_write_runs: AddrRuns = o_writes.into_iter().collect();
-        self.o_buf.install(&o_write_runs);
+            .epoch_with_misses(o_spill, &mut self.trace_miss_runs);
+        tracer.fold(duration, &self.trace_miss_runs, o_writes)?;
+        self.o_buf.install(o_writes);
         Ok(self.account(
             duration,
             a_stats.misses,
             b_stats.misses,
             o_stats.misses,
-            o_write_count,
+            o_writes.element_count(),
         ))
     }
 
@@ -439,6 +415,17 @@ mod tests {
         OperandBufferSpec::from_kb(kb, 1)
     }
 
+    /// One `fold_runs` step whose four streams are address ranges (`0..0`
+    /// for an empty one), collected element by element and so unsealed.
+    fn fold(
+        dram: &mut DramModel,
+        duration: u64,
+        [a, b, o_spill, o_writes]: [std::ops::Range<u64>; 4],
+    ) -> FoldTraffic {
+        let [a, b, o_spill, o_writes] = [a, b, o_spill, o_writes].map(AddrRuns::from_iter);
+        dram.fold_runs(duration, &a, &b, &o_spill, &o_writes)
+    }
+
     #[test]
     fn capacity_from_kb_and_word_size() {
         assert_eq!(
@@ -468,13 +455,7 @@ mod tests {
     #[test]
     fn cold_start_fetches_everything_once() {
         let mut dram = DramModel::new(kb(64), kb(64), kb(64));
-        let t = dram.fold(
-            10,
-            (0..50).collect(),
-            (100..120).collect(),
-            vec![],
-            (200..205).collect(),
-        );
+        let t = fold(&mut dram, 10, [0..50, 100..120, 0..0, 200..205]);
         assert_eq!(t.a_misses, 50);
         assert_eq!(t.b_misses, 20);
         assert_eq!(t.read_bytes, 70);
@@ -488,8 +469,8 @@ mod tests {
     #[test]
     fn warm_folds_reuse_resident_data() {
         let mut dram = DramModel::new(kb(64), kb(64), kb(64));
-        dram.fold(10, (0..50).collect(), (100..120).collect(), vec![], vec![]);
-        let t = dram.fold(10, (0..50).collect(), (100..120).collect(), vec![], vec![]);
+        fold(&mut dram, 10, [0..50, 100..120, 0..0, 0..0]);
+        let t = fold(&mut dram, 10, [0..50, 100..120, 0..0, 0..0]);
         assert_eq!(t.a_misses + t.b_misses, 0);
         assert_eq!(t.required_read_bw, 0.0);
     }
@@ -502,8 +483,8 @@ mod tests {
             word_bytes: 1,
         };
         let mut dram = DramModel::new(tiny, kb(64), kb(64));
-        dram.fold(10, (0..50).collect(), vec![], vec![], vec![]);
-        let t = dram.fold(10, (0..50).collect(), vec![], vec![], vec![]);
+        fold(&mut dram, 10, [0..50, 0..0, 0..0, 0..0]);
+        let t = fold(&mut dram, 10, [0..50, 0..0, 0..0, 0..0]);
         assert_eq!(t.a_misses, 50, "thrash should refetch all of A");
     }
 
@@ -511,9 +492,9 @@ mod tests {
     fn resident_partials_accumulate_on_chip() {
         let mut dram = DramModel::new(kb(64), kb(64), kb(64));
         // Fold 0 writes 10 partials; they are write-allocated.
-        dram.fold(10, vec![], vec![], vec![], (0..10).collect());
+        fold(&mut dram, 10, [0..0, 0..0, 0..0, 0..10]);
         // Fold 1 re-reads them: all hit the OFMAP buffer.
-        let t = dram.fold(10, vec![], vec![], (0..10).collect(), (0..10).collect());
+        let t = fold(&mut dram, 10, [0..0, 0..0, 0..10, 0..10]);
         assert_eq!(t.o_spill_misses, 0);
         let s = dram.finish();
         assert_eq!(s.reads_o, 0);
@@ -528,8 +509,8 @@ mod tests {
             word_bytes: 1,
         };
         let mut dram = DramModel::new(kb(64), kb(64), tiny);
-        dram.fold(10, vec![], vec![], vec![], (0..10).collect());
-        let t = dram.fold(10, vec![], vec![], (0..10).collect(), (0..10).collect());
+        fold(&mut dram, 10, [0..0, 0..0, 0..0, 0..10]);
+        let t = fold(&mut dram, 10, [0..0, 0..0, 0..10, 0..10]);
         assert!(t.o_spill_misses >= 6, "most partials were evicted");
         let s = dram.finish();
         assert!(s.reads_o >= 6);
@@ -539,10 +520,10 @@ mod tests {
     fn bandwidth_requirement_uses_previous_fold_window() {
         let mut dram = DramModel::new(kb(64), kb(64), kb(64));
         // Fold 0: 100 bytes over its own 100-cycle window -> 1 B/c.
-        let t0 = dram.fold(100, (0..100).collect(), vec![], vec![], vec![]);
+        let t0 = fold(&mut dram, 100, [0..100, 0..0, 0..0, 0..0]);
         assert_eq!(t0.required_read_bw, 1.0);
         // Fold 1 needs 200 new bytes prefetched during fold 0's 100 cycles.
-        let t1 = dram.fold(50, (1000..1200).collect(), vec![], vec![], vec![]);
+        let t1 = fold(&mut dram, 50, [1000..1200, 0..0, 0..0, 0..0]);
         assert_eq!(t1.required_read_bw, 2.0);
         let s = dram.finish();
         assert_eq!(s.read_bw.peak(), 2.0);
@@ -554,13 +535,14 @@ mod tests {
         let mut plain = DramModel::new(kb(1), kb(1), kb(1));
         let mut traced = DramModel::new(kb(1), kb(1), kb(1));
         let mut tracer = DramTraceWriter::new(Vec::new(), Vec::new());
+        let none = AddrRuns::new();
         for step in 0..4u64 {
-            let a: Vec<u64> = (step * 100..step * 100 + 40).collect();
-            let b: Vec<u64> = (5000..5020).collect();
-            let w: Vec<u64> = (9000 + step * 10..9000 + step * 10 + 10).collect();
-            let t1 = plain.fold(25, a.clone(), b.clone(), vec![], w.clone());
+            let a: AddrRuns = (step * 100..step * 100 + 40).collect();
+            let b: AddrRuns = (5000..5020).collect();
+            let w: AddrRuns = (9000 + step * 10..9000 + step * 10 + 10).collect();
+            let t1 = plain.fold_runs(25, &a, &b, &none, &w);
             let t2 = traced
-                .fold_traced(25, a, b, vec![], w, &mut tracer)
+                .fold_traced(25, &a, &b, &none, &w, &mut tracer)
                 .unwrap();
             assert_eq!(t1, t2);
         }
@@ -604,9 +586,8 @@ mod tests {
                             let mut interrupt = |model: &mut DramModel, seal: bool| {
                                 let a = if interruption == 0 { &stream } else { &other };
                                 if interruption < 2 {
-                                    let a = a.iter_elements().collect();
                                     model
-                                        .fold_traced(9, a, vec![], vec![], vec![], &mut tracer)
+                                        .fold_traced(9, a, &none, &none, &none, &mut tracer)
                                         .unwrap()
                                 } else {
                                     let mut a = a.clone();
@@ -633,10 +614,10 @@ mod tests {
     #[test]
     fn merge_concurrent_sums_partition_traffic() {
         let mut a = DramModel::new(kb(64), kb(64), kb(64));
-        a.fold(10, (0..10).collect(), vec![], vec![], (30..32).collect());
+        fold(&mut a, 10, [0..10, 0..0, 0..0, 30..32]);
         let mut sa = a.finish();
         let mut b = DramModel::new(kb(64), kb(64), kb(64));
-        b.fold(10, (0..10).collect(), vec![], vec![], (30..32).collect());
+        fold(&mut b, 10, [0..10, 0..0, 0..0, 30..32]);
         let sb = b.finish();
         sa.merge_concurrent(&sb);
         assert_eq!(sa.reads_a, 20);

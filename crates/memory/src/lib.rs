@@ -17,6 +17,12 @@
 //!
 //! The [`bandwidth`] module provides the windowed bytes-per-cycle profiler
 //! both SRAM and DRAM reporting share.
+//!
+//! Every address stream in this crate's API is an [`AddrRuns`] ([`runs`]):
+//! ordered `(start, len)` runs, walked per run. The element-granular models
+//! these replaced — a hash-set FIFO, an element-walk reuse profile, a
+//! `BTreeMap` interval set — are the test suite's oracle and live with it,
+//! in the workspace's `tests/src/oracle.rs`; nothing here depends on them.
 
 pub mod address;
 pub mod arena;
@@ -24,20 +30,16 @@ pub mod bandwidth;
 pub mod buffer;
 pub mod dram;
 pub mod dram_trace;
-pub mod fast_hash;
 pub mod reuse;
 pub mod runs;
-#[cfg(any(test, feature = "scalar-twins"))]
-pub mod scalar;
 pub mod stall;
 
 pub use address::{AddressMap, ConvAddressMap, GemmAddressMap, RegionOffsets, SubGemmMap};
 pub use arena::BufferPool;
 pub use bandwidth::BandwidthProfile;
-pub use buffer::{DoubleBuffer, EpochStats, RunBuffer};
+pub use buffer::{EpochStats, RunBuffer};
 pub use dram::{DramModel, DramSummary, FoldTraffic, OperandBufferSpec};
 pub use dram_trace::DramTraceWriter;
-pub use fast_hash::{AddrBuildHasher, AddrMap, AddrSet};
 pub use reuse::{ReuseProfile, ReuseScratch};
 pub use runs::{AddrRun, AddrRuns, IntervalSet};
 pub use stall::{StallModel, StallSummary};

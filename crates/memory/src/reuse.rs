@@ -9,7 +9,6 @@
 //! profiles LRU stack distances, which upper-bounds the FIFO buffer's hit
 //! rate and pinpoints the working-set knees exactly.
 
-use crate::fast_hash::AddrMap;
 use crate::runs::{AddrRuns, IntervalSet};
 
 /// Histogram of LRU stack distances for a demand stream.
@@ -28,51 +27,15 @@ pub struct ReuseProfile {
 }
 
 impl ReuseProfile {
-    /// Builds the profile of `demands` (processed in order).
-    ///
-    /// Runs in O(N log N) using an order-statistics walk over a Fenwick
-    /// tree of "most-recent-touch" flags. The stream is consumed as it
-    /// arrives — the Fenwick tree grows by doubling (with an O(n) rebuild
-    /// from its kept value array), so no pass materializes the stream.
-    pub fn from_demands(demands: impl IntoIterator<Item = u64>) -> Self {
-        let mut last_position: AddrMap<usize> = AddrMap::default();
-        let mut fenwick = Fenwick::new();
-        let mut histogram: Vec<u64> = Vec::new();
-        let mut cold = 0u64;
-        let mut total = 0u64;
-        for (pos, addr) in demands.into_iter().enumerate() {
-            total += 1;
-            match last_position.insert(addr, pos) {
-                None => cold += 1,
-                Some(prev) => {
-                    // Distinct addresses touched strictly between prev and
-                    // pos = live flags in (prev, pos).
-                    let distance = fenwick.range_count(prev + 1, pos);
-                    if histogram.len() <= distance {
-                        histogram.resize(distance + 1, 0);
-                    }
-                    histogram[distance] += 1;
-                    // The previous touch position is no longer the last one.
-                    fenwick.clear(prev);
-                }
-            }
-            fenwick.set(pos);
-        }
-        ReuseProfile {
-            histogram,
-            cold,
-            total,
-        }
-    }
-
     /// Builds the profile from a run-compressed demand stream without
     /// expanding it: O(R · log R) in the number of runs and last-touch
     /// segments instead of O(N log N) elements.
     ///
     /// Each run must be internally ascending and duplicate-free (true of
     /// every [`AddrRuns`] run by construction — a run *is* a contiguous
-    /// ascending interval). The result is identical to
-    /// [`ReuseProfile::from_demands`] over the expanded element stream.
+    /// ascending interval). The result is the one the classic element walk
+    /// (one Fenwick flag per access position; the test suite's oracle)
+    /// gives over the expanded element stream.
     ///
     /// The key observation: for every element of a maximal segment whose
     /// previous touch lies in the same earlier run, the LRU stack distance
@@ -270,57 +233,23 @@ fn splice_segments(
     }
 }
 
-/// A growable Fenwick (binary indexed) tree over access positions.
-///
-/// Fenwick trees cannot be grown by zero-extension (new nodes would miss
-/// counts already recorded below them), so the raw per-index values are
-/// kept alongside: growth doubles the value array and rebuilds the tree in
-/// O(n), amortizing to O(1) per insertion. `reset` re-sizes in place for
-/// scratch reuse.
+/// A Fenwick (binary indexed) tree over run indices, sized by `reset` to
+/// the stream being profiled.
 #[derive(Debug, Default)]
 struct Fenwick {
     tree: Vec<i64>,
-    values: Vec<i64>,
 }
 
 impl Fenwick {
-    fn new() -> Self {
-        Fenwick::default()
-    }
-
-    /// Zeroes the tree at exactly `len` positions, keeping allocations.
+    /// Zeroes the tree at exactly `len` positions, keeping the allocation.
     fn reset(&mut self, len: usize) {
-        self.values.clear();
-        self.values.resize(len, 0);
         self.tree.clear();
         self.tree.resize(len, 0);
     }
 
-    fn ensure(&mut self, index: usize) {
-        if index < self.values.len() {
-            return;
-        }
-        self.values.resize((index + 1).next_power_of_two(), 0);
-        self.rebuild();
-    }
-
-    /// O(n) tree construction from the value array.
-    fn rebuild(&mut self) {
-        let n = self.values.len();
-        self.tree.clear();
-        self.tree.extend_from_slice(&self.values);
-        for i in 0..n {
-            let j = i | (i + 1);
-            if j < n {
-                self.tree[j] += self.tree[i];
-            }
-        }
-    }
-
     fn add(&mut self, index: usize, delta: i64) {
-        self.ensure(index);
-        self.values[index] += delta;
         let n = self.tree.len();
+        debug_assert!(index < n, "run {index} of a {n}-run stream");
         let mut i = index;
         while i < n {
             self.tree[i] += delta;
@@ -328,15 +257,7 @@ impl Fenwick {
         }
     }
 
-    fn set(&mut self, index: usize) {
-        self.add(index, 1);
-    }
-
-    fn clear(&mut self, index: usize) {
-        self.add(index, -1);
-    }
-
-    /// Sum of flags in `[0, end)`.
+    /// Sum of counts in `[0, end)`.
     fn prefix(&self, end: usize) -> i64 {
         let mut sum = 0;
         let mut i = end.min(self.tree.len());
@@ -347,19 +268,12 @@ impl Fenwick {
         sum
     }
 
-    /// Count of set flags with positions in `[lo, hi)`.
-    fn range_count(&self, lo: usize, hi: usize) -> usize {
+    /// Sum of the (nonnegative) live-element counts of runs `[lo, hi)`.
+    fn range_sum(&self, lo: usize, hi: usize) -> u64 {
         if lo >= hi {
             return 0;
         }
-        (self.prefix(hi) - self.prefix(lo)) as usize
-    }
-
-    /// Sum of (nonnegative) counts in `[lo, hi)` — the same walk as
-    /// [`Fenwick::range_count`], named for the run-granular profile where
-    /// nodes hold live-element counts rather than 0/1 flags.
-    fn range_sum(&self, lo: usize, hi: usize) -> u64 {
-        self.range_count(lo, hi) as u64
+        (self.prefix(hi) - self.prefix(lo)) as u64
     }
 }
 
@@ -367,11 +281,17 @@ impl Fenwick {
 mod tests {
     use super::*;
 
+    /// The profile of an element stream, through the order-preserving
+    /// compression every producer uses.
+    fn profile_of(demands: impl IntoIterator<Item = u64>) -> ReuseProfile {
+        ReuseProfile::from_runs(&demands.into_iter().collect())
+    }
+
     #[test]
     fn cyclic_stream_has_uniform_distance() {
         // a b c a b c a b c: after the cold pass, every access has stack
         // distance 2 (two distinct addresses in between).
-        let profile = ReuseProfile::from_demands([1, 2, 3, 1, 2, 3, 1, 2, 3]);
+        let profile = profile_of([1, 2, 3, 1, 2, 3, 1, 2, 3]);
         assert_eq!(profile.cold_accesses(), 3);
         assert_eq!(profile.total_accesses(), 9);
         assert_eq!(profile.misses_at(2), 3 + 6); // capacity 2 < distance+1
@@ -381,7 +301,7 @@ mod tests {
 
     #[test]
     fn immediate_reuse_has_distance_zero() {
-        let profile = ReuseProfile::from_demands([7, 7, 7, 7]);
+        let profile = profile_of([7, 7, 7, 7]);
         assert_eq!(profile.cold_accesses(), 1);
         assert_eq!(profile.misses_at(1), 1);
         assert_eq!(profile.misses_at(0), 4);
@@ -389,7 +309,7 @@ mod tests {
 
     #[test]
     fn streaming_stream_never_hits() {
-        let profile = ReuseProfile::from_demands(0..100u64);
+        let profile = profile_of(0..100u64);
         assert_eq!(profile.cold_accesses(), 100);
         assert_eq!(profile.misses_at(1_000_000), 100);
         assert_eq!(profile.hit_rate_at(1_000_000), 0.0);
@@ -404,53 +324,15 @@ mod tests {
                 demands.push(a);
             }
         }
-        let profile = ReuseProfile::from_demands(demands);
+        let profile = profile_of(demands);
         let caps: Vec<usize> = (0..10).collect();
         let curve = profile.miss_curve(&caps);
         assert!(curve.windows(2).all(|w| w[0].1 >= w[1].1));
     }
 
     #[test]
-    fn matches_brute_force_lru() {
-        // Reference LRU simulation vs the stack-distance prediction.
-        fn lru_misses(demands: &[u64], capacity: usize) -> u64 {
-            let mut stack: Vec<u64> = Vec::new();
-            let mut misses = 0;
-            for &a in demands {
-                if let Some(idx) = stack.iter().position(|&x| x == a) {
-                    stack.remove(idx);
-                } else {
-                    misses += 1;
-                    if capacity == 0 {
-                        continue;
-                    }
-                    if stack.len() >= capacity {
-                        stack.pop();
-                    }
-                }
-                if capacity > 0 {
-                    stack.insert(0, a);
-                }
-            }
-            misses
-        }
-        let demands: Vec<u64> = [
-            1, 2, 3, 1, 4, 2, 5, 1, 2, 3, 4, 5, 1, 1, 2, 6, 7, 3, 2, 1, 8, 2, 3,
-        ]
-        .to_vec();
-        let profile = ReuseProfile::from_demands(demands.iter().copied());
-        for capacity in 0..10 {
-            assert_eq!(
-                profile.misses_at(capacity),
-                lru_misses(&demands, capacity),
-                "capacity {capacity}"
-            );
-        }
-    }
-
-    #[test]
     fn capacity_for_hit_rate_finds_the_knee() {
-        let profile = ReuseProfile::from_demands([1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3]);
+        let profile = profile_of([1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3]);
         // 9 of 12 accesses can hit with capacity 3.
         assert_eq!(profile.capacity_for_hit_rate(0.7), Some(3));
         // Cold misses cap the hit rate at 75%.
@@ -459,7 +341,7 @@ mod tests {
 
     #[test]
     fn empty_stream() {
-        let profile = ReuseProfile::from_demands(std::iter::empty());
+        let profile = profile_of(std::iter::empty());
         assert_eq!(profile.total_accesses(), 0);
         assert_eq!(profile.misses_at(10), 0);
         assert_eq!(profile.hit_rate_at(10), 0.0);
@@ -473,48 +355,6 @@ mod tests {
             runs.push(start, len);
         }
         runs
-    }
-
-    fn assert_runs_match_demands(intervals: &[(u64, u64)]) {
-        let runs = runs_from_intervals(intervals);
-        let by_runs = ReuseProfile::from_runs(&runs);
-        let by_elems = ReuseProfile::from_demands(runs.iter_elements());
-        assert_eq!(by_runs, by_elems, "intervals {intervals:?}");
-    }
-
-    #[test]
-    fn from_runs_matches_from_demands_on_worked_examples() {
-        // The two hand-verified examples from the derivation.
-        assert_runs_match_demands(&[(0, 5), (5, 3), (0, 8)]);
-        assert_runs_match_demands(&[(10, 10), (0, 5), (0, 30)]);
-        // Disjoint streaming: all cold.
-        assert_runs_match_demands(&[(0, 8), (100, 8), (200, 8)]);
-        // Exact repeat.
-        assert_runs_match_demands(&[(0, 16), (0, 16), (0, 16)]);
-        // Partial overlaps crossing several last-touch segments.
-        assert_runs_match_demands(&[(0, 10), (20, 10), (5, 20), (0, 40), (15, 3), (2, 30)]);
-        // Single-element runs (degenerate to the element algorithm).
-        assert_runs_match_demands(&[(3, 1), (1, 1), (3, 1), (2, 1), (1, 1)]);
-        // Re-touch that splits a previous run's live interval in half.
-        assert_runs_match_demands(&[(0, 30), (10, 5), (0, 30), (12, 1), (0, 13)]);
-    }
-
-    #[test]
-    fn from_runs_matches_from_demands_pseudorandom() {
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 33
-        };
-        for trial in 0..50 {
-            let count = next() % 12 + 1;
-            let intervals: Vec<(u64, u64)> =
-                (0..count).map(|_| (next() % 60, next() % 25 + 1)).collect();
-            let runs = runs_from_intervals(&intervals);
-            let by_runs = ReuseProfile::from_runs(&runs);
-            let by_elems = ReuseProfile::from_demands(runs.iter_elements());
-            assert_eq!(by_runs, by_elems, "trial {trial}: {intervals:?}");
-        }
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! The conv/GEMM address maps emit overwhelmingly *contiguous* addresses:
 //! a GEMM row `A[m][k0..k0+len]` is one run, a conv window row is one run
-//! per filter row. Materializing every element as a `Vec<u64>` (the
-//! original [`fold_demands`](../../scalesim_systolic/fn.fold_demands.html)
-//! representation) makes every downstream model O(elements); representing
-//! the same stream as ordered `(start, len)` intervals makes them O(runs).
+//! per filter row. Materializing every element as a `Vec<u64>` (what the
+//! demand generator first produced) makes every downstream model
+//! O(elements); representing the same stream as ordered `(start, len)`
+//! intervals makes them O(runs).
 //!
 //! Two types live here:
 //!
@@ -24,9 +24,10 @@
 //! hot kernels — bulk append, span probe, union insert, gap walk — then
 //! touch dense homogeneous arrays: probes are `partition_point` binary
 //! searches, bulk appends are `extend_from_slice` (memcpy), and the
-//! length/coverage reductions autovectorize. The previous element-granular
-//! and `BTreeMap`-based implementations survive as scalar twins in
-//! [`crate::scalar`] for differential testing.
+//! length/coverage reductions autovectorize. The element-granular and
+//! `BTreeMap`-based implementations these replaced are the reference the
+//! workspace's property suites compare them against; they live with those
+//! suites (`tests/src/oracle.rs`), not in this crate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -285,8 +286,8 @@ impl FromIterator<u64> for AddrRuns {
 /// increasing, spans never adjacent). Probes are `partition_point` binary
 /// searches; mutations splice with `Vec::insert`/`drain`, which in the
 /// simulator's streams (a handful of live spans, mutations clustered at
-/// the probe point) beats the pointer-chasing `BTreeMap` twin
-/// ([`crate::scalar::ScalarIntervalSet`]) by a wide margin.
+/// the probe point) beats a pointer-chasing `BTreeMap` (the form the test
+/// suite keeps as this type's reference) by a wide margin.
 ///
 /// Supports the queries the run-granular models need: membership span
 /// lookup, next-covered-start, union insert (with fused gap enumeration),

@@ -47,7 +47,7 @@ impl ComputeReport {
 /// The engine assumes the array never stalls (SCALE-Sim's "inside-out"
 /// model, Section II-C): SRAM always delivers operands on time. Whether the
 /// memory system *can* deliver them is answered separately by the DRAM model
-/// fed from [`crate::fold_demands`].
+/// fed from [`crate::fold_demand_runs`].
 ///
 /// ```
 /// use scalesim_systolic::{simulate, ArrayShape, NullSink};

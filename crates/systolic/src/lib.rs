@@ -15,9 +15,12 @@
 //! * [`simulate`] — the vectorized trace engine: emits every SRAM access
 //!   with its cycle stamp to a [`TraceSink`] and returns a
 //!   [`ComputeReport`].
-//! * [`fold_demands`] — the fold-granular demand stream (unique addresses
-//!   per fold) that feeds the DRAM double-buffer model; orders of magnitude
-//!   cheaper than full traces and provably consistent with them.
+//! * [`fold_demand_runs`] — the fold-granular demand stream (unique
+//!   addresses per fold, as address runs) that feeds the DRAM double-buffer
+//!   model; orders of magnitude cheaper than full traces and provably
+//!   consistent with them. [`fold_demands`] enumerates the same demand one
+//!   real address at a time: the form DRAM trace export prints, and the
+//!   reference the run generator is tested against.
 //! * [`pe_grid`] — a register-level golden model: a literal grid of MAC
 //!   PEs with store-and-forward links, computing real values. This is the
 //!   stand-in for the RTL implementation the paper validates against in
@@ -54,7 +57,7 @@ mod ws;
 
 pub use crate::array::ArrayShape;
 pub use crate::demand::{
-    fold_demand_runs, fold_demand_runs_in, fold_demands, FoldDemand, FoldDemandRuns, FoldDemands,
+    fold_demand_runs, fold_demand_runs_in, fold_demands, FoldDemandRuns, FoldDemands,
     FoldDemandsRuns,
 };
 pub use crate::engine::{analyze, simulate, ComputeReport};

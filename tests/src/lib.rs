@@ -1,5 +1,9 @@
 //! Integration tests for scale-sim-rs live in `tests/tests/`; what several
-//! of them share lives here.
+//! of them share lives here: a watchdog for tests that could hang, and
+//! [`oracle`], the element-granular reference model the differential
+//! suites compare `scalesim-memory` against.
+
+pub mod oracle;
 
 use std::sync::mpsc;
 use std::thread;

@@ -1,9 +1,13 @@
-//! Equivalence properties for the run-compressed hot path: the
-//! interval-compressed demand streams ([`fold_demand_runs`]) driven through
-//! the run-native DRAM model must be indistinguishable — fold for fold,
-//! count for count, stall for stall — from the element-granular legacy
-//! path ([`fold_demands`] + `DramModel::fold`) on any workload, dataflow
-//! and buffer sizing.
+//! Equivalence properties for the run-compressed hot path: the demand
+//! streams of [`fold_demand_runs`] (canonical B/O labels, sealed A streams
+//! answered from fixed points) driven through the DRAM model must be
+//! indistinguishable — fold for fold, count for count, stall for stall —
+//! from the reference enumeration [`fold_demands`] (real addresses pushed
+//! one at a time, never sealed, so every epoch is walked; "legacy" below)
+//! on any workload, dataflow and buffer sizing. The buffer under both is
+//! `RunBuffer`, itself compared against the element-granular
+//! `DoubleBuffer` of the oracle at the end of this file and in
+//! `kernel_equiv_props.rs`.
 //!
 //! The contract being checked (see `scalesim_systolic::demand`): the A
 //! stream carries *real* addresses in first-use order and must match the
@@ -18,9 +22,10 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 
+use scalesim_integration::oracle::DoubleBuffer;
 use scalesim_memory::{
-    AddrRuns, ConvAddressMap, DoubleBuffer, DramModel, GemmAddressMap, IntervalSet,
-    OperandBufferSpec, RegionOffsets, RunBuffer, StallModel, SubGemmMap,
+    AddrRuns, ConvAddressMap, DramModel, GemmAddressMap, IntervalSet, OperandBufferSpec,
+    RegionOffsets, RunBuffer, StallModel, SubGemmMap,
 };
 use scalesim_systolic::{fold_demand_runs, fold_demands, ArrayShape, Dataflow, FoldPlan};
 use scalesim_topology::{ConvLayerBuilder, GemmShape};
@@ -52,7 +57,7 @@ fn check_paths_agree(
 
     for (ld, rd) in legacy.into_iter().zip(runs) {
         prop_assert_eq!(ld.fold, rd.fold);
-        let lt = legacy_dram.fold(ld.fold.duration, ld.a, ld.b, ld.o_spill, ld.o_writes);
+        let lt = legacy_dram.fold_runs(ld.fold.duration, &ld.a, &ld.b, &ld.o_spill, &ld.o_writes);
         let rt = runs_dram.fold_runs(rd.fold.duration, &rd.a, &rd.b, &rd.o_spill, &rd.o_writes);
         prop_assert_eq!(lt, rt, "per-fold traffic must agree");
         legacy_stall.fold(lt.duration, lt.read_bytes, lt.write_bytes);
@@ -84,9 +89,9 @@ fn check_streams_are_faithful(
         rev: HashMap<u64, u64>,
     }
     impl Bijection {
-        fn check(&mut self, legacy: &[u64], runs: &AddrRuns) -> Result<(), TestCaseError> {
-            prop_assert_eq!(legacy.len() as u64, runs.element_count());
-            for (&addr, label) in legacy.iter().zip(runs.iter_elements()) {
+        fn check(&mut self, legacy: &AddrRuns, runs: &AddrRuns) -> Result<(), TestCaseError> {
+            prop_assert_eq!(legacy.element_count(), runs.element_count());
+            for (addr, label) in legacy.iter_elements().zip(runs.iter_elements()) {
                 let seen = *self.fwd.entry(addr).or_insert(label);
                 prop_assert_eq!(seen, label, "one address, two labels");
                 let seen = *self.rev.entry(label).or_insert(addr);
@@ -100,8 +105,8 @@ fn check_streams_are_faithful(
 
     for (ld, rd) in legacy.iter().zip(&runs) {
         // A: real addresses, first-use order, element for element.
-        let a_elems: Vec<u64> = rd.a.iter_elements().collect();
-        prop_assert_eq!(&ld.a, &a_elems, "A must carry real addresses");
+        prop_assert_eq!(&ld.a, &rd.a, "A must carry real addresses");
+        prop_assert_eq!(ld.a.seal(), 0, "the reference is walked, never answered");
         b_map.check(&ld.b, &rd.b)?;
         o_map.check(&ld.o_spill, &rd.o_spill)?;
         o_map.check(&ld.o_writes, &rd.o_writes)?;
@@ -113,7 +118,7 @@ fn check_streams_are_faithful(
 /// rarely reach: OS and WS (one A stream per fold row), at least three
 /// folds per fold row, and an IFMAP buffer smaller than that stream, so
 /// the repeats thrash (rule 3) — next to sizes where they fit (rule 2)
-/// and hit (rule 1). The legacy `fold()` side builds unsealed streams and
+/// and hit (rule 1). The `fold_demands` side yields unsealed streams and
 /// is walked every fold: it is the oracle.
 #[test]
 fn fixed_point_epochs_match_the_element_path_on_thrashing_fold_rows() {

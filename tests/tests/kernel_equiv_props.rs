@@ -1,9 +1,11 @@
 //! Differential properties for the data-oriented (SoA) hot-path kernels.
 //!
-//! Every optimized kernel in `scalesim-memory` keeps its original scalar
-//! implementation as a twin (`scalesim_memory::scalar`, compiled under the
-//! `scalar-twins` feature). This suite drives both sides with identical
-//! inputs — random and adversarial — and asserts observational equality:
+//! Every optimized kernel in `scalesim-memory` replaced an obvious scalar
+//! implementation, and each of those is kept as the kernel's twin in the
+//! test suite's oracle (`scalesim_integration::oracle`, `tests/src/`). This
+//! suite drives both sides with identical inputs — random, adversarial and
+//! the hand-written cases that were the kernels' unit tests — and asserts
+//! observational equality:
 //!
 //! * `IntervalSet` (parallel sorted vectors, binary probes, fused
 //!   insert-with-gaps) ≡ `ScalarIntervalSet` (the original `BTreeMap`).
@@ -11,8 +13,8 @@
 //! * `RunBuffer` (span-batched FIFO) ≡ `DoubleBuffer` (element-granular
 //!   FIFO) on real OS/WS/IS demand streams from conv and GEMM layers.
 //! * `ReuseProfile::from_runs` (batched per-span Fenwick updates) ≡
-//!   `ReuseProfile::from_demands` (element walk) — `from_demands` is the
-//!   scalar twin of the run-granular profile.
+//!   `ElementReuseProfile::from_demands` (element walk), the scalar twin
+//!   of the run-granular profile.
 //! * The production fold loop (arena-pooled buffers, lending demand
 //!   iterator, deferred output installs) performs **zero heap allocation**
 //!   once warm, measured with a counting global allocator — also for the
@@ -22,9 +24,11 @@ use proptest::prelude::*;
 
 use scalesim::exec::Executor;
 use scalesim::{PartitionGrid, SimConfig, Simulator};
-use scalesim_memory::scalar::{extend_runs_scalar, ScalarIntervalSet};
+use scalesim_integration::oracle::{
+    extend_runs_scalar, DoubleBuffer, ElementReuseProfile, ScalarIntervalSet,
+};
 use scalesim_memory::{
-    AddrRuns, BufferPool, ConvAddressMap, DoubleBuffer, DramModel, GemmAddressMap, IntervalSet,
+    AddrRuns, BufferPool, ConvAddressMap, DramModel, EpochStats, GemmAddressMap, IntervalSet,
     OperandBufferSpec, RegionOffsets, ReuseProfile, RunBuffer,
 };
 use scalesim_systolic::{
@@ -247,15 +251,8 @@ proptest! {
         right in prop::collection::vec((0u64..300, 0u64..12), 0..12),
         force_adjacent in (0u64..2).prop_map(|b| b == 1),
     ) {
-        let build = |spans: &[(u64, u64)]| {
-            let mut runs = AddrRuns::new();
-            for &(s, l) in spans {
-                runs.push(s, l);
-            }
-            runs
-        };
-        let base = build(&left);
-        let mut other = build(&right);
+        let base = runs_from_intervals(&left);
+        let mut other = runs_from_intervals(&right);
         if force_adjacent {
             // Adversarial: make `other` start exactly where `base` ends, so
             // the boundary pair must coalesce.
@@ -287,13 +284,10 @@ proptest! {
     fn reuse_from_runs_matches_element_twin(
         spans in prop::collection::vec((0u64..80, 1u64..30), 1..20),
     ) {
-        let mut runs = AddrRuns::new();
-        for &(s, l) in &spans {
-            runs.push(s, l);
-        }
+        let runs = runs_from_intervals(&spans);
         let by_runs = ReuseProfile::from_runs(&runs);
-        let by_elems = ReuseProfile::from_demands(runs.iter_elements());
-        prop_assert_eq!(by_runs, by_elems);
+        let by_elems = ElementReuseProfile::from_demands(runs.iter_elements());
+        prop_assert_eq!(by_elems, by_runs);
     }
 }
 
@@ -343,6 +337,202 @@ fn interval_set_adversarial_cases_match_scalar_twin() {
             });
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// ReuseProfile::from_runs ≡ the element walk, hand-written cases
+// ---------------------------------------------------------------------------
+
+/// The stream of `(start, len)` pushes, coalescing as the generators do.
+fn runs_from_intervals(intervals: &[(u64, u64)]) -> AddrRuns {
+    let mut runs = AddrRuns::new();
+    for &(start, len) in intervals {
+        runs.push(start, len);
+    }
+    runs
+}
+
+#[test]
+fn from_runs_matches_from_demands_on_worked_examples() {
+    // The two hand-verified examples from the derivation.
+    assert_runs_match_demands(&[(0, 5), (5, 3), (0, 8)]);
+    assert_runs_match_demands(&[(10, 10), (0, 5), (0, 30)]);
+    // Disjoint streaming: all cold.
+    assert_runs_match_demands(&[(0, 8), (100, 8), (200, 8)]);
+    // Exact repeat.
+    assert_runs_match_demands(&[(0, 16), (0, 16), (0, 16)]);
+    // Partial overlaps crossing several last-touch segments.
+    assert_runs_match_demands(&[(0, 10), (20, 10), (5, 20), (0, 40), (15, 3), (2, 30)]);
+    // Single-element runs (degenerate to the element algorithm).
+    assert_runs_match_demands(&[(3, 1), (1, 1), (3, 1), (2, 1), (1, 1)]);
+    // Re-touch that splits a previous run's live interval in half.
+    assert_runs_match_demands(&[(0, 30), (10, 5), (0, 30), (12, 1), (0, 13)]);
+}
+
+#[test]
+fn from_runs_matches_from_demands_pseudorandom() {
+    let mut state = 0x9e3779b97f4a7c15u64;
+    let mut next = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        state >> 33
+    };
+    for _ in 0..50 {
+        let count = next() % 12 + 1;
+        let intervals: Vec<(u64, u64)> =
+            (0..count).map(|_| (next() % 60, next() % 25 + 1)).collect();
+        assert_runs_match_demands(&intervals);
+    }
+}
+
+fn assert_runs_match_demands(intervals: &[(u64, u64)]) {
+    let runs = runs_from_intervals(intervals);
+    let by_runs = ReuseProfile::from_runs(&runs);
+    let by_elems = ElementReuseProfile::from_demands(runs.iter_elements());
+    assert_eq!(by_elems, by_runs, "intervals {intervals:?}");
+}
+
+// ---------------------------------------------------------------------------
+// RunBuffer ≡ DoubleBuffer, hand-written cases
+// ---------------------------------------------------------------------------
+
+fn runs_of(elems: &[u64]) -> AddrRuns {
+    elems.iter().copied().collect()
+}
+
+#[test]
+fn run_buffer_matches_double_buffer_basics() {
+    let mut db = DoubleBuffer::new(3);
+    let mut rb = RunBuffer::new(3);
+    for epoch in [&[1u64, 2, 3][..], &[4], &[2, 3, 4], &[10, 11, 12, 13]] {
+        let ds = db.epoch(epoch.iter().copied());
+        let rs = rb.epoch(&runs_of(epoch));
+        assert_eq!(ds, rs, "epoch {epoch:?}");
+        assert_eq!(db.resident_count() as u64, rb.resident_count());
+        for addr in 0..20 {
+            assert_eq!(db.contains(addr), rb.contains(addr), "addr {addr}");
+        }
+    }
+}
+
+#[test]
+fn run_buffer_self_evicts_oversized_segment() {
+    // A single 8-element run through a 4-entry buffer keeps its tail,
+    // exactly as the element-wise FIFO does.
+    let mut db = DoubleBuffer::new(4);
+    let mut rb = RunBuffer::new(4);
+    let elems: Vec<u64> = (0..8).collect();
+    assert_eq!(db.epoch(elems.iter().copied()), rb.epoch(&runs_of(&elems)));
+    for addr in 0..8 {
+        assert_eq!(db.contains(addr), rb.contains(addr));
+    }
+    assert!(rb.contains(7) && !rb.contains(3));
+}
+
+#[test]
+fn run_buffer_install_matches_element_install() {
+    let mut db = DoubleBuffer::new(2);
+    let mut rb = RunBuffer::new(2);
+    let installs = [1u64, 2, 3, 3];
+    let mut db_ev = 0;
+    for &addr in &installs {
+        db_ev += db.install(addr);
+    }
+    let mut rb_ev = 0;
+    for &addr in &installs {
+        rb_ev += rb.install(&runs_of(&[addr]));
+    }
+    assert_eq!(db_ev, rb_ev);
+    for addr in 0..5 {
+        assert_eq!(db.contains(addr), rb.contains(addr));
+    }
+    assert_eq!(rb.epoch(&runs_of(&[2, 3])).hits, 2);
+}
+
+#[test]
+fn run_buffer_epoch_with_misses_orders_like_element_path() {
+    let mut db = DoubleBuffer::new(4);
+    let mut rb = RunBuffer::new(4);
+    db.epoch([10u64, 11].iter().copied());
+    rb.epoch(&runs_of(&[10, 11]));
+    // 10, 11 hit; 12, 13 then 5 miss (two separate runs).
+    let (ds, dm) = db.epoch_with_misses([10u64, 11, 12, 13, 5].iter().copied());
+    let mut rm = AddrRuns::new();
+    let rs = rb.epoch_with_misses(&runs_of(&[10, 11, 12, 13, 5]), &mut rm);
+    assert_eq!(ds, rs);
+    assert_eq!(dm, rm.iter_elements().collect::<Vec<u64>>());
+}
+
+#[test]
+fn run_buffer_thrash_matches_double_buffer() {
+    // Alternating working sets through a small buffer: a stress of the
+    // eviction bookkeeping across many epochs.
+    let mut db = DoubleBuffer::new(16);
+    let mut rb = RunBuffer::new(16);
+    for round in 0..20u64 {
+        let base = (round % 3) * 10;
+        let elems: Vec<u64> = (base..base + 12).chain(100..104).collect();
+        let ds = db.epoch(elems.iter().copied());
+        let rs = rb.epoch(&runs_of(&elems));
+        assert_eq!(ds, rs, "round {round}");
+        assert_eq!(db.resident_count() as u64, rb.resident_count());
+        for addr in 0..110 {
+            assert_eq!(db.contains(addr), rb.contains(addr));
+        }
+    }
+}
+
+#[test]
+fn sealed_repeats_are_answered_from_the_fixed_point() {
+    let stats = |hits, misses, evictions| EpochStats {
+        hits,
+        misses,
+        evictions,
+    };
+    // The stream, `S = 12` in two runs, and one `(capacity, pre-state)` per
+    // fixed point its first epoch can end in — all hits (rule 1), no
+    // eviction (rule 2), all misses of more than a bufferful (rule 3) —
+    // with the first epoch's stats, every later epoch's, and how many of
+    // five epochs are walked.
+    const STREAM: [u64; 12] = [10, 11, 12, 13, 14, 15, 40, 41, 42, 43, 44, 45];
+    let cases: [(u64, &[u64], EpochStats, EpochStats, u64); 3] = [
+        (64, &STREAM, stats(12, 0, 0), stats(12, 0, 0), 1),
+        (64, &[], stats(0, 12, 0), stats(12, 0, 0), 1),
+        (5, &[], stats(0, 12, 7), stats(0, 12, 12), 1),
+    ];
+    let mut stream = runs_of(&STREAM);
+    stream.seal_distinct();
+    for (capacity, pre, first, repeat, walks) in cases {
+        let mut rb = RunBuffer::new(capacity);
+        let mut db = DoubleBuffer::new(capacity as usize);
+        rb.epoch(&runs_of(pre));
+        db.epoch(pre.iter().copied());
+        let walked_before = rb.walked_epochs();
+        for epoch in 0..5 {
+            let rs = rb.epoch(&stream);
+            assert_eq!(rs, db.epoch(STREAM), "capacity {capacity}, epoch {epoch}");
+            assert_eq!(rs, if epoch == 0 { first } else { repeat });
+            assert_eq!(rb.resident_count(), db.resident_count() as u64);
+            for addr in 0..120 {
+                assert_eq!(rb.contains(addr), db.contains(addr), "addr {addr}");
+            }
+        }
+        assert_eq!(rb.walked_epochs() - walked_before, walks);
+    }
+}
+
+#[test]
+fn an_unsealed_duplicate_stream_is_walked_every_time() {
+    // The counter-example to rule 3 on a stream that repeats an
+    // address: through a capacity of 2 it ends holding {3, 1}, so the
+    // second epoch hits its leading 1. Unsealed, it is simply walked.
+    let dup = runs_of(&[1, 2, 3, 1]);
+    let mut rb = RunBuffer::new(2);
+    let mut db = DoubleBuffer::new(2);
+    for _ in 0..3 {
+        assert_eq!(rb.epoch(&dup), db.epoch([1, 2, 3, 1]));
+    }
+    assert_eq!(rb.epoch(&dup).hits, 1);
+    assert_eq!(rb.walked_epochs(), 4);
 }
 
 // ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ proptest! {
 
         let mut dram = DramModel::new(spec(buf_bytes), spec(buf_bytes), spec(buf_bytes));
         for d in fold_demands(&dims, array, &map) {
-            dram.fold(d.fold.duration, d.a, d.b, d.o_spill, d.o_writes);
+            dram.fold_runs(d.fold.duration, &d.a, &d.b, &d.o_spill, &d.o_writes);
         }
         let summary = dram.finish();
         let report = analyze(&dims, array);
@@ -85,7 +85,7 @@ proptest! {
         let huge = spec(1 << 30);
         let mut dram = DramModel::new(huge, huge, huge);
         for d in fold_demands(&dims, array, &map) {
-            dram.fold(d.fold.duration, d.a, d.b, d.o_spill, d.o_writes);
+            dram.fold_runs(d.fold.duration, &d.a, &d.b, &d.o_spill, &d.o_writes);
         }
         let summary = dram.finish();
         // With infinite capacity each unique address misses exactly once.
@@ -110,7 +110,7 @@ proptest! {
         for bytes in [1u64 << 20, 4096, 256] {
             let mut dram = DramModel::new(spec(bytes), spec(bytes), spec(bytes));
             for d in fold_demands(&dims, array, &map) {
-                dram.fold(d.fold.duration, d.a, d.b, d.o_spill, d.o_writes);
+                dram.fold_runs(d.fold.duration, &d.a, &d.b, &d.o_spill, &d.o_writes);
             }
             totals.push(dram.finish().read_bytes());
         }
@@ -142,7 +142,7 @@ fn conv_reuse_collapses_dram_reads() {
     let huge = spec(1 << 30);
     let mut dram = DramModel::new(huge, huge, huge);
     for d in fold_demands(&dims, array, &map) {
-        dram.fold(d.fold.duration, d.a, d.b, d.o_spill, d.o_writes);
+        dram.fold_runs(d.fold.duration, &d.a, &d.b, &d.o_spill, &d.o_writes);
     }
     let summary = dram.finish();
     let report = analyze(&dims, array);
