@@ -12,9 +12,10 @@
 //! allocation.
 //!
 //! The arena is deliberately thread-local rather than passed down the call
-//! stack: `Simulator::run_layer` is a public, re-entrant API and partition
-//! workers are plain scoped threads, so per-thread storage gives every
-//! worker a private arena without threading `&mut` through the facade.
+//! stack: `Simulator::run_layer` is a public API called from sweep
+//! workers, server workers and library callers alike, so per-thread
+//! storage gives every simulating thread a private arena without threading
+//! `&mut` through the facade.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,7 +26,7 @@ use scalesim_systolic::FoldDemandRuns;
 /// Reusable per-worker scratch for the layer fold loop.
 ///
 /// One arena lives on each thread that runs simulations (sweep workers,
-/// partition workers, the caller's own thread). All fields start empty and
+/// server workers, the caller's own thread). All fields start empty and
 /// grow to the largest working set the thread has seen.
 #[derive(Debug, Default)]
 pub struct SimArena {

@@ -40,17 +40,17 @@
 //! it over mid-batch measured `pass_s` ×1.057 there (0 of 10 pairs won);
 //! from the last index it is ×1.004. DESIGN.md §3.9 has the measurements.
 //!
-//! The executor's workers are the threads that simulate: a layer run
-//! inside a task keeps its partition tiles on the worker (see
-//! `Simulator::run_layer`), so a pool of `N` workers means `N` simulating
-//! threads, each with one warm arena.
+//! The executor's workers are the threads that simulate:
+//! `Simulator::run_layer` spawns nothing — a partitioned layer's tile
+//! classes run one after the other on the thread that called it — so a
+//! pool of `N` workers means `N` simulating threads, each with one warm
+//! arena.
 //!
 //! Determinism is unaffected by stealing: tasks only *compute* (each
 //! writes its own result slot), and result consumers assemble or emit in
 //! a fixed order — which worker ran a task, and when, is invisible in the
 //! output.
 
-use std::cell::Cell;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -249,40 +249,6 @@ pub struct ExecSummary {
     pub worker_busy: Vec<f64>,
 }
 
-thread_local! {
-    /// True while this thread is inside [`Executor::run_worker`].
-    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the calling thread is currently running an [`Executor`]'s
-/// schedule loop. Work that would otherwise fan out over fresh threads
-/// (a layer's partition tiles) stays on the worker instead: the pool's
-/// worker count is then the bound on simulating threads, and the tiles
-/// reuse the worker's warm [`crate::arena::SimArena`].
-pub(crate) fn on_worker() -> bool {
-    ON_WORKER.with(Cell::get)
-}
-
-/// Marks the thread as an executor worker until dropped (restoring the
-/// previous mark, so a nested `run_worker` leaves the outer one intact).
-struct WorkerMark {
-    outer: bool,
-}
-
-impl WorkerMark {
-    fn set() -> WorkerMark {
-        WorkerMark {
-            outer: ON_WORKER.with(|mark| mark.replace(true)),
-        }
-    }
-}
-
-impl Drop for WorkerMark {
-    fn drop(&mut self) {
-        ON_WORKER.with(|mark| mark.set(self.outer));
-    }
-}
-
 /// A panic-safe executor over a fixed task set.
 ///
 /// Construction cuts the task indices `0..tasks` into one contiguous
@@ -354,7 +320,6 @@ impl Executor {
         F: Fn(usize),
         L: Fn(usize) -> String,
     {
-        let _mark = WorkerMark::set();
         let started = Instant::now();
         let stats = &self.stats[worker];
         let mut result = None;
@@ -447,10 +412,6 @@ impl Executor {
 /// a typed [`SimError`] instead of unwinding. `faults` is applied once per
 /// layer, keyed by the topology name; pass an empty plan outside tests.
 ///
-/// The caller is a pool's simulating thread (the server's workers), so it
-/// is marked as one for the duration, like an [`Executor`] worker: a
-/// partitioned layer's tiles run on it instead of on fresh threads.
-///
 /// # Errors
 ///
 /// The first layer's panic, as a [`SimError`].
@@ -459,7 +420,6 @@ pub fn run_topology_guarded(
     topology: &Topology,
     faults: &FaultPlan,
 ) -> Result<NetworkReport, SimError> {
-    let _mark = WorkerMark::set();
     let name = topology.name();
     // Sized exactly: the report outlives the run in result caches, and
     // collecting through `Result` would leave the vector room to spare.

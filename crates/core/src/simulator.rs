@@ -2,7 +2,6 @@
 //! partitioned, cycle-accurate compute plus the DRAM interface model.
 
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,9 +26,10 @@ use crate::report::{LayerReport, NetworkReport};
 /// With the default 1×1 grid this is the classic monolithic tool; with a
 /// larger grid every layer's output space is tiled across `P_R × P_C`
 /// identical arrays that execute in parallel, with the SRAM budget divided
-/// evenly (Sections III-C / IV-A of the paper). Partitions are simulated
-/// concurrently on OS threads, except inside a sweep, explore or server
-/// worker, which simulates them in tile order itself.
+/// evenly (Sections III-C / IV-A of the paper). A layer costs one
+/// simulation per *class* of tiles, not per tile — tiles of equal extent
+/// and equal [`AddressMap::a_row_phase`] are the same problem — on the
+/// calling thread, whichever thread that is.
 ///
 /// See the crate-level docs for examples.
 #[derive(Debug, Clone)]
@@ -115,7 +115,7 @@ impl Simulator {
     pub fn run_layer(&self, layer: &Layer) -> LayerReport {
         let started = Instant::now();
         let _span = scalesim_telemetry::span!("run_layer", layer = layer.name());
-        let phases = PhaseNanos::default();
+        let mut phases = PhaseNanos::default();
         let shape = layer.shape();
         let config = self.effective_config(layer);
 
@@ -153,33 +153,45 @@ impl Simulator {
 
         let map = layer_map(layer, &config);
         let tiles = partition_tiles(shape, self.grid);
-        let provisioned = self.grid.count();
-
-        // Each partition gets an even share of the interface bandwidth.
-        let per_partition_bw = config.dram_bandwidth.map(|bw| bw / provisioned as f64);
-        let volume = DemandVolume::default();
-        let results = run_partitions(
+        let mut volume = DemandVolume::default();
+        let (results, class_of) = LayerRun::new(self.grid, shape, &config, &*map).run_partitions(
             &tiles,
-            &*map,
-            shape,
-            &config,
-            provisioned,
-            per_partition_bw,
-            &phases,
-            &volume,
+            &mut phases,
+            &mut volume,
         );
         record_demand_telemetry(&volume);
 
-        // Aggregate across partitions, consuming the per-partition results
-        // in place rather than cloning summaries out of them.
-        let active_partitions = results.len();
+        // Every tile's result in tile order, read from its class. A class
+        // result is replayed once per member rather than scaled by the
+        // class's size, so the sums in `aggregate` are the same additions
+        // in the same order as if every tile had been simulated — `f64`
+        // addition is not associative, and the reports are pinned byte for
+        // byte.
+        let tiles = class_of.iter().map(|&class| &results[class]);
+        let report = self.aggregate(layer, &config, tiles, &mut phases);
+        layer_cache::store(cache_key, Arc::new(report.clone()));
+        record_layer_telemetry(&report, started.elapsed(), &phases);
+        report
+    }
+
+    /// Merges the results of a layer's partitions — one item per active
+    /// tile, in tile order — into the layer's report.
+    fn aggregate<'a>(
+        &self,
+        layer: &Layer,
+        config: &SimConfig,
+        tiles: impl ExactSizeIterator<Item = &'a TileResult>,
+        phases: &mut PhaseNanos,
+    ) -> LayerReport {
+        let provisioned = self.grid.count();
+        let active_partitions = tiles.len();
         let mut per_partition_cycles = Vec::with_capacity(active_partitions);
         let mut sram = SramCounts::default();
         let mut dram = DramSummary::default();
         let mut mapping_util_sum = 0.0;
         let mut total_cycles = 0u64;
         let mut worst_stall: Option<StallSummary> = None;
-        for (compute, part_dram, part_stall) in results {
+        for (compute, part_dram, part_stall) in tiles {
             per_partition_cycles.push(compute.total_cycles);
             total_cycles = total_cycles.max(compute.total_cycles);
             sram.a_reads += compute.sram.a_reads;
@@ -188,11 +200,11 @@ impl Simulator {
             sram.o_writes += compute.sram.o_writes;
             mapping_util_sum += compute.mapping_utilization;
             if dram.folds == 0 && dram.total_accesses() == 0 {
-                dram = part_dram;
+                dram = part_dram.clone();
             } else {
-                dram.merge_concurrent(&part_dram);
+                dram.merge_concurrent(part_dram);
             }
-            if let Some(ps) = part_stall {
+            if let Some(ps) = *part_stall {
                 let slower = match &worst_stall {
                     Some(ws) => ps.stalled_cycles > ws.stalled_cycles,
                     None => true,
@@ -229,7 +241,7 @@ impl Simulator {
             }
         });
 
-        let mac_ops = shape.macs();
+        let mac_ops = layer.shape().macs();
         // Idle accounting covers every provisioned PE for the whole layer
         // runtime — including partitions that finished early or had no work.
         let pe_cycles = provisioned * config.array.macs() * total_cycles;
@@ -239,9 +251,9 @@ impl Simulator {
             self.energy_model
                 .evaluate(mac_ops, pe_cycles, sram.total(), dram.total_accesses())
         };
-        phases.add_energy(energy_started.elapsed());
+        phases.energy += energy_started.elapsed().as_nanos() as u64;
 
-        let report = LayerReport {
+        LayerReport {
             name: layer.name().to_owned(),
             grid: self.grid,
             array: config.array,
@@ -265,10 +277,7 @@ impl Simulator {
             },
             energy,
             stall,
-        };
-        layer_cache::store(cache_key, Arc::new(report.clone()));
-        record_layer_telemetry(&report, started.elapsed(), &phases);
-        report
+        }
     }
 
     /// Simulates every layer of `topology` in order (SCALE-Sim serializes
@@ -361,7 +370,10 @@ pub mod telemetry_names {
     /// Counter, `{layer}`: cumulative simulation wall time per layer tag.
     pub const LAYER_WALL_MICROS: &str = "scalesim_layer_wall_micros_total";
     /// Counter, `{phase}` in `compute` / `dram` / `energy`: wall time spent
-    /// in each simulation phase.
+    /// in each simulation phase. Work done, not work modeled: a partitioned
+    /// layer spends compute and dram time on one tile per class (and emits
+    /// its `phase.compute` / `phase.dram` trace spans once per class), a
+    /// layer-cache hit spends none.
     pub const PHASE_MICROS: &str = "scalesim_sim_phase_micros_total";
     /// Counter: modeled DRAM traffic across all simulated layers.
     pub const DRAM_BYTES: &str = "scalesim_sim_dram_bytes_total";
@@ -379,62 +391,46 @@ pub mod telemetry_names {
     pub const LAYER_CACHE_EVICTIONS: &str = "scalesim_layer_cache_evictions_total";
     /// Gauge: layer-result cache live entries.
     pub const LAYER_CACHE_RESIDENT: &str = "scalesim_layer_cache_resident_entries";
-    /// Counter: demand-stream elements fed to the DRAM model (what the
-    /// element-granular representation would have walked).
+    /// Counter: demand-stream elements fed to the DRAM model — what an
+    /// element-granular walk of the tiles *simulated* would have touched.
+    /// A partitioned layer simulates one tile per class, so this is less
+    /// than the elements its partitions demand between them; the modeled
+    /// traffic is [`DRAM_BYTES`].
     pub const DEMAND_ELEMENTS: &str = "scalesim_demand_elements_total";
-    /// Counter: run-length records the DRAM model actually walked.
+    /// Counter: run-length records the DRAM model actually walked, over
+    /// the same tiles as [`DEMAND_ELEMENTS`].
     pub const DEMAND_RUNS: &str = "scalesim_demand_runs_total";
     /// Gauge: cumulative elements-per-run compression ratio, rounded down
     /// to an integer (gauges are integral).
     pub const DEMAND_COMPRESSION: &str = "scalesim_demand_compression_ratio";
 }
 
-/// Per-phase wall-time accumulators, shared across partition threads.
+/// Wall time of one layer run by phase, in nanoseconds. Compute and DRAM
+/// time is that of the tiles simulated — one per class.
 #[derive(Debug, Default)]
 struct PhaseNanos {
-    compute: AtomicU64,
-    dram: AtomicU64,
-    energy: AtomicU64,
+    compute: u64,
+    dram: u64,
+    energy: u64,
 }
 
 impl PhaseNanos {
-    fn add_compute(&self, d: std::time::Duration) {
-        self.compute
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    fn add_dram(&self, d: std::time::Duration) {
-        self.dram.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    fn add_energy(&self, d: std::time::Duration) {
-        self.energy
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
     fn micros(&self) -> [(&'static str, u64); 3] {
         [
-            ("compute", self.compute.load(Ordering::Relaxed) / 1_000),
-            ("dram", self.dram.load(Ordering::Relaxed) / 1_000),
-            ("energy", self.energy.load(Ordering::Relaxed) / 1_000),
+            ("compute", self.compute / 1_000),
+            ("dram", self.dram / 1_000),
+            ("energy", self.energy / 1_000),
         ]
     }
 }
 
-/// Demand-stream volume accumulators, shared across partition threads:
-/// how many elements the DRAM interface model was asked about, and how
-/// many run-length records it walked to answer.
+/// Demand-stream volume of one layer run: how many elements the DRAM
+/// interface model was asked about, and how many run-length records it
+/// walked to answer — over the tiles simulated, one per class.
 #[derive(Debug, Default)]
 struct DemandVolume {
-    elements: AtomicU64,
-    runs: AtomicU64,
-}
-
-impl DemandVolume {
-    fn add(&self, elements: u64, runs: u64) {
-        self.elements.fetch_add(elements, Ordering::Relaxed);
-        self.runs.fetch_add(runs, Ordering::Relaxed);
-    }
+    elements: u64,
+    runs: u64,
 }
 
 /// Publishes one layer's demand-stream volume and the cumulative
@@ -443,14 +439,14 @@ fn record_demand_telemetry(volume: &DemandVolume) {
     let registry = scalesim_telemetry::global();
     let elements = registry.counter(
         telemetry_names::DEMAND_ELEMENTS,
-        "Demand-stream elements fed to the DRAM model.",
+        "Demand-stream elements fed to the DRAM model, over the tiles simulated.",
     );
-    elements.add(volume.elements.load(Ordering::Relaxed));
+    elements.add(volume.elements);
     let runs = registry.counter(
         telemetry_names::DEMAND_RUNS,
-        "Run-length records the DRAM model walked.",
+        "Run-length records the DRAM model walked, over the tiles simulated.",
     );
-    runs.add(volume.runs.load(Ordering::Relaxed));
+    runs.add(volume.runs);
     registry
         .gauge(
             telemetry_names::DEMAND_COMPRESSION,
@@ -484,7 +480,7 @@ fn record_layer_telemetry(report: &LayerReport, wall: std::time::Duration, phase
         registry
             .counter_with(
                 telemetry_names::PHASE_MICROS,
-                "Wall time spent in each simulation phase.",
+                "Wall time spent in each simulation phase, over the tiles simulated.",
                 &[("phase", phase)],
             )
             .add(micros);
@@ -510,7 +506,7 @@ fn record_layer_telemetry(report: &LayerReport, wall: std::time::Duration, phase
 }
 
 /// Builds the operand address map for a layer.
-fn layer_map(layer: &Layer, config: &SimConfig) -> Box<dyn AddressMap + Send + Sync> {
+fn layer_map(layer: &Layer, config: &SimConfig) -> Box<dyn AddressMap> {
     match layer {
         Layer::Conv(conv) => Box::new(ConvAddressMap::new(conv, config.offsets)),
         Layer::Gemm { shape, .. } => Box::new(GemmAddressMap::from_shape(*shape, config.offsets)),
@@ -557,27 +553,120 @@ fn partition_tiles(shape: GemmShape, grid: PartitionGrid) -> Vec<Tile> {
     tiles
 }
 
-/// Simulates each tile (compute schedule + DRAM model) and returns the
-/// results in tile order. Called from outside any executor (CLI `run`,
-/// library callers) several tiles run in parallel across fresh OS threads;
-/// inside an [`crate::exec::Executor`] task they run one after the other
-/// on that worker, which keeps the simulating threads at the pool's worker
-/// count and the fold loop on the worker's warm arena. Phase wall time
-/// (compute schedule vs DRAM interface walk) accumulates into `phases`
-/// from every thread, and demand-stream volume (elements vs runs) into
-/// `volume`.
-#[allow(clippy::too_many_arguments)]
-fn run_partitions(
-    tiles: &[Tile],
-    map: &(dyn AddressMap + Send + Sync),
+/// What simulating one tile yields.
+type TileResult = (ComputeReport, DramSummary, Option<StallSummary>);
+
+/// What the tiles of one layer run have in common.
+struct LayerRun<'a> {
+    map: &'a dyn AddressMap,
     shape: GemmShape,
-    config: &SimConfig,
+    config: &'a SimConfig,
     provisioned: u64,
     bandwidth_share: Option<f64>,
-    phases: &PhaseNanos,
-    volume: &DemandVolume,
-) -> Vec<(ComputeReport, DramSummary, Option<StallSummary>)> {
-    let run_tile = |tile: &Tile| -> (ComputeReport, DramSummary, Option<StallSummary>) {
+}
+
+impl<'a> LayerRun<'a> {
+    fn new(
+        grid: PartitionGrid,
+        shape: GemmShape,
+        config: &'a SimConfig,
+        map: &'a dyn AddressMap,
+    ) -> Self {
+        let provisioned = grid.count();
+        LayerRun {
+            map,
+            shape,
+            config,
+            provisioned,
+            // Each partition gets an even share of the interface bandwidth.
+            bandwidth_share: config.dram_bandwidth.map(|bw| bw / provisioned as f64),
+        }
+    }
+
+    /// Simulates every *class* of `tiles` once, on the calling thread, and
+    /// returns the class results in first-seen order with the class of
+    /// each tile, in tile order.
+    ///
+    /// Two tiles are one class when they agree on `(m_len, n_len)` and on
+    /// [`AddressMap::a_row_phase`] of `m_off`, and then [`Self::run_tile`]
+    /// returns equal results for them:
+    ///
+    /// * the compute schedule (`analyze`) and the fold plan read the
+    ///   projected dims of `m_len × K × n_len` and the array, nothing else;
+    /// * the operand buffers and the bandwidth share are sized by the grid
+    ///   (`provisioned`), not by the tile;
+    /// * the B and O streams of the run generator are canonical labels
+    ///   computed from the fold alone — it never calls the map's `b` or
+    ///   `o` — so `n_off` is not observable at all;
+    /// * the A stream is the map's `a_span` of the same `(m, k)` spans at
+    ///   two offsets of one phase, so by the contract of `a_row_phase` one
+    ///   is the other plus a constant, and first-use dedup, run coalescing
+    ///   and the FIFO buffers see addresses only through order, equality
+    ///   and adjacency.
+    ///
+    /// An even GEMM split therefore costs at most four simulations
+    /// (interior, right edge, bottom edge, corner) whatever the grid; a
+    /// convolution one per distinct `m_off mod W_o` of each shape, which
+    /// is every tile row when the row chunk is not a multiple of the
+    /// output width. The phase is not optional: two same-shape conv tiles
+    /// of different phase do give different DRAM summaries (pinned by a
+    /// test below).
+    ///
+    /// A debug build still simulates every tile and holds each to its
+    /// class's result — with throw-away counters, so `phases` and `volume`
+    /// read the same in both profiles: the tiles simulated once.
+    fn run_partitions(
+        &self,
+        tiles: &[Tile],
+        phases: &mut PhaseNanos,
+        volume: &mut DemandVolume,
+    ) -> (Vec<TileResult>, Vec<usize>) {
+        let mut keys = Vec::new();
+        let mut results = Vec::new();
+        let mut class_of = Vec::with_capacity(tiles.len());
+        for tile in tiles {
+            let key = (tile.m_len, tile.n_len, self.map.a_row_phase(tile.m_off));
+            let class = match keys.iter().position(|k| *k == key) {
+                Some(class) => {
+                    #[cfg(debug_assertions)]
+                    assert_eq!(
+                        self.run_tile(
+                            tile,
+                            &mut PhaseNanos::default(),
+                            &mut DemandVolume::default()
+                        ),
+                        results[class],
+                        "{tile:?} is not its class {key:?}"
+                    );
+                    class
+                }
+                None => {
+                    keys.push(key);
+                    results.push(self.run_tile(tile, phases, volume));
+                    results.len() - 1
+                }
+            };
+            class_of.push(class);
+        }
+        (results, class_of)
+    }
+
+    /// Simulates one tile: compute schedule, then the DRAM interface walk
+    /// of its fold demands. Phase wall time is added to `phases` and
+    /// demand-stream volume (elements vs runs) to `volume`.
+    fn run_tile(
+        &self,
+        tile: &Tile,
+        phases: &mut PhaseNanos,
+        volume: &mut DemandVolume,
+    ) -> TileResult {
+        let &LayerRun {
+            map,
+            shape,
+            config,
+            provisioned,
+            bandwidth_share,
+        } = self;
         let sub_map = SubGemmMap::new(map, tile.m_off, tile.n_off);
         let sub_shape = GemmShape::new(tile.m_len, shape.k, tile.n_len);
         let dims = sub_shape.project(config.dataflow);
@@ -586,11 +675,11 @@ fn run_partitions(
             let _phase = scalesim_telemetry::trace::span("phase.compute");
             analyze(&dims, config.array)
         };
-        phases.add_compute(compute_started.elapsed());
+        phases.compute += compute_started.elapsed().as_nanos() as u64;
         let dram_started = Instant::now();
         let (dram, stall) = {
             let _phase = scalesim_telemetry::trace::span("phase.dram");
-            // The fold loop draws all of its scratch from this worker's
+            // The fold loop draws all of its scratch from this thread's
             // arena: operand buffers from the pool, the per-fold demand
             // streams filled in place. After the thread's first layer the
             // loop performs no steady-state heap allocation.
@@ -602,8 +691,6 @@ fn run_partitions(
                     &mut arena.pool,
                 );
                 let mut stall = bandwidth_share.map(StallModel::new);
-                let mut elements = 0u64;
-                let mut runs = 0u64;
                 let mut demands = fold_demand_runs_in(
                     &dims,
                     config.array,
@@ -613,8 +700,8 @@ fn run_partitions(
                 );
                 while demands.next_into(&mut arena.demand) {
                     let demand = &arena.demand;
-                    elements += demand.element_count();
-                    runs += demand.run_count();
+                    volume.elements += demand.element_count();
+                    volume.runs += demand.run_count();
                     let traffic = dram.fold_runs(
                         demand.fold.duration,
                         &demand.a,
@@ -627,37 +714,15 @@ fn run_partitions(
                     }
                 }
                 (arena.a_seen, arena.a_scratch) = demands.into_scratch();
-                volume.add(elements, runs);
                 (
                     dram.finish_into(&mut arena.pool),
                     stall.map(StallModel::finish),
                 )
             })
         };
-        phases.add_dram(dram_started.elapsed());
+        phases.dram += dram_started.elapsed().as_nanos() as u64;
         (compute, dram, stall)
-    };
-
-    if tiles.len() <= 1 || crate::exec::on_worker() {
-        return tiles.iter().map(run_tile).collect();
     }
-
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(tiles.len());
-    let chunk_size = tiles.len().div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = tiles
-            .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move |_| chunk.iter().map(run_tile).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("partition worker panicked"))
-            .collect()
-    })
-    .expect("partition scope panicked")
 }
 
 #[cfg(test)]
@@ -1014,5 +1079,191 @@ mod tests {
         let ws = Simulator::new(ws_cfg).run_layer(&layer);
         assert_ne!(os.sram, ws.sram);
         assert_eq!(os.mac_ops, ws.mac_ops);
+    }
+
+    /// `f` on the `LayerRun` and the tiles `sim.run_layer(layer)` works on.
+    fn with_layer_run<R>(
+        sim: &Simulator,
+        layer: &Layer,
+        f: impl FnOnce(&LayerRun, &[Tile]) -> R,
+    ) -> R {
+        let config = sim.effective_config(layer);
+        let map = layer_map(layer, &config);
+        let tiles = partition_tiles(layer.shape(), sim.grid());
+        f(
+            &LayerRun::new(sim.grid(), layer.shape(), &config, &*map),
+            &tiles,
+        )
+    }
+
+    /// Every tile of `layer` through the tile function, no classes.
+    fn every_tile(sim: &Simulator, layer: &Layer) -> Vec<TileResult> {
+        let (mut phases, mut volume) = Default::default();
+        with_layer_run(sim, layer, |run, tiles| {
+            tiles
+                .iter()
+                .map(|tile| run.run_tile(tile, &mut phases, &mut volume))
+                .collect()
+        })
+    }
+
+    /// The class results of `layer` and the class of each of its tiles.
+    fn tile_classes(sim: &Simulator, layer: &Layer) -> (Vec<TileResult>, Vec<usize>) {
+        let (mut phases, mut volume) = Default::default();
+        with_layer_run(sim, layer, |run, tiles| {
+            run.run_partitions(tiles, &mut phases, &mut volume)
+        })
+    }
+
+    /// Equal field for field, the `f64`s bit for bit.
+    fn assert_identical(a: &LayerReport, b: &LayerReport) {
+        assert_eq!(a, b);
+        let floats = |r: &LayerReport| {
+            let stall = r.stall.map(|s| [s.bandwidth, s.bus_utilization]);
+            [
+                r.mapping_utilization,
+                r.compute_utilization,
+                r.dram.read_bw.peak(),
+                r.dram.write_bw.peak(),
+                r.energy.mac,
+                r.energy.idle,
+                r.energy.sram,
+                r.energy.dram,
+            ]
+            .into_iter()
+            .chain(stall.into_iter().flatten())
+            .map(f64::to_bits)
+            .collect::<Vec<u64>>()
+        };
+        assert_eq!(floats(a), floats(b));
+    }
+
+    /// Grids the class property is drawn over: even and ragged splits,
+    /// tall, wide, prime-sided, and (for the small layers it runs) larger
+    /// than the workload.
+    const GRIDS: [(u64, u64); 12] = [
+        (1, 1),
+        (2, 2),
+        (3, 3),
+        (5, 3),
+        (7, 3),
+        (8, 8),
+        (4, 1),
+        (1, 6),
+        (2, 8),
+        (16, 1),
+        (6, 5),
+        (3, 7),
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// One simulation per tile class, replayed in tile order, is the
+        /// per-tile path: tile for tile the same results, and the same
+        /// `LayerReport` bit for bit — conv and GEMM, every dataflow,
+        /// ragged grids, SRAM from a sliver to everything-fits, finite
+        /// bandwidth.
+        #[test]
+        fn tile_classes_replay_the_per_tile_path(
+            conv in 0u8..2,
+            ifmap in (4u64..15, 4u64..15, 1u64..4, 1u64..4),
+            gemm in (1u64..90, 1u64..24, 1u64..70),
+            stride in 1u64..3,
+            df_idx in 0usize..3,
+            grid_idx in 0usize..GRIDS.len(),
+            array_idx in 0usize..3,
+            sram_idx in 0usize..4,
+            bw_idx in 0usize..3,
+        ) {
+            let conv = conv == 1;
+            let (m, k, n) = gemm;
+            let layer: Layer = if conv {
+                let (h, w, filter, channels) = ifmap;
+                ConvLayer::new("c", h, w, filter, filter, channels, n, stride).unwrap().into()
+            } else {
+                Layer::gemm("g", m, k, n)
+            };
+            let sram_kb = [1, 3, 16, 1 << 20][sram_idx];
+            let config = SimConfig {
+                dataflow: Dataflow::ALL[df_idx],
+                dram_bandwidth: Some([0.5, 8.0, 4096.0][bw_idx]),
+                ..SimConfig::builder()
+                    .array([ArrayShape::square(4), ArrayShape::new(8, 4), ArrayShape::new(2, 16)][array_idx])
+                    .sram_kb(sram_kb, sram_kb, sram_kb)
+                    .build()
+            };
+            let (pr, pc) = GRIDS[grid_idx];
+            let sim = Simulator::new(config).with_grid(PartitionGrid::new(pr, pc));
+
+            let per_tile = every_tile(&sim, &layer);
+            let (results, class_of) = tile_classes(&sim, &layer);
+            proptest::prop_assert_eq!(class_of.len(), per_tile.len());
+            proptest::prop_assert!(results.len() <= per_tile.len());
+            if !conv {
+                proptest::prop_assert!(results.len() <= 4, "{} GEMM classes", results.len());
+            }
+            for (tile, (&class, expected)) in class_of.iter().zip(&per_tile).enumerate() {
+                proptest::prop_assert_eq!(&results[class], expected, "tile {}", tile);
+            }
+            let expected =
+                sim.aggregate(&layer, &config, per_tile.iter(), &mut PhaseNanos::default());
+            assert_identical(&sim.run_layer(&layer), &expected);
+        }
+    }
+
+    #[test]
+    fn same_shape_conv_tiles_of_different_row_phase_differ() {
+        // A stride-1 3x3 convolution with a 10-pixel-wide output, split
+        // over three tile rows: the row chunk is 34 pixels, so the second
+        // tile has the first one's shape but starts four pixels into an
+        // output row. Where a tile wraps to the next output row decides
+        // which windows of a fold overlap, so the two read different
+        // amounts of IFMAP — the phase in the class key is not optional.
+        let layer: Layer = ConvLayer::new("c", 12, 12, 3, 3, 8, 8, 1).unwrap().into();
+        let config = SimConfig::builder()
+            .array(ArrayShape::square(4))
+            .sram_kb(1, 1, 1)
+            .build();
+        let sim = Simulator::new(config).with_grid(PartitionGrid::new(3, 1));
+        let tiles = partition_tiles(layer.shape(), sim.grid());
+        let map = layer_map(&layer, &config);
+        assert_eq!((tiles[0].m_len, tiles[1].m_len), (34, 34));
+        assert_ne!(
+            map.a_row_phase(tiles[0].m_off),
+            map.a_row_phase(tiles[1].m_off)
+        );
+        let per_tile = every_tile(&sim, &layer);
+        assert_eq!(per_tile[0].0, per_tile[1].0, "one compute schedule");
+        assert_ne!(per_tile[0].1, per_tile[1].1, "two DRAM summaries");
+        assert_eq!((per_tile[0].1.reads_a, per_tile[1].1.reads_a), (600, 592));
+        // So the class path keeps them apart, and still agrees.
+        let (results, class_of) = tile_classes(&sim, &layer);
+        assert_eq!(class_of, [0, 1, 2]);
+        assert_eq!(results, per_tile);
+    }
+
+    #[test]
+    fn an_even_gemm_split_is_at_most_four_simulations() {
+        let classes = |layer: &Layer, grid: PartitionGrid| {
+            let sim = Simulator::new(small_config()).with_grid(grid);
+            let (results, class_of) = tile_classes(&sim, layer);
+            (results.len(), class_of)
+        };
+        // Divisible: every tile is the interior tile.
+        let (simulated, class_of) =
+            classes(&Layer::gemm("g", 256, 32, 256), PartitionGrid::new(8, 8));
+        assert_eq!((simulated, class_of), (1, vec![0; 64]));
+        // Ragged both ways: interior, right edge, bottom edge, corner, in
+        // first-seen order.
+        let (simulated, class_of) =
+            classes(&Layer::gemm("g", 100, 32, 50), PartitionGrid::new(3, 3));
+        assert_eq!(simulated, 4);
+        assert_eq!(class_of, [0, 0, 1, 0, 0, 1, 2, 2, 3]);
+        // A convolution whose row chunk is a whole number of output rows
+        // has one phase too.
+        let conv: Layer = ConvLayer::new("c", 18, 10, 3, 3, 4, 16, 1).unwrap().into();
+        let (simulated, class_of) = classes(&conv, PartitionGrid::new(4, 2));
+        assert_eq!((simulated, class_of), (1, vec![0; 8]));
     }
 }

@@ -87,6 +87,30 @@ pub trait AddressMap {
             out.push(self.a(m, k), 1);
         }
     }
+
+    /// The *row phase* of the output-row offset `m_off`: a label such that
+    /// two tiles of the output space whose offsets have the same phase see
+    /// the same operand-A addresses up to one constant. Precisely, if
+    /// `a_row_phase(x) == a_row_phase(y)` there is one integer `d` with
+    /// `a(m + y, k) = a(m + x, k) + d` for every `(m, k)` at which both
+    /// sides are defined.
+    ///
+    /// Scale-out simulates one tile per *class* on the strength of this
+    /// (`Simulator::run_layer`): the run-granular demand generator reads a
+    /// map through [`AddressMap::a_span`] alone, and everything downstream
+    /// of it — the first-use dedup of the A stream, run coalescing, the
+    /// FIFO operand buffers — sees addresses only through their order,
+    /// equality and adjacency, which adding a constant to every address
+    /// preserves. Two tiles of equal extent and equal phase therefore give
+    /// equal miss, hit and eviction counts fold for fold.
+    ///
+    /// The default is `m_off` itself: equal phases are then equal offsets
+    /// and `d = 0`, which is true of any map and merges no two tile rows.
+    /// An implementation may return anything coarser that it can prove; it
+    /// must not key on the addresses a particular stream happens to touch.
+    fn a_row_phase(&self, m_off: u64) -> u64 {
+        m_off
+    }
 }
 
 /// Row-major addressing for a dense GEMM (language-model layers).
@@ -142,6 +166,12 @@ impl AddressMap for GemmAddressMap {
     fn a_span(&self, m: u64, k0: u64, len: u64, out: &mut AddrRuns) {
         debug_assert!(m < self.m && k0 + len <= self.k);
         out.push(self.offsets.ifmap + m * self.k + k0, len);
+    }
+
+    /// One phase for every offset: `a` is linear in `m`, so
+    /// `a(m + y, k) − a(m + x, k) = (y − x)·K` whatever `(m, k)` is.
+    fn a_row_phase(&self, _m_off: u64) -> u64 {
+        0
     }
 }
 
@@ -239,6 +269,21 @@ impl AddressMap for ConvAddressMap {
             k += take;
         }
     }
+
+    /// The offset's column in the output feature map, `m_off mod W_o`.
+    ///
+    /// `a(m, k)` reads `m` only as `oh = ⌊m / W_o⌋` and `ow = m mod W_o`.
+    /// If `y = x + d·W_o` then `m + y` and `m + x` have the same `ow` and
+    /// their `oh` differ by `d`, so `ih` differs by `d·stride_h`, `iw` not
+    /// at all, and `a(m + y, k) = a(m + x, k) + d·stride_h·W_i·C` for every
+    /// `(m, k)`. Offsets in different columns are different phases, and
+    /// have to be: a tile of `m_len` rows starting mid-row wraps to the next
+    /// output row after `W_o − ow` pixels, where the IFMAP address jumps,
+    /// and where it wraps decides which windows overlap inside a fold. A
+    /// fully connected layer (`W_o = 1`) has one phase, like a GEMM.
+    fn a_row_phase(&self, m_off: u64) -> u64 {
+        m_off % self.ofmap_w
+    }
 }
 
 /// A window into another map: shifts GEMM coordinates by an output-space
@@ -298,6 +343,14 @@ impl<M: AddressMap + ?Sized> AddressMap for SubGemmMap<'_, M> {
 
     fn a_span(&self, m: u64, k0: u64, len: u64, out: &mut AddrRuns) {
         self.inner.a_span(m + self.m_off, k0, len, out);
+    }
+
+    /// The inner map's phase of the combined offset: this map's
+    /// `a(m + x, k)` is the inner `a(m + (x + m_off), k)`, so the inner
+    /// map's constant for `x + m_off` and `y + m_off` is this map's for
+    /// `x` and `y`.
+    fn a_row_phase(&self, m_off: u64) -> u64 {
+        self.inner.a_row_phase(m_off + self.m_off)
     }
 }
 
@@ -473,6 +526,110 @@ mod tests {
         sub.a_span(1, 2, 5, &mut runs);
         let expect: Vec<u64> = (2..7).map(|k| gemm.a(3, k)).collect();
         assert_eq!(runs.iter_elements().collect::<Vec<u64>>(), expect);
+    }
+
+    #[test]
+    fn row_phase_of_each_map() {
+        // GEMM: one phase. Conv: the offset's output column, period W_o.
+        let gemm = GemmAddressMap::new(40, 4, 8, RegionOffsets::default());
+        assert!((0..40).all(|m_off| gemm.a_row_phase(m_off) == 0));
+        for stride in [1, 2] {
+            let (layer, map) = conv_map(stride);
+            let w = layer.ofmap_w();
+            for m_off in 0..layer.ofmap_pixels() {
+                assert_eq!(map.a_row_phase(m_off), m_off % w);
+                assert_eq!(map.a_row_phase(m_off + w), map.a_row_phase(m_off));
+            }
+            assert_ne!(map.a_row_phase(1), map.a_row_phase(0));
+        }
+        // FC: W_o = 1, so one phase again.
+        let fc = ConvLayer::new("fc", 1, 1, 1, 1, 16, 8, 1).unwrap();
+        let fc = ConvAddressMap::new(&fc, RegionOffsets::default());
+        assert!((0..4).all(|m_off| fc.a_row_phase(m_off) == 0));
+        // A window of a window adds the offsets before asking the map.
+        let (layer, map) = conv_map(1);
+        let w = layer.ofmap_w();
+        let sub = SubGemmMap::new(&map, 2, 1);
+        let nested = SubGemmMap::new(&sub, 3, 0);
+        assert_eq!(sub.a_row_phase(0), 2);
+        assert_eq!(sub.a_row_phase(w - 2), 0);
+        assert_eq!(nested.a_row_phase(1), 6 % w);
+        assert_eq!(SubGemmMap::new(&gemm, 7, 3).a_row_phase(5), 0);
+        // A map that proves nothing merges nothing.
+        struct Opaque;
+        impl AddressMap for Opaque {
+            fn a(&self, m: u64, k: u64) -> u64 {
+                m * m + k
+            }
+            fn b(&self, _: u64, _: u64) -> u64 {
+                0
+            }
+            fn o(&self, _: u64, _: u64) -> u64 {
+                0
+            }
+            fn a_unique(&self) -> u64 {
+                0
+            }
+            fn b_unique(&self) -> u64 {
+                0
+            }
+            fn o_unique(&self) -> u64 {
+                0
+            }
+        }
+        assert_eq!(Opaque.a_row_phase(5), 5);
+        assert_eq!(SubGemmMap::new(&Opaque, 4, 0).a_row_phase(5), 9);
+    }
+
+    #[test]
+    fn equal_row_phase_shifts_every_a_address_by_one_constant() {
+        // The contract of `a_row_phase`, by enumeration: for every pair of
+        // offsets with one phase, a(m + y, k) − a(m + x, k) is the same for
+        // every (m, k) both are defined at — through `a` and through the
+        // runs of `a_span`.
+        let spans = |map: &dyn AddressMap, m: u64, window: u64| {
+            let mut runs = AddrRuns::new();
+            map.a_span(m, 0, window, &mut runs);
+            runs.iter_runs()
+                .map(|r| (r.start, r.len))
+                .collect::<Vec<_>>()
+        };
+        for stride in [1, 2] {
+            let (layer, map) = conv_map(stride);
+            let (pixels, window) = (layer.ofmap_pixels(), layer.window_size());
+            let mut merged = 0;
+            for x in 0..pixels {
+                for y in x + 1..pixels {
+                    if map.a_row_phase(x) != map.a_row_phase(y) {
+                        continue;
+                    }
+                    merged += 1;
+                    let d = map.a(y, 0) - map.a(x, 0);
+                    for m in 0..pixels - y {
+                        for k in 0..window {
+                            assert_eq!(map.a(m + y, k), map.a(m + x, k) + d);
+                        }
+                        let shifted: Vec<_> = spans(&map, m + x, window)
+                            .into_iter()
+                            .map(|(start, len)| (start + d, len))
+                            .collect();
+                        assert_eq!(spans(&map, m + y, window), shifted);
+                    }
+                }
+            }
+            assert!(merged > 0);
+        }
+        let gemm = GemmAddressMap::new(9, 5, 3, RegionOffsets::default());
+        for x in 0..9 {
+            for y in x..9 {
+                let d = gemm.a(y, 0) - gemm.a(x, 0);
+                for m in 0..9 - y {
+                    for k in 0..5 {
+                        assert_eq!(gemm.a(m + y, k), gemm.a(m + x, k) + d);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

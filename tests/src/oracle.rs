@@ -16,10 +16,11 @@
 //! | [`ElementReuseProfile`] — one Fenwick flag per access | [`scalesim_memory::ReuseProfile::from_runs`] |
 //! | [`ScalarIntervalSet`] — a `BTreeMap` of spans | [`scalesim_memory::IntervalSet`] |
 //! | [`extend_runs_scalar`] — a push per run | [`AddrRuns::extend_runs`] |
+//! | [`tile_traffic`] — element streams through three [`DoubleBuffer`]s | the DRAM traffic `Simulator::run_layer` reports, tile by tile |
 //!
 //! Nothing here is compiled into the simulator, the server or the
 //! benchmark. The one piece of the reference model that still ships is
-//! `scalesim_systolic::fold_demands`, the address-by-address demand
+//! [`scalesim_systolic::fold_demands`], the address-by-address demand
 //! enumeration, because DRAM trace export needs real addresses.
 //!
 //! The hash containers are `std`'s: the suites that drive the oracle run
@@ -28,7 +29,9 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-use scalesim_memory::{AddrRuns, EpochStats, ReuseProfile};
+use scalesim_memory::{AddrRuns, AddressMap, EpochStats, ReuseProfile};
+use scalesim_systolic::{fold_demands, ArrayShape};
+use scalesim_topology::MappedDims;
 
 /// A double-buffered operand SRAM: a FIFO working set of element addresses.
 ///
@@ -162,6 +165,36 @@ impl DoubleBuffer {
         self.resident.clear();
         self.order.clear();
     }
+}
+
+/// DRAM traffic of one array working through `dims` — a whole layer, or one
+/// partition's tile seen through a [`scalesim_memory::SubGemmMap`] — as
+/// `(reads_a, reads_b, reads_o, writes_o)` in elements, with operand
+/// buffers of `capacities` elements (IFMAP, filter, OFMAP).
+///
+/// The obvious model and nothing else: the real addresses of
+/// [`fold_demands`], one at a time, through three [`DoubleBuffer`]s; the
+/// partial sums a fold re-reads are probed before its outputs are
+/// installed, outputs after every fold. No runs, labels, seals, arenas,
+/// deferred installs or tile classes.
+pub fn tile_traffic<M: AddressMap + ?Sized>(
+    dims: &MappedDims,
+    array: ArrayShape,
+    map: &M,
+    capacities: [usize; 3],
+) -> (u64, u64, u64, u64) {
+    let [mut a_buf, mut b_buf, mut o_buf] = capacities.map(DoubleBuffer::new);
+    let (mut reads_a, mut reads_b, mut reads_o, mut writes_o) = (0, 0, 0, 0);
+    for demand in fold_demands(dims, array, map) {
+        reads_a += a_buf.epoch(demand.a.iter_elements()).misses;
+        reads_b += b_buf.epoch(demand.b.iter_elements()).misses;
+        reads_o += o_buf.epoch(demand.o_spill.iter_elements()).misses;
+        for addr in demand.o_writes.iter_elements() {
+            o_buf.install(addr);
+            writes_o += 1;
+        }
+    }
+    (reads_a, reads_b, reads_o, writes_o)
 }
 
 /// Histogram of LRU stack distances for a demand stream, built by the

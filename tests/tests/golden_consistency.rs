@@ -3,9 +3,13 @@
 //! closed-form analytical report. This is the repository's strongest
 //! correctness argument — the Fig. 4 validation, generalized to random
 //! workloads, all dataflows and ragged fold schedules.
+//!
+//! One byte golden rides along: the sweep CSV of a scale-out plan, written
+//! by the last binary that simulated every tile of a partition grid.
 
 use proptest::prelude::*;
 
+use scalesim::sweep::{CsvSink, SweepEngine, SweepPlan};
 use scalesim_memory::{GemmAddressMap, RegionOffsets};
 use scalesim_systolic::pe_grid::{run, Matrix};
 use scalesim_systolic::{analyze, simulate, ArrayShape, CountingSink, Dataflow};
@@ -100,4 +104,24 @@ fn fig4_square_matmuls_exact_agreement() {
         assert_eq!(golden.cycles, 4 * nsize - 2);
         assert_eq!(analyze(&dims, array).total_cycles, 4 * nsize - 2);
     }
+}
+
+/// `examples/scaleout_conv.plan` — ragged convolution tiles, spills and
+/// stalls over seven grids and three dataflows — gives the bytes of
+/// `golden/scaleout_conv.csv`, which the parent of the commit that
+/// introduced tile classes wrote by simulating every tile of every layer
+/// of its 63 points. In this (dev) profile every tile is still simulated,
+/// and held to its class's result on the way.
+#[test]
+fn scaleout_conv_plan_reproduces_the_per_tile_csv() {
+    let plan = SweepPlan::parse(include_str!("../../examples/scaleout_conv.plan")).unwrap();
+    let mut csv = CsvSink::new(Vec::new());
+    SweepEngine::new(64)
+        .run_streaming(&plan, 2, &mut csv)
+        .unwrap();
+    // Compare as text so a mismatch prints rows, not byte arrays.
+    assert_eq!(
+        String::from_utf8(csv.into_inner()).unwrap(),
+        include_str!("golden/scaleout_conv.csv")
+    );
 }
