@@ -23,14 +23,13 @@ USAGE:
     scale-sim serve [--port <P>] [--host <ADDR>] [--workers <N>] [--cache <N>]
                     [--queue-depth <N>] [--max-connections <N>]
                     [--deadline-ms <MS>] [--grace-ms <MS>]
-    scale-sim batch --manifest <FILE> [--jobs <N>] [--output <FILE>] [--cache <N>]
-                    [--retries <N>]
+    scale-sim batch --manifest <FILE> [--jobs <N>] [--output <FILE>]
     scale-sim sweep --plan <FILE> [--jobs <N>] [--output <FILE>]
-                    [--format csv|jsonl] [--cache <N>] [--dry-run]
+                    [--format csv|jsonl] [--dry-run]
                     [--trace-out <FILE>] [--progress]
     scale-sim explore --plan <FILE> [--budget <N|30s|5m>] [--keep-within <PCT>]
                       [--jobs <N>] [--output <FILE>] [--format csv|jsonl]
-                      [--cache <N>] [--trace-out <FILE>] [--progress]
+                      [--trace-out <FILE>] [--progress]
 
 SUBCOMMANDS:
     run      simulate one workload (the default when no subcommand is given)
@@ -41,9 +40,8 @@ SUBCOMMANDS:
              with 503 + Retry-After, requests honor X-Scalesim-Deadline-Ms
              (--deadline-ms default, 504 on expiry), and SIGINT/SIGTERM
              drain in-flight work for up to --grace-ms before exiting
-    batch    run a manifest of jobs concurrently through the same engine
-             and write one combined REPORT CSV; jobs shed by an overloaded
-             engine retry up to --retries times with backoff + jitter
+    batch    run a manifest of jobs through the same engine, --jobs at a
+             time, and write one combined REPORT CSV
     sweep    expand a design-space plan file (workloads x MAC budgets x
              partition grids x aspect ratios x dataflows) and evaluate
              every point in parallel through a content-addressed result
@@ -225,27 +223,62 @@ enum SweepFormat {
     JsonLines,
 }
 
+/// Result-cache entries of the engine `sweep` and `explore` build for
+/// their one plan. A plan's duplicate points are merged before the cache
+/// is probed, so no size changes an output or a hit count.
+const RESULT_CACHE: usize = 1024;
+
+/// A parsed `sweep` or `explore` command line: the flags both take, then
+/// each command's own (left at their defaults by the other).
 #[derive(Debug)]
-struct SweepArgs {
+struct PlanArgs {
     plan: PathBuf,
     jobs: Option<usize>,
     output: Option<PathBuf>,
     format: SweepFormat,
-    cache: usize,
-    dry_run: bool,
     trace_out: Option<PathBuf>,
     progress: bool,
+    /// `sweep --dry-run`.
+    dry_run: bool,
+    /// `explore --budget`.
+    budget: ExploreBudget,
+    /// `explore --keep-within`, percent.
+    keep_within: f64,
 }
 
-fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
+/// `--budget` grammar: a bare integer is a simulation count; an `s`/`m`
+/// suffix is a wall-clock limit.
+fn parse_explore_budget(text: &str) -> Result<ExploreBudget, String> {
+    let bad = || format!("bad budget `{text}` (want a point count, or 30s / 5m wall-clock)");
+    if let Some(secs) = text.strip_suffix('s') {
+        let n: u64 = secs.parse().map_err(|_| bad())?;
+        Ok(ExploreBudget::WallClock(std::time::Duration::from_secs(n)))
+    } else if let Some(mins) = text.strip_suffix('m') {
+        let n: u64 = mins.parse().map_err(|_| bad())?;
+        Ok(ExploreBudget::WallClock(std::time::Duration::from_secs(
+            n * 60,
+        )))
+    } else {
+        let n: usize = text.parse().map_err(|_| bad())?;
+        Ok(ExploreBudget::Sims(n))
+    }
+}
+
+/// Parses the arguments of `command`, which is `sweep` or `explore`.
+fn parse_plan_args(command: &str, argv: &[String]) -> Result<PlanArgs, String> {
+    let explore = command == "explore";
     let mut plan = None;
-    let mut jobs = None;
-    let mut output = None;
-    let mut format = SweepFormat::Csv;
-    let mut cache = 1024usize;
-    let mut dry_run = false;
-    let mut trace_out = None;
-    let mut progress = false;
+    let mut args = PlanArgs {
+        plan: PathBuf::new(),
+        jobs: None,
+        output: None,
+        format: SweepFormat::Csv,
+        trace_out: None,
+        progress: false,
+        dry_run: false,
+        budget: ExploreBudget::Unlimited,
+        keep_within: 10.0,
+    };
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| -> Result<String, String> {
@@ -261,42 +294,44 @@ fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
                 if n == 0 {
                     return Err("jobs must be nonzero".into());
                 }
-                jobs = Some(n);
+                args.jobs = Some(n);
             }
-            "-o" | "--output" => output = Some(PathBuf::from(value("--output")?)),
+            "-o" | "--output" => args.output = Some(PathBuf::from(value("--output")?)),
             "--format" => {
                 let text = value("--format")?;
-                format = match text.as_str() {
+                args.format = match text.as_str() {
                     "csv" => SweepFormat::Csv,
                     "jsonl" => SweepFormat::JsonLines,
                     other => return Err(format!("format must be csv or jsonl, got `{other}`")),
                 };
             }
-            "--cache" => {
-                let text = value("--cache")?;
-                let n: usize = text.parse().map_err(|_| format!("bad cache `{text}`"))?;
-                if n == 0 {
-                    return Err("cache must be nonzero".into());
+            "--trace-out" => args.trace_out = Some(PathBuf::from(value("--trace-out")?)),
+            "--progress" => args.progress = true,
+            "--dry-run" if !explore => args.dry_run = true,
+            "--budget" if explore => args.budget = parse_explore_budget(&value("--budget")?)?,
+            "--keep-within" if explore => {
+                let text = value("--keep-within")?;
+                let pct: f64 = text
+                    .parse()
+                    .map_err(|_| format!("bad keep-within `{text}`"))?;
+                if !(pct.is_finite() && pct >= 0.0) {
+                    return Err("keep-within must be a nonnegative percentage".into());
                 }
-                cache = n;
+                args.keep_within = pct;
             }
-            "--dry-run" => dry_run = true,
-            "--trace-out" => trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--progress" => progress = true,
-            other => return Err(format!("unknown sweep argument `{other}`")),
+            other => return Err(format!("unknown {command} argument `{other}`")),
         }
     }
-    let plan = plan.ok_or("sweep requires --plan <FILE>")?;
-    Ok(SweepArgs {
-        plan,
-        jobs,
-        output,
-        format,
-        cache,
-        dry_run,
-        trace_out,
-        progress,
-    })
+    args.plan = plan.ok_or_else(|| format!("{command} requires --plan <FILE>"))?;
+    Ok(args)
+}
+
+fn parse_sweep_args(argv: &[String]) -> Result<PlanArgs, String> {
+    parse_plan_args("sweep", argv)
+}
+
+fn parse_explore_args(argv: &[String]) -> Result<PlanArgs, String> {
+    parse_plan_args("explore", argv)
 }
 
 fn run_sweep_points<W: io::Write>(
@@ -361,7 +396,7 @@ fn run_sweep_cli(argv: &[String]) -> Result<(), String> {
     }
     let jobs = args.jobs.unwrap_or_else(default_jobs);
     enable_tracing(&args.trace_out);
-    let engine = SweepEngine::new(args.cache).with_progress(args.progress);
+    let engine = SweepEngine::new(RESULT_CACHE).with_progress(args.progress);
 
     let start = std::time::Instant::now();
     let outcome = match &args.output {
@@ -412,111 +447,6 @@ fn run_sweep_cli(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-#[derive(Debug)]
-struct ExploreArgs {
-    plan: PathBuf,
-    budget: ExploreBudget,
-    keep_within: f64,
-    jobs: Option<usize>,
-    output: Option<PathBuf>,
-    format: SweepFormat,
-    cache: usize,
-    trace_out: Option<PathBuf>,
-    progress: bool,
-}
-
-/// `--budget` grammar: a bare integer is a simulation count; an `s`/`m`
-/// suffix is a wall-clock limit.
-fn parse_explore_budget(text: &str) -> Result<ExploreBudget, String> {
-    let bad = || format!("bad budget `{text}` (want a point count, or 30s / 5m wall-clock)");
-    if let Some(secs) = text.strip_suffix('s') {
-        let n: u64 = secs.parse().map_err(|_| bad())?;
-        Ok(ExploreBudget::WallClock(std::time::Duration::from_secs(n)))
-    } else if let Some(mins) = text.strip_suffix('m') {
-        let n: u64 = mins.parse().map_err(|_| bad())?;
-        Ok(ExploreBudget::WallClock(std::time::Duration::from_secs(
-            n * 60,
-        )))
-    } else {
-        let n: usize = text.parse().map_err(|_| bad())?;
-        Ok(ExploreBudget::Sims(n))
-    }
-}
-
-fn parse_explore_args(argv: &[String]) -> Result<ExploreArgs, String> {
-    let mut plan = None;
-    let mut budget = ExploreBudget::Unlimited;
-    let mut keep_within = 10.0f64;
-    let mut jobs = None;
-    let mut output = None;
-    let mut format = SweepFormat::Csv;
-    let mut cache = 1024usize;
-    let mut trace_out = None;
-    let mut progress = false;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "-p" | "--plan" => plan = Some(PathBuf::from(value("--plan")?)),
-            "--budget" => budget = parse_explore_budget(&value("--budget")?)?,
-            "--keep-within" => {
-                let text = value("--keep-within")?;
-                let pct: f64 = text
-                    .parse()
-                    .map_err(|_| format!("bad keep-within `{text}`"))?;
-                if !(pct.is_finite() && pct >= 0.0) {
-                    return Err("keep-within must be a nonnegative percentage".into());
-                }
-                keep_within = pct;
-            }
-            "-j" | "--jobs" => {
-                let text = value("--jobs")?;
-                let n: usize = text.parse().map_err(|_| format!("bad jobs `{text}`"))?;
-                if n == 0 {
-                    return Err("jobs must be nonzero".into());
-                }
-                jobs = Some(n);
-            }
-            "-o" | "--output" => output = Some(PathBuf::from(value("--output")?)),
-            "--format" => {
-                let text = value("--format")?;
-                format = match text.as_str() {
-                    "csv" => SweepFormat::Csv,
-                    "jsonl" => SweepFormat::JsonLines,
-                    other => return Err(format!("format must be csv or jsonl, got `{other}`")),
-                };
-            }
-            "--cache" => {
-                let text = value("--cache")?;
-                let n: usize = text.parse().map_err(|_| format!("bad cache `{text}`"))?;
-                if n == 0 {
-                    return Err("cache must be nonzero".into());
-                }
-                cache = n;
-            }
-            "--trace-out" => trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--progress" => progress = true,
-            other => return Err(format!("unknown explore argument `{other}`")),
-        }
-    }
-    let plan = plan.ok_or("explore requires --plan <FILE>")?;
-    Ok(ExploreArgs {
-        plan,
-        budget,
-        keep_within,
-        jobs,
-        output,
-        format,
-        cache,
-        trace_out,
-        progress,
-    })
-}
-
 fn run_explore_cli(argv: &[String]) -> Result<(), String> {
     let args = parse_explore_args(argv)?;
     let plan = load_plan(&args.plan)?;
@@ -528,7 +458,7 @@ fn run_explore_cli(argv: &[String]) -> Result<(), String> {
         jobs,
         progress: args.progress,
     };
-    let engine = ExploreEngine::new(args.cache);
+    let engine = ExploreEngine::new(RESULT_CACHE);
     let outcome = engine
         .run(&plan, &options)
         .map_err(|e| format!("explore failed: {e}"))?;
@@ -893,8 +823,6 @@ mod tests {
             "out.csv",
             "--format",
             "jsonl",
-            "--cache",
-            "32",
             "--trace-out",
             "trace.json",
             "--progress",
@@ -904,7 +832,6 @@ mod tests {
         assert_eq!(a.jobs, Some(4));
         assert_eq!(a.output, Some(PathBuf::from("out.csv")));
         assert_eq!(a.format, SweepFormat::JsonLines);
-        assert_eq!(a.cache, 32);
         assert_eq!(a.trace_out, Some(PathBuf::from("trace.json")));
         assert!(a.progress);
     }
@@ -914,14 +841,12 @@ mod tests {
         let a = parse_sweep_args(&argv(&["--plan", "p"])).unwrap();
         assert_eq!(a.jobs, None);
         assert_eq!(a.format, SweepFormat::Csv);
-        assert_eq!(a.cache, 1024);
         assert_eq!(a.trace_out, None);
         assert!(!a.progress);
 
         assert!(parse_sweep_args(&[]).is_err(), "plan is required");
         assert!(parse_sweep_args(&argv(&["--plan", "p", "--jobs", "0"])).is_err());
         assert!(parse_sweep_args(&argv(&["--plan", "p", "--format", "xml"])).is_err());
-        assert!(parse_sweep_args(&argv(&["--plan", "p", "--cache", "0"])).is_err());
         let err = parse_sweep_args(&argv(&["--frobnicate"])).unwrap_err();
         assert!(err.contains("unknown sweep argument"));
     }
@@ -949,8 +874,6 @@ mod tests {
             "out.csv",
             "--format",
             "jsonl",
-            "--cache",
-            "32",
             "--trace-out",
             "trace.json",
             "--progress",
@@ -962,7 +885,6 @@ mod tests {
         assert_eq!(a.jobs, Some(4));
         assert_eq!(a.output, Some(PathBuf::from("out.csv")));
         assert_eq!(a.format, SweepFormat::JsonLines);
-        assert_eq!(a.cache, 32);
         assert_eq!(a.trace_out, Some(PathBuf::from("trace.json")));
         assert!(a.progress);
     }
@@ -991,7 +913,6 @@ mod tests {
         assert_eq!(a.keep_within, 10.0);
         assert_eq!(a.jobs, None);
         assert_eq!(a.format, SweepFormat::Csv);
-        assert_eq!(a.cache, 1024);
         assert_eq!(a.trace_out, None);
         assert!(!a.progress);
 

@@ -473,14 +473,12 @@ mod tests {
 
     /// Drives `exec` with `workers` scoped threads running `task`.
     fn drive(exec: &Executor, task: impl Fn(usize) + Sync) {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for w in 0..exec.workers() {
-                let exec = &exec;
                 let task = &task;
-                scope.spawn(move |_| exec.run_worker(w, task, |t| t.to_string()));
+                scope.spawn(move || exec.run_worker(w, task, |t| t.to_string()));
             }
-        })
-        .unwrap();
+        });
     }
 
     /// A seeded delay for task `t`: nothing, a yield or a short spin, so

@@ -18,16 +18,18 @@
 //!   `keep_within` percent of the frontier at their budget (or cheaper)
 //!   survive ([`Frontier::within_band`]). Survivors are ranked by
 //!   predicted runtime.
-//! * **Stage 2 — budgeted refinement.** Survivors are simulated through
-//!   the shared [`SweepEngine`] (inheriting its result cache and the
-//!   process-wide layer cache) in fixed-size batches, all on the workers
-//!   of one sweep session. After each batch the measured frontier and the
-//!   correction of the workloads it measured are updated, and the next
-//!   batch is chosen by [`acquisition_score`] — the candidates whose
-//!   corrected predictions fall furthest below the measured frontier,
-//!   i.e. the largest analytical-vs-measured gaps in the frontier
-//!   neighborhood. A batch costs its simulations plus a rescoring of the
-//!   survivors of the workloads it touched.
+//! * **Stage 2 — budgeted refinement.** Survivors are simulated in
+//!   fixed-size batches: by [`ExploreEngine::run`] through the wrapped
+//!   [`SweepEngine`] (inheriting its result cache and the process-wide
+//!   layer cache), all on the workers of one sweep session; by
+//!   [`ExploreEngine::run_with`] through whatever runs batches for the
+//!   caller — the server's worker pool. After each batch the measured
+//!   frontier and the correction of the workloads it measured are
+//!   updated, and the next batch is chosen by [`acquisition_score`] — the
+//!   candidates whose corrected predictions fall furthest below the
+//!   measured frontier, i.e. the largest analytical-vs-measured gaps in
+//!   the frontier neighborhood. A batch costs its simulations plus a
+//!   rescoring of the survivors of the workloads it touched.
 //!
 //! Determinism: with [`ExploreBudget::Sims`] (or unlimited), the same plan
 //! and budget produce byte-identical output at any `jobs` count — batch
@@ -516,7 +518,8 @@ impl ExploreEngine {
         })
     }
 
-    /// Runs the three-stage refinement over `plan`.
+    /// Runs the three-stage refinement over `plan`, stage 2 on the workers
+    /// of one sweep session of the wrapped [`SweepEngine`].
     ///
     /// # Errors
     ///
@@ -526,6 +529,37 @@ impl ExploreEngine {
         plan: &SweepPlan,
         options: &ExploreOptions,
     ) -> Result<ExploreOutcome, SweepError> {
+        // One session for all batches: the plan is prepared once and the
+        // workers (and their arenas) live until the last batch is in.
+        self.sweep.session(plan, options.jobs, |run_batch| {
+            self.run_with(plan, options, |specs| {
+                let outcome = run_batch(specs.to_vec(), &mut NullSink)?;
+                let reports = outcome.results.into_iter().map(|r| r.report).collect();
+                Ok((reports, outcome.cache_hits))
+            })
+        })
+    }
+
+    /// [`ExploreEngine::run`] with stage 2's simulations left to the
+    /// caller: `run_batch` is handed each refinement batch (at most
+    /// [`REFINE_BATCH`] points) and returns one report per point, in the
+    /// order given, plus how many of them it served without a fresh
+    /// simulation. Stages 0–1, the choice of each batch, the budgets and
+    /// the outcome are this engine's; where and on which threads a point
+    /// is simulated is the runner's — a server passes one that submits the
+    /// points to its own worker pool and result cache. `options.jobs` is
+    /// not read.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::Plan`] (converted) for invalid plans, and whatever
+    /// `run_batch` fails with; the first error ends the exploration.
+    pub fn run_with<E: From<SweepError>>(
+        &self,
+        plan: &SweepPlan,
+        options: &ExploreOptions,
+        mut run_batch: impl FnMut(&[PointSpec]) -> Result<(Vec<Arc<NetworkReport>>, u64), E>,
+    ) -> Result<ExploreOutcome, E> {
         let _run_span = scalesim_telemetry::trace::span("explore.run");
         let pruned_space = self.prune(plan, options.keep_within_pct)?;
         let candidates = pruned_space.candidates;
@@ -548,9 +582,7 @@ impl ExploreEngine {
             simulate: 0.0,
         };
 
-        // Stage 2: budgeted refinement through one sweep session, so the
-        // plan is prepared once and the workers (and their arenas) live
-        // for all batches.
+        // Stage 2: budgeted refinement, a batch at a time.
         let stage2_span = scalesim_telemetry::trace::span("explore.stage2");
         let started = Instant::now();
         let survivors = pruned_space.survivors;
@@ -592,38 +624,36 @@ impl ExploreEngine {
         };
         // (when, measured count) of the last progress line.
         let mut last_line = (started, 0);
-        self.sweep.session(plan, options.jobs, |run_batch| {
-            while acquisition.unmeasured() > 0 && measured.len() < sims_allowed {
-                if let ExploreBudget::WallClock(limit) = options.budget {
-                    if started.elapsed() >= limit {
-                        break;
-                    }
-                }
-                let take = REFINE_BATCH
-                    .min(acquisition.unmeasured())
-                    .min(sims_allowed - measured.len());
-                let batch = acquisition.next_batch(take);
-                let specs = batch.iter().map(|&s| survivors[s].spec.clone()).collect();
-                let outcome = run_batch(specs, &mut NullSink)?;
-                cache_hits += outcome.cache_hits;
-                for (&s, result) in batch.iter().zip(outcome.results) {
-                    let predicted = survivors[s].predicted;
-                    predicted_done += u128::from(predicted);
-                    acquisition.record(s, result.report.total_effective_cycles());
-                    measured.push(MeasuredPoint {
-                        spec: result.spec,
-                        predicted,
-                        report: result.report,
-                    });
-                }
-                acquisition.rescore();
-                if options.progress && last_line.0.elapsed() >= ProgressTicker::INTERVAL {
-                    print_progress(measured.len(), cache_hits, predicted_done);
-                    last_line = (Instant::now(), measured.len());
+        while acquisition.unmeasured() > 0 && measured.len() < sims_allowed {
+            if let ExploreBudget::WallClock(limit) = options.budget {
+                if started.elapsed() >= limit {
+                    break;
                 }
             }
-            Ok(())
-        })?;
+            let take = REFINE_BATCH
+                .min(acquisition.unmeasured())
+                .min(sims_allowed - measured.len());
+            let batch = acquisition.next_batch(take);
+            let specs: Vec<PointSpec> = batch.iter().map(|&s| survivors[s].spec.clone()).collect();
+            let (reports, hits) = run_batch(&specs)?;
+            assert_eq!(reports.len(), specs.len(), "one report per point");
+            cache_hits += hits;
+            for ((&s, spec), report) in batch.iter().zip(specs).zip(reports) {
+                let predicted = survivors[s].predicted;
+                predicted_done += u128::from(predicted);
+                acquisition.record(s, report.total_effective_cycles());
+                measured.push(MeasuredPoint {
+                    spec,
+                    predicted,
+                    report,
+                });
+            }
+            acquisition.rescore();
+            if options.progress && last_line.0.elapsed() >= ProgressTicker::INTERVAL {
+                print_progress(measured.len(), cache_hits, predicted_done);
+                last_line = (Instant::now(), measured.len());
+            }
+        }
         if options.progress && last_line.1 != measured.len() {
             print_progress(measured.len(), cache_hits, predicted_done);
         }

@@ -1,5 +1,5 @@
-//! Batch mode: run a manifest of jobs through the [`Engine`] with several
-//! concurrent submitters and collect one CSV report.
+//! Batch mode: run a manifest of jobs through the [`Engine`] and collect
+//! one CSV report.
 //!
 //! A manifest is a text file with one job per line. Blank lines and `#`
 //! comments are skipped. Each job line is either a JSON object (the
@@ -18,76 +18,11 @@
 //! lists every job twice reports a 50% cache-hit rate and simulates each
 //! distinct job once.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
-
 use scalesim::NetworkReport;
 
-use crate::engine::{Engine, Served, SimResult};
+use crate::engine::{Engine, JobContext, Served, SimResult};
 use crate::job::{JobError, SimJob};
 use crate::json::Json;
-
-/// Retry policy for shed jobs: exponential backoff with deterministic
-/// jitter, honoring the server's `Retry-After` hint when one is larger.
-/// Only *retryable* errors ([`JobError::is_retryable`], i.e. overload
-/// shedding) are retried — bad requests and internal errors fail the job
-/// immediately.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Additional attempts after the first (0 = fail on first shed).
-    pub retries: u32,
-    /// First-retry delay; doubles per attempt.
-    pub base_delay: Duration,
-    /// Ceiling on any single delay (applied after hint and jitter).
-    pub max_delay: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            retries: 0,
-            base_delay: Duration::from_millis(50),
-            max_delay: Duration::from_secs(5),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy with `retries` attempts and the default delays.
-    pub fn with_retries(retries: u32) -> RetryPolicy {
-        RetryPolicy {
-            retries,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// The delay before retry number `attempt` (0-based) of job `job_idx`:
-    /// `base * 2^attempt`, raised to the server's `Retry-After` hint if
-    /// that is larger, scaled by a deterministic 0.75–1.25x jitter keyed on
-    /// (job, attempt) so concurrent shed submitters spread out instead of
-    /// retrying in lockstep, then capped at `max_delay`.
-    pub fn backoff_delay(&self, attempt: u32, job_idx: usize, hint_ms: Option<u64>) -> Duration {
-        let exp = self
-            .base_delay
-            .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX));
-        let floor = Duration::from_millis(hint_ms.unwrap_or(0));
-        let delay = exp.max(floor);
-        // FNV-1a over (job_idx, attempt) → fraction in [0, 1); no `rand`
-        // available offline, and determinism makes the schedule testable.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in job_idx
-            .to_le_bytes()
-            .iter()
-            .chain(attempt.to_le_bytes().iter())
-        {
-            h ^= u64::from(*byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let jitter = 0.75 + 0.5 * (h % 1000) as f64 / 1000.0;
-        delay.mul_f64(jitter).min(self.max_delay)
-    }
-}
 
 /// Parses a batch manifest into jobs, in file order.
 pub fn parse_manifest(text: &str) -> Result<Vec<SimJob>, JobError> {
@@ -170,82 +105,31 @@ impl BatchOutcome {
     }
 }
 
-/// A finished manifest slot: how the job was served plus the shared result.
-type CompletedJob = Option<(Served, std::sync::Arc<SimResult>)>;
+/// Runs `jobs` through `engine` from the calling thread, under
+/// [`Engine::run_all`]'s submit window: the engine's workers simulate, no
+/// thread is started here, and a manifest longer than the queue is deep
+/// cannot shed itself. Results come back in manifest order.
+///
+/// # Errors
+///
+/// The first job, in manifest order, that does not normalize — before
+/// anything is simulated — or whose simulation fails, named by its
+/// 1-based position.
+pub fn run_batch(engine: &Engine, jobs: &[SimJob]) -> Result<BatchOutcome, JobError> {
+    let job_error = |idx: usize, e: JobError| JobError::BadRequest(format!("job {}: {e}", idx + 1));
+    let normalized = jobs
+        .iter()
+        .enumerate()
+        .map(|(idx, job)| job.normalize().map_err(|e| job_error(idx, e)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let results = engine
+        .run_all(normalized, JobContext::internal(), None)
+        .map_err(|(idx, e)| job_error(idx, e))?;
 
-/// Runs `jobs` through `engine` using `submitters` concurrent submitter
-/// threads, without retries. See [`run_batch_with_retry`].
-pub fn run_batch(
-    engine: &Engine,
-    jobs: &[SimJob],
-    submitters: usize,
-) -> Result<BatchOutcome, JobError> {
-    run_batch_with_retry(engine, jobs, submitters, RetryPolicy::default())
-}
-
-/// Runs `jobs` through `engine` using `submitters` concurrent submitter
-/// threads. Results come back in manifest order regardless of completion
-/// order. Jobs shed by an overloaded engine are retried per `policy`
-/// (backoff + jitter, honoring the retry hint); other errors fail fast.
-pub fn run_batch_with_retry(
-    engine: &Engine,
-    jobs: &[SimJob],
-    submitters: usize,
-    policy: RetryPolicy,
-) -> Result<BatchOutcome, JobError> {
-    let submitters = submitters.clamp(1, jobs.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<CompletedJob>> = Mutex::new(vec![None; jobs.len()]);
-    let first_error: Mutex<Option<JobError>> = Mutex::new(None);
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..submitters {
-            scope.spawn(|_| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= jobs.len() {
-                    return;
-                }
-                let mut attempt = 0u32;
-                let outcome = loop {
-                    match engine.run(&jobs[idx]) {
-                        Ok(ok) => break Ok(ok),
-                        Err(e) if e.is_retryable() && attempt < policy.retries => {
-                            std::thread::sleep(policy.backoff_delay(
-                                attempt,
-                                idx,
-                                e.retry_after_ms(),
-                            ));
-                            attempt += 1;
-                        }
-                        Err(e) => break Err(e),
-                    }
-                };
-                match outcome {
-                    Ok((result, served)) => {
-                        slots.lock().unwrap()[idx] = Some((served, result));
-                    }
-                    Err(e) => {
-                        let mut first = first_error.lock().unwrap();
-                        if first.is_none() {
-                            *first = Some(JobError::BadRequest(format!("job {}: {e}", idx + 1)));
-                        }
-                        // Keep draining the queue so other submitters finish.
-                    }
-                }
-            });
-        }
-    })
-    .expect("batch submitter panicked");
-
-    if let Some(err) = first_error.into_inner().unwrap() {
-        return Err(err);
-    }
-    let slots = slots.into_inner().unwrap();
     let mut entries = Vec::with_capacity(jobs.len());
     let mut cache_hits = 0u64;
     let mut simulations = 0u64;
-    for (job, slot) in jobs.iter().zip(slots) {
-        let (served, result) = slot.expect("every job slot filled");
+    for (job, (result, served)) in jobs.iter().zip(results) {
         match served {
             Served::Fresh => simulations += 1,
             Served::Cache | Served::Joined => cache_hits += 1,
@@ -307,7 +191,7 @@ mod tests {
             .iter()
             .flat_map(|df| [tiny_manifest_job(df), tiny_manifest_job(df)])
             .collect();
-        let outcome = run_batch(&engine, &jobs, 4).unwrap();
+        let outcome = run_batch(&engine, &jobs).unwrap();
         assert_eq!(outcome.entries.len(), 6);
         assert_eq!(outcome.simulations, 3);
         assert_eq!(outcome.cache_hits, 3);
@@ -320,7 +204,7 @@ mod tests {
     fn csv_rows_match_standalone_reports() {
         let engine = Engine::new(2, 16);
         let jobs = vec![tiny_manifest_job("os"), tiny_manifest_job("ws")];
-        let outcome = run_batch(&engine, &jobs, 2).unwrap();
+        let outcome = run_batch(&engine, &jobs).unwrap();
         let combined = outcome.to_csv();
         let expected: String = String::from(NetworkReport::CSV_HEADER)
             + &outcome.entries[0].result.report.csv_rows()
@@ -336,54 +220,7 @@ mod tests {
     fn bad_job_fails_the_batch() {
         let engine = Engine::new(1, 4);
         let jobs = vec![SimJob::builtin("no_such_net")];
-        assert!(run_batch(&engine, &jobs, 2).is_err());
-        engine.shutdown();
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_honors_hints() {
-        let policy = RetryPolicy::with_retries(3);
-        // Deterministic: same (attempt, job) always yields the same delay.
-        assert_eq!(
-            policy.backoff_delay(0, 7, None),
-            policy.backoff_delay(0, 7, None)
-        );
-        // Jitter bounds: 0.75–1.25x of the 50 ms base.
-        let d0 = policy.backoff_delay(0, 0, None);
-        assert!(d0 >= Duration::from_micros(37_500) && d0 <= Duration::from_micros(62_500));
-        // Exponential growth between attempts (jitter can't mask a 2x step
-        // entirely: 2 * 0.75 > 1.25).
-        assert!(policy.backoff_delay(3, 0, None) > policy.backoff_delay(0, 0, None));
-        // A server hint larger than the exponential term becomes the floor.
-        let hinted = policy.backoff_delay(0, 0, Some(2_000));
-        assert!(hinted >= Duration::from_millis(1_500));
-        // The cap always wins.
-        assert!(policy.backoff_delay(30, 0, Some(60_000)) <= policy.max_delay);
-    }
-
-    #[test]
-    fn shed_jobs_retry_until_the_queue_drains() {
-        use crate::engine::{EngineOptions, FaultPlan};
-        // One slow worker and a one-deep queue: three concurrent distinct
-        // jobs guarantee shedding. With retries the whole batch completes.
-        let engine = Engine::with_options(EngineOptions {
-            workers: 1,
-            cache_capacity: 16,
-            queue_depth: 1,
-        });
-        engine.inject_faults(FaultPlan::new().delay("tiny", Duration::from_millis(80)));
-        let jobs: Vec<SimJob> = ["os", "ws", "is"]
-            .iter()
-            .map(|df| tiny_manifest_job(df))
-            .collect();
-        let policy = RetryPolicy {
-            retries: 20,
-            base_delay: Duration::from_millis(20),
-            max_delay: Duration::from_millis(250),
-        };
-        let outcome = run_batch_with_retry(&engine, &jobs, 3, policy).unwrap();
-        assert_eq!(outcome.entries.len(), 3);
-        assert_eq!(outcome.simulations, 3);
+        assert!(run_batch(&engine, &jobs).is_err());
         engine.shutdown();
     }
 }

@@ -5,7 +5,7 @@
 use std::fs;
 use std::time::Duration;
 
-use crate::batch::{parse_manifest, run_batch_with_retry, RetryPolicy};
+use crate::batch::{parse_manifest, run_batch};
 use crate::engine::{Engine, EngineOptions, DEFAULT_QUEUE_DEPTH};
 use crate::http::{Server, ServerOptions};
 use crate::signals;
@@ -133,17 +133,13 @@ pub fn run_serve(argv: &[String]) -> Result<(), String> {
 /// `scale-sim batch`: run a manifest of jobs concurrently and emit one
 /// combined REPORT CSV plus a cache summary.
 ///
-/// Flags: `--manifest <FILE>` (required), `--jobs <N>` concurrent jobs
-/// (default: one per core), `--cache <N>` results (default: manifest
-/// length), `--output <FILE>` for the CSV (default: stdout),
-/// `--retries <N>` retry attempts for jobs shed by an overloaded engine,
-/// with exponential backoff + jitter honoring the retry hint (default 3).
+/// Flags: `--manifest <FILE>` (required), `--jobs <N>` simulator workers
+/// (default: one per core), `--output <FILE>` for the CSV (default:
+/// stdout). The result cache holds the whole manifest.
 pub fn run_batch_cli(argv: &[String]) -> Result<(), String> {
     let mut manifest_path = None;
     let mut jobs_n = default_workers();
-    let mut cache = None;
     let mut output = None;
-    let mut retries: u32 = 3;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -152,17 +148,7 @@ pub fn run_batch_cli(argv: &[String]) -> Result<(), String> {
                 let text = take_value(&mut it, "--jobs")?;
                 jobs_n = parse_nonzero(&text, "--jobs")?;
             }
-            "--cache" => {
-                let text = take_value(&mut it, "--cache")?;
-                cache = Some(parse_nonzero(&text, "--cache")?);
-            }
             "-o" | "--output" => output = Some(take_value(&mut it, "--output")?),
-            "--retries" => {
-                let text = take_value(&mut it, "--retries")?;
-                retries = text
-                    .parse()
-                    .map_err(|_| format!("bad value for --retries: `{text}`"))?;
-            }
             other => return Err(format!("unknown batch argument `{other}`")),
         }
     }
@@ -170,11 +156,9 @@ pub fn run_batch_cli(argv: &[String]) -> Result<(), String> {
     let text = fs::read_to_string(&manifest_path)
         .map_err(|e| format!("cannot read manifest {manifest_path}: {e}"))?;
     let jobs = parse_manifest(&text).map_err(|e| e.to_string())?;
-    let cache = cache.unwrap_or_else(|| jobs.len().max(16));
 
-    let engine = Engine::new(jobs_n, cache);
-    let outcome = run_batch_with_retry(&engine, &jobs, jobs_n, RetryPolicy::with_retries(retries))
-        .map_err(|e| e.to_string())?;
+    let engine = Engine::new(jobs_n, jobs.len().max(16));
+    let outcome = run_batch(&engine, &jobs).map_err(|e| e.to_string())?;
     engine.shutdown();
 
     let csv = outcome.to_csv();
@@ -224,7 +208,8 @@ mod tests {
         assert!(err.contains("--manifest"));
         assert!(run_batch_cli(&argv(&["--manifest", "/no/such/file"])).is_err());
         assert!(run_batch_cli(&argv(&["--jobs", "0"])).is_err());
-        assert!(run_batch_cli(&argv(&["--retries", "many"])).is_err());
+        let err = run_batch_cli(&argv(&["--retries", "3"])).unwrap_err();
+        assert!(err.contains("unknown batch argument"));
     }
 
     #[test]

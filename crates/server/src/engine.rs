@@ -32,13 +32,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 #[cfg(test)]
 use std::time::Duration;
 use std::time::Instant;
 
 use scalesim::cache::ShardedLru;
-use scalesim::{NetworkReport, Simulator};
+use scalesim::{ExploreEngine, NetworkReport, Simulator};
 
 // The fault-injection hook lives with the panic-safe executor in core, so
 // the sweep engine, the explore pipeline and this worker pool share one
@@ -165,13 +165,17 @@ impl Served {
     }
 }
 
+/// A finished job as [`Engine::run_all`] hands it back: the shared result
+/// and how this request came by it.
+pub type ServedResult = (Arc<SimResult>, Served);
+
 /// The outcome of one simulation job.
 #[derive(Debug, Clone)]
 pub struct SimResult {
     /// Content-addressed key of the normalized job.
     pub key: JobKey,
-    /// The simulation report.
-    pub report: NetworkReport,
+    /// The simulation report (shared with `/explore` outcomes).
+    pub report: Arc<NetworkReport>,
     /// Wall time of the underlying simulation in microseconds (the
     /// leader's measurement; identical for cache hits and joins, keeping
     /// response bodies for equal jobs byte-identical).
@@ -461,6 +465,7 @@ struct Shared {
     cache: ShardedLru<Arc<SimResult>>,
     registry: Arc<Registry>,
     stats: Stats,
+    explorer: OnceLock<ExploreEngine>,
     shutdown: AtomicBool,
     workers: usize,
     queue_depth: usize,
@@ -555,6 +560,7 @@ impl Engine {
             inflight: Mutex::new(HashMap::new()),
             cache: ShardedLru::new(cache_capacity, workers.next_power_of_two().min(16))
                 .with_metrics(evictions, resident),
+            explorer: OnceLock::new(),
             registry,
             stats,
             shutdown: AtomicBool::new(false),
@@ -584,6 +590,19 @@ impl Engine {
     /// text via [`Registry::render`].
     pub fn registry(&self) -> &Arc<Registry> {
         &self.shared.registry
+    }
+
+    /// The explore pipeline of `POST /explore`, built by the first request
+    /// and kept: its `scalesim_explore_*` series are registered in
+    /// [`Engine::registry`] once, and a server nobody explores on scrapes
+    /// none of them. Its own result cache is never probed — `/explore`
+    /// simulates through [`Engine::run_all`] — so one entry is all it is
+    /// given.
+    pub(crate) fn explorer(&self) -> &ExploreEngine {
+        let shared = &self.shared;
+        shared
+            .explorer
+            .get_or_init(|| ExploreEngine::with_registry(1, &shared.registry))
     }
 
     /// Runs a job to completion, deduplicating against the cache and any
@@ -619,9 +638,9 @@ impl Engine {
     /// Hands a job to the engine without waiting for it: probes the cache,
     /// joins an identical in-flight simulation or becomes its leader and
     /// queues it, subject to admission control. Never blocks;
-    /// [`Ticket::wait`] collects the result. A caller with many jobs — the
-    /// `POST /sweep` planner — submits several before it waits for the
-    /// first, from its own thread.
+    /// [`Ticket::wait`] collects the result. A caller with many jobs goes
+    /// through [`Engine::run_all`], which submits several before it waits
+    /// for the first, from its own thread.
     ///
     /// Every terminal outcome leaves one [`JobRecord`] in the flight
     /// recorder: hit, shed and shutdown are recorded here, joined and
@@ -736,6 +755,54 @@ impl Engine {
         })
     }
 
+    /// Runs `jobs` to completion from the calling thread and returns their
+    /// results in submission order: the one way anything in this crate
+    /// (`POST /sweep`, `POST /explore`, the batch runner) runs more than
+    /// one job. At most `min(2 × workers, queue depth)` submitted jobs are
+    /// unfinished at any time — enough to keep the workers fed, and never
+    /// more than the queue admits, so a caller cannot shed itself; jobs the
+    /// cache answers hold no place in that window. No thread is started.
+    ///
+    /// # Errors
+    ///
+    /// The first failure in submission order, with the index of its job:
+    /// what [`Engine::submit`] refuses (shutdown, or a queue other
+    /// callers filled), [`JobError::DeadlineExpired`] at `deadline`, a
+    /// failed simulation. The jobs already submitted finish regardless and
+    /// land in the cache.
+    pub fn run_all(
+        &self,
+        jobs: impl IntoIterator<Item = NormalizedJob>,
+        ctx: JobContext<'_>,
+        deadline: Option<Instant>,
+    ) -> Result<Vec<ServedResult>, (usize, JobError)> {
+        let window = (2 * self.shared.workers).min(self.shared.queue_depth);
+        let mut jobs = jobs.into_iter();
+        let mut results = Vec::with_capacity(jobs.size_hint().0);
+        // Submitted and not yet waited for, in submission order;
+        // `unfinished` counts those the cache did not answer.
+        let mut tickets: VecDeque<Ticket<'_>> = VecDeque::new();
+        let mut unfinished = 0;
+        loop {
+            if unfinished < window {
+                if let Some(job) = jobs.next() {
+                    let ticket = self
+                        .submit(job, ctx)
+                        .map_err(|e| (results.len() + tickets.len(), e))?;
+                    unfinished += usize::from(ticket.is_pending());
+                    tickets.push_back(ticket);
+                    continue;
+                }
+            }
+            // The window is full or everything is submitted: take the oldest.
+            let Some(ticket) = tickets.pop_front() else {
+                return Ok(results);
+            };
+            unfinished -= usize::from(ticket.is_pending());
+            results.push(ticket.wait(deadline).map_err(|e| (results.len(), e))?);
+        }
+    }
+
     /// Signals workers to exit once the queue drains. Idempotent. After
     /// this, new submissions fail fast with [`JobError::ShuttingDown`];
     /// already-queued leaders (and their joiners) still complete.
@@ -748,16 +815,6 @@ impl Engine {
     /// the HTTP layer's graceful drain to decide when shutdown is complete.
     pub fn is_idle(&self) -> bool {
         self.shared.queue.lock().unwrap().is_empty() && self.shared.stats.in_flight.get() <= 0
-    }
-
-    /// The number of simulator worker threads.
-    pub(crate) fn workers(&self) -> usize {
-        self.shared.workers
-    }
-
-    /// The configured bound on the leader queue.
-    pub fn queue_depth_limit(&self) -> usize {
-        self.shared.queue_depth
     }
 
     /// Installs a [`FaultPlan`] (test hook). Replaces any previous plan;
@@ -931,7 +988,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 );
                 Ok(Arc::new(SimResult {
                     key,
-                    report,
+                    report: Arc::new(report),
                     sim_wall_micros,
                 }))
             }
@@ -1174,7 +1231,7 @@ mod tests {
         let report = Simulator::new(SimConfig::default()).run_topology(&topology);
         let result = SimResult {
             key: JobKey(0),
-            report,
+            report: Arc::new(report),
             sim_wall_micros: 0,
         };
         let text = result.to_json().to_string();

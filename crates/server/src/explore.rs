@@ -11,32 +11,31 @@
 //!   "aspect": "all",
 //!   "keep_within": 10,        // slack band, percent (default 10)
 //!   "budget": 50,             // max points simulated (optional)
-//!   "budget_seconds": 30,     // or a wall-clock limit (optional)
-//!   "jobs": 4                 // simulation parallelism (default 4)
+//!   "budget_seconds": 30      // or a wall-clock limit (optional)
 //! }
 //! ```
 //!
 //! The handler runs the three-stage pipeline of
 //! [`scalesim::explore`](scalesim::ExploreEngine): analytical lower-bound
 //! prediction over every candidate, Pareto-band pruning, then
-//! cycle-accurate simulation of the survivors under the budget. Each
-//! request uses its own [`ExploreEngine`] and its sweep session's workers,
-//! not the server's pool and result cache (which does keep full reports,
-//! [`crate::engine::SimResult::report`]: sharing it is open work), but its
-//! telemetry lands in the engine registry so the `scalesim_explore_*`
-//! series show up on `GET /metrics`.
+//! cycle-accurate simulation of the survivors under the budget. Stages 0–1
+//! and the choice of each batch run on the connection thread; the
+//! survivors themselves are ordinary engine jobs, submitted like the points
+//! of a `POST /sweep` ([`Engine::run_all`]): simulated by the engine's
+//! workers, cached for `/simulate` and `/sweep`, joined when an identical
+//! job is in flight, shed when the queue is full, bounded by the request's
+//! deadline, seen by a drain, and filed in the flight recorder under route
+//! `/explore`. A request starts no thread and has no parallelism knob: the
+//! server's `--workers` is the parallelism.
 
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use scalesim::{ExploreBudget, ExploreEngine, ExploreOptions, ExploreOutcome, MeasuredPoint};
+use scalesim::{ExploreBudget, ExploreOptions, ExploreOutcome, MeasuredPoint};
 
-use crate::engine::Engine;
+use crate::engine::{Engine, JobContext, Served};
 use crate::job::JobError;
 use crate::json::Json;
-
-/// Cache capacity for the per-request explore engine: big enough that the
-/// refinement loop never evicts a survivor's report mid-request.
-const EXPLORE_CACHE: usize = 4096;
 
 /// Splits the request body into the core sweep plan and the explore
 /// options.
@@ -52,10 +51,7 @@ pub fn parse_explore_request(
         .as_object()
         .ok_or_else(|| JobError::bad_request("explore request must be a JSON object"))?;
 
-    let mut options = ExploreOptions {
-        jobs: 4,
-        ..ExploreOptions::default()
-    };
+    let mut options = ExploreOptions::default();
     let mut plan_fields: Vec<(String, Json)> = Vec::new();
     let mut sim_budget = None;
     let mut wall_budget = None;
@@ -85,13 +81,6 @@ pub fn parse_explore_request(
                     })?;
                 wall_budget = Some(ExploreBudget::WallClock(Duration::from_secs_f64(secs)));
             }
-            "jobs" => {
-                let n = val
-                    .as_u64()
-                    .filter(|n| *n > 0)
-                    .ok_or_else(|| JobError::bad_request("`jobs` must be a positive integer"))?;
-                options.jobs = n as usize;
-            }
             _ => plan_fields.push((key.clone(), val.clone())),
         }
     }
@@ -109,18 +98,36 @@ pub fn parse_explore_request(
 }
 
 /// Parses and runs an explore request, returning the full response body.
-/// Blocks until the budget is exhausted or the survivors are simulated.
+/// Blocks until the budget is exhausted, the survivors are simulated or
+/// `deadline` passes; `request_id` tags the survivors' flight-recorder
+/// entries.
 ///
 /// # Errors
 ///
-/// [`JobError::BadRequest`] for invalid requests, [`JobError::Internal`]
-/// when a survivor's simulation fails.
-pub fn run_explore(engine: &Engine, body: &Json) -> Result<Json, JobError> {
+/// [`JobError::BadRequest`] for invalid requests; otherwise what
+/// [`Engine::run_all`] fails a survivor with —
+/// [`JobError::DeadlineExpired`] at the deadline, while the survivors
+/// already submitted finish and land in the cache.
+pub fn run_explore(
+    engine: &Engine,
+    body: &Json,
+    deadline: Option<Instant>,
+    request_id: &str,
+) -> Result<Json, JobError> {
     let (plan, options) = parse_explore_request(body)?;
-    let explorer = ExploreEngine::with_registry(EXPLORE_CACHE, engine.registry());
-    let outcome = explorer
-        .run(&plan, &options)
-        .map_err(|e| JobError::Internal(format!("explore failed: {e}")))?;
+    let ctx = JobContext {
+        route: "/explore",
+        request_id,
+    };
+    let outcome = engine.explorer().run_with(&plan, &options, |specs| {
+        let served = crate::sweep::run_points(engine, &plan, specs, ctx, deadline)?;
+        let hits = served.iter().filter(|(_, s)| *s != Served::Fresh).count();
+        let reports = served
+            .into_iter()
+            .map(|(result, _)| Arc::clone(&result.report))
+            .collect();
+        Ok::<_, JobError>((reports, hits as u64))
+    })?;
     Ok(outcome_json(&outcome))
 }
 
@@ -216,16 +223,13 @@ mod tests {
         assert_eq!(plan.name, "e");
         assert_eq!(options.keep_within_pct, 10.0);
         assert_eq!(options.budget, ExploreBudget::Unlimited);
-        assert_eq!(options.jobs, 4);
     }
 
     #[test]
     fn request_parses_explore_knobs() {
-        let (_, options) =
-            parse_explore_request(&body(r#","keep_within":25,"budget":7,"jobs":2"#)).unwrap();
+        let (_, options) = parse_explore_request(&body(r#","keep_within":25,"budget":7"#)).unwrap();
         assert_eq!(options.keep_within_pct, 25.0);
         assert_eq!(options.budget, ExploreBudget::Sims(7));
-        assert_eq!(options.jobs, 2);
 
         let (_, options) = parse_explore_request(&body(r#","budget_seconds":1.5"#)).unwrap();
         assert_eq!(
@@ -239,7 +243,7 @@ mod tests {
         assert!(parse_explore_request(&body(r#","keep_within":-1"#)).is_err());
         assert!(parse_explore_request(&body(r#","budget":"lots""#)).is_err());
         assert!(parse_explore_request(&body(r#","budget_seconds":0"#)).is_err());
-        assert!(parse_explore_request(&body(r#","jobs":0"#)).is_err());
+        assert!(parse_explore_request(&body(r#","jobs":2"#)).is_err());
         assert!(parse_explore_request(&body(r#","budget":1,"budget_seconds":1"#)).is_err());
         // Unknown fields still fall through to the plan parser and fail.
         assert!(parse_explore_request(&body(r#","bogus":1"#)).is_err());
@@ -248,7 +252,7 @@ mod tests {
     #[test]
     fn explore_runs_and_reports_a_frontier() {
         let engine = Engine::new(2, 16);
-        let response = run_explore(&engine, &body(r#","jobs":2"#)).unwrap();
+        let response = run_explore(&engine, &body(""), None, "").unwrap();
         let summary = response.get("summary").unwrap();
         let candidates = summary.get("candidates").and_then(Json::as_u64).unwrap();
         let pruned = summary.get("pruned").and_then(Json::as_u64).unwrap();

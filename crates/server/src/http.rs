@@ -702,7 +702,7 @@ fn route(context: &Context, req: &Request, deadline: Option<Instant>, request_id
         ("POST", "/explore") => {
             let outcome = Json::parse(&req.body)
                 .map_err(|e| JobError::bad_request(format!("invalid JSON: {e}")))
-                .and_then(|json| crate::explore::run_explore(engine, &json));
+                .and_then(|json| crate::explore::run_explore(engine, &json, deadline, request_id));
             match outcome {
                 Ok(response) => Routed::json(200, response.to_string()),
                 Err(e) => error_response(&e),

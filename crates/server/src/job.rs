@@ -14,7 +14,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use scalesim::cache::ContentKey;
-use scalesim::sweep::canonical_job_text;
+use scalesim::sweep::{canonical_job_text, SweepError};
 use scalesim::{parse_config, PartitionGrid, SimConfig};
 use scalesim_topology::{networks, parse_topology_csv, topology_to_csv, Dataflow, Topology};
 
@@ -441,20 +441,15 @@ impl JobError {
     pub fn bad_request(msg: impl Into<String>) -> JobError {
         JobError::BadRequest(msg.into())
     }
+}
 
-    /// True for load-shedding outcomes that a client may transparently
-    /// retry after backing off ([`JobError::Overloaded`]). Deadline expiry
-    /// is *not* retryable here: retrying it is a caller policy decision.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, JobError::Overloaded { .. })
-    }
-
-    /// The engine's back-off hint in milliseconds, if this error carries
-    /// one.
-    pub fn retry_after_ms(&self) -> Option<u64> {
-        match self {
-            JobError::Overloaded { retry_after_ms } => Some(*retry_after_ms),
-            _ => None,
+/// A core sweep or explore failure as the route's answer: an invalid plan
+/// is the request's fault, anything else the simulation's.
+impl From<SweepError> for JobError {
+    fn from(e: SweepError) -> JobError {
+        match e {
+            SweepError::Plan(msg) => JobError::BadRequest(msg),
+            other => JobError::Internal(other.to_string()),
         }
     }
 }
@@ -592,19 +587,7 @@ mod tests {
         let shed = JobError::Overloaded {
             retry_after_ms: 250,
         };
-        assert!(shed.is_retryable());
-        assert_eq!(shed.retry_after_ms(), Some(250));
         assert!(shed.to_string().contains("250 ms"));
-
-        for terminal in [
-            JobError::DeadlineExpired,
-            JobError::ShuttingDown,
-            JobError::bad_request("nope"),
-            JobError::Internal("boom".into()),
-        ] {
-            assert!(!terminal.is_retryable(), "{terminal} must not retry");
-            assert_eq!(terminal.retry_after_ms(), None);
-        }
         assert!(JobError::ShuttingDown.to_string().contains("shutting down"));
         assert!(JobError::DeadlineExpired.to_string().contains("deadline"));
     }

@@ -17,10 +17,13 @@
 //!   deduplication (concurrent identical jobs run one simulation; the rest
 //!   join it) in front of a sharded LRU result cache ([`ShardedLru`]).
 //! * **Front ends** — an HTTP/1.1 service ([`http`]; `POST /simulate`,
-//!   `POST /sweep`, `GET /stats`, `GET /metrics`, `GET /healthz`) and a
-//!   manifest-driven batch runner ([`batch`]) that emits one combined
-//!   REPORT CSV. Both are wired to the `scale-sim` binary's `serve` and
-//!   `batch` subcommands via [`cli`].
+//!   `POST /sweep`, `POST /explore`, `GET /stats`, `GET /metrics`,
+//!   `GET /healthz`) and a manifest-driven batch runner ([`batch`]) that
+//!   emits one combined REPORT CSV. Both are wired to the `scale-sim`
+//!   binary's `serve` and `batch` subcommands via [`cli`]. The three that
+//!   run many jobs — `/sweep`, `/explore`, `batch` — do it one way,
+//!   [`Engine::run_all`]: from the calling thread, a bounded window of
+//!   jobs ahead of the one waited for, no thread of their own.
 //! * **Sweeps** ([`sweep`]) — `POST /sweep` walks a design-space plan
 //!   (the plan grammar of `scalesim::sweep`, spelled in JSON) and submits
 //!   every point to the engine from the connection's thread, sharing its
@@ -29,7 +32,7 @@
 //!   plus `keep_within` / `budget` knobs and runs the analytical-guided
 //!   pipeline of [`scalesim::ExploreEngine`]: predict every candidate with
 //!   the lower-bound runtime model, prune to the analytical Pareto band,
-//!   simulate only the survivors.
+//!   simulate only the survivors — as ordinary jobs of the same engine.
 //! * **Telemetry** — every service counter is a `scalesim-telemetry`
 //!   metric: the [`Stats`] snapshot served at `/stats` and the Prometheus
 //!   exposition at `/metrics` read the *same* counters, so the two views
@@ -47,10 +50,9 @@
 //!   serve` installs `SIGINT`/`SIGTERM` handlers ([`signals`]) and drains
 //!   gracefully: `/healthz` flips to `draining`, new jobs shed with
 //!   [`JobError::ShuttingDown`], in-flight work gets a bounded grace
-//!   period. The batch runner retries shed jobs with exponential backoff +
-//!   deterministic jitter ([`RetryPolicy`]), and the engine has a
-//!   test-only fault-injection hook ([`FaultPlan`]) so every failure path
-//!   is exercised without real overload.
+//!   period. The engine has a test-only fault-injection hook
+//!   ([`FaultPlan`]) so every failure path is exercised without real
+//!   overload.
 //!
 //! Everything is built on `std` networking and threads plus a hand-rolled
 //! JSON module ([`json`]) — matching the repo-wide policy of no heavyweight
@@ -68,10 +70,10 @@ pub mod json;
 pub mod signals;
 pub mod sweep;
 
-pub use batch::{parse_manifest, run_batch, run_batch_with_retry, BatchOutcome, RetryPolicy};
+pub use batch::{parse_manifest, run_batch, BatchOutcome};
 pub use engine::{
-    Engine, EngineOptions, FaultPlan, JobContext, JobRecord, Served, SimResult, Stats, Ticket,
-    FLIGHT_RECORDER_CAPACITY,
+    Engine, EngineOptions, FaultPlan, JobContext, JobRecord, Served, ServedResult, SimResult,
+    Stats, Ticket, FLIGHT_RECORDER_CAPACITY,
 };
 pub use http::{Server, ServerHandle, ServerOptions};
 pub use job::{JobError, JobKey, NormalizedJob, SimJob, Workload};

@@ -2,10 +2,10 @@
 //!
 //! The request body is a JSON rendering of a core [`SweepPlan`]. The
 //! handler walks the plan's points on the connection thread: each becomes
-//! a [`NormalizedJob`] handed to [`Engine::submit`], a bounded number of
-//! them ahead of the one being waited for, so sweep points share the
-//! engine's result cache and single-flight dedup with ordinary
-//! `POST /simulate` traffic (they hash the same
+//! a [`NormalizedJob`] and all of them go through [`Engine::run_all`], a
+//! bounded number submitted ahead of the one being waited for, so sweep
+//! points share the engine's result cache and single-flight dedup with
+//! ordinary `POST /simulate` traffic (they hash the same
 //! [`canonical_job_text`](scalesim::sweep::canonical_job_text)) and a sweep
 //! starts no thread of its own. The response lists points in plan order,
 //! so the simulated figures for identical plans are byte-identical; only
@@ -29,14 +29,13 @@
 //! }
 //! ```
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use scalesim::sweep::{summarize_groups, telemetry_names, DataflowChoice, PointSpec, SweepPlan};
 use scalesim_telemetry::Histogram;
 
-use crate::engine::{Engine, JobContext, Served, SimResult, Ticket};
+use crate::engine::{Engine, JobContext, Served, ServedResult, SimResult};
 use crate::job::{JobError, NormalizedJob};
 use crate::json::Json;
 
@@ -114,12 +113,67 @@ pub fn parse_sweep_plan(value: &Json) -> Result<SweepPlan, JobError> {
     Ok(plan)
 }
 
+/// Simulates `specs`, points of `plan`, as ordinary engine jobs — what
+/// `POST /sweep` does with a plan's points and `POST /explore` with each
+/// batch of survivors — and counts them in the `scalesim_sweep_*` series.
+/// Results come back in the order of `specs`; window, deadline and errors
+/// are those of [`Engine::run_all`].
+pub(crate) fn run_points(
+    engine: &Engine,
+    plan: &SweepPlan,
+    specs: &[PointSpec],
+    ctx: JobContext<'_>,
+    deadline: Option<Instant>,
+) -> Result<Vec<ServedResult>, JobError> {
+    let jobs = specs.iter().map(|spec| {
+        let workload = plan.workloads.iter().rfind(|w| w.label == spec.workload);
+        NormalizedJob {
+            config: spec.config(&plan.base),
+            topology: workload
+                .expect("a plan's points name its workloads")
+                .topology
+                .clone(),
+            grid: spec.grid,
+            auto_dataflow: spec.dataflow == DataflowChoice::Auto,
+        }
+    });
+    let served = engine.run_all(jobs, ctx, deadline).map_err(|(_, e)| e)?;
+
+    let registry = engine.registry();
+    let point_seconds = registry.histogram(
+        telemetry_names::POINT_SECONDS,
+        "Wall time per freshly simulated sweep point.",
+        &Histogram::duration_buckets(),
+    );
+    let mut simulations = 0u64;
+    for (result, _) in served.iter().filter(|(_, s)| *s == Served::Fresh) {
+        simulations += 1;
+        point_seconds.observe_duration(Duration::from_micros(result.sim_wall_micros));
+    }
+    registry
+        .counter(
+            telemetry_names::POINTS,
+            "Sweep points completed (any path).",
+        )
+        .add(served.len() as u64);
+    registry
+        .counter(
+            telemetry_names::SIMULATIONS,
+            "Simulations executed for sweep points.",
+        )
+        .add(simulations);
+    registry
+        .counter(
+            telemetry_names::CACHE_HITS,
+            "Sweep points served without a fresh simulation.",
+        )
+        .add(served.len() as u64 - simulations);
+    Ok(served)
+}
+
 /// Parses and runs a sweep plan against `engine`, returning the full
 /// response body. Blocks until every point is served or `deadline` passes;
-/// `request_id` tags the points' flight-recorder entries. At most
-/// `min(2 × engine workers, queue depth)` submitted points are unfinished
-/// at any time: enough to keep the workers fed, and never more than the
-/// engine's queue admits, so a sweep cannot shed itself.
+/// `request_id` tags the points' flight-recorder entries.
 ///
 /// # Errors
 ///
@@ -134,9 +188,7 @@ pub fn run_sweep(
     request_id: &str,
 ) -> Result<Json, JobError> {
     let plan = parse_sweep_plan(body)?;
-    let mut points = plan
-        .points()
-        .map_err(|e| JobError::bad_request(e.to_string()))?;
+    let points = plan.points()?;
     if points.len() > MAX_SWEEP_POINTS {
         return Err(JobError::bad_request(format!(
             "plan expands to {} points, more than the {MAX_SWEEP_POINTS} one /sweep serves; \
@@ -144,74 +196,22 @@ pub fn run_sweep(
             points.len()
         )));
     }
-
-    let registry = engine.registry();
-    let points_total = registry.counter(
-        telemetry_names::POINTS,
-        "Sweep points completed (any path).",
-    );
-    let cache_hits_metric = registry.counter(
-        telemetry_names::CACHE_HITS,
-        "Sweep points served without a fresh simulation.",
-    );
-    let simulations_metric = registry.counter(
-        telemetry_names::SIMULATIONS,
-        "Simulations executed for sweep points.",
-    );
-    let point_seconds = registry.histogram(
-        telemetry_names::POINT_SECONDS,
-        "Wall time per freshly simulated sweep point.",
-        &Histogram::duration_buckets(),
-    );
-
+    let specs: Vec<PointSpec> = points.collect();
     let ctx = JobContext {
         route: "/sweep",
         request_id,
     };
-    let window = (2 * engine.workers()).min(engine.queue_depth_limit());
-    let mut served_points: Vec<(PointSpec, Arc<SimResult>, Served)> =
-        Vec::with_capacity(points.len());
-    // Submitted and not yet waited for, in plan order; `unfinished` counts
-    // those the cache did not answer.
-    let mut tickets: VecDeque<(PointSpec, Ticket<'_>)> = VecDeque::new();
-    let mut unfinished = 0;
-    let mut simulations = 0u64;
-    loop {
-        if unfinished < window {
-            if let Some(spec) = points.next() {
-                let workload = plan.workloads.iter().rfind(|w| w.label == spec.workload);
-                let job = NormalizedJob {
-                    config: spec.config(&plan.base),
-                    topology: workload
-                        .expect("a plan's points name its workloads")
-                        .topology
-                        .clone(),
-                    grid: spec.grid,
-                    auto_dataflow: spec.dataflow == DataflowChoice::Auto,
-                };
-                let ticket = engine.submit(job, ctx)?;
-                unfinished += usize::from(ticket.is_pending());
-                tickets.push_back((spec, ticket));
-                continue;
-            }
-        }
-        // The window is full or the plan is submitted: take the oldest.
-        let Some((spec, ticket)) = tickets.pop_front() else {
-            break;
-        };
-        unfinished -= usize::from(ticket.is_pending());
-        let (result, served) = ticket.wait(deadline)?;
-        if served == Served::Fresh {
-            simulations += 1;
-            point_seconds.observe_duration(Duration::from_micros(result.sim_wall_micros));
-        }
-        served_points.push((spec, result, served));
-    }
-
+    let served_points: Vec<(PointSpec, Arc<SimResult>, Served)> =
+        run_points(engine, &plan, &specs, ctx, deadline)?
+            .into_iter()
+            .zip(specs)
+            .map(|((result, served), spec)| (spec, result, served))
+            .collect();
+    let simulations = served_points
+        .iter()
+        .filter(|(_, _, served)| *served == Served::Fresh)
+        .count() as u64;
     let cache_hits = served_points.len() as u64 - simulations;
-    points_total.add(served_points.len() as u64);
-    simulations_metric.add(simulations);
-    cache_hits_metric.add(cache_hits);
 
     let rows: Vec<Json> = served_points
         .iter()
@@ -236,7 +236,7 @@ pub fn run_sweep(
     let groups: Vec<Json> = summarize_groups(
         served_points
             .iter()
-            .map(|(spec, result, _)| (spec, &result.report)),
+            .map(|(spec, result, _)| (spec, &*result.report)),
     )
     .into_iter()
     .map(|group| {

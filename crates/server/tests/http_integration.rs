@@ -296,7 +296,6 @@ fn explore_route_prunes_and_reports_a_frontier() {
         "budgets": [1024],
         "aspect": "all",
         "keep_within": 15,
-        "jobs": 2,
         "config": {"IfmapSramSz": 64, "FilterSramSz": 64, "OfmapSramSz": 32}
     }"#;
 

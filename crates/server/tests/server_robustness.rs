@@ -1,9 +1,11 @@
 //! Overload and shutdown behavior over real TCP sockets: queue-full
 //! shedding (503 + `Retry-After`), request deadlines (504, result still
 //! cached), graceful drain, slowloris/oversized-header rejection with
-//! bounded memory, telemetry on the malformed-request path, and the set of
-//! `http-conn` threads: no spawn per request, the `max_connections` cap,
-//! and what `stop`/`drain` leave behind.
+//! bounded memory, telemetry on the malformed-request path, the set of
+//! `http-conn` threads — no spawn per request, the `max_connections` cap,
+//! what `stop`/`drain` leave behind — and `/explore` and the batch runner
+//! as ordinary clients of the engine: no thread of their own, the shared
+//! cache, the flight recorder, deadlines and drain.
 //!
 //! Slow simulations are staged with the engine's deterministic
 //! [`FaultPlan`] hook instead of real heavy jobs, so every test is fast
@@ -11,13 +13,13 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use scalesim_server::http::client::{request, request_with_headers};
 use scalesim_server::{
-    Engine, EngineOptions, FaultPlan, Json, Server, ServerHandle, ServerOptions,
+    run_batch, Engine, EngineOptions, FaultPlan, Json, Server, ServerHandle, ServerOptions, SimJob,
 };
 
 /// Thread names are per process and the tests of this file share one: a
@@ -37,16 +39,42 @@ fn alone() -> RwLockWriteGuard<'static, ()> {
     guard
 }
 
-/// The `http-conn` threads of this process.
-fn conn_threads() -> usize {
+/// The threads of this process whose name `counted` accepts.
+fn threads(counted: impl Fn(&str) -> bool) -> usize {
     std::fs::read_dir("/proc/self/task")
         .expect("/proc/self/task lists this process's threads")
         .filter_map(Result::ok)
         .filter(|task| {
             std::fs::read_to_string(task.path().join("comm"))
-                .is_ok_and(|name| name.trim_end() == "http-conn")
+                .is_ok_and(|name| counted(name.trim_end()))
         })
         .count()
+}
+
+/// The `http-conn` threads of this process.
+fn conn_threads() -> usize {
+    threads(|name| name == "http-conn")
+}
+
+/// Runs `work` beside a thread that keeps counting this process's
+/// threads, whatever their names: the count before `work` (that thread
+/// included), the highest seen during it, and what `work` returned. Only
+/// for a test that is [`alone`].
+fn peak_threads_during<R>(work: impl FnOnce() -> R) -> (usize, usize, R) {
+    let done = AtomicBool::new(false);
+    let peak = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::SeqCst) {
+                peak.fetch_max(threads(|_| true), Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let before = threads(|_| true);
+        let result = work();
+        done.store(true, Ordering::SeqCst);
+        (before, peak.load(Ordering::SeqCst), result)
+    })
 }
 
 /// A stopped server's threads exit on their own time; waits for the count.
@@ -520,7 +548,7 @@ fn shed_and_explore_responses_share_the_access_telemetry() {
     assert!(shed >= 1, "a 6-deep burst past queue depth 1 must shed");
 
     let explore_body = r#"{"name":"e","workloads":["TF1"],"budgets":[1024],
-         "config":{"IfmapSramSz":64,"FilterSramSz":64,"OfmapSramSz":32},"jobs":1}"#;
+         "config":{"IfmapSramSz":64,"FilterSramSz":64,"OfmapSramSz":32}}"#;
     let explored = request(handle.addr(), "POST", "/explore", Some(explore_body)).unwrap();
     assert_eq!(explored.status, 200, "body: {}", explored.body);
 
@@ -533,6 +561,220 @@ fn shed_and_explore_responses_share_the_access_telemetry() {
     assert_eq!(route_count(&metrics.body, "explore"), 1);
 
     handle.stop();
+}
+
+/// An exploration of AlexNet: eight layers a point, so a per-request
+/// pool of (point, layer) workers would have plenty to start threads for.
+const ALEXNET_EXPLORE: &str = r#"{"name": "robust-explore", "workloads": ["alexnet"],
+    "budgets": [1024, 4096], "aspect": "all", "keep_within": 1000, "budget": 12,
+    "config": {"IfmapSramSz": 64, "FilterSramSz": 64, "OfmapSramSz": 32}}"#;
+
+/// `/explore` simulates on the engine's workers: on a one-worker server
+/// the process has no more threads during the request than before it, the
+/// warmed-up pair of connection threads included.
+#[test]
+fn explore_starts_no_thread() {
+    let _alone = alone();
+    let handle = start(
+        ServerOptions::default(),
+        EngineOptions {
+            workers: 1,
+            ..EngineOptions::default()
+        },
+        FaultPlan::new().delay("alexnet", Duration::from_millis(10)),
+    );
+    for _ in 0..3 {
+        healthz(handle.addr());
+    }
+    wait_for_conn_threads(2);
+
+    let (before, peak, explored) = peak_threads_during(|| {
+        request(handle.addr(), "POST", "/explore", Some(ALEXNET_EXPLORE)).unwrap()
+    });
+    assert_eq!(explored.status, 200, "body: {}", explored.body);
+    let summary = Json::parse(&explored.body).unwrap();
+    let simulated = summary
+        .get("summary")
+        .and_then(|s| s.get("simulated"))
+        .and_then(Json::as_u64);
+    assert_eq!(simulated, Some(12));
+    assert!(
+        peak <= before,
+        "{peak} threads during the /explore, {before} before it"
+    );
+    assert_eq!(conn_threads(), 2);
+    handle.stop();
+}
+
+/// A manifest of twelve distinct slow jobs on one worker behind a one-deep
+/// queue: the submit window keeps the batch from shedding itself (what
+/// its retries used to paper over), and the calling thread is the only
+/// submitter there is.
+#[test]
+fn batch_longer_than_the_queue_neither_sheds_nor_starts_a_thread() {
+    let _alone = alone();
+    let engine = Engine::with_options(EngineOptions {
+        workers: 1,
+        cache_capacity: 16,
+        queue_depth: 1,
+    });
+    engine.inject_faults(FaultPlan::new().delay("tiny", Duration::from_millis(5)));
+    let jobs: Vec<SimJob> = (1..=12)
+        .map(|n| SimJob::from_json(&Json::parse(&tiny_job(n)).unwrap()).unwrap())
+        .collect();
+
+    let (before, peak, outcome) = peak_threads_during(|| run_batch(&engine, &jobs));
+    let outcome = outcome.expect("the batch completes");
+    assert_eq!(outcome.entries.len(), 12);
+    assert_eq!(outcome.simulations, 12);
+    assert_eq!(engine.stats().shed.get(), 0);
+    assert!(
+        peak <= before,
+        "{peak} threads during the batch, {before} before it"
+    );
+    engine.shutdown();
+}
+
+/// The survivors of an `/explore` are ordinary engine jobs: they count in
+/// `/stats`, a repeat of the request is served from the result cache, a
+/// `/simulate` of a frontier point's job is a hit, and the flight recorder
+/// files them under the route and the request's id.
+#[test]
+fn explore_survivors_share_the_cache_and_the_flight_recorder() {
+    let _shared = shared();
+    let handle = start(
+        ServerOptions::default(),
+        EngineOptions {
+            workers: 2,
+            cache_capacity: 64,
+            queue_depth: 64,
+        },
+        FaultPlan::new(),
+    );
+    let body = r#"{"name": "e", "workloads": ["TF1"], "budgets": [1024, 4096], "aspect": "all",
+        "config": {"IfmapSramSz": 64, "FilterSramSz": 64, "OfmapSramSz": 32}}"#;
+    let explore = |id: &str| {
+        let response = request_with_headers(
+            handle.addr(),
+            "POST",
+            "/explore",
+            Some(body),
+            &[("X-Scalesim-Request-Id", id)],
+        )
+        .unwrap();
+        assert_eq!(response.status, 200, "body: {}", response.body);
+        Json::parse(&response.body).unwrap()
+    };
+    let count = |response: &Json, field: &str| {
+        response
+            .get("summary")
+            .and_then(|s| s.get(field))
+            .and_then(Json::as_u64)
+            .unwrap()
+    };
+    let simulations = || handle.engine().stats().simulations.get();
+
+    let first = explore("explore-1");
+    let simulated = count(&first, "simulated");
+    assert!(simulated > 0);
+    assert_eq!(count(&first, "cache_hits"), 0);
+    assert_eq!(simulations(), simulated);
+    assert_eq!(handle.engine().stats().accepted.get(), simulated);
+
+    let second = explore("explore-2");
+    assert_eq!(count(&second, "simulated"), simulated);
+    assert_eq!(count(&second, "cache_hits"), simulated);
+    assert_eq!(simulations(), simulated, "the repeat simulated nothing");
+    assert_eq!(first.get("frontiers"), second.get("frontiers"));
+    assert_eq!(first.get("points"), second.get("points"));
+
+    let point = &first.get("frontiers").and_then(Json::as_array).unwrap()[0]
+        .get("points")
+        .and_then(Json::as_array)
+        .unwrap()[0];
+    let text = |field: &str| point.get(field).and_then(Json::as_str).unwrap();
+    let (height, width) = text("array").split_once('x').unwrap();
+    let job = format!(
+        r#"{{"network": "TF1", "grid": "{}", "dataflow": "{}",
+             "config": {{"ArrayHeight": {height}, "ArrayWidth": {width},
+                         "IfmapSramSz": 64, "FilterSramSz": 64, "OfmapSramSz": 32}}}}"#,
+        text("grid"),
+        text("dataflow"),
+    );
+    let simulate = request(handle.addr(), "POST", "/simulate", Some(&job)).unwrap();
+    assert_eq!(simulate.status, 200, "body: {}", simulate.body);
+    assert_eq!(simulate.header("X-Scalesim-Cache"), Some("hit"));
+    assert_eq!(simulations(), simulated);
+
+    let debug = request(handle.addr(), "GET", "/debug/jobs", None).unwrap();
+    let debug = Json::parse(&debug.body).unwrap();
+    let records = |id: &str, outcome: &str| {
+        let field = |j: &Json, name: &str| j.get(name).and_then(Json::as_str).map(str::to_owned);
+        debug
+            .get("jobs")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .filter(|j| {
+                field(j, "route").as_deref() == Some("/explore")
+                    && field(j, "request_id").as_deref() == Some(id)
+                    && field(j, "outcome").as_deref() == Some(outcome)
+            })
+            .count() as u64
+    };
+    assert_eq!(records("explore-1", "fresh"), simulated);
+    assert_eq!(records("explore-2", "hit"), simulated);
+
+    handle.stop();
+}
+
+/// `/explore` obeys `X-Scalesim-Deadline-Ms` and the drain like `/sweep`:
+/// 504 at the deadline while the survivors it had submitted finish, 503
+/// once the server is draining, and the drain sees those survivors.
+#[test]
+fn explore_obeys_the_deadline_and_the_drain() {
+    let _shared = shared();
+    let engine = Engine::with_options(EngineOptions {
+        workers: 1,
+        cache_capacity: 64,
+        queue_depth: 64,
+    });
+    engine.inject_faults(FaultPlan::new().delay("TF1", Duration::from_millis(300)));
+    let handle = Server::bind("127.0.0.1:0", engine.clone())
+        .expect("bind ephemeral port")
+        .spawn();
+    let addr = handle.addr();
+
+    let expired = request_with_headers(
+        addr,
+        "POST",
+        "/explore",
+        Some(TF1_PLAN),
+        &[("X-Scalesim-Deadline-Ms", "100")],
+    )
+    .unwrap();
+    assert_eq!(expired.status, 504, "body: {}", expired.body);
+    assert!(expired.body.contains("deadline expired"));
+    assert!(
+        !engine.is_idle(),
+        "the submitted survivors are still running"
+    );
+
+    let drainer = std::thread::spawn(move || handle.drain(Duration::from_secs(10)));
+    let patience = Instant::now() + Duration::from_secs(5);
+    loop {
+        let refused = request(addr, "POST", "/explore", Some(TF1_PLAN)).expect("shed POST");
+        if refused.status == 503 {
+            assert!(refused.body.contains("shutting down"));
+            break;
+        }
+        // The drain had not begun yet: this one ran into the queue.
+        assert!(Instant::now() < patience, "never shed: {}", refused.body);
+    }
+    assert!(drainer.join().unwrap(), "drained within the grace period");
+    // One worker, a window of two: both survivors simulated, no third.
+    assert_eq!(engine.stats().simulations.get(), 2);
+    assert!(engine.is_idle());
 }
 
 /// The flight recorder remembers recent jobs with route, request id and

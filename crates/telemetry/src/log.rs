@@ -199,7 +199,8 @@ fn quote_if_needed(v: &str) -> String {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// `s` as the inside of a JSON string literal.
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

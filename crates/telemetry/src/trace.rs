@@ -43,6 +43,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::log::json_escape;
+
 /// Default ring capacity for [`install`]: deep enough for a full
 /// sweep/explore run at per-layer/per-phase granularity, small enough
 /// (a few MiB) to preallocate without thought.
@@ -341,7 +343,7 @@ pub fn export_chrome_json(w: &mut dyn Write) -> io::Result<()> {
                 w,
                 "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
                  \"args\":{{\"name\":\"{}\"}}}}",
-                escape(name)
+                json_escape(name)
             )?;
         }
     }
@@ -351,7 +353,7 @@ pub fn export_chrome_json(w: &mut dyn Write) -> io::Result<()> {
             w,
             "{{\"name\":\"{}\",\"cat\":\"scalesim\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
              \"pid\":1,\"tid\":{},\"args\":{{\"id\":{},\"parent\":{}",
-            escape(e.name),
+            json_escape(e.name),
             e.start_micros,
             e.dur_micros,
             e.tid,
@@ -359,7 +361,7 @@ pub fn export_chrome_json(w: &mut dyn Write) -> io::Result<()> {
             e.parent,
         )?;
         for (k, v) in &e.args {
-            write!(w, ",\"{}\":\"{}\"", escape(k), escape(v))?;
+            write!(w, ",\"{}\":\"{}\"", json_escape(k), json_escape(v))?;
         }
         writeln!(w, "}}}}")?;
     }
@@ -372,22 +374,6 @@ fn comma(w: &mut dyn Write, first: &mut bool) -> io::Result<()> {
     }
     *first = false;
     Ok(())
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ network=resnet50 layer=Conv1 grid=4x4
 ";
     let jobs = parse_manifest(manifest).expect("manifest parses");
     let engine = Engine::new(4, 64);
-    let outcome = run_batch(&engine, &jobs, 4).expect("batch runs");
+    let outcome = run_batch(&engine, &jobs).expect("batch runs");
     engine.shutdown();
 
     println!("{}", outcome.to_csv());
