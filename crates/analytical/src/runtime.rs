@@ -4,7 +4,7 @@
 //! the array fed (the trade-off against bandwidth is the subject of
 //! Section IV-A and the DRAM model).
 
-use scalesim_systolic::{analyze, ArrayShape};
+use scalesim_systolic::{ArrayShape, FoldPlan};
 use scalesim_topology::MappedDims;
 
 /// Eq. 1: runtime with unlimited MAC units, i.e. a single `S_R × S_C` fold:
@@ -34,10 +34,11 @@ pub fn eq4_scaleup(dims: &MappedDims, array: ArrayShape) -> u64 {
 
 /// The exact stall-free scale-up runtime: the sum of Eq. 3 over the real
 /// fold schedule (partial edge folds cost less). This is what the
-/// cycle-accurate engine reports, so searches built on it agree with
-/// simulation.
+/// cycle-accurate engine reports ([`scalesim_systolic::analyze`] reads
+/// the same [`FoldPlan::total_cycles`]), so searches built on it agree
+/// with simulation. Saturates at `u64::MAX`.
 pub fn exact_scaleup(dims: &MappedDims, array: ArrayShape) -> u64 {
-    analyze(dims, array).total_cycles
+    FoldPlan::new(dims, array).total_cycles()
 }
 
 /// A runtime cost oracle: something that can price a workload on an array.

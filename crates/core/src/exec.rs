@@ -21,8 +21,9 @@
 //! worker, and a block is nothing but its range and an atomic count of
 //! the tasks taken from it. A worker takes tasks from its own block with
 //! `fetch_add` and, once that is dry, from the next workers' blocks in
-//! round-robin order — a *steal*; every taker walks a block from its last
-//! index to its first. Tasks are split at *layer* granularity —
+//! round-robin order — a *steal*. Every taker walks worker 0's block from
+//! its first index to its last and every other block from its last index
+//! to its first. Tasks are split at *layer* granularity —
 //! layer costs vary by orders of magnitude with fold count, so whole-point
 //! scheduling lets one unlucky worker set the tail latency of the whole
 //! sweep; layer tasks let idle workers take over the remainder of an
@@ -35,10 +36,14 @@
 //! `cpu_s_per_pass` ×1.19 — more work, not more waiting: neighbouring
 //! points share layers (`auto` sits next to its fixed dataflow) and two
 //! workers then simulate one layer at once, the layer cache having no
-//! single-flight. Blocks keep neighbours on one worker. Why last index
-//! first: an in-order emitter waits for a batch's first point, and handing
-//! it over mid-batch measured `pass_s` ×1.057 there (0 of 10 pairs won);
-//! from the last index it is ×1.004. DESIGN.md §3.9 has the measurements.
+//! single-flight. Blocks keep neighbours on one worker. Why the two
+//! directions: in a sweep session worker 0 is the thread that emits rows
+//! in order, so walking its block from the first index lets it stream
+//! rows between its own tasks. A separate emitter thread woken at every
+//! early row measured `pass_s` ×1.057 against a last-index walk (0 of 10
+//! pairs won), so the other blocks keep that walk: their first row is
+//! filled last and the emitter waits for it once. DESIGN.md §3.9 has the
+//! measurements.
 //!
 //! The executor's workers are the threads that simulate:
 //! `Simulator::run_layer` spawns nothing — a partitioned layer's tile
@@ -192,8 +197,8 @@ impl FaultPlan {
 }
 
 /// One worker's share of the task set: the contiguous task indices
-/// `tasks`, of which the last `taken` are gone. `taken` only grows, so a
-/// block found dry stays dry.
+/// `tasks`, of which `taken` are gone — the first ones if `forward`, else
+/// the last ones. `taken` only grows, so a block found dry stays dry.
 ///
 /// `Relaxed` is enough for the cursor: it publishes nothing. What a task
 /// index refers to was written before the workers got the executor
@@ -203,16 +208,23 @@ impl FaultPlan {
 struct Block {
     tasks: Range<usize>,
     taken: AtomicUsize,
+    forward: bool,
 }
 
 impl Block {
-    /// Takes the block's next task, if it has one left, walking the block
-    /// from its last index to its first (see the module docs for why). A
-    /// worker stops visiting a block that told it `None`, so the cursor
-    /// overshoots the block's length by at most the worker count.
+    /// Takes the block's next task, if it has one left, in the block's
+    /// direction (see the module docs for why). A worker stops visiting a
+    /// block that told it `None`, so the cursor overshoots the block's
+    /// length by at most the worker count.
     fn take(&self) -> Option<usize> {
         let n = self.taken.fetch_add(1, Ordering::Relaxed);
-        (n < self.tasks.len()).then(|| self.tasks.end - 1 - n)
+        (n < self.tasks.len()).then(|| {
+            if self.forward {
+                self.tasks.start + n
+            } else {
+                self.tasks.end - 1 - n
+            }
+        })
     }
 }
 
@@ -278,6 +290,7 @@ impl Executor {
                 .map(|w| Block {
                     tasks: (w * per).min(tasks)..((w + 1) * per).min(tasks),
                     taken: AtomicUsize::new(0),
+                    forward: w == 0,
                 })
                 .collect(),
             stats: (0..workers).map(|_| WorkerStats::new()).collect(),
@@ -320,17 +333,35 @@ impl Executor {
         F: Fn(usize),
         L: Fn(usize) -> String,
     {
+        self.run_worker_between(worker, task, label, || {})
+    }
+
+    /// [`Executor::run_worker`], calling `between` after every task that
+    /// did not panic: a sweep session's calling thread, which is worker 0,
+    /// emits the rows its tasks completed there.
+    pub(crate) fn run_worker_between<F, L>(
+        &self,
+        worker: usize,
+        task: F,
+        label: L,
+        mut between: impl FnMut(),
+    ) -> Option<SimError>
+    where
+        F: Fn(usize),
+        L: Fn(usize) -> String,
+    {
         let started = Instant::now();
         let stats = &self.stats[worker];
         let mut result = None;
         // How many blocks, starting with its own, this worker has found dry.
         let mut dry = 0;
         while let Some(t) = self.find_task(worker, &mut dry) {
-            let _span = scalesim_telemetry::trace::span_with("exec.task", || {
+            let span = scalesim_telemetry::trace::span_with("exec.task", || {
                 vec![("task", t.to_string()), ("worker", worker.to_string())]
             });
             let task_started = Instant::now();
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(t)));
+            drop(span);
             stats
                 .busy_nanos
                 .fetch_add(task_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -349,6 +380,7 @@ impl Executor {
                 result = Some(err);
                 break;
             }
+            between();
         }
         stats
             .wall_nanos
@@ -520,9 +552,9 @@ mod tests {
 
     #[test]
     fn a_slow_block_is_drained_by_the_other_workers() {
-        // Worker 0 sits in the first task it takes (its block's last index)
-        // until some other task of that block has run — which only another
-        // worker can have taken.
+        // Worker 0 sits in the first task it takes (its block's first
+        // index) until some other task of that block has run — which only
+        // another worker can have taken.
         for workers in 2..=8usize {
             let total = 16 * workers;
             let counts: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
@@ -530,7 +562,7 @@ mod tests {
             let exec = Executor::new(total, workers);
             drive(&exec, |t| {
                 counts[t].fetch_add(1, Ordering::Relaxed);
-                if t == 15 {
+                if t == 0 {
                     let started = Instant::now();
                     while !taken_over.load(Ordering::Acquire) {
                         assert!(
@@ -539,7 +571,7 @@ mod tests {
                         );
                         std::thread::yield_now();
                     }
-                } else if t < 15 {
+                } else if t < 16 {
                     taken_over.store(true, Ordering::Release);
                 }
             });
@@ -585,6 +617,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn worker_zero_s_block_is_walked_forward_and_the_others_backward() {
+        // Worker 1 alone: its own block from the last index, then worker
+        // 0's from the first — the order worker 0, a session's in-order
+        // emitter, fills rows in.
+        let exec = Executor::new(8, 2);
+        let order = Mutex::new(Vec::new());
+        exec.run_worker(1, |t| order.lock().unwrap().push(t), |t| t.to_string());
+        assert_eq!(*order.lock().unwrap(), [7, 6, 5, 4, 0, 1, 2, 3]);
+        assert_eq!(exec.summary().steals, 4);
     }
 
     #[test]

@@ -11,13 +11,15 @@
 //! * **Stage 0 — analytical evaluation.** Every candidate point is scored
 //!   with [`predict_cycles`], an exact reimplementation of the simulator's
 //!   stall-free runtime (Eq. 3 summed over folds of the worst partition
-//!   tile). Candidates are generated lazily through [`SweepPlan::points`],
-//!   so million-point spaces never materialize.
+//!   tile). Candidates are walked lazily in [`SweepPlan::points`] order as
+//!   dense (workload, budget, grid, array, dataflow) ids, so million-point
+//!   spaces never materialize: a candidate costs its prediction and one
+//!   slot of a flat per-(workload, budget) minimum table.
 //! * **Stage 1 — frontier pruning.** Per workload, the per-budget best
 //!   predictions form a cost/runtime [`Frontier`]; only candidates within
 //!   `keep_within` percent of the frontier at their budget (or cheaper)
-//!   survive ([`Frontier::within_band`]). Survivors are ranked by
-//!   predicted runtime.
+//!   survive ([`Frontier::within_band`]) and get a [`PointSpec`].
+//!   Survivors are ranked by predicted runtime.
 //! * **Stage 2 — budgeted refinement.** Survivors are simulated in
 //!   fixed-size batches: by [`ExploreEngine::run`] through the wrapped
 //!   [`SweepEngine`] (inheriting its result cache and the process-wide
@@ -28,8 +30,10 @@
 //!   updated, and the next batch is chosen by [`acquisition_score`] — the
 //!   candidates whose corrected predictions fall furthest below the
 //!   measured frontier, i.e. the largest analytical-vs-measured gaps in
-//!   the frontier neighborhood. A batch costs its simulations plus a
-//!   rescoring of the survivors of the workloads it touched.
+//!   the frontier neighborhood. A batch costs its simulations, a rescoring
+//!   and re-sort of the survivors of the at most [`REFINE_BATCH`]
+//!   workloads it touched, and a tournament of the workloads' best
+//!   survivors for the next batch.
 //!
 //! Determinism: with [`ExploreBudget::Sims`] (or unlimited), the same plan
 //! and budget produce byte-identical output at any `jobs` count — batch
@@ -37,7 +41,7 @@
 //! break on plan order. [`ExploreBudget::WallClock`] necessarily trades
 //! that away: it stops at a machine-dependent batch boundary.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,7 +105,8 @@ pub struct ExploreOptions {
     pub keep_within_pct: f64,
     /// Stage-2 simulation budget.
     pub budget: ExploreBudget,
-    /// Parallel workers for stage-2 simulation batches.
+    /// Threads that simulate stage-2 batches in [`ExploreEngine::run`],
+    /// the calling thread included: `1` starts no thread.
     pub jobs: usize,
     /// Emit live progress lines on stderr: one per stage boundary plus
     /// one per refinement batch, with an ETA extrapolated from the
@@ -137,7 +142,9 @@ impl Default for ExploreOptions {
 /// the sum over layers equals [`NetworkReport::total_cycles`] — the
 /// stall-free component of the measured runtime. Memory stalls only add
 /// cycles, so this never exceeds
-/// [`NetworkReport::total_effective_cycles`].
+/// [`NetworkReport::total_effective_cycles`]. A shape too large to count
+/// saturates at `u64::MAX` rather than wrapping to a small number that
+/// would rank it cheapest.
 ///
 /// ```
 /// use scalesim::explore::predict_cycles;
@@ -179,7 +186,7 @@ pub fn predict_cycles(
             );
             exact_scaleup(&tile.project(df), array)
         })
-        .sum()
+        .fold(0, u64::saturating_add)
 }
 
 /// A candidate that survived stage-1 pruning, with its prediction.
@@ -455,29 +462,42 @@ impl ExploreEngine {
         plan: &SweepPlan,
         keep_within_pct: f64,
     ) -> Result<PruneOutcome, SweepError> {
-        // Stage 0: lazy analytical evaluation. One u64 per candidate is
-        // the only allocation proportional to the space.
+        // Stage 0: lazy analytical evaluation over dense ids. A label
+        // stands for the last workload that carries it and a budget for
+        // its value, so a repeated label or budget merges its minima. One
+        // u64 per candidate is the only allocation proportional to the
+        // space.
         let stage0_span = scalesim_telemetry::trace::span("explore.stage0");
         let started = Instant::now();
-        let topologies: HashMap<&str, &Topology> = plan
+        let mut points = plan.points()?;
+        let label_ids = plan.workload_index();
+        let workload_ids: Vec<usize> = plan
             .workloads
             .iter()
-            .map(|w| (w.label.as_str(), &w.topology))
+            .map(|w| label_ids[w.label.as_str()])
             .collect();
-        let mut predictions: Vec<u64> = Vec::with_capacity(plan.points()?.len());
-        // (workload label, budget) -> minimum prediction.
-        let mut best: HashMap<(String, u64), u64> = HashMap::new();
-        for spec in plan.points()? {
+        let mut budgets = plan.budgets.clone();
+        budgets.sort_unstable();
+        budgets.dedup();
+        let budget_ids: Vec<usize> = plan
+            .budgets
+            .iter()
+            .map(|b| budgets.binary_search(b).expect("every budget is listed"))
+            .collect();
+        // (workload id, budget id) -> minimum prediction, row-major.
+        let mut best: Vec<Option<u64>> = vec![None; plan.workloads.len() * budgets.len()];
+        let mut predictions: Vec<u64> = Vec::with_capacity(points.len());
+        while let Some(at) = points.step() {
+            let workload = workload_ids[at.workload];
             let predicted = predict_cycles(
-                topologies[spec.workload.as_str()],
-                spec.array,
-                spec.grid,
-                spec.dataflow,
+                &plan.workloads[workload].topology,
+                at.array,
+                at.grid,
+                at.dataflow,
             );
             predictions.push(predicted);
-            best.entry((spec.workload, spec.budget))
-                .and_modify(|b| *b = (*b).min(predicted))
-                .or_insert(predicted);
+            let min = &mut best[workload * budgets.len() + budget_ids[at.budget]];
+            *min = Some(min.map_or(predicted, |m| m.min(predicted)));
         }
         let candidates = predictions.len();
         self.candidates.add(candidates as u64);
@@ -486,21 +506,30 @@ impl ExploreEngine {
         drop(stage0_span);
 
         // Stage 1: per-workload analytical frontiers; keep the slack band.
+        // Only a survivor gets a `PointSpec`.
         let stage1_span = scalesim_telemetry::trace::span("explore.stage1");
         let started = Instant::now();
-        let mut frontiers: HashMap<&str, Frontier> = HashMap::new();
-        for w in &plan.workloads {
-            let points = best
-                .iter()
-                .filter(|((label, _), _)| label == &w.label)
-                .map(|(&(_, budget), &cycles)| (budget, cycles));
-            frontiers.insert(w.label.as_str(), Frontier::build(points));
-        }
+        let frontiers: Vec<Frontier> = best
+            .chunks(budgets.len())
+            .map(|row| {
+                Frontier::build(
+                    budgets
+                        .iter()
+                        .zip(row)
+                        .filter_map(|(&budget, min)| min.map(|cycles| (budget, cycles))),
+                )
+            })
+            .collect();
         let mut survivors: Vec<SurvivorPoint> = Vec::new();
-        for (spec, &predicted) in plan.points()?.zip(&predictions) {
-            let frontier = &frontiers[spec.workload.as_str()];
-            if frontier.within_band(spec.budget, predicted, keep_within_pct) {
-                survivors.push(SurvivorPoint { spec, predicted });
+        let mut points = plan.points()?;
+        for &predicted in &predictions {
+            let at = points.step().expect("the same plan yields the same points");
+            let frontier = &frontiers[workload_ids[at.workload]];
+            if frontier.within_band(plan.budgets[at.budget], predicted, keep_within_pct) {
+                survivors.push(SurvivorPoint {
+                    spec: at.spec(plan),
+                    predicted,
+                });
             }
         }
         self.pruned.add((candidates - survivors.len()) as u64);
@@ -608,6 +637,10 @@ impl ExploreEngine {
         let mut predicted_done: u128 = 0;
         let mut cache_hits = 0u64;
         let mut acquisition = Acquisition::new(plan, &survivors);
+        // Each survivor is handed out at most once, so its spec moves into
+        // the batch that measures it.
+        let mut specs_left: Vec<Option<PointSpec>> =
+            survivors.into_iter().map(|s| Some(s.spec)).collect();
         let mut measured: Vec<MeasuredPoint> = Vec::with_capacity(target);
         let print_progress = |measured: usize, cache_hits: u64, predicted_done: u128| {
             let elapsed = started.elapsed().as_secs_f64();
@@ -634,12 +667,15 @@ impl ExploreEngine {
                 .min(acquisition.unmeasured())
                 .min(sims_allowed - measured.len());
             let batch = acquisition.next_batch(take);
-            let specs: Vec<PointSpec> = batch.iter().map(|&s| survivors[s].spec.clone()).collect();
+            let specs: Vec<PointSpec> = batch
+                .iter()
+                .map(|&s| specs_left[s].take().expect("a survivor is handed out once"))
+                .collect();
             let (reports, hits) = run_batch(&specs)?;
             assert_eq!(reports.len(), specs.len(), "one report per point");
             cache_hits += hits;
             for ((&s, spec), report) in batch.iter().zip(specs).zip(reports) {
-                let predicted = survivors[s].predicted;
+                let predicted = acquisition.candidates[s].predicted;
                 predicted_done += u128::from(predicted);
                 acquisition.record(s, report.total_effective_cycles());
                 measured.push(MeasuredPoint {
@@ -690,22 +726,26 @@ impl ExploreEngine {
 /// (the median measured/predicted ratio). A batch measures at most
 /// [`REFINE_BATCH`] workloads, so after it only those workloads' frontiers,
 /// corrections and survivors' scores are recomputed; every other cached
-/// score is still exact. The next batch is the top of the unmeasured
-/// survivors by (score descending under `total_cmp`, plan index
-/// ascending) — a strict total order, so a partial selection returns
-/// what a full sort would.
+/// score is still exact.
+///
+/// The next batch is the top of the unmeasured survivors by (score
+/// descending under `total_cmp`, plan index ascending) — a strict total
+/// order. Each workload keeps its unmeasured survivors sorted by it, and
+/// only a workload the last batch touched is re-sorted; the batch is then
+/// a tournament of the workloads' heads, which returns what a full sort of
+/// every unmeasured survivor would.
 struct Acquisition {
     /// Per survivor, in stage-1 rank order.
     candidates: Vec<Candidate>,
     /// Per survivor: its score against what has been measured so far.
     /// `+inf` while its workload has no measurement.
     scores: Vec<f64>,
-    /// Survivors not yet handed out by [`Acquisition::next_batch`].
-    unmeasured: Vec<usize>,
     /// Per distinct workload label.
     workloads: Vec<WorkloadMeasurements>,
     /// Workloads measured since the last [`Acquisition::rescore`].
     touched: Vec<usize>,
+    /// Survivors not yet handed out by [`Acquisition::next_batch`].
+    unmeasured: usize,
 }
 
 struct Candidate {
@@ -717,13 +757,54 @@ struct Candidate {
 
 #[derive(Default)]
 struct WorkloadMeasurements {
-    /// This workload's survivors.
-    members: Vec<usize>,
+    /// This workload's survivors not yet handed out, in ascending
+    /// [`Rank`]: the best is last.
+    queue: Vec<usize>,
     /// Its measured `(budget, effective cycles)` points.
     points: Vec<(u64, u64)>,
     /// Their measured/predicted ratios.
     ratios: Vec<f64>,
 }
+
+/// A survivor's place in stage 2's order: the greater `Rank` goes first —
+/// the higher score under `total_cmp`, then the lower plan index.
+struct Rank {
+    score: f64,
+    plan_index: usize,
+    survivor: usize,
+}
+
+impl Rank {
+    fn of(scores: &[f64], candidates: &[Candidate], survivor: usize) -> Rank {
+        Rank {
+            score: scores[survivor],
+            plan_index: candidates[survivor].plan_index,
+            survivor,
+        }
+    }
+}
+
+impl Ord for Rank {
+    fn cmp(&self, other: &Rank) -> std::cmp::Ordering {
+        self.score
+            .total_cmp(&other.score)
+            .then(other.plan_index.cmp(&self.plan_index))
+    }
+}
+
+impl PartialOrd for Rank {
+    fn partial_cmp(&self, other: &Rank) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Rank {
+    fn eq(&self, other: &Rank) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Rank {}
 
 impl Acquisition {
     fn new(plan: &SweepPlan, survivors: &[SurvivorPoint]) -> Acquisition {
@@ -735,7 +816,7 @@ impl Acquisition {
             .enumerate()
             .map(|(s, survivor)| {
                 let workload = ids[survivor.spec.workload.as_str()];
-                workloads[workload].members.push(s);
+                workloads[workload].queue.push(s);
                 Candidate {
                     workload,
                     budget: survivor.spec.budget,
@@ -744,9 +825,15 @@ impl Acquisition {
                 }
             })
             .collect();
+        let scores = vec![f64::INFINITY; candidates.len()];
+        for workload in &mut workloads {
+            workload
+                .queue
+                .sort_unstable_by_key(|&s| Rank::of(&scores, &candidates, s));
+        }
         Acquisition {
-            scores: vec![f64::INFINITY; candidates.len()],
-            unmeasured: (0..candidates.len()).collect(),
+            scores,
+            unmeasured: candidates.len(),
             candidates,
             workloads,
             touched: Vec::new(),
@@ -755,32 +842,40 @@ impl Acquisition {
 
     /// Survivors not yet handed out.
     fn unmeasured(&self) -> usize {
-        self.unmeasured.len()
+        self.unmeasured
     }
 
     /// Removes and returns the next `take` survivors to simulate, best
     /// first. `take` must be in `1..=self.unmeasured()`.
     fn next_batch(&mut self, take: usize) -> Vec<usize> {
-        // Before any measurement the stage-1 ranking stands: the first
-        // batch is read off the front.
-        if self.unmeasured.len() < self.candidates.len() {
-            let (scores, candidates) = (&self.scores, &self.candidates);
-            let by_rank = |a: &usize, b: &usize| {
-                scores[*b]
-                    .total_cmp(&scores[*a])
-                    .then(candidates[*a].plan_index.cmp(&candidates[*b].plan_index))
-            };
-            if take < self.unmeasured.len() {
-                self.unmeasured.select_nth_unstable_by(take - 1, by_rank);
+        let batch: Vec<usize> = if self.unmeasured == self.candidates.len() {
+            // Before any measurement the stage-1 ranking stands: the first
+            // batch is read off the front.
+            for s in 0..take {
+                let queue = &mut self.workloads[self.candidates[s].workload].queue;
+                queue.retain(|&queued| queued != s);
             }
-            self.unmeasured[..take].sort_unstable_by(by_rank);
-        }
-        let batch = self.unmeasured[..take].to_vec();
-        // Refill the holes from the tail; the order of the rest is free,
-        // since every later batch is selected, not read off the front.
-        for hole in (0..take).rev() {
-            self.unmeasured.swap_remove(hole);
-        }
+            (0..take).collect()
+        } else {
+            let head = |s: usize| Rank::of(&self.scores, &self.candidates, s);
+            let mut heads: BinaryHeap<Rank> = self
+                .workloads
+                .iter()
+                .filter_map(|w| w.queue.last().map(|&s| head(s)))
+                .collect();
+            let mut batch = Vec::with_capacity(take);
+            while batch.len() < take {
+                let best = heads.pop().expect("take <= unmeasured").survivor;
+                let queue = &mut self.workloads[self.candidates[best].workload].queue;
+                queue.pop();
+                if let Some(&next) = queue.last() {
+                    heads.push(head(next));
+                }
+                batch.push(best);
+            }
+            batch
+        };
+        self.unmeasured -= take;
         batch
     }
 
@@ -799,17 +894,21 @@ impl Acquisition {
 
     /// Brings the scores up to date with everything recorded: rebuilds the
     /// frontier and correction of each workload measured since the last
-    /// call and rescores its survivors.
+    /// call, rescores its unmeasured survivors and re-sorts their queue.
     fn rescore(&mut self) {
+        let (candidates, scores) = (&self.candidates, &mut self.scores);
         for workload in self.touched.drain(..) {
-            let measurements = &self.workloads[workload];
+            let measurements = &mut self.workloads[workload];
             let frontier = Frontier::build(measurements.points.iter().copied());
             let correction = ErrorStats::from_ratios(measurements.ratios.clone()).p50;
-            for &s in &measurements.members {
-                let candidate = &self.candidates[s];
-                self.scores[s] =
+            for &s in &measurements.queue {
+                let candidate = &candidates[s];
+                scores[s] =
                     acquisition_score(candidate.budget, candidate.predicted, correction, &frontier);
             }
+            measurements
+                .queue
+                .sort_unstable_by_key(|&s| Rank::of(scores, candidates, s));
         }
     }
 }
@@ -968,6 +1067,105 @@ mod tests {
         assert_eq!(csv1, csv4, "explore output must not depend on jobs");
     }
 
+    /// Stages 0–1 as first written, kept as the oracle for
+    /// [`ExploreEngine::prune`]: one `PointSpec` per candidate, a
+    /// label-keyed topology map, a `(label, budget)`-keyed map of minima,
+    /// frontiers filtered out of that map per workload, and a second
+    /// spec-building walk of the plan.
+    fn prune_reference(plan: &SweepPlan, keep_within_pct: f64) -> Vec<SurvivorPoint> {
+        let topologies: HashMap<&str, &Topology> = plan
+            .workloads
+            .iter()
+            .map(|w| (w.label.as_str(), &w.topology))
+            .collect();
+        let mut predictions: Vec<u64> = Vec::new();
+        let mut best: HashMap<(String, u64), u64> = HashMap::new();
+        for spec in plan.points().unwrap() {
+            let predicted = predict_cycles(
+                topologies[spec.workload.as_str()],
+                spec.array,
+                spec.grid,
+                spec.dataflow,
+            );
+            predictions.push(predicted);
+            best.entry((spec.workload, spec.budget))
+                .and_modify(|b| *b = (*b).min(predicted))
+                .or_insert(predicted);
+        }
+        let mut frontiers: HashMap<&str, Frontier> = HashMap::new();
+        for w in &plan.workloads {
+            let points = best
+                .iter()
+                .filter(|((label, _), _)| label == &w.label)
+                .map(|(&(_, budget), &cycles)| (budget, cycles));
+            frontiers.insert(w.label.as_str(), Frontier::build(points));
+        }
+        let mut survivors: Vec<SurvivorPoint> = Vec::new();
+        for (spec, &predicted) in plan.points().unwrap().zip(&predictions) {
+            let frontier = &frontiers[spec.workload.as_str()];
+            if frontier.within_band(spec.budget, predicted, keep_within_pct) {
+                survivors.push(SurvivorPoint { spec, predicted });
+            }
+        }
+        survivors.sort_by_key(|s| (s.predicted, s.spec.index));
+        survivors
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Stages 0–1 over dense ids keep the survivors the reference
+        /// keeps, ranked the same — on random plans whose last workload may
+        /// repeat the first one's label (with another GEMM: the label's
+        /// last workload is the one predicted) and whose budget list may
+        /// repeat a budget (the repeats' minima merge).
+        #[test]
+        fn prune_matches_the_reference(
+            dims in proptest::collection::vec((8u64..400, 4u64..96, 8u64..400), 2..5),
+            repeat_label in 0u8..2,
+            repeat_budget in 0u8..2,
+            first_budget_exp in 8u32..11,
+            budgets in 1usize..4,
+            keep_within in 0u64..60,
+            explicit_grids in 0u8..2,
+        ) {
+            let last = dims.len() - 1;
+            let mut plan = SweepPlan::new("prune-oracle");
+            for (i, (m, k, n)) in dims.into_iter().enumerate() {
+                let label = if repeat_label == 1 && i == last {
+                    "W0".to_owned()
+                } else {
+                    format!("W{i}")
+                };
+                plan.workloads.push(SweepWorkload {
+                    topology: Topology::from_layers(&label, vec![Layer::gemm("l0", m, k, n)]),
+                    label,
+                });
+            }
+            plan.budgets = (0..budgets as u32).map(|b| 1 << (first_budget_exp + b)).collect();
+            if repeat_budget == 1 {
+                plan.budgets.push(plan.budgets[0]);
+            }
+            plan.aspects = AspectAxis::All;
+            if explicit_grids == 1 {
+                plan.grids = crate::sweep::GridAxis::Explicit(vec![
+                    PartitionGrid::new(1, 1),
+                    PartitionGrid::new(2, 2),
+                ]);
+            }
+            plan.dataflows = vec![
+                DataflowChoice::Fixed(Dataflow::OutputStationary),
+                DataflowChoice::Fixed(Dataflow::InputStationary),
+                DataflowChoice::Auto,
+            ];
+            let outcome = ExploreEngine::with_registry(1, &Registry::new())
+                .prune(&plan, keep_within as f64)
+                .unwrap();
+            proptest::prop_assert_eq!(outcome.candidates, plan.points().unwrap().len());
+            proptest::prop_assert_eq!(outcome.survivors, prune_reference(&plan, keep_within as f64));
+        }
+    }
+
     /// The acquisition rule as first written, kept as the oracle for
     /// [`Acquisition`]: before every batch it rebuilds every workload's
     /// correction (the global median standing in for unmeasured workloads)
@@ -1087,33 +1285,139 @@ mod tests {
                 .iter()
                 .map(|r| (r.spec.index, r.report.total_effective_cycles()))
                 .collect();
-
-            let mut acquisition = Acquisition::new(&plan, &survivors);
-            let mut oracle = WholeRecompute {
-                plan: &plan,
-                remaining: survivors.clone(),
-                measured: Vec::new(),
-            };
-            let mut done = 0;
-            while acquisition.unmeasured() > 0 && done < sims {
-                let take = REFINE_BATCH.min(acquisition.unmeasured()).min(sims - done);
-                let batch = acquisition.next_batch(take);
-                let expected = oracle.next_batch(take);
-                proptest::prop_assert_eq!(
-                    batch.iter().map(|&s| survivors[s].spec.index).collect::<Vec<_>>(),
-                    expected.iter().map(|s| s.spec.index).collect::<Vec<_>>(),
-                    "batch after {} measurements", done
-                );
-                for (s, survivor) in batch.into_iter().zip(expected) {
-                    let measured = cycles[&survivor.spec.index];
-                    acquisition.record(s, measured);
-                    oracle.measured.push((survivor, measured));
-                }
-                acquisition.rescore();
-                done += take;
-            }
-            proptest::prop_assert_eq!(acquisition.unmeasured(), oracle.remaining.len());
+            matches_whole_recompute(&plan, &survivors, &cycles, sims)?;
         }
+
+        /// The same on synthetic survivors with made-up measurements, which
+        /// reach what random simulations seldom do: twin workloads, whose
+        /// equal scores in different workloads break on plan index; more
+        /// workloads than a batch, so whole batches are picked among the
+        /// `+inf` scores the exploration starts with; survivors below their
+        /// workload's cheapest measured budget, which stay `+inf`; and a
+        /// budget that ends in a short batch.
+        #[test]
+        fn incremental_acquisition_matches_the_whole_recompute_on_ties(
+            workloads in 1usize..14,
+            twins in 0usize..4,
+            per_workload in 1usize..10,
+            seed in 0u64..1 << 32,
+            sims in 1usize..120,
+        ) {
+            // SplitMix64 over (seed, workload, candidate): a twin draws
+            // what its original draws.
+            let draw = |w: usize, j: usize, salt: u64| {
+                let mut x = seed ^ ((w as u64) << 40) ^ ((j as u64) << 8) ^ salt;
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                x ^ (x >> 31)
+            };
+            let total = workloads + twins.min(workloads);
+            let mut plan = SweepPlan::new("acquisition-ties");
+            let mut survivors: Vec<SurvivorPoint> = Vec::new();
+            let mut cycles: HashMap<usize, u64> = HashMap::new();
+            for w in 0..total {
+                let label = format!("W{w}");
+                plan.workloads.push(SweepWorkload {
+                    topology: Topology::from_layers(&label, vec![Layer::gemm("l0", 8, 8, 8)]),
+                    label: label.clone(),
+                });
+                let original = if w < workloads { w } else { w - workloads };
+                for j in 0..per_workload {
+                    let predicted = 100 + 10 * (draw(original, j, 1) % 8);
+                    let index = survivors.len();
+                    survivors.push(SurvivorPoint {
+                        spec: PointSpec {
+                            index,
+                            workload: label.clone(),
+                            budget: 256 << (draw(original, j, 2) % 3),
+                            grid: PartitionGrid::new(1, 1),
+                            array: ArrayShape::new(16, 16),
+                            dataflow: DataflowChoice::Auto,
+                        },
+                        predicted,
+                    });
+                    cycles.insert(index, predicted * (1 + draw(original, j, 3) % 3));
+                }
+            }
+            survivors.sort_by_key(|s| (s.predicted, s.spec.index));
+            matches_whole_recompute(&plan, &survivors, &cycles, sims)?;
+        }
+    }
+
+    /// Drives [`Acquisition`] and [`WholeRecompute`] side by side over
+    /// `survivors` (in stage-1 rank order), measuring each as `cycles` has
+    /// it by plan index, until `sims` points are measured or none is left:
+    /// batch by batch they must hand out the same plan indices in the same
+    /// order.
+    fn matches_whole_recompute(
+        plan: &SweepPlan,
+        survivors: &[SurvivorPoint],
+        cycles: &HashMap<usize, u64>,
+        sims: usize,
+    ) -> proptest::prelude::TestCaseResult {
+        let mut acquisition = Acquisition::new(plan, survivors);
+        let mut oracle = WholeRecompute {
+            plan,
+            remaining: survivors.to_vec(),
+            measured: Vec::new(),
+        };
+        let mut done = 0;
+        while acquisition.unmeasured() > 0 && done < sims {
+            let take = REFINE_BATCH.min(acquisition.unmeasured()).min(sims - done);
+            let batch = acquisition.next_batch(take);
+            let expected = oracle.next_batch(take);
+            proptest::prop_assert_eq!(
+                batch
+                    .iter()
+                    .map(|&s| survivors[s].spec.index)
+                    .collect::<Vec<_>>(),
+                expected.iter().map(|s| s.spec.index).collect::<Vec<_>>(),
+                "batch after {} measurements",
+                done
+            );
+            for (s, survivor) in batch.into_iter().zip(expected) {
+                let measured = cycles[&survivor.spec.index];
+                acquisition.record(s, measured);
+                oracle.measured.push((survivor, measured));
+            }
+            acquisition.rescore();
+            done += take;
+        }
+        proptest::prop_assert_eq!(acquisition.unmeasured(), oracle.remaining.len());
+        Ok(())
+    }
+
+    #[test]
+    fn predictions_saturate_instead_of_wrapping_on_huge_gemms() {
+        // A GEMM cube on an 8x8 OS array. The fold count of a 2^24 cube
+        // is 2^42 and its cycle count about 2^66: the sums used to wrap
+        // (2^24 read fewer cycles than 2^20, 2^40 read 0) in release
+        // builds and panic in debug ones.
+        let predict = |exp: u32| {
+            let n = 1u64 << exp;
+            let cube = Topology::from_layers("cube", vec![Layer::gemm("l0", n, n, n)]);
+            let os = DataflowChoice::Fixed(Dataflow::OutputStationary);
+            predict_cycles(&cube, ArrayShape::new(8, 8), PartitionGrid::new(1, 1), os)
+        };
+        let predictions: Vec<u64> = (0..=40).map(predict).collect();
+        assert!(
+            predictions.windows(2).all(|pair| pair[0] <= pair[1]),
+            "predictions must grow with the cube: {predictions:?}"
+        );
+        assert!(predictions[20] < u64::MAX);
+        assert_eq!(predictions[24], u64::MAX);
+        assert_eq!(predictions[40], u64::MAX);
+        // `auto` elects among saturated dataflows without overflowing too.
+        let cube =
+            Topology::from_layers("cube", vec![Layer::gemm("l0", 1 << 40, 1 << 40, 1 << 40)]);
+        let auto = predict_cycles(
+            &cube,
+            ArrayShape::new(8, 8),
+            PartitionGrid::new(2, 2),
+            DataflowChoice::Auto,
+        );
+        assert_eq!(auto, u64::MAX);
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! product of array budgets, aspect ratios, partition grids and workloads.
 //! [`SweepPlan`] names such a product, and [`SweepEngine`] evaluates it
 //!
-//! * **in parallel** — up to `--jobs N` scoped worker threads per run take
-//!   (point, layer) tasks from a block-scheduled [`Executor`]; they are the
-//!   only threads that simulate (a partitioned layer's tiles run on the
-//!   worker that took the layer), and a caller with several batches of
-//!   points — the explore pipeline — keeps them for all of them;
+//! * **in parallel** — the calling thread and up to `--jobs N` − 1 scoped
+//!   helper threads per run take (point, layer) tasks from a
+//!   block-scheduled [`Executor`]; they are the only threads that simulate
+//!   (a partitioned layer's tiles run on the worker that took the layer),
+//!   and a caller with several batches of points — the explore pipeline —
+//!   keeps the helpers for all of them;
 //! * **memoized** — every point is content-addressed by the same canonical
 //!   job text the `scalesim-server` cache uses ([`canonical_job_text`]),
 //!   deduplicated through a [`ShardedLru`], so duplicate points inside a
@@ -580,12 +581,11 @@ impl<'a> PointIter<'a> {
             d: 0,
         })
     }
-}
 
-impl Iterator for PointIter<'_> {
-    type Item = PointSpec;
-
-    fn next(&mut self) -> Option<PointSpec> {
+    /// Advances to the next point and returns where it sits in the plan,
+    /// without building its [`PointSpec`]: the one traversal behind
+    /// [`Iterator::next`], and what explore's stages 0–1 walk.
+    pub(crate) fn step(&mut self) -> Option<PointAt> {
         // Skip budgets whose combo table is empty (possible with explicit
         // grids only; `budget_combos` rejects empty power-of-two tables).
         while self.b < self.combos.len() && self.combos[self.b].is_empty() {
@@ -595,10 +595,10 @@ impl Iterator for PointIter<'_> {
             return None;
         }
         let (grid, array) = self.combos[self.b][self.c];
-        let spec = PointSpec {
+        let at = PointAt {
             index: self.index,
-            workload: self.plan.workloads[self.w].label.clone(),
-            budget: self.plan.budgets[self.b],
+            workload: self.w,
+            budget: self.b,
             grid,
             array,
             dataflow: self.dataflows[self.d],
@@ -617,7 +617,45 @@ impl Iterator for PointIter<'_> {
                 }
             }
         }
-        Some(spec)
+        Some(at)
+    }
+}
+
+/// Where a point sits in its plan: its plan-order index, its positions on
+/// the workload and budget axes, and the grid, array and dataflow it
+/// takes. What [`PointIter::step`] yields.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PointAt {
+    pub(crate) index: usize,
+    /// Position in [`SweepPlan::workloads`].
+    pub(crate) workload: usize,
+    /// Position in [`SweepPlan::budgets`].
+    pub(crate) budget: usize,
+    pub(crate) grid: PartitionGrid,
+    pub(crate) array: ArrayShape,
+    pub(crate) dataflow: DataflowChoice,
+}
+
+impl PointAt {
+    /// The point's spec in `plan`, the plan it was stepped from.
+    pub(crate) fn spec(&self, plan: &SweepPlan) -> PointSpec {
+        PointSpec {
+            index: self.index,
+            workload: plan.workloads[self.workload].label.clone(),
+            budget: plan.budgets[self.budget],
+            grid: self.grid,
+            array: self.array,
+            dataflow: self.dataflow,
+        }
+    }
+}
+
+impl Iterator for PointIter<'_> {
+    type Item = PointSpec;
+
+    fn next(&mut self) -> Option<PointSpec> {
+        let plan = self.plan;
+        self.step().map(|at| at.spec(plan))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1109,6 +1147,11 @@ impl Slots {
         self.ready.notify_all();
     }
 
+    /// Slot `i`'s state if it is filled, without waiting.
+    fn get(&self, i: usize) -> Option<SlotState> {
+        self.filled.lock().unwrap()[i].clone()
+    }
+
     fn wait(&self, i: usize) -> Result<Arc<NetworkReport>, SimError> {
         let mut filled = self.filled.lock().unwrap();
         loop {
@@ -1143,8 +1186,8 @@ impl Slots {
 }
 
 /// The parallel, memoizing sweep executor: a content-addressed result
-/// cache (shared across every plan run on the same engine) plus one set of
-/// scoped worker threads per run.
+/// cache (shared across every plan run on the same engine) plus, per run,
+/// the calling thread and a set of scoped helper threads.
 ///
 /// Determinism: duplicate points are simulated once and results are
 /// emitted in plan order, so the output stream is byte-identical to a
@@ -1377,15 +1420,17 @@ impl SweepEngine {
     /// [`SweepEngine::run_points`], batch by batch).
     ///
     /// What the batches share is set up once: the plan's canonical
-    /// topology texts, label index and layer lists, and up to `jobs`
-    /// worker threads. Workers start with the first batch that needs
-    /// them, park on a condition variable between batches and exit when
-    /// `body` returns, so a worker's thread-local
+    /// topology texts, label index and layer lists, and up to `jobs − 1`
+    /// helper threads. The calling thread is worker 0 of every batch's
+    /// [`Executor`] and its in-order emitter: between its own (job, layer)
+    /// tasks it streams every row whose slot is filled, and once its share
+    /// is done it waits for the rest in order. So `jobs = 1` simulates on
+    /// the caller alone. Helpers start with the first batch that has work
+    /// for them, park on a condition variable between batches and exit
+    /// when `body` returns, so every simulating thread's thread-local
     /// [`crate::arena::SimArena`] stays warm for the whole session: the
     /// hundreds of 8-point batches of an exploration cost their
-    /// simulations, not thread start-up. Each batch gets a fresh
-    /// [`Executor`] over its (job, layer) tasks, and the calling thread is
-    /// its in-order emitter.
+    /// simulations, not thread start-up.
     ///
     /// A panicking simulation fails its batch with [`SweepError::Sim`]:
     /// the first panic wins, every unfilled slot is poisoned and the
@@ -1399,28 +1444,32 @@ impl SweepEngine {
         let session = Session::new(self, plan, jobs);
         let pool = WorkerPool::default();
         std::thread::scope(|scope| {
-            // Dropped when `body` returns or unwinds: parked workers must
+            // Dropped when `body` returns or unwinds: parked helpers must
             // wake up and exit, or the scope would never join.
             let _stop = StopOnDrop(&pool);
-            let mut spawned = 0;
+            let mut helpers = 0;
             body(&mut |points, sink| {
                 let (batch, prepared) = Batch::prepare(&session, points)?;
                 self.cache_hits.add(batch.cache_hits);
                 sink.begin(plan, prepared.len())?;
                 let batch = Arc::new(batch);
-                let simulating = !batch.tasks.is_empty();
-                if simulating {
+                let mut emitter = Emitter::new(&batch, prepared);
+                // An executor has more than one worker only with more than
+                // one task.
+                let helped = batch.exec.workers() > 1;
+                if helped {
                     pool.start(&batch);
-                    while spawned < batch.exec.workers() {
-                        let (pool, worker) = (&pool, spawned);
+                    while helpers + 1 < batch.exec.workers() {
+                        helpers += 1;
+                        let (pool, worker) = (&pool, helpers);
                         scope.spawn(move || pool.worker_loop(worker));
-                        spawned += 1;
                     }
                 }
-                let emitted = batch.emit(prepared, sink);
-                if simulating {
+                batch.run_worker(0, || emitter.drain(sink, false));
+                let emitted = emitter.finish(sink);
+                if helped {
                     // After an emit error the executor is aborted: the
-                    // workers finish the task in hand and report in.
+                    // helpers finish the task in hand and report in.
                     pool.wait_idle();
                 }
                 let results = emitted?;
@@ -1472,7 +1521,7 @@ impl<'a> Session<'a> {
 
 /// One batch of points in flight: its distinct jobs, their (job, layer)
 /// tasks, the executor scheduling those and the slots the emitter reads.
-/// Shared between the session's workers and the emitting thread.
+/// Shared between the session's calling thread and its helpers.
 struct Batch<'a> {
     session: &'a Session<'a>,
     distinct: Vec<DistinctJob>,
@@ -1629,10 +1678,10 @@ impl<'a> Batch<'a> {
         }
     }
 
-    /// Worker `worker`'s share of the batch. A panic must fail the sweep,
-    /// not hang it: it poisons every unfilled slot, so the emitter wakes
-    /// with the typed error.
-    fn run_worker(&self, worker: usize) {
+    /// Worker `worker`'s share of the batch, calling `between` after each
+    /// of its tasks. A panic must fail the sweep, not hang it: it poisons
+    /// every unfilled slot, so the emitter wakes with the typed error.
+    fn run_worker(&self, worker: usize, between: impl FnMut()) {
         let label = |t: usize| {
             let (p, _) = self.tasks[t];
             let workload = self.distinct[self.pending[p]].workload;
@@ -1641,65 +1690,12 @@ impl<'a> Batch<'a> {
                 .name()
                 .to_owned()
         };
-        if let Some(err) = self.exec.run_worker(worker, |t| self.run_task(t), label) {
+        if let Some(err) =
+            self.exec
+                .run_worker_between(worker, |t| self.run_task(t), label, between)
+        {
             self.slots.poison(&err);
         }
-    }
-
-    /// The emitter, run by the session's calling thread: waits for each
-    /// point's slot in the order given and streams it to `sink`. Aborts
-    /// the executor on a poisoned slot or a sink error.
-    fn emit(
-        &self,
-        prepared: Vec<PreparedPoint>,
-        sink: &mut dyn SweepSink,
-    ) -> Result<Vec<SweepResult>, SweepError> {
-        let engine = self.session.engine;
-        let mut ticker = engine.progress.then(|| {
-            ProgressTicker::new(
-                &format!("sweep {}", self.session.plan.name),
-                prepared.len(),
-                self.pending.len(),
-                self.cache_hits,
-            )
-        });
-        let mut results: Vec<SweepResult> = Vec::with_capacity(prepared.len());
-        for point in prepared {
-            let state = match ticker.as_mut() {
-                // Bounded waits so the ticker keeps printing worker
-                // progress while a slow head-of-line point runs.
-                Some(ticker) => loop {
-                    match self
-                        .slots
-                        .wait_for(point.distinct, ProgressTicker::INTERVAL)
-                    {
-                        Some(state) => break state,
-                        None => ticker.heartbeat(self.sims_done.load(Ordering::Relaxed)),
-                    }
-                },
-                None => self.slots.wait(point.distinct),
-            };
-            let report = match state {
-                Ok(report) => report,
-                Err(err) => {
-                    self.exec.abort();
-                    return Err(SweepError::Sim(err));
-                }
-            };
-            if let Err(e) = sink.point(&point.spec, &report) {
-                self.exec.abort();
-                return Err(SweepError::Io(e));
-            }
-            engine.points_total.inc();
-            if let Some(ticker) = ticker.as_mut() {
-                ticker.tick(self.sims_done.load(Ordering::Relaxed));
-            }
-            results.push(SweepResult {
-                spec: point.spec,
-                report,
-            });
-        }
-        Ok(results)
     }
 
     /// The batch's outcome, once its workers have reported in.
@@ -1727,9 +1723,107 @@ impl<'a> Batch<'a> {
     }
 }
 
-/// A session's worker threads and the batch they are working on. Workers
+/// A batch's in-order emitter, run by the session's calling thread:
+/// streams each point to the sink in the order given once its slot is
+/// filled — between the caller's own tasks ([`Emitter::drain`]), then
+/// waiting for the rest ([`Emitter::finish`]). The first poisoned slot or
+/// sink error aborts the executor and fails the batch.
+struct Emitter<'b, 'a> {
+    batch: &'b Batch<'a>,
+    points: std::iter::Peekable<std::vec::IntoIter<PreparedPoint>>,
+    results: Vec<SweepResult>,
+    ticker: Option<ProgressTicker>,
+    /// The batch's failure, once it has one: nothing is emitted after it.
+    failed: Option<SweepError>,
+}
+
+impl<'b, 'a> Emitter<'b, 'a> {
+    fn new(batch: &'b Batch<'a>, prepared: Vec<PreparedPoint>) -> Emitter<'b, 'a> {
+        let session = batch.session;
+        Emitter {
+            ticker: session.engine.progress.then(|| {
+                ProgressTicker::new(
+                    &format!("sweep {}", session.plan.name),
+                    prepared.len(),
+                    batch.pending.len(),
+                    batch.cache_hits,
+                )
+            }),
+            results: Vec::with_capacity(prepared.len()),
+            points: prepared.into_iter().peekable(),
+            batch,
+            failed: None,
+        }
+    }
+
+    /// Streams the remaining points, waiting for each slot in order.
+    fn finish(mut self, sink: &mut dyn SweepSink) -> Result<Vec<SweepResult>, SweepError> {
+        self.drain(sink, true);
+        match self.failed {
+            Some(err) => Err(err),
+            None => Ok(self.results),
+        }
+    }
+
+    /// Streams points in order while their slots are filled: waiting for
+    /// each one if `wait`, else stopping at the first that is not, where
+    /// the progress heartbeat ticks.
+    fn drain(&mut self, sink: &mut dyn SweepSink, wait: bool) {
+        let batch = self.batch;
+        let sims_done = || batch.sims_done.load(Ordering::Relaxed);
+        while self.failed.is_none() {
+            let Some(distinct) = self.points.peek().map(|point| point.distinct) else {
+                return;
+            };
+            let state = match (self.ticker.as_mut(), wait) {
+                (ticker, false) => match batch.slots.get(distinct) {
+                    Some(state) => state,
+                    None => {
+                        if let Some(ticker) = ticker {
+                            ticker.heartbeat(sims_done());
+                        }
+                        return;
+                    }
+                },
+                // Bounded waits so the ticker keeps printing worker
+                // progress while a slow head-of-line point runs.
+                (Some(ticker), true) => loop {
+                    match batch.slots.wait_for(distinct, ProgressTicker::INTERVAL) {
+                        Some(state) => break state,
+                        None => ticker.heartbeat(sims_done()),
+                    }
+                },
+                (None, true) => batch.slots.wait(distinct),
+            };
+            let point = self.points.next().expect("a point was peeked");
+            let emitted = state.map_err(SweepError::Sim).and_then(|report| {
+                sink.point(&point.spec, &report)?;
+                Ok(report)
+            });
+            match emitted {
+                Ok(report) => {
+                    batch.session.engine.points_total.inc();
+                    if let Some(ticker) = self.ticker.as_mut() {
+                        ticker.tick(sims_done());
+                    }
+                    self.results.push(SweepResult {
+                        spec: point.spec,
+                        report,
+                    });
+                }
+                Err(err) => {
+                    batch.exec.abort();
+                    self.failed = Some(err);
+                }
+            }
+        }
+    }
+}
+
+/// A session's helper threads and the batch they are working on. Helpers
 /// park on `wake` between batches; the session's thread parks on `idle`
-/// until the workers of the batch it handed over have all reported in.
+/// until the helpers that claimed the batch it handed over have all
+/// reported in.
 #[derive(Default)]
 struct WorkerPool<'a> {
     state: Mutex<PoolState<'a>>,
@@ -1740,26 +1834,27 @@ struct WorkerPool<'a> {
 #[derive(Default)]
 struct PoolState<'a> {
     batch: Option<Arc<Batch<'a>>>,
-    /// Bumped with every batch handed over, so a worker can tell a new
+    /// Bumped with every batch handed over, so a helper can tell a new
     /// batch from the one it has just finished.
     generation: u64,
-    /// Workers of the current batch that have not reported in yet.
+    /// Helpers that claimed the current batch and have not reported in.
     running: usize,
     stop: bool,
 }
 
 impl<'a> WorkerPool<'a> {
-    /// Hands `batch` to the workers `0..batch.exec.workers()`.
+    /// Offers `batch` to the helpers `1..batch.exec.workers()`.
     fn start(&self, batch: &Arc<Batch<'a>>) {
         let mut state = self.state.lock().unwrap();
         state.batch = Some(Arc::clone(batch));
         state.generation += 1;
-        state.running = batch.exec.workers();
         self.wake.notify_all();
     }
 
-    /// Blocks until every worker of the current batch has returned from
-    /// its schedule loop, then lets go of the batch.
+    /// Blocks until every helper that claimed the current batch has
+    /// returned from its schedule loop, then withdraws the batch: a helper
+    /// that has not woken up by then never claims it. By then every row is
+    /// emitted or the batch has failed, so nothing is left for it to do.
     fn wait_idle(&self) {
         let mut state = self.state.lock().unwrap();
         while state.running > 0 {
@@ -1768,8 +1863,8 @@ impl<'a> WorkerPool<'a> {
         state.batch = None;
     }
 
-    /// Worker `worker`'s thread: takes its share of every batch that has
-    /// one for it, until the session ends.
+    /// Helper `worker`'s thread: takes its share of every batch that has
+    /// one for it and is still on offer, until the session ends.
     fn worker_loop(&self, worker: usize) {
         let _span = scalesim_telemetry::trace::span_with("sweep.worker", || {
             vec![("worker", worker.to_string())]
@@ -1786,7 +1881,9 @@ impl<'a> WorkerPool<'a> {
                         seen = state.generation;
                         match &state.batch {
                             Some(batch) if worker < batch.exec.workers() => {
-                                break Arc::clone(batch)
+                                let batch = Arc::clone(batch);
+                                state.running += 1;
+                                break batch;
                             }
                             _ => {}
                         }
@@ -1794,7 +1891,7 @@ impl<'a> WorkerPool<'a> {
                     state = self.wake.wait(state).unwrap();
                 }
             };
-            batch.run_worker(worker);
+            batch.run_worker(worker, || {});
             drop(batch);
             let mut state = self.state.lock().unwrap();
             state.running -= 1;

@@ -95,24 +95,30 @@ pub fn simulate<M: AddressMap + ?Sized, S: TraceSink + ?Sized>(
 pub fn analyze(dims: &MappedDims, array: ArrayShape) -> ComputeReport {
     let plan = FoldPlan::new(dims, array);
     let t = dims.temporal;
+    // Every count saturates at `u64::MAX` on shapes too large to count; a
+    // saturated runtime still lower-bounds the real one.
+    let product = |a: u64, b: u64, c: u64| a.saturating_mul(b).saturating_mul(c);
     let mut sram = SramCounts::default();
     // O(1) aggregation: sum per fold-shape class instead of per fold.
     for (count, ru, cu) in plan.shape_classes() {
+        let add = |total: &mut u64, x: u64, y: u64| {
+            *total = total.saturating_add(product(count, x, y));
+        };
         match dims.dataflow {
             Dataflow::OutputStationary => {
-                sram.a_reads += count * ru * t;
-                sram.b_reads += count * cu * t;
-                sram.o_writes += count * ru * cu;
+                add(&mut sram.a_reads, ru, t);
+                add(&mut sram.b_reads, cu, t);
+                add(&mut sram.o_writes, ru, cu);
             }
             Dataflow::WeightStationary => {
-                sram.a_reads += count * ru * t;
-                sram.b_reads += count * ru * cu;
-                sram.o_writes += count * t * cu;
+                add(&mut sram.a_reads, ru, t);
+                add(&mut sram.b_reads, ru, cu);
+                add(&mut sram.o_writes, t, cu);
             }
             Dataflow::InputStationary => {
-                sram.a_reads += count * ru * cu;
-                sram.b_reads += count * ru * t;
-                sram.o_writes += count * t * cu;
+                add(&mut sram.a_reads, ru, cu);
+                add(&mut sram.b_reads, ru, t);
+                add(&mut sram.o_writes, t, cu);
             }
         }
     }
@@ -120,11 +126,11 @@ pub fn analyze(dims: &MappedDims, array: ArrayShape) -> ComputeReport {
     // t x c' outputs; summed over the last F_R - 1 fold rows that is
     // t x S_C per fold row.
     if dims.dataflow != Dataflow::OutputStationary && plan.fold_rows() > 1 {
-        sram.o_reads = (plan.fold_rows() - 1) * t * dims.spatial_cols;
+        sram.o_reads = product(plan.fold_rows() - 1, t, dims.spatial_cols);
     }
     let total_cycles = plan.total_cycles();
     let folds = plan.fold_count();
-    let mac_ops = dims.macs();
+    let mac_ops = product(dims.spatial_rows, dims.spatial_cols, t);
     ComputeReport {
         dims: *dims,
         array,
@@ -133,7 +139,7 @@ pub fn analyze(dims: &MappedDims, array: ArrayShape) -> ComputeReport {
         mac_ops,
         sram,
         mapping_utilization: plan.mapping_utilization(),
-        compute_utilization: mac_ops as f64 / (array.macs() * total_cycles) as f64,
+        compute_utilization: mac_ops as f64 / array.macs().saturating_mul(total_cycles) as f64,
     }
 }
 
@@ -189,6 +195,29 @@ mod tests {
         let small = analyze(&dims, ArrayShape::square(8));
         let large = analyze(&dims, ArrayShape::square(64));
         assert!(large.sram_accesses_per_mac() < small.sram_accesses_per_mac());
+    }
+
+    #[test]
+    fn counts_saturate_on_huge_gemms() {
+        let array = ArrayShape::square(8);
+        for df in Dataflow::ALL {
+            let fits = analyze(
+                &GemmShape::new(1 << 20, 1 << 20, 1 << 20).project(df),
+                array,
+            );
+            assert_eq!(fits.mac_ops, 1 << 60);
+            assert_eq!(fits.folds, 1 << 34);
+            assert!(fits.total_cycles < u64::MAX);
+            let huge = analyze(
+                &GemmShape::new(1 << 40, 1 << 40, 1 << 40).project(df),
+                array,
+            );
+            assert_eq!(huge.mac_ops, u64::MAX, "{df:?}");
+            assert_eq!(huge.folds, u64::MAX, "{df:?}");
+            assert_eq!(huge.total_cycles, u64::MAX, "{df:?}");
+            assert_eq!(huge.sram.a_reads, u64::MAX, "{df:?}");
+            assert!(huge.compute_utilization > 0.0 && huge.compute_utilization <= 1.0);
+        }
     }
 
     #[test]

@@ -91,15 +91,16 @@ impl FoldPlan {
         self.fold_cols
     }
 
-    /// Total number of folds (`F_R · F_C`).
+    /// Total number of folds (`F_R · F_C`), saturating at `u64::MAX`.
     pub fn fold_count(&self) -> u64 {
-        self.fold_rows * self.fold_cols
+        self.fold_rows.saturating_mul(self.fold_cols)
     }
 
     /// The four distinct fold shapes of the plan with their multiplicities:
     /// interior folds are all `R × C`; only the last row/column of folds
     /// can be smaller. Lets every aggregate be computed in O(1) instead of
-    /// iterating `F_R · F_C` folds.
+    /// iterating `F_R · F_C` folds. The interior count saturates at
+    /// `u64::MAX`.
     pub fn shape_classes(&self) -> [(u64, u64, u64); 4] {
         let r = self.array.rows();
         let c = self.array.cols();
@@ -108,7 +109,7 @@ impl FoldPlan {
         let full_r = self.fold_rows - 1;
         let full_c = self.fold_cols - 1;
         [
-            (full_r * full_c, r, c),
+            (full_r.saturating_mul(full_c), r, c),
             (full_r, r, c_edge),
             (full_c, r_edge, c),
             (1, r_edge, c_edge),
@@ -116,23 +117,22 @@ impl FoldPlan {
     }
 
     /// Total runtime of the whole plan in cycles — the sum of Eq. 3 over all
-    /// folds, which equals Eq. 4 when every fold is full.
+    /// folds, which equals Eq. 4 when every fold is full. Saturates at
+    /// `u64::MAX`, which still lower-bounds any runtime too long to count.
     pub fn total_cycles(&self) -> u64 {
         self.shape_classes()
             .iter()
-            .map(|&(count, ru, cu)| count * fold_duration(ru, cu, self.dims.temporal))
-            .sum()
+            .map(|&(count, ru, cu)| count.saturating_mul(fold_duration(ru, cu, self.dims.temporal)))
+            .fold(0, u64::saturating_add)
     }
 
     /// Sum over folds of occupied PEs, as a fraction of `R·C·folds` — the
-    /// paper's *array (mapping) utilization* (Fig. 9b-c).
+    /// paper's *array (mapping) utilization* (Fig. 9b-c). The folds tile
+    /// the `S_R × S_C` space exactly, so the occupied sum is its area.
     pub fn mapping_utilization(&self) -> f64 {
-        let occupied: u128 = self
-            .shape_classes()
-            .iter()
-            .map(|&(count, ru, cu)| (count as u128) * (ru as u128) * (cu as u128))
-            .sum();
-        let denom = (self.array.macs() as u128) * (self.fold_count() as u128);
+        let occupied = u128::from(self.dims.spatial_rows) * u128::from(self.dims.spatial_cols);
+        let denom = u128::from(self.array.macs())
+            .saturating_mul(u128::from(self.fold_rows) * u128::from(self.fold_cols));
         occupied as f64 / denom as f64
     }
 }
