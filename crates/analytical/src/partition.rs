@@ -27,9 +27,13 @@ impl PartitionGrid {
     ///
     /// # Panics
     ///
-    /// Panics if either count is zero.
+    /// Panics if either count is zero or `P_R · P_C` overflows `u64`.
     pub fn new(rows: u64, cols: u64) -> Self {
         assert!(rows > 0 && cols > 0, "partition counts must be nonzero");
+        assert!(
+            rows.checked_mul(cols).is_some(),
+            "{rows}x{cols} partitions overflow a 64-bit count"
+        );
         PartitionGrid { rows, cols }
     }
 
@@ -64,12 +68,18 @@ impl std::str::FromStr for PartitionGrid {
     type Err = String;
 
     /// Parses the `PRxPC` spelling [`fmt::Display`] writes, both counts
-    /// nonzero (spaces around either are ignored).
+    /// nonzero and their product a `u64` (spaces around either are
+    /// ignored).
     fn from_str(s: &str) -> Result<PartitionGrid, String> {
         let count = |text: &str| text.trim().parse().ok().filter(|&n: &u64| n > 0);
-        s.split_once('x')
-            .and_then(|(rows, cols)| Some(PartitionGrid::new(count(rows)?, count(cols)?)))
-            .ok_or_else(|| format!("grid `{s}` is not PRxPC with nonzero counts"))
+        let (rows, cols) = s
+            .split_once('x')
+            .and_then(|(rows, cols)| Some((count(rows)?, count(cols)?)))
+            .ok_or_else(|| format!("grid `{s}` is not PRxPC with nonzero counts"))?;
+        if rows.checked_mul(cols).is_none() {
+            return Err(format!("grid `{s}` has more partitions than a u64 counts"));
+        }
+        Ok(PartitionGrid::new(rows, cols))
     }
 }
 
@@ -216,6 +226,31 @@ mod tests {
             let err = bad.parse::<PartitionGrid>().unwrap_err();
             assert!(err.contains(&format!("`{bad}`")), "{err}");
         }
+    }
+
+    #[test]
+    fn a_grid_whose_partition_count_overflows_is_rejected() {
+        // 2^63 + 1 rows times 2 columns wraps to 2 partitions.
+        let err = "9223372036854775809x2"
+            .parse::<PartitionGrid>()
+            .unwrap_err();
+        assert!(err.contains("more partitions than a u64 counts"), "{err}");
+        let widest = format!("{}x1", u64::MAX);
+        assert_eq!(widest.parse::<PartitionGrid>().unwrap().count(), u64::MAX);
+        assert_eq!(
+            "4294967296x4294967295"
+                .parse::<PartitionGrid>()
+                .unwrap()
+                .count(),
+            u64::MAX - (1 << 32) + 1
+        );
+        assert!("4294967296x4294967296".parse::<PartitionGrid>().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn new_asserts_the_partition_count_fits() {
+        let _ = PartitionGrid::new(1 << 63, 2);
     }
 
     #[test]

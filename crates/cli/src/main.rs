@@ -44,8 +44,8 @@ SUBCOMMANDS:
              time, and write one combined REPORT CSV
     sweep    expand a design-space plan file (workloads x MAC budgets x
              partition grids x aspect ratios x dataflows) and evaluate
-             every point in parallel through a content-addressed result
-             cache; rows stream out in plan order and a best/sweet-spot
+             every distinct point once, in parallel (duplicates share one
+             simulation); rows stream out in plan order and a best/sweet-spot
              summary per (workload, budget, dataflow) group goes to stderr;
              --dry-run prints the point count, exact dedup and per-axis
              breakdown without simulating anything
@@ -224,11 +224,6 @@ enum SweepFormat {
     JsonLines,
 }
 
-/// Result-cache entries of the engine `sweep` and `explore` build for
-/// their one plan. A plan's duplicate points are merged before the cache
-/// is probed, so no size changes an output or a hit count.
-const RESULT_CACHE: usize = 1024;
-
 /// A parsed `sweep` or `explore` command line: the flags both take, then
 /// each command's own (left at their defaults by the other).
 #[derive(Debug)]
@@ -397,7 +392,7 @@ fn run_sweep_cli(argv: &[String]) -> Result<(), String> {
     }
     let jobs = args.jobs.unwrap_or_else(default_jobs);
     enable_tracing(args.trace_out.is_some());
-    let engine = SweepEngine::new(RESULT_CACHE).with_progress(args.progress);
+    let engine = SweepEngine::default().with_progress(args.progress);
 
     let start = std::time::Instant::now();
     let outcome = match &args.output {
@@ -459,7 +454,7 @@ fn run_explore_cli(argv: &[String]) -> Result<(), String> {
         jobs,
         progress: args.progress,
     };
-    let engine = ExploreEngine::new(RESULT_CACHE);
+    let engine = ExploreEngine::default();
     let outcome = engine
         .run(&plan, &options)
         .map_err(|e| format!("explore failed: {e}"))?;

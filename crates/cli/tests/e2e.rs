@@ -505,6 +505,20 @@ fn sweep_error_paths_are_one_line() {
     assert_one_line_error(&out, "plan parse error");
 }
 
+/// `9223372036854775809x2` is 2^64 + 2 partitions: the count used to wrap
+/// to 2, pass every check and panic inside the simulator.
+#[test]
+fn a_grid_whose_partition_count_overflows_is_an_error_not_a_panic() {
+    let out = scale_sim(&["run", "-n", "TF1", "-g", "9223372036854775809x2"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    let errors: Vec<&str> = err.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "stderr: {err}");
+    assert!(errors[0].contains("--grid"), "stderr: {err}");
+    assert!(errors[0].contains("9223372036854775809x2"), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+}
+
 #[test]
 fn serve_with_bad_flag_is_a_one_line_error() {
     let out = scale_sim(&["serve", "--frobnicate"]);

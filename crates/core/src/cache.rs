@@ -1,10 +1,12 @@
 //! Content-addressed memoization primitives: a stable 128-bit content
 //! hash and a sharded LRU map keyed by it.
 //!
-//! These back both the in-process [`sweep`](crate::sweep) engine and the
-//! `scalesim-server` crate's result cache — the server's job keys and the
+//! The hash names the process-wide [`layer_cache`](crate::layer_cache)'s
+//! entries, the [`sweep`](crate::sweep) engine's merged duplicate points
+//! and the `scalesim-server` crate's jobs — the server's job keys and the
 //! sweep engine's point keys hash the same canonical job text with the
-//! same function, so the two layers address one key space.
+//! same function, so the two address one key space. The LRU backs the
+//! layer cache and the server's result cache.
 //!
 //! Sharding bounds lock contention under a worker pool: each shard owns an
 //! independent mutex and an independent LRU list, so concurrent lookups

@@ -59,21 +59,13 @@
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use scalesim_topology::Topology;
 
 use crate::report::NetworkReport;
 use crate::simulator::Simulator;
-
-/// Metric names the executor records into the process-global registry.
-pub mod telemetry_names {
-    /// Counter: tasks executed by executors (any outcome).
-    pub const TASKS: &str = "scalesim_exec_tasks_total";
-    /// Counter: tasks a worker took from another worker's block.
-    pub const STEALS: &str = "scalesim_exec_steals_total";
-}
 
 /// A simulation task that panicked, caught at the execution boundary and
 /// converted into a value. `task` names what was being simulated (the
@@ -192,6 +184,79 @@ impl FaultPlan {
                     FaultAction::Panic(msg) => panic!("{msg}"),
                 }
             }
+        }
+    }
+}
+
+/// A completion slot: empty until its first [`Slot::fill`], which wins —
+/// later fills are ignored — and then read by any number of waiters.
+///
+/// The one primitive every "wait for a result another thread produces"
+/// in the workspace waits on: a sweep batch's in-order emitter waits on one
+/// slot per distinct point (a panic fills every empty one with the error,
+/// so the emitter always wakes), and a server ticket waits on its
+/// single-flight leader's.
+#[derive(Debug)]
+pub struct Slot<T> {
+    value: Mutex<Option<T>>,
+    filled: Condvar,
+}
+
+impl<T> Default for Slot<T> {
+    fn default() -> Slot<T> {
+        Slot {
+            value: Mutex::new(None),
+            filled: Condvar::new(),
+        }
+    }
+}
+
+/// A slot's lock is held only to store or clone its value, so it is
+/// poisoned only if `T::clone` panicked.
+const POISONED: &str = "a slot's value panicked while being cloned";
+
+impl<T: Clone> Slot<T> {
+    /// An empty slot.
+    pub fn new() -> Slot<T> {
+        Slot::default()
+    }
+
+    /// Fills the slot with `value` and wakes every waiter, unless it is
+    /// already filled. Returns whether this call filled it.
+    pub fn fill(&self, value: T) -> bool {
+        let mut slot = self.value.lock().expect(POISONED);
+        if slot.is_some() {
+            return false;
+        }
+        *slot = Some(value);
+        self.filled.notify_all();
+        true
+    }
+
+    /// The value if the slot is filled, without waiting.
+    pub fn try_get(&self) -> Option<T> {
+        self.value.lock().expect(POISONED).clone()
+    }
+
+    /// Waits for the value, up to `deadline` if one is given: `None` once
+    /// the deadline passes with the slot still empty. A later wait still
+    /// gets the value when it comes.
+    pub fn wait(&self, deadline: Option<Instant>) -> Option<T> {
+        let mut slot = self.value.lock().expect(POISONED);
+        loop {
+            if let Some(value) = slot.as_ref() {
+                return Some(value.clone());
+            }
+            slot = match deadline {
+                None => self.filled.wait(slot).expect(POISONED),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return None;
+                    }
+                    self.filled.wait_timeout(slot, left).expect(POISONED).0
+                }
+            };
         }
     }
 }
@@ -677,6 +742,97 @@ mod tests {
         drive(&exec, |_| {});
         assert_eq!(exec.summary().tasks, 0);
         assert!(exec.error().is_none());
+    }
+
+    #[test]
+    fn slot_waiters_with_and_without_deadlines_all_see_the_fill() {
+        // Eight waiters race one filler under seeded yields and spins:
+        // even ones wait unbounded, odd ones in short deadlines, retrying
+        // after each expiry.
+        for seed in 0..200u64 {
+            let slot: Slot<u64> = Slot::new();
+            let expired = AtomicU64::new(0);
+            let seen: Vec<u64> = std::thread::scope(|scope| {
+                let waiters: Vec<_> = (0..8usize)
+                    .map(|w| {
+                        let (slot, expired) = (&slot, &expired);
+                        scope.spawn(move || {
+                            jitter(seed, w);
+                            if w % 2 == 0 {
+                                return slot.wait(None).expect("an unbounded wait returns");
+                            }
+                            loop {
+                                let deadline = Instant::now() + Duration::from_micros(w as u64);
+                                match slot.wait(Some(deadline)) {
+                                    Some(value) => return value,
+                                    None => {
+                                        assert!(Instant::now() >= deadline);
+                                        expired.fetch_add(1, Ordering::Relaxed);
+                                    }
+                                }
+                            }
+                        })
+                    })
+                    .collect();
+                jitter(seed, 8);
+                assert!(slot.fill(seed), "the first fill wins");
+                assert!(!slot.fill(seed + 1), "a second fill is ignored");
+                waiters.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert_eq!(seen, vec![seed; 8], "seed {seed}");
+            assert_eq!(slot.try_get(), Some(seed));
+        }
+    }
+
+    #[test]
+    fn an_expired_slot_wait_returns_none_and_a_later_wait_the_value() {
+        let slot: Slot<&str> = Slot::new();
+        assert_eq!(slot.try_get(), None);
+        assert_eq!(slot.wait(Some(Instant::now())), None);
+        let later = Instant::now() + Duration::from_millis(5);
+        assert_eq!(slot.wait(Some(later)), None);
+        assert!(Instant::now() >= later);
+        assert!(slot.fill("done"));
+        // A deadline already past still reads a filled slot.
+        assert_eq!(slot.wait(Some(later)), Some("done"));
+        assert_eq!(slot.wait(None), Some("done"));
+    }
+
+    #[test]
+    fn a_poison_never_overwrites_a_fill() {
+        // A sweep batch's slots: a worker fills some with reports while
+        // another, whose task panicked, fills every still-empty one with
+        // the error. Each slot keeps whichever fill came first.
+        for seed in 0..200u64 {
+            let slots: Vec<Slot<Result<usize, &str>>> = (0..16).map(|_| Slot::new()).collect();
+            let (filled, poisoned) = std::thread::scope(|scope| {
+                let filler = scope.spawn(|| {
+                    (0..16)
+                        .filter(|&i| i % 3 != 0)
+                        .filter(|&i| {
+                            jitter(seed, i);
+                            slots[i].fill(Ok(i))
+                        })
+                        .collect::<Vec<usize>>()
+                });
+                let poisoner = scope.spawn(|| {
+                    jitter(seed, 16);
+                    (0..16)
+                        .filter(|&i| slots[i].fill(Err("panicked")))
+                        .collect::<Vec<usize>>()
+                });
+                (filler.join().unwrap(), poisoner.join().unwrap())
+            });
+            for (i, slot) in slots.iter().enumerate() {
+                let expected = if filled.contains(&i) {
+                    Ok(i)
+                } else {
+                    Err("panicked")
+                };
+                assert_eq!(slot.wait(None), Some(expected), "seed {seed}, slot {i}");
+                assert_ne!(filled.contains(&i), poisoned.contains(&i));
+            }
+        }
     }
 
     #[test]

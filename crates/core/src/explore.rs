@@ -22,8 +22,8 @@
 //!   Survivors are ranked by predicted runtime.
 //! * **Stage 2 — budgeted refinement.** Survivors are simulated in
 //!   fixed-size batches: by [`ExploreEngine::run`] through the wrapped
-//!   [`SweepEngine`] (inheriting its result cache and the process-wide
-//!   layer cache), all on the workers of one sweep session; by
+//!   [`SweepEngine`] (over the process-wide layer cache), all on the
+//!   workers of one sweep session; by
 //!   [`ExploreEngine::run_with`] through whatever runs batches for the
 //!   caller — the server's worker pool. After each batch the measured
 //!   frontier and the correction of the workloads it measured are
@@ -264,7 +264,8 @@ pub struct ExploreOutcome {
     pub survivors: usize,
     /// Survivor points actually simulated (bounded by the budget).
     pub simulated: usize,
-    /// Points served by the sweep engine without a fresh simulation.
+    /// Points the batch runner served without a fresh simulation: a
+    /// batch's duplicates, and with a server's runner its cache hits.
     pub cache_hits: u64,
     /// Simulated points in plan order.
     pub measured: Vec<MeasuredPoint>,
@@ -383,8 +384,8 @@ pub const EXPLORE_CSV_HEADER: &str = "workload,budget,partitions,grid,array,data
      peak_bw_bytes_per_cycle,energy,on_frontier\n";
 
 /// The successive-refinement executor. Wraps a [`SweepEngine`] (stage-2
-/// simulation inherits its result cache and telemetry) and adds the
-/// explore counters.
+/// simulation inherits its dedup and telemetry) and adds the explore
+/// counters.
 pub struct ExploreEngine {
     sweep: SweepEngine,
     candidates: Arc<Counter>,
@@ -396,15 +397,22 @@ pub struct ExploreEngine {
     stage_simulate: Arc<Histogram>,
 }
 
+impl Default for ExploreEngine {
+    /// An engine with telemetry in the process-global registry.
+    fn default() -> ExploreEngine {
+        ExploreEngine::with_registry(scalesim_telemetry::global())
+    }
+}
+
 impl ExploreEngine {
-    /// An engine whose stage-2 sweep caches up to `cache_capacity`
-    /// distinct results, with telemetry in the process-global registry.
-    pub fn new(cache_capacity: usize) -> ExploreEngine {
-        ExploreEngine::with_registry(cache_capacity, scalesim_telemetry::global())
+    /// [`ExploreEngine::default`]. The argument is ignored: it sized a
+    /// point cache the wrapped sweep engine no longer has.
+    pub fn new(_cache_capacity: usize) -> ExploreEngine {
+        ExploreEngine::default()
     }
 
     /// An engine recording its metrics into `registry`.
-    pub fn with_registry(cache_capacity: usize, registry: &Registry) -> ExploreEngine {
+    pub fn with_registry(registry: &Registry) -> ExploreEngine {
         let stage = |label: &str| {
             registry.histogram_with(
                 telemetry_names::STAGE_SECONDS,
@@ -414,7 +422,7 @@ impl ExploreEngine {
             )
         };
         ExploreEngine {
-            sweep: SweepEngine::with_registry(cache_capacity, registry),
+            sweep: SweepEngine::with_registry(registry),
             candidates: registry.counter(
                 telemetry_names::CANDIDATES,
                 "Explore candidates evaluated analytically.",
@@ -435,11 +443,6 @@ impl ExploreEngine {
             stage_prune: stage("prune"),
             stage_simulate: stage("simulate"),
         }
-    }
-
-    /// The wrapped sweep engine (e.g. to inspect its result cache).
-    pub fn sweep_engine(&self) -> &SweepEngine {
-        &self.sweep
     }
 
     /// Installs a fault-injection plan on the wrapped sweep engine, so
@@ -973,7 +976,7 @@ mod tests {
     /// Compares explore's frontiers against frontiers rebuilt from an
     /// independent exhaustive sweep of `specs`.
     fn assert_frontiers_match(plan: &SweepPlan, outcome: &ExploreOutcome, specs: Vec<PointSpec>) {
-        let sweep = SweepEngine::with_registry(1024, &Registry::new());
+        let sweep = SweepEngine::with_registry(&Registry::new());
         let all = sweep
             .run_points(plan, specs, 1, &mut crate::sweep::NullSink)
             .unwrap();
@@ -1007,14 +1010,14 @@ mod tests {
             jobs: 2,
             progress: false,
         };
-        let engine = ExploreEngine::with_registry(1024, &Registry::new());
+        let engine = ExploreEngine::with_registry(&Registry::new());
         let outcome = engine.run(&plan, &options).unwrap();
         assert_eq!(outcome.candidates, plan.expand().unwrap().len());
         assert_eq!(outcome.candidates, outcome.pruned + outcome.survivors);
         assert_eq!(outcome.simulated, outcome.survivors); // unlimited budget
 
         // The surviving region, recomputed independently.
-        let survivors = ExploreEngine::with_registry(64, &Registry::new())
+        let survivors = ExploreEngine::with_registry(&Registry::new())
             .prune(&plan, options.keep_within_pct)
             .unwrap()
             .survivors;
@@ -1038,7 +1041,7 @@ mod tests {
             jobs: 2,
             progress: false,
         };
-        let engine = ExploreEngine::with_registry(1024, &Registry::new());
+        let engine = ExploreEngine::with_registry(&Registry::new());
         let outcome = engine.run(&plan, &options).unwrap();
         assert_eq!(outcome.pruned, 0);
         assert_frontiers_match(&plan, &outcome, plan.expand().unwrap());
@@ -1054,7 +1057,7 @@ mod tests {
             progress: false,
         };
         let run = |jobs| {
-            let engine = ExploreEngine::with_registry(256, &Registry::new());
+            let engine = ExploreEngine::with_registry(&Registry::new());
             let outcome = engine.run(&plan, &options(jobs)).unwrap();
             let mut csv = Vec::new();
             outcome.write_csv(&mut csv).unwrap();
@@ -1158,7 +1161,7 @@ mod tests {
                 DataflowChoice::Fixed(Dataflow::InputStationary),
                 DataflowChoice::Auto,
             ];
-            let outcome = ExploreEngine::with_registry(1, &Registry::new())
+            let outcome = ExploreEngine::with_registry(&Registry::new())
                 .prune(&plan, keep_within as f64)
                 .unwrap();
             proptest::prop_assert_eq!(outcome.candidates, plan.points().unwrap().len());
@@ -1268,12 +1271,12 @@ mod tests {
             ];
             let sims = if sims % REFINE_BATCH == 0 { sims + 3 } else { sims };
 
-            let survivors = ExploreEngine::with_registry(64, &Registry::new())
+            let survivors = ExploreEngine::with_registry(&Registry::new())
                 .prune(&plan, keep_within as f64)
                 .unwrap()
                 .survivors;
             // Every survivor's measurement, by plan index.
-            let cycles: HashMap<usize, u64> = SweepEngine::with_registry(4096, &Registry::new())
+            let cycles: HashMap<usize, u64> = SweepEngine::with_registry(&Registry::new())
                 .run_points(
                     &plan,
                     survivors.iter().map(|s| s.spec.clone()).collect(),
@@ -1424,7 +1427,7 @@ mod tests {
     fn pruning_shrinks_with_tighter_band() {
         let plan = synthetic_plan(None);
         let run = |pct| {
-            let engine = ExploreEngine::with_registry(256, &Registry::new());
+            let engine = ExploreEngine::with_registry(&Registry::new());
             let outcome = engine
                 .run(
                     &plan,
@@ -1445,7 +1448,7 @@ mod tests {
     #[test]
     fn error_stats_respect_the_lower_bound() {
         let plan = synthetic_plan(Some(4.0));
-        let engine = ExploreEngine::with_registry(256, &Registry::new());
+        let engine = ExploreEngine::with_registry(&Registry::new());
         let outcome = engine.run(&plan, &ExploreOptions::default()).unwrap();
         assert!(outcome.error_stats.count > 0);
         assert!(outcome.error_stats.p50 >= 1.0);
@@ -1458,7 +1461,7 @@ mod tests {
     #[test]
     fn csv_output_shape() {
         let plan = synthetic_plan(None);
-        let engine = ExploreEngine::with_registry(256, &Registry::new());
+        let engine = ExploreEngine::with_registry(&Registry::new());
         let outcome = engine.run(&plan, &ExploreOptions::default()).unwrap();
         let mut csv = Vec::new();
         outcome.write_csv(&mut csv).unwrap();
@@ -1482,7 +1485,7 @@ mod tests {
     fn telemetry_counters_add_up() {
         let registry = Registry::new();
         let plan = synthetic_plan(None);
-        let engine = ExploreEngine::with_registry(256, &registry);
+        let engine = ExploreEngine::with_registry(&registry);
         let outcome = engine
             .run(
                 &plan,

@@ -7,12 +7,12 @@
 //! GEMMs; ResNet stages repeat their conv shape), and design-space sweeps
 //! re-simulate the unchanged layers of every neighbouring design point.
 //! Memoizing at layer granularity therefore removes whole simulations from
-//! the cold path, beneath the sweep engine's per-point cache and the
-//! server's job LRU (which both key entire jobs, not sub-problems).
+//! the cold path, beneath the server's job LRU (which keys entire jobs, not
+//! sub-problems), and answers a rerun of a whole plan.
 //!
 //! The key is a [`ContentKey`] (FNV-1a/128) over canonical text — the same
-//! machinery the point and job caches use, so all three layers address one
-//! stable, process-independent key space. The cached value is an
+//! machinery the job cache uses, so both tiers address one stable,
+//! process-independent key space. The cached value is an
 //! `Arc<LayerReport>`; a hit clones the report and patches the name back
 //! in, so results are bit-identical to a fresh simulation.
 //!

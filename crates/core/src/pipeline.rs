@@ -52,11 +52,6 @@ impl PipelineReport {
         self.fill_cycles + (inputs - 1) * self.bottleneck_cycles
     }
 
-    /// Steady-state throughput in inputs per kilocycle.
-    pub fn throughput_per_kcycle(&self) -> f64 {
-        1000.0 / self.bottleneck_cycles as f64
-    }
-
     /// Pipeline balance: bottleneck over mean stage latency (1.0 = perfect).
     pub fn imbalance(&self) -> f64 {
         if self.stages.is_empty() {

@@ -12,10 +12,11 @@
 //!   (a partitioned layer's tiles run on the worker that took the layer),
 //!   and a caller with several batches of points — the explore pipeline —
 //!   keeps the helpers for all of them;
-//! * **memoized** — every point is content-addressed by the same canonical
-//!   job text the `scalesim-server` cache uses ([`canonical_job_text`]),
-//!   deduplicated through a [`ShardedLru`], so duplicate points inside a
-//!   plan and repeats across plans are never re-simulated;
+//! * **deduplicated** — every point is content-addressed by the same
+//!   canonical job text the `scalesim-server` cache uses
+//!   ([`canonical_job_text`]), so duplicate points of a plan are simulated
+//!   once; a rerun is answered layer by layer by the process-wide
+//!   [`crate::layer_cache`];
 //! * **deterministically streamed** — results are emitted to a
 //!   [`SweepSink`] in plan order as they complete, regardless of worker
 //!   completion order, so parallel output is byte-identical to a serial
@@ -36,12 +37,12 @@ use serde::{Deserialize, Serialize};
 
 use scalesim_analytical::{aspect_ratio_shapes, PartitionGrid};
 use scalesim_systolic::ArrayShape;
-use scalesim_telemetry::{Counter, Histogram, Registry};
+use scalesim_telemetry::{Counter, Registry};
 use scalesim_topology::{networks, topology_to_csv, Dataflow, Layer, Topology};
 
-use crate::cache::{ContentKey, ShardedLru};
+use crate::cache::ContentKey;
 use crate::config::{parse_config, SimConfig};
-use crate::exec::{ExecSummary, Executor, FaultPlan, SimError};
+use crate::exec::{ExecSummary, Executor, FaultPlan, SimError, Slot};
 use crate::report::{LayerReport, NetworkReport};
 use crate::simulator::Simulator;
 
@@ -51,22 +52,11 @@ use crate::simulator::Simulator;
 pub mod telemetry_names {
     /// Counter: sweep points completed (any path).
     pub const POINTS: &str = "scalesim_sweep_points_total";
-    /// Counter: points served without a fresh simulation (in-plan
-    /// duplicates and LRU hits from earlier plans).
+    /// Counter: points served without a fresh simulation (a sweep's
+    /// in-plan duplicates; the server's cache hits and joins).
     pub const CACHE_HITS: &str = "scalesim_sweep_cache_hits_total";
     /// Counter: simulations the sweep pool actually executed.
     pub const SIMULATIONS: &str = "scalesim_sweep_simulations_total";
-    /// Histogram: wall time per freshly simulated point, seconds.
-    pub const POINT_SECONDS: &str = "scalesim_sweep_point_seconds";
-    /// Counter: results evicted from the sweep result cache.
-    pub const CACHE_EVICTIONS: &str = "scalesim_sweep_cache_evictions_total";
-    /// Gauge: results currently held by the sweep result cache.
-    pub const CACHE_RESIDENT: &str = "scalesim_sweep_cache_resident_entries";
-    /// Counter: layer-granularity tasks executed by the sweep's pool
-    /// (re-exported from [`crate::exec`]).
-    pub const EXEC_TASKS: &str = crate::exec::telemetry_names::TASKS;
-    /// Counter: tasks a worker took from another worker's block.
-    pub const EXEC_STEALS: &str = crate::exec::telemetry_names::STEALS;
 }
 
 /// Splits a power-of-two `n` into the most square `(rows, cols)` pair with
@@ -85,8 +75,8 @@ pub fn squareish(n: u64) -> (u64, u64) {
 ///
 /// Every semantic field appears via the simulator's own round-tripping
 /// serializers, so any two requests that simulate identically serialize
-/// identically. This is the *shared* key space of the sweep engine and the
-/// `scalesim-server` result cache — both hash exactly this text.
+/// identically. This is the *shared* key space of the sweep engine's dedup
+/// and the `scalesim-server` result cache — both hash exactly this text.
 ///
 /// `auto_dataflow` appends a marker line only when set, keeping keys of
 /// fixed-dataflow jobs stable across versions.
@@ -485,8 +475,7 @@ impl SweepPlan {
     /// The duplicate count is exact: it groups points by the same identity
     /// the [`SweepEngine`]'s content-addressed dedup uses (workload, grid,
     /// array, effective dataflow), so `points - distinct_jobs` is the
-    /// number of simulations a run would save before the LRU cache even
-    /// gets a say.
+    /// number of simulations a run saves.
     ///
     /// # Errors
     ///
@@ -752,7 +741,7 @@ impl PointSpec {
 pub struct SweepResult {
     /// The design point.
     pub spec: PointSpec,
-    /// The simulation report (shared with the result cache).
+    /// The simulation report (shared by the run's duplicates of the point).
     pub report: Arc<NetworkReport>,
 }
 
@@ -764,10 +753,10 @@ pub struct SweepOutcome {
     pub plan_name: String,
     /// One result per point, in plan order.
     pub results: Vec<SweepResult>,
-    /// Simulations actually executed by this run.
+    /// Simulations actually executed by this run: one per distinct point.
     pub simulations: u64,
-    /// Points served without a fresh simulation (in-plan duplicates plus
-    /// LRU hits from earlier plans on the same engine).
+    /// Points served without a fresh simulation: duplicates of an earlier
+    /// point of the same run.
     pub cache_hits: u64,
     /// Wall latency of each freshly simulated point — first layer task
     /// start to assembly — in microseconds, in work-list order. One entry
@@ -1085,17 +1074,16 @@ struct PreparedPoint {
 
 /// One distinct simulation job (several points may share it).
 struct DistinctJob {
-    key: u128,
     config: SimConfig,
     grid: PartitionGrid,
     auto: bool,
     workload: usize,
 }
 
-/// Mutable per-pending-job state shared by that job's layer tasks: the
-/// filled layer reports, the count of tasks still owed, the first-task
-/// start instant (point latency runs from the first layer start to
-/// assembly) and the finished latency.
+/// Mutable per-job state shared by that job's layer tasks: the filled
+/// layer reports, the count of tasks still owed, the first-task start
+/// instant (point latency runs from the first layer start to assembly) and
+/// the finished latency.
 struct JobState {
     layers: Mutex<Vec<Option<LayerReport>>>,
     remaining: AtomicUsize,
@@ -1103,104 +1091,24 @@ struct JobState {
     latency_micros: AtomicU64,
 }
 
-/// Completion slots shared between workers and the in-order emitter.
-///
-/// A slot may complete with a report or — when a simulation panics — be
-/// *poisoned* with the [`SimError`]. Poisoning fills every still-empty
-/// slot, so an emitter blocked in [`Slots::wait`] always wakes up with a
-/// definite answer: before it existed, a panicking worker left its slot
-/// empty forever and the sweep hung instead of failing.
-struct Slots {
-    filled: Mutex<Vec<Option<SlotState>>>,
-    ready: Condvar,
-}
+/// A job's completion slot: the simulated report, or — when a simulation
+/// panics — the error every still-empty slot is filled with, so the
+/// in-order emitter always wakes with a definite answer instead of hanging.
+type JobSlot = Slot<Result<Arc<NetworkReport>, SimError>>;
 
-/// A completed slot: the simulated report, or the error that poisoned it.
-type SlotState = Result<Arc<NetworkReport>, SimError>;
-
-impl Slots {
-    fn new(n: usize) -> Slots {
-        Slots {
-            filled: Mutex::new(vec![None; n]),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn fill(&self, i: usize, report: Arc<NetworkReport>) {
-        *self
-            .filled
-            .lock()
-            .unwrap()
-            .get_mut(i)
-            .expect("slot index in range") = Some(Ok(report));
-        self.ready.notify_all();
-    }
-
-    /// Fills every still-empty slot with `err`, waking all waiters.
-    fn poison(&self, err: &SimError) {
-        let mut filled = self.filled.lock().unwrap();
-        for slot in filled.iter_mut() {
-            if slot.is_none() {
-                *slot = Some(Err(err.clone()));
-            }
-        }
-        self.ready.notify_all();
-    }
-
-    /// Slot `i`'s state if it is filled, without waiting.
-    fn get(&self, i: usize) -> Option<SlotState> {
-        self.filled.lock().unwrap()[i].clone()
-    }
-
-    fn wait(&self, i: usize) -> Result<Arc<NetworkReport>, SimError> {
-        let mut filled = self.filled.lock().unwrap();
-        loop {
-            if let Some(result) = &filled[i] {
-                return result.clone();
-            }
-            filled = self.ready.wait(filled).unwrap();
-        }
-    }
-
-    /// Like [`Slots::wait`], but gives up after `timeout` so the caller
-    /// can do periodic work (the progress ticker's heartbeat) while a
-    /// slow head-of-line point is still simulating.
-    fn wait_for(
-        &self,
-        i: usize,
-        timeout: Duration,
-    ) -> Option<Result<Arc<NetworkReport>, SimError>> {
-        let deadline = Instant::now() + timeout;
-        let mut filled = self.filled.lock().unwrap();
-        loop {
-            if let Some(result) = &filled[i] {
-                return Some(result.clone());
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            filled = self.ready.wait_timeout(filled, left).unwrap().0;
-        }
-    }
-}
-
-/// The parallel, memoizing sweep executor: a content-addressed result
-/// cache (shared across every plan run on the same engine) plus, per run,
-/// the calling thread and a set of scoped helper threads.
+/// The parallel sweep executor: per run, the calling thread and a set of
+/// scoped helper threads. It keeps no results between runs; a rerun is
+/// answered layer by layer by the process-wide [`crate::layer_cache`],
+/// bit for bit.
 ///
 /// Determinism: duplicate points are simulated once and results are
 /// emitted in plan order, so the output stream is byte-identical to a
 /// `jobs = 1` run — and each point's report is byte-identical to a fresh
 /// single-shot [`Simulator`] run of the same configuration.
 pub struct SweepEngine {
-    cache: ShardedLru<Arc<NetworkReport>>,
     points_total: Arc<Counter>,
     cache_hits: Arc<Counter>,
     simulations: Arc<Counter>,
-    point_seconds: Arc<Histogram>,
-    exec_tasks: Arc<Counter>,
-    exec_steals: Arc<Counter>,
     progress: bool,
     faults: Mutex<FaultPlan>,
 }
@@ -1214,9 +1122,8 @@ pub(crate) struct ProgressTicker {
     label: String,
     total: usize,
     /// Fresh simulations this run must execute; rate and ETA are based on
-    /// how many of these have completed, *not* on emitted points —
-    /// instantly-emitted cache hits used to make warm sweeps report
-    /// absurdly optimistic ETAs.
+    /// how many of these have completed, *not* on emitted points, which a
+    /// plan's duplicates inflate.
     sims_total: usize,
     cache_hits: u64,
     done: usize,
@@ -1284,32 +1191,24 @@ impl ProgressTicker {
     }
 }
 
+impl Default for SweepEngine {
+    /// An engine with telemetry in the process-global registry.
+    fn default() -> SweepEngine {
+        SweepEngine::with_registry(scalesim_telemetry::global())
+    }
+}
+
 impl SweepEngine {
-    /// An engine caching up to `cache_capacity` distinct results, with
-    /// telemetry in the process-global registry.
-    ///
-    /// The capacity is approximate: it is spread over the [`ShardedLru`]'s
-    /// 16 shards (per-shard LRU eviction), so an unlucky key distribution
-    /// can evict before `cache_capacity` distinct results are resident.
-    /// Size generously — at least 16x the working set — when exact
-    /// retention matters.
-    pub fn new(cache_capacity: usize) -> SweepEngine {
-        SweepEngine::with_registry(cache_capacity, scalesim_telemetry::global())
+    /// [`SweepEngine::default`]. The argument is ignored: it sized a point
+    /// cache the engine no longer has.
+    pub fn new(_cache_capacity: usize) -> SweepEngine {
+        SweepEngine::default()
     }
 
     /// An engine recording its metrics into `registry` (e.g. a server
     /// engine's scoped registry).
-    pub fn with_registry(cache_capacity: usize, registry: &Registry) -> SweepEngine {
-        let evictions = registry.counter(
-            telemetry_names::CACHE_EVICTIONS,
-            "Results evicted from the sweep result cache.",
-        );
-        let resident = registry.gauge(
-            telemetry_names::CACHE_RESIDENT,
-            "Results currently held by the sweep result cache.",
-        );
+    pub fn with_registry(registry: &Registry) -> SweepEngine {
         SweepEngine {
-            cache: ShardedLru::new(cache_capacity, 16).with_metrics(evictions, resident),
             points_total: registry.counter(
                 telemetry_names::POINTS,
                 "Sweep points completed (any path).",
@@ -1321,19 +1220,6 @@ impl SweepEngine {
             simulations: registry.counter(
                 telemetry_names::SIMULATIONS,
                 "Simulations executed by the sweep pool.",
-            ),
-            point_seconds: registry.histogram(
-                telemetry_names::POINT_SECONDS,
-                "Wall time per freshly simulated sweep point.",
-                &Histogram::duration_buckets(),
-            ),
-            exec_tasks: registry.counter(
-                telemetry_names::EXEC_TASKS,
-                "Layer-granularity tasks executed by the sweep pool.",
-            ),
-            exec_steals: registry.counter(
-                telemetry_names::EXEC_STEALS,
-                "Tasks a worker took from another worker's block.",
             ),
             progress: false,
             faults: Mutex::new(FaultPlan::default()),
@@ -1356,11 +1242,6 @@ impl SweepEngine {
     pub fn with_progress(mut self, on: bool) -> SweepEngine {
         self.progress = on;
         self
-    }
-
-    /// Number of distinct results currently cached.
-    pub fn cached_results(&self) -> usize {
-        self.cache.len()
     }
 
     /// Runs `plan` on `jobs` parallel workers, collecting results only.
@@ -1393,8 +1274,8 @@ impl SweepEngine {
     /// and workloads, streaming each to `sink` in the order given.
     ///
     /// The points need not be the plan's full expansion, but every spec's
-    /// workload label must name one of the plan's workloads. Dedup, caching
-    /// and the determinism contract are identical to
+    /// workload label must name one of the plan's workloads. Dedup and the
+    /// determinism contract are identical to
     /// [`SweepEngine::run_streaming`]. This is a session of one batch; the
     /// explore pipeline, which simulates the survivors of analytical
     /// pruning eight at a time, keeps one session open for all of its
@@ -1525,22 +1406,20 @@ impl<'a> Session<'a> {
 struct Batch<'a> {
     session: &'a Session<'a>,
     distinct: Vec<DistinctJob>,
-    /// The jobs the cache could not answer, as indices into `distinct`.
-    pending: Vec<usize>,
-    /// (index into `pending`, layer).
+    /// (index into `distinct`, layer).
     tasks: Vec<(usize, usize)>,
-    /// One per pending job.
+    /// One per distinct job.
     states: Vec<JobState>,
     /// One per distinct job.
-    slots: Slots,
+    slots: Vec<JobSlot>,
     cache_hits: u64,
     sims_done: AtomicUsize,
     exec: Executor,
 }
 
 impl<'a> Batch<'a> {
-    /// Deduplicates `points` into distinct jobs by content key, probes the
-    /// cross-plan cache and lays out one task per (pending job, layer).
+    /// Deduplicates `points` into distinct jobs by content key and lays out
+    /// one task per (distinct job, layer).
     fn prepare(
         session: &'a Session<'a>,
         points: Vec<PointSpec>,
@@ -1570,7 +1449,6 @@ impl<'a> Batch<'a> {
             let key = ContentKey::from_content(text.as_bytes()).0;
             let slot = *distinct_of_key.entry(key).or_insert_with(|| {
                 distinct.push(DistinctJob {
-                    key,
                     config,
                     grid: spec.grid,
                     auto,
@@ -1584,27 +1462,18 @@ impl<'a> Batch<'a> {
             });
         }
 
-        let slots = Slots::new(distinct.len());
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, job) in distinct.iter().enumerate() {
-            match session.engine.cache.get(job.key) {
-                Some(report) => slots.fill(i, report),
-                None => pending.push(i),
-            }
-        }
-
-        // One task per (pending job, layer): layer costs vary by orders
-        // of magnitude with fold count, so layer-granularity tasks plus
+        // One task per (job, layer): layer costs vary by orders of
+        // magnitude with fold count, so layer-granularity tasks plus
         // stealing keep the pool balanced where whole-point
         // scheduling lets one unlucky worker set the tail latency.
         let mut tasks: Vec<(usize, usize)> = Vec::new();
-        let mut states: Vec<JobState> = Vec::with_capacity(pending.len());
-        for (p, &job_index) in pending.iter().enumerate() {
-            let layers = session.layer_lists[distinct[job_index].workload].len();
+        let mut states: Vec<JobState> = Vec::with_capacity(distinct.len());
+        for (j, job) in distinct.iter().enumerate() {
+            let layers = session.layer_lists[job.workload].len();
             // An empty topology still gets one task, so its slot is
             // filled by the same assembly path as everything else.
             let job_tasks = layers.max(1);
-            tasks.extend((0..job_tasks).map(|layer| (p, layer)));
+            tasks.extend((0..job_tasks).map(|layer| (j, layer)));
             states.push(JobState {
                 layers: Mutex::new(vec![None; layers]),
                 remaining: AtomicUsize::new(job_tasks),
@@ -1614,28 +1483,25 @@ impl<'a> Batch<'a> {
         }
         let batch = Batch {
             session,
-            cache_hits: (prepared.len() - pending.len()) as u64,
+            cache_hits: (prepared.len() - distinct.len()) as u64,
             exec: Executor::new(tasks.len(), session.jobs),
+            slots: distinct.iter().map(|_| Slot::new()).collect(),
             distinct,
-            pending,
             tasks,
             states,
-            slots,
             sims_done: AtomicUsize::new(0),
         };
         Ok((batch, prepared))
     }
 
-    /// Simulates task `t`: one layer of one pending job. The task that
-    /// retires a job's last layer assembles the report, caches it and
-    /// fills the job's slot.
+    /// Simulates task `t`: one layer of one job. The task that retires a
+    /// job's last layer assembles the report and fills the job's slot.
     fn run_task(&self, t: usize) {
         let session = self.session;
-        let (p, layer_index) = self.tasks[t];
-        let job_index = self.pending[p];
+        let (job_index, layer_index) = self.tasks[t];
         let job = &self.distinct[job_index];
         let workload = &session.plan.workloads[job.workload];
-        let state = &self.states[p];
+        let state = &self.states[job_index];
         state
             .started
             .lock()
@@ -1669,22 +1535,19 @@ impl<'a> Batch<'a> {
             state
                 .latency_micros
                 .store(elapsed.as_micros() as u64, Ordering::Relaxed);
-            let engine = session.engine;
-            engine.point_seconds.observe_duration(elapsed);
-            engine.simulations.inc();
+            session.engine.simulations.inc();
             self.sims_done.fetch_add(1, Ordering::Relaxed);
-            engine.cache.insert(job.key, Arc::clone(&report));
-            self.slots.fill(job_index, report);
+            self.slots[job_index].fill(Ok(report));
         }
     }
 
     /// Worker `worker`'s share of the batch, calling `between` after each
-    /// of its tasks. A panic must fail the sweep, not hang it: it poisons
-    /// every unfilled slot, so the emitter wakes with the typed error.
+    /// of its tasks. A panic must fail the sweep, not hang it: it fills
+    /// every still-empty slot with the typed error (a filled slot keeps its
+    /// report), so the emitter wakes with it.
     fn run_worker(&self, worker: usize, between: impl FnMut()) {
         let label = |t: usize| {
-            let (p, _) = self.tasks[t];
-            let workload = self.distinct[self.pending[p]].workload;
+            let workload = self.distinct[self.tasks[t].0].workload;
             self.session.plan.workloads[workload]
                 .topology
                 .name()
@@ -1694,24 +1557,23 @@ impl<'a> Batch<'a> {
             self.exec
                 .run_worker_between(worker, |t| self.run_task(t), label, between)
         {
-            self.slots.poison(&err);
+            for slot in &self.slots {
+                slot.fill(Err(err.clone()));
+            }
         }
     }
 
     /// The batch's outcome, once its workers have reported in.
     fn outcome(&self, results: Vec<SweepResult>) -> SweepOutcome {
-        let engine = self.session.engine;
         let exec = if self.tasks.is_empty() {
             ExecSummary::default()
         } else {
             self.exec.summary()
         };
-        engine.exec_tasks.add(exec.tasks);
-        engine.exec_steals.add(exec.steals);
         SweepOutcome {
             plan_name: self.session.plan.name.clone(),
             results,
-            simulations: self.pending.len() as u64,
+            simulations: self.distinct.len() as u64,
             cache_hits: self.cache_hits,
             point_latencies_micros: self
                 .states
@@ -1745,7 +1607,7 @@ impl<'b, 'a> Emitter<'b, 'a> {
                 ProgressTicker::new(
                     &format!("sweep {}", session.plan.name),
                     prepared.len(),
-                    batch.pending.len(),
+                    batch.distinct.len(),
                     batch.cache_hits,
                 )
             }),
@@ -1775,8 +1637,9 @@ impl<'b, 'a> Emitter<'b, 'a> {
             let Some(distinct) = self.points.peek().map(|point| point.distinct) else {
                 return;
             };
+            let slot = &batch.slots[distinct];
             let state = match (self.ticker.as_mut(), wait) {
-                (ticker, false) => match batch.slots.get(distinct) {
+                (ticker, false) => match slot.try_get() {
                     Some(state) => state,
                     None => {
                         if let Some(ticker) = ticker {
@@ -1788,12 +1651,12 @@ impl<'b, 'a> Emitter<'b, 'a> {
                 // Bounded waits so the ticker keeps printing worker
                 // progress while a slow head-of-line point runs.
                 (Some(ticker), true) => loop {
-                    match batch.slots.wait_for(distinct, ProgressTicker::INTERVAL) {
+                    match slot.wait(Some(Instant::now() + ProgressTicker::INTERVAL)) {
                         Some(state) => break state,
                         None => ticker.heartbeat(sims_done()),
                     }
                 },
-                (None, true) => batch.slots.wait(distinct),
+                (None, true) => slot.wait(None).expect("an unbounded wait returns a value"),
             };
             let point = self.points.next().expect("a point was peeked");
             let emitted = state.map_err(SweepError::Sim).and_then(|report| {
@@ -1983,7 +1846,7 @@ pub fn run_partition_sweep(
     let jobs = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let outcome = SweepEngine::new(64)
+    let outcome = SweepEngine::default()
         .run(&plan, jobs)
         .expect("partition sweep plan is valid by construction");
     outcome
@@ -2157,25 +2020,16 @@ mod tests {
     #[test]
     fn engine_deduplicates_and_counts_hits_exactly() {
         let plan = small_plan();
-        let engine = SweepEngine::with_registry(64, &Registry::new());
+        let engine = SweepEngine::with_registry(&Registry::new());
         let first = engine.run(&plan, 4).unwrap();
         assert_eq!(first.results.len(), 5);
         assert_eq!(first.simulations, 5);
         assert_eq!(first.cache_hits, 0);
 
-        // The same plan again: every point is an LRU hit.
-        let second = engine.run(&plan, 4).unwrap();
-        assert_eq!(second.simulations, 0);
-        assert_eq!(second.cache_hits, 5);
-        for (a, b) in first.results.iter().zip(&second.results) {
-            assert_eq!(a.report, b.report);
-        }
-
         // A plan with in-plan duplicates: one budget listed twice.
         let mut doubled = small_plan();
         doubled.budgets = vec![1 << 10, 1 << 10];
-        let fresh_engine = SweepEngine::with_registry(64, &Registry::new());
-        let outcome = fresh_engine.run(&doubled, 4).unwrap();
+        let outcome = engine.run(&doubled, 4).unwrap();
         assert_eq!(outcome.results.len(), 10);
         assert_eq!(outcome.simulations, 5);
         assert_eq!(outcome.cache_hits, 5);
@@ -2185,10 +2039,10 @@ mod tests {
     fn parallel_output_is_byte_identical_to_serial() {
         let mut plan = small_plan();
         plan.budgets = vec![1 << 10, 1 << 12];
-        let serial_engine = SweepEngine::with_registry(64, &Registry::new());
+        let serial_engine = SweepEngine::with_registry(&Registry::new());
         let mut serial = CsvSink::new(Vec::new());
         serial_engine.run_streaming(&plan, 1, &mut serial).unwrap();
-        let parallel_engine = SweepEngine::with_registry(64, &Registry::new());
+        let parallel_engine = SweepEngine::with_registry(&Registry::new());
         let mut parallel = CsvSink::new(Vec::new());
         parallel_engine
             .run_streaming(&plan, 8, &mut parallel)
@@ -2203,25 +2057,24 @@ mod tests {
     #[test]
     fn engine_records_sweep_telemetry() {
         let registry = Registry::new();
-        let engine = SweepEngine::with_registry(64, &registry);
+        let engine = SweepEngine::with_registry(&registry);
         let plan = small_plan();
         engine.run(&plan, 2).unwrap();
-        engine.run(&plan, 2).unwrap();
+        let mut doubled = small_plan();
+        doubled.budgets = vec![1 << 10, 1 << 10];
+        engine.run(&doubled, 2).unwrap();
         assert_eq!(
             registry.counter_value(telemetry_names::POINTS, &[]),
-            Some(10)
+            Some(15)
         );
         assert_eq!(
             registry.counter_value(telemetry_names::SIMULATIONS, &[]),
-            Some(5)
+            Some(10)
         );
         assert_eq!(
             registry.counter_value(telemetry_names::CACHE_HITS, &[]),
             Some(5)
         );
-        let text = registry.render();
-        assert!(text.contains("scalesim_sweep_point_seconds_count 5"));
-        assert!(text.contains("scalesim_sweep_cache_resident_entries 5"));
     }
 
     #[test]
@@ -2277,6 +2130,18 @@ mod tests {
     }
 
     #[test]
+    fn a_grid_whose_partition_count_overflows_is_a_plan_error_at_its_line() {
+        // 2^63 + 1 rows times 2 columns wraps to 2 partitions, which used
+        // to pass validation as a 1-point plan and panic in the simulator.
+        let text = "workload = TF1\nbudget = 2^10\ngrid = 9223372036854775809x2\n";
+        let err = SweepPlan::parse_named(text, "big.plan").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "big.plan:3: grid `9223372036854775809x2` has more partitions than a u64 counts"
+        );
+    }
+
+    #[test]
     fn explicit_grids_and_bandwidth_parse() {
         let text = "workload = TF1\nbudget = 2^10\ngrid = 1x1, 2x2\nbandwidth = 32\n";
         let plan = SweepPlan::parse(text).unwrap();
@@ -2286,7 +2151,7 @@ mod tests {
         assert_eq!(points[0].partitions(), 1);
         assert_eq!(points[1].partitions(), 4);
         // Stall analysis runs at every point.
-        let outcome = SweepEngine::with_registry(8, &Registry::new())
+        let outcome = SweepEngine::with_registry(&Registry::new())
             .run(&plan, 2)
             .unwrap();
         assert!(outcome.results[0].report.layers()[0].stall.is_some());
@@ -2303,7 +2168,7 @@ mod tests {
                  config.FilterSramSz = 64\nconfig.OfmapSramSz = 32\n"
             );
             let plan = SweepPlan::parse(&text).unwrap();
-            let outcome = SweepEngine::with_registry(8, &Registry::new())
+            let outcome = SweepEngine::with_registry(&Registry::new())
                 .run(&plan, 1)
                 .unwrap();
             let bytes: Vec<u64> = outcome
@@ -2325,7 +2190,7 @@ mod tests {
     fn summarize_finds_best_and_sweet_spot_per_group() {
         let mut plan = small_plan();
         plan.budgets = vec![1 << 10, 1 << 12];
-        let outcome = SweepEngine::with_registry(64, &Registry::new())
+        let outcome = SweepEngine::with_registry(&Registry::new())
             .run(&plan, 4)
             .unwrap();
         let summary = outcome.summarize();
@@ -2363,7 +2228,7 @@ mod tests {
     fn jsonl_sink_emits_one_valid_object_per_point() {
         let plan = small_plan();
         let mut sink = JsonLinesSink::new(Vec::new());
-        SweepEngine::with_registry(8, &Registry::new())
+        SweepEngine::with_registry(&Registry::new())
             .run_streaming(&plan, 2, &mut sink)
             .unwrap();
         let text = String::from_utf8(sink.into_inner()).unwrap();

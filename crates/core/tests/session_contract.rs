@@ -67,13 +67,13 @@ fn jobs_one_simulates_on_the_caller_and_jobs_two_adds_one_helper() {
             jobs,
             progress: false,
         };
-        let outcome = ExploreEngine::new(64).run(&sweep, &options).unwrap();
+        let outcome = ExploreEngine::default().run(&sweep, &options).unwrap();
         assert_eq!(outcome.simulated, 4);
     };
     let run_points = |jobs| {
         let points = sweep.expand().unwrap();
         let mut sink = FirstRow::default();
-        SweepEngine::new(64)
+        SweepEngine::default()
             .run_points(&sweep, points, jobs, &mut sink)
             .unwrap();
         assert_eq!(sink.rows, 4);
@@ -118,7 +118,7 @@ fn rows_stream_while_a_slow_last_workload_simulates() {
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let plan = plan(&[("A", 40), ("B", 56), ("SLOW", 72)]);
     for jobs in [1, 2] {
-        let engine = SweepEngine::new(64);
+        let engine = SweepEngine::default();
         engine.inject_faults(FaultPlan::new().delay("SLOW", Duration::from_millis(500)));
         let mut sink = FirstRow::default();
         engine.run_streaming(&plan, jobs, &mut sink).unwrap();

@@ -1,10 +1,10 @@
-//! Drift test of the four `telemetry_names` modules (`scalesim`, `sweep`,
-//! `explore`, `exec`): every name one of them declares is rendered by the
-//! global registry after one small run, sweep and explore, and is named in
-//! DESIGN.md, and no series is labeled by a layer name. The names are read
-//! from the module sources, so a name added without an emitter or a doc
-//! fails here. The registry is process-global, so this test has a binary
-//! to itself.
+//! Drift test of the three `telemetry_names` modules (`scalesim`, `sweep`,
+//! `explore`): every name one of them declares is rendered by the global
+//! registry after one small run, sweep and explore, and is named in
+//! DESIGN.md; no series is labeled by a layer name, and none of the series
+//! removed for want of a reader comes back. The names are read from the
+//! module sources, so a name added without an emitter or a doc fails here.
+//! The registry is process-global, so this test has a binary to itself.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -38,11 +38,11 @@ fn declared_names(file: &str) -> Vec<String> {
 
 #[test]
 fn every_declared_metric_name_is_emitted_and_documented() {
-    let names: Vec<String> = ["simulator.rs", "sweep.rs", "explore.rs", "exec.rs"]
+    let names: Vec<String> = ["simulator.rs", "sweep.rs", "explore.rs"]
         .into_iter()
         .flat_map(declared_names)
         .collect();
-    assert_eq!(names.len(), 4 + 6 + 5 + 2, "{names:?}");
+    assert_eq!(names.len(), 4 + 3 + 5, "{names:?}");
 
     // A run whose second layer repeats the first one's shape: a
     // layer-cache miss, then a hit.
@@ -56,14 +56,14 @@ fn every_declared_metric_name_is_emitted_and_documented() {
          config.IfmapSramSz = 64\nconfig.FilterSramSz = 64\nconfig.OfmapSramSz = 32\n",
     )
     .unwrap();
-    SweepEngine::new(16).run(&plan, 2).unwrap();
+    SweepEngine::default().run(&plan, 2).unwrap();
     let options = ExploreOptions {
         keep_within_pct: 5.0,
         budget: ExploreBudget::Sims(2),
         jobs: 2,
         progress: false,
     };
-    ExploreEngine::new(16).run(&plan, &options).unwrap();
+    ExploreEngine::default().run(&plan, &options).unwrap();
 
     let rendered = scalesim_telemetry::global().render();
     let design = fs::read_to_string(crate_file("../../DESIGN.md")).unwrap();
@@ -79,4 +79,16 @@ fn every_declared_metric_name_is_emitted_and_documented() {
     }
     assert!(!rendered.contains("layer=\""), "{rendered}");
     assert!(!rendered.contains("drift_a"), "{rendered}");
+    for removed in [
+        "scalesim_sweep_point_seconds",
+        "scalesim_sweep_cache_evictions_total",
+        "scalesim_sweep_cache_resident_entries",
+        "scalesim_exec_tasks_total",
+        "scalesim_exec_steals_total",
+    ] {
+        assert!(
+            !rendered.contains(removed),
+            "{removed} has no reader and is rendered:\n{rendered}"
+        );
+    }
 }

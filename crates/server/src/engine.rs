@@ -38,6 +38,7 @@ use std::time::Duration;
 use std::time::Instant;
 
 use scalesim::cache::ShardedLru;
+use scalesim::exec::Slot;
 use scalesim::{ExploreEngine, NetworkReport, Simulator};
 
 // The fault-injection hook lives with the panic-safe executor in core, so
@@ -371,51 +372,15 @@ impl Stats {
     }
 }
 
-/// Completion slot shared by a leader and its joiners.
-struct Slot {
-    state: Mutex<Option<Result<Arc<SimResult>, JobError>>>,
-    done: Condvar,
+/// One single-flight leader in progress: the completion slot it and its
+/// joiners wait on, and how many joined.
+#[derive(Default)]
+struct Flight {
+    result: Slot<Result<Arc<SimResult>, JobError>>,
     /// Joiners registered so far; sampled into the `joiners_per_key`
     /// histogram when the leader finishes (joiners racing in after the
     /// fill are missed — acceptable for telemetry).
     joiners: AtomicU64,
-}
-
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot {
-            state: Mutex::new(None),
-            done: Condvar::new(),
-            joiners: AtomicU64::new(0),
-        })
-    }
-
-    fn fill(&self, result: Result<Arc<SimResult>, JobError>) {
-        *self.state.lock().unwrap() = Some(result);
-        self.done.notify_all();
-    }
-
-    /// Waits for the slot to be filled, up to `deadline` if one is given.
-    /// Returns `None` when the deadline expires first — the leader keeps
-    /// running and will still fill the slot (and the cache) later.
-    fn wait_timeout(&self, deadline: Option<Instant>) -> Option<Result<Arc<SimResult>, JobError>> {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if let Some(result) = state.as_ref() {
-                return Some(result.clone());
-            }
-            match deadline {
-                None => state = self.done.wait(state).unwrap(),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    (state, _) = self.done.wait_timeout(state, deadline - now).unwrap();
-                }
-            }
-        }
-    }
 }
 
 /// Sizing knobs for an [`Engine`]. `..Default::default()` keeps the
@@ -452,7 +417,7 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 struct QueuedJob {
     job: NormalizedJob,
     key: JobKey,
-    slot: Arc<Slot>,
+    slot: Arc<Flight>,
     enqueued: Instant,
     route: &'static str,
     request_id: String,
@@ -461,7 +426,7 @@ struct QueuedJob {
 struct Shared {
     queue: Mutex<VecDeque<QueuedJob>>,
     queue_cv: Condvar,
-    inflight: Mutex<HashMap<u128, Arc<Slot>>>,
+    inflight: Mutex<HashMap<u128, Arc<Flight>>>,
     cache: ShardedLru<Arc<SimResult>>,
     registry: Arc<Registry>,
     stats: Stats,
@@ -595,14 +560,12 @@ impl Engine {
     /// The explore pipeline of `POST /explore`, built by the first request
     /// and kept: its `scalesim_explore_*` series are registered in
     /// [`Engine::registry`] once, and a server nobody explores on scrapes
-    /// none of them. Its own result cache is never probed — `/explore`
-    /// simulates through [`Engine::run_all`] — so one entry is all it is
-    /// given.
+    /// none of them. `/explore` simulates through [`Engine::run_all`].
     pub(crate) fn explorer(&self) -> &ExploreEngine {
         let shared = &self.shared;
         shared
             .explorer
-            .get_or_init(|| ExploreEngine::with_registry(1, &shared.registry))
+            .get_or_init(|| ExploreEngine::with_registry(&shared.registry))
     }
 
     /// Runs a job to completion, deduplicating against the cache and any
@@ -698,7 +661,7 @@ impl Engine {
             match inflight.get(&key.0) {
                 Some(slot) => (Arc::clone(slot), false),
                 None => {
-                    let slot = Slot::new();
+                    let slot = Arc::<Flight>::default();
                     inflight.insert(key.0, Arc::clone(&slot));
                     (slot, true)
                 }
@@ -840,9 +803,9 @@ impl Engine {
     /// Drops a leader slot that was never enqueued: the inflight entry is
     /// removed first (so a later identical request elects a fresh leader),
     /// then any joiners that raced in are released with the same error.
-    fn abandon_leader(&self, key: &JobKey, slot: &Slot, err: JobError) -> JobError {
+    fn abandon_leader(&self, key: &JobKey, slot: &Flight, err: JobError) -> JobError {
         self.shared.inflight.lock().unwrap().remove(&key.0);
-        slot.fill(Err(err.clone()));
+        slot.result.fill(Err(err.clone()));
         err
     }
 
@@ -874,7 +837,7 @@ enum TicketState {
     /// Answered by the cache at submission.
     Hit(Arc<SimResult>),
     /// Queued as the leader of its key, or joined to one in flight.
-    Pending { slot: Arc<Slot>, leader: bool },
+    Pending { slot: Arc<Flight>, leader: bool },
 }
 
 impl Ticket<'_> {
@@ -904,7 +867,7 @@ impl Ticket<'_> {
         let record = |outcome, sim_micros| {
             shared.record_job(&key, ctx.route, ctx.request_id, outcome, 0, sim_micros, "")
         };
-        let Some(outcome) = slot.wait_timeout(deadline) else {
+        let Some(outcome) = slot.result.wait(deadline) else {
             stats.deadline_expired.inc();
             record("deadline", 0);
             return Err(JobError::DeadlineExpired);
@@ -1021,7 +984,7 @@ fn worker_loop(shared: Arc<Shared>) {
             .stats
             .joiners_per_key
             .observe(slot.joiners.load(Ordering::Relaxed) as f64);
-        slot.fill(outcome);
+        slot.result.fill(outcome);
     }
 }
 

@@ -467,11 +467,6 @@ impl ServerHandle {
         &self.context.engine
     }
 
-    /// True once [`ServerHandle::drain`] has begun.
-    pub fn is_draining(&self) -> bool {
-        self.context.draining.load(Ordering::SeqCst)
-    }
-
     /// Gracefully drains the server: `/healthz` flips to `draining`, the
     /// engine sheds new jobs with [`JobError::ShuttingDown`] (HTTP 503)
     /// while already-queued work completes, and the connection threads

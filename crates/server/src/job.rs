@@ -320,11 +320,11 @@ impl SimJob {
             topology = networks::batched(&topology, batch);
         }
 
-        // 3. Grid.
-        if self.grid.0 == 0 || self.grid.1 == 0 {
-            return Err(JobError::bad_request("grid dimensions must be nonzero"));
-        }
-        let grid = PartitionGrid::new(self.grid.0, self.grid.1);
+        // 3. Grid, checked by the parser every spelling of it goes through
+        //    (a grid set in code has not been).
+        let grid: PartitionGrid = format!("{}x{}", self.grid.0, self.grid.1)
+            .parse()
+            .map_err(JobError::bad_request)?;
 
         Ok(NormalizedJob {
             config,
@@ -603,5 +603,19 @@ mod tests {
         job = SimJob::builtin("alexnet");
         job.grid = (0, 2);
         assert!(job.normalize().is_err());
+    }
+
+    #[test]
+    fn a_grid_whose_partition_count_overflows_is_a_bad_request() {
+        let json = Json::parse(r#"{"network": "TF1", "grid": "9223372036854775809x2"}"#).unwrap();
+        let err = SimJob::from_json(&json).unwrap_err();
+        assert!(matches!(err, JobError::BadRequest(_)), "{err}");
+        assert!(err.to_string().contains("9223372036854775809x2"), "{err}");
+        let err = SimJob::from_kv_line("network=TF1 grid=9223372036854775809x2").unwrap_err();
+        assert!(matches!(err, JobError::BadRequest(_)), "{err}");
+        // A grid set in code goes through the same check.
+        let mut job = SimJob::builtin("TF1");
+        job.grid = (1 << 63, 2);
+        assert!(matches!(job.normalize(), Err(JobError::BadRequest(_))));
     }
 }

@@ -30,10 +30,9 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use scalesim::sweep::{summarize_groups, telemetry_names, DataflowChoice, PointSpec, SweepPlan};
-use scalesim_telemetry::Histogram;
 
 use crate::engine::{Engine, JobContext, Served, ServedResult, SimResult};
 use crate::job::{JobError, NormalizedJob};
@@ -140,16 +139,7 @@ pub(crate) fn run_points(
     let served = engine.run_all(jobs, ctx, deadline).map_err(|(_, e)| e)?;
 
     let registry = engine.registry();
-    let point_seconds = registry.histogram(
-        telemetry_names::POINT_SECONDS,
-        "Wall time per freshly simulated sweep point.",
-        &Histogram::duration_buckets(),
-    );
-    let mut simulations = 0u64;
-    for (result, _) in served.iter().filter(|(_, s)| *s == Served::Fresh) {
-        simulations += 1;
-        point_seconds.observe_duration(Duration::from_micros(result.sim_wall_micros));
-    }
+    let simulations = served.iter().filter(|(_, s)| *s == Served::Fresh).count() as u64;
     registry
         .counter(
             telemetry_names::POINTS,
@@ -350,6 +340,8 @@ mod tests {
         assert!(parse_sweep_plan(&plan_json(r#","grids":"some""#)).is_err());
         assert!(parse_sweep_plan(&plan_json(r#","dataflows":["rs"]"#)).is_err());
         assert!(parse_sweep_plan(&plan_json(r#","bandwidth":-1"#)).is_err());
+        let overflow = parse_sweep_plan(&plan_json(r#","grids":["9223372036854775809x2"]"#));
+        assert!(matches!(overflow, Err(JobError::BadRequest(_))));
     }
 
     #[test]

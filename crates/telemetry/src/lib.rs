@@ -5,9 +5,8 @@
 //! the observability layer from scratch rather than binding `tracing` /
 //! `prometheus`:
 //!
-//! * **Metrics** ([`metrics`], [`registry`]) — [`Counter`],
-//!   [`FloatCounter`], [`Gauge`] and fixed-bucket [`Histogram`] primitives
-//!   behind a label-aware, get-or-create [`Registry`] with a Prometheus
+//! * **Metrics** ([`metrics`], [`registry`]) — [`Counter`], [`Gauge`]
+//!   and fixed-bucket [`Histogram`] primitives behind a label-aware, get-or-create [`Registry`] with a Prometheus
 //!   text-format renderer ([`Registry::render`]). A process-wide
 //!   [`global()`] registry carries simulator-side metrics; servers render
 //!   it alongside their own per-engine registries.
@@ -35,7 +34,7 @@ pub mod recorder;
 pub mod registry;
 pub mod trace;
 
-pub use metrics::{Counter, FloatCounter, Gauge, Histogram};
+pub use metrics::{Counter, Gauge, Histogram};
 pub use recorder::FlightRecorder;
 pub use registry::{global, Labels, Registry};
 pub use trace::TraceSpan;

@@ -5,9 +5,9 @@
 //! out as `Arc`s by the [`Registry`](crate::Registry), so instrumented code
 //! pays one atomic op per update with no registry lookup on the hot path.
 //!
-//! Float accumulation (`FloatCounter::add`, `Histogram::observe`) stores the
-//! `f64` as its bit pattern in an `AtomicU64` and accumulates with a
-//! compare-and-swap loop, the standard std-only idiom for atomic floats.
+//! A histogram's running sum (`Histogram::observe`) stores the `f64` as its
+//! bit pattern in an `AtomicU64` and accumulates with a compare-and-swap
+//! loop, the standard std-only idiom for atomic floats.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -36,54 +36,6 @@ impl Counter {
     /// The current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A monotonically increasing `f64` counter, for quantities (energy, bytes
-/// per second) that are not naturally integral.
-#[derive(Debug)]
-pub struct FloatCounter {
-    bits: AtomicU64,
-}
-
-impl Default for FloatCounter {
-    fn default() -> FloatCounter {
-        FloatCounter {
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-}
-
-impl FloatCounter {
-    /// A counter starting at zero.
-    pub fn new() -> FloatCounter {
-        FloatCounter::default()
-    }
-
-    /// Adds `v` (negative or non-finite increments are ignored — a counter
-    /// must never decrease or poison the running sum).
-    pub fn add(&self, v: f64) {
-        if !(v.is_finite() && v >= 0.0) {
-            return;
-        }
-        let mut current = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + v).to_bits();
-            match self.bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    /// The current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
@@ -223,17 +175,6 @@ mod tests {
         c.inc();
         c.add(41);
         assert_eq!(c.get(), 42);
-    }
-
-    #[test]
-    fn float_counter_accumulates_and_rejects_bad_input() {
-        let c = FloatCounter::new();
-        c.add(1.5);
-        c.add(2.25);
-        c.add(-1.0);
-        c.add(f64::NAN);
-        c.add(f64::INFINITY);
-        assert_eq!(c.get(), 3.75);
     }
 
     #[test]

@@ -11,13 +11,12 @@
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::metrics::{Counter, FloatCounter, Gauge, Histogram};
+use crate::metrics::{Counter, Gauge, Histogram};
 
 /// The concrete metric behind one labeled series.
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Arc<Counter>),
-    FloatCounter(Arc<FloatCounter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
@@ -25,7 +24,7 @@ enum Metric {
 impl Metric {
     fn kind(&self) -> &'static str {
         match self {
-            Metric::Counter(_) | Metric::FloatCounter(_) => "counter",
+            Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "histogram",
         }
@@ -72,20 +71,6 @@ impl Registry {
             Metric::Counter(Arc::new(Counter::new()))
         }) {
             Metric::Counter(c) => c,
-            other => panic!("metric `{name}` already registered as a {}", other.kind()),
-        }
-    }
-
-    /// Get-or-create an unlabeled float counter.
-    pub fn float_counter(&self, name: &str, help: &str) -> Arc<FloatCounter> {
-        self.float_counter_with(name, help, &[])
-    }
-
-    /// Get-or-create a float counter series under `labels`.
-    pub fn float_counter_with(&self, name: &str, help: &str, labels: Labels) -> Arc<FloatCounter> {
-        let create = || Metric::FloatCounter(Arc::new(FloatCounter::new()));
-        match self.resolve(name, help, labels, create) {
-            Metric::FloatCounter(c) => c,
             other => panic!("metric `{name}` already registered as a {}", other.kind()),
         }
     }
@@ -157,9 +142,7 @@ impl Registry {
         metric
     }
 
-    /// The current value of a counter series, if it exists. `u64` counters
-    /// and float counters both answer (floats are truncated); used by
-    /// profile readers that want exact integers back.
+    /// The current value of a counter series, if it exists.
     pub fn counter_value(&self, name: &str, labels: Labels) -> Option<u64> {
         let families = self.families.lock().unwrap();
         let family = families.iter().find(|f| f.name == name)?;
@@ -169,7 +152,6 @@ impl Registry {
             .find(|s| labels_eq(&s.labels, labels))?;
         match &series.metric {
             Metric::Counter(c) => Some(c.get()),
-            Metric::FloatCounter(c) => Some(c.get() as u64),
             _ => None,
         }
     }
@@ -211,14 +193,6 @@ fn render_series(out: &mut String, name: &str, series: &Series) {
                 "{name}{} {}",
                 label_block(&series.labels, None),
                 c.get()
-            );
-        }
-        Metric::FloatCounter(c) => {
-            let _ = writeln!(
-                out,
-                "{name}{} {}",
-                label_block(&series.labels, None),
-                format_value(c.get())
             );
         }
         Metric::Gauge(g) => {
@@ -373,8 +347,6 @@ mod tests {
         )
         .inc();
         r.gauge("sim_in_flight", "Jobs in flight.").set(1);
-        r.float_counter("sim_energy_total", "Energy units.")
-            .add(2.5);
         let h = r.histogram("sim_wait_seconds", "Queue wait.", &[0.5, 1.0]);
         h.observe(0.25);
         h.observe(0.75);
@@ -390,9 +362,6 @@ sim_requests_total{outcome=\"fresh\"} 1
 # HELP sim_in_flight Jobs in flight.
 # TYPE sim_in_flight gauge
 sim_in_flight 1
-# HELP sim_energy_total Energy units.
-# TYPE sim_energy_total counter
-sim_energy_total 2.5
 # HELP sim_wait_seconds Queue wait.
 # TYPE sim_wait_seconds histogram
 sim_wait_seconds_bucket{le=\"0.5\"} 1

@@ -116,7 +116,7 @@ fn fig4_square_matmuls_exact_agreement() {
 fn scaleout_conv_plan_reproduces_the_per_tile_csv() {
     let plan = SweepPlan::parse(include_str!("../../examples/scaleout_conv.plan")).unwrap();
     let mut csv = CsvSink::new(Vec::new());
-    SweepEngine::new(64)
+    SweepEngine::default()
         .run_streaming(&plan, 2, &mut csv)
         .unwrap();
     // Compare as text so a mismatch prints rows, not byte arrays.

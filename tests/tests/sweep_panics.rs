@@ -41,7 +41,7 @@ fn two_workload_plan() -> SweepPlan {
 fn injected_panic_fails_the_sweep_at_every_jobs_count() {
     for jobs in 1..=8 {
         let err = watchdog(60, move || {
-            let engine = SweepEngine::new(64);
+            let engine = SweepEngine::default();
             engine.inject_faults(FaultPlan::new().panic("BAD", "injected sweep fault"));
             let plan = two_workload_plan();
             engine.run(&plan, jobs)
@@ -64,7 +64,7 @@ fn injected_panic_fails_the_sweep_at_every_jobs_count() {
 #[test]
 fn streaming_sweep_surfaces_the_panic_too() {
     let err = watchdog(60, || {
-        let engine = SweepEngine::new(64);
+        let engine = SweepEngine::default();
         engine.inject_faults(FaultPlan::new().panic("BAD", "stream fault"));
         let plan = two_workload_plan();
         let mut sink = CsvSink::new(Vec::new());
@@ -80,7 +80,7 @@ fn streaming_sweep_surfaces_the_panic_too() {
 #[test]
 fn engine_survives_a_panicking_run() {
     watchdog(120, || {
-        let engine = SweepEngine::new(64);
+        let engine = SweepEngine::default();
         engine.inject_faults(FaultPlan::new().panic("BAD", "first run fault"));
         let plan = two_workload_plan();
         engine.run(&plan, 3).expect_err("faulted run must fail");
@@ -101,7 +101,7 @@ fn plan_points(plan: &SweepPlan) -> usize {
 #[test]
 fn explore_stage_two_surfaces_injected_panics() {
     let err = watchdog(120, || {
-        let engine = ExploreEngine::new(64);
+        let engine = ExploreEngine::default();
         engine.inject_faults(FaultPlan::new().panic("BAD", "explore fault"));
         let plan = two_workload_plan();
         let options = ExploreOptions {

@@ -1,6 +1,6 @@
 //! Property tests on the parallel sweep engine: results must be
 //! indistinguishable from fresh single-shot simulations at any worker
-//! count, and memoization accounting must be exact.
+//! count, and dedup accounting must be exact.
 
 use proptest::prelude::*;
 
@@ -62,7 +62,7 @@ proptest! {
         jobs in 1usize..5,
     ) {
         let plan = plan(m, k, n, budget_exp, aspect_idx == 1, df_idx);
-        let outcome = SweepEngine::new(64).run(&plan, jobs).expect("plan is valid");
+        let outcome = SweepEngine::default().run(&plan, jobs).expect("plan is valid");
         prop_assert_eq!(outcome.results.len(), plan.expand().unwrap().len());
         for result in &outcome.results {
             let mut sim = Simulator::new(result.spec.config(&plan.base))
@@ -81,8 +81,7 @@ proptest! {
     }
 
     /// Cache-hit accounting is exact: duplicating every budget makes the
-    /// duplicates hits (not simulations), and re-running the same plan on
-    /// the same engine simulates nothing.
+    /// duplicates hits, not simulations.
     #[test]
     fn repeated_plans_report_exact_cache_hits(
         m in 1u64..48,
@@ -95,18 +94,10 @@ proptest! {
         let distinct = plan.expand().unwrap().len() as u64;
         plan.budgets = plan.budgets.repeat(2);
 
-        // Exact-hit counting needs per-shard headroom: the engine's LRU is
-        // sharded 16 ways with per-shard eviction, so 256 / 16 = 16 slots
-        // per shard hold every distinct key even if all hash to one shard.
-        let engine = SweepEngine::new(256);
-        let first = engine.run(&plan, jobs).expect("plan is valid");
+        let first = SweepEngine::default().run(&plan, jobs).expect("plan is valid");
         prop_assert_eq!(first.results.len() as u64, 2 * distinct);
         prop_assert_eq!(first.simulations, distinct);
         prop_assert_eq!(first.cache_hits, distinct);
-
-        let second = engine.run(&plan, jobs).expect("plan is valid");
-        prop_assert_eq!(second.simulations, 0);
-        prop_assert_eq!(second.cache_hits, 2 * distinct);
 
         // The duplicate halves are the same results, not re-simulations.
         for (a, b) in first.results.iter().zip(&first.results[distinct as usize..]) {
@@ -131,13 +122,11 @@ proptest! {
         let plan = plan(m, k, n, budget_exp, aspect_idx == 1, df_idx);
 
         let stream = |jobs: usize| {
-            // Fresh engine per run: an empty cache forces every point
-            // through the executor rather than the memo table.
-            let engine = SweepEngine::new(64);
+            let engine = SweepEngine::default();
             let mut csv = CsvSink::new(Vec::new());
             engine.run_streaming(&plan, jobs, &mut csv).expect("plan is valid");
             let mut jsonl = JsonLinesSink::new(Vec::new());
-            SweepEngine::new(64)
+            engine
                 .run_streaming(&plan, jobs, &mut jsonl)
                 .expect("plan is valid");
             (csv.into_inner(), jsonl.into_inner())

@@ -13,7 +13,8 @@
 use scalesim::arena::arenas_created;
 use scalesim::explore::REFINE_BATCH;
 use scalesim::sweep::{
-    AspectAxis, DataflowChoice, GridAxis, SweepEngine, SweepError, SweepPlan, SweepWorkload,
+    telemetry_names, AspectAxis, DataflowChoice, GridAxis, SweepEngine, SweepError, SweepPlan,
+    SweepWorkload,
 };
 use scalesim::{Dataflow, ExploreBudget, ExploreEngine, ExploreOptions, FaultPlan, PartitionGrid};
 use scalesim_integration::watchdog;
@@ -79,7 +80,7 @@ fn a_session_simulates_on_at_most_jobs_threads_and_fails_cleanly() {
 
     // Tiles run on the worker that took their layer.
     let plan = partitioned_plan();
-    let outcome = SweepEngine::new(64)
+    let outcome = SweepEngine::default()
         .run(&plan, JOBS)
         .expect("partitioned sweep");
     assert_eq!(outcome.exec.tasks, 24);
@@ -104,7 +105,7 @@ fn a_session_simulates_on_at_most_jobs_threads_and_fails_cleanly() {
         jobs: JOBS,
         progress: false,
     };
-    let outcome = ExploreEngine::new(4096)
+    let outcome = ExploreEngine::default()
         .run(&plan, &options)
         .expect("exploration");
     assert_eq!(outcome.simulated, batches * REFINE_BATCH + 3);
@@ -121,7 +122,10 @@ fn a_session_simulates_on_at_most_jobs_threads_and_fails_cleanly() {
     // A panic in a late batch, with workers that have been parked and
     // woken many times by then.
     let (err, simulations) = watchdog(120, move || {
-        let engine = ExploreEngine::new(4096);
+        // A registry of its own (the type is `with_registry`'s parameter's:
+        // this crate does not name the telemetry crate).
+        let registry = Default::default();
+        let engine = ExploreEngine::with_registry(&registry);
         engine.inject_faults(FaultPlan::new().panic("BAD", "late fault"));
         let options = ExploreOptions {
             budget: ExploreBudget::Unlimited,
@@ -130,8 +134,10 @@ fn a_session_simulates_on_at_most_jobs_threads_and_fails_cleanly() {
         let err = engine
             .run(&exploration_plan(), &options)
             .expect_err("a panicking survivor must fail the exploration");
-        // Every finished simulation left its report in the result cache.
-        (err, engine.sweep_engine().cached_results())
+        let simulations = registry
+            .counter_value(telemetry_names::SIMULATIONS, &[])
+            .expect("the exploration simulated");
+        (err, simulations as usize)
     });
     match err {
         SweepError::Sim(e) => {
