@@ -519,6 +519,26 @@ fn a_grid_whose_partition_count_overflows_is_an_error_not_a_panic() {
     assert!(!err.contains("panicked"), "stderr: {err}");
 }
 
+/// A word of 2^62 bytes makes every DRAM byte count overflow a u64: the
+/// report used to say `0 DRAM bytes` (the products wrapped) and exit 0.
+#[test]
+fn a_huge_word_size_saturates_the_dram_bytes() {
+    let dir = temp_dir("bigword");
+    let cfg = dir.join("big.cfg");
+    fs::write(
+        &cfg,
+        "ArrayHeight : 32\nArrayWidth : 32\nWordBytes : 4611686018427387904\n",
+    )
+    .unwrap();
+    let out = scale_sim(&["-c", cfg.to_str().unwrap(), "-n", "TF0"]);
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        text.contains(" 18446744073709551615 DRAM bytes"),
+        "stdout: {text}"
+    );
+}
+
 #[test]
 fn serve_with_bad_flag_is_a_one_line_error() {
     let out = scale_sim(&["serve", "--frobnicate"]);

@@ -132,9 +132,13 @@ impl NetworkReport {
         self.layers.iter().map(|l| l.mac_ops).sum()
     }
 
-    /// Total DRAM traffic in bytes.
+    /// Total DRAM traffic in bytes, saturating at `u64::MAX` as each
+    /// layer's count does.
     pub fn total_dram_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.dram.total_bytes()).sum()
+        self.layers
+            .iter()
+            .map(|l| l.dram.total_bytes())
+            .fold(0, u64::saturating_add)
     }
 
     /// Total SRAM accesses.

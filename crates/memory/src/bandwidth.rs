@@ -37,11 +37,12 @@ impl BandwidthProfile {
     ///
     /// Zero-length windows with traffic are treated as a one-cycle window
     /// (they can occur for degenerate single-cycle folds); zero-traffic
-    /// windows still extend the denominator of the average.
+    /// windows still extend the denominator of the average. The totals
+    /// saturate at `u64::MAX` rather than wrap.
     pub fn record(&mut self, cycles: u64, bytes: u64) {
         let cycles = if cycles == 0 && bytes > 0 { 1 } else { cycles };
-        self.total_bytes += bytes;
-        self.total_cycles += cycles;
+        self.total_bytes = self.total_bytes.saturating_add(bytes);
+        self.total_cycles = self.total_cycles.saturating_add(cycles);
         if cycles > 0 {
             let rate = bytes as f64 / cycles as f64;
             if rate > self.peak {
@@ -54,7 +55,7 @@ impl BandwidthProfile {
     /// Folds another profile into this one (used when aggregating
     /// partitions: bandwidths of concurrent partitions add).
     pub fn merge_concurrent(&mut self, other: &BandwidthProfile) {
-        self.total_bytes += other.total_bytes;
+        self.total_bytes = self.total_bytes.saturating_add(other.total_bytes);
         // Concurrent streams share the timeline: keep the longer one.
         self.total_cycles = self.total_cycles.max(other.total_cycles);
         self.peak += other.peak;

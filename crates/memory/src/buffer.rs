@@ -45,8 +45,9 @@ pub struct EpochStats {
 /// ```
 ///
 /// A sealed stream ([`AddrRuns::seal_distinct`]) that arrives again right
-/// after an epoch that left the buffer at a fixed point of that stream is
-/// answered without a walk — see [`RunBuffer::epoch`].
+/// after an epoch that left the buffer at a fixed point of that stream, or
+/// whose first bufferful is not resident, is answered without a walk — see
+/// [`RunBuffer::epoch`].
 #[derive(Debug, Clone)]
 pub struct RunBuffer {
     capacity: u64,
@@ -72,6 +73,11 @@ pub struct RunBuffer {
     /// Sort scratch of the pairwise-distinct check, kept for its capacity.
     #[cfg(debug_assertions)]
     distinct_scratch: Vec<(u64, u64)>,
+    /// Where tests run, every epoch rule 4 answers is also walked through
+    /// this copy of the FIFO and the two are held equal. Kept, like the
+    /// scratch above, so that the check allocates only while it grows.
+    #[cfg(debug_assertions)]
+    twin: Option<Box<RunBuffer>>,
 }
 
 impl RunBuffer {
@@ -90,6 +96,8 @@ impl RunBuffer {
             repeat_stream: AddrRuns::new(),
             #[cfg(debug_assertions)]
             distinct_scratch: Vec::new(),
+            #[cfg(debug_assertions)]
+            twin: None,
         }
     }
 
@@ -122,7 +130,7 @@ impl RunBuffer {
     /// resident addresses when the buffer is full (so an epoch whose working
     /// set exceeds the capacity thrashes, as the real hardware would).
     ///
-    /// # Fixed-point epochs
+    /// # Epochs answered without a walk
     ///
     /// The demand generator hands every fold of a fold row the same A
     /// stream, so most epochs re-stream the stream of the epoch before.
@@ -131,38 +139,75 @@ impl RunBuffer {
     /// comparison) and the epoch before left the buffer at a fixed point
     /// of it, the answer is known and is returned without a probe of the
     /// working set or an operation on the FIFO. With `S` the stream's
-    /// element count, a walked epoch is a fixed point when
+    /// element count, an epoch of a sealed stream leaves the buffer at a
+    /// fixed point when
     ///
-    /// 1. **it missed nothing** (`misses == 0`): a FIFO hit changes no
-    ///    state, so the buffer is as it was and the repeat hits all `S`
-    ///    again — `(S, 0, 0)`, the stats just returned;
-    /// 2. **it evicted nothing** (`evictions == 0`, `capacity > 0`): what
-    ///    hit is still resident and what missed was inserted, so every
-    ///    demanded element is resident now and the repeat is `(S, 0, 0)`,
-    ///    which by rule 1 repeats;
-    /// 3. **it hit nothing and is more than a bufferful** (`hits == 0`,
-    ///    `S > capacity > 0`): every access appended to the FIFO, which
-    ///    therefore holds exactly the last `capacity` elements of the
-    ///    stream in stream order. Replayed, the FIFO holds at every access
-    ///    the `capacity` elements accessed just before it; they are
-    ///    distinct and fewer than `S`, so the element accessed is not one
-    ///    of them (it was evicted `S − capacity ≥ 1` accesses ago): it
-    ///    misses, evicts the oldest and restores that invariant. The
-    ///    repeat is `(0, S, S)` and ends in the same state.
+    /// - *rule 1* — **it missed nothing** (`misses == 0`): a FIFO hit
+    ///   changes no state, so the buffer is as it was and the repeat hits
+    ///   all `S` again — `(S, 0, 0)`, the stats just returned;
+    /// - *rule 2* — **it evicted nothing** (`evictions == 0`,
+    ///   `capacity > 0`): what hit is still resident and what missed was
+    ///   inserted, so every demanded element is resident now and the
+    ///   repeat is `(S, 0, 0)`, which by rule 1 repeats;
+    /// - *rule 3* — **it hit nothing and is more than a bufferful**
+    ///   (`hits == 0`, `S > capacity > 0`): every access appended to the
+    ///   FIFO, which therefore holds exactly the last `capacity` elements
+    ///   of the stream in stream order. Replayed, the FIFO holds at every
+    ///   access the `capacity` elements accessed just before it; they are
+    ///   distinct and fewer than `S`, so the element accessed is not one
+    ///   of them (it was evicted `S − capacity ≥ 1` accesses ago): it
+    ///   misses, evicts the oldest and restores that invariant. The
+    ///   repeat is `(0, S, S)` and ends in the same state;
+    /// - *rule 5* — **it hit nothing and is at most a bufferful**
+    ///   (`hits == 0`, `S ≤ capacity`, `capacity > 0`): every access
+    ///   appended to the FIFO, so the stream is its `S` newest entries,
+    ///   all resident in a FIFO of `capacity ≥ S` — whatever older data
+    ///   the epoch evicted — and the repeat is `(S, 0, 0)`.
     ///
-    /// Rule 3 is false for a stream with a duplicate — `[1, 2, 3, 1]`
-    /// through a capacity of 2 ends holding `{3, 1}`, and its repeat hits
-    /// the leading `1` — which is why all of this keys on the seal, whose
-    /// producer promises distinctness, and never on content. Rules 1 and 2
-    /// would hold for any stream; they wait for a seal only because the
-    /// seal is what says "the same stream" without a copy to compare.
+    /// One more epoch is answered without a walk, the first showing of a
+    /// stream that thrashes:
     ///
-    /// An unsealed stream, another seal, or a walk that reached no fixed
-    /// point goes through the one walk below, whose result arms the rules
-    /// afresh; [`RunBuffer::install`], [`RunBuffer::epoch_with_misses`],
+    /// - *rule 4* — **its first bufferful is not resident**
+    ///   (`S ≥ capacity > 0`, and none of the stream's first `capacity`
+    ///   elements is resident when it arrives). Those accesses miss: none
+    ///   was resident, and none is brought in by an earlier access of a
+    ///   stream that repeats no address. Each inserts, so after them the
+    ///   FIFO holds exactly them, the `R ≤ capacity` elements resident
+    ///   before evicted. From there on each access finds the FIFO holding
+    ///   the `capacity` elements accessed just before it, as in rule 3,
+    ///   and misses. The epoch is `(0, S, R + S − capacity)` and ends
+    ///   holding the stream's last `capacity` elements in stream order —
+    ///   rule 3's end state, or rule 5's when `S = capacity`, so its
+    ///   repeats are answered too. Deciding it costs one probe per run of
+    ///   the first bufferful and building the tail, where the walk costs a
+    ///   probe, an insert and front evictions per run of the whole stream.
+    ///   Only the prefix is probed: a convolution's fold row can overlap
+    ///   the row before in elements that row's tail no longer holds, and
+    ///   then every access still misses.
+    ///
+    /// Rules 3 and 4 are false for a stream with a duplicate —
+    /// `[1, 2, 3, 1]` through a capacity of 2 ends holding `{3, 1}`, and
+    /// its repeat hits the leading `1` — which is why all of this keys on
+    /// the seal, whose producer promises distinctness, and never on
+    /// content. Rules 1, 2 and 5 would hold for any stream; they wait for
+    /// a seal only because the seal is what says "the same stream" without
+    /// a copy to compare. Debug builds check the promise, and walk every
+    /// epoch rule 4 answers through a copy of the FIFO to hold the answer
+    /// and the end state equal to the walk's.
+    ///
+    /// An unsealed stream, another seal whose first bufferful is partly
+    /// resident, or a walk that reached no fixed point goes through the
+    /// one walk below, whose result arms the rules afresh;
+    /// [`RunBuffer::install`], [`RunBuffer::epoch_with_misses`],
     /// [`RunBuffer::clear`] and [`RunBuffer::reset`] forget. Nothing is
     /// keyed or evicted and nothing is approximate: one seal and one
     /// `EpochStats` are all that is remembered.
+    // `always`: left to the compiler, `epoch` stops being inlined into
+    // `DramModel::fold_runs` once rule 4 exists (`#[inline]` does not bring
+    // it back), and the serial `fig9_tf0.plan` sweep, which never takes
+    // rule 4, goes from 81 to 97 ms (medians of 15 runs, 2 shared vCPUs).
+    // Rule 4 itself stays out of line, below.
+    #[inline(always)]
     pub fn epoch(&mut self, demand: &AddrRuns) -> EpochStats {
         let seal = demand.seal();
         if seal != 0 && seal == self.repeat_seal {
@@ -173,22 +218,35 @@ impl RunBuffer {
             );
             return self.repeat_stats;
         }
-        let mut stats = EpochStats::default();
-        for run in demand.iter_runs() {
-            self.epoch_run(run, &mut stats, None);
+        #[cfg(debug_assertions)]
+        if seal != 0 {
+            self.assert_distinct(demand);
         }
-        self.walked += 1;
+        let elements = demand.element_count();
+        let answered = if seal != 0 && self.capacity > 0 && elements >= self.capacity {
+            self.epoch_missing_everywhere(demand)
+        } else {
+            None
+        };
+        let stats = match answered {
+            Some(stats) => stats,
+            None => {
+                self.walked += 1;
+                self.walk(demand)
+            }
+        };
         self.forget_repeat();
         if seal != 0 {
-            #[cfg(debug_assertions)]
-            self.assert_distinct(demand);
-            let elements = demand.element_count();
-            let repeat = if stats.misses == 0 || (self.capacity > 0 && stats.evictions == 0) {
+            let buffered = self.capacity > 0;
+            let repeat = if stats.misses == 0
+                || (buffered
+                    && (stats.evictions == 0 || (stats.hits == 0 && elements <= self.capacity)))
+            {
                 Some(EpochStats {
                     hits: elements,
                     ..EpochStats::default()
                 })
-            } else if stats.hits == 0 && self.capacity > 0 && elements > self.capacity {
+            } else if buffered && stats.hits == 0 {
                 Some(EpochStats {
                     hits: 0,
                     misses: elements,
@@ -207,9 +265,77 @@ impl RunBuffer {
         stats
     }
 
+    /// The FIFO itself: `demand` run by run.
+    #[inline(always)]
+    fn walk(&mut self, demand: &AddrRuns) -> EpochStats {
+        let mut stats = EpochStats::default();
+        for run in demand.iter_runs() {
+            self.epoch_run(run, &mut stats, None);
+        }
+        stats
+    }
+
+    /// Rule 4 of [`RunBuffer::epoch`], for a sealed stream of at least
+    /// `capacity > 0` elements: `None`, having changed nothing, if one of
+    /// its first `capacity` elements is resident; otherwise the stats of an
+    /// epoch that misses everywhere, with the FIFO left holding the
+    /// stream's last `capacity` elements.
+    ///
+    /// Out of line and cold, so that `epoch` stays small enough to inline
+    /// into the fold loop, which shows most epochs a repeat.
+    #[cold]
+    #[inline(never)]
+    fn epoch_missing_everywhere(&mut self, demand: &AddrRuns) -> Option<EpochStats> {
+        let capacity = self.capacity;
+        let mut probed = 0;
+        for run in demand.iter_runs() {
+            let len = run.len.min(capacity - probed);
+            if self.resident.overlaps(run.start, run.start + len) {
+                return None;
+            }
+            probed += len;
+            if probed == capacity {
+                break;
+            }
+        }
+        let elements = demand.element_count();
+        let stats = EpochStats {
+            hits: 0,
+            misses: elements,
+            evictions: elements - capacity + self.resident.len(),
+        };
+        #[cfg(debug_assertions)]
+        let walked = self.walk_twin(demand);
+        // The tail: whole runs from the back, the first of them cut to fit.
+        let (starts, lens) = (demand.starts(), demand.lens());
+        let (mut first, mut kept) = (lens.len(), 0);
+        while kept < capacity {
+            first -= 1;
+            kept += lens[first];
+        }
+        let cut = kept - capacity;
+        self.queue.clear();
+        self.queue.push_back(AddrRun {
+            start: starts[first] + cut,
+            len: lens[first] - cut,
+        });
+        self.queue.extend(
+            starts[first + 1..]
+                .iter()
+                .zip(&lens[first + 1..])
+                .map(|(&start, &len)| AddrRun { start, len }),
+        );
+        self.resident
+            .assign_disjoint(self.queue.iter().map(|run| (run.start, run.end())));
+        #[cfg(debug_assertions)]
+        self.assert_twin_agrees(stats, walked);
+        Some(stats)
+    }
+
     /// Epochs [`RunBuffer::epoch`] has walked run by run — every epoch but
-    /// the fixed-point repeats — since `new` or [`RunBuffer::reset`]. A
-    /// test hook that pins how often the shortcut is taken.
+    /// the fixed-point repeats and rule 4's answers — since `new` or
+    /// [`RunBuffer::reset`]. A test hook that pins how often the shortcuts
+    /// are taken.
     #[doc(hidden)]
     pub fn walked_epochs(&self) -> u64 {
         self.walked
@@ -231,6 +357,46 @@ impl RunBuffer {
                 pair[1]
             );
         }
+    }
+
+    /// Walks `demand` through a copy of this buffer's FIFO, made in the
+    /// twin's grown storage, and returns the walk's stats.
+    #[cfg(debug_assertions)]
+    fn walk_twin(&mut self, demand: &AddrRuns) -> EpochStats {
+        let twin = self.twin.get_or_insert_with(|| Box::new(RunBuffer::new(0)));
+        twin.capacity = self.capacity;
+        twin.resident.clone_from(&self.resident);
+        twin.queue.clone_from(&self.queue);
+        twin.walk(demand)
+    }
+
+    /// Panics unless rule 4 answered what the twin's walk returned and
+    /// left the working set and the FIFO order the walk left.
+    #[cfg(debug_assertions)]
+    fn assert_twin_agrees(&self, answered: EpochStats, walked: EpochStats) {
+        /// The FIFO's segments with exactly adjacent neighbours merged, so
+        /// that two queues holding one element order compare equal.
+        fn order(queue: &VecDeque<AddrRun>) -> impl Iterator<Item = (u64, u64)> + '_ {
+            let mut runs = queue.iter().peekable();
+            std::iter::from_fn(move || {
+                let first = runs.next()?;
+                let mut end = first.end();
+                while let Some(next) = runs.next_if(|run| run.start == end) {
+                    end = next.end();
+                }
+                Some((first.start, end))
+            })
+        }
+        let twin = self.twin.as_deref().expect("the twin walked first");
+        assert_eq!(answered, walked, "rule 4 answered other stats than a walk");
+        assert!(
+            self.resident.iter_spans().eq(twin.resident.iter_spans()),
+            "rule 4 left another working set than a walk"
+        );
+        assert!(
+            order(&self.queue).eq(order(&twin.queue)),
+            "rule 4 left another FIFO order than a walk"
+        );
     }
 
     /// Forgets the fixed point: called by everything that can change the
@@ -412,28 +578,35 @@ mod tests {
 
     /// The stream of the fixed-point tests, `S = 12` in two runs, and one
     /// `(capacity, pre-state)` per way its first epoch can end: all hits
-    /// (rule 1), no eviction (rule 2), all misses of more than a bufferful
-    /// (rule 3), and hits, misses and evictions mixed (no fixed point).
+    /// (rule 1), no eviction (rule 2), no hit and evictions of older data
+    /// at most a bufferful (rule 5), hits, misses and evictions mixed (no
+    /// fixed point) — and rule 4's all-miss answer from an empty buffer,
+    /// from a full one whose `44, 45` the stream evicts before it reaches
+    /// them, and refused where the newest resident element is the
+    /// stream's `capacity`-th.
     const STREAM: [u64; 12] = [10, 11, 12, 13, 14, 15, 40, 41, 42, 43, 44, 45];
-    const FIXED_POINT_CASES: [(u64, &[u64]); 4] = [
+    const FIXED_POINT_CASES: [(u64, &[u64]); 7] = [
         (64, &STREAM),
         (64, &[]),
-        (5, &[]),
+        (16, &[100, 101, 102, 103, 104, 105, 106, 107, 108, 109]),
         (
             12,
             &[10, 11, 12, 13, 100, 101, 102, 103, 104, 105, 106, 107],
         ),
+        (5, &[]),
+        (5, &[100, 101, 102, 44, 45]),
+        (5, &[100, 101, 102, 103, 14]),
     ];
 
     #[test]
-    fn a_stream_of_exactly_a_bufferful_is_rule_two_not_rule_three() {
-        // S == capacity: all-miss, then all-hit. Rule 3 (`S > capacity`)
-        // would answer all-miss for ever.
+    fn a_stream_of_exactly_a_bufferful_misses_once_then_hits() {
+        // S == capacity: rule 4 answers all-miss, then rule 5 all-hit.
+        // Rule 3 (`S > capacity`) would answer all-miss for ever.
         let mut rb = RunBuffer::new(STREAM.len() as u64);
         let stream = sealed(&STREAM);
         assert_eq!(rb.epoch(&stream).misses, 12);
         assert_eq!(rb.epoch(&stream).hits, 12);
-        assert_eq!(rb.walked_epochs(), 1);
+        assert_eq!(rb.walked_epochs(), 0);
     }
 
     #[test]

@@ -92,18 +92,24 @@ pub struct DramSummary {
 
 impl DramSummary {
     /// Total DRAM read traffic in bytes.
+    ///
+    /// Byte counts saturate at `u64::MAX`: a `WordBytes` of 2^62, which a
+    /// config file or a `/simulate` body can carry, made the unchecked
+    /// product wrap to 0 bytes (release) or panic (debug).
     pub fn read_bytes(&self) -> u64 {
-        (self.reads_a + self.reads_b + self.reads_o) * self.word_bytes
+        (self.reads_a + self.reads_b + self.reads_o).saturating_mul(self.word_bytes)
     }
 
-    /// Total DRAM write traffic in bytes.
+    /// Total DRAM write traffic in bytes, saturating like
+    /// [`DramSummary::read_bytes`].
     pub fn write_bytes(&self) -> u64 {
-        self.writes_o * self.word_bytes
+        self.writes_o.saturating_mul(self.word_bytes)
     }
 
-    /// Total DRAM traffic (reads + writes) in bytes.
+    /// Total DRAM traffic (reads + writes) in bytes, saturating like
+    /// [`DramSummary::read_bytes`].
     pub fn total_bytes(&self) -> u64 {
-        self.read_bytes() + self.write_bytes()
+        self.read_bytes().saturating_add(self.write_bytes())
     }
 
     /// Total DRAM accesses in elements (for the energy model).
@@ -266,14 +272,18 @@ impl DramModel {
     /// A *sealed* `a_demand` ([`AddrRuns::seal_distinct`]; the demand
     /// generator seals every A stream and promises its addresses distinct)
     /// that repeats the fold before costs O(1) once the IFMAP buffer has
-    /// reached a fixed point of it. The three fixed points — a walk that
-    /// missed nothing changed nothing; a walk that evicted nothing left
-    /// every demanded element resident; a walk of more than a bufferful
-    /// that hit nothing left the FIFO holding the stream's tail, which the
-    /// same distinct stream evicts just ahead of itself for ever — and
-    /// their proofs are on [`RunBuffer::epoch`], which owns the state they
-    /// are about. This function knows nothing of seals: an unsealed stream
-    /// (one collected from elements, say) is walked, with the same counts.
+    /// reached a fixed point of it. The fixed points — an epoch that
+    /// missed nothing changed nothing (rule 1); one that evicted nothing
+    /// (2), or hit nothing and was at most a bufferful (5), left every
+    /// demanded element resident; one of more than a bufferful that hit
+    /// nothing left the FIFO holding the stream's tail, which the same
+    /// distinct stream evicts just ahead of itself for ever (3) — and the
+    /// first showing of a stream of at least a bufferful whose first
+    /// bufferful is not resident, which misses everywhere and is answered
+    /// from a probe of that prefix instead of a walk (4), are proved on
+    /// [`RunBuffer::epoch`], which owns the state they are about. This
+    /// function knows nothing of seals: an unsealed stream (one collected
+    /// from elements, say) is walked, with the same counts.
     pub fn fold_runs(
         &mut self,
         duration: u64,
@@ -357,8 +367,8 @@ impl DramModel {
         o_write_count: u64,
     ) -> FoldTraffic {
         let read_elems = a_misses + b_misses + o_spill_misses;
-        let read_bytes = read_elems * self.word_bytes;
-        let write_bytes = o_write_count * self.word_bytes;
+        let read_bytes = read_elems.saturating_mul(self.word_bytes);
+        let write_bytes = o_write_count.saturating_mul(self.word_bytes);
 
         // Double buffering: fold f's misses arrive during fold f-1. The
         // first fold's data loads during a cold-start window of its own
@@ -450,6 +460,29 @@ mod tests {
             OperandBufferSpec::from_kb((1 << 54) - 1, 1).size_bytes,
             u64::MAX - 1023
         );
+    }
+
+    #[test]
+    fn byte_counts_saturate_on_huge_word_sizes() {
+        // 4 elements of 2^62 bytes are 2^64 bytes: the products wrapped to 0.
+        let huge = OperandBufferSpec::from_kb(64, 1 << 62);
+        let mut dram = DramModel::new(huge, huge, huge);
+        let t = fold(&mut dram, 10, [0..4, 0..0, 0..0, 0..4]);
+        assert_eq!((t.read_bytes, t.write_bytes), (u64::MAX, u64::MAX));
+        let t = fold(&mut dram, 10, [4..5, 0..0, 0..0, 0..0]);
+        assert_eq!(t.read_bytes, 1 << 62);
+        let mut s = dram.finish();
+        assert_eq!((s.reads_a, s.writes_o), (5, 4));
+        for bytes in [s.read_bytes(), s.write_bytes(), s.total_bytes()] {
+            assert_eq!(bytes, u64::MAX);
+        }
+        assert_eq!(s.read_bw.total_bytes(), u64::MAX);
+        s.merge_concurrent(&s.clone());
+        assert_eq!(
+            (s.read_bw.total_bytes(), s.write_bw.total_bytes()),
+            (u64::MAX, u64::MAX)
+        );
+        assert_eq!(s.total_bytes(), u64::MAX);
     }
 
     #[test]
@@ -563,7 +596,8 @@ mod tests {
         let other: AddrRuns = (13..19u64).chain(300..302).collect();
         // (A buffer bytes, stream resident beforehand): the first sealed
         // fold is all hits (rule 1), misses without evicting (rule 2),
-        // all misses of more than a bufferful (rule 3).
+        // all misses of more than a bufferful (answered by rule 4, its
+        // repeats by rule 3).
         for (a_bytes, warm) in [(64, true), (64, false), (5, false)] {
             let spec = |size_bytes| OperandBufferSpec {
                 size_bytes,

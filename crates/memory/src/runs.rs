@@ -209,15 +209,18 @@ impl AddrRuns {
     /// [`RunBuffer::epoch`](crate::RunBuffer::epoch) does with it.
     ///
     /// What the consumer concludes from a repeated seal, with `S` the
-    /// element count: a walk that missed nothing changed nothing, so the
-    /// repeat hits all `S` again; a walk that evicted nothing (and has a
-    /// buffer) left all `S` resident, so the repeat hits them; a walk that
-    /// hit nothing, of `S > capacity > 0`, left the FIFO holding the
-    /// stream's tail, and the same *distinct* stream then evicts each
-    /// element before it comes round — `S` misses, `S` evictions, same
-    /// state. Only the last needs distinctness (`[1, 2, 3, 1]` through a
-    /// capacity of 2 hits its leading `1` the second time), and it is why
-    /// sealing promises it.
+    /// element count: an epoch that missed nothing changed nothing, so the
+    /// repeat hits all `S` again; one that evicted nothing, or hit nothing
+    /// with `S ≤ capacity` (and has a buffer), left all `S` resident, so
+    /// the repeat hits them; one that hit nothing, of `S > capacity > 0`,
+    /// left the FIFO holding the stream's tail, and the same *distinct*
+    /// stream then evicts each element before it comes round — `S` misses,
+    /// `S` evictions, same state. And from a new seal: a stream of
+    /// `S ≥ capacity > 0` none of whose first `capacity` elements is
+    /// resident misses everywhere, since no access brings in an element a
+    /// later one asks for. Those last two need distinctness
+    /// (`[1, 2, 3, 1]` through a capacity of 2 hits its leading `1` the
+    /// second time), and it is why sealing promises it.
     ///
     /// Distinctness is the *caller's* promise and is not checked here
     /// (debug builds of `RunBuffer` check it where the stream is
@@ -292,11 +295,29 @@ impl FromIterator<u64> for AddrRuns {
 /// Supports the queries the run-granular models need: membership span
 /// lookup, next-covered-start, union insert (with fused gap enumeration),
 /// covered-range removal, and gap enumeration.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct IntervalSet {
     starts: Vec<u64>,
     ends: Vec<u64>,
     len: u64,
+}
+
+impl Clone for IntervalSet {
+    fn clone(&self) -> IntervalSet {
+        IntervalSet {
+            starts: self.starts.clone(),
+            ends: self.ends.clone(),
+            len: self.len,
+        }
+    }
+
+    /// Copies into this set's own storage, where the derived `clone_from`
+    /// would drop it for a fresh clone.
+    fn clone_from(&mut self, source: &IntervalSet) {
+        self.starts.clone_from(&source.starts);
+        self.ends.clone_from(&source.ends);
+        self.len = source.len;
+    }
 }
 
 impl IntervalSet {
@@ -336,6 +357,14 @@ impl IntervalSet {
     /// Whether `addr` is covered.
     pub fn contains(&self, addr: u64) -> bool {
         self.span_index_at(addr).is_some()
+    }
+
+    /// Whether any address of the non-empty range `[start, end)` is
+    /// covered: one binary search, since of the spans starting before
+    /// `end` only the last can reach `start`.
+    pub(crate) fn overlaps(&self, start: u64, end: u64) -> bool {
+        let idx = self.starts.partition_point(|&s| s < end);
+        idx > 0 && self.ends[idx - 1] > start
     }
 
     /// The `(start, end)` of the span covering `pos`, if any.
@@ -472,6 +501,35 @@ impl IntervalSet {
         self.starts.clear();
         self.ends.clear();
         self.len = 0;
+    }
+
+    /// Makes the set exactly the union of `spans` — non-empty, pairwise
+    /// disjoint `(start, end)` pairs in any order — in its own storage.
+    pub(crate) fn assign_disjoint(&mut self, spans: impl IntoIterator<Item = (u64, u64)>) {
+        self.clear();
+        for (start, end) in spans {
+            self.starts.push(start);
+            self.ends.push(end);
+            self.len += end - start;
+        }
+        // Disjoint spans are in the same order by start as by end, so the
+        // two arrays sort apart and stay paired: no scratch of pairs.
+        self.starts.sort_unstable();
+        self.ends.sort_unstable();
+        // Coalesce exactly adjacent neighbours in place.
+        let mut kept = 0;
+        for i in 1..self.starts.len() {
+            debug_assert!(self.ends[kept] <= self.starts[i], "spans overlap");
+            if self.ends[kept] == self.starts[i] {
+                self.ends[kept] = self.ends[i];
+            } else {
+                kept += 1;
+                self.starts[kept] = self.starts[i];
+                self.ends[kept] = self.ends[i];
+            }
+        }
+        self.starts.truncate(kept + 1);
+        self.ends.truncate(kept + 1);
     }
 }
 
@@ -698,6 +756,39 @@ mod tests {
         assert_eq!(set.len_at_or_above(15), 15);
         assert_eq!(set.len_at_or_above(45), 5);
         assert_eq!(set.len_at_or_above(50), 0);
+    }
+
+    #[test]
+    fn overlaps_finds_any_covered_address() {
+        let mut set = IntervalSet::new();
+        assert!(!set.overlaps(0, 100));
+        set.insert(10, 20);
+        set.insert(30, 40);
+        for (start, end, hit) in [
+            (0, 10, false),
+            (0, 11, true),
+            (19, 30, true),
+            (20, 30, false),
+            (25, 31, true),
+            (39, 40, true),
+            (40, 50, false),
+            (5, 45, true),
+        ] {
+            assert_eq!(set.overlaps(start, end), hit, "[{start}, {end})");
+        }
+    }
+
+    #[test]
+    fn assign_disjoint_pairs_unsorted_spans_and_coalesces() {
+        let mut set = IntervalSet::new();
+        set.insert(500, 600);
+        set.assign_disjoint([(40, 50), (10, 20), (60, 61), (20, 25)]);
+        let spans: Vec<(u64, u64)> = set.iter_spans().collect();
+        assert_eq!(spans, [(10, 25), (40, 50), (60, 61)]);
+        assert_eq!(set.len(), 26);
+        assert!(!set.contains(500));
+        set.assign_disjoint([]);
+        assert!(set.is_empty() && set.span_count() == 0);
     }
 
     #[test]

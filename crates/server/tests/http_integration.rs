@@ -358,6 +358,29 @@ fn explore_route_prunes_and_reports_a_frontier() {
     handle.stop();
 }
 
+/// A `config` of 2^62-byte words goes through the `parse_config` a config
+/// file does: every DRAM byte count saturates, where it wrapped to 0.
+#[test]
+fn a_huge_word_size_saturates_the_dram_bytes() {
+    let handle = start_server(1);
+    let job = r#"{"network": "TF0",
+                  "config": {"ArrayHeight": 32, "ArrayWidth": 32,
+                             "WordBytes": 4611686018427387904}}"#;
+    let response = request(handle.addr(), "POST", "/simulate", Some(job)).unwrap();
+    assert_eq!(response.status, 200, "body: {}", response.body);
+    let body = Json::parse(&response.body).unwrap();
+    let layers = body.get("layers").and_then(Json::as_array).unwrap();
+    for bytes in [body.get("total_dram_bytes"), layers[0].get("dram_bytes")] {
+        assert_eq!(
+            bytes.and_then(Json::as_u64),
+            Some(u64::MAX),
+            "{}",
+            response.body
+        );
+    }
+    handle.stop();
+}
+
 #[test]
 fn inline_topology_round_trips_over_http() {
     let handle = start_server(2);

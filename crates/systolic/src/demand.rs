@@ -251,12 +251,15 @@ pub struct FoldDemandRuns {
     /// same seal, and
     /// [`RunBuffer::epoch`](scalesim_memory::RunBuffer::epoch) answers the
     /// repeats from the fixed point the first one reached: all hits again
-    /// after a walk that missed nothing (nothing changed) or evicted
-    /// nothing (everything demanded is resident), all misses again after a
-    /// walk of more than a bufferful that hit nothing (the FIFO holds the
-    /// stream's tail, and a stream without duplicates evicts each element
-    /// before it comes round). Pushing to the stream drops the seal; a
-    /// consumer that edits it gets the walk.
+    /// after an epoch that missed nothing (nothing changed), evicted
+    /// nothing, or hit nothing and was at most a bufferful (everything
+    /// demanded is resident); all misses again after one of more than a
+    /// bufferful that hit nothing (the FIFO holds the stream's tail, and a
+    /// stream without duplicates evicts each element before it comes
+    /// round). The first showing itself is answered without a walk when
+    /// the stream is at least a bufferful and its first bufferful is not
+    /// resident: every access misses. Pushing to the stream drops the
+    /// seal; a consumer that edits it gets the walk.
     pub a: AddrRuns,
     /// Operand-B (filter) demand runs; canonical labels from
     /// [`fold_demand_runs`].

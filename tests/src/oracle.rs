@@ -16,7 +16,8 @@
 //! | [`ElementReuseProfile`] — one Fenwick flag per access | [`scalesim_memory::ReuseProfile::from_runs`] |
 //! | [`ScalarIntervalSet`] — a `BTreeMap` of spans | [`scalesim_memory::IntervalSet`] |
 //! | [`extend_runs_scalar`] — a push per run | [`AddrRuns::extend_runs`] |
-//! | [`tile_traffic`] — element streams through three [`DoubleBuffer`]s | the DRAM traffic `Simulator::run_layer` reports, tile by tile |
+//! | [`fold_traffic`] — element streams through three [`DoubleBuffer`]s | [`scalesim_memory::DramModel::fold_runs`] on the sealed streams of `fold_demand_runs`, fold by fold |
+//! | [`tile_traffic`] — the sum of [`fold_traffic`] | the DRAM traffic `Simulator::run_layer` reports, tile by tile |
 //!
 //! Nothing here is compiled into the simulator, the server or the
 //! benchmark. The one piece of the reference model that still ships is
@@ -168,33 +169,48 @@ impl DoubleBuffer {
 }
 
 /// DRAM traffic of one array working through `dims` — a whole layer, or one
-/// partition's tile seen through a [`scalesim_memory::SubGemmMap`] — as
-/// `(reads_a, reads_b, reads_o, writes_o)` in elements, with operand
-/// buffers of `capacities` elements (IFMAP, filter, OFMAP).
+/// partition's tile seen through a [`scalesim_memory::SubGemmMap`] — fold by
+/// fold, as `(a_misses, b_misses, o_spill_misses, o_writes)` in elements,
+/// with operand buffers of `capacities` elements (IFMAP, filter, OFMAP).
 ///
 /// The obvious model and nothing else: the real addresses of
 /// [`fold_demands`], one at a time, through three [`DoubleBuffer`]s; the
 /// partial sums a fold re-reads are probed before its outputs are
 /// installed, outputs after every fold. No runs, labels, seals, arenas,
 /// deferred installs or tile classes.
+pub fn fold_traffic<M: AddressMap + ?Sized>(
+    dims: &MappedDims,
+    array: ArrayShape,
+    map: &M,
+    capacities: [usize; 3],
+) -> Vec<(u64, u64, u64, u64)> {
+    let [mut a_buf, mut b_buf, mut o_buf] = capacities.map(DoubleBuffer::new);
+    fold_demands(dims, array, map)
+        .map(|demand| {
+            let a = a_buf.epoch(demand.a.iter_elements()).misses;
+            let b = b_buf.epoch(demand.b.iter_elements()).misses;
+            let o_spill = o_buf.epoch(demand.o_spill.iter_elements()).misses;
+            for addr in demand.o_writes.iter_elements() {
+                o_buf.install(addr);
+            }
+            (a, b, o_spill, demand.o_writes.element_count())
+        })
+        .collect()
+}
+
+/// [`fold_traffic`] summed over the folds: `(reads_a, reads_b, reads_o,
+/// writes_o)` in elements.
 pub fn tile_traffic<M: AddressMap + ?Sized>(
     dims: &MappedDims,
     array: ArrayShape,
     map: &M,
     capacities: [usize; 3],
 ) -> (u64, u64, u64, u64) {
-    let [mut a_buf, mut b_buf, mut o_buf] = capacities.map(DoubleBuffer::new);
-    let (mut reads_a, mut reads_b, mut reads_o, mut writes_o) = (0, 0, 0, 0);
-    for demand in fold_demands(dims, array, map) {
-        reads_a += a_buf.epoch(demand.a.iter_elements()).misses;
-        reads_b += b_buf.epoch(demand.b.iter_elements()).misses;
-        reads_o += o_buf.epoch(demand.o_spill.iter_elements()).misses;
-        for addr in demand.o_writes.iter_elements() {
-            o_buf.install(addr);
-            writes_o += 1;
-        }
-    }
-    (reads_a, reads_b, reads_o, writes_o)
+    fold_traffic(dims, array, map, capacities)
+        .into_iter()
+        .fold((0, 0, 0, 0), |(a, b, o, w), fold| {
+            (a + fold.0, b + fold.1, o + fold.2, w + fold.3)
+        })
 }
 
 /// Histogram of LRU stack distances for a demand stream, built by the

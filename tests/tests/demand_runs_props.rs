@@ -7,7 +7,9 @@
 //! on any workload, dataflow and buffer sizing. The buffer under both is
 //! `RunBuffer`, itself compared against the element-granular
 //! `DoubleBuffer` of the oracle at the end of this file and in
-//! `kernel_equiv_props.rs`.
+//! `kernel_equiv_props.rs`. On spilling WS/IS layers the run path is also
+//! held, fold for fold, to `oracle::fold_traffic`, which shares no code
+//! with `RunBuffer`.
 //!
 //! The contract being checked (see `scalesim_systolic::demand`): the A
 //! stream carries *real* addresses in first-use order and must match the
@@ -22,7 +24,7 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-use scalesim_integration::oracle::DoubleBuffer;
+use scalesim_integration::oracle::{fold_traffic, DoubleBuffer};
 use scalesim_memory::{
     AddrRuns, ConvAddressMap, DramModel, GemmAddressMap, IntervalSet, OperandBufferSpec,
     RegionOffsets, RunBuffer, StallModel, SubGemmMap,
@@ -65,6 +67,41 @@ fn check_paths_agree(
     }
     prop_assert_eq!(legacy_dram.finish(), runs_dram.finish());
     prop_assert_eq!(legacy_stall.finish(), runs_stall.finish());
+    Ok(())
+}
+
+/// The run path as the simulator drives it — sealed A streams, labels,
+/// deferred installs — against `oracle::fold_traffic` on the same layer:
+/// per-fold IFMAP, filter and spill misses and output writes.
+fn check_against_oracle(
+    dims: &scalesim_topology::MappedDims,
+    array: ArrayShape,
+    map: &(impl scalesim_memory::AddressMap + ?Sized),
+    capacities: [u64; 3],
+) -> Result<(), TestCaseError> {
+    let [a, b, o] = capacities.map(spec);
+    let mut dram = DramModel::new(a, b, o);
+    let oracle = fold_traffic(dims, array, map, capacities.map(|c| c as usize));
+    let mut folds = 0;
+    for demand in fold_demand_runs(dims, array, map) {
+        let t = dram.fold_runs(
+            demand.fold.duration,
+            &demand.a,
+            &demand.b,
+            &demand.o_spill,
+            &demand.o_writes,
+        );
+        prop_assert_eq!(
+            Some(&(t.a_misses, t.b_misses, t.o_spill_misses, t.write_bytes)),
+            oracle.get(folds),
+            "fold {} of {:?} with buffers {:?}",
+            folds,
+            dims,
+            capacities
+        );
+        folds += 1;
+    }
+    prop_assert_eq!(folds, oracle.len());
     Ok(())
 }
 
@@ -157,29 +194,107 @@ fn fixed_point_epochs_match_the_element_path_on_thrashing_fold_rows() {
     }
 }
 
+/// Shows the A stream of every fold of `dims` to one IFMAP buffer of
+/// `capacity` elements, as `DramModel::fold_runs` does, and returns how
+/// many of those epochs it walked and how many elements missed.
+fn a_buffer_walks(
+    dims: &scalesim_topology::MappedDims,
+    array: ArrayShape,
+    map: &(impl scalesim_memory::AddressMap + ?Sized),
+    capacity: u64,
+) -> (u64, u64) {
+    let mut a_buf = RunBuffer::new(capacity);
+    let misses = fold_demand_runs(dims, array, map)
+        .map(|demand| a_buf.epoch(&demand.a).misses)
+        .sum();
+    (a_buf.walked_epochs(), misses)
+}
+
 /// How often the IFMAP buffer of a layer is walked, exactly. The seeded
 /// GEMM of the spill workload, `4000 x 84 x 1024` under WS on 32x32 with
-/// 64 KB of IFMAP SRAM: a fold row's A stream is 4000 runs of 32, twice
-/// the buffer, and each of the 3 fold rows shows it to the buffer 32
-/// times. The first showing is walked and arms rule 3; 96 walks before
-/// the streams were sealed.
+/// 64 KB of IFMAP SRAM: a fold row's A stream is 4000 runs of 32 (of 20
+/// in the last), more than the buffer, and each of the 3 fold rows shows
+/// it to the buffer 32 times. GEMM fold rows share no address, so the first showing of each
+/// finds its first bufferful not resident and takes rule 4, which arms
+/// rule 3 for the other 31: no walk. 96 walks before the streams were
+/// sealed, 3 before rule 4.
 #[test]
-fn thrashing_ws_gemm_walks_its_a_buffer_once_per_fold_row() {
+fn thrashing_ws_gemm_never_walks_its_a_buffer() {
     let shape = GemmShape::new(4000, 84, 1024);
     let dims = shape.project(Dataflow::WeightStationary);
     let array = ArrayShape::square(32);
     let map = GemmAddressMap::from_shape(shape, RegionOffsets::default());
-    let mut a_buf = RunBuffer::new(OperandBufferSpec::from_kb(64, 1).capacity_elems() as u64);
-    let (mut folds, mut misses) = (0, 0);
-    for demand in fold_demand_runs(&dims, array, &map) {
-        assert!(demand.a.element_count() > a_buf.capacity());
-        misses += a_buf.epoch(&demand.a).misses;
-        folds += 1;
-    }
-    assert_eq!(folds, 96);
-    assert_eq!(a_buf.walked_epochs(), 3);
+    let capacity = OperandBufferSpec::from_kb(64, 1).capacity_elems() as u64;
+    assert_eq!(FoldPlan::new(&dims, array).fold_count(), 96);
+    assert!(fold_demand_runs(&dims, array, &map).all(|d| d.a.element_count() > capacity));
     // Every showing misses everything: 32 fold columns x the whole of A.
-    assert_eq!(misses, 32 * 4000 * 84);
+    assert_eq!(
+        a_buffer_walks(&dims, array, &map, capacity),
+        (0, 32 * 4000 * 84)
+    );
+}
+
+/// A WS convolution whose fold rows overlap: a fold row reads the IFMAP
+/// window rows the row before read, one filter row further down. With a
+/// buffer of 32 elements the overlap has left the FIFO before the next
+/// row's first bufferful, and rule 4 takes every first showing; at 65, 4
+/// of the 5 first bufferfuls meet an element the row before left
+/// resident, and those showings are walked — though every access of
+/// every showing still misses, each to be evicted before it is reached.
+#[test]
+fn overlapping_ws_conv_walks_where_a_first_bufferful_is_resident() {
+    let conv = ConvLayerBuilder::new("t")
+        .ifmap(9, 9)
+        .filter(3, 3)
+        .channels(2)
+        .num_filters(14)
+        .stride(1)
+        .build()
+        .unwrap();
+    let map = ConvAddressMap::new(&conv, RegionOffsets::default());
+    let dims = conv.shape().project(Dataflow::WeightStationary);
+    let array = ArrayShape::new(4, 4);
+    let plan = FoldPlan::new(&dims, array);
+    assert_eq!((plan.fold_rows(), plan.fold_cols()), (5, 4));
+    let rows: Vec<AddrRuns> = fold_demand_runs(&dims, array, &map)
+        .step_by(4)
+        .map(|d| d.a)
+        .collect();
+    for pair in rows.windows(2) {
+        let mut before = IntervalSet::new();
+        for run in pair[0].iter_runs() {
+            before.insert(run.start, run.end());
+        }
+        assert!(pair[1].iter_elements().any(|addr| before.contains(addr)));
+    }
+    let everything: u64 = rows.iter().map(|a| 4 * a.element_count()).sum();
+    assert_eq!(everything, 2280);
+    for (capacity, walks) in [(32, 0), (65, 4)] {
+        assert_eq!(
+            a_buffer_walks(&dims, array, &map, capacity),
+            (walks, everything),
+            "capacity {capacity}"
+        );
+    }
+}
+
+/// A WS GEMM whose fold row's A stream, 800 elements, fits the 1000 of
+/// the buffer but not beside the row before's: the first showing of every
+/// fold row after the first misses everything and evicts 600 elements of
+/// the row before. It hit nothing and was at most a bufferful, so the
+/// stream is resident and rule 5 answers the other 8 showings all-hit:
+/// one walk per fold row, where without rule 5 the second showing was
+/// walked too (11 walks).
+#[test]
+fn evicting_ws_gemm_walks_its_a_buffer_once_per_fold_row() {
+    let shape = GemmShape::new(100, 48, 70);
+    let dims = shape.project(Dataflow::WeightStationary);
+    let array = ArrayShape::square(8);
+    let plan = FoldPlan::new(&dims, array);
+    assert_eq!((plan.fold_rows(), plan.fold_cols()), (6, 9));
+    let map = GemmAddressMap::from_shape(shape, RegionOffsets::default());
+    assert!(fold_demand_runs(&dims, array, &map).all(|d| d.a.element_count() == 800));
+    assert_eq!(a_buffer_walks(&dims, array, &map, 1000), (6, 100 * 48));
 }
 
 /// An OS GEMM whose whole A operand fits the buffer: the first fold of a
@@ -193,13 +308,7 @@ fn fitting_os_gemm_walks_its_a_buffer_once_per_fold_row() {
     let plan = FoldPlan::new(&dims, array);
     assert_eq!((plan.fold_rows(), plan.fold_cols()), (13, 9));
     let map = GemmAddressMap::from_shape(shape, RegionOffsets::default());
-    let mut a_buf = RunBuffer::new(100 * 48);
-    let mut misses = 0;
-    for demand in fold_demand_runs(&dims, array, &map) {
-        misses += a_buf.epoch(&demand.a).misses;
-    }
-    assert_eq!(a_buf.walked_epochs(), 13);
-    assert_eq!(misses, 100 * 48);
+    assert_eq!(a_buffer_walks(&dims, array, &map, 100 * 48), (13, 100 * 48));
 }
 
 proptest! {
@@ -393,6 +502,134 @@ proptest! {
                 prop_assert_eq!(runs_buf.resident_count(), elems_buf.resident_count() as u64);
                 for addr in 0..416 {
                     prop_assert_eq!(runs_buf.contains(addr), elems_buf.contains(addr));
+                }
+            }
+        }
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Spilling layers — WS and IS, GEMM and convolution, an OFMAP buffer
+    /// of a few dozen elements — through `DramModel::fold_runs` on the
+    /// sealed streams of `fold_demand_runs`, fold for fold against the
+    /// element oracle, with the IFMAP buffer one element short of the
+    /// smallest A stream of a fold row (IS: of a fold), exactly it, and
+    /// one more: every stream thrashes (rule 4, then rule 3), the smallest
+    /// fits exactly (rule 4 then rule 5), or it has room.
+    #[test]
+    fn spilling_fold_runs_match_the_oracle_fold_for_fold(
+        gemm in (8u64..40, 4u64..24, 4u64..24),
+        conv in (5u64..10, 1u64..4, 1u64..4, 1u64..8, 1u64..3),
+        b_buf in 8u64..512,
+        o_buf in 4u64..48,
+    ) {
+        let (ifmap, filter, channels, filters, stride) = conv;
+        prop_assume!(filter <= ifmap);
+        let array = ArrayShape::new(4, 4);
+        let gemm = GemmShape::new(gemm.0, gemm.1, gemm.2);
+        let gemm_map = GemmAddressMap::from_shape(gemm, RegionOffsets::default());
+        let conv = ConvLayerBuilder::new("p")
+            .ifmap(ifmap, ifmap)
+            .filter(filter, filter)
+            .channels(channels)
+            .num_filters(filters)
+            .stride(stride)
+            .build()
+            .unwrap();
+        let conv_map = ConvAddressMap::new(&conv, RegionOffsets::default());
+        for df in [Dataflow::WeightStationary, Dataflow::InputStationary] {
+            for (dims, map) in [
+                (gemm.project(df), &gemm_map as &dyn scalesim_memory::AddressMap),
+                (conv.shape().project(df), &conv_map),
+            ] {
+                let smallest = fold_demand_runs(&dims, array, map)
+                    .map(|d| d.a.element_count())
+                    .min()
+                    .unwrap();
+                for a_buf in [smallest - 1, smallest, smallest + 1] {
+                    check_against_oracle(&dims, array, map, [a_buf, b_buf, o_buf])?;
+                }
+            }
+        }
+    }
+
+    /// Sequences of *different* sealed streams, each shown one to three
+    /// times, through a RunBuffer and the element FIFO, compared after
+    /// every epoch: stats, resident count and membership, at capacities
+    /// `S − 1`, `S`, `S + 1` and `2S` of the first stream's `S`. Every
+    /// stream after the first is fresh addresses with something of the
+    /// stream before placed in them (`place`):
+    ///
+    /// - 0: nothing, a stream disjoint from everything resident;
+    /// - 1: a run of it (the first, the last or one between) at the very
+    ///   start, an overlap inside the first bufferful;
+    /// - 2: such a run at the end, an overlap beyond the first bufferful
+    ///   once the fresh part is a bufferful;
+    /// - 3 to 5: its last element — the newest resident one — at position
+    ///   `S − 2`, `S − 1` or `S`, which is `capacity − 1` for one of the
+    ///   first three capacities: the last element of the first bufferful,
+    ///   and the one the FIFO still holds after `capacity − 1` misses.
+    #[test]
+    fn sequences_of_sealed_streams_match_double_buffer(
+        first in prop::collection::vec((0u64..200, 1u64..16), 1..10),
+        steps in prop::collection::vec(
+            (0usize..6, prop::collection::vec((0u64..200, 1u64..16), 1..10), 0usize..4, 1usize..=3),
+            1..6,
+        ),
+    ) {
+        // The fresh addresses of stream `i`, all in [300·i, 300·i + 215).
+        let fresh = |i: u64, spans: &[(u64, u64)]| {
+            let mut seen = IntervalSet::new();
+            let mut stream = AddrRuns::new();
+            for &(start, len) in spans {
+                let start = 300 * i + start;
+                seen.insert_with_gaps(start, start + len, |s, e| stream.push(s, e - s));
+            }
+            stream.iter_elements().collect::<Vec<u64>>()
+        };
+        let first = fresh(0, &first);
+        let s = first.len() as u64;
+        let mut streams = vec![(first, 1)];
+        for (i, (place, spans, which, repeats)) in steps.iter().enumerate() {
+            let before = streams[i].0.iter().copied().collect::<AddrRuns>();
+            let run = before.run((before.run_count() - 1) * which / 3);
+            let mut stream = fresh(i as u64 + 1, spans);
+            let (piece, at) = match place {
+                0 => (Vec::new(), 0),
+                1 => ((run.start..run.end()).collect(), 0),
+                2 => ((run.start..run.end()).collect(), stream.len()),
+                _ => (
+                    vec![*streams[i].0.last().unwrap()],
+                    ((s + *place as u64).saturating_sub(5) as usize).min(stream.len()),
+                ),
+            };
+            stream.splice(at..at, piece);
+            streams.push((stream, *repeats));
+        }
+        let streams: Vec<(AddrRuns, usize)> = streams
+            .into_iter()
+            .map(|(elems, repeats)| {
+                let mut stream: AddrRuns = elems.into_iter().collect();
+                stream.seal_distinct();
+                (stream, repeats)
+            })
+            .collect();
+        let space = 300 * streams.len() as u64;
+        for capacity in [s - 1, s, s + 1, 2 * s] {
+            let mut runs_buf = RunBuffer::new(capacity);
+            let mut elems_buf = DoubleBuffer::new(capacity as usize);
+            for (i, (stream, repeats)) in streams.iter().enumerate() {
+                for repeat in 0..*repeats {
+                    let rs = runs_buf.epoch(stream);
+                    let es = elems_buf.epoch(stream.iter_elements());
+                    prop_assert_eq!(rs, es, "capacity {}, stream {}, repeat {}", capacity, i, repeat);
+                    prop_assert_eq!(runs_buf.resident_count(), elems_buf.resident_count() as u64);
+                    for addr in 0..space {
+                        prop_assert_eq!(runs_buf.contains(addr), elems_buf.contains(addr));
+                    }
                 }
             }
         }

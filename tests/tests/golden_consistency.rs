@@ -4,8 +4,10 @@
 //! correctness argument — the Fig. 4 validation, generalized to random
 //! workloads, all dataflows and ragged fold schedules.
 //!
-//! One byte golden rides along: the sweep CSV of a scale-out plan, written
-//! by the last binary that simulated every tile of a partition grid.
+//! Two byte goldens ride along: the sweep CSVs of a scale-out plan, written
+//! by the last binary that simulated every tile of a partition grid, and
+//! of the spilling WS/IS plan, written by the last binary that walked
+//! every first showing of a thrashing IFMAP stream.
 
 use proptest::prelude::*;
 
@@ -106,6 +108,16 @@ fn fig4_square_matmuls_exact_agreement() {
     }
 }
 
+/// The sweep CSV of a plan, as `scale-sim sweep --jobs 2` writes it.
+fn sweep_csv(plan: &str) -> String {
+    let plan = SweepPlan::parse(plan).unwrap();
+    let mut csv = CsvSink::new(Vec::new());
+    SweepEngine::default()
+        .run_streaming(&plan, 2, &mut csv)
+        .unwrap();
+    String::from_utf8(csv.into_inner()).unwrap()
+}
+
 /// `examples/scaleout_conv.plan` — ragged convolution tiles, spills and
 /// stalls over seven grids and three dataflows — gives the bytes of
 /// `golden/scaleout_conv.csv`, which the parent of the commit that
@@ -114,14 +126,23 @@ fn fig4_square_matmuls_exact_agreement() {
 /// and held to its class's result on the way.
 #[test]
 fn scaleout_conv_plan_reproduces_the_per_tile_csv() {
-    let plan = SweepPlan::parse(include_str!("../../examples/scaleout_conv.plan")).unwrap();
-    let mut csv = CsvSink::new(Vec::new());
-    SweepEngine::default()
-        .run_streaming(&plan, 2, &mut csv)
-        .unwrap();
     // Compare as text so a mismatch prints rows, not byte arrays.
     assert_eq!(
-        String::from_utf8(csv.into_inner()).unwrap(),
+        sweep_csv(include_str!("../../examples/scaleout_conv.plan")),
         include_str!("golden/scaleout_conv.csv")
+    );
+}
+
+/// `examples/spill_ws_is.plan` — ResNet-50 and AlexNet under WS and IS
+/// with tight SRAM, monolithic and 2x2 — gives the bytes of
+/// `golden/spill_ws_is.csv`, which the parent of the commit that let
+/// `RunBuffer` answer a thrashing stream's first showing (rule 4) wrote
+/// by walking every one. In this (dev) profile each answer is still
+/// walked, and held equal to the walk.
+#[test]
+fn spill_ws_is_plan_reproduces_the_walked_csv() {
+    assert_eq!(
+        sweep_csv(include_str!("../../examples/spill_ws_is.plan")),
+        include_str!("golden/spill_ws_is.csv")
     );
 }

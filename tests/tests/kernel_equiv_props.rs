@@ -490,14 +490,38 @@ fn sealed_repeats_are_answered_from_the_fixed_point() {
     };
     // The stream, `S = 12` in two runs, and one `(capacity, pre-state)` per
     // fixed point its first epoch can end in — all hits (rule 1), no
-    // eviction (rule 2), all misses of more than a bufferful (rule 3) —
-    // with the first epoch's stats, every later epoch's, and how many of
-    // five epochs are walked.
+    // eviction (rule 2), no hit and at most a bufferful (rule 5) — and per
+    // way rule 4 can go: from an empty buffer, from a full one it evicts
+    // (`44, 45` before the stream reaches them, so `R + S − capacity`
+    // evictions), and refused because the newest resident element is the
+    // stream's fifth, which the first epoch hits — with the first epoch's
+    // stats, every later epoch's, and how many of five epochs are walked.
     const STREAM: [u64; 12] = [10, 11, 12, 13, 14, 15, 40, 41, 42, 43, 44, 45];
-    let cases: [(u64, &[u64], EpochStats, EpochStats, u64); 3] = [
+    let cases: [(u64, &[u64], EpochStats, EpochStats, u64); 6] = [
         (64, &STREAM, stats(12, 0, 0), stats(12, 0, 0), 1),
         (64, &[], stats(0, 12, 0), stats(12, 0, 0), 1),
-        (5, &[], stats(0, 12, 7), stats(0, 12, 12), 1),
+        (
+            16,
+            &[100, 101, 102, 103, 104, 105, 106, 107, 108, 109],
+            stats(0, 12, 6),
+            stats(12, 0, 0),
+            1,
+        ),
+        (5, &[], stats(0, 12, 7), stats(0, 12, 12), 0),
+        (
+            5,
+            &[100, 101, 102, 44, 45],
+            stats(0, 12, 12),
+            stats(0, 12, 12),
+            0,
+        ),
+        (
+            5,
+            &[100, 101, 102, 103, 14],
+            stats(1, 11, 11),
+            stats(0, 12, 12),
+            1,
+        ),
     ];
     let mut stream = runs_of(&STREAM);
     stream.seal_distinct();
