@@ -539,6 +539,67 @@ fn a_huge_word_size_saturates_the_dram_bytes() {
     );
 }
 
+/// An `IfmapOffset` 616 addresses short of 2^64 puts each layer's IFMAP
+/// region across the end of the address space. The runs that crossed it
+/// wrapped and the report lost IFMAP reads (9,176 of 9,216 DRAM bytes for
+/// the GEMM, 4,184 of 4,192 for the convolution, 27,096 of 27,136 with
+/// 1 KB SRAMs) and exited 0. Layers are simulated at offset zero now, so
+/// the report is offset 0's; `--traces`, which prints addresses, refuses
+/// the offset with one error line naming the key.
+#[test]
+fn an_ifmap_offset_near_the_top_of_the_address_space_drops_no_reads() {
+    let dir = temp_dir("bigoffset");
+    let cases = [
+        ("G1,64,40,64\n", 512, 9216),
+        ("L1,16,16,3,3,8,8,1\n", 512, 4192),
+        ("G1,64,40,64\n", 1, 27136),
+    ];
+    for (i, (topology, sram_kb, bytes)) in cases.into_iter().enumerate() {
+        let topo = dir.join(format!("t{i}.csv"));
+        fs::write(&topo, topology).unwrap();
+        let report = |offset: &str| {
+            let cfg = dir.join(format!("c{i}_{offset}.cfg"));
+            fs::write(
+                &cfg,
+                format!(
+                    "ArrayHeight : 8\nArrayWidth : 8\nIfmapSramSz : {sram_kb}\n\
+                     FilterSramSz : {sram_kb}\nOfmapSramSz : {sram_kb}\nIfmapOffset : {offset}\n"
+                ),
+            )
+            .unwrap();
+            let out = scale_sim(&["-c", cfg.to_str().unwrap(), "-t", topo.to_str().unwrap()]);
+            assert!(out.status.success());
+            (String::from_utf8(out.stdout).unwrap(), cfg)
+        };
+        let (at_zero, _) = report("0");
+        assert!(
+            at_zero.contains(&format!(" {bytes} DRAM bytes")),
+            "{at_zero}"
+        );
+        let (at_top, cfg) = report("18446744073709551000");
+        assert_eq!(at_top, at_zero);
+        let traces = dir.join(format!("traces{i}"));
+        let out = scale_sim(&[
+            "-c",
+            cfg.to_str().unwrap(),
+            "-t",
+            topo.to_str().unwrap(),
+            "-o",
+            traces.to_str().unwrap(),
+            "--traces",
+        ]);
+        assert_eq!(out.status.code(), Some(1));
+        let err = String::from_utf8(out.stderr).unwrap();
+        let errors: Vec<&str> = err.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "stderr: {err}");
+        assert!(
+            errors[0].contains("IfmapOffset 18446744073709551000"),
+            "{err}"
+        );
+        assert!(!err.contains("panicked"), "stderr: {err}");
+    }
+}
+
 #[test]
 fn serve_with_bad_flag_is_a_one_line_error() {
     let out = scale_sim(&["serve", "--frobnicate"]);

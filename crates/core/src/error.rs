@@ -73,6 +73,40 @@ impl fmt::Display for ParseConfigError {
 
 impl Error for ParseConfigError {}
 
+/// An operand region that does not fit in the 64-bit address space: the
+/// configured offset plus the operand's element count passes `u64::MAX`,
+/// so the addresses a trace prints would wrap.
+///
+/// Simulation never meets it: traffic is a function of address order,
+/// equality and adjacency only, so layers are simulated at offset zero
+/// and the offsets are applied where addresses are printed. The trace
+/// writers of [`crate::Simulator`] return it, inside an
+/// [`std::io::Error`] of kind `InvalidInput`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegionOverflowError {
+    /// The layer whose traces were asked for.
+    pub layer: String,
+    /// The configuration key of the offset: `IfmapOffset`, `FilterOffset`
+    /// or `OfmapOffset`.
+    pub key: &'static str,
+    /// The configured offset.
+    pub offset: u64,
+    /// Distinct addresses of the operand.
+    pub elements: u64,
+}
+
+impl fmt::Display for RegionOverflowError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} {} plus {} elements passes the end of the 64-bit address space",
+            self.key, self.offset, self.elements
+        )
+    }
+}
+
+impl Error for RegionOverflowError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

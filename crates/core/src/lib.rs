@@ -70,7 +70,7 @@ pub mod sweep;
 pub use crate::arena::{with_arena, SimArena};
 pub use crate::cache::{ContentKey, ShardedLru};
 pub use crate::config::{parse_config, SimConfig, SimConfigBuilder};
-pub use crate::error::ParseConfigError;
+pub use crate::error::{ParseConfigError, RegionOverflowError};
 pub use crate::exec::{ExecSummary, FaultPlan, SimError};
 pub use crate::explore::{
     predict_cycles, ExploreBudget, ExploreEngine, ExploreOptions, ExploreOutcome, MeasuredPoint,

@@ -8,7 +8,7 @@ use scalesim_analytical::PartitionGrid;
 use scalesim_energy::EnergyModel;
 use scalesim_memory::{
     AddressMap, ConvAddressMap, DramModel, DramSummary, DramTraceWriter, GemmAddressMap,
-    StallModel, StallSummary, SubGemmMap,
+    RegionOffsets, StallModel, StallSummary, SubGemmMap,
 };
 use scalesim_systolic::{
     analyze, fold_demand_runs_in, fold_demands, simulate, ComputeReport, CsvTraceSink, SramCounts,
@@ -16,6 +16,7 @@ use scalesim_systolic::{
 use scalesim_topology::{GemmShape, Layer, Topology};
 
 use crate::config::SimConfig;
+use crate::error::RegionOverflowError;
 use crate::layer_cache;
 use crate::report::{LayerReport, NetworkReport};
 
@@ -148,7 +149,12 @@ impl Simulator {
             )
             .inc();
 
-        let map = layer_map(layer, &config);
+        // Simulated at offset zero: the figures depend on addresses only
+        // through their order, equality and adjacency, which an offset
+        // keeps unless its region wraps past `u64::MAX`, where a run would
+        // cross the wrap. The configured offsets move only what traces
+        // print.
+        let map = layer_map(layer, RegionOffsets::ZERO);
         let tiles = partition_tiles(shape, self.grid);
         let mut volume = DemandVolume::default();
         let (results, class_of) =
@@ -300,7 +306,9 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns any I/O error raised by the writers.
+    /// Returns any I/O error raised by the writers, and, before writing
+    /// anything, a [`RegionOverflowError`] (kind `InvalidInput`) when an
+    /// operand region would pass the end of the address space.
     pub fn write_traces<W: Write>(
         &self,
         layer: &Layer,
@@ -308,7 +316,7 @@ impl Simulator {
         writes: W,
     ) -> io::Result<ComputeReport> {
         let config = self.effective_config(layer);
-        let map = layer_map(layer, &config);
+        let map = trace_map(layer, &config)?;
         let dims = layer.shape().project(config.dataflow);
         let mut sink = CsvTraceSink::new(reads, writes);
         let report = simulate(&dims, config.array, &*map, &mut sink);
@@ -323,7 +331,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns any I/O error raised by the writers.
+    /// As [`Simulator::write_traces`].
     pub fn write_dram_traces<W: Write>(
         &self,
         layer: &Layer,
@@ -331,7 +339,7 @@ impl Simulator {
         writes: W,
     ) -> io::Result<DramSummary> {
         let config = self.effective_config(layer);
-        let map = layer_map(layer, &config);
+        let map = trace_map(layer, &config)?;
         let dims = layer.shape().project(config.dataflow);
         let mut dram = DramModel::new(
             config.ifmap_buffer(1),
@@ -387,11 +395,34 @@ struct DemandVolume {
 }
 
 /// Builds the operand address map for a layer.
-fn layer_map(layer: &Layer, config: &SimConfig) -> Box<dyn AddressMap> {
+fn layer_map(layer: &Layer, offsets: RegionOffsets) -> Box<dyn AddressMap> {
     match layer {
-        Layer::Conv(conv) => Box::new(ConvAddressMap::new(conv, config.offsets)),
-        Layer::Gemm { shape, .. } => Box::new(GemmAddressMap::from_shape(*shape, config.offsets)),
+        Layer::Conv(conv) => Box::new(ConvAddressMap::new(conv, offsets)),
+        Layer::Gemm { shape, .. } => Box::new(GemmAddressMap::from_shape(*shape, offsets)),
     }
+}
+
+/// The address map a trace prints, at the configured offsets: an error
+/// if one of the three operand regions would pass `u64::MAX`.
+fn trace_map(layer: &Layer, config: &SimConfig) -> io::Result<Box<dyn AddressMap>> {
+    let map = layer_map(layer, config.offsets);
+    let regions = [
+        ("IfmapOffset", config.offsets.ifmap, map.a_unique()),
+        ("FilterOffset", config.offsets.filter, map.b_unique()),
+        ("OfmapOffset", config.offsets.ofmap, map.o_unique()),
+    ];
+    for (key, offset, elements) in regions {
+        if offset.checked_add(elements).is_none() {
+            let error = RegionOverflowError {
+                layer: layer.name().to_owned(),
+                key,
+                offset,
+                elements,
+            };
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, error));
+        }
+    }
+    Ok(map)
 }
 
 /// One partition's tile of the output space.
@@ -774,6 +805,66 @@ mod tests {
     }
 
     #[test]
+    fn a_region_past_the_address_space_is_refused_where_addresses_are_printed() {
+        // 32 x 8 GEMM: 256 A, 256 B and 1,024 O elements.
+        let layer = Layer::gemm("g", 32, 8, 32);
+        let at = |offsets: RegionOffsets| {
+            Simulator::new(SimConfig {
+                offsets,
+                ..small_config()
+            })
+        };
+        for (key, offsets) in [
+            (
+                "IfmapOffset",
+                RegionOffsets {
+                    ifmap: u64::MAX - 255,
+                    ..RegionOffsets::ZERO
+                },
+            ),
+            (
+                "FilterOffset",
+                RegionOffsets {
+                    filter: u64::MAX - 200,
+                    ..RegionOffsets::ZERO
+                },
+            ),
+            (
+                "OfmapOffset",
+                RegionOffsets {
+                    ofmap: u64::MAX - 1023,
+                    ..RegionOffsets::ZERO
+                },
+            ),
+        ] {
+            let sim = at(offsets);
+            let error = sim
+                .write_dram_traces(&layer, io::sink(), io::sink())
+                .unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::InvalidInput);
+            let overflow = error
+                .get_ref()
+                .and_then(|e| e.downcast_ref::<RegionOverflowError>())
+                .expect("typed error");
+            assert_eq!((overflow.key, overflow.layer.as_str()), (key, "g"));
+            assert!(sim.write_traces(&layer, io::sink(), io::sink()).is_err());
+            // The report is offset zero's.
+            let mut report = sim.run_layer(&layer);
+            let mut zero = at(RegionOffsets::ZERO).run_layer(&layer);
+            (report.name, zero.name) = (String::new(), String::new());
+            assert_eq!(report, zero);
+        }
+        // A region that ends exactly at 2^64 − 1 prints.
+        let top = RegionOffsets {
+            ifmap: u64::MAX - 256,
+            ..RegionOffsets::ZERO
+        };
+        assert!(at(top)
+            .write_dram_traces(&layer, io::sink(), io::sink())
+            .is_ok());
+    }
+
+    #[test]
     fn auto_dataflow_never_loses_to_the_fixed_default() {
         // Per-layer selection must match or beat the configured dataflow
         // on every layer's runtime.
@@ -944,7 +1035,7 @@ mod tests {
         f: impl FnOnce(&LayerRun, &[Tile]) -> R,
     ) -> R {
         let config = sim.effective_config(layer);
-        let map = layer_map(layer, &config);
+        let map = layer_map(layer, RegionOffsets::ZERO);
         let tiles = partition_tiles(layer.shape(), sim.grid());
         f(
             &LayerRun::new(sim.grid(), layer.shape(), &config, &*map),
@@ -1082,7 +1173,7 @@ mod tests {
             .build();
         let sim = Simulator::new(config).with_grid(PartitionGrid::new(3, 1));
         let tiles = partition_tiles(layer.shape(), sim.grid());
-        let map = layer_map(&layer, &config);
+        let map = layer_map(&layer, RegionOffsets::ZERO);
         assert_eq!((tiles[0].m_len, tiles[1].m_len), (34, 34));
         assert_ne!(
             map.a_row_phase(tiles[0].m_off),

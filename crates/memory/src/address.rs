@@ -38,6 +38,15 @@ pub struct RegionOffsets {
     pub ofmap: u64,
 }
 
+impl RegionOffsets {
+    /// Every region at address zero.
+    pub const ZERO: RegionOffsets = RegionOffsets {
+        ifmap: 0,
+        filter: 0,
+        ofmap: 0,
+    };
+}
+
 impl Default for RegionOffsets {
     fn default() -> Self {
         RegionOffsets {

@@ -10,7 +10,8 @@
 
 use std::collections::VecDeque;
 
-use crate::runs::{AddrRun, AddrRuns, IntervalSet};
+use crate::resident::ResidentSet;
+use crate::runs::{AddrRun, AddrRuns};
 
 /// Per-epoch classification of a demand stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,7 +33,19 @@ pub struct EpochStats {
 /// property suites compare the two) — FIFO hits cause no state change, so
 /// a maximal resident span batches into one hit count, and a maximal
 /// missing span batches into one insert + one tail eviction sweep. Work is
-/// O(runs × log spans) instead of O(elements).
+/// per run, not per element.
+///
+/// The working set is sorted spans while it holds at most 64 of them, and
+/// a paged bitmap from the first time it holds more until
+/// [`RunBuffer::clear`] or [`RunBuffer::reset`]. As spans, a probe is a
+/// binary search and an insert or front eviction a splice that moves the
+/// spans behind it: cheap for the few spans of contiguous demand (the
+/// IFMAP buffer of Fig. 9's TF0 layer under OS holds fewer than 16 at every
+/// walk), but the IFMAP of an IS fold fragments into hundreds or thousands
+/// (on the spill workload an IS miss moved 1,189 spans per front eviction
+/// on average). As pages
+/// of 4,096 addresses, each operation costs the pages it touches, whatever
+/// the span count. The form changes no count: both are the same FIFO.
 ///
 /// ```
 /// use scalesim_memory::{AddrRuns, RunBuffer};
@@ -51,7 +64,7 @@ pub struct EpochStats {
 #[derive(Debug, Clone)]
 pub struct RunBuffer {
     capacity: u64,
-    resident: IntervalSet,
+    resident: ResidentSet,
     /// FIFO of inserted segments. Invariant: segments are disjoint and
     /// their union is exactly the resident set (evictions consume from the
     /// front as residency shrinks).
@@ -87,7 +100,7 @@ impl RunBuffer {
     pub fn new(capacity_elems: u64) -> Self {
         RunBuffer {
             capacity: capacity_elems,
-            resident: IntervalSet::new(),
+            resident: ResidentSet::default(),
             queue: VecDeque::new(),
             repeat_seal: 0,
             repeat_stats: EpochStats::default(),
@@ -332,6 +345,15 @@ impl RunBuffer {
         Some(stats)
     }
 
+    /// Whether the working set has fragmented past the span limit and is
+    /// kept as a paged bitmap, which it stays until [`RunBuffer::clear`]
+    /// or [`RunBuffer::reset`]. A test hook that pins which buffers of a
+    /// workload pay for the bitmap and which keep the span form.
+    #[doc(hidden)]
+    pub fn is_paged(&self) -> bool {
+        self.resident.is_paged()
+    }
+
     /// Epochs [`RunBuffer::epoch`] has walked run by run — every epoch but
     /// the fixed-point repeats and rule 4's answers — since `new` or
     /// [`RunBuffer::reset`]. A test hook that pins how often the shortcuts
@@ -445,28 +467,23 @@ impl RunBuffer {
             return;
         }
         let mut pos = run.start;
-        // Walk the run in alternating resident/missing spans. Residency is
-        // re-queried per span because an insert can evict addresses later
-        // in this same run.
+        // Walk the run in alternating resident/missing stretches. Residency
+        // is re-queried per stretch because an insert can evict addresses
+        // later in this same run.
         while pos < end {
-            if let Some((_, span_end)) = self.resident.span_at(pos) {
-                let hit_end = span_end.min(end);
-                stats.hits += hit_end - pos;
-                pos = hit_end;
+            let (resident, stop) = self.resident.run_at(pos, end);
+            if resident {
+                stats.hits += stop - pos;
             } else {
-                let miss_end = self
-                    .resident
-                    .first_start_at_or_after(pos)
-                    .map_or(end, |s| s.min(end));
-                stats.misses += miss_end - pos;
+                stats.misses += stop - pos;
                 if let Some(misses) = misses.as_deref_mut() {
-                    misses.push(pos, miss_end - pos);
+                    misses.push(pos, stop - pos);
                 }
                 if self.capacity > 0 {
-                    stats.evictions += self.insert_segment(pos, miss_end - pos);
+                    stats.evictions += self.insert_segment(pos, stop - pos);
                 }
-                pos = miss_end;
             }
+            pos = stop;
         }
     }
 
@@ -495,16 +512,11 @@ impl RunBuffer {
             }
             let mut pos = run.start;
             while pos < end {
-                if let Some((_, span_end)) = self.resident.span_at(pos) {
-                    pos = span_end.min(end);
-                } else {
-                    let miss_end = self
-                        .resident
-                        .first_start_at_or_after(pos)
-                        .map_or(end, |s| s.min(end));
-                    evictions += self.insert_segment(pos, miss_end - pos);
-                    pos = miss_end;
+                let (resident, stop) = self.resident.run_at(pos, end);
+                if !resident {
+                    evictions += self.insert_segment(pos, stop - pos);
                 }
+                pos = stop;
             }
         }
         evictions
@@ -522,8 +534,7 @@ impl RunBuffer {
             let excess = self.resident.len() - self.capacity;
             let front = self.queue.front_mut().expect("queue tracks residency");
             let take = front.len.min(excess);
-            self.resident
-                .remove_covered(front.start, front.start + take);
+            self.resident.remove(front.start, front.start + take);
             evicted += take;
             if take == front.len {
                 self.queue.pop_front();

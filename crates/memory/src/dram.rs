@@ -399,6 +399,14 @@ impl DramModel {
         }
     }
 
+    /// The IFMAP, filter and OFMAP buffers, in that order. A test hook that
+    /// pins which of them fragment into the paged form
+    /// ([`RunBuffer::is_paged`]).
+    #[doc(hidden)]
+    pub fn operand_buffers(&self) -> [&RunBuffer; 3] {
+        [&self.a_buf, &self.b_buf, &self.o_buf]
+    }
+
     /// Finalizes and returns the layer summary.
     pub fn finish(self) -> DramSummary {
         self.summary

@@ -30,6 +30,7 @@ pub mod bandwidth;
 pub mod buffer;
 pub mod dram;
 pub mod dram_trace;
+mod resident;
 pub mod reuse;
 pub mod runs;
 pub mod stall;

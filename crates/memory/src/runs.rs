@@ -287,14 +287,19 @@ impl FromIterator<u64> for AddrRuns {
 ///
 /// Stored as parallel sorted `starts[]` / `ends[]` vectors (both strictly
 /// increasing, spans never adjacent). Probes are `partition_point` binary
-/// searches; mutations splice with `Vec::insert`/`drain`, which in the
-/// simulator's streams (a handful of live spans, mutations clustered at
-/// the probe point) beats a pointer-chasing `BTreeMap` (the form the test
-/// suite keeps as this type's reference) by a wide margin.
+/// searches; mutations splice with `Vec::insert`/`drain`, which beats a
+/// pointer-chasing `BTreeMap` (the form the test suite keeps as this
+/// type's reference) by 2–3x on the spill workload's IFMAP buffers.
+/// Splices cost the spans moved, so the type suits sets of tens of spans:
+/// the first-use dedup of one fold's A stream, and a `RunBuffer` working
+/// set until it fragments. The IS IFMAP working sets of the spill workload
+/// reach 256–1,024 spans and more at most walks (mean 1,189 spans moved
+/// per front eviction), and `RunBuffer` keeps those as a paged bitmap
+/// instead (DESIGN §3.10).
 ///
-/// Supports the queries the run-granular models need: membership span
-/// lookup, next-covered-start, union insert (with fused gap enumeration),
-/// covered-range removal, and gap enumeration.
+/// Supports the queries the run-granular models need: membership, the
+/// covered-or-not stretch from an address (`run_at`), union insert (with
+/// fused gap enumeration), covered-range removal, and gap enumeration.
 #[derive(Debug, Default)]
 pub struct IntervalSet {
     starts: Vec<u64>,
@@ -359,24 +364,17 @@ impl IntervalSet {
         self.span_index_at(addr).is_some()
     }
 
-    /// Whether any address of the non-empty range `[start, end)` is
-    /// covered: one binary search, since of the spans starting before
-    /// `end` only the last can reach `start`.
-    pub(crate) fn overlaps(&self, start: u64, end: u64) -> bool {
-        let idx = self.starts.partition_point(|&s| s < end);
-        idx > 0 && self.ends[idx - 1] > start
-    }
-
-    /// The `(start, end)` of the span covering `pos`, if any.
-    pub fn span_at(&self, pos: u64) -> Option<(u64, u64)> {
-        let i = self.span_index_at(pos)?;
-        Some((self.starts[i], self.ends[i]))
-    }
-
-    /// The start of the first span at or after `pos`, if any.
-    pub fn first_start_at_or_after(&self, pos: u64) -> Option<u64> {
-        let idx = self.starts.partition_point(|&s| s < pos);
-        self.starts.get(idx).copied()
+    /// Whether `pos` is covered, and where the stretch of addresses from
+    /// `pos` that answer the same ends, capped at `limit > pos`: the end of
+    /// `pos`'s span, or the start of the next one, in one binary search.
+    #[inline]
+    pub fn run_at(&self, pos: u64, limit: u64) -> (bool, u64) {
+        let idx = self.starts.partition_point(|&s| s <= pos);
+        if idx > 0 && self.ends[idx - 1] > pos {
+            (true, self.ends[idx - 1].min(limit))
+        } else {
+            (false, self.starts.get(idx).map_or(limit, |&s| s.min(limit)))
+        }
     }
 
     /// Number of covered addresses `>= pos`.
@@ -680,10 +678,10 @@ mod tests {
         assert_eq!(set.len(), 20);
         set.insert(20, 30); // bridges the two (adjacent on both sides)
         assert_eq!(set.len(), 30);
-        assert_eq!(set.span_at(15), Some((10, 40)));
+        assert!(set.iter_spans().eq([(10, 40)]));
         set.insert(5, 50); // superset
         assert_eq!(set.len(), 45);
-        assert_eq!(set.span_at(5), Some((5, 50)));
+        assert!(set.iter_spans().eq([(5, 50)]));
         set.insert(7, 9); // fully covered: no-op
         assert_eq!(set.len(), 45);
         assert_eq!(set.span_count(), 1);
@@ -699,8 +697,7 @@ mod tests {
         assert!(!set.contains(20));
         assert!(!set.contains(29));
         assert!(set.contains(30));
-        assert_eq!(set.span_at(0), Some((0, 20)));
-        assert_eq!(set.span_at(30), Some((30, 100)));
+        assert!(set.iter_spans().eq([(0, 20), (30, 100)]));
         // Remove a full span.
         set.remove_covered(0, 20);
         assert!(!set.contains(0));
@@ -733,7 +730,7 @@ mod tests {
         let mut gaps = Vec::new();
         set.insert_with_gaps(5, 45, |s, e| gaps.push((s, e)));
         assert_eq!(gaps, vec![(5, 10), (20, 30), (40, 45)]);
-        assert_eq!(set.span_at(5), Some((5, 45)));
+        assert!(set.iter_spans().eq([(5, 45)]));
         assert_eq!(set.len(), 40);
         // Re-inserting a covered range reports nothing and changes nothing.
         gaps.clear();
@@ -748,34 +745,19 @@ mod tests {
         let mut set = IntervalSet::new();
         set.insert(10, 20);
         set.insert(40, 50);
-        assert_eq!(set.first_start_at_or_after(0), Some(10));
-        assert_eq!(set.first_start_at_or_after(10), Some(10));
-        assert_eq!(set.first_start_at_or_after(11), Some(40));
-        assert_eq!(set.first_start_at_or_after(50), None);
+        // A stretch ends where coverage changes, or at the limit.
+        assert_eq!(set.run_at(0, 100), (false, 10));
+        assert_eq!(set.run_at(9, 100), (false, 10));
+        assert_eq!(set.run_at(10, 100), (true, 20));
+        assert_eq!(set.run_at(11, 15), (true, 15));
+        assert_eq!(set.run_at(20, 100), (false, 40));
+        assert_eq!(set.run_at(20, 30), (false, 30));
+        assert_eq!(set.run_at(49, 100), (true, 50));
+        assert_eq!(set.run_at(50, 100), (false, 100));
         assert_eq!(set.len_at_or_above(0), 20);
         assert_eq!(set.len_at_or_above(15), 15);
         assert_eq!(set.len_at_or_above(45), 5);
         assert_eq!(set.len_at_or_above(50), 0);
-    }
-
-    #[test]
-    fn overlaps_finds_any_covered_address() {
-        let mut set = IntervalSet::new();
-        assert!(!set.overlaps(0, 100));
-        set.insert(10, 20);
-        set.insert(30, 40);
-        for (start, end, hit) in [
-            (0, 10, false),
-            (0, 11, true),
-            (19, 30, true),
-            (20, 30, false),
-            (25, 31, true),
-            (39, 40, true),
-            (40, 50, false),
-            (5, 45, true),
-        ] {
-            assert_eq!(set.overlaps(start, end), hit, "[{start}, {end})");
-        }
     }
 
     #[test]
@@ -809,15 +791,11 @@ mod tests {
             let e = s + len;
             if next() % 3 == 0 {
                 // Remove a covered subrange, if one exists inside a span.
-                if let Some((a, b)) = set.span_at(s) {
-                    let e2 = e.min(b);
-                    if s < e2 {
-                        set.remove_covered(s, e2);
-                        for x in s..e2 {
-                            model.remove(&x);
-                        }
+                if let (true, b) = set.run_at(s, e) {
+                    set.remove_covered(s, b);
+                    for x in s..b {
+                        model.remove(&x);
                     }
-                    let _ = a;
                 }
             } else {
                 set.insert(s, e);

@@ -381,6 +381,38 @@ fn a_huge_word_size_saturates_the_dram_bytes() {
     handle.stop();
 }
 
+/// An `IfmapOffset` 616 addresses short of 2^64 puts the IFMAP region
+/// across the end of the address space. Layers are simulated at offset
+/// zero, so the report is that of offset 0 — all but the job key, which
+/// names the config, and the wall time — where the wrapped runs dropped
+/// 40 of the 9,216 DRAM bytes.
+#[test]
+fn an_ifmap_offset_near_the_top_of_the_address_space_drops_no_reads() {
+    let handle = start_server(1);
+    let body = |offset: &str| {
+        let job = format!(
+            r#"{{"topology_name": "g", "topology_csv": "G1,64,40,64",
+                 "config": {{"ArrayHeight": 8, "ArrayWidth": 8, "IfmapSramSz": 512,
+                            "FilterSramSz": 512, "OfmapSramSz": 512,
+                            "IfmapOffset": {offset}}}}}"#
+        );
+        let response = request(handle.addr(), "POST", "/simulate", Some(&job)).unwrap();
+        assert_eq!(response.status, 200, "body: {}", response.body);
+        match Json::parse(&response.body).unwrap() {
+            Json::Obj(fields) => fields
+                .into_iter()
+                .filter(|(name, _)| name != "key" && name != "sim_wall_micros")
+                .collect::<Vec<_>>(),
+            other => panic!("not an object: {other:?}"),
+        }
+    };
+    let at_zero = body("0");
+    let total = at_zero.iter().find(|(name, _)| name == "total_dram_bytes");
+    assert_eq!(total.and_then(|(_, bytes)| bytes.as_u64()), Some(9216));
+    assert_eq!(body("18446744073709551000"), at_zero);
+    handle.stop();
+}
+
 #[test]
 fn inline_topology_round_trips_over_http() {
     let handle = start_server(2);

@@ -72,13 +72,14 @@ fn check_paths_agree(
 
 /// The run path as the simulator drives it — sealed A streams, labels,
 /// deferred installs — against `oracle::fold_traffic` on the same layer:
-/// per-fold IFMAP, filter and spill misses and output writes.
+/// per-fold IFMAP, filter and spill misses and output writes. Returns
+/// whether the IFMAP buffer ended the layer in its paged form.
 fn check_against_oracle(
     dims: &scalesim_topology::MappedDims,
     array: ArrayShape,
     map: &(impl scalesim_memory::AddressMap + ?Sized),
     capacities: [u64; 3],
-) -> Result<(), TestCaseError> {
+) -> Result<bool, TestCaseError> {
     let [a, b, o] = capacities.map(spec);
     let mut dram = DramModel::new(a, b, o);
     let oracle = fold_traffic(dims, array, map, capacities.map(|c| c as usize));
@@ -102,7 +103,7 @@ fn check_against_oracle(
         folds += 1;
     }
     prop_assert_eq!(folds, oracle.len());
-    Ok(())
+    Ok(dram.operand_buffers()[0].is_paged())
 }
 
 /// A stream: exact element equality. B/O streams: one layer-wide
@@ -309,6 +310,141 @@ fn fitting_os_gemm_walks_its_a_buffer_once_per_fold_row() {
     assert_eq!((plan.fold_rows(), plan.fold_cols()), (13, 9));
     let map = GemmAddressMap::from_shape(shape, RegionOffsets::default());
     assert_eq!(a_buffer_walks(&dims, array, &map, 100 * 48), (13, 100 * 48));
+}
+
+/// Whether each of the IFMAP, filter and OFMAP buffers is in the paged
+/// form after each fold of one tile, as `Simulator::run_layer` runs its
+/// fold loop on the buffers of `config` shared among `partitions`.
+fn paged_after_each_fold(
+    dims: &scalesim_topology::MappedDims,
+    config: &scalesim::SimConfig,
+    partitions: u64,
+    map: &(impl scalesim_memory::AddressMap + ?Sized),
+) -> impl Iterator<Item = [bool; 3]> {
+    let mut dram = DramModel::new(
+        config.ifmap_buffer(partitions),
+        config.filter_buffer(partitions),
+        config.ofmap_buffer(partitions),
+    );
+    let demands: Vec<_> = fold_demand_runs(dims, config.array, map).collect();
+    demands.into_iter().map(move |d| {
+        dram.fold_runs(d.fold.duration, &d.a, &d.b, &d.o_spill, &d.o_writes);
+        dram.operand_buffers().map(RunBuffer::is_paged)
+    })
+}
+
+/// Every distinct tile of every distinct layer of every point of a plan
+/// file: the point and layer, and for each fold which buffers are paged.
+/// Tiles are told apart as `Simulator::run_layer` tells them apart.
+fn plan_tiles_paged(plan: &str) -> Vec<(String, Vec<[bool; 3]>)> {
+    use scalesim_topology::Layer;
+    let plan = scalesim::SweepPlan::parse(plan).unwrap();
+    let mut seen = std::collections::HashSet::new();
+    let mut tiles = Vec::new();
+    for point in plan.expand().unwrap() {
+        let config = point.config(&plan.base);
+        let workload = plan.workloads.iter().find(|w| w.label == point.workload);
+        for layer in workload.unwrap().topology.iter() {
+            let (map, geometry): (Box<dyn scalesim_memory::AddressMap>, _) = match layer {
+                Layer::Conv(c) => (
+                    Box::new(ConvAddressMap::new(c, RegionOffsets::ZERO)),
+                    format!(
+                        "{:?}",
+                        (
+                            (c.ifmap_h(), c.ifmap_w(), c.filter_h(), c.filter_w()),
+                            (c.channels(), c.num_filters(), c.stride_h(), c.stride_w())
+                        )
+                    ),
+                ),
+                Layer::Gemm { shape, .. } => (
+                    Box::new(GemmAddressMap::from_shape(*shape, RegionOffsets::ZERO)),
+                    format!("{shape:?}"),
+                ),
+            };
+            let shape = layer.shape();
+            let (rows, cols) = (point.grid.rows(), point.grid.cols());
+            let (chunk_m, chunk_n) = (shape.m.div_ceil(rows), shape.n.div_ceil(cols));
+            for m_off in (0..shape.m).step_by(chunk_m as usize) {
+                for n_off in (0..shape.n).step_by(chunk_n as usize) {
+                    let m_len = chunk_m.min(shape.m - m_off);
+                    let n_len = chunk_n.min(shape.n - n_off);
+                    let phase = map.a_row_phase(m_off);
+                    let key = format!(
+                        "{config:?} {} {geometry} {m_len} {n_len} {phase}",
+                        point.grid
+                    );
+                    if !seen.insert(key) {
+                        continue;
+                    }
+                    let tile = SubGemmMap::new(&*map, m_off, n_off);
+                    let dims = GemmShape::new(m_len, shape.k, n_len).project(config.dataflow);
+                    let paged = paged_after_each_fold(&dims, &config, point.partitions(), &tile);
+                    let name = format!(
+                        "{} {} {config:?} {}",
+                        point.workload,
+                        point.grid,
+                        layer.name()
+                    );
+                    tiles.push((name, paged.collect()));
+                }
+            }
+        }
+    }
+    tiles
+}
+
+/// Where the paged form is paid for, and where it is not — the property
+/// the speed of the spill workload rests on, and the reason the other
+/// workloads do not move:
+///
+/// - ResNet-50's 56×56×64 3×3 convolution (`CB2a_2`) under IS on a 32×32
+///   array with 64 KB of IFMAP SRAM: every fold reads a 32-channel half
+///   of each window position's 64 channels, a span each, and the buffer
+///   promotes within its first fold row;
+/// - TF0 under OS at 512 KB, every point of the Fig. 9 plan: one
+///   contiguous A run per fold row, never promoted;
+/// - `examples/spill_ws_is.plan`: no filter or OFMAP buffer promotes —
+///   their label blocks stay a few spans — while IFMAP buffers do.
+#[test]
+fn the_paged_form_is_taken_by_fragmented_ifmap_buffers_only() {
+    let layer = scalesim_topology::networks::resnet50()
+        .iter()
+        .find(|l| l.name() == "CB2a_2")
+        .cloned()
+        .unwrap();
+    let scalesim_topology::Layer::Conv(conv) = &layer else {
+        panic!("CB2a_2 is a convolution");
+    };
+    assert_eq!(
+        (conv.ifmap_h(), conv.channels(), conv.filter_h()),
+        (58, 64, 3)
+    );
+    let config = scalesim::SimConfig::builder()
+        .array(ArrayShape::square(32))
+        .dataflow(Dataflow::InputStationary)
+        .sram_kb(64, 64, 32)
+        .build();
+    let dims = layer.shape().project(Dataflow::InputStationary);
+    let fold_cols = FoldPlan::new(&dims, config.array).fold_cols() as usize;
+    let map = ConvAddressMap::new(conv, RegionOffsets::ZERO);
+    let first_paged = paged_after_each_fold(&dims, &config, 1, &map)
+        .take(fold_cols)
+        .position(|[a, _, _]| a);
+    assert!(first_paged.is_some(), "not paged within {fold_cols} folds");
+
+    let fig9 = include_str!("../../examples/fig9_tf0.plan");
+    for (tile, folds) in plan_tiles_paged(fig9) {
+        assert!(folds.iter().all(|&paged| paged == [false; 3]), "{tile}");
+    }
+
+    let spill = include_str!("../../examples/spill_ws_is.plan");
+    let tiles = plan_tiles_paged(spill);
+    for (tile, folds) in &tiles {
+        assert!(folds.iter().all(|&[_, b, o]| !b && !o), "{tile}");
+    }
+    assert!(tiles
+        .iter()
+        .any(|(_, folds)| folds.iter().any(|&[a, _, _]| a)));
 }
 
 proptest! {
@@ -518,7 +654,8 @@ proptest! {
     /// element oracle, with the IFMAP buffer one element short of the
     /// smallest A stream of a fold row (IS: of a fold), exactly it, and
     /// one more: every stream thrashes (rule 4, then rule 3), the smallest
-    /// fits exactly (rule 4 then rule 5), or it has room.
+    /// fits exactly (rule 4 then rule 5), or it has room. And one IS
+    /// convolution whose IFMAP buffer fragments into the paged form.
     #[test]
     fn spilling_fold_runs_match_the_oracle_fold_for_fold(
         gemm in (8u64..40, 4u64..24, 4u64..24),
@@ -553,6 +690,24 @@ proptest! {
                     check_against_oracle(&dims, array, map, [a_buf, b_buf, o_buf])?;
                 }
             }
+        }
+        // An IS 3x3 convolution whose IFMAP working set fragments: each
+        // fold reads a 4-channel slice of 8 channels per window position,
+        // one span each, and more than 64 of them stay resident, so the
+        // IFMAP buffer turns paged partway through the layer.
+        let conv = ConvLayerBuilder::new("is")
+            .ifmap(12, 12)
+            .filter(3, 3)
+            .channels(8)
+            .num_filters(6)
+            .stride(1)
+            .build()
+            .unwrap();
+        let conv_map = ConvAddressMap::new(&conv, RegionOffsets::default());
+        let dims = conv.shape().project(Dataflow::InputStationary);
+        for a_buf in [300, 600] {
+            let paged = check_against_oracle(&dims, array, &conv_map, [a_buf, b_buf, o_buf])?;
+            prop_assert!(paged, "IFMAP buffer of {} never promoted", a_buf);
         }
     }
 

@@ -11,7 +11,8 @@
 //!   insert-with-gaps) ≡ `ScalarIntervalSet` (the original `BTreeMap`).
 //! * `AddrRuns::extend_runs` (bulk memcpy append) ≡ per-run push loop.
 //! * `RunBuffer` (span-batched FIFO) ≡ `DoubleBuffer` (element-granular
-//!   FIFO) on real OS/WS/IS demand streams from conv and GEMM layers.
+//!   FIFO) on real OS/WS/IS demand streams from conv and GEMM layers, and
+//!   in its paged form on fragmented streams of more than 128 runs.
 //! * `ReuseProfile::from_runs` (batched per-span Fenwick updates) ≡
 //!   `ElementReuseProfile::from_demands` (element walk), the scalar twin
 //!   of the run-granular profile.
@@ -131,8 +132,8 @@ fn step_both(
         SetOp::RemoveCoveredAt(s, l) => {
             // Only remove what is actually covered by one span (the
             // documented precondition), trimmed identically on both sides.
-            if let Some((_, span_end)) = soa.span_at(s) {
-                let e = (s + l).min(span_end);
+            if let (true, e) = soa.run_at(s, s + l + 1) {
+                let e = e.min(s + l);
                 if s < e {
                     soa.remove_covered(s, e);
                     scalar.remove_covered(s, e);
@@ -153,18 +154,20 @@ fn step_both(
             "contains {}",
             probe
         );
-        prop_assert_eq!(
-            soa.span_at(probe),
-            scalar.span_at(probe),
-            "span_at {}",
-            probe
-        );
-        prop_assert_eq!(
-            soa.first_start_at_or_after(probe),
-            scalar.first_start_at_or_after(probe),
-            "first_start_at_or_after {}",
-            probe
-        );
+        // The fused probe against the twin's two probes, at a limit
+        // inside and one past every span.
+        for limit in [probe + 5, probe_to + 50] {
+            let expect = match scalar.span_at(probe) {
+                Some((_, end)) => (true, end.min(limit)),
+                None => (
+                    false,
+                    scalar
+                        .first_start_at_or_after(probe)
+                        .map_or(limit, |start| start.min(limit)),
+                ),
+            };
+            prop_assert_eq!(soa.run_at(probe, limit), expect, "run_at {}", probe);
+        }
         prop_assert_eq!(
             soa.len_at_or_above(probe),
             scalar.len_at_or_above(probe),
@@ -226,8 +229,8 @@ proptest! {
                     prop_assert_eq!(a_gaps, b_gaps);
                 }
                 SetOp::RemoveCoveredAt(s, l) => {
-                    if let Some((_, span_end)) = soa.span_at(s) {
-                        let e = (s + l).min(span_end);
+                    if let (true, e) = soa.run_at(s, s + l + 1) {
+                        let e = e.min(s + l);
                         if s < e {
                             soa.remove_covered(s, e);
                             scalar.remove_covered(s, e);
@@ -560,6 +563,302 @@ fn an_unsealed_duplicate_stream_is_walked_every_time() {
 }
 
 // ---------------------------------------------------------------------------
+// RunBuffer's paged form ≡ DoubleBuffer
+// ---------------------------------------------------------------------------
+
+/// A `RunBuffer` whose working set holds more than 64 spans keeps it as a
+/// paged bitmap; the fragmented streams below hold at least twice that
+/// many disjoint runs.
+const FRAGMENTED_RUNS: usize = 2 * 64 + 2;
+
+/// The pseudo-random source of the fragmented streams.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 33) % n
+    }
+}
+
+/// `FRAGMENTED_RUNS` disjoint runs from `base` up, pushed in shuffled order
+/// so that exactly adjacent ones (the adjacency chains) mostly stay
+/// separate runs. Gaps are 0, 1, a few dozen, to the next page boundary
+/// (pages are 4,096 addresses) or a page and more; lengths are 1, a few
+/// dozen, to the next word boundary (64 addresses), or past the end of
+/// the page. With `at_top` the whole stream is moved so its last address
+/// is `u64::MAX − 1`: a run ends at `u64::MAX`.
+fn fragmented_stream(rng: &mut Lcg, base: u64, at_top: bool) -> Vec<(u64, u64)> {
+    let mut spans = Vec::with_capacity(FRAGMENTED_RUNS);
+    let mut at = base;
+    for _ in 0..FRAGMENTED_RUNS {
+        at += match rng.below(10) {
+            0 | 1 => 0,
+            2 | 3 => 1,
+            4..=7 => 2 + rng.below(48),
+            8 => 4096 - at % 4096,
+            _ => 4100 + rng.below(3000),
+        };
+        let len = match rng.below(20) {
+            0..=4 => 1,
+            5..=13 => 1 + rng.below(40),
+            14..=17 => 64 - at % 64,
+            _ => 4096 - at % 4096 + rng.below(70),
+        };
+        spans.push((at, len));
+        at += len;
+    }
+    if at_top {
+        let shift = u64::MAX - at;
+        for span in &mut spans {
+            span.0 += shift;
+        }
+    }
+    for i in (1..spans.len()).rev() {
+        spans.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    spans
+}
+
+/// One step of the paged differential walk.
+#[derive(Debug, Clone, Copy)]
+enum BufferOp {
+    /// `epoch` of stream `i`, sealed: repeats of it take the fixed-point
+    /// rules, a first showing of a bufferful not resident takes rule 4.
+    Sealed(usize),
+    /// `epoch` of an unsealed copy of stream `i`: always walked.
+    Walked(usize),
+    /// `epoch_with_misses` of stream `i`.
+    WithMisses(usize),
+    /// `install` of stream `i`.
+    Install(usize),
+    Clear,
+    /// `reset` to the `i`-th capacity of the case.
+    Reset(usize),
+}
+
+fn arb_buffer_op() -> impl Strategy<Value = BufferOp> {
+    // Sealed epochs three times as often as the rest, walks twice.
+    prop_oneof![
+        (0usize..4).prop_map(BufferOp::Sealed),
+        (0usize..4).prop_map(BufferOp::Sealed),
+        (0usize..4).prop_map(BufferOp::Sealed),
+        (0usize..4).prop_map(BufferOp::Walked),
+        (0usize..4).prop_map(BufferOp::Walked),
+        (0usize..4).prop_map(BufferOp::WithMisses),
+        (0usize..4).prop_map(BufferOp::Install),
+        Just(BufferOp::Clear),
+        (0usize..6).prop_map(BufferOp::Reset),
+    ]
+}
+
+/// Applies `ops` to a `RunBuffer` and the element FIFO and compares stats,
+/// miss order, evictions, resident count and membership at every run
+/// boundary after each. Returns how many ops found the buffer paged.
+fn paged_walk_matches_double_buffer(
+    streams: &[Vec<(u64, u64)>],
+    capacities: &[u64],
+    ops: &[BufferOp],
+) -> Result<u64, TestCaseError> {
+    let plain: Vec<AddrRuns> = streams.iter().map(|s| runs_from_intervals(s)).collect();
+    let sealed: Vec<AddrRuns> = plain
+        .iter()
+        .map(|s| {
+            let mut s = s.clone();
+            s.seal_distinct();
+            s
+        })
+        .collect();
+    let probes: Vec<u64> = streams
+        .iter()
+        .flatten()
+        .flat_map(|&(start, len)| {
+            let end = start + len;
+            [start.wrapping_sub(1), start, start + len / 2, end - 1, end]
+        })
+        .filter(|&addr| addr < u64::MAX)
+        .collect();
+    let mut rb = RunBuffer::new(capacities[0]);
+    let mut db = DoubleBuffer::new(capacities[0] as usize);
+    let mut paged = 0;
+    for (step, &op) in ops.iter().enumerate() {
+        match op {
+            BufferOp::Sealed(i) | BufferOp::Walked(i) => {
+                let demand = if matches!(op, BufferOp::Sealed(_)) {
+                    &sealed[i]
+                } else {
+                    &plain[i]
+                };
+                prop_assert_eq!(
+                    rb.epoch(demand),
+                    db.epoch(demand.iter_elements()),
+                    "step {}",
+                    step
+                );
+            }
+            BufferOp::WithMisses(i) => {
+                let mut misses = AddrRuns::new();
+                let rs = rb.epoch_with_misses(&plain[i], &mut misses);
+                let (ds, elem_misses) = db.epoch_with_misses(plain[i].iter_elements());
+                prop_assert_eq!(rs, ds, "step {}", step);
+                prop_assert_eq!(misses.iter_elements().collect::<Vec<_>>(), elem_misses);
+            }
+            BufferOp::Install(i) => {
+                let evictions: u64 = plain[i].iter_elements().map(|a| db.install(a)).sum();
+                prop_assert_eq!(rb.install(&plain[i]), evictions, "step {}", step);
+            }
+            BufferOp::Clear => {
+                rb.clear();
+                db.clear();
+            }
+            BufferOp::Reset(i) => {
+                rb.reset(capacities[i]);
+                db = DoubleBuffer::new(capacities[i] as usize);
+            }
+        }
+        paged += u64::from(rb.is_paged());
+        prop_assert_eq!(
+            rb.resident_count(),
+            db.resident_count() as u64,
+            "step {}",
+            step
+        );
+        for &addr in &probes {
+            prop_assert_eq!(
+                rb.contains(addr),
+                db.contains(addr),
+                "step {}, {}",
+                step,
+                addr
+            );
+        }
+    }
+    Ok(paged)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Four fragmented streams — two over one region, so that they hit and
+    /// miss each other, one across page boundaries high in the address
+    /// space, one ending at `u64::MAX` — shown to a `RunBuffer` and the
+    /// element FIFO in any interleaving of sealed repeats, walks, traced
+    /// epochs, installs, clears and resets, at capacities from one element
+    /// to more than all four streams: before promotion, at it and after.
+    #[test]
+    fn paged_run_buffer_matches_double_buffer(
+        seed in 0u64..u64::MAX,
+        ops in prop::collection::vec(arb_buffer_op(), 1..24),
+        first_capacity in 0usize..6,
+    ) {
+        let mut rng = Lcg(seed);
+        let streams = [
+            fragmented_stream(&mut rng, 0, false),
+            fragmented_stream(&mut rng, 0, false),
+            fragmented_stream(&mut rng, (1 << 40) - 1000, false),
+            fragmented_stream(&mut rng, 0, true),
+        ];
+        let s: u64 = streams[0].iter().map(|&(_, len)| len).sum();
+        let mut capacities = [1, 777, s - 1, s, s + 1, 1 << 20];
+        capacities.swap(0, first_capacity);
+        paged_walk_matches_double_buffer(&streams, &capacities, &ops)?;
+    }
+}
+
+/// The walk above on fixed cases that must reach the paged form: every
+/// showing of a fragmented stream to a buffer that can hold it promotes
+/// the buffer, and the rest of the case runs paged.
+#[test]
+fn paged_run_buffer_matches_double_buffer_after_promotion() {
+    use BufferOp::*;
+    let cases: [&[BufferOp]; 4] = [
+        &[
+            Walked(0),
+            Sealed(1),
+            Sealed(1),
+            Install(2),
+            Sealed(3),
+            Sealed(3),
+        ],
+        &[
+            Sealed(2),
+            Sealed(2),
+            WithMisses(0),
+            Sealed(3),
+            Clear,
+            Sealed(0),
+            Sealed(3),
+        ],
+        &[
+            Install(3),
+            Walked(1),
+            Sealed(0),
+            Reset(1),
+            Sealed(0),
+            Sealed(2),
+            Sealed(0),
+        ],
+        &[
+            Sealed(0),
+            Sealed(1),
+            Sealed(2),
+            Sealed(3),
+            Sealed(0),
+            Sealed(1),
+            Reset(1),
+        ],
+    ];
+    for seed in 0..8 {
+        let mut rng = Lcg(seed);
+        let streams = [
+            fragmented_stream(&mut rng, 0, false),
+            fragmented_stream(&mut rng, 0, false),
+            fragmented_stream(&mut rng, (1 << 40) - 1000, false),
+            fragmented_stream(&mut rng, 0, true),
+        ];
+        let s: u64 = streams[0].iter().map(|&(_, len)| len).sum();
+        for capacity in [s - 1, s, s + 1, 1 << 20] {
+            for ops in cases {
+                let paged = paged_walk_matches_double_buffer(&streams, &[capacity, s / 2], ops)
+                    .unwrap_or_else(|e| panic!("seed {seed}, capacity {capacity}, {ops:?}: {e:?}"));
+                assert!(paged > 0, "seed {seed}, capacity {capacity}: never paged");
+            }
+        }
+    }
+}
+
+/// A page that was full and lost some addresses answers from its words,
+/// not its count: the buffer is promoted by 130 single addresses, takes a
+/// whole page in two runs (its upper part first), evicts those 130 and
+/// the page's 50 oldest addresses, and is then asked for the whole page.
+#[test]
+fn a_full_page_that_lost_addresses_is_probed_by_its_words() {
+    let capacity = 130 + 4096;
+    let mut rb = RunBuffer::new(capacity);
+    let mut db = DoubleBuffer::new(capacity as usize);
+    let scattered: Vec<(u64, u64)> = (0..130).map(|i| (100_000 + 2 * i, 1)).collect();
+    let epochs: [&[(u64, u64)]; 4] = [
+        &scattered,
+        &[(6000, 8192 - 6000), (4096, 6000 - 4096)],
+        &[(200_000, 180)],
+        &[(4096, 4096)],
+    ];
+    for (i, spans) in epochs.into_iter().enumerate() {
+        let demand = runs_from_intervals(spans);
+        assert_eq!(
+            rb.epoch(&demand),
+            db.epoch(demand.iter_elements()),
+            "epoch {i}"
+        );
+        assert!(rb.is_paged(), "epoch {i}");
+    }
+    assert_eq!(rb.resident_count(), db.resident_count() as u64);
+}
+
+// ---------------------------------------------------------------------------
 // RunBuffer ≡ DoubleBuffer on real demand streams
 // ---------------------------------------------------------------------------
 
@@ -686,7 +985,7 @@ fn deferred_o_installs_match_eager_element_path() {
 
 /// Runs one layer's fold loop exactly as the simulator does (pooled
 /// buffers, lending iterator, reclaimed dedup scratch) and returns the
-/// allocations it performed.
+/// allocations it performed and whether its IFMAP buffer ended paged.
 fn fold_loop_allocations(
     dims: &scalesim_topology::MappedDims,
     array: ArrayShape,
@@ -695,7 +994,7 @@ fn fold_loop_allocations(
     pool: &mut BufferPool,
     demand: &mut FoldDemandRuns,
     dedup: (IntervalSet, AddrRuns),
-) -> (u64, (IntervalSet, AddrRuns)) {
+) -> (u64, bool, (IntervalSet, AddrRuns)) {
     let before = allocations_on_this_thread();
     let mut dram = DramModel::new_in(specs.0, specs.1, specs.2, pool);
     let mut demands = fold_demand_runs_in(dims, array, map, dedup.0, dedup.1);
@@ -709,49 +1008,78 @@ fn fold_loop_allocations(
         );
     }
     let dedup = demands.into_scratch();
+    let paged = dram.operand_buffers()[0].is_paged();
     let _ = dram.finish_into(pool);
-    (allocations_on_this_thread() - before, dedup)
+    (allocations_on_this_thread() - before, paged, dedup)
 }
 
 #[test]
 fn fold_loop_is_allocation_free_after_warmup() {
     let spec = |kb: u64| OperandBufferSpec::from_kb(kb, 1);
     let shape = GemmShape::new(96, 64, 80);
-    let map = GemmAddressMap::from_shape(shape, RegionOffsets::default());
-    // WS exercises the spill path (real flushes of deferred installs); OS
-    // exercises pure deferral. Both must be allocation-free once warm.
-    for df in [Dataflow::OutputStationary, Dataflow::WeightStationary] {
-        let dims = shape.project(df);
+    let gemm = GemmAddressMap::from_shape(shape, RegionOffsets::default());
+    // An IS convolution whose IFMAP working set fragments past the span
+    // limit: its buffer turns paged every time the layer runs.
+    let conv = ConvLayerBuilder::new("is")
+        .ifmap(12, 12)
+        .filter(3, 3)
+        .channels(8)
+        .num_filters(6)
+        .stride(1)
+        .build()
+        .unwrap();
+    let conv_map = ConvAddressMap::new(&conv, RegionOffsets::default());
+    let small = |bytes| OperandBufferSpec {
+        size_bytes: bytes,
+        word_bytes: 1,
+    };
+    // WS exercises the spill path (real flushes of deferred installs) and,
+    // its 8-wide k-slices cutting every 64-element A row, the paged form;
+    // OS exercises pure deferral and keeps the span form; the IS
+    // convolution is paged too. All must be allocation-free once warm.
+    let gemm_specs = (spec(4), spec(4), spec(2));
+    let cases: [(_, &dyn scalesim_memory::AddressMap, _, _, _); 3] = [
+        (
+            shape.project(Dataflow::OutputStationary),
+            &gemm,
+            8,
+            gemm_specs,
+            false,
+        ),
+        (
+            shape.project(Dataflow::WeightStationary),
+            &gemm,
+            8,
+            gemm_specs,
+            true,
+        ),
+        (
+            conv.shape().project(Dataflow::InputStationary),
+            &conv_map,
+            4,
+            (small(300), small(512), small(48)),
+            true,
+        ),
+    ];
+    for (dims, map, side, specs, promotes) in cases {
         let mut pool = BufferPool::new();
         let mut demand = FoldDemandRuns::default();
         let mut dedup = (IntervalSet::new(), AddrRuns::new());
-        let specs = (spec(4), spec(4), spec(2));
+        let array = ArrayShape::square(side);
         // Two warm-up passes: scratch buffers cycle through the LIFO pool
         // and reach their high-water marks.
         for _ in 0..2 {
-            let (_, back) = fold_loop_allocations(
-                &dims,
-                ArrayShape::square(8),
-                &map,
-                specs,
-                &mut pool,
-                &mut demand,
-                dedup,
-            );
+            let (_, _, back) =
+                fold_loop_allocations(&dims, array, map, specs, &mut pool, &mut demand, dedup);
             dedup = back;
         }
-        let (allocs, back) = fold_loop_allocations(
-            &dims,
-            ArrayShape::square(8),
-            &map,
-            specs,
-            &mut pool,
-            &mut demand,
-            dedup,
+        let (allocs, paged, _) =
+            fold_loop_allocations(&dims, array, map, specs, &mut pool, &mut demand, dedup);
+        assert_eq!(paged, promotes, "{dims:?}");
+        assert_eq!(
+            allocs, 0,
+            "{dims:?}: warm fold loop must not touch the heap"
         );
-        dedup = back;
-        let _ = dedup;
-        assert_eq!(allocs, 0, "{df:?}: warm fold loop must not touch the heap");
     }
 }
 
@@ -793,7 +1121,7 @@ fn cold_os_fold_loop_allocation_is_bounded_by_fold_rows_not_folds() {
     let dims = shape.project(Dataflow::OutputStationary);
     let map = GemmAddressMap::from_shape(shape, RegionOffsets::default());
     let before = allocated_bytes_on_this_thread();
-    let _ = fold_loop_allocations(
+    let (_, paged, _) = fold_loop_allocations(
         &dims,
         ArrayShape::square(8),
         &map,
@@ -803,6 +1131,7 @@ fn cold_os_fold_loop_allocation_is_bounded_by_fold_rows_not_folds() {
         (IntervalSet::new(), AddrRuns::new()),
     );
     let bytes = allocated_bytes_on_this_thread() - before;
+    assert!(!paged);
     assert!(
         bytes < 1 << 20,
         "{bytes} bytes allocated by a cold OS layer"
