@@ -36,7 +36,7 @@ pub fn aspect_ratio_shapes(mac_budget: u64, min_dim: u64) -> Vec<ArrayShape> {
         "MAC budget and minimum dimension must be powers of two"
     );
     assert!(
-        mac_budget >= min_dim * min_dim,
+        mac_budget / min_dim >= min_dim,
         "budget {mac_budget} cannot fit a {min_dim}x{min_dim} array"
     );
     let mut shapes = Vec::new();
@@ -133,6 +133,12 @@ mod tests {
     #[should_panic(expected = "cannot fit")]
     fn budget_below_min_dim_squared_panics() {
         let _ = aspect_ratio_shapes(32, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot fit")]
+    fn a_min_dim_whose_square_overflows_cannot_fit() {
+        let _ = aspect_ratio_shapes(1 << 10, 1 << 32);
     }
 
     #[test]

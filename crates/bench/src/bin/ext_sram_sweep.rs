@@ -33,8 +33,9 @@ fn sweep(layer: &Layer) {
     println!();
 }
 
-/// One-pass LRU reuse analysis of the IFMAP demand stream: the theoretical
-/// floor against which the FIFO double-buffer numbers above compare.
+/// One-pass LRU reuse analysis of the IFMAP demand stream: LRU's miss
+/// curve beside the FIFO double-buffer numbers above, not a floor under
+/// them (`ReuseProfile`'s docs show FIFO missing less).
 fn reuse_curve(layer: &Layer) {
     println!(
         "# Reuse-distance (LRU) miss curve for {}'s IFMAP stream",

@@ -519,6 +519,31 @@ fn a_grid_whose_partition_count_overflows_is_an_error_not_a_panic() {
     assert!(!err.contains("panicked"), "stderr: {err}");
 }
 
+/// `min_dim = 2^32` squares past `u64::MAX`, and budget `2^63` at
+/// `min_dim = 1` doubles its partition count past it: both panicked in
+/// `--dry-run` (exit 101) before the plan arithmetic was checked.
+#[test]
+fn plan_axes_that_overflow_a_u64_are_one_line_errors() {
+    let dir = temp_dir("planoverflow");
+    for (i, (axes, key)) in [
+        ("budget = 2^10\nmin_dim = 4294967296\n", "min_dim"),
+        ("budget = 2^63\nmin_dim = 1\n", "budget"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let plan = dir.join(format!("p{i}.plan"));
+        fs::write(&plan, format!("workload = TF1\n{axes}")).unwrap();
+        let out = scale_sim(&["sweep", "--plan", plan.to_str().unwrap(), "--dry-run"]);
+        assert_eq!(out.status.code(), Some(1));
+        let err = String::from_utf8(out.stderr).unwrap();
+        let errors: Vec<&str> = err.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "stderr: {err}");
+        assert!(errors[0].contains(key), "stderr: {err}");
+        assert!(!err.contains("panicked"), "stderr: {err}");
+    }
+}
+
 /// A word of 2^62 bytes makes every DRAM byte count overflow a u64: the
 /// report used to say `0 DRAM bytes` (the products wrapped) and exit 0.
 #[test]

@@ -1,18 +1,21 @@
-//! Panic-safe execution primitives shared by the sweep engine, the
-//! explore pipeline and the server worker pool.
+//! Panic-safe execution primitives under the one worker pool
+//! ([`crate::pool`]), which runs the sweep engine's, the explore
+//! pipeline's and the server's simulations.
 //!
 //! A simulator bug that panics must never take the host down with it —
 //! and, worse, must never *hang* it: before this module existed, a
 //! panicking sweep worker simply never filled its completion slot and the
-//! in-order emitter waited forever. Every simulation task now runs inside
-//! [`run_caught`], which converts a panic into a typed [`SimError`] that
-//! the caller can poison completion slots with, surface over HTTP, or
-//! print — while every other worker keeps running or exits cleanly.
+//! in-order emitter waited forever. Every simulation task now runs under
+//! the [`Executor`]'s `catch_unwind`, which converts a panic into a typed
+//! [`SimError`] that the caller can poison completion slots with, surface
+//! over HTTP, or print — while every other worker keeps running or exits
+//! cleanly.
 //!
 //! [`FaultPlan`] is the deterministic fault-injection hook used by tests
 //! at every level (core sweep, explore, server engine): it matches jobs
-//! by workload name and delays or panics their simulation, exercising the
-//! recovery paths without real overload or real bugs.
+//! by workload name and delays or panics their simulation at every task
+//! a pool batch runs, exercising the recovery paths without real overload
+//! or real bugs.
 //!
 //! # The executor
 //!
@@ -27,33 +30,13 @@
 //! layer costs vary by orders of magnitude with fold count, so whole-point
 //! scheduling lets one unlucky worker set the tail latency of the whole
 //! sweep; layer tasks let idle workers take over the remainder of an
-//! expensive block. Every task runs under [`run_caught`]; the first panic
-//! aborts the run and is returned as the typed [`SimError`].
-//!
-//! Why blocks and not one shared cursor, which is simpler still: against
-//! the per-worker deques this replaced, one global cursor measured
-//! `explore_gemm_100k` `pass_s` 0.627 → 0.721 (0 of 6 pairs won) and
-//! `cpu_s_per_pass` ×1.19 — more work, not more waiting: neighbouring
-//! points share layers (`auto` sits next to its fixed dataflow) and two
-//! workers then simulate one layer at once, the layer cache having no
-//! single-flight. Blocks keep neighbours on one worker. Why the two
-//! directions: in a sweep session worker 0 is the thread that emits rows
-//! in order, so walking its block from the first index lets it stream
-//! rows between its own tasks. A separate emitter thread woken at every
-//! early row measured `pass_s` ×1.057 against a last-index walk (0 of 10
-//! pairs won), so the other blocks keep that walk: their first row is
-//! filled last and the emitter waits for it once. DESIGN.md §3.9 has the
-//! measurements.
-//!
-//! The executor's workers are the threads that simulate:
-//! `Simulator::run_layer` spawns nothing — a partitioned layer's tile
-//! classes run one after the other on the thread that called it — so a
-//! pool of `N` workers means `N` simulating threads, each with one warm
-//! arena.
-//!
-//! Determinism is unaffected by stealing: tasks only *compute* (each
-//! writes its own result slot), and result consumers assemble or emit in
-//! a fixed order — which worker ran a task, and when, is invisible in the
+//! expensive block. Every task runs under `catch_unwind`; a panic aborts
+//! the run and is returned as the typed [`SimError`]. Blocks, not one
+//! shared cursor, keep neighbouring points — which share layers — on one
+//! worker; worker 0, a sweep session's in-order emitter, walks its block
+//! forward so rows stream between its tasks. DESIGN.md §3.9 has the
+//! measurements behind both. Tasks only *compute* and consumers assemble
+//! in a fixed order, so which worker ran a task is invisible in the
 //! output.
 
 use std::fmt;
@@ -61,11 +44,6 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-use scalesim_topology::Topology;
-
-use crate::report::NetworkReport;
-use crate::simulator::Simulator;
 
 /// A simulation task that panicked, caught at the execution boundary and
 /// converted into a value. `task` names what was being simulated (the
@@ -102,22 +80,9 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Runs `f` with panics caught at the boundary: a panic becomes
-/// `Err(`[`SimError`]`)` tagged with `task`, instead of unwinding into
-/// scope joins or thread pools. The default panic hook still prints the
-/// panic to stderr first, so post-mortems keep their backtrace.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if and only if `f` panicked.
-pub fn run_caught<T>(task: &str, f: impl FnOnce() -> T) -> Result<T, SimError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-        .map_err(|panic| SimError::new(task, panic_message(panic.as_ref())))
-}
-
 /// Extracts a human-readable message from a panic payload (`&str` and
 /// `String` payloads; a fixed fallback otherwise).
-pub fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = panic.downcast_ref::<String>() {
@@ -165,12 +130,6 @@ impl FaultPlan {
         self.rules
             .push((workload.into(), FaultAction::Panic(message.into())));
         self
-    }
-
-    /// True when the plan has no rules (the common production case, kept
-    /// cheap to test on hot paths).
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
     }
 
     /// Applies every matching rule for `workload`: sleeps on delay rules,
@@ -267,8 +226,8 @@ impl<T: Clone> Slot<T> {
 ///
 /// `Relaxed` is enough for the cursor: it publishes nothing. What a task
 /// index refers to was written before the workers got the executor
-/// (thread spawn, or the mutex under which a session hands a batch to its
-/// parked workers, orders that), and `fetch_add` alone makes every index
+/// (thread spawn, or the pool's mutex under which a batch is offered to
+/// its helpers, orders that), and `fetch_add` alone makes every index
 /// go to exactly one taker.
 struct Block {
     tasks: Range<usize>,
@@ -295,22 +254,12 @@ impl Block {
 
 /// Per-worker scheduling counters (shared, so the summary can be read
 /// after the scope joins).
+#[derive(Default)]
 struct WorkerStats {
     executed: AtomicU64,
     stolen: AtomicU64,
     busy_nanos: AtomicU64,
     wall_nanos: AtomicU64,
-}
-
-impl WorkerStats {
-    fn new() -> WorkerStats {
-        WorkerStats {
-            executed: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
-            busy_nanos: AtomicU64::new(0),
-            wall_nanos: AtomicU64::new(0),
-        }
-    }
 }
 
 /// Scheduling counters of one executor run: how much work ran, how much
@@ -333,15 +282,15 @@ pub struct ExecSummary {
 /// of the same jobs). Workers call [`Executor::run_worker`] — typically
 /// from a scoped thread each — which loops: take from the own block, else
 /// from the next block that has anything left, and returns once every
-/// block is dry. Each task body runs under `catch_unwind`; the first
-/// panic records a typed [`SimError`], aborts every worker, and is returned
-/// from the panicking worker's `run_worker` so the caller can poison
-/// downstream consumers.
+/// block is dry. Each task body runs under `catch_unwind`; a panic
+/// becomes a typed [`SimError`], aborts every worker, and is returned from
+/// the panicking worker's `run_worker` so the caller can poison downstream
+/// consumers. The default panic hook still prints the panic to stderr
+/// first, so post-mortems keep their backtrace.
 pub struct Executor {
     blocks: Vec<Block>,
     stats: Vec<WorkerStats>,
     abort: AtomicBool,
-    error: Mutex<Option<SimError>>,
 }
 
 impl Executor {
@@ -358,9 +307,8 @@ impl Executor {
                     forward: w == 0,
                 })
                 .collect(),
-            stats: (0..workers).map(|_| WorkerStats::new()).collect(),
+            stats: (0..workers).map(|_| WorkerStats::default()).collect(),
             abort: AtomicBool::new(false),
-            error: Mutex::new(None),
         }
     }
 
@@ -373,16 +321,6 @@ impl Executor {
     /// exit. Used by consumers that fail (e.g. a sink I/O error).
     pub fn abort(&self) {
         self.abort.store(true, Ordering::Relaxed);
-    }
-
-    /// True once a stop was requested (by [`Executor::abort`] or a panic).
-    pub fn aborted(&self) -> bool {
-        self.abort.load(Ordering::Relaxed)
-    }
-
-    /// The first panic's typed error, if any task panicked.
-    pub fn error(&self) -> Option<SimError> {
-        self.error.lock().unwrap().clone()
     }
 
     /// Runs worker `worker`'s schedule loop until the task set is
@@ -432,17 +370,8 @@ impl Executor {
                 .fetch_add(task_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
             stats.executed.fetch_add(1, Ordering::Relaxed);
             if let Err(panic) = run {
-                let err = SimError::new(label(t), panic_message(panic.as_ref()));
-                {
-                    // First panic wins; later ones are casualties of the
-                    // abort and would only obscure the root cause.
-                    let mut first = self.error.lock().unwrap();
-                    if first.is_none() {
-                        *first = Some(err.clone());
-                    }
-                }
                 self.abort.store(true, Ordering::Relaxed);
-                result = Some(err);
+                result = Some(SimError::new(label(t), panic_message(panic.as_ref())));
                 break;
             }
             between();
@@ -502,74 +431,46 @@ impl Executor {
     }
 }
 
-/// Simulates the layers of `topology` in order on the calling thread, each
-/// under [`run_caught`], and assembles the per-layer reports —
-/// byte-identical to [`Simulator::run_topology`], but a panicking layer
-/// (or injected fault) returns a typed [`SimError`] instead of unwinding.
-/// `faults` is applied once per layer, keyed by the topology name; pass an
-/// empty plan outside tests.
-///
-/// # Errors
-///
-/// The first layer's panic, as a [`SimError`].
-pub fn run_topology_guarded(
-    sim: &Simulator,
-    topology: &Topology,
-    faults: &FaultPlan,
-) -> Result<NetworkReport, SimError> {
-    let name = topology.name();
-    // Sized exactly: the report outlives the run in result caches, and
-    // collecting through `Result` would leave the vector room to spare.
-    let mut reports = Vec::with_capacity(topology.len());
-    for layer in topology.iter() {
-        reports.push(run_caught(name, || {
-            faults.apply(name);
-            sim.run_layer(layer)
-        })?);
-    }
-    Ok(NetworkReport::new(name, reports))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn run_caught_passes_values_through() {
-        assert_eq!(run_caught("t", || 41 + 1), Ok(42));
-    }
-
-    #[test]
-    fn run_caught_converts_panics_to_typed_errors() {
-        let err = run_caught("TF0", || panic!("boom {}", 7)).unwrap_err();
-        assert_eq!(err.task, "TF0");
-        assert_eq!(err.message, "boom 7");
-        assert_eq!(err.to_string(), "simulation of `TF0` panicked: boom 7");
-    }
-
-    #[test]
-    fn run_caught_handles_non_string_payloads() {
-        let err = run_caught("t", || std::panic::panic_any(17u32)).unwrap_err();
-        assert_eq!(err.message, "simulation panicked");
+    fn a_panic_becomes_a_typed_error_naming_its_task() {
+        let exec = Executor::new(2, 1);
+        let err = exec.run_worker(0, |t| assert!(t == 0, "boom {t}"), |t| format!("TF{t}"));
+        let err = err.expect("task 1 panicked");
+        assert_eq!(err, SimError::new("TF1", "boom 1"));
+        assert_eq!(err.to_string(), "simulation of `TF1` panicked: boom 1");
+        let exec = Executor::new(1, 1);
+        let err = exec.run_worker(0, |_| std::panic::panic_any(17u32), |_| "t".into());
+        assert_eq!(err.expect("it panicked").message, "simulation panicked");
     }
 
     #[test]
     fn fault_plan_matches_by_workload() {
         let plan = FaultPlan::new().panic("bad", "injected");
-        assert!(!plan.is_empty());
         plan.apply("good"); // no rule -> no effect
-        let err = run_caught("bad", || plan.apply("bad")).unwrap_err();
-        assert_eq!(err.message, "injected");
+        let exec = Executor::new(1, 1);
+        let err = exec.run_worker(0, |_| plan.apply("bad"), |_| "bad".into());
+        assert_eq!(err, Some(SimError::new("bad", "injected")));
     }
 
-    /// Drives `exec` with `workers` scoped threads running `task`.
-    fn drive(exec: &Executor, task: impl Fn(usize) + Sync) {
+    /// Drives `exec` with `workers` scoped threads running `task`; returns
+    /// the errors the workers returned.
+    fn drive(exec: &Executor, task: impl Fn(usize) + Sync) -> Vec<SimError> {
         std::thread::scope(|scope| {
-            for w in 0..exec.workers() {
-                let task = &task;
-                scope.spawn(move || exec.run_worker(w, task, |t| t.to_string()));
-            }
-        });
+            let workers: Vec<_> = (0..exec.workers())
+                .map(|w| {
+                    let task = &task;
+                    scope.spawn(move || exec.run_worker(w, task, |t| t.to_string()))
+                })
+                .collect();
+            workers
+                .into_iter()
+                .filter_map(|w| w.join().unwrap())
+                .collect()
+        })
     }
 
     /// A seeded delay for task `t`: nothing, a yield or a short spin, so
@@ -598,10 +499,11 @@ mod tests {
                 let counts: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
                 let exec = Executor::new(total, workers);
                 assert_eq!(exec.workers(), workers.min(total.max(1)));
-                drive(&exec, |t| {
+                let errors = drive(&exec, |t| {
                     jitter(seed, t);
                     counts[t].fetch_add(1, Ordering::Relaxed);
                 });
+                assert!(errors.is_empty());
                 assert_eq!(
                     run_counts(&counts),
                     vec![1; total],
@@ -610,7 +512,6 @@ mod tests {
                 let summary = exec.summary();
                 assert_eq!(summary.tasks, total as u64);
                 assert_eq!(summary.worker_busy.len(), exec.workers());
-                assert!(exec.error().is_none());
             }
         }
     }
@@ -658,7 +559,7 @@ mod tests {
                 let counts: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
                 let exec = Executor::new(total, workers);
                 // `drive` returning is every worker having stopped.
-                drive(&exec, |t| {
+                let errors = drive(&exec, |t| {
                     jitter(seed + workers as u64, t);
                     counts[t].fetch_add(1, Ordering::Relaxed);
                     if t == fatal {
@@ -672,13 +573,10 @@ mod tests {
                 assert!(ran.iter().all(|&n| n <= 1), "a task ran twice");
                 assert_eq!(ran[fatal], 1);
                 assert_eq!(exec.summary().tasks, ran.iter().sum::<u64>());
-                assert!(exec.aborted());
+                let want = SimError::new(fatal.to_string(), format!("task {fatal} exploded"));
                 assert_eq!(
-                    exec.error(),
-                    panics.then(|| SimError::new(
-                        fatal.to_string(),
-                        format!("task {fatal} exploded")
-                    ))
+                    errors,
+                    panics.then_some(want).into_iter().collect::<Vec<_>>()
                 );
             }
         }
@@ -720,16 +618,13 @@ mod tests {
         let total = 100;
         let executed = AtomicU64::new(0);
         let exec = Executor::new(total, 4);
-        drive(&exec, |t| {
+        let errors = drive(&exec, |t| {
             executed.fetch_add(1, Ordering::Relaxed);
             if t == 17 {
                 panic!("task 17 exploded");
             }
         });
-        let err = exec.error().expect("panic must be recorded");
-        assert_eq!(err.task, "17");
-        assert_eq!(err.message, "task 17 exploded");
-        assert!(exec.aborted());
+        assert_eq!(errors, [SimError::new("17", "task 17 exploded")]);
         // The abort is prompt: at least the panicking task ran, but the
         // run did not insist on finishing everything.
         assert!(executed.load(Ordering::Relaxed) >= 1);
@@ -739,9 +634,8 @@ mod tests {
     fn external_abort_stops_workers() {
         let exec = Executor::new(1000, 2);
         exec.abort();
-        drive(&exec, |_| {});
+        assert!(drive(&exec, |_| {}).is_empty());
         assert_eq!(exec.summary().tasks, 0);
-        assert!(exec.error().is_none());
     }
 
     #[test]
@@ -833,26 +727,5 @@ mod tests {
                 assert_ne!(filled.contains(&i), poisoned.contains(&i));
             }
         }
-    }
-
-    #[test]
-    fn guarded_topology_run_matches_run_topology() {
-        use scalesim_topology::networks;
-        let sim = Simulator::new(crate::config::SimConfig::default());
-        let topology = networks::alexnet();
-        let direct = sim.run_topology(&topology);
-        let guarded = run_topology_guarded(&sim, &topology, &FaultPlan::new()).unwrap();
-        assert_eq!(direct.to_csv(), guarded.to_csv());
-    }
-
-    #[test]
-    fn guarded_topology_run_surfaces_injected_panics() {
-        use scalesim_topology::networks;
-        let sim = Simulator::new(crate::config::SimConfig::default());
-        let topology = networks::alexnet();
-        let faults = FaultPlan::new().panic("alexnet", "guarded fault");
-        let err = run_topology_guarded(&sim, &topology, &faults).unwrap_err();
-        assert_eq!(err.task, "alexnet");
-        assert_eq!(err.message, "guarded fault");
     }
 }

@@ -63,6 +63,7 @@ pub mod exec;
 pub mod explore;
 pub mod layer_cache;
 pub mod pipeline;
+pub mod pool;
 mod report;
 mod simulator;
 pub mod sweep;

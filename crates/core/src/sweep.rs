@@ -6,12 +6,12 @@
 //! product of array budgets, aspect ratios, partition grids and workloads.
 //! [`SweepPlan`] names such a product, and [`SweepEngine`] evaluates it
 //!
-//! * **in parallel** — the calling thread and up to `--jobs N` − 1 scoped
-//!   helper threads per run take (point, layer) tasks from a
-//!   block-scheduled [`Executor`]; they are the only threads that simulate
-//!   (a partitioned layer's tiles run on the worker that took the layer),
-//!   and a caller with several batches of points — the explore pipeline —
-//!   keeps the helpers for all of them;
+//! * **in parallel** — the calling thread and up to `--jobs N` − 1 helper
+//!   threads of a [`WorkerPool`] per run take the (point, layer) tasks of
+//!   a [`Batch`]; they are the only threads that simulate (a partitioned
+//!   layer's tiles run on the worker that took the layer), and a caller
+//!   with several batches of points — the explore pipeline — keeps the
+//!   helpers for all of them;
 //! * **deduplicated** — every point is content-addressed by the same
 //!   canonical job text the `scalesim-server` cache uses
 //!   ([`canonical_job_text`]), so duplicate points of a plan are simulated
@@ -26,11 +26,12 @@
 //! API) is now a thin wrapper over this engine, and [`sweet_spot`] still
 //! answers the paper's "intersection of runtime and bandwidth curves".
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -42,7 +43,8 @@ use scalesim_topology::{networks, topology_to_csv, Dataflow, Layer, Topology};
 
 use crate::cache::ContentKey;
 use crate::config::{parse_config, SimConfig};
-use crate::exec::{ExecSummary, Executor, FaultPlan, SimError, Slot};
+use crate::exec::{ExecSummary, FaultPlan, SimError};
+use crate::pool::{Batch, BatchJob, WorkerPool};
 use crate::report::{LayerReport, NetworkReport};
 use crate::simulator::Simulator;
 
@@ -417,7 +419,9 @@ impl SweepPlan {
     /// candidate generator behind [`SweepPlan::expand`], `sweep --dry-run`
     /// and explore stage 0.
     fn budget_combos(&self, budget: u64) -> Result<Vec<(PartitionGrid, ArrayShape)>, SweepError> {
-        let floor = self.min_dim * self.min_dim;
+        let floor = self.min_dim.checked_mul(self.min_dim).ok_or_else(|| {
+            SweepError::plan(format!("min_dim {} squared passes u64::MAX", self.min_dim))
+        })?;
         if !budget.is_power_of_two() || budget < floor {
             return Err(SweepError::plan(format!(
                 "budget {budget} must be a power of two of at least {floor} MACs"
@@ -430,7 +434,11 @@ impl SweepPlan {
                 while budget / p >= floor {
                     let (gr, gc) = squareish(p);
                     grids.push(PartitionGrid::new(gr, gc));
-                    p *= 2;
+                    p = p.checked_mul(2).ok_or_else(|| {
+                        SweepError::plan(format!(
+                            "budget {budget} splits into more partition counts than a u64 holds"
+                        ))
+                    })?;
                 }
                 grids
             }
@@ -1072,30 +1080,6 @@ struct PreparedPoint {
     distinct: usize,
 }
 
-/// One distinct simulation job (several points may share it).
-struct DistinctJob {
-    config: SimConfig,
-    grid: PartitionGrid,
-    auto: bool,
-    workload: usize,
-}
-
-/// Mutable per-job state shared by that job's layer tasks: the filled
-/// layer reports, the count of tasks still owed, the first-task start
-/// instant (point latency runs from the first layer start to assembly) and
-/// the finished latency.
-struct JobState {
-    layers: Mutex<Vec<Option<LayerReport>>>,
-    remaining: AtomicUsize,
-    started: Mutex<Option<Instant>>,
-    latency_micros: AtomicU64,
-}
-
-/// A job's completion slot: the simulated report, or — when a simulation
-/// panics — the error every still-empty slot is filled with, so the
-/// in-order emitter always wakes with a definite answer instead of hanging.
-type JobSlot = Slot<Result<Arc<NetworkReport>, SimError>>;
-
 /// The parallel sweep executor: per run, the calling thread and a set of
 /// scoped helper threads. It keeps no results between runs; a rerun is
 /// answered layer by layer by the process-wide [`crate::layer_cache`],
@@ -1300,22 +1284,15 @@ impl SweepEngine {
     /// that runs one batch of points in it (the contract of
     /// [`SweepEngine::run_points`], batch by batch).
     ///
-    /// What the batches share is set up once: the plan's canonical
-    /// topology texts, label index and layer lists, and up to `jobs − 1`
-    /// helper threads. The calling thread is worker 0 of every batch's
-    /// [`Executor`] and its in-order emitter: between its own (job, layer)
-    /// tasks it streams every row whose slot is filled, and once its share
-    /// is done it waits for the rest in order. So `jobs = 1` simulates on
-    /// the caller alone. Helpers start with the first batch that has work
-    /// for them, park on a condition variable between batches and exit
-    /// when `body` returns, so every simulating thread's thread-local
-    /// [`crate::arena::SimArena`] stays warm for the whole session: the
-    /// hundreds of 8-point batches of an exploration cost their
-    /// simulations, not thread start-up.
-    ///
-    /// A panicking simulation fails its batch with [`SweepError::Sim`]:
-    /// the first panic wins, every unfilled slot is poisoned and the
-    /// emitter never hangs.
+    /// The plan's canonical topology texts and label index are prepared
+    /// once, and a [`WorkerPool`] of up to `jobs − 1` helpers, started with
+    /// the first batch that has work for them, serves every batch, so each
+    /// simulating thread's [`crate::arena::SimArena`] stays warm for the
+    /// whole session. The calling thread is worker 0 of every batch and its
+    /// in-order emitter: between its own tasks it streams every row whose
+    /// slot is filled, then waits for the rest in order. So `jobs = 1`
+    /// simulates on the caller alone. A panicking simulation fails its
+    /// batch with [`SweepError::Sim`]; the emitter never hangs.
     pub(crate) fn session<R>(
         &self,
         plan: &SweepPlan,
@@ -1323,39 +1300,42 @@ impl SweepEngine {
         body: impl FnOnce(&mut RunBatch<'_>) -> Result<R, SweepError>,
     ) -> Result<R, SweepError> {
         let session = Session::new(self, plan, jobs);
-        let pool = WorkerPool::default();
+        let pool = WorkerPool::new(Arc::default(), Arc::default());
         std::thread::scope(|scope| {
-            // Dropped when `body` returns or unwinds: parked helpers must
-            // wake up and exit, or the scope would never join.
-            let _stop = StopOnDrop(&pool);
+            // Dropped when `body` returns or unwinds: waiting helpers must
+            // exit, or the scope would never join.
+            let _close = CloseOnDrop(&pool);
             let mut helpers = 0;
             body(&mut |points, sink| {
-                let (batch, prepared) = Batch::prepare(&session, points)?;
-                self.cache_hits.add(batch.cache_hits);
+                let (batch, prepared) = session.prepare(points)?;
+                let cache_hits = (prepared.len() - batch.jobs.len()) as u64;
+                self.cache_hits.add(cache_hits);
                 sink.begin(plan, prepared.len())?;
                 let batch = Arc::new(batch);
-                let mut emitter = Emitter::new(&batch, prepared);
-                // An executor has more than one worker only with more than
-                // one task.
-                let helped = batch.exec.workers() > 1;
-                if helped {
-                    pool.start(&batch);
-                    while helpers + 1 < batch.exec.workers() {
-                        helpers += 1;
-                        let (pool, worker) = (&pool, helpers);
-                        scope.spawn(move || pool.worker_loop(worker));
-                    }
+                let mut emitter = Emitter::new(&session, &batch, prepared, cache_hits);
+                pool.share(&batch);
+                while helpers + 1 < batch.exec.workers() {
+                    helpers += 1;
+                    let (pool, helper) = (&pool, helpers);
+                    scope.spawn(move || pool.help(helper));
                 }
                 batch.run_worker(0, || emitter.drain(sink, false));
                 let emitted = emitter.finish(sink);
-                if helped {
-                    // After an emit error the executor is aborted: the
-                    // helpers finish the task in hand and report in.
-                    pool.wait_idle();
-                }
+                // After an emit error the batch is aborted: the helpers
+                // finish the task in hand and report in.
+                pool.retire(&batch);
+                self.simulations
+                    .add(batch.simulated.load(Ordering::Relaxed) as u64);
                 let results = emitted?;
                 sink.end()?;
-                Ok(batch.outcome(results))
+                Ok(SweepOutcome {
+                    plan_name: plan.name.clone(),
+                    results,
+                    simulations: batch.jobs.len() as u64,
+                    cache_hits,
+                    point_latencies_micros: batch.latencies_micros(),
+                    exec: batch.exec.summary(),
+                })
             })
         })
     }
@@ -1374,7 +1354,6 @@ struct Session<'a> {
     /// Canonical topology text per workload, for content keys.
     csvs: Vec<String>,
     workload_index: HashMap<&'a str, usize>,
-    layer_lists: Vec<Vec<&'a Layer>>,
     faults: FaultPlan,
 }
 
@@ -1390,45 +1369,22 @@ impl<'a> Session<'a> {
                 .map(|w| topology_to_csv(&w.topology))
                 .collect(),
             workload_index: plan.workload_index(),
-            layer_lists: plan
-                .workloads
-                .iter()
-                .map(|w| w.topology.iter().collect())
-                .collect(),
             faults: engine.faults.lock().unwrap().clone(),
         }
     }
-}
 
-/// One batch of points in flight: its distinct jobs, their (job, layer)
-/// tasks, the executor scheduling those and the slots the emitter reads.
-/// Shared between the session's calling thread and its helpers.
-struct Batch<'a> {
-    session: &'a Session<'a>,
-    distinct: Vec<DistinctJob>,
-    /// (index into `distinct`, layer).
-    tasks: Vec<(usize, usize)>,
-    /// One per distinct job.
-    states: Vec<JobState>,
-    /// One per distinct job.
-    slots: Vec<JobSlot>,
-    cache_hits: u64,
-    sims_done: AtomicUsize,
-    exec: Executor,
-}
-
-impl<'a> Batch<'a> {
-    /// Deduplicates `points` into distinct jobs by content key and lays out
-    /// one task per (distinct job, layer).
+    /// Deduplicates `points` into distinct jobs by content key: the batch
+    /// of their (job, layer) tasks, and each point with its job.
     fn prepare(
-        session: &'a Session<'a>,
+        &self,
         points: Vec<PointSpec>,
     ) -> Result<(Batch<'a>, Vec<PreparedPoint>), SweepError> {
+        let plan = self.plan;
         let mut distinct_of_key: HashMap<u128, usize> = HashMap::new();
-        let mut distinct: Vec<DistinctJob> = Vec::new();
+        let mut jobs: Vec<BatchJob<'a>> = Vec::new();
         let mut prepared: Vec<PreparedPoint> = Vec::with_capacity(points.len());
         for spec in points {
-            let workload = *session
+            let workload = *self
                 .workload_index
                 .get(spec.workload.as_str())
                 .ok_or_else(|| {
@@ -1437,151 +1393,30 @@ impl<'a> Batch<'a> {
                         spec.workload
                     ))
                 })?;
-            let config = spec.config(&session.plan.base);
+            let config = spec.config(&plan.base);
             let auto = spec.dataflow == DataflowChoice::Auto;
             let text = canonical_job_text(
                 &config,
                 &spec.workload,
                 spec.grid,
-                &session.csvs[workload],
+                &self.csvs[workload],
                 auto,
             );
             let key = ContentKey::from_content(text.as_bytes()).0;
-            let slot = *distinct_of_key.entry(key).or_insert_with(|| {
-                distinct.push(DistinctJob {
-                    config,
-                    grid: spec.grid,
-                    auto,
-                    workload,
+            let distinct = *distinct_of_key.entry(key).or_insert_with(|| {
+                let mut sim = Simulator::new(config).with_grid(spec.grid);
+                if auto {
+                    sim = sim.with_auto_dataflow();
+                }
+                jobs.push(BatchJob {
+                    sim,
+                    topology: Cow::Borrowed(&plan.workloads[workload].topology),
                 });
-                distinct.len() - 1
+                jobs.len() - 1
             });
-            prepared.push(PreparedPoint {
-                spec,
-                distinct: slot,
-            });
+            prepared.push(PreparedPoint { spec, distinct });
         }
-
-        // One task per (job, layer): layer costs vary by orders of
-        // magnitude with fold count, so layer-granularity tasks plus
-        // stealing keep the pool balanced where whole-point
-        // scheduling lets one unlucky worker set the tail latency.
-        let mut tasks: Vec<(usize, usize)> = Vec::new();
-        let mut states: Vec<JobState> = Vec::with_capacity(distinct.len());
-        for (j, job) in distinct.iter().enumerate() {
-            let layers = session.layer_lists[job.workload].len();
-            // An empty topology still gets one task, so its slot is
-            // filled by the same assembly path as everything else.
-            let job_tasks = layers.max(1);
-            tasks.extend((0..job_tasks).map(|layer| (j, layer)));
-            states.push(JobState {
-                layers: Mutex::new(vec![None; layers]),
-                remaining: AtomicUsize::new(job_tasks),
-                started: Mutex::new(None),
-                latency_micros: AtomicU64::new(0),
-            });
-        }
-        let batch = Batch {
-            session,
-            cache_hits: (prepared.len() - distinct.len()) as u64,
-            exec: Executor::new(tasks.len(), session.jobs),
-            slots: distinct.iter().map(|_| Slot::new()).collect(),
-            distinct,
-            tasks,
-            states,
-            sims_done: AtomicUsize::new(0),
-        };
-        Ok((batch, prepared))
-    }
-
-    /// Simulates task `t`: one layer of one job. The task that retires a
-    /// job's last layer assembles the report and fills the job's slot.
-    fn run_task(&self, t: usize) {
-        let session = self.session;
-        let (job_index, layer_index) = self.tasks[t];
-        let job = &self.distinct[job_index];
-        let workload = &session.plan.workloads[job.workload];
-        let state = &self.states[job_index];
-        state
-            .started
-            .lock()
-            .unwrap()
-            .get_or_insert_with(Instant::now);
-        session.faults.apply(workload.topology.name());
-        if let Some(layer) = session.layer_lists[job.workload].get(layer_index) {
-            let mut sim = Simulator::new(job.config).with_grid(job.grid);
-            if job.auto {
-                sim = sim.with_auto_dataflow();
-            }
-            let report = sim.run_layer(layer);
-            state.layers.lock().unwrap()[layer_index] = Some(report);
-        }
-        if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last task of the job: assemble the layer reports in layer
-            // order — exactly what `run_topology` produces, so the result
-            // is byte-identical to a serial run no matter which workers
-            // simulated which layers.
-            let layers = std::mem::take(&mut *state.layers.lock().unwrap())
-                .into_iter()
-                .map(|r| r.expect("every layer task stored its report"))
-                .collect();
-            let report = Arc::new(NetworkReport::new(workload.topology.name(), layers));
-            let elapsed = state
-                .started
-                .lock()
-                .unwrap()
-                .expect("assembly follows the first task")
-                .elapsed();
-            state
-                .latency_micros
-                .store(elapsed.as_micros() as u64, Ordering::Relaxed);
-            session.engine.simulations.inc();
-            self.sims_done.fetch_add(1, Ordering::Relaxed);
-            self.slots[job_index].fill(Ok(report));
-        }
-    }
-
-    /// Worker `worker`'s share of the batch, calling `between` after each
-    /// of its tasks. A panic must fail the sweep, not hang it: it fills
-    /// every still-empty slot with the typed error (a filled slot keeps its
-    /// report), so the emitter wakes with it.
-    fn run_worker(&self, worker: usize, between: impl FnMut()) {
-        let label = |t: usize| {
-            let workload = self.distinct[self.tasks[t].0].workload;
-            self.session.plan.workloads[workload]
-                .topology
-                .name()
-                .to_owned()
-        };
-        if let Some(err) =
-            self.exec
-                .run_worker_between(worker, |t| self.run_task(t), label, between)
-        {
-            for slot in &self.slots {
-                slot.fill(Err(err.clone()));
-            }
-        }
-    }
-
-    /// The batch's outcome, once its workers have reported in.
-    fn outcome(&self, results: Vec<SweepResult>) -> SweepOutcome {
-        let exec = if self.tasks.is_empty() {
-            ExecSummary::default()
-        } else {
-            self.exec.summary()
-        };
-        SweepOutcome {
-            plan_name: self.session.plan.name.clone(),
-            results,
-            simulations: self.distinct.len() as u64,
-            cache_hits: self.cache_hits,
-            point_latencies_micros: self
-                .states
-                .iter()
-                .map(|s| s.latency_micros.load(Ordering::Relaxed))
-                .collect(),
-            exec,
-        }
+        Ok((Batch::new(jobs, self.jobs, self.faults.clone()), prepared))
     }
 }
 
@@ -1589,8 +1424,9 @@ impl<'a> Batch<'a> {
 /// streams each point to the sink in the order given once its slot is
 /// filled — between the caller's own tasks ([`Emitter::drain`]), then
 /// waiting for the rest ([`Emitter::finish`]). The first poisoned slot or
-/// sink error aborts the executor and fails the batch.
+/// sink error aborts the batch and fails it.
 struct Emitter<'b, 'a> {
+    session: &'b Session<'a>,
     batch: &'b Batch<'a>,
     points: std::iter::Peekable<std::vec::IntoIter<PreparedPoint>>,
     results: Vec<SweepResult>,
@@ -1600,19 +1436,24 @@ struct Emitter<'b, 'a> {
 }
 
 impl<'b, 'a> Emitter<'b, 'a> {
-    fn new(batch: &'b Batch<'a>, prepared: Vec<PreparedPoint>) -> Emitter<'b, 'a> {
-        let session = batch.session;
+    fn new(
+        session: &'b Session<'a>,
+        batch: &'b Batch<'a>,
+        prepared: Vec<PreparedPoint>,
+        cache_hits: u64,
+    ) -> Emitter<'b, 'a> {
         Emitter {
             ticker: session.engine.progress.then(|| {
                 ProgressTicker::new(
                     &format!("sweep {}", session.plan.name),
                     prepared.len(),
-                    batch.distinct.len(),
-                    batch.cache_hits,
+                    batch.jobs.len(),
+                    cache_hits,
                 )
             }),
             results: Vec::with_capacity(prepared.len()),
             points: prepared.into_iter().peekable(),
+            session,
             batch,
             failed: None,
         }
@@ -1632,7 +1473,7 @@ impl<'b, 'a> Emitter<'b, 'a> {
     /// the progress heartbeat ticks.
     fn drain(&mut self, sink: &mut dyn SweepSink, wait: bool) {
         let batch = self.batch;
-        let sims_done = || batch.sims_done.load(Ordering::Relaxed);
+        let simulated = || batch.simulated.load(Ordering::Relaxed);
         while self.failed.is_none() {
             let Some(distinct) = self.points.peek().map(|point| point.distinct) else {
                 return;
@@ -1643,7 +1484,7 @@ impl<'b, 'a> Emitter<'b, 'a> {
                     Some(state) => state,
                     None => {
                         if let Some(ticker) = ticker {
-                            ticker.heartbeat(sims_done());
+                            ticker.heartbeat(simulated());
                         }
                         return;
                     }
@@ -1653,7 +1494,7 @@ impl<'b, 'a> Emitter<'b, 'a> {
                 (Some(ticker), true) => loop {
                     match slot.wait(Some(Instant::now() + ProgressTicker::INTERVAL)) {
                         Some(state) => break state,
-                        None => ticker.heartbeat(sims_done()),
+                        None => ticker.heartbeat(simulated()),
                     }
                 },
                 (None, true) => slot.wait(None).expect("an unbounded wait returns a value"),
@@ -1665,9 +1506,9 @@ impl<'b, 'a> Emitter<'b, 'a> {
             });
             match emitted {
                 Ok(report) => {
-                    batch.session.engine.points_total.inc();
+                    self.session.engine.points_total.inc();
                     if let Some(ticker) = self.ticker.as_mut() {
-                        ticker.tick(sims_done());
+                        ticker.tick(simulated());
                     }
                     self.results.push(SweepResult {
                         spec: point.spec,
@@ -1683,105 +1524,13 @@ impl<'b, 'a> Emitter<'b, 'a> {
     }
 }
 
-/// A session's helper threads and the batch they are working on. Helpers
-/// park on `wake` between batches; the session's thread parks on `idle`
-/// until the helpers that claimed the batch it handed over have all
-/// reported in.
-#[derive(Default)]
-struct WorkerPool<'a> {
-    state: Mutex<PoolState<'a>>,
-    wake: Condvar,
-    idle: Condvar,
-}
+/// Ends a session's helpers when dropped, returning or unwinding: they
+/// finish a batch still in flight and exit, so the scope can join.
+struct CloseOnDrop<'p, 'a>(&'p WorkerPool<'a>);
 
-#[derive(Default)]
-struct PoolState<'a> {
-    batch: Option<Arc<Batch<'a>>>,
-    /// Bumped with every batch handed over, so a helper can tell a new
-    /// batch from the one it has just finished.
-    generation: u64,
-    /// Helpers that claimed the current batch and have not reported in.
-    running: usize,
-    stop: bool,
-}
-
-impl<'a> WorkerPool<'a> {
-    /// Offers `batch` to the helpers `1..batch.exec.workers()`.
-    fn start(&self, batch: &Arc<Batch<'a>>) {
-        let mut state = self.state.lock().unwrap();
-        state.batch = Some(Arc::clone(batch));
-        state.generation += 1;
-        self.wake.notify_all();
-    }
-
-    /// Blocks until every helper that claimed the current batch has
-    /// returned from its schedule loop, then withdraws the batch: a helper
-    /// that has not woken up by then never claims it. By then every row is
-    /// emitted or the batch has failed, so nothing is left for it to do.
-    fn wait_idle(&self) {
-        let mut state = self.state.lock().unwrap();
-        while state.running > 0 {
-            state = self.idle.wait(state).unwrap();
-        }
-        state.batch = None;
-    }
-
-    /// Helper `worker`'s thread: takes its share of every batch that has
-    /// one for it and is still on offer, until the session ends.
-    fn worker_loop(&self, worker: usize) {
-        let _span = scalesim_telemetry::trace::span_with("sweep.worker", || {
-            vec![("worker", worker.to_string())]
-        });
-        let mut seen = 0;
-        loop {
-            let batch = {
-                let mut state = self.state.lock().unwrap();
-                loop {
-                    if state.stop {
-                        return;
-                    }
-                    if state.generation != seen {
-                        seen = state.generation;
-                        match &state.batch {
-                            Some(batch) if worker < batch.exec.workers() => {
-                                let batch = Arc::clone(batch);
-                                state.running += 1;
-                                break batch;
-                            }
-                            _ => {}
-                        }
-                    }
-                    state = self.wake.wait(state).unwrap();
-                }
-            };
-            batch.run_worker(worker, || {});
-            drop(batch);
-            let mut state = self.state.lock().unwrap();
-            state.running -= 1;
-            if state.running == 0 {
-                self.idle.notify_all();
-            }
-        }
-    }
-}
-
-/// Ends a session's workers when dropped: aborts the batch in flight, if
-/// the session is unwinding out of one, and wakes every parked worker.
-struct StopOnDrop<'p, 'a>(&'p WorkerPool<'a>);
-
-impl Drop for StopOnDrop<'_, '_> {
+impl Drop for CloseOnDrop<'_, '_> {
     fn drop(&mut self) {
-        // A poisoned lock means a worker panicked outside any task, which
-        // `worker_loop` has no code to do; stop the rest regardless.
-        let mut state = match self.0.state.lock() {
-            Ok(state) => state,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(batch) = &state.batch {
-            batch.exec.abort();
-        }
-        state.stop = true;
-        self.0.wake.notify_all();
+        self.0.close();
     }
 }
 
@@ -1827,7 +1576,7 @@ pub fn run_partition_sweep(
         "budget and min_dim must be powers of two"
     );
     assert!(
-        mac_budget >= min_dim * min_dim,
+        mac_budget / min_dim >= min_dim,
         "budget {mac_budget} cannot fit a {min_dim}x{min_dim} array"
     );
     let plan = SweepPlan {
@@ -2139,6 +1888,32 @@ mod tests {
             err.to_string(),
             "big.plan:3: grid `9223372036854775809x2` has more partitions than a u64 counts"
         );
+    }
+
+    #[test]
+    fn plan_axes_that_overflow_a_u64_are_plan_errors() {
+        // `min_dim * min_dim` and the doubling partition count used to
+        // overflow: a panic in debug, a division by zero in release.
+        for (axes, want) in [
+            (
+                "budget = 2^10\nmin_dim = 4294967296\n",
+                "min_dim 4294967296 squared passes u64::MAX",
+            ),
+            (
+                "budget = 2^63\nmin_dim = 1\n",
+                "budget 9223372036854775808 splits into more partition counts than a u64 holds",
+            ),
+        ] {
+            let plan = SweepPlan::parse(&format!("workload = TF1\n{axes}")).unwrap();
+            match plan.points() {
+                Err(SweepError::Plan(msg)) => assert_eq!(msg, want),
+                Err(other) => panic!("{axes}: not a plan error: {other}"),
+                Ok(_) => panic!("{axes}: accepted"),
+            }
+        }
+        // The largest budget whose partition counts all fit still expands.
+        let plan = SweepPlan::parse("workload = TF1\nbudget = 2^63\nmin_dim = 2\n").unwrap();
+        assert_eq!(plan.points().unwrap().len(), 62);
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! The execution engine: a worker pool over the simulator with
-//! single-flight deduplication and a content-addressed result cache.
+//! The execution engine: the server's front over core's one worker pool
+//! ([`scalesim::pool`]), with single-flight deduplication and a
+//! content-addressed result cache.
 //!
-//! Every job resolves to a [`JobKey`] before touching the simulator. The
-//! engine then guarantees that, among any set of concurrently submitted
-//! jobs with equal keys, **exactly one** simulation runs: the first caller
-//! becomes the *leader* and enqueues work for the pool, later callers
-//! become *joiners* that block on the leader's completion slot. Finished
-//! results land in a sharded LRU cache, so repeats after completion are
-//! pure cache hits.
+//! Every job resolves to a [`JobKey`] before touching the simulator. Among
+//! concurrently submitted jobs with equal keys **exactly one** simulation
+//! runs: the first caller becomes the *leader* and submits its job to the
+//! pool as a one-job batch, whose layers the `--workers` helpers
+//! (`sim-worker-{i}`) share out; later callers *join*, waiting on the
+//! leader's slot. The worker that finishes the last layer caches the
+//! result and fills the slot, so repeats after completion are cache hits.
 //!
 //! Stats semantics: `cache_hits` counts both LRU hits and single-flight
 //! joins — every request that was served without running a simulation.
@@ -17,10 +18,10 @@
 //!
 //! # Overload and shutdown policy
 //!
-//! The leader queue is **bounded** ([`EngineOptions::queue_depth`]). A
-//! leader that would grow it past the bound is *shed* with
-//! [`JobError::Overloaded`] (carrying a back-off hint derived from recent
-//! simulation times) instead of queueing without limit. Submission
+//! The pool's queue is **bounded** ([`EngineOptions::queue_depth`] leaders
+//! waiting for a worker). A leader that would grow it past the bound is
+//! *shed* with [`JobError::Overloaded`] (carrying a back-off hint derived
+//! from recent simulation times) instead of queueing without limit. Submission
 //! ([`Engine::submit`]) never blocks; the one blocking point is
 //! [`Ticket::wait`], which takes a deadline: when it expires before the
 //! result is ready the caller gets [`JobError::DeadlineExpired`] while the
@@ -30,20 +31,20 @@
 //! workers are exiting, so no caller can block forever on a slot that will
 //! never be filled.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 #[cfg(test)]
 use std::time::Duration;
 use std::time::Instant;
 
 use scalesim::cache::ShardedLru;
 use scalesim::exec::Slot;
+use scalesim::pool::{Batch, BatchJob, JobOutcome, Refused, WorkerPool};
 use scalesim::{ExploreEngine, NetworkReport, Simulator};
 
-// The fault-injection hook lives with the panic-safe executor in core, so
-// the sweep engine, the explore pipeline and this worker pool share one
-// injection point; re-exported here to keep the server API unchanged.
+// Core's one fault-injection hook, re-exported for the server's API.
 pub use scalesim::exec::FaultPlan;
 use scalesim_telemetry::{log, Counter, FlightRecorder, Gauge, Histogram, Registry};
 
@@ -257,7 +258,7 @@ pub struct Stats {
     pub in_flight: Arc<Gauge>,
     /// Total simulation wall time in microseconds (fresh runs only).
     pub total_sim_micros: Arc<Counter>,
-    /// Leader queue wait (enqueue to worker pickup), seconds.
+    /// Leader queue wait (submission to its first layer's start), seconds.
     pub queue_wait: Arc<Histogram>,
     /// Simulation wall time (fresh runs only), seconds.
     pub sim_duration: Arc<Histogram>,
@@ -270,7 +271,7 @@ pub struct Stats {
     /// Requests whose deadline expired before the result was ready
     /// (`scalesim_jobs_deadline_expired_total`).
     pub deadline_expired: Arc<Counter>,
-    /// Leaders currently waiting in the bounded queue
+    /// Leaders currently waiting for a worker in the bounded queue
     /// (`scalesim_queue_depth`).
     pub queue_depth: Arc<Gauge>,
 }
@@ -311,7 +312,7 @@ impl Stats {
             ),
             queue_wait: registry.histogram(
                 "scalesim_queue_wait_seconds",
-                "Leader queue wait from enqueue to worker pickup.",
+                "Leader queue wait from submission to its first layer's start.",
                 &Histogram::duration_buckets(),
             ),
             sim_duration: registry.histogram(
@@ -387,7 +388,7 @@ struct Flight {
 /// historical behavior everywhere a knob is not set explicitly.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
-    /// Simulator worker threads (minimum 1).
+    /// Simulating threads of the engine's pool (minimum 1).
     pub workers: usize,
     /// Result-cache capacity in entries.
     pub cache_capacity: usize,
@@ -406,26 +407,13 @@ impl Default for EngineOptions {
     }
 }
 
-/// Default bound on the leader queue: deep enough that well-behaved
-/// workloads (batch manifests, sweeps) never notice it, shallow enough
-/// that an overload burst is shed in bounded memory and bounded latency.
+/// Default bound on the leaders waiting for a worker: deep enough that
+/// well-behaved workloads (batch manifests, sweeps) never notice it, and
+/// shallow enough to shed an overload burst in bounded memory and latency.
 pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 
-/// A queued leader job: the normalized work plus its completion slot, the
-/// enqueue instant (for the queue-wait histogram) and the leader's request
-/// context (for the flight recorder).
-struct QueuedJob {
-    job: NormalizedJob,
-    key: JobKey,
-    slot: Arc<Flight>,
-    enqueued: Instant,
-    route: &'static str,
-    request_id: String,
-}
-
 struct Shared {
-    queue: Mutex<VecDeque<QueuedJob>>,
-    queue_cv: Condvar,
+    pool: Arc<WorkerPool<'static>>,
     inflight: Mutex<HashMap<u128, Arc<Flight>>>,
     cache: ShardedLru<Arc<SimResult>>,
     registry: Arc<Registry>,
@@ -440,22 +428,20 @@ struct Shared {
 }
 
 impl Shared {
-    /// Appends one record to the flight recorder (bounded; oldest out).
-    #[allow(clippy::too_many_arguments)]
+    /// Appends one record to the flight recorder (bounded; oldest out);
+    /// `micros` is the job's (queue wait, simulation time).
     fn record_job(
         &self,
         key: &JobKey,
-        route: &'static str,
-        request_id: &str,
+        ctx: JobContext<'_>,
         outcome: &'static str,
-        queue_wait_micros: u64,
-        sim_micros: u64,
+        (queue_wait_micros, sim_micros): (u64, u64),
         worker: &str,
     ) {
         self.recorder.record(JobRecord {
             key: key.to_string(),
-            route,
-            request_id: request_id.to_owned(),
+            route: ctx.route,
+            request_id: ctx.request_id.to_owned(),
             outcome,
             queue_wait_micros,
             sim_micros,
@@ -478,16 +464,18 @@ impl Shared {
 /// The simulation engine: worker pool + cache + single-flight table.
 ///
 /// Cloning is cheap (an `Arc`); drop of the last handle created by
-/// [`Engine::new`] does *not* stop workers — call [`Engine::shutdown`].
+/// [`Engine::new`] does *not* stop the pool's workers — call
+/// [`Engine::shutdown`].
 #[derive(Clone)]
 pub struct Engine {
     shared: Arc<Shared>,
 }
 
 impl Engine {
-    /// Spawns `workers` simulator threads and a cache of `cache_capacity`
-    /// results, with the default queue bound. Worker threads are detached;
-    /// they exit on [`Engine::shutdown`].
+    /// Starts a pool of `workers` simulating threads and a cache of
+    /// `cache_capacity` results, with the default queue bound. The threads
+    /// are detached; they exit once [`Engine::shutdown`] has drained the
+    /// pool.
     pub fn new(workers: usize, cache_capacity: usize) -> Engine {
         Engine::with_options(EngineOptions {
             workers,
@@ -519,9 +507,13 @@ impl Engine {
             "scalesim_cache_resident_entries",
             "Results currently held by the LRU cache.",
         );
+        let pool = Arc::new(WorkerPool::new(
+            Arc::clone(&stats.queue_depth),
+            Arc::clone(&stats.in_flight),
+        ));
+        pool.spawn(workers, "sim-worker");
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
+            pool,
             inflight: Mutex::new(HashMap::new()),
             cache: ShardedLru::new(cache_capacity, workers.next_power_of_two().min(16))
                 .with_metrics(evictions, resident),
@@ -535,13 +527,6 @@ impl Engine {
             recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             started: Instant::now(),
         });
-        for i in 0..workers {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("sim-worker-{i}"))
-                .spawn(move || worker_loop(shared))
-                .expect("spawn simulation worker");
-        }
         Engine { shared }
     }
 
@@ -600,7 +585,7 @@ impl Engine {
 
     /// Hands a job to the engine without waiting for it: probes the cache,
     /// joins an identical in-flight simulation or becomes its leader and
-    /// queues it, subject to admission control. Never blocks;
+    /// submits it to the pool, subject to admission control. Never blocks;
     /// [`Ticket::wait`] collects the result. A caller with many jobs goes
     /// through [`Engine::run_all`], which submits several before it waits
     /// for the first, from its own thread.
@@ -623,9 +608,8 @@ impl Engine {
         let shared = &*self.shared;
         let key = normalized.key();
         let stats = &shared.stats;
-        let record = |outcome, sim_micros| {
-            shared.record_job(&key, ctx.route, ctx.request_id, outcome, 0, sim_micros, "")
-        };
+        let record =
+            |outcome, sim_micros| shared.record_job(&key, ctx, outcome, (0, sim_micros), "");
         let hit = |result: Arc<SimResult>| {
             stats.lru_hits.inc();
             stats.completed.inc();
@@ -637,8 +621,8 @@ impl Engine {
                 state: TicketState::Hit(result),
             }
         };
-        // Fail fast on a stopped pool: enqueueing here would park the
-        // caller on a slot no worker will ever fill.
+        // Fail fast on a stopped engine (the pool refuses too, under its
+        // lock, if the shutdown races this submission).
         if shared.shutdown.load(Ordering::SeqCst) {
             record("shutdown", 0);
             return Err(JobError::ShuttingDown);
@@ -669,43 +653,43 @@ impl Engine {
         };
 
         if leader {
-            let mut queue = shared.queue.lock().unwrap();
-            // Admission control, decided under the queue lock so the bound
-            // and the shutdown flag are race-free with workers exiting.
-            if shared.shutdown.load(Ordering::SeqCst) {
-                drop(queue);
-                record("shutdown", 0);
-                return Err(self.abandon_leader(&key, &slot, JobError::ShuttingDown));
+            let mut sim = Simulator::new(normalized.config).with_grid(normalized.grid);
+            if normalized.auto_dataflow {
+                sim = sim.with_auto_dataflow();
             }
-            if queue.len() >= shared.queue_depth {
-                let retry_after_ms = self.retry_after_hint_ms(queue.len());
-                drop(queue);
-                stats.shed.inc();
-                log::info(
-                    "engine.job_shed",
-                    &[
-                        ("key", &key.to_string()),
-                        ("retry_after_ms", &retry_after_ms.to_string()),
-                    ],
-                );
-                record("shed", 0);
-                return Err(self.abandon_leader(
-                    &key,
-                    &slot,
-                    JobError::Overloaded { retry_after_ms },
-                ));
+            let job = BatchJob {
+                sim,
+                topology: Cow::Owned(normalized.topology),
+            };
+            let faults = shared.faults.lock().unwrap().clone();
+            let batch = Batch::new(vec![job], shared.workers, faults)
+                .on_done(self.finish_leader(key, &slot, ctx));
+            // Admission control is the pool's, decided under its lock, so
+            // the bound and the shutdown are race-free with its workers.
+            match shared.pool.submit(Arc::new(batch), shared.queue_depth) {
+                Ok(()) => {}
+                Err(Refused::Closed) => {
+                    record("shutdown", 0);
+                    return Err(self.abandon_leader(&key, &slot, JobError::ShuttingDown));
+                }
+                Err(Refused::Full(waiting)) => {
+                    let retry_after_ms = self.retry_after_hint_ms(waiting);
+                    stats.shed.inc();
+                    log::info(
+                        "engine.job_shed",
+                        &[
+                            ("key", &key.to_string()),
+                            ("retry_after_ms", &retry_after_ms.to_string()),
+                        ],
+                    );
+                    record("shed", 0);
+                    return Err(self.abandon_leader(
+                        &key,
+                        &slot,
+                        JobError::Overloaded { retry_after_ms },
+                    ));
+                }
             }
-            queue.push_back(QueuedJob {
-                job: normalized,
-                key,
-                slot: Arc::clone(&slot),
-                enqueued: Instant::now(),
-                route: ctx.route,
-                request_id: ctx.request_id.to_owned(),
-            });
-            stats.queue_depth.set(queue.len() as i64);
-            drop(queue);
-            shared.queue_cv.notify_one();
         } else {
             slot.joiners.fetch_add(1, Ordering::Relaxed);
             stats.joins.inc();
@@ -766,18 +750,19 @@ impl Engine {
         }
     }
 
-    /// Signals workers to exit once the queue drains. Idempotent. After
-    /// this, new submissions fail fast with [`JobError::ShuttingDown`];
-    /// already-queued leaders (and their joiners) still complete.
+    /// Closes the pool: its workers exit once what it holds is done.
+    /// Idempotent. After this, new submissions fail fast with
+    /// [`JobError::ShuttingDown`]; already-queued leaders (and their
+    /// joiners) still complete.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        self.shared.pool.close();
     }
 
     /// True once nothing is queued and nothing is being simulated. Used by
     /// the HTTP layer's graceful drain to decide when shutdown is complete.
     pub fn is_idle(&self) -> bool {
-        self.shared.queue.lock().unwrap().is_empty() && self.shared.stats.in_flight.get() <= 0
+        self.shared.pool.is_idle()
     }
 
     /// Installs a [`FaultPlan`] (test hook). Replaces any previous plan;
@@ -800,13 +785,72 @@ impl Engine {
         self.shared.dump_recorder(why);
     }
 
-    /// Drops a leader slot that was never enqueued: the inflight entry is
+    /// Drops a leader slot that was never submitted: the inflight entry is
     /// removed first (so a later identical request elects a fresh leader),
     /// then any joiners that raced in are released with the same error.
     fn abandon_leader(&self, key: &JobKey, slot: &Flight, err: JobError) -> JobError {
         self.shared.inflight.lock().unwrap().remove(&key.0);
         slot.result.fill(Err(err.clone()));
         err
+    }
+
+    /// The callback of a leader's batch, run by the worker that finishes
+    /// the job: files the outcome in the stats and the flight recorder,
+    /// caches a result *before* it leaves the single-flight table — so a
+    /// racing `submit` that misses the table finds it in the cache — and
+    /// wakes the leader and its joiners.
+    fn finish_leader(
+        &self,
+        key: JobKey,
+        flight: &Arc<Flight>,
+        ctx: JobContext<'_>,
+    ) -> impl Fn(&JobOutcome, Instant) + Send + Sync + 'static {
+        let shared = Arc::clone(&self.shared);
+        let flight = Arc::clone(flight);
+        let (route, request_id) = (ctx.route, ctx.request_id.to_owned());
+        let submitted = Instant::now();
+        move |outcome: &JobOutcome, started: Instant| {
+            let queue_wait = started.saturating_duration_since(submitted);
+            let sim_wall = started.elapsed();
+            let sim_wall_micros = sim_wall.as_micros() as u64;
+            shared.stats.queue_wait.observe_duration(queue_wait);
+            let ctx = JobContext {
+                route,
+                request_id: &request_id,
+            };
+            let micros = (queue_wait.as_micros() as u64, sim_wall_micros);
+            let worker = std::thread::current();
+            let worker = worker.name().unwrap_or("sim-worker");
+            let record = |outcome| shared.record_job(&key, ctx, outcome, micros, worker);
+            let outcome = match outcome {
+                Ok(report) => {
+                    shared.stats.simulations.inc();
+                    shared.stats.total_sim_micros.add(sim_wall_micros);
+                    shared.stats.sim_duration.observe_duration(sim_wall);
+                    record("fresh");
+                    let result = Arc::new(SimResult {
+                        key,
+                        report: Arc::clone(report),
+                        sim_wall_micros,
+                    });
+                    shared.cache.insert(key.0, Arc::clone(&result));
+                    Ok(result)
+                }
+                Err(err) => {
+                    record("failed");
+                    // A panicking simulation is exactly the post-mortem the
+                    // recorder exists for: preserve it on stderr at once.
+                    shared.dump_recorder("worker panic");
+                    Err(JobError::Internal(err.to_string()))
+                }
+            };
+            shared.inflight.lock().unwrap().remove(&key.0);
+            shared
+                .stats
+                .joiners_per_key
+                .observe(flight.joiners.load(Ordering::Relaxed) as f64);
+            flight.result.fill(outcome);
+        }
     }
 
     /// Back-off hint for shed jobs: roughly how long until a queue slot
@@ -864,9 +908,8 @@ impl Ticket<'_> {
             TicketState::Pending { slot, leader } => (slot, leader),
         };
         let stats = &shared.stats;
-        let record = |outcome, sim_micros| {
-            shared.record_job(&key, ctx.route, ctx.request_id, outcome, 0, sim_micros, "")
-        };
+        let record =
+            |outcome, sim_micros| shared.record_job(&key, ctx, outcome, (0, sim_micros), "");
         let Some(outcome) = slot.result.wait(deadline) else {
             stats.deadline_expired.inc();
             record("deadline", 0);
@@ -890,101 +933,6 @@ impl Ticket<'_> {
             Served::Joined
         };
         outcome.map(|result| (result, served))
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>) {
-    loop {
-        let QueuedJob {
-            job,
-            key,
-            slot,
-            enqueued,
-            route,
-            request_id,
-        } = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if let Some(item) = queue.pop_front() {
-                    shared.stats.queue_depth.set(queue.len() as i64);
-                    break item;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = shared.queue_cv.wait(queue).unwrap();
-            }
-        };
-
-        let queue_wait = enqueued.elapsed();
-        let queue_wait_micros = queue_wait.as_micros() as u64;
-        shared.stats.queue_wait.observe_duration(queue_wait);
-        shared.stats.in_flight.add(1);
-        let faults = shared.faults.lock().unwrap().clone();
-        let started = Instant::now();
-        let mut sim = Simulator::new(job.config).with_grid(job.grid);
-        if job.auto_dataflow {
-            sim = sim.with_auto_dataflow();
-        }
-        // Panics (including injected faults) are caught at every layer
-        // boundary, so a simulator bug in one layer surfaces as a typed
-        // error instead of unwinding the worker.
-        let run = scalesim::exec::run_topology_guarded(&sim, &job.topology, &faults);
-        let sim_wall = started.elapsed();
-        let sim_wall_micros = sim_wall.as_micros() as u64;
-        let worker = std::thread::current();
-        let worker = worker.name().unwrap_or("sim-worker");
-
-        let outcome = match run {
-            Ok(report) => {
-                shared.stats.simulations.inc();
-                shared.stats.total_sim_micros.add(sim_wall_micros);
-                shared.stats.sim_duration.observe_duration(sim_wall);
-                shared.record_job(
-                    &key,
-                    route,
-                    &request_id,
-                    "fresh",
-                    queue_wait_micros,
-                    sim_wall_micros,
-                    worker,
-                );
-                Ok(Arc::new(SimResult {
-                    key,
-                    report: Arc::new(report),
-                    sim_wall_micros,
-                }))
-            }
-            Err(err) => {
-                shared.record_job(
-                    &key,
-                    route,
-                    &request_id,
-                    "failed",
-                    queue_wait_micros,
-                    sim_wall_micros,
-                    worker,
-                );
-                // A panicking simulation is exactly the post-mortem the
-                // recorder exists for: preserve it on stderr immediately.
-                shared.dump_recorder("worker panic");
-                Err(JobError::Internal(err.to_string()))
-            }
-        };
-
-        // Order matters: publish to the cache *before* removing the inflight
-        // entry, so a racing `run()` that misses the inflight table is
-        // guaranteed to find the result in the cache.
-        if let Ok(result) = &outcome {
-            shared.cache.insert(key.0, Arc::clone(result));
-        }
-        shared.inflight.lock().unwrap().remove(&key.0);
-        shared.stats.in_flight.sub(1);
-        shared
-            .stats
-            .joiners_per_key
-            .observe(slot.joiners.load(Ordering::Relaxed) as f64);
-        slot.result.fill(outcome);
     }
 }
 

@@ -40,9 +40,9 @@
 //! Every request either completes, is shed with a typed error, or times
 //! out — never blocks forever:
 //!
-//! * **Admission control** — the engine's leader queue is bounded; a job
-//!   that would overflow it is shed with HTTP 503 plus a `Retry-After`
-//!   header (seconds, derived from recent simulation times).
+//! * **Admission control** — the engine's queue of leaders waiting for a
+//!   worker is bounded; a job that would overflow it is shed with HTTP 503
+//!   plus a `Retry-After` header (seconds, from recent simulation times).
 //! * **Deadlines** — `/simulate` and `/sweep` honor an
 //!   `X-Scalesim-Deadline-Ms` request header (capped wait, HTTP 504 on
 //!   expiry) and apply [`ServerOptions::default_deadline`] when the client

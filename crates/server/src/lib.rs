@@ -13,9 +13,10 @@
 //!   simulator's canonical serializers, so equivalent requests — reordered
 //!   config keys, `ws` vs `weight_stationary`, reformatted CSV — collapse
 //!   to one content-addressed [`JobKey`].
-//! * **Engine** ([`engine`]) — a worker pool with *single-flight*
-//!   deduplication (concurrent identical jobs run one simulation; the rest
-//!   join it) in front of a sharded LRU result cache ([`ShardedLru`]).
+//! * **Engine** ([`engine`]) — *single-flight* deduplication (concurrent
+//!   identical jobs run one simulation; the rest join it) and a sharded LRU
+//!   result cache ([`ShardedLru`]) in front of core's one worker pool,
+//!   whose `--workers` threads share out the layers of every job.
 //! * **Front ends** — an HTTP/1.1 service ([`http`]; `POST /simulate`,
 //!   `POST /sweep`, `POST /explore`, `GET /stats`, `GET /metrics`,
 //!   `GET /healthz`) and a manifest-driven batch runner ([`batch`]) that
@@ -40,19 +41,11 @@
 //!   are histograms; cache occupancy and evictions come from the LRU
 //!   itself. Structured logs (access lines, job failures) are gated by the
 //!   `SCALESIM_LOG` environment variable.
-//! * **Overload & shutdown policy** — the engine queue is bounded
-//!   ([`EngineOptions::queue_depth`]): jobs that would overflow it are
-//!   shed with [`JobError::Overloaded`] (HTTP 503 + `Retry-After`), never
-//!   queued without limit. Requests carry deadlines (the
-//!   `X-Scalesim-Deadline-Ms` header or
-//!   [`http::ServerOptions::default_deadline`]; HTTP 504 on expiry, with
-//!   the in-flight result still cached for the next caller). `scale-sim
-//!   serve` installs `SIGINT`/`SIGTERM` handlers ([`signals`]) and drains
-//!   gracefully: `/healthz` flips to `draining`, new jobs shed with
-//!   [`JobError::ShuttingDown`], in-flight work gets a bounded grace
-//!   period. The engine has a test-only fault-injection hook
-//!   ([`FaultPlan`]) so every failure path is exercised without real
-//!   overload.
+//! * **Overload & shutdown policy** — a bounded queue, deadlines and a
+//!   graceful drain on `SIGINT`/`SIGTERM` ([`signals`]): the engine's
+//!   module docs state it, [`http`]'s give the HTTP mapping (503 +
+//!   `Retry-After`, 504). A test-only fault-injection hook ([`FaultPlan`])
+//!   exercises every failure path without real overload.
 //!
 //! Everything is built on `std` networking and threads plus a hand-rolled
 //! JSON module ([`json`]) — matching the repo-wide policy of no heavyweight

@@ -432,3 +432,24 @@ fn inline_topology_round_trips_over_http() {
     assert_eq!(layers[0].get("name").and_then(Json::as_str), Some("L1"));
     handle.stop();
 }
+
+/// Plans whose axes overflow a u64 — `min_dim` squared, or the partition
+/// count doubled past budget `2^63` — panicked the connection handler,
+/// which closed the connection unanswered. Both routes answer 400.
+#[test]
+fn plan_axes_that_overflow_a_u64_are_bad_requests() {
+    let handle = start_server(1);
+    for (axes, key) in [
+        (r#""budgets": [1024], "min_dim": 4294967296"#, "min_dim"),
+        (r#""budgets": ["2^63"], "min_dim": 1"#, "budget"),
+    ] {
+        for route in ["/sweep", "/explore"] {
+            let plan = format!(r#"{{"workloads": ["TF1"], {axes}}}"#);
+            let response = request(handle.addr(), "POST", route, Some(&plan)).unwrap();
+            assert_eq!(response.status, 400, "{route}: {}", response.body);
+            assert!(response.body.contains(key), "{route}: {}", response.body);
+        }
+    }
+    assert_eq!(stats_field(&handle, "accepted"), 0);
+    handle.stop();
+}

@@ -1,0 +1,194 @@
+//! Metamorphic relations: checks between two runs of the one simulator
+//! that take different code paths, so no second simulator is needed.
+//!
+//! * *Context-free layers.* A layer's report depends on the layer, the
+//!   configuration and the grid, and on nothing else: run alone, at any
+//!   position of a topology, with the layer cache warm or cleared, in a
+//!   sweep at any `--jobs`, or through the server's engine — whichever
+//!   worker of the one pool took it — its `LayerReport` is the same, each
+//!   `f64` bit for bit.
+//! * *Bandwidth.* Stall cycles are non-increasing in the DRAM bandwidth,
+//!   absent without one, and never below the roofline floor: the compute
+//!   cycles, and the DRAM bytes at the bandwidth.
+
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
+
+use scalesim::sweep::{CsvSink, DataflowChoice, SweepPlan, SweepWorkload};
+use scalesim::{
+    layer_cache, ArrayShape, ConvLayer, Dataflow, Layer, LayerReport, PartitionGrid, PointSpec,
+    SimConfig, Simulator, SweepEngine, Topology,
+};
+use scalesim_server::{Engine, NormalizedJob};
+
+const DATAFLOWS: [Dataflow; 3] = [
+    Dataflow::OutputStationary,
+    Dataflow::WeightStationary,
+    Dataflow::InputStationary,
+];
+
+/// A small convolution or GEMM from drawn dimensions: `kind` 0 is a
+/// GEMM `a × b × c`, otherwise a convolution whose filter and stride are
+/// clamped to fit its IFMAP.
+fn layer(name: &str, kind: u64, a: u64, b: u64, c: u64, f: u64, s: u64) -> Layer {
+    if kind == 0 {
+        Layer::gemm(name, a, b, c)
+    } else {
+        let (h, w) = (a.max(3), b.max(3));
+        let filter = f.min(h).min(w);
+        ConvLayer::new(name, h, w, filter, filter, c.min(6), a.min(12), s)
+            .expect("the filter fits the IFMAP")
+            .into()
+    }
+}
+
+/// A configuration of an `rows × cols` array under `dataflow`, with 1 KB
+/// operand SRAMs that small layers overflow (`tight`) or 512 KB ones
+/// they fit in.
+fn config(rows: u64, cols: u64, dataflow: usize, tight: bool) -> SimConfig {
+    let kb = if tight { 1 } else { 512 };
+    SimConfig::builder()
+        .array(ArrayShape::new(rows, cols))
+        .dataflow(DATAFLOWS[dataflow])
+        .sram_kb(kb, kb, kb)
+        .build()
+}
+
+/// The `f64` fields of a report by their bits.
+fn f64_bits(report: &LayerReport) -> Vec<u64> {
+    let mut bits = vec![
+        report.mapping_utilization.to_bits(),
+        report.compute_utilization.to_bits(),
+        report.energy.mac.to_bits(),
+        report.energy.idle.to_bits(),
+        report.energy.sram.to_bits(),
+        report.energy.dram.to_bits(),
+        report.dram.read_bw.peak().to_bits(),
+        report.dram.read_bw.average().to_bits(),
+        report.dram.write_bw.peak().to_bits(),
+        report.dram.write_bw.average().to_bits(),
+    ];
+    if let Some(stall) = report.stall {
+        bits.extend([stall.bandwidth.to_bits(), stall.bus_utilization.to_bits()]);
+    }
+    bits
+}
+
+/// Fails unless `got` is `want`: every field, and every `f64` by its bits.
+fn same(want: &LayerReport, got: &LayerReport, path: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(f64_bits(want), f64_bits(got), "{}: f64 bits differ", path);
+    prop_assert_eq!(format!("{want:?}"), format!("{got:?}"), "{}", path);
+    Ok(())
+}
+
+/// One engine for every case: a server's pool of two workers.
+fn engine() -> &'static Engine {
+    static ENGINE: OnceLock<Engine> = OnceLock::new();
+    ENGINE.get_or_init(|| Engine::new(2, 16))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn a_layer_s_report_does_not_depend_on_where_it_is_simulated(
+        dims in (0u64..2, 1u64..24, 1u64..24, 1u64..24, 1u64..4, 1u64..3),
+        hardware in (0usize..3, 0usize..3, 0usize..3, 1u64..4, 1u64..4, 0usize..2),
+        others in proptest::collection::vec((0u64..2, 1u64..16, 1u64..16, 1u64..16), 0..3),
+        position in 0usize..4,
+    ) {
+        let (kind, a, b, c, f, s) = dims;
+        let (rows, cols, dataflow, grid_rows, grid_cols, tight) = hardware;
+        let target = layer("target", kind, a, b, c, f, s);
+        let config = config(2 << rows, 2 << cols, dataflow, tight == 0);
+        let grid = PartitionGrid::new(grid_rows, grid_cols);
+        let sim = Simulator::new(config).with_grid(grid);
+
+        layer_cache::clear();
+        let alone = sim.run_layer(&target);
+        same(&alone, &sim.run_layer(&target), "warm layer cache")?;
+        layer_cache::clear();
+        same(&alone, &sim.run_layer(&target), "cleared layer cache")?;
+
+        let mut layers: Vec<Layer> = others
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, a, b, c))| layer(&format!("other{i}"), kind, a, b, c, 2, 1))
+            .collect();
+        let position = position.min(layers.len());
+        layers.insert(position, target);
+        let topology = Topology::from_layers("net", layers);
+        same(&alone, &sim.run_topology(&topology).layers()[position], "in a topology")?;
+
+        let plan = SweepPlan {
+            workloads: vec![SweepWorkload { label: "net".into(), topology: topology.clone() }],
+            base: config,
+            ..SweepPlan::new("context-free")
+        };
+        let point = PointSpec {
+            index: 0,
+            workload: "net".into(),
+            budget: config.array.macs() * grid.count(),
+            grid,
+            array: config.array,
+            dataflow: DataflowChoice::Fixed(config.dataflow),
+        };
+        for jobs in [1, 2, 7] {
+            let outcome = SweepEngine::default()
+                .run_points(&plan, vec![point.clone()], jobs, &mut CsvSink::new(std::io::sink()))
+                .expect("the point simulates");
+            let report = &outcome.results[0].report.layers()[position];
+            same(&alone, report, &format!("a sweep at --jobs {jobs}"))?;
+        }
+
+        let job = NormalizedJob { config, topology, grid, auto_dataflow: false };
+        let (served, _) = engine().run_normalized(job).expect("the job simulates");
+        same(&alone, &served.report.layers()[position], "the server's engine")?;
+    }
+
+    #[test]
+    fn stalls_shrink_with_bandwidth_and_never_beat_the_roofline(
+        dims in (0u64..2, 1u64..32, 1u64..32, 1u64..32, 1u64..4, 1u64..3),
+        hardware in (0usize..3, 0usize..3, 0usize..3, 1u64..4, 1u64..4, 0usize..2),
+        partitioned in 0usize..2,
+        bandwidths in (0usize..8, 0usize..8),
+    ) {
+        let (kind, a, b, c, f, s) = dims;
+        let (rows, cols, dataflow, grid_rows, grid_cols, tight) = hardware;
+        let (narrow, wide) = bandwidths;
+        const BANDWIDTHS: [f64; 8] = [0.5, 1.0, 2.0, 3.0, 8.0, 16.0, 64.0, 1024.0];
+        let target = layer("bw", kind, a, b, c, f, s);
+        let base = config(2 << rows, 2 << cols, dataflow, tight == 0);
+        let grid = if partitioned == 0 {
+            PartitionGrid::monolithic()
+        } else {
+            PartitionGrid::new(grid_rows, grid_cols)
+        };
+        let run = |bandwidth: Option<f64>| {
+            let config = SimConfig { dram_bandwidth: bandwidth, ..base };
+            Simulator::new(config).with_grid(grid).run_layer(&target)
+        };
+
+        let unbounded = run(None);
+        prop_assert!(unbounded.stall.is_none());
+        prop_assert_eq!(unbounded.effective_cycles(), unbounded.total_cycles);
+
+        let (narrow, wide) = (BANDWIDTHS[narrow.min(wide)], BANDWIDTHS[narrow.max(wide)]);
+        let stalled = |report: &LayerReport| report.stall.expect("a bandwidth was set").stalled_cycles;
+        let (slow, fast) = (run(Some(narrow)), run(Some(wide)));
+        prop_assert!(
+            stalled(&slow) >= stalled(&fast),
+            "{} B/cycle: {} cycles, {} B/cycle: {}",
+            narrow, stalled(&slow), wide, stalled(&fast)
+        );
+        for (bandwidth, report) in [(narrow, &slow), (wide, &fast)] {
+            let floor = (report.dram.total_bytes() as f64 / bandwidth).ceil() as u64;
+            prop_assert!(
+                stalled(report) >= report.total_cycles.max(floor),
+                "{} B/cycle on grid {}: {} stalled cycles, {} compute, {} DRAM bytes",
+                bandwidth, grid, stalled(report), report.total_cycles, report.dram.total_bytes()
+            );
+        }
+    }
+}
