@@ -580,7 +580,7 @@ fn run_simulation(args: &Args) -> Result<(), String> {
 
     let mut topology = load_topology(args)?;
     if let Some(batch) = args.batch {
-        topology = networks::batched(&topology, batch);
+        topology = networks::batched(&topology, batch).map_err(|e| e.to_string())?;
     }
     let sim = Simulator::new(config).with_grid(args.grid);
 

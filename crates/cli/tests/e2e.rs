@@ -519,6 +519,23 @@ fn a_grid_whose_partition_count_overflows_is_an_error_not_a_panic() {
     assert!(!err.contains("panicked"), "stderr: {err}");
 }
 
+/// TF0's M = 31,999 times this batch wraps to 15,483 rows: a release
+/// binary reported 1,331,785,728 MACs (batch 1 reports 2,752,425,984) and
+/// exited 0, and a debug one panicked on the multiply.
+#[test]
+fn a_batch_whose_rows_overflow_is_a_one_line_error() {
+    let out = scale_sim(&["--network", "TF0", "--batch", "576478767264901"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    let errors: Vec<&str> = err.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "stderr: {err}");
+    assert!(errors[0].contains("batch 576478767264901"), "stderr: {err}");
+    assert!(errors[0].contains("`TF0`"), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(!text.contains("total:"), "stdout: {text}");
+}
+
 /// `min_dim = 2^32` squares past `u64::MAX`, and budget `2^63` at
 /// `min_dim = 1` doubles its partition count past it: both panicked in
 /// `--dry-run` (exit 101) before the plan arithmetic was checked.

@@ -1,22 +1,21 @@
-//! Content-addressed memoization primitives: a stable 128-bit content
-//! hash and a sharded LRU map keyed by it.
+//! Memoization primitives: a stable 128-bit content hash and a sharded
+//! LRU map over any [`ShardKey`].
 //!
-//! The hash names the process-wide [`layer_cache`](crate::layer_cache)'s
-//! entries, the [`sweep`](crate::sweep) engine's merged duplicate points
-//! and the `scalesim-server` crate's jobs — the server's job keys and the
-//! sweep engine's point keys hash the same canonical job text with the
-//! same function, so the two address one key space. The LRU backs the
-//! layer cache and the server's result cache.
+//! The hash names the `scalesim-server` crate's jobs, and keys that
+//! server's result cache. The process-wide
+//! [`layer_cache`](crate::layer_cache) keys the LRU by the structural
+//! [`LayerKey`](crate::layer_cache::LayerKey) instead, compared by
+//! equality.
 //!
 //! Sharding bounds lock contention under a worker pool: each shard owns an
 //! independent mutex and an independent LRU list, so concurrent lookups
 //! for different keys rarely serialize. Capacity is divided evenly across
 //! shards; eviction is per-shard LRU, which approximates global LRU well
-//! when the hash distributes keys uniformly (FNV on canonical job text
-//! does).
+//! when the shard bits are well mixed.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
 use scalesim_telemetry::{Counter, Gauge};
@@ -51,41 +50,54 @@ impl fmt::Display for ContentKey {
     }
 }
 
+/// A key a [`ShardedLru`] can hold: compared by equality.
+pub trait ShardKey: Copy + Eq + Hash {
+    /// Well-mixed bits that pick the key's shard.
+    fn shard_bits(&self) -> u64;
+}
+
+impl ShardKey for ContentKey {
+    // The low 64 bits of an FNV-128 hash are well mixed.
+    fn shard_bits(&self) -> u64 {
+        self.0 as u64
+    }
+}
+
 /// Slab sentinel: "no node".
 const NIL: usize = usize::MAX;
 
-/// A fixed-capacity sharded LRU map from `u128` content hashes to values.
+/// A fixed-capacity sharded LRU map from keys to values.
 ///
 /// Optionally instrumented via [`ShardedLru::with_metrics`]: an eviction
 /// counter and a resident-entries gauge, updated as entries come and go.
-pub struct ShardedLru<V> {
-    shards: Box<[Mutex<Shard<V>>]>,
+pub struct ShardedLru<K, V> {
+    shards: Box<[Mutex<Shard<K, V>>]>,
     evictions: Option<Arc<Counter>>,
     resident: Option<Arc<Gauge>>,
 }
 
-struct Shard<V> {
+struct Shard<K, V> {
     /// key -> slab slot
-    index: HashMap<u128, usize>,
-    slab: Vec<Node<V>>,
+    index: HashMap<K, usize>,
+    slab: Vec<Node<K, V>>,
     free: Vec<usize>,
     head: usize,
     tail: usize,
     capacity: usize,
 }
 
-struct Node<V> {
-    key: u128,
+struct Node<K, V> {
+    key: K,
     value: V,
     prev: usize,
     next: usize,
 }
 
-impl<V: Clone> ShardedLru<V> {
+impl<K: ShardKey, V: Clone> ShardedLru<K, V> {
     /// Creates a cache holding at most `capacity` entries spread over
     /// `shards` shards (both forced to at least 1; per-shard capacity is
     /// rounded up so total capacity is never below the request).
-    pub fn new(capacity: usize, shards: usize) -> ShardedLru<V> {
+    pub fn new(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         let per_shard = capacity.max(1).div_ceil(shards);
         let shards = (0..shards)
@@ -110,19 +122,18 @@ impl<V: Clone> ShardedLru<V> {
 
     /// Attaches telemetry: `evictions` increments on every LRU eviction,
     /// `resident` tracks the live entry count.
-    pub fn with_metrics(mut self, evictions: Arc<Counter>, resident: Arc<Gauge>) -> ShardedLru<V> {
+    pub fn with_metrics(mut self, evictions: Arc<Counter>, resident: Arc<Gauge>) -> Self {
         self.evictions = Some(evictions);
         self.resident = Some(resident);
         self
     }
 
-    fn shard(&self, key: u128) -> &Mutex<Shard<V>> {
-        // The low 64 bits of an FNV-128 hash are well mixed.
-        &self.shards[(key as u64 % self.shards.len() as u64) as usize]
+    fn shard(&self, key: K) -> &Mutex<Shard<K, V>> {
+        &self.shards[(key.shard_bits() % self.shards.len() as u64) as usize]
     }
 
     /// Looks up `key`, promoting it to most-recently-used on a hit.
-    pub fn get(&self, key: u128) -> Option<V> {
+    pub fn get(&self, key: K) -> Option<V> {
         let mut shard = self.shard(key).lock().unwrap();
         let slot = *shard.index.get(&key)?;
         shard.promote(slot);
@@ -131,7 +142,7 @@ impl<V: Clone> ShardedLru<V> {
 
     /// Inserts `key -> value`, evicting the least-recently-used entry of the
     /// target shard if it is full. Replaces (and promotes) on re-insert.
-    pub fn insert(&self, key: u128, value: V) {
+    pub fn insert(&self, key: K, value: V) {
         let mut shard = self.shard(key).lock().unwrap();
         if let Some(&slot) = shard.index.get(&key) {
             shard.slab[slot].value = value;
@@ -205,7 +216,7 @@ impl<V: Clone> ShardedLru<V> {
     }
 }
 
-impl<V> Shard<V> {
+impl<K: ShardKey, V> Shard<K, V> {
     fn detach(&mut self, slot: usize) {
         let (prev, next) = (self.slab[slot].prev, self.slab[slot].next);
         match prev {
@@ -254,6 +265,12 @@ impl<V> Shard<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ShardKey for u128 {
+        fn shard_bits(&self) -> u64 {
+            *self as u64
+        }
+    }
 
     #[test]
     fn content_key_is_stable_and_discriminating() {

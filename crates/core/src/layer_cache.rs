@@ -10,22 +10,24 @@
 //! the cold path, beneath the server's job LRU (which keys entire jobs, not
 //! sub-problems), and answers a rerun of a whole plan.
 //!
-//! The key is a [`ContentKey`] (FNV-1a/128) over canonical text — the same
-//! machinery the job cache uses, so both tiers address one stable,
-//! process-independent key space. The cached value is an
+//! The key is a [`LayerKey`], exactly the fields `run_layer` reads, so
+//! layers that differ only in their name or their config's region offsets
+//! (layers are simulated at offset zero) share one entry. The value is an
 //! `Arc<LayerReport>`; a hit clones the report and patches the name back
 //! in, so results are bit-identical to a fresh simulation.
 //!
 //! Telemetry: hit/miss counters are recorded by the simulator (see
 //! [`crate::simulator::telemetry_names`]).
 
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::{Arc, OnceLock};
 
 use scalesim_analytical::PartitionGrid;
 use scalesim_energy::EnergyModel;
-use scalesim_topology::Layer;
+use scalesim_systolic::ArrayShape;
+use scalesim_topology::{Dataflow, Layer};
 
-use crate::cache::{ContentKey, ShardedLru};
+use crate::cache::{ShardKey, ShardedLru};
 use crate::config::SimConfig;
 use crate::report::LayerReport;
 
@@ -37,28 +39,55 @@ use crate::report::LayerReport;
 const CAPACITY: usize = 4096;
 const SHARDS: usize = 16;
 
-fn cache() -> &'static ShardedLru<Arc<LayerReport>> {
-    static CACHE: OnceLock<ShardedLru<Arc<LayerReport>>> = OnceLock::new();
+fn cache() -> &'static ShardedLru<LayerKey, Arc<LayerReport>> {
+    static CACHE: OnceLock<ShardedLru<LayerKey, Arc<LayerReport>>> = OnceLock::new();
     CACHE.get_or_init(|| ShardedLru::new(CAPACITY, SHARDS))
 }
 
-/// Computes the canonical sub-problem key for one layer simulation.
-///
-/// Everything [`crate::Simulator::run_layer`] depends on goes into the
-/// text: the layer geometry (without its name), the *effective* config in
-/// its canonical file serialization, the partition grid, and the energy
-/// constants (`f64` Display round-trips exactly, so distinct models never
-/// alias). `config` must be the effective config — dataflow already
-/// resolved — or auto-dataflow runs would collide with fixed ones.
+/// The identity of one layer simulation: everything
+/// [`crate::Simulator::run_layer`] reads, and nothing else. `f64` inputs
+/// are held by their bits, so distinct values never alias.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LayerKey {
+    geometry: Geometry,
+    array: ArrayShape,
+    dataflow: Dataflow,
+    /// IFMAP, filter and OFMAP SRAM sizes in KB.
+    sram_kb: [u64; 3],
+    word_bytes: u64,
+    dram_bandwidth: Option<u64>,
+    /// MAC, idle-PE, SRAM and DRAM energy constants.
+    energy: [u64; 4],
+    grid: PartitionGrid,
+}
+
+/// A layer's shape without its name. A conv and the GEMM it lowers to
+/// stay apart: the conv's IFMAP stream carries real window overlap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Geometry {
+    /// Height, width, filter height and width, channels, filters, strides.
+    Conv([u64; 8]),
+    /// M, K, N.
+    Gemm([u64; 3]),
+}
+
+impl ShardKey for LayerKey {
+    fn shard_bits(&self) -> u64 {
+        BuildHasherDefault::<DefaultHasher>::default().hash_one(self)
+    }
+}
+
+/// The key of one layer simulation. `config` must be the effective config
+/// — dataflow already resolved — or auto-dataflow runs would collide with
+/// fixed ones.
 pub fn key(
     config: &SimConfig,
     grid: PartitionGrid,
     energy: &EnergyModel,
     layer: &Layer,
-) -> ContentKey {
+) -> LayerKey {
     let geometry = match layer {
-        Layer::Conv(c) => format!(
-            "conv:{},{},{},{},{},{},{},{}",
+        Layer::Conv(c) => Geometry::Conv([
             c.ifmap_h(),
             c.ifmap_w(),
             c.filter_h(),
@@ -67,30 +96,33 @@ pub fn key(
             c.num_filters(),
             c.stride_h(),
             c.stride_w(),
-        ),
-        Layer::Gemm { shape, .. } => format!("gemm:{},{},{}", shape.m, shape.k, shape.n),
+        ]),
+        Layer::Gemm { shape, .. } => Geometry::Gemm([shape.m, shape.k, shape.n]),
     };
-    let text = format!(
-        "layer-v1\n{geometry}\ngrid:{}x{}\nenergy:{},{},{},{}\n{}",
-        grid.rows(),
-        grid.cols(),
-        energy.mac,
-        energy.idle_pe,
-        energy.sram,
-        energy.dram,
-        config.to_config_string(),
-    );
-    ContentKey::from_content(text.as_bytes())
+    LayerKey {
+        geometry,
+        array: config.array,
+        dataflow: config.dataflow,
+        sram_kb: [
+            config.ifmap_sram_kb,
+            config.filter_sram_kb,
+            config.ofmap_sram_kb,
+        ],
+        word_bytes: config.word_bytes,
+        dram_bandwidth: config.dram_bandwidth.map(f64::to_bits),
+        energy: [energy.mac, energy.idle_pe, energy.sram, energy.dram].map(f64::to_bits),
+        grid,
+    }
 }
 
 /// Looks up a previously simulated layer result.
-pub fn lookup(key: ContentKey) -> Option<Arc<LayerReport>> {
-    cache().get(key.0)
+pub fn lookup(key: LayerKey) -> Option<Arc<LayerReport>> {
+    cache().get(key)
 }
 
 /// Publishes a freshly simulated layer result.
-pub fn store(key: ContentKey, report: Arc<LayerReport>) {
-    cache().insert(key.0, report);
+pub fn store(key: LayerKey, report: Arc<LayerReport>) {
+    cache().insert(key, report);
 }
 
 /// Drops every memoized layer result. Benchmarks use this to measure the
@@ -163,10 +195,21 @@ mod tests {
 
     #[test]
     fn store_then_lookup_round_trips() {
-        // A synthetic key no real simulation can produce: tests share the
-        // process-global cache, so this test must neither clear it nor
-        // collide with keys other tests simulate.
-        let k = ContentKey::from_content(b"layer-cache-round-trip-test");
+        // A key no other test simulates (negative energy constants): tests
+        // share the process-global cache, so this test must neither clear
+        // it nor collide with keys other tests simulate.
+        let energy = EnergyModel {
+            mac: -1.0,
+            idle_pe: -2.0,
+            sram: -3.0,
+            dram: -4.0,
+        };
+        let k = key(
+            &config(),
+            PartitionGrid::monolithic(),
+            &energy,
+            &Layer::gemm("probe", 3, 5, 7),
+        );
         assert!(lookup(k).is_none());
         let report = Arc::new(LayerReport {
             name: "round_trip_probe".into(),

@@ -12,11 +12,10 @@
 //!   layer's tiles run on the worker that took the layer), and a caller
 //!   with several batches of points — the explore pipeline — keeps the
 //!   helpers for all of them;
-//! * **deduplicated** — every point is content-addressed by the same
-//!   canonical job text the `scalesim-server` cache uses
-//!   ([`canonical_job_text`]), so duplicate points of a plan are simulated
-//!   once; a rerun is answered layer by layer by the process-wide
-//!   [`crate::layer_cache`];
+//! * **deduplicated** — points of one batch with the same workload, grid,
+//!   array and dataflow choice are one simulation, so duplicate points of
+//!   a plan are simulated once; a rerun is answered layer by layer by the
+//!   process-wide [`crate::layer_cache`];
 //! * **deterministically streamed** — results are emitted to a
 //!   [`SweepSink`] in plan order as they complete, regardless of worker
 //!   completion order, so parallel output is byte-identical to a serial
@@ -39,9 +38,8 @@ use serde::{Deserialize, Serialize};
 use scalesim_analytical::{aspect_ratio_shapes, PartitionGrid};
 use scalesim_systolic::ArrayShape;
 use scalesim_telemetry::{Counter, Registry};
-use scalesim_topology::{networks, topology_to_csv, Dataflow, Layer, Topology};
+use scalesim_topology::{networks, Dataflow, Layer, Topology};
 
-use crate::cache::ContentKey;
 use crate::config::{parse_config, SimConfig};
 use crate::exec::{ExecSummary, FaultPlan, SimError};
 use crate::pool::{Batch, BatchJob, WorkerPool};
@@ -71,36 +69,6 @@ pub fn squareish(n: u64) -> (u64, u64) {
     assert!(n.is_power_of_two(), "need a power of two, got {n}");
     let rows = 1u64 << n.trailing_zeros().div_ceil(2);
     (rows, n / rows)
-}
-
-/// The canonical text a simulation job's content key is derived from.
-///
-/// Every semantic field appears via the simulator's own round-tripping
-/// serializers, so any two requests that simulate identically serialize
-/// identically. This is the *shared* key space of the sweep engine's dedup
-/// and the `scalesim-server` result cache — both hash exactly this text.
-///
-/// `auto_dataflow` appends a marker line only when set, keeping keys of
-/// fixed-dataflow jobs stable across versions.
-pub fn canonical_job_text(
-    config: &SimConfig,
-    workload: &str,
-    grid: PartitionGrid,
-    topology_csv: &str,
-    auto_dataflow: bool,
-) -> String {
-    let mut text = format!(
-        "config:\n{}\nworkload: {}\ngrid: {}x{}\ntopology:\n{}",
-        config.to_config_string(),
-        workload,
-        grid.rows(),
-        grid.cols(),
-        topology_csv,
-    );
-    if auto_dataflow {
-        text.push_str("auto_dataflow: true\n");
-    }
-    text
 }
 
 /// The dataflow axis of a sweep: a fixed mapping or per-layer auto
@@ -480,10 +448,10 @@ impl SweepPlan {
     /// Validates the plan and summarizes its candidate space without
     /// simulating anything — the engine behind `scale-sim sweep --dry-run`.
     ///
-    /// The duplicate count is exact: it groups points by the same identity
-    /// the [`SweepEngine`]'s content-addressed dedup uses (workload, grid,
-    /// array, effective dataflow), so `points - distinct_jobs` is the
-    /// number of simulations a run saves.
+    /// The duplicate count is exact: it groups points by the identity the
+    /// [`SweepEngine`]'s dedup uses (workload, grid, array, dataflow
+    /// choice), so `points - distinct_jobs` is the number of simulations a
+    /// run saves.
     ///
     /// # Errors
     ///
@@ -507,14 +475,11 @@ impl SweepPlan {
             .collect();
         let dataflows = iter.dataflows.len();
         let points = iter.len();
-        let mut seen = HashSet::new();
-        for spec in self.points()? {
-            let effective = match spec.dataflow {
-                DataflowChoice::Fixed(df) => (df, false),
-                DataflowChoice::Auto => (self.base.dataflow, true),
-            };
-            seen.insert((spec.workload, spec.grid, spec.array, effective));
-        }
+        let workload_index = self.workload_index();
+        let seen: HashSet<_> = self
+            .points()?
+            .map(|spec| point_identity(workload_index[spec.workload.as_str()], &spec))
+            .collect();
         Ok(PlanSpaceSummary {
             points,
             distinct_jobs: seen.len(),
@@ -524,6 +489,18 @@ impl SweepPlan {
             per_budget,
         })
     }
+}
+
+/// What makes two points of one plan the same simulation, for `spec`
+/// whose workload sits at `workload` in [`SweepPlan::workloads`]: that
+/// index, the grid, the array and the dataflow choice (the rest of the
+/// config is the plan's base). [`SweepPlan::space_summary`] counts these
+/// and a batch dedups by them.
+fn point_identity(
+    workload: usize,
+    spec: &PointSpec,
+) -> (usize, PartitionGrid, ArrayShape, DataflowChoice) {
+    (workload, spec.grid, spec.array, spec.dataflow)
 }
 
 /// A lazy, validating iterator over a plan's design points in plan order.
@@ -682,8 +659,8 @@ pub struct PlanSpaceSummary {
     /// Total cartesian points (workloads × budgets × grids × aspects ×
     /// dataflows).
     pub points: usize,
-    /// Distinct simulation jobs after the engine's content-addressed
-    /// dedup (exact, not an estimate).
+    /// Distinct simulation jobs after the engine's dedup (exact, not an
+    /// estimate).
     pub distinct_jobs: usize,
     /// Workloads on the workload axis.
     pub workloads: usize,
@@ -1284,15 +1261,15 @@ impl SweepEngine {
     /// that runs one batch of points in it (the contract of
     /// [`SweepEngine::run_points`], batch by batch).
     ///
-    /// The plan's canonical topology texts and label index are prepared
-    /// once, and a [`WorkerPool`] of up to `jobs − 1` helpers, started with
-    /// the first batch that has work for them, serves every batch, so each
-    /// simulating thread's [`crate::arena::SimArena`] stays warm for the
-    /// whole session. The calling thread is worker 0 of every batch and its
-    /// in-order emitter: between its own tasks it streams every row whose
-    /// slot is filled, then waits for the rest in order. So `jobs = 1`
-    /// simulates on the caller alone. A panicking simulation fails its
-    /// batch with [`SweepError::Sim`]; the emitter never hangs.
+    /// The plan's label index is prepared once, and a [`WorkerPool`] of up
+    /// to `jobs − 1` helpers, started with the first batch that has work
+    /// for them, serves every batch, so each simulating thread's
+    /// [`crate::arena::SimArena`] stays warm for the whole session. The
+    /// calling thread is worker 0 of every batch and its in-order emitter:
+    /// between its own tasks it streams every row whose slot is filled,
+    /// then waits for the rest in order. So `jobs = 1` simulates on the
+    /// caller alone. A panicking simulation fails its batch with
+    /// [`SweepError::Sim`]; the emitter never hangs.
     pub(crate) fn session<R>(
         &self,
         plan: &SweepPlan,
@@ -1351,8 +1328,6 @@ struct Session<'a> {
     engine: &'a SweepEngine,
     plan: &'a SweepPlan,
     jobs: usize,
-    /// Canonical topology text per workload, for content keys.
-    csvs: Vec<String>,
     workload_index: HashMap<&'a str, usize>,
     faults: FaultPlan,
 }
@@ -1363,24 +1338,19 @@ impl<'a> Session<'a> {
             engine,
             plan,
             jobs: jobs.max(1),
-            csvs: plan
-                .workloads
-                .iter()
-                .map(|w| topology_to_csv(&w.topology))
-                .collect(),
             workload_index: plan.workload_index(),
             faults: engine.faults.lock().unwrap().clone(),
         }
     }
 
-    /// Deduplicates `points` into distinct jobs by content key: the batch
-    /// of their (job, layer) tasks, and each point with its job.
+    /// Deduplicates `points` into distinct jobs by [`point_identity`]: the
+    /// batch of their (job, layer) tasks, and each point with its job.
     fn prepare(
         &self,
         points: Vec<PointSpec>,
     ) -> Result<(Batch<'a>, Vec<PreparedPoint>), SweepError> {
         let plan = self.plan;
-        let mut distinct_of_key: HashMap<u128, usize> = HashMap::new();
+        let mut distinct_of = HashMap::new();
         let mut jobs: Vec<BatchJob<'a>> = Vec::new();
         let mut prepared: Vec<PreparedPoint> = Vec::with_capacity(points.len());
         for spec in points {
@@ -1393,19 +1363,10 @@ impl<'a> Session<'a> {
                         spec.workload
                     ))
                 })?;
-            let config = spec.config(&plan.base);
-            let auto = spec.dataflow == DataflowChoice::Auto;
-            let text = canonical_job_text(
-                &config,
-                &spec.workload,
-                spec.grid,
-                &self.csvs[workload],
-                auto,
-            );
-            let key = ContentKey::from_content(text.as_bytes()).0;
-            let distinct = *distinct_of_key.entry(key).or_insert_with(|| {
-                let mut sim = Simulator::new(config).with_grid(spec.grid);
-                if auto {
+            let identity = point_identity(workload, &spec);
+            let distinct = *distinct_of.entry(identity).or_insert_with(|| {
+                let mut sim = Simulator::new(spec.config(&plan.base)).with_grid(spec.grid);
+                if spec.dataflow == DataflowChoice::Auto {
                     sim = sim.with_auto_dataflow();
                 }
                 jobs.push(BatchJob {
@@ -1985,18 +1946,6 @@ mod tests {
             assert_eq!(group.best.report.total_effective_cycles(), min);
             assert_eq!(spot.spec.budget, group.budget);
         }
-    }
-
-    #[test]
-    fn auto_dataflow_points_key_separately_from_fixed() {
-        // `auto` and the dataflow it happens to select must not collide in
-        // the cache: the canonical text carries an auto marker.
-        let config = SimConfig::default();
-        let fixed = canonical_job_text(&config, "w", PartitionGrid::new(1, 1), "csv", false);
-        let auto = canonical_job_text(&config, "w", PartitionGrid::new(1, 1), "csv", true);
-        assert_ne!(fixed, auto);
-        assert!(auto.ends_with("auto_dataflow: true\n"));
-        assert!(fixed.starts_with("config:\n"));
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! ([`scalesim::pool`]), with single-flight deduplication and a
 //! content-addressed result cache.
 //!
-//! Every job resolves to a [`JobKey`] before touching the simulator. Among
-//! concurrently submitted jobs with equal keys **exactly one** simulation
-//! runs: the first caller becomes the *leader* and submits its job to the
-//! pool as a one-job batch, whose layers the `--workers` helpers
+//! Every job resolves to a [`ContentKey`] before touching the simulator.
+//! Among concurrently submitted jobs with equal keys **exactly one**
+//! simulation runs: the first caller becomes the *leader* and submits its
+//! job to the pool as a one-job batch, whose layers the `--workers` helpers
 //! (`sim-worker-{i}`) share out; later callers *join*, waiting on the
 //! leader's slot. The worker that finishes the last layer caches the
 //! result and fills the slot, so repeats after completion are cache hits.
@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 use std::time::Instant;
 
-use scalesim::cache::ShardedLru;
+use scalesim::cache::{ContentKey, ShardedLru};
 use scalesim::exec::Slot;
 use scalesim::pool::{Batch, BatchJob, JobOutcome, Refused, WorkerPool};
 use scalesim::{ExploreEngine, NetworkReport, Simulator};
@@ -48,7 +48,7 @@ use scalesim::{ExploreEngine, NetworkReport, Simulator};
 pub use scalesim::exec::FaultPlan;
 use scalesim_telemetry::{log, Counter, FlightRecorder, Gauge, Histogram, Registry};
 
-use crate::job::{JobError, JobKey, NormalizedJob, SimJob};
+use crate::job::{JobError, NormalizedJob, SimJob};
 use crate::json::Json;
 
 /// How many recent job records the per-engine flight recorder retains.
@@ -175,7 +175,7 @@ pub type ServedResult = (Arc<SimResult>, Served);
 #[derive(Debug, Clone)]
 pub struct SimResult {
     /// Content-addressed key of the normalized job.
-    pub key: JobKey,
+    pub key: ContentKey,
     /// The simulation report (shared with `/explore` outcomes).
     pub report: Arc<NetworkReport>,
     /// Wall time of the underlying simulation in microseconds (the
@@ -414,8 +414,8 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 
 struct Shared {
     pool: Arc<WorkerPool<'static>>,
-    inflight: Mutex<HashMap<u128, Arc<Flight>>>,
-    cache: ShardedLru<Arc<SimResult>>,
+    inflight: Mutex<HashMap<ContentKey, Arc<Flight>>>,
+    cache: ShardedLru<ContentKey, Arc<SimResult>>,
     registry: Arc<Registry>,
     stats: Stats,
     explorer: OnceLock<ExploreEngine>,
@@ -432,7 +432,7 @@ impl Shared {
     /// `micros` is the job's (queue wait, simulation time).
     fn record_job(
         &self,
-        key: &JobKey,
+        key: &ContentKey,
         ctx: JobContext<'_>,
         outcome: &'static str,
         (queue_wait_micros, sim_micros): (u64, u64),
@@ -629,7 +629,7 @@ impl Engine {
         }
         stats.accepted.inc();
 
-        if let Some(result) = shared.cache.get(key.0) {
+        if let Some(result) = shared.cache.get(key) {
             return Ok(hit(result));
         }
 
@@ -639,14 +639,14 @@ impl Engine {
             // A leader may have completed between the cache probe and this
             // lock; its result is in the cache (inserted before the inflight
             // entry is removed), so re-check under the lock.
-            if let Some(result) = shared.cache.get(key.0) {
+            if let Some(result) = shared.cache.get(key) {
                 return Ok(hit(result));
             }
-            match inflight.get(&key.0) {
+            match inflight.get(&key) {
                 Some(slot) => (Arc::clone(slot), false),
                 None => {
                     let slot = Arc::<Flight>::default();
-                    inflight.insert(key.0, Arc::clone(&slot));
+                    inflight.insert(key, Arc::clone(&slot));
                     (slot, true)
                 }
             }
@@ -788,8 +788,8 @@ impl Engine {
     /// Drops a leader slot that was never submitted: the inflight entry is
     /// removed first (so a later identical request elects a fresh leader),
     /// then any joiners that raced in are released with the same error.
-    fn abandon_leader(&self, key: &JobKey, slot: &Flight, err: JobError) -> JobError {
-        self.shared.inflight.lock().unwrap().remove(&key.0);
+    fn abandon_leader(&self, key: &ContentKey, slot: &Flight, err: JobError) -> JobError {
+        self.shared.inflight.lock().unwrap().remove(key);
         slot.result.fill(Err(err.clone()));
         err
     }
@@ -801,7 +801,7 @@ impl Engine {
     /// wakes the leader and its joiners.
     fn finish_leader(
         &self,
-        key: JobKey,
+        key: ContentKey,
         flight: &Arc<Flight>,
         ctx: JobContext<'_>,
     ) -> impl Fn(&JobOutcome, Instant) + Send + Sync + 'static {
@@ -833,7 +833,7 @@ impl Engine {
                         report: Arc::clone(report),
                         sim_wall_micros,
                     });
-                    shared.cache.insert(key.0, Arc::clone(&result));
+                    shared.cache.insert(key, Arc::clone(&result));
                     Ok(result)
                 }
                 Err(err) => {
@@ -844,7 +844,7 @@ impl Engine {
                     Err(JobError::Internal(err.to_string()))
                 }
             };
-            shared.inflight.lock().unwrap().remove(&key.0);
+            shared.inflight.lock().unwrap().remove(&key);
             shared
                 .stats
                 .joiners_per_key
@@ -873,7 +873,7 @@ impl Engine {
 pub struct Ticket<'a> {
     shared: &'a Shared,
     ctx: JobContext<'a>,
-    key: JobKey,
+    key: ContentKey,
     state: TicketState,
 }
 
@@ -1141,7 +1141,7 @@ mod tests {
         let topology = Topology::from_layers("degenerate", vec![layer]);
         let report = Simulator::new(SimConfig::default()).run_topology(&topology);
         let result = SimResult {
-            key: JobKey(0),
+            key: ContentKey(0),
             report: Arc::new(report),
             sim_wall_micros: 0,
         };

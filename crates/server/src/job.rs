@@ -3,19 +3,23 @@
 //!
 //! Two requests that *mean* the same simulation — reordered config keys,
 //! `"ws"` vs `"weight_stationary"`, gratuitous whitespace in an inline
-//! topology CSV — must map to the same [`JobKey`], because the key is what
-//! the result cache and the single-flight dedup table are addressed by.
-//! Normalization therefore resolves every field to the simulator's own
-//! canonical serializations (`SimConfig::to_config_string`,
-//! `topology_to_csv`) before hashing.
+//! topology CSV, a different region offset — must map to the same
+//! [`ContentKey`], because the key is what the server's result cache and
+//! its single-flight dedup table are addressed by. Normalization therefore
+//! resolves every field to the simulator's own canonical serializations
+//! (`SimConfig::to_config_string`, `topology_to_csv`), and the canonical
+//! job text drops what no simulation reads, before hashing. The key names
+//! whole jobs in this crate only: the layer cache beneath it keys layers
+//! by [`scalesim::layer_cache::LayerKey`], and a sweep batch dedups its
+//! points by their workload, grid, array and dataflow choice.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use scalesim::cache::ContentKey;
-use scalesim::sweep::{canonical_job_text, SweepError};
-use scalesim::{parse_config, PartitionGrid, SimConfig};
+use scalesim::sweep::SweepError;
+use scalesim::{parse_config, PartitionGrid, RegionOffsets, SimConfig};
 use scalesim_topology::{networks, parse_topology_csv, topology_to_csv, Dataflow, Topology};
 
 use crate::json::Json;
@@ -317,7 +321,8 @@ impl SimJob {
             if batch == 0 {
                 return Err(JobError::bad_request("batch must be nonzero"));
             }
-            topology = networks::batched(&topology, batch);
+            topology = networks::batched(&topology, batch)
+                .map_err(|e| JobError::bad_request(e.to_string()))?;
         }
 
         // 3. Grid, checked by the parser every spelling of it goes through
@@ -366,46 +371,35 @@ pub struct NormalizedJob {
 }
 
 impl NormalizedJob {
-    /// The canonical text the job key is derived from — the *same*
-    /// [`canonical_job_text`] the core sweep engine hashes, so the server
-    /// cache and `SweepEngine` share one content-addressed keyspace.
-    pub fn canonical_text(&self) -> String {
-        canonical_job_text(
-            &self.config,
+    /// The content-addressed key naming this job's result: the
+    /// FNV-1a/128 hash of its canonical job text.
+    pub fn key(&self) -> ContentKey {
+        ContentKey::from_content(self.canonical_job_text().as_bytes())
+    }
+
+    /// The text the key hashes. Every field a simulation reads appears via
+    /// the simulator's own round-tripping serializers, so jobs that
+    /// simulate identically serialize identically. The config is written
+    /// with the default region offsets: layers are simulated at offset
+    /// zero, and a job that sets no offset keeps the key it always had.
+    /// The `auto` marker line appears only when set, for the same reason.
+    fn canonical_job_text(&self) -> String {
+        let config = SimConfig {
+            offsets: RegionOffsets::default(),
+            ..self.config
+        };
+        let mut text = format!(
+            "config:\n{}\nworkload: {}\ngrid: {}x{}\ntopology:\n{}",
+            config.to_config_string(),
             self.topology.name(),
-            self.grid,
-            &topology_to_csv(&self.topology),
-            self.auto_dataflow,
-        )
-    }
-
-    /// The content-addressed key naming this job's result.
-    pub fn key(&self) -> JobKey {
-        JobKey::from_content(self.canonical_text().as_bytes())
-    }
-}
-
-/// A 128-bit content hash naming a normalized job (FNV-1a/128).
-///
-/// Collision odds for FNV-128 at design-space-exploration scale (even
-/// millions of cached entries) are negligible, and the hash is stable
-/// across processes and platforms — a prerequisite for a cache that could
-/// later be shared between server shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct JobKey(pub u128);
-
-impl JobKey {
-    /// Hashes arbitrary content into a key (via the shared
-    /// [`ContentKey`] FNV-1a/128, so server keys and sweep-engine keys
-    /// agree byte for byte).
-    pub fn from_content(bytes: &[u8]) -> JobKey {
-        JobKey(ContentKey::from_content(bytes).0)
-    }
-}
-
-impl fmt::Display for JobKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:032x}", self.0)
+            self.grid.rows(),
+            self.grid.cols(),
+            topology_to_csv(&self.topology),
+        );
+        if self.auto_dataflow {
+            text.push_str("auto_dataflow: true\n");
+        }
+        text
     }
 }
 
@@ -519,6 +513,27 @@ mod tests {
         let fixed = SimJob::builtin("alexnet").normalize().unwrap();
         assert!(!fixed.auto_dataflow);
         assert_ne!(norm.key(), fixed.key());
+    }
+
+    #[test]
+    fn canonical_text_marks_auto_and_ignores_offsets() {
+        let fixed = SimJob::builtin("TF1").normalize().unwrap();
+        let auto = NormalizedJob {
+            auto_dataflow: true,
+            ..fixed.clone()
+        };
+        let moved = NormalizedJob {
+            config: SimConfig {
+                offsets: RegionOffsets::ZERO,
+                ..fixed.config
+            },
+            ..fixed.clone()
+        };
+        let text = fixed.canonical_job_text();
+        assert!(text.starts_with("config:\n"));
+        assert!(auto.canonical_job_text().ends_with("auto_dataflow: true\n"));
+        assert_ne!(auto.canonical_job_text(), text);
+        assert_eq!(moved.canonical_job_text(), text);
     }
 
     #[test]

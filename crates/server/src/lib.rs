@@ -11,8 +11,8 @@
 //!   network or inline topology CSV), config overrides, partition grid,
 //!   dataflow and bandwidth. Normalization routes every field through the
 //!   simulator's canonical serializers, so equivalent requests — reordered
-//!   config keys, `ws` vs `weight_stationary`, reformatted CSV — collapse
-//!   to one content-addressed [`JobKey`].
+//!   config keys, `ws` vs `weight_stationary`, reformatted CSV, moved
+//!   region offsets — collapse to one content-addressed [`ContentKey`].
 //! * **Engine** ([`engine`]) — *single-flight* deduplication (concurrent
 //!   identical jobs run one simulation; the rest join it) and a sharded LRU
 //!   result cache ([`ShardedLru`]) in front of core's one worker pool,
@@ -69,6 +69,6 @@ pub use engine::{
     Stats, Ticket, FLIGHT_RECORDER_CAPACITY,
 };
 pub use http::{Server, ServerHandle, ServerOptions};
-pub use job::{JobError, JobKey, NormalizedJob, SimJob, Workload};
+pub use job::{JobError, NormalizedJob, SimJob, Workload};
 pub use json::Json;
-pub use scalesim::cache::ShardedLru;
+pub use scalesim::cache::{ContentKey, ShardedLru};

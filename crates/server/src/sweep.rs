@@ -5,9 +5,8 @@
 //! a [`NormalizedJob`] and all of them go through [`Engine::run_all`], a
 //! bounded number submitted ahead of the one being waited for, so sweep
 //! points share the engine's result cache and single-flight dedup with
-//! ordinary `POST /simulate` traffic (they hash the same
-//! [`canonical_job_text`](scalesim::sweep::canonical_job_text)) and a sweep
-//! starts no thread of its own. The response lists points in plan order,
+//! ordinary `POST /simulate` traffic (a point is keyed as the job it is)
+//! and a sweep starts no thread of its own. The response lists points in plan order,
 //! so the simulated figures for identical plans are byte-identical; only
 //! the per-point `served` markers (miss / hit / joined) and the summary's
 //! `simulations` / `cache_hits` counters reflect cache state.

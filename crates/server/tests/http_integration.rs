@@ -453,3 +453,40 @@ fn plan_axes_that_overflow_a_u64_are_bad_requests() {
     assert_eq!(stats_field(&handle, "accepted"), 0);
     handle.stop();
 }
+
+/// TF0's M = 31,999 times this batch wraps to 15,483 rows: the job ran as
+/// a smaller layer and answered 200. It is a 400 naming the batch.
+#[test]
+fn a_batch_whose_rows_overflow_is_a_bad_request() {
+    let handle = start_server(1);
+    let body = r#"{"network": "TF0", "batch": 576478767264901}"#;
+    let response = request(handle.addr(), "POST", "/simulate", Some(body)).unwrap();
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(
+        response.body.contains("batch 576478767264901"),
+        "{}",
+        response.body
+    );
+    assert_eq!(stats_field(&handle, "accepted"), 0);
+    handle.stop();
+}
+
+/// Layers are simulated at offset zero, so jobs that differ only in a
+/// region offset are one job: one key, and the second is a cache hit with
+/// the first's body.
+#[test]
+fn jobs_that_differ_only_in_an_offset_share_one_simulation() {
+    let handle = start_server(1);
+    let job = |offset: u64| {
+        format!(r#"{{"network": "TF1", "config": {{"IfmapSramSz": 64, "IfmapOffset": {offset}}}}}"#)
+    };
+    let first = request(handle.addr(), "POST", "/simulate", Some(&job(0))).unwrap();
+    assert_eq!(first.status, 200, "{}", first.body);
+    assert_eq!(first.header("X-Scalesim-Cache"), Some("miss"));
+    let second = request(handle.addr(), "POST", "/simulate", Some(&job(123_456_789))).unwrap();
+    assert_eq!(second.status, 200, "{}", second.body);
+    assert_eq!(second.header("X-Scalesim-Cache"), Some("hit"));
+    assert_eq!(second.body, first.body);
+    assert_eq!(stats_field(&handle, "simulations"), 1);
+    handle.stop();
+}

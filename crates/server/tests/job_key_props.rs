@@ -5,7 +5,8 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use scalesim_server::job::{JobKey, SimJob, Workload};
+use scalesim::ContentKey;
+use scalesim_server::job::{SimJob, Workload};
 
 /// Table I keys the job model accepts, with a generator for plausible values.
 const CONFIG_KEYS: [&str; 5] = [
@@ -31,7 +32,7 @@ fn inline_job(csv: &str) -> SimJob {
     }
 }
 
-fn key_of(job: &SimJob) -> JobKey {
+fn key_of(job: &SimJob) -> ContentKey {
     job.normalize().expect("job is valid").key()
 }
 
@@ -114,6 +115,27 @@ proptest! {
             "# generated\n\n  L0 ,{spaces}{ih} , {iw},{spaces}{fh}, {fh} , {channels} ,{filters} , 1 ,,\n\n"
         );
         prop_assert_eq!(key_of(&inline_job(&tight)), key_of(&inline_job(&loose)));
+    }
+
+    /// Layers are simulated at offset zero, so region offsets — any of
+    /// them, alone or together — never change the key.
+    fn region_offsets_are_irrelevant(
+        offsets in (0..u64::MAX, 0..u64::MAX, 0..u64::MAX),
+        which in 0usize..4,
+    ) {
+        let set = [
+            ("IfmapOffset", offsets.0),
+            ("FilterOffset", offsets.1),
+            ("OfmapOffset", offsets.2),
+        ];
+        let mut job = SimJob::builtin("TF1");
+        job.config = set
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| which == 3 || i == which)
+            .map(|(_, (k, v))| (k.to_string(), v.to_string()))
+            .collect();
+        prop_assert_eq!(key_of(&job), key_of(&SimJob::builtin("TF1")));
     }
 
     /// Semantically different jobs get different keys.

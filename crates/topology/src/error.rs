@@ -101,6 +101,30 @@ impl Error for ParseTopologyError {
     }
 }
 
+/// A batched layer whose GEMM row count, `M × batch`, does not fit a
+/// `u64`. Returned by [`crate::networks::batched`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchOverflowError {
+    /// The layer whose rows overflow.
+    pub layer: String,
+    /// Its GEMM row count `M` before batching.
+    pub m: u64,
+    /// The batch size.
+    pub batch: u64,
+}
+
+impl fmt::Display for BatchOverflowError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "batch {} overflows layer `{}`: M = {} times the batch does not fit in 64 bits",
+            self.batch, self.layer, self.m
+        )
+    }
+}
+
+impl Error for BatchOverflowError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

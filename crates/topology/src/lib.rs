@@ -32,7 +32,7 @@ mod topology;
 
 pub use crate::csv::{parse_topology_csv, topology_to_csv};
 pub use crate::dataflow::Dataflow;
-pub use crate::error::{ParseTopologyError, ValidateLayerError};
+pub use crate::error::{BatchOverflowError, ParseTopologyError, ValidateLayerError};
 pub use crate::gemm::{GemmShape, MappedDims};
 pub use crate::layer::{ConvLayer, ConvLayerBuilder, Layer};
 pub use crate::topology::Topology;

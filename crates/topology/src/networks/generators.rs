@@ -6,7 +6,7 @@
 //! encoder stack (the GEMMs behind each attention + feed-forward block),
 //! and batched variants of any GEMM workload.
 
-use crate::{GemmShape, Layer, Topology};
+use crate::{BatchOverflowError, GemmShape, Layer, Topology};
 
 /// A fully-connected network: one GEMM per layer, `batch × in → batch ×
 /// out`.
@@ -79,22 +79,35 @@ pub fn transformer_encoder(
 /// conv-specific overlap addressing no longer applies. Use this for
 /// throughput studies, not for single-image DRAM traffic.
 ///
+/// # Errors
+///
+/// Returns [`BatchOverflowError`] if a layer's `M × batch` does not fit a
+/// `u64`; an unchecked product wrapped to a smaller layer.
+///
 /// # Panics
 ///
 /// Panics if `batch` is zero.
-pub fn batched(topology: &Topology, batch: u64) -> Topology {
+pub fn batched(topology: &Topology, batch: u64) -> Result<Topology, BatchOverflowError> {
     assert!(batch > 0, "batch must be nonzero");
     let layers = topology
         .iter()
         .map(|layer| {
             let s = layer.shape();
-            Layer::Gemm {
+            let m = s.m.checked_mul(batch).ok_or_else(|| BatchOverflowError {
+                layer: layer.name().to_owned(),
+                m: s.m,
+                batch,
+            })?;
+            Ok(Layer::Gemm {
                 name: layer.name().to_owned(),
-                shape: GemmShape::new(s.m * batch, s.k, s.n),
-            }
+                shape: GemmShape::new(m, s.k, s.n),
+            })
         })
-        .collect();
-    Topology::from_layers(format!("{}_b{batch}", topology.name()), layers)
+        .collect::<Result<_, _>>()?;
+    Ok(Topology::from_layers(
+        format!("{}_b{batch}", topology.name()),
+        layers,
+    ))
 }
 
 #[cfg(test)]
@@ -132,7 +145,7 @@ mod tests {
     #[test]
     fn batching_scales_macs_linearly() {
         let base = networks::alexnet();
-        let b4 = batched(&base, 4);
+        let b4 = batched(&base, 4).unwrap();
         assert_eq!(b4.total_macs(), 4 * base.total_macs());
         assert_eq!(b4.len(), base.len());
         assert_eq!(b4.name(), "alexnet_b4");
@@ -143,9 +156,32 @@ mod tests {
     #[test]
     fn batch_one_preserves_shapes() {
         let base = networks::language_models();
-        let b1 = batched(&base, 1);
+        let b1 = batched(&base, 1).unwrap();
         for (a, b) in base.iter().zip(&b1) {
             assert_eq!(a.shape(), b.shape());
         }
+    }
+
+    #[test]
+    fn a_batch_whose_rows_overflow_is_an_error() {
+        // TF0's M = 31999 times this batch wraps to 15,483 rows.
+        let tf0 = networks::by_name("TF0").unwrap();
+        let err = batched(&tf0, 576_478_767_264_901).unwrap_err();
+        assert_eq!(
+            err,
+            BatchOverflowError {
+                layer: "TF0".into(),
+                m: 31999,
+                batch: 576_478_767_264_901,
+            }
+        );
+        assert!(err.to_string().contains("batch 576478767264901"), "{err}");
+        // The largest batch whose product fits still batches.
+        let fits = u64::MAX / 31999;
+        assert_eq!(
+            batched(&tf0, fits).unwrap().layers()[0].shape().m,
+            31999 * fits
+        );
+        assert!(batched(&tf0, fits + 1).is_err());
     }
 }

@@ -10,6 +10,14 @@
 //! * *Bandwidth.* Stall cycles are non-increasing in the DRAM bandwidth,
 //!   absent without one, and never below the roofline floor: the compute
 //!   cycles, and the DRAM bytes at the bandwidth.
+//! * *WS/IS duality (GEMM).* WS on `(M, K, N)` with IFMAP and filter SRAM
+//!   `(x, y)` and IS on `(N, K, M)` with `(y, x)` map to the same fold
+//!   plan: their reports are equal bit for bit once the IFMAP and filter
+//!   counts are swapped.
+//! * *OS transpose (GEMM).* OS on `(M, K, N)` with an `R × C` array and on
+//!   `(N, K, M)` with a `C × R` one take the same cycles and mapping
+//!   utilisation; when one fold dimension is 1 (`F_R = 1` or `F_C = 1`)
+//!   the whole report is equal with the operand buffers swapped.
 
 use std::sync::OnceLock;
 
@@ -188,6 +196,89 @@ proptest! {
                 stalled(report) >= report.total_cycles.max(floor),
                 "{} B/cycle on grid {}: {} stalled cycles, {} compute, {} DRAM bytes",
                 bandwidth, grid, stalled(report), report.total_cycles, report.dram.total_bytes()
+            );
+        }
+    }
+}
+
+/// `report` with its IFMAP and filter figures exchanged: SRAM reads and
+/// DRAM reads of operands A and B.
+fn operands_swapped(report: &LayerReport) -> LayerReport {
+    let mut swapped = report.clone();
+    let (sram, dram) = (&mut swapped.sram, &mut swapped.dram);
+    std::mem::swap(&mut sram.a_reads, &mut sram.b_reads);
+    std::mem::swap(&mut dram.reads_a, &mut dram.reads_b);
+    swapped
+}
+
+/// A GEMM configuration: an `rows × cols` array under `dataflow` with
+/// IFMAP and filter SRAMs of `sram.0` and `sram.1` KB and `sram.2` KB of
+/// OFMAP SRAM, and a DRAM bandwidth when `bandwidth` is nonzero.
+fn gemm_config(
+    array: ArrayShape,
+    dataflow: Dataflow,
+    sram: (u64, u64, u64),
+    bandwidth: usize,
+) -> SimConfig {
+    let mut config = SimConfig::builder()
+        .array(array)
+        .dataflow(dataflow)
+        .sram_kb(sram.0, sram.1, sram.2)
+        .build();
+    if bandwidth > 0 {
+        config.dram_bandwidth = Some([0.5, 2.0, 16.0][bandwidth - 1]);
+    }
+    config
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    fn ws_and_is_are_duals_on_gemms(
+        gemm in (1u64..40, 1u64..40, 1u64..40),
+        array in (0u32..4, 0u32..4),
+        sram in (1u64..3, 1u64..3, 1u64..3),
+        bandwidth in 0usize..4,
+    ) {
+        let (m, k, n) = gemm;
+        let array = ArrayShape::new(2 << array.0, 2 << array.1);
+        let ws = gemm_config(array, Dataflow::WeightStationary, sram, bandwidth);
+        let is = gemm_config(array, Dataflow::InputStationary, (sram.1, sram.0, sram.2), bandwidth);
+        let ws = Simulator::new(ws).run_layer(&Layer::gemm("g", m, k, n));
+        let is = Simulator::new(is).run_layer(&Layer::gemm("g", n, k, m));
+        same(&operands_swapped(&ws), &is, "IS on the transposed GEMM")?;
+    }
+
+    fn os_transposes_on_gemms(
+        gemm in (1u64..40, 1u64..40, 1u64..40),
+        array in (0u32..4, 0u32..4),
+        sram in (1u64..3, 1u64..3, 1u64..3),
+    ) {
+        let (m, k, n) = gemm;
+        let (rows, cols) = (2u64 << array.0, 2u64 << array.1);
+        let config = |array, sram| gemm_config(array, Dataflow::OutputStationary, sram, 0);
+        let os = Simulator::new(config(ArrayShape::new(rows, cols), sram))
+            .run_layer(&Layer::gemm("g", m, k, n));
+        let transposed = Simulator::new(config(ArrayShape::new(cols, rows), (sram.1, sram.0, sram.2)))
+            .run_layer(&Layer::gemm("g", n, k, m));
+        prop_assert_eq!(
+            os.mapping_utilization.to_bits(),
+            transposed.mapping_utilization.to_bits()
+        );
+        // A fold of an r' x c' tile takes 2r' + c' + T - 2 cycles (the
+        // paper's Eq. 3: outputs drain along the rows), so the transposed
+        // run differs by the sum of r' - c' over the folds.
+        let (fold_rows, fold_cols) = (m.div_ceil(rows), n.div_ceil(cols));
+        prop_assert_eq!(
+            i128::from(os.total_cycles) - i128::from(transposed.total_cycles),
+            i128::from(fold_cols * m) - i128::from(fold_rows * n)
+        );
+        if fold_rows == 1 || fold_cols == 1 {
+            let swapped = operands_swapped(&os);
+            prop_assert_eq!(swapped.sram, transposed.sram);
+            prop_assert_eq!(
+                format!("{:?}", (swapped.dram.reads_a, swapped.dram.reads_b, swapped.dram.reads_o, swapped.dram.writes_o, swapped.dram.folds)),
+                format!("{:?}", (transposed.dram.reads_a, transposed.dram.reads_b, transposed.dram.reads_o, transposed.dram.writes_o, transposed.dram.folds))
             );
         }
     }
