@@ -104,7 +104,7 @@ impl ScaleOutConfig {
 
     /// Total MAC units across all partitions.
     pub fn total_macs(&self) -> u64 {
-        self.grid.count() * self.array.macs()
+        self.grid.count().saturating_mul(self.array.macs())
     }
 
     /// Whether this is the single-partition (scale-up) case.

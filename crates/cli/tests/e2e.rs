@@ -561,6 +561,46 @@ fn plan_axes_that_overflow_a_u64_are_one_line_errors() {
     }
 }
 
+/// An array whose PE count overflows a u64 is a one-line config error:
+/// 2^32 x 2^32 panicked in the energy model (exit 101), and 2^32 + 1 x
+/// 2^32 printed the energy of a 65536x65536 array and exited 0.
+#[test]
+fn an_array_whose_pe_count_overflows_is_a_one_line_error() {
+    let dir = temp_dir("bigarray");
+    for (i, rows) in ["4294967296", "4294967297"].into_iter().enumerate() {
+        let cfg = dir.join(format!("a{i}.cfg"));
+        fs::write(
+            &cfg,
+            format!("ArrayHeight : {rows}\nArrayWidth : 4294967296\n"),
+        )
+        .unwrap();
+        let out = scale_sim(&["-c", cfg.to_str().unwrap(), "-n", "TF1"]);
+        assert_eq!(out.status.code(), Some(1));
+        assert_one_line_error(&out, &format!("array of {rows} x 4294967296 PEs"));
+        assert!(String::from_utf8(out.stdout).unwrap().is_empty());
+    }
+}
+
+/// The PE-cycles of 65536x65536 arrays on a 1024x1024 grid, 2^52 PEs for
+/// 4,097 cycles, wrapped: the energy printed, 450,505,454,018,560, was
+/// below the 1,830,504,715,883,315 of the same arrays on a 64x16 grid.
+#[test]
+fn pe_cycles_of_a_huge_grid_saturate() {
+    let dir = temp_dir("bigpe");
+    let cfg = dir.join("big.cfg");
+    fs::write(&cfg, "ArrayHeight : 65536\nArrayWidth : 65536\n").unwrap();
+    let energy = |grid: &str| {
+        let out = scale_sim(&["-c", cfg.to_str().unwrap(), "-n", "TF1", "-g", grid]);
+        assert!(out.status.success());
+        let text = String::from_utf8(out.stdout).unwrap();
+        let total = text.lines().find(|l| l.contains("total:")).unwrap();
+        total.rsplit(' ').next().unwrap().parse::<f64>().unwrap()
+    };
+    let (wide, narrow) = (energy("1024x1024"), energy("64x16"));
+    assert_eq!(narrow, 1_830_504_715_883_315.0);
+    assert!(wide > narrow, "{wide} vs {narrow}");
+}
+
 /// A word of 2^62 bytes makes every DRAM byte count overflow a u64: the
 /// report used to say `0 DRAM bytes` (the products wrapped) and exit 0.
 #[test]

@@ -39,10 +39,16 @@ pub struct SimArena {
     /// First-use dedup set for the A stream, loaned to the demand iterator
     /// via `fold_demand_runs_in` and reclaimed after each layer.
     pub a_seen: IntervalSet,
-    /// The A stream the demand iterator generates and seals once per fold
-    /// row and copies, seal and all, into every fold of it; loaned
-    /// alongside `a_seen`. Whatever seal it comes back with is dropped
-    /// when the next layer's iterator clears it.
+    /// The A stream the demand iterator makes and seals once per fold row
+    /// (OS, WS) or fold (IS) and copies, seal and all, into every fold it
+    /// serves; loaned alongside `a_seen`. Whatever it comes back with is
+    /// never served again: the next layer's iterator overwrites it before
+    /// its first fold.
+    ///
+    /// The copies of A streams the iterator keeps for later members of a
+    /// translation class are not here: they travel in a per-thread slot
+    /// of `scalesim-systolic`, beside this pair rather than through it, so
+    /// that `fold_demand_runs_in` keeps the signature its callers use.
     pub a_scratch: AddrRuns,
 }
 

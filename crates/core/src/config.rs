@@ -313,6 +313,9 @@ pub fn parse_config(text: &str) -> Result<SimConfig, ParseConfigError> {
     if cols == 0 {
         return Err(ParseConfigError::ZeroParameter { key: "ArrayWidth" });
     }
+    if rows.checked_mul(cols).is_none() {
+        return Err(ParseConfigError::ArrayTooLarge { rows, cols });
+    }
     if config.word_bytes == 0 {
         return Err(ParseConfigError::ZeroParameter { key: "WordBytes" });
     }
@@ -323,6 +326,23 @@ pub fn parse_config(text: &str) -> Result<SimConfig, ParseConfigError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_array_whose_pe_count_overflows_is_rejected() {
+        let parse = |rows: u64, cols: u64| {
+            parse_config(&format!("ArrayHeight : {rows}\nArrayWidth : {cols}\n"))
+        };
+        for (rows, cols) in [(1 << 32, 1 << 32), ((1 << 32) + 1, 1 << 32), (u64::MAX, 2)] {
+            let err = parse(rows, cols).unwrap_err();
+            assert_eq!(err, ParseConfigError::ArrayTooLarge { rows, cols });
+            assert!(
+                err.to_string().contains(&format!("{rows} x {cols}")),
+                "{err}"
+            );
+        }
+        let largest = parse(1 << 32, (1 << 32) - 1).unwrap();
+        assert_eq!(largest.array.macs(), u64::MAX - (1 << 32) + 1);
+    }
 
     #[test]
     fn default_matches_paper_setup() {

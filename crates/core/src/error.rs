@@ -41,6 +41,14 @@ pub enum ParseConfigError {
         /// Parameter name.
         key: &'static str,
     },
+    /// `ArrayHeight × ArrayWidth`, the array's PE count, does not fit in
+    /// 64 bits.
+    ArrayTooLarge {
+        /// `ArrayHeight`.
+        rows: u64,
+        /// `ArrayWidth`.
+        cols: u64,
+    },
 }
 
 impl fmt::Display for ParseConfigError {
@@ -66,6 +74,13 @@ impl fmt::Display for ParseConfigError {
             }
             ParseConfigError::ZeroParameter { key } => {
                 write!(f, "parameter `{key}` must be nonzero")
+            }
+            ParseConfigError::ArrayTooLarge { rows, cols } => {
+                write!(
+                    f,
+                    "array of {rows} x {cols} PEs: `ArrayHeight` x `ArrayWidth` \
+                     overflows 64 bits"
+                )
             }
         }
     }

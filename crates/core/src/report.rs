@@ -49,9 +49,10 @@ pub struct LayerReport {
 }
 
 impl LayerReport {
-    /// Total provisioned MAC units (`grid partitions × array size`).
+    /// Total provisioned MAC units (`grid partitions × array size`),
+    /// saturating at `u64::MAX`.
     pub fn provisioned_macs(&self) -> u64 {
-        self.grid.count() * self.array.macs()
+        self.grid.count().saturating_mul(self.array.macs())
     }
 
     /// Stall-free DRAM bandwidth requirement in bytes/cycle
@@ -171,11 +172,11 @@ impl NetworkReport {
 
     /// Network-wide compute utilization (MACs over provisioned PE-cycles).
     pub fn overall_utilization(&self) -> f64 {
-        let pe_cycles: u64 = self
+        let pe_cycles = self
             .layers
             .iter()
-            .map(|l| l.provisioned_macs() * l.total_cycles)
-            .sum();
+            .map(|l| l.provisioned_macs().saturating_mul(l.total_cycles))
+            .fold(0, u64::saturating_add);
         if pe_cycles == 0 {
             0.0
         } else {

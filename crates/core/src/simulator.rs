@@ -28,8 +28,8 @@ use crate::report::{LayerReport, NetworkReport};
 /// identical arrays that execute in parallel, with the SRAM budget divided
 /// evenly (Sections III-C / IV-A of the paper). A layer costs one
 /// simulation per *class* of tiles, not per tile — tiles of equal extent
-/// and equal [`AddressMap::a_row_phase`] are the same problem — on the
-/// calling thread, whichever thread that is.
+/// whose rectangles of operand A have equal [`AddressMap::a_phase`] are
+/// the same problem — on the calling thread, whichever thread that is.
 ///
 /// See the crate-level docs for examples.
 #[derive(Debug, Clone)]
@@ -253,7 +253,11 @@ impl Simulator {
         let mac_ops = layer.shape().macs();
         // Idle accounting covers every provisioned PE for the whole layer
         // runtime — including partitions that finished early or had no work.
-        let pe_cycles = provisioned * config.array.macs() * total_cycles;
+        // The product saturates, like DRAM bytes: unchecked, a grid of
+        // huge arrays wrapped to fewer PE-cycles than a small one.
+        let pe_cycles = provisioned
+            .saturating_mul(config.array.macs())
+            .saturating_mul(total_cycles);
         let energy = {
             let _phase = scalesim_telemetry::trace::span("phase.energy");
             self.energy_model
@@ -500,7 +504,8 @@ impl<'a> LayerRun<'a> {
     /// each tile, in tile order.
     ///
     /// Two tiles are one class when they agree on `(m_len, n_len)` and on
-    /// [`AddressMap::a_row_phase`] of `m_off`, and then [`Self::run_tile`]
+    /// the [`AddressMap::a_phase`] of the rows of A they read,
+    /// `[m_off, m_off + m_len) × [0, K)`, and then [`Self::run_tile`]
     /// returns equal results for them:
     ///
     /// * the compute schedule (`analyze`) and the fold plan read the
@@ -510,19 +515,19 @@ impl<'a> LayerRun<'a> {
     /// * the B and O streams of the run generator are canonical labels
     ///   computed from the fold alone — it never calls the map's `b` or
     ///   `o` — so `n_off` is not observable at all;
-    /// * the A stream is the map's `a_span` of the same `(m, k)` spans at
-    ///   two offsets of one phase, so by the contract of `a_row_phase` one
-    ///   is the other plus a constant, and first-use dedup, run coalescing
-    ///   and the FIFO buffers see addresses only through order, equality
-    ///   and adjacency.
+    /// * every A stream is made from the map's `a_span` over a
+    ///   sub-rectangle of the tile's rows, at the same place in both, so
+    ///   by the contract of `a_phase` one tile's is the other's plus one
+    ///   constant, and first-use dedup, run coalescing and the FIFO buffers
+    ///   see addresses only through order, equality and adjacency.
     ///
     /// An even GEMM split therefore costs at most four simulations
     /// (interior, right edge, bottom edge, corner) whatever the grid; a
-    /// convolution one per distinct `m_off mod W_o` of each shape, which
-    /// is every tile row when the row chunk is not a multiple of the
-    /// output width. The phase is not optional: two same-shape conv tiles
-    /// of different phase do give different DRAM summaries (pinned by a
-    /// test below).
+    /// convolution one per phase of each shape — one per distinct
+    /// `m_off mod W_o` when its tiles wrap output rows and the IFMAP
+    /// address steps where they do. The phase is not optional: two
+    /// same-shape conv tiles of different phase do give different DRAM
+    /// summaries (pinned by a test below).
     ///
     /// A debug build still simulates every tile and holds each to its
     /// class's result — with a throw-away counter, so `volume` reads the
@@ -536,7 +541,8 @@ impl<'a> LayerRun<'a> {
         let mut results = Vec::new();
         let mut class_of = Vec::with_capacity(tiles.len());
         for tile in tiles {
-            let key = (tile.m_len, tile.n_len, self.map.a_row_phase(tile.m_off));
+            let phase = self.map.a_phase(tile.m_off, tile.m_len, 0, self.shape.k);
+            let key = (tile.m_len, tile.n_len, phase);
             let class = match keys.iter().position(|k| *k == key) {
                 Some(class) => {
                     #[cfg(debug_assertions)]
@@ -1108,15 +1114,15 @@ mod tests {
 
         /// One simulation per tile class, replayed in tile order, is the
         /// per-tile path: tile for tile the same results, and the same
-        /// `LayerReport` bit for bit — conv and GEMM, every dataflow,
-        /// ragged grids, SRAM from a sliver to everything-fits, finite
-        /// bandwidth.
+        /// `LayerReport` bit for bit — GEMM and conv (rectangular ifmaps,
+        /// filters and strides), every dataflow, ragged grids, SRAM from a
+        /// sliver to everything-fits, finite bandwidth.
         #[test]
         fn tile_classes_replay_the_per_tile_path(
             conv in 0u8..2,
-            ifmap in (4u64..15, 4u64..15, 1u64..4, 1u64..4),
+            ifmap in (4u64..15, 4u64..15, (1u64..4, 1u64..4), 1u64..4),
             gemm in (1u64..90, 1u64..24, 1u64..70),
-            stride in 1u64..3,
+            strides in (1u64..3, 1u64..3),
             df_idx in 0usize..3,
             grid_idx in 0usize..GRIDS.len(),
             array_idx in 0usize..3,
@@ -1126,8 +1132,16 @@ mod tests {
             let conv = conv == 1;
             let (m, k, n) = gemm;
             let layer: Layer = if conv {
-                let (h, w, filter, channels) = ifmap;
-                ConvLayer::new("c", h, w, filter, filter, channels, n, stride).unwrap().into()
+                let (h, w, (fh, fw), channels) = ifmap;
+                scalesim_topology::ConvLayerBuilder::new("c")
+                    .ifmap(h, w)
+                    .filter(fh, fw)
+                    .channels(channels)
+                    .num_filters(n)
+                    .strides(strides.0, strides.1)
+                    .build()
+                    .unwrap()
+                    .into()
             } else {
                 Layer::gemm("g", m, k, n)
             };
@@ -1175,9 +1189,10 @@ mod tests {
         let tiles = partition_tiles(layer.shape(), sim.grid());
         let map = layer_map(&layer, RegionOffsets::ZERO);
         assert_eq!((tiles[0].m_len, tiles[1].m_len), (34, 34));
+        let k = layer.shape().k;
         assert_ne!(
-            map.a_row_phase(tiles[0].m_off),
-            map.a_row_phase(tiles[1].m_off)
+            map.a_phase(tiles[0].m_off, 34, 0, k),
+            map.a_phase(tiles[1].m_off, 34, 0, k)
         );
         let per_tile = every_tile(&sim, &layer);
         assert_eq!(per_tile[0].0, per_tile[1].0, "one compute schedule");
@@ -1187,6 +1202,33 @@ mod tests {
         let (results, class_of) = tile_classes(&sim, &layer);
         assert_eq!(class_of, [0, 1, 2]);
         assert_eq!(results, per_tile);
+    }
+
+    #[test]
+    fn pe_cycles_saturate_instead_of_wrapping() {
+        // 65536x65536 arrays on a 1024x1024 grid: 2^52 PEs for 4097
+        // cycles wrapped to less idle energy than the same arrays on a
+        // 64x16 grid, 2^42 PEs for 4162 cycles.
+        let layer = networks::language_model("TF1").unwrap();
+        let huge = SimConfig::builder()
+            .array(ArrayShape::square(65536))
+            .build();
+        let energy = |grid| {
+            let report = Simulator::new(huge).with_grid(grid).run_layer(&layer);
+            (report.energy, report.compute_utilization)
+        };
+        let (wide, wide_util) = energy(PartitionGrid::new(1024, 1024));
+        let (narrow, _) = energy(PartitionGrid::new(64, 16));
+        assert!(wide.idle > narrow.idle, "{wide:?} vs {narrow:?}");
+        assert_eq!(wide.idle, 0.1 * (u64::MAX - layer.macs()) as f64);
+        assert_eq!(wide_util, layer.macs() as f64 / u64::MAX as f64);
+        // And an array built in code, whose PE count itself overflows,
+        // saturates instead of panicking in the energy model.
+        let overflowing = SimConfig::builder()
+            .array(ArrayShape::new(1 << 32, 1 << 32))
+            .build();
+        let report = Simulator::new(overflowing).run_layer(&layer);
+        assert_eq!(report.energy.idle, wide.idle);
     }
 
     #[test]

@@ -97,28 +97,32 @@ pub trait AddressMap {
         }
     }
 
-    /// The *row phase* of the output-row offset `m_off`: a label such that
-    /// two tiles of the output space whose offsets have the same phase see
-    /// the same operand-A addresses up to one constant. Precisely, if
-    /// `a_row_phase(x) == a_row_phase(y)` there is one integer `d` with
-    /// `a(m + y, k) = a(m + x, k) + d` for every `(m, k)` at which both
-    /// sides are defined.
+    /// The *phase* of the rectangle `A[m0..m0+m_len][k0..k0+k_len]`: a
+    /// label such that two rectangles of equal lengths and equal phase
+    /// hold the same operand-A addresses up to one constant. Precisely, if
+    /// `a_phase(m0, m_len, k0, k_len) == a_phase(m1, m_len, k1, k_len)`
+    /// there is one integer `d = a(m1, k1) − a(m0, k0)` with
+    /// `a(m1 + i, k1 + j) = a(m0 + i, k0 + j) + d` for every `i < m_len`,
+    /// `j < k_len`. Both rectangles must lie inside the matrix.
     ///
-    /// Scale-out simulates one tile per *class* on the strength of this
-    /// (`Simulator::run_layer`): the run-granular demand generator reads a
-    /// map through [`AddressMap::a_span`] alone, and everything downstream
-    /// of it — the first-use dedup of the A stream, run coalescing, the
-    /// FIFO operand buffers — sees addresses only through their order,
-    /// equality and adjacency, which adding a constant to every address
-    /// preserves. Two tiles of equal extent and equal phase therefore give
-    /// equal miss, hit and eviction counts fold for fold.
+    /// Two consumers rest on it. Scale-out simulates one tile per *class*
+    /// (`Simulator::run_layer`), keyed on the tile's rectangle
+    /// `[m_off, m_off + m_len) × [0, K)`; the run-granular demand generator
+    /// (`scalesim_systolic::fold_demand_runs`)
+    /// generates each fold row's or fold's A stream once per class of its
+    /// rectangle and emits the other members shifted. Both read a map
+    /// through [`AddressMap::a_span`] alone, and everything downstream of
+    /// it — the first-use dedup of the A stream, run coalescing, the FIFO
+    /// operand buffers — sees addresses only through their order, equality
+    /// and adjacency, which adding a constant to every address preserves.
     ///
-    /// The default is `m_off` itself: equal phases are then equal offsets
-    /// and `d = 0`, which is true of any map and merges no two tile rows.
-    /// An implementation may return anything coarser that it can prove; it
+    /// The default is `(m0, k0)`: equal phases are then equal rectangles
+    /// and `d = 0`, which is true of any map and merges nothing. An
+    /// implementation may return anything coarser that it can prove; it
     /// must not key on the addresses a particular stream happens to touch.
-    fn a_row_phase(&self, m_off: u64) -> u64 {
-        m_off
+    fn a_phase(&self, m0: u64, m_len: u64, k0: u64, k_len: u64) -> (u64, u64) {
+        let _ = (m_len, k_len);
+        (m0, k0)
     }
 }
 
@@ -177,10 +181,11 @@ impl AddressMap for GemmAddressMap {
         out.push(self.offsets.ifmap + m * self.k + k0, len);
     }
 
-    /// One phase for every offset: `a` is linear in `m`, so
-    /// `a(m + y, k) − a(m + x, k) = (y − x)·K` whatever `(m, k)` is.
-    fn a_row_phase(&self, _m_off: u64) -> u64 {
-        0
+    /// One phase for every rectangle: `a` is linear in `m` and in `k`, so
+    /// `a(m1 + i, k1 + j) − a(m0 + i, k0 + j) = (m1 − m0)·K + (k1 − k0)`
+    /// whatever `(i, j)` is.
+    fn a_phase(&self, _m0: u64, _m_len: u64, _k0: u64, _k_len: u64) -> (u64, u64) {
+        (0, 0)
     }
 }
 
@@ -279,19 +284,56 @@ impl AddressMap for ConvAddressMap {
         }
     }
 
-    /// The offset's column in the output feature map, `m_off mod W_o`.
+    /// The phases of the rectangle along `m` and along `k`, each the
+    /// `separable_phase` of its interval.
     ///
-    /// `a(m, k)` reads `m` only as `oh = ⌊m / W_o⌋` and `ow = m mod W_o`.
-    /// If `y = x + d·W_o` then `m + y` and `m + x` have the same `ow` and
-    /// their `oh` differ by `d`, so `ih` differs by `d·stride_h`, `iw` not
-    /// at all, and `a(m + y, k) = a(m + x, k) + d·stride_h·W_i·C` for every
-    /// `(m, k)`. Offsets in different columns are different phases, and
-    /// have to be: a tile of `m_len` rows starting mid-row wraps to the next
-    /// output row after `W_o − ow` pixels, where the IFMAP address jumps,
-    /// and where it wraps decides which windows overlap inside a fold. A
-    /// fully connected layer (`W_o = 1`) has one phase, like a GEMM.
-    fn a_row_phase(&self, m_off: u64) -> u64 {
-        m_off % self.ofmap_w
+    /// The address is separable, `a(m, k) = f(m) + g(k)`. With
+    /// `oh = ⌊m / W_o⌋`, `ow = m mod W_o` the output pixel,
+    /// `f(m) = (oh·stride_h·W_i + ow·stride_w)·C
+    ///       = stride_w·C·m + (stride_h·W_i − stride_w·W_o)·C·⌊m / W_o⌋`.
+    /// With `kh = ⌊k / (filter_w·C)⌋` the filter row,
+    /// `g(k) = kh·W_i·C + (k mod filter_w·C)
+    ///       = k + (W_i − filter_w)·C·⌊k / (filter_w·C)⌋`.
+    /// Each is `α·x + β·⌊x / P⌋`: linear when `β = 0`
+    /// (`stride_h·W_i = stride_w·W_o` for `f`; `W_i = filter_w`, or one
+    /// filter row, for `g`), affine inside one period, `P`-periodic in its
+    /// steps otherwise — which is what `separable_phase` keys. Two
+    /// rectangles whose `f`-parts differ by one constant and whose
+    /// `g`-parts differ by one constant differ by their sum.
+    fn a_phase(&self, m0: u64, m_len: u64, k0: u64, k_len: u64) -> (u64, u64) {
+        let row_elems = self.filter_w * self.channels;
+        let f_linear = self.stride_h * self.ifmap_w == self.stride_w * self.ofmap_w;
+        let g_linear = self.ifmap_w == self.filter_w || self.window == row_elems;
+        (
+            separable_phase(m0, m_len, self.ofmap_w, f_linear),
+            separable_phase(k0, k_len, row_elems, g_linear),
+        )
+    }
+}
+
+/// The phase of the interval `[x0, x0 + len)` under a function of the
+/// form `h(x) = α·x + β·⌊x / period⌋`, for [`AddressMap::a_phase`]:
+/// two intervals of length `len` with equal phase differ by one constant
+/// `h(x1 + i) − h(x0 + i)` at every `i < len`.
+///
+/// * `linear` (`β = 0`): one phase, `0`.
+/// * An interval inside one period (`x0 mod period + len ≤ period`):
+///   `⌊(x0 + i) / period⌋` is constant on it, so `h` is affine there with
+///   slope `α`, and every such interval is one phase, `period`.
+/// * Otherwise the phase is `x0 mod period`: the step of `⌊x / period⌋`
+///   falls at the same `i` in two intervals with the same residue, so the
+///   difference of the steps is constant; and two intervals with different
+///   residues, at least one of which steps, step at different `i`.
+///
+/// `period` must be positive.
+fn separable_phase(x0: u64, len: u64, period: u64, linear: bool) -> u64 {
+    let residue = x0 % period;
+    if linear {
+        0
+    } else if len <= period - residue {
+        period
+    } else {
+        residue
     }
 }
 
@@ -354,12 +396,12 @@ impl<M: AddressMap + ?Sized> AddressMap for SubGemmMap<'_, M> {
         self.inner.a_span(m + self.m_off, k0, len, out);
     }
 
-    /// The inner map's phase of the combined offset: this map's
-    /// `a(m + x, k)` is the inner `a(m + (x + m_off), k)`, so the inner
-    /// map's constant for `x + m_off` and `y + m_off` is this map's for
-    /// `x` and `y`.
-    fn a_row_phase(&self, m_off: u64) -> u64 {
-        self.inner.a_row_phase(m_off + self.m_off)
+    /// The inner map's phase of the shifted rectangle: this map's
+    /// `a(m, k)` is the inner `a(m + m_off, k)`, so the inner map's
+    /// constant for two rectangles shifted by `m_off` is this map's for
+    /// the two unshifted ones.
+    fn a_phase(&self, m0: u64, m_len: u64, k0: u64, k_len: u64) -> (u64, u64) {
+        self.inner.a_phase(m0 + self.m_off, m_len, k0, k_len)
     }
 }
 
@@ -537,33 +579,67 @@ mod tests {
         assert_eq!(runs.iter_elements().collect::<Vec<u64>>(), expect);
     }
 
+    /// Convolutions of every kind the phase rules distinguish: square and
+    /// rectangular ifmaps, filters and strides, a 1×1 filter, a fully
+    /// connected layer, `W_i = filter_w`, a linear `f`
+    /// (`stride_h·W_i = stride_w·W_o`) and its stride-swapped twin.
+    fn phase_maps() -> Vec<ConvAddressMap> {
+        let conv = |ifmap: (u64, u64), filter: (u64, u64), channels, strides: (u64, u64)| {
+            let layer = scalesim_topology::ConvLayerBuilder::new("t")
+                .ifmap(ifmap.0, ifmap.1)
+                .filter(filter.0, filter.1)
+                .channels(channels)
+                .num_filters(2)
+                .strides(strides.0, strides.1)
+                .build()
+                .unwrap();
+            ConvAddressMap::new(&layer, RegionOffsets::default())
+        };
+        vec![
+            conv((6, 6), (3, 3), 2, (1, 1)),
+            conv((7, 5), (2, 3), 1, (2, 1)),
+            conv((5, 8), (3, 2), 2, (1, 2)),
+            conv((5, 5), (1, 1), 3, (1, 1)),
+            conv((1, 1), (1, 1), 12, (1, 1)),
+            conv((5, 3), (2, 3), 2, (1, 1)),
+            // W_o = 4: stride_h·W_i = 32 ≠ stride_w·W_o = 8, so `f` steps,
+            // though the stride-swapped products are equal (16 = 16).
+            conv((9, 8), (2, 2), 1, (4, 2)),
+            // stride_h·W_i = 1·4 = stride_w·W_o = 2·2: `f` is linear.
+            conv((4, 4), (2, 2), 1, (1, 2)),
+        ]
+    }
+
     #[test]
-    fn row_phase_of_each_map() {
-        // GEMM: one phase. Conv: the offset's output column, period W_o.
-        let gemm = GemmAddressMap::new(40, 4, 8, RegionOffsets::default());
-        assert!((0..40).all(|m_off| gemm.a_row_phase(m_off) == 0));
-        for stride in [1, 2] {
-            let (layer, map) = conv_map(stride);
-            let w = layer.ofmap_w();
-            for m_off in 0..layer.ofmap_pixels() {
-                assert_eq!(map.a_row_phase(m_off), m_off % w);
-                assert_eq!(map.a_row_phase(m_off + w), map.a_row_phase(m_off));
-            }
-            assert_ne!(map.a_row_phase(1), map.a_row_phase(0));
-        }
-        // FC: W_o = 1, so one phase again.
+    fn phase_of_each_map() {
+        // GEMM: one phase for every rectangle.
+        let gemm = GemmAddressMap::new(40, 6, 8, RegionOffsets::default());
+        assert!((0..40).all(|m0| gemm.a_phase(m0, 40 - m0, m0 % 6, 6 - m0 % 6) == (0, 0)));
+        // Conv, 3x3 filter over 8x8x2 at stride 1: W_o = 6, filter row of
+        // 6 elements. An m-interval inside one output row is the phase
+        // W_o, one that wraps is its start column; likewise along k.
+        let layer = ConvLayer::new("t", 8, 8, 3, 3, 2, 4, 1).unwrap();
+        let map = ConvAddressMap::new(&layer, RegionOffsets::default());
+        assert_eq!(map.a_phase(0, 6, 0, 6), (6, 6));
+        assert_eq!(map.a_phase(13, 5, 7, 5), (6, 6));
+        assert_eq!(map.a_phase(13, 6, 7, 6), (1, 1));
+        assert_eq!(map.a_phase(1, 30, 0, 18), (1, 0));
+        assert_eq!(map.a_phase(7, 30, 0, 18), (1, 0));
+        assert_ne!(map.a_phase(0, 7, 0, 1), map.a_phase(1, 7, 0, 1));
+        // FC: W_o = 1 and one filter row, so one phase per length.
         let fc = ConvLayer::new("fc", 1, 1, 1, 1, 16, 8, 1).unwrap();
         let fc = ConvAddressMap::new(&fc, RegionOffsets::default());
-        assert!((0..4).all(|m_off| fc.a_row_phase(m_off) == 0));
+        assert_eq!(fc.a_phase(0, 1, 3, 5), fc.a_phase(0, 1, 9, 5));
+        // W_i = filter_w: `g` is linear, every k-interval one phase.
+        let wide = ConvLayer::new("w", 6, 3, 2, 3, 2, 4, 1).unwrap();
+        let wide = ConvAddressMap::new(&wide, RegionOffsets::default());
+        assert_eq!(wide.a_phase(0, 1, 1, 11).1, 0);
         // A window of a window adds the offsets before asking the map.
-        let (layer, map) = conv_map(1);
-        let w = layer.ofmap_w();
         let sub = SubGemmMap::new(&map, 2, 1);
         let nested = SubGemmMap::new(&sub, 3, 0);
-        assert_eq!(sub.a_row_phase(0), 2);
-        assert_eq!(sub.a_row_phase(w - 2), 0);
-        assert_eq!(nested.a_row_phase(1), 6 % w);
-        assert_eq!(SubGemmMap::new(&gemm, 7, 3).a_row_phase(5), 0);
+        assert_eq!(sub.a_phase(0, 30, 0, 18), map.a_phase(2, 30, 0, 18));
+        assert_eq!(nested.a_phase(1, 30, 0, 18), map.a_phase(6, 30, 0, 18));
+        assert_eq!(SubGemmMap::new(&gemm, 7, 3).a_phase(5, 9, 1, 2), (0, 0));
         // A map that proves nothing merges nothing.
         struct Opaque;
         impl AddressMap for Opaque {
@@ -586,58 +662,70 @@ mod tests {
                 0
             }
         }
-        assert_eq!(Opaque.a_row_phase(5), 5);
-        assert_eq!(SubGemmMap::new(&Opaque, 4, 0).a_row_phase(5), 9);
+        assert_eq!(Opaque.a_phase(5, 2, 3, 1), (5, 3));
+        assert_eq!(SubGemmMap::new(&Opaque, 4, 0).a_phase(5, 2, 3, 1), (9, 3));
     }
 
     #[test]
-    fn equal_row_phase_shifts_every_a_address_by_one_constant() {
-        // The contract of `a_row_phase`, by enumeration: for every pair of
-        // offsets with one phase, a(m + y, k) − a(m + x, k) is the same for
-        // every (m, k) both are defined at — through `a` and through the
-        // runs of `a_span`.
-        let spans = |map: &dyn AddressMap, m: u64, window: u64| {
+    fn equal_phase_shifts_every_a_address_by_one_constant() {
+        // The contract of `a_phase`, by enumeration: every rectangle of
+        // every map is held to the first rectangle of its lengths and
+        // phase — a(m1 + i, k1 + j) − a(m0 + i, k0 + j) is one constant
+        // over the rectangle, through `a` and through the runs of
+        // `a_span`. Equality is transitive, so that covers every pair.
+        let spans = |map: &dyn AddressMap, m: u64, k0: u64, len: u64| {
             let mut runs = AddrRuns::new();
-            map.a_span(m, 0, window, &mut runs);
+            map.a_span(m, k0, len, &mut runs);
             runs.iter_runs()
                 .map(|r| (r.start, r.len))
                 .collect::<Vec<_>>()
         };
-        for stride in [1, 2] {
-            let (layer, map) = conv_map(stride);
-            let (pixels, window) = (layer.ofmap_pixels(), layer.window_size());
-            let mut merged = 0;
-            for x in 0..pixels {
-                for y in x + 1..pixels {
-                    if map.a_row_phase(x) != map.a_row_phase(y) {
-                        continue;
-                    }
-                    merged += 1;
-                    let d = map.a(y, 0) - map.a(x, 0);
-                    for m in 0..pixels - y {
-                        for k in 0..window {
-                            assert_eq!(map.a(m + y, k), map.a(m + x, k) + d);
-                        }
-                        let shifted: Vec<_> = spans(&map, m + x, window)
-                            .into_iter()
-                            .map(|(start, len)| (start + d, len))
-                            .collect();
-                        assert_eq!(spans(&map, m + y, window), shifted);
-                    }
-                }
-            }
-            assert!(merged > 0);
-        }
         let gemm = GemmAddressMap::new(9, 5, 3, RegionOffsets::default());
-        for x in 0..9 {
-            for y in x..9 {
-                let d = gemm.a(y, 0) - gemm.a(x, 0);
-                for m in 0..9 - y {
-                    for k in 0..5 {
-                        assert_eq!(gemm.a(m + y, k), gemm.a(m + x, k) + d);
+        let maps: Vec<(Box<dyn AddressMap>, u64, u64)> = phase_maps()
+            .into_iter()
+            .map(|map| {
+                let (m, k) = (map.ofmap_pixels, map.window);
+                (Box::new(map) as Box<dyn AddressMap>, m, k)
+            })
+            .chain([(Box::new(gemm) as Box<dyn AddressMap>, 9, 5)])
+            .collect();
+        for (map, m_total, k_total) in &maps {
+            let (m_total, k_total) = (*m_total, *k_total);
+            let mut first = std::collections::HashMap::new();
+            let (mut rectangles, mut merged) = (0, 0);
+            for m_len in 1..=m_total {
+                for k_len in 1..=k_total {
+                    for m1 in 0..=m_total - m_len {
+                        for k1 in 0..=k_total - k_len {
+                            rectangles += 1;
+                            let phase = map.a_phase(m1, m_len, k1, k_len);
+                            let (m0, k0) = *first.entry((m_len, k_len, phase)).or_insert((m1, k1));
+                            if (m0, k0) == (m1, k1) {
+                                continue;
+                            }
+                            merged += 1;
+                            let d = map.a(m1, k1).wrapping_sub(map.a(m0, k0));
+                            for i in 0..m_len {
+                                for j in 0..k_len {
+                                    assert_eq!(
+                                        map.a(m1 + i, k1 + j),
+                                        map.a(m0 + i, k0 + j).wrapping_add(d),
+                                        "{:?} vs {:?}",
+                                        (m1, m_len, k1, k_len),
+                                        (m0, k0)
+                                    );
+                                }
+                                let shifted: Vec<_> = spans(&**map, m0 + i, k0, k_len)
+                                    .into_iter()
+                                    .map(|(start, len)| (start.wrapping_add(d), len))
+                                    .collect();
+                                assert_eq!(spans(&**map, m1 + i, k1, k_len), shifted);
+                            }
+                        }
                     }
                 }
             }
+            assert!(merged > rectangles / 2, "{merged} of {rectangles} merged");
         }
     }
 

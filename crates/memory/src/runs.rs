@@ -264,6 +264,28 @@ impl AddrRuns {
         self.seal = other.seal;
     }
 
+    /// Adds `d` to every address, wrapping: the stream of the same shape
+    /// `d` further on (a shift down is `d = x.wrapping_neg()`). Order,
+    /// equality and adjacency of addresses survive, and with them the run
+    /// boundaries, as long as no address passes `u64::MAX`. Like every
+    /// mutator it drops the seal: a shifted stream is another stream.
+    ///
+    /// ```
+    /// use scalesim_memory::AddrRuns;
+    ///
+    /// let mut stream: AddrRuns = [5u64, 6, 9].into_iter().collect();
+    /// stream.shift(10);
+    /// assert_eq!(stream.iter_elements().collect::<Vec<_>>(), [15, 16, 19]);
+    /// stream.shift(3u64.wrapping_neg());
+    /// assert_eq!(stream.starts(), [12, 16]);
+    /// ```
+    pub fn shift(&mut self, d: u64) {
+        self.seal = 0;
+        for start in &mut self.starts {
+            *start = start.wrapping_add(d);
+        }
+    }
+
     /// The uncompressed element sequence.
     pub fn iter_elements(&self) -> impl Iterator<Item = u64> + '_ {
         self.iter_runs().flat_map(|r| r.start..r.end())
@@ -623,6 +645,10 @@ mod tests {
         assert_eq!(runs.seal(), 0);
         let mut runs = sealed(0..8);
         runs.clear();
+        assert_eq!(runs.seal(), 0);
+        // A shift, even by zero, names another stream.
+        let mut runs = sealed(0..8);
+        runs.shift(0);
         assert_eq!(runs.seal(), 0);
         // extend_runs names neither side's stream: not into a sealed
         // non-empty target, and not the sealed source's into an empty one.

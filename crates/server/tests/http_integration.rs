@@ -381,6 +381,33 @@ fn a_huge_word_size_saturates_the_dram_bytes() {
     handle.stop();
 }
 
+/// A `config` whose `ArrayHeight x ArrayWidth` overflows a u64 is a 400
+/// naming the array, where it panicked a worker or simulated a wrapped
+/// array.
+#[test]
+fn an_array_whose_pe_count_overflows_is_a_bad_request() {
+    let handle = start_server(1);
+    for rows in ["4294967296", "4294967297"] {
+        let job = format!(
+            r#"{{"network": "TF1",
+                 "config": {{"ArrayHeight": {rows}, "ArrayWidth": 4294967296}}}}"#
+        );
+        let response = request(handle.addr(), "POST", "/simulate", Some(&job)).unwrap();
+        assert_eq!(response.status, 400, "body: {}", response.body);
+        let error = Json::parse(&response.body).unwrap();
+        let error = error
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_owned();
+        assert!(
+            error.contains(&format!("array of {rows} x 4294967296 PEs")),
+            "{error}"
+        );
+    }
+    handle.stop();
+}
+
 /// An `IfmapOffset` 616 addresses short of 2^64 puts the IFMAP region
 /// across the end of the address space. Layers are simulated at offset
 /// zero, so the report is that of offset 0 — all but the job key, which

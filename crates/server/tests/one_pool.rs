@@ -33,7 +33,17 @@ fn a_served_job_s_layers_spread_over_the_pool_s_two_workers() {
     let handle = Server::bind("127.0.0.1:0", engine.clone())
         .expect("bind ephemeral port")
         .spawn();
-    let mut workers = threads(|name| name.starts_with("sim-worker"));
+    // A spawned thread takes its name once it runs, so a worker that has
+    // not been scheduled yet still carries the process's name: look again
+    // until both have named themselves, or for at most five seconds.
+    let mut workers = Vec::new();
+    for _ in 0..500 {
+        workers = threads(|name| name.starts_with("sim-worker"));
+        if workers.len() >= 2 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
     workers.sort();
     assert_eq!(workers, ["sim-worker-0", "sim-worker-1"]);
 

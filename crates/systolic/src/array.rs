@@ -47,9 +47,11 @@ impl ArrayShape {
         self.cols
     }
 
-    /// Total MAC units (`R · C`).
+    /// Total MAC units (`R · C`), saturating at `u64::MAX`: a count too
+    /// large to hold still bounds every product it enters from below,
+    /// where the unchecked product wrapped (`2^32 × 2^32` was 0 MACs).
     pub fn macs(&self) -> u64 {
-        self.rows * self.cols
+        self.rows.saturating_mul(self.cols)
     }
 
     /// Aspect ratio `R / C` as a float (1.0 for square arrays).
@@ -75,6 +77,17 @@ impl fmt::Display for ArrayShape {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_pe_count_saturates_instead_of_wrapping() {
+        // 2^32 x 2^32 wrapped to 0 PEs, and 2^32 + 1 x 2^32 to 2^32.
+        assert_eq!(ArrayShape::new(1 << 32, 1 << 32).macs(), u64::MAX);
+        assert_eq!(ArrayShape::new((1 << 32) + 1, 1 << 32).macs(), u64::MAX);
+        assert_eq!(
+            ArrayShape::new(1 << 32, (1 << 32) - 1).macs(),
+            u64::MAX - (1 << 32) + 1
+        );
+    }
 
     #[test]
     fn accessors_and_macs() {

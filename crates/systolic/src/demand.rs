@@ -9,15 +9,26 @@
 //!
 //! Both generators here yield [`FoldDemandRuns`]. [`fold_demand_runs`] is
 //! the one the simulator runs: O(runs) per fold, canonical labels for the
-//! B and O streams. [`fold_demands`] enumerates real addresses one by one:
-//! what DRAM trace export prints, and the reference for the other.
+//! B and O streams, and each *shape* of A stream generated once per layer.
+//! [`fold_demands`] enumerates real addresses one by one: what DRAM trace
+//! export prints, and the reference for the other.
+//!
+//! A fold row (OS, WS) or a fold (IS) reads one rectangle of operand A,
+//! and its A stream is the first-use dedup of that rectangle's addresses.
+//! Two rectangles of equal lengths and equal [`AddressMap::a_phase`] hold
+//! the same addresses up to one constant, so [`fold_demand_runs`] runs
+//! the dedup walk for the first rectangle of each such *translation
+//! class* and emits the others as that stream shifted: on the 30 distinct
+//! layers of ResNet-50, AlexNet and a `4000 × 84 × 1024` GEMM on a 32×32
+//! array, 46 walks for 1,525 WS fold rows and 523 for 13,860 IS folds.
 
-use std::collections::HashSet;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 
 use scalesim_memory::{AddrRuns, AddressMap, IntervalSet};
 use scalesim_topology::{Dataflow, MappedDims};
 
-use crate::fold::{Fold, FoldPlan};
+use crate::fold::{tile_extent, Fold, FoldPlan};
 use crate::ArrayShape;
 
 /// Iterator over the per-fold demands of a workload in real addresses.
@@ -244,11 +255,21 @@ pub struct FoldDemandRuns {
     /// Unique operand-A (IFMAP) address runs, real addresses, first-use
     /// order.
     ///
+    /// [`fold_demand_runs`] makes one such stream per fold row under OS
+    /// and WS and per fold under IS, each the first-use dedup of the
+    /// rectangle of A it reads. It walks the dedup set only for the first
+    /// rectangle of each translation class (equal lengths, equal
+    /// [`AddressMap::a_phase`]); the others get that stream plus the one
+    /// constant the phase contract promises, which changes no order,
+    /// equality or adjacency of addresses, so the stream is the one the
+    /// walk would have made (debug builds make it and `assert_eq!`).
+    ///
     /// Sealed by [`fold_demand_runs`] ([`AddrRuns::seal_distinct`]), which
     /// promises that no address repeats within it: the stream is the gaps
-    /// of a first-use dedup set. All folds served by one generated stream
-    /// — a fold row under OS and WS, a single fold under IS — carry the
-    /// same seal, and
+    /// of a first-use dedup set, or such a stream shifted. A shifted
+    /// stream is a new stream with a seal of its own. All folds served by
+    /// one stream — a fold row under OS and WS, a single fold under IS —
+    /// carry the same seal, and
     /// [`RunBuffer::epoch`](scalesim_memory::RunBuffer::epoch) answers the
     /// repeats from the fixed point the first one reached: all hits again
     /// after an epoch that missed nothing (nothing changed), evicted
@@ -321,6 +342,71 @@ impl Default for FoldDemandRuns {
     }
 }
 
+/// A rectangle `A[m0..m0+m_len][k0..k0+k_len]` of operand A, as
+/// `(m0, m_len, k0, k_len)`: what one generated A stream reads, row by row.
+type ARect = (u64, u64, u64, u64);
+
+/// What an A stream is a function of, up to one constant: its
+/// rectangle's lengths and [`AddressMap::a_phase`].
+type AClassKey = (u64, u64, (u64, u64));
+
+/// The A-stream classes of one layer and the storage of their streams.
+///
+/// The count that precedes the fold loop fills in how many members each
+/// class has. The stream in the iterator's `a_scratch` is shifted in
+/// place for the next member of its class; it is copied out into a class
+/// stream only when `a_scratch` moves on to another class while its own
+/// still has a member to come, and that copy goes back to `free` with the
+/// class's last member. Nothing is sized or evicted. The storage outlives
+/// the layer in a per-thread slot ([`A_CLASSES`]), so a warm fold loop
+/// allocates nothing for it.
+#[derive(Debug, Default)]
+struct AClasses {
+    /// Every class of the layer.
+    classes: HashMap<AClassKey, AClass>,
+    /// Retired class-stream storage.
+    free: Vec<AddrRuns>,
+    /// Debug builds generate every shifted member directly here and hold
+    /// the emitted stream to it; release builds leave it empty.
+    twin: AddrRuns,
+}
+
+#[derive(Debug)]
+struct AClass {
+    /// Members not yet shown.
+    remaining: u64,
+    /// The class stream and `a(m0, k0)` of the rectangle it is the stream
+    /// of: present while a member is to come and another class has been
+    /// shown since this class's last.
+    stream: Option<(AddrRuns, u64)>,
+}
+
+impl AClasses {
+    /// Forgets the last layer's classes, keeping every allocation.
+    fn reset(&mut self) {
+        for (_, class) in self.classes.drain() {
+            self.free.extend(class.stream.map(|(stream, _)| stream));
+        }
+    }
+
+    /// Counts one more member of the class of `key`.
+    fn count(&mut self, key: AClassKey) {
+        let class = self.classes.entry(key).or_insert(AClass {
+            remaining: 0,
+            stream: None,
+        });
+        class.remaining += 1;
+    }
+}
+
+thread_local! {
+    /// The class storage of the last demand iterator this thread dropped,
+    /// taken by the next one. It travels beside the scratch that
+    /// [`fold_demand_runs_in`] loans rather than through it, so that the
+    /// loaned pair keeps its type.
+    static A_CLASSES: RefCell<AClasses> = RefCell::new(AClasses::default());
+}
+
 /// Iterator over run-compressed per-fold demands. Created by
 /// [`fold_demand_runs`].
 #[derive(Debug)]
@@ -330,16 +416,23 @@ pub struct FoldDemandsRuns<'a, M: ?Sized> {
     plan: FoldPlan,
     /// `R·C`, the size of one fold's block of tile-major labels.
     tile: u64,
-    /// First-use dedup for the A stream, cleared whenever it is generated.
+    /// First-use dedup for the A stream, cleared whenever one is generated.
     a_seen: IntervalSet,
-    /// The deduplicated A stream last generated, copied into every fold
-    /// it serves: all folds of a fold row under OS and WS, one fold under
-    /// IS.
+    /// The A stream of the current fold row (OS, WS) or fold (IS), copied
+    /// into every fold it serves.
     a_scratch: AddrRuns,
-    /// What `a_scratch` was generated for: the fold row (OS, WS) or the
-    /// fold index (IS). `None` until the first fold, so whatever a loaned
+    /// What `a_scratch` was made for: the fold row (OS, WS) or the fold
+    /// index (IS). `None` until the first fold, so whatever a loaned
     /// `a_scratch` held is never served.
     a_key: Option<u64>,
+    /// The class of the stream in `a_scratch`, and `a(m0, k0)` of the
+    /// rectangle it is the stream of.
+    a_class: Option<AClassKey>,
+    a_origin: u64,
+    /// The layer's A-stream classes, counted before the first fold.
+    classes: AClasses,
+    /// A streams generated by the dedup walk so far.
+    generated: u64,
 }
 
 /// Enumerates each fold's demand run by run, in the streams the
@@ -371,6 +464,10 @@ pub fn fold_demand_runs<'a, M: AddressMap + ?Sized>(
 /// [`fold_demand_runs`] with caller-provided A-stream scratch, so repeated
 /// layer simulations on one worker reuse the grown storage. Reclaim it
 /// with [`FoldDemandsRuns::into_scratch`] when the iterator is exhausted.
+///
+/// Before the first fold this walks the fold rows (OS, WS) or folds (IS)
+/// once and counts the members of each A-stream class: O(fold rows) or
+/// O(folds) phase keys, the memory plan of [`FoldDemandRuns::a`].
 pub fn fold_demand_runs_in<'a, M: AddressMap + ?Sized>(
     dims: &MappedDims,
     array: ArrayShape,
@@ -378,14 +475,76 @@ pub fn fold_demand_runs_in<'a, M: AddressMap + ?Sized>(
     a_seen: IntervalSet,
     a_scratch: AddrRuns,
 ) -> FoldDemandsRuns<'a, M> {
+    let plan = FoldPlan::new(dims, array);
+    let mut classes = A_CLASSES
+        .try_with(|slot| std::mem::take(&mut *slot.borrow_mut()))
+        .unwrap_or_default();
+    classes.reset();
+    let (rows, cols) = (array.rows(), array.cols());
+    let fold_cols = match dims.dataflow {
+        Dataflow::InputStationary => plan.fold_cols(),
+        _ => 1,
+    };
+    for fr in 0..plan.fold_rows() {
+        let ru = tile_extent(dims.spatial_rows, rows, fr);
+        for fc in 0..fold_cols {
+            let cu = tile_extent(dims.spatial_cols, cols, fc);
+            let rect = a_rect(dims, fr * rows, ru, fc * cols, cu);
+            classes.count(class_key(map, rect));
+        }
+    }
     FoldDemandsRuns {
         dims: *dims,
         map,
-        plan: FoldPlan::new(dims, array),
+        plan,
         tile: array.macs(),
         a_seen,
         a_scratch,
         a_key: None,
+        a_class: None,
+        a_origin: 0,
+        classes,
+        generated: 0,
+    }
+}
+
+/// The rectangle of A that a fold's A stream reads, from its tile: the
+/// fold row's rows over all of `K` (OS), all of `M` over the fold row's
+/// `k`-slice (WS), the fold's columns over its `k`-slice (IS).
+fn a_rect(dims: &MappedDims, row_base: u64, ru: u64, col_base: u64, cu: u64) -> ARect {
+    match dims.dataflow {
+        Dataflow::OutputStationary => (row_base, ru, 0, dims.temporal),
+        Dataflow::WeightStationary => (0, dims.temporal, row_base, ru),
+        Dataflow::InputStationary => (col_base, cu, row_base, ru),
+    }
+}
+
+fn class_key<M: AddressMap + ?Sized>(map: &M, (m0, m_len, k0, k_len): ARect) -> AClassKey {
+    (m_len, k_len, map.a_phase(m0, m_len, k0, k_len))
+}
+
+/// Appends to the cleared `stream` the A stream of `rect`: real
+/// addresses of `A[m][k0..k0+k_len]` for each row `m` in turn,
+/// deduplicated in first-use order — each maximal novel sub-range of
+/// each span in ascending `k` order, exactly the order the element-wise
+/// `push_unique` loop produces. `staging` takes the raw `a_span` output.
+fn generate_a<M: AddressMap + ?Sized>(
+    map: &M,
+    (m0, m_len, k0, k_len): ARect,
+    a_seen: &mut IntervalSet,
+    stream: &mut AddrRuns,
+    staging: &mut AddrRuns,
+) {
+    a_seen.clear();
+    stream.clear();
+    for m in m0..m0 + m_len {
+        staging.clear();
+        map.a_span(m, k0, k_len, staging);
+        for run in staging.iter_runs() {
+            // Fused probe: enumerate the novel sub-ranges and mark them
+            // seen with one binary search over the dedup set.
+            a_seen.insert_with_gaps(run.start, run.end(), |s, e| stream.push(s, e - s));
+        }
     }
 }
 
@@ -410,8 +569,20 @@ impl<'a, M: AddressMap + ?Sized> FoldDemandsRuns<'a, M> {
 
     /// Returns the A-stream scratch for reuse by the next layer's iterator
     /// — the counterpart of [`fold_demand_runs_in`].
-    pub fn into_scratch(self) -> (IntervalSet, AddrRuns) {
-        (self.a_seen, self.a_scratch)
+    pub fn into_scratch(mut self) -> (IntervalSet, AddrRuns) {
+        (
+            std::mem::take(&mut self.a_seen),
+            std::mem::take(&mut self.a_scratch),
+        )
+    }
+
+    /// How many A streams this iterator has generated by the first-use
+    /// dedup walk — one per class that has been shown; every other fold
+    /// row (OS, WS) or fold (IS) got its class stream shifted. A test
+    /// hook, like `RunBuffer::walked_epochs`.
+    #[doc(hidden)]
+    pub fn a_streams_generated(&self) -> u64 {
+        self.generated
     }
 
     /// Fills the cleared `out` with `fold`'s demand, in the labels of the
@@ -431,12 +602,12 @@ impl<'a, M: AddressMap + ?Sized> FoldDemandsRuns<'a, M> {
         // `O[m][·]` for the tile's `cu` columns, `T` labels each.
         let col_block = fold.col_base * t;
         let spill = fold.fr > 0;
+        let rect = a_rect(&self.dims, fold.row_base, ru, fold.col_base, cu);
 
         match self.dims.dataflow {
             Dataflow::OutputStationary => {
                 // A[row_base+i][0..T], loop (i, k): the fold row's alone.
-                let spans = (0..ru).map(|i| (fold.row_base + i, 0, t));
-                self.a_stream(fold.fr, spans, &mut out.a);
+                self.a_stream(fold.fr, rect, &mut out.a);
                 // B[k][col_base+j], loop (j, k).
                 out.b.push(col_block, cu * t);
                 // O[row_base+i][col_base+j], loop (i, j), this fold only.
@@ -446,8 +617,7 @@ impl<'a, M: AddressMap + ?Sized> FoldDemandsRuns<'a, M> {
                 // B[row_base+i][col_base+j], loop (i, j), this fold only.
                 out.b.push(tile_block, ru * cu);
                 // A[mt][row_base..+ru], loop (mt, i): the fold row's alone.
-                let spans = (0..t).map(|mt| (mt, fold.row_base, ru));
-                self.a_stream(fold.fr, spans, &mut out.a);
+                self.a_stream(fold.fr, rect, &mut out.a);
                 // O[mt][col_base+j], loop (mt, j), accumulated along fr.
                 if spill {
                     out.o_spill.push(col_block, t * cu);
@@ -456,8 +626,7 @@ impl<'a, M: AddressMap + ?Sized> FoldDemandsRuns<'a, M> {
             }
             Dataflow::InputStationary => {
                 // A[col_base+j][row_base..+ru], loop (j, i): this fold's.
-                let spans = (0..cu).map(|j| (fold.col_base + j, fold.row_base, ru));
-                self.a_stream(fold_index, spans, &mut out.a);
+                self.a_stream(fold_index, rect, &mut out.a);
                 // B[row_base+i][nt], loop (nt, i), shared along fc.
                 out.b.push(fold.row_base * t, t * ru);
                 // O[col_base+j][nt], loop (nt, j), accumulated along fr.
@@ -469,50 +638,96 @@ impl<'a, M: AddressMap + ?Sized> FoldDemandsRuns<'a, M> {
         }
     }
 
-    /// Appends to the cleared `out` the A stream of the spans
-    /// `A[m][k0..k0+len]` that `spans` yields as `(m, k0, len)`: real
-    /// addresses, deduplicated in first-use order — each maximal novel
-    /// sub-range of each span in ascending `k` order, exactly the order
-    /// the element-wise `push_unique` loop produces. `key` names what the
-    /// stream is a function of; while it repeats, `spans` is not walked
-    /// and the stream generated for it is handed out again by
+    /// Copies into the cleared `out` the A stream of `rect` (see
+    /// [`generate_a`]). `unit` names what the stream is made for; while it
+    /// repeats the stream made for it is handed out again by
     /// [`AddrRuns::copy_from`] — two memcpys and the seal.
     ///
-    /// The stream is sealed ([`AddrRuns::seal_distinct`]) as soon as it is
-    /// generated, and this is the place that can promise what a seal
-    /// means: the stream is complete, and it is built from nothing but the
-    /// gaps of `a_seen`, each marked seen as it is emitted, so no address
-    /// occurs twice. Every fold the stream serves carries the same seal,
-    /// which is how the IFMAP buffer knows it is being shown the stream of
-    /// the fold before without comparing or keeping it.
+    /// A new `unit` makes the stream from its class, the rectangle's
+    /// [`AddressMap::a_phase`] and lengths. The first member of a class is
+    /// generated by the dedup walk; every later one is a stream of its
+    /// class plus `d = a(m0′, k0′) − a(m0, k0)`, one add over `starts[]` —
+    /// by the contract of `a_phase` every address of the rectangle moves
+    /// by `d`, and the first-use dedup and run coalescing that built the
+    /// stream see addresses only through order, equality and adjacency,
+    /// which the shift keeps. The stream shifted is the one in
+    /// `a_scratch` when the member before was of the same class, and
+    /// otherwise a copy of the class stream kept for it (see
+    /// [`AClasses`]), which the count made before the first fold lets go
+    /// with the class's last member.
+    ///
+    /// Either way the stream is sealed ([`AddrRuns::seal_distinct`]) as
+    /// soon as it is made, and this is the place that can promise what a
+    /// seal means: the stream is complete, and it is the gaps of `a_seen`,
+    /// each marked seen as it was emitted, or such a stream shifted, so no
+    /// address occurs twice. A shifted stream is another stream and gets a
+    /// seal of its own; every fold it serves carries that seal, which is
+    /// how the IFMAP buffer knows it is being shown the stream of the fold
+    /// before without comparing or keeping it.
     ///
     /// The stream is built in `a_scratch`, which outlives the layer in the
     /// caller's arena, with `out` as staging for raw `a_span` output — so
     /// a warm fold loop allocates nothing, whichever `out` it passes.
-    fn a_stream(
-        &mut self,
-        key: u64,
-        spans: impl Iterator<Item = (u64, u64, u64)>,
-        out: &mut AddrRuns,
-    ) {
-        if self.a_key != Some(key) {
-            self.a_key = Some(key);
-            self.a_seen.clear();
-            self.a_scratch.clear();
-            for (m, k0, len) in spans {
-                out.clear();
-                self.map.a_span(m, k0, len, out);
-                for run in out.iter_runs() {
-                    // Fused probe: enumerate the novel sub-ranges and mark
-                    // them seen with one binary search over the dedup set.
-                    let stream = &mut self.a_scratch;
-                    self.a_seen
-                        .insert_with_gaps(run.start, run.end(), |s, e| stream.push(s, e - s));
+    fn a_stream(&mut self, unit: u64, rect: ARect, out: &mut AddrRuns) {
+        if self.a_key != Some(unit) {
+            self.a_key = Some(unit);
+            let origin = self.map.a(rect.0, rect.2);
+            let key = class_key(self.map, rect);
+            let AClasses {
+                classes,
+                free,
+                twin,
+            } = &mut self.classes;
+            let moved = self.a_class != Some(key);
+            if moved {
+                // `a_scratch` changes class: keep the stream it holds if
+                // its class has a member to come and no stream stored.
+                if let Some(class) = self.a_class.and_then(|last| classes.get_mut(&last)) {
+                    if class.remaining > 0 && class.stream.is_none() {
+                        let mut stream = free.pop().unwrap_or_default();
+                        stream.copy_from(&self.a_scratch);
+                        class.stream = Some((stream, self.a_origin));
+                    }
                 }
+            }
+            let class = classes.get_mut(&key).expect("every class is counted");
+            let shifted = match (&class.stream, moved) {
+                // `a_scratch` holds this class's stream: shift it in place.
+                (_, false) => {
+                    self.a_scratch.shift(origin.wrapping_sub(self.a_origin));
+                    true
+                }
+                (Some((stream, from)), true) => {
+                    self.a_scratch.copy_from(stream);
+                    self.a_scratch.shift(origin.wrapping_sub(*from));
+                    true
+                }
+                (None, true) => {
+                    generate_a(self.map, rect, &mut self.a_seen, &mut self.a_scratch, out);
+                    self.generated += 1;
+                    false
+                }
+            };
+            (self.a_class, self.a_origin) = (Some(key), origin);
+            class.remaining -= 1;
+            if class.remaining == 0 {
+                free.extend(class.stream.take().map(|(stream, _)| stream));
+            }
+            if cfg!(debug_assertions) && shifted {
+                generate_a(self.map, rect, &mut self.a_seen, twin, out);
+                assert_eq!(*twin, self.a_scratch, "A stream of {rect:?}");
             }
             self.a_scratch.seal_distinct();
         }
         out.copy_from(&self.a_scratch);
+    }
+}
+
+impl<M: ?Sized> Drop for FoldDemandsRuns<'_, M> {
+    /// Hands the class storage to the next iterator on this thread.
+    fn drop(&mut self) {
+        let classes = std::mem::take(&mut self.classes);
+        let _ = A_CLASSES.try_with(|slot| *slot.borrow_mut() = classes);
     }
 }
 

@@ -173,7 +173,7 @@ impl Iterator for FoldPlan {
 impl ExactSizeIterator for FoldPlan {}
 
 /// Extent of tile `index` when cutting `total` into `chunk`-sized tiles.
-fn tile_extent(total: u64, chunk: u64, index: u64) -> u64 {
+pub(crate) fn tile_extent(total: u64, chunk: u64, index: u64) -> u64 {
     let start = index * chunk;
     chunk.min(total - start)
 }

@@ -18,6 +18,7 @@
 //! | [`extend_runs_scalar`] — a push per run | [`AddrRuns::extend_runs`] |
 //! | [`fold_traffic`] — element streams through three [`DoubleBuffer`]s | [`scalesim_memory::DramModel::fold_runs`] on the sealed streams of `fold_demand_runs`, fold by fold |
 //! | [`tile_traffic`] — the sum of [`fold_traffic`] | the DRAM traffic `Simulator::run_layer` reports, tile by tile |
+//! | [`run_layer`] — every tile one by one: `pe_grid` cycles, trace-engine SRAM counts, [`fold_traffic`]'s buffers, an element-level bus | every field of the `LayerReport` of `Simulator::run_layer` |
 //!
 //! Nothing here is compiled into the simulator, the server or the
 //! benchmark. The one piece of the reference model that still ships is
@@ -30,9 +31,13 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-use scalesim_memory::{AddrRuns, AddressMap, EpochStats, ReuseProfile};
-use scalesim_systolic::{fold_demands, ArrayShape};
-use scalesim_topology::MappedDims;
+use scalesim::{EnergyModel, LayerReport, PartitionGrid, SimConfig};
+use scalesim_memory::{
+    AddrRuns, AddressMap, ConvAddressMap, EpochStats, GemmAddressMap, ReuseProfile, SubGemmMap,
+};
+use scalesim_systolic::pe_grid::{self, Matrix};
+use scalesim_systolic::{fold_demands, simulate, ArrayShape, CountingSink};
+use scalesim_topology::{GemmShape, Layer, MappedDims};
 
 /// A double-buffered operand SRAM: a FIFO working set of element addresses.
 ///
@@ -211,6 +216,345 @@ pub fn tile_traffic<M: AddressMap + ?Sized>(
         .fold((0, 0, 0, 0), |(a, b, o, w), fold| {
             (a + fold.0, b + fold.1, o + fold.2, w + fold.3)
         })
+}
+
+/// Every figure of a `LayerReport`, as plain numbers: what [`run_layer`]
+/// computes, and what [`LayerFigures::of`] reads out of a report, so the
+/// two compare field by field. `f64` fields compare by their bits.
+#[derive(Debug, Clone)]
+pub struct LayerFigures {
+    /// `total_cycles`.
+    pub total_cycles: u64,
+    /// `per_partition_cycles`.
+    pub per_partition_cycles: Vec<u64>,
+    /// `active_partitions`.
+    pub active_partitions: u64,
+    /// `mac_ops`.
+    pub mac_ops: u64,
+    /// SRAM `a_reads`, `b_reads`, `o_reads`, `o_writes`.
+    pub sram: [u64; 4],
+    /// DRAM `reads_a`, `reads_b`, `reads_o`, `writes_o`.
+    pub dram: [u64; 4],
+    /// DRAM `word_bytes`.
+    pub word_bytes: u64,
+    /// DRAM `folds`.
+    pub folds: u64,
+    /// The read and the write bandwidth profile.
+    pub bandwidth: [Profile; 2],
+    /// `mapping_utilization`.
+    pub mapping_utilization: f64,
+    /// `compute_utilization`.
+    pub compute_utilization: f64,
+    /// Energy `mac`, `idle`, `sram`, `dram`.
+    pub energy: [f64; 4],
+    /// The stall summary: `bandwidth`, `(compute, stalled, stall)` cycles
+    /// and `bus_utilization`.
+    pub stall: Option<(f64, [u64; 3], f64)>,
+}
+
+/// A bandwidth profile as its four observable figures: total bytes, total
+/// cycles, peak bytes per cycle, samples.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Profile {
+    /// Bytes over all windows.
+    pub total_bytes: u64,
+    /// Cycles over all windows.
+    pub total_cycles: u64,
+    /// The highest bytes per cycle of one window (summed over tiles).
+    pub peak: f64,
+    /// Windows recorded.
+    pub samples: u64,
+}
+
+impl Profile {
+    /// One window of `cycles` moving `bytes`: a window with traffic and no
+    /// cycles counts one cycle.
+    fn record(&mut self, cycles: u64, bytes: u64) {
+        let cycles = if cycles == 0 && bytes > 0 { 1 } else { cycles };
+        self.total_bytes = self.total_bytes.saturating_add(bytes);
+        self.total_cycles = self.total_cycles.saturating_add(cycles);
+        if cycles > 0 {
+            self.peak = self.peak.max(bytes as f64 / cycles as f64);
+        }
+        self.samples += 1;
+    }
+
+    /// Another tile's profile, running at the same time: bytes and peaks
+    /// add, the longest tile sets the cycles.
+    fn concurrent(&mut self, other: &Profile) {
+        self.total_bytes = self.total_bytes.saturating_add(other.total_bytes);
+        self.total_cycles = self.total_cycles.max(other.total_cycles);
+        self.peak += other.peak;
+        self.samples += other.samples;
+    }
+}
+
+impl LayerFigures {
+    /// The figures of a report of `Simulator::run_layer`.
+    pub fn of(report: &LayerReport) -> LayerFigures {
+        let profile = |bw: &scalesim_memory::BandwidthProfile| Profile {
+            total_bytes: bw.total_bytes(),
+            total_cycles: bw.total_cycles(),
+            peak: bw.peak(),
+            samples: bw.samples(),
+        };
+        let (sram, dram, energy) = (&report.sram, &report.dram, &report.energy);
+        LayerFigures {
+            total_cycles: report.total_cycles,
+            per_partition_cycles: report.per_partition_cycles.clone(),
+            active_partitions: report.active_partitions,
+            mac_ops: report.mac_ops,
+            sram: [sram.a_reads, sram.b_reads, sram.o_reads, sram.o_writes],
+            dram: [dram.reads_a, dram.reads_b, dram.reads_o, dram.writes_o],
+            word_bytes: dram.word_bytes,
+            folds: dram.folds,
+            bandwidth: [profile(&dram.read_bw), profile(&dram.write_bw)],
+            mapping_utilization: report.mapping_utilization,
+            compute_utilization: report.compute_utilization,
+            energy: [energy.mac, energy.idle, energy.sram, energy.dram],
+            stall: report.stall.map(|s| {
+                let cycles = [s.compute_cycles, s.stalled_cycles, s.stall_cycles];
+                (s.bandwidth, cycles, s.bus_utilization)
+            }),
+        }
+    }
+
+    /// The `f64` fields by their bits, the rest as they are.
+    #[allow(clippy::type_complexity)]
+    fn key(&self) -> (Vec<u64>, [[u64; 4]; 2], Vec<u64>) {
+        let mut ints = vec![
+            self.total_cycles,
+            self.active_partitions,
+            self.mac_ops,
+            self.word_bytes,
+            self.folds,
+        ];
+        ints.extend(&self.per_partition_cycles);
+        ints.extend(self.sram.iter().chain(&self.dram));
+        let mut floats = vec![self.mapping_utilization, self.compute_utilization];
+        floats.extend(self.energy);
+        if let Some((bandwidth, cycles, bus)) = self.stall {
+            ints.extend(cycles);
+            floats.extend([bandwidth, bus]);
+        }
+        let profiles = self
+            .bandwidth
+            .map(|p| [p.total_bytes, p.total_cycles, p.peak.to_bits(), p.samples]);
+        ints.push(u64::from(self.stall.is_some()));
+        (ints, profiles, floats.iter().map(|f| f.to_bits()).collect())
+    }
+}
+
+impl PartialEq for LayerFigures {
+    /// Every field equal, `f64` bit for bit.
+    fn eq(&self, other: &LayerFigures) -> bool {
+        self.key() == other.key()
+    }
+}
+
+/// One layer on `grid` under `config` with the default energy model, the
+/// obvious way, as `Simulator::run_layer` reports it — with
+/// `config.dataflow` as given (no automatic dataflow selection).
+///
+/// The output space is tiled as Eq. 5 says and every tile that gets work
+/// is simulated, one by one, in tile order, each on its share of the SRAM
+/// and of the bandwidth:
+///
+/// - *cycles* from the register-level PE grid (`pe_grid::run`), which also
+///   holds the Eq. 3 fold durations to its total;
+/// - *SRAM accesses* from the trace engine (`simulate` into a
+///   `CountingSink`);
+/// - *DRAM traffic* from the real addresses of `fold_demands` through three
+///   [`DoubleBuffer`]s, as [`fold_traffic`], with each fold's misses
+///   prefetched in the window of the fold before (its own for the first)
+///   and its writes streamed over its own duration;
+/// - *stalls* (with a bandwidth) from a bus that moves one element at a
+///   time: a fold's missed elements queue behind everything before them
+///   and must land before it starts, after the fold before ends; its
+///   outputs leave one element at a time from its start, behind its reads;
+///   the tile ends when the array and the bus are both done. The
+///   bandwidth must be a power of two bytes per cycle, so that an
+///   element's time on the bus, `word_bytes · partitions / bandwidth`, is
+///   exact and so is every sum of them;
+/// - *energy* as DESIGN §3.6 states it, over every provisioned PE for the
+///   whole layer.
+///
+/// No runs, labels, seals, arenas, caches, deferred installs, tile classes
+/// or paged sets.
+///
+/// # Panics
+///
+/// If the bandwidth is not a power of two, or the PE grid's cycles are
+/// not the sum of the fold durations.
+pub fn run_layer(layer: &Layer, config: &SimConfig, grid: PartitionGrid) -> LayerFigures {
+    let shape = layer.shape();
+    let map: Box<dyn AddressMap> = match layer {
+        Layer::Conv(conv) => Box::new(ConvAddressMap::new(conv, config.offsets)),
+        Layer::Gemm { shape, .. } => Box::new(GemmAddressMap::from_shape(*shape, config.offsets)),
+    };
+    let partitions = grid.count();
+    let array = config.array;
+    let word_bytes = config.word_bytes;
+    let capacities = [
+        config.ifmap_buffer(partitions),
+        config.filter_buffer(partitions),
+        config.ofmap_buffer(partitions),
+    ]
+    .map(|spec| spec.capacity_elems());
+    let element_time = config.dram_bandwidth.map(|bandwidth| {
+        let exponent = bandwidth.log2().round();
+        assert_eq!(bandwidth, exponent.exp2(), "{bandwidth} B/cycle");
+        (word_bytes * partitions) as f64 / bandwidth
+    });
+
+    let (chunk_m, chunk_n) = (shape.m.div_ceil(grid.rows()), shape.n.div_ceil(grid.cols()));
+    let mut tiles = Vec::new();
+    for row in 0..grid.rows() {
+        for col in 0..grid.cols() {
+            let (m_off, n_off) = (row * chunk_m, col * chunk_n);
+            if m_off < shape.m && n_off < shape.n {
+                let m_len = chunk_m.min(shape.m - m_off);
+                let n_len = chunk_n.min(shape.n - n_off);
+                tiles.push((m_off, m_len, n_off, n_len));
+            }
+        }
+    }
+
+    let mut figures = LayerFigures {
+        total_cycles: 0,
+        per_partition_cycles: Vec::new(),
+        active_partitions: tiles.len() as u64,
+        mac_ops: shape.m * shape.k * shape.n,
+        sram: [0; 4],
+        dram: [0; 4],
+        word_bytes: 0,
+        folds: 0,
+        bandwidth: [Profile::default(); 2],
+        mapping_utilization: 0.0,
+        compute_utilization: 0.0,
+        energy: [0.0; 4],
+        stall: None,
+    };
+    let mut mapping_sum = 0.0;
+    let mut slowest: Option<u64> = None;
+    for &(m_off, m_len, n_off, n_len) in &tiles {
+        let tile_map = SubGemmMap::new(&*map, m_off, n_off);
+        let dims = GemmShape::new(m_len, shape.k, n_len).project(config.dataflow);
+        let (m, k, n) = (m_len as usize, shape.k as usize, n_len as usize);
+        let cycles = pe_grid::run(
+            &Matrix::zeros(m, k),
+            &Matrix::zeros(k, n),
+            array,
+            config.dataflow,
+        )
+        .cycles;
+        let mut sink = CountingSink::new();
+        simulate(&dims, array, &tile_map, &mut sink);
+        let sram = sink.counts();
+
+        let [mut a_buf, mut b_buf, mut o_buf] = capacities.map(DoubleBuffer::new);
+        let mut profiles = [Profile::default(); 2];
+        let (mut occupied, mut folds, mut durations) = (0u128, 0u64, 0u64);
+        let mut previous = None;
+        // The bus: when it is next free, when the array is next free.
+        let (mut bus, mut array_free) = (0.0f64, 0.0f64);
+        for demand in fold_demands(&dims, array, &tile_map) {
+            let fold = demand.fold;
+            let misses = [
+                a_buf.epoch(demand.a.iter_elements()).misses,
+                b_buf.epoch(demand.b.iter_elements()).misses,
+                o_buf.epoch(demand.o_spill.iter_elements()).misses,
+            ];
+            for addr in demand.o_writes.iter_elements() {
+                o_buf.install(addr);
+            }
+            let writes = demand.o_writes.element_count();
+            for (total, count) in figures.dram.iter_mut().zip(misses.iter().chain([&writes])) {
+                *total += count;
+            }
+            let read_elements: u64 = misses.iter().sum();
+            let window = previous.unwrap_or(fold.duration);
+            profiles[0].record(window, read_elements * word_bytes);
+            profiles[1].record(fold.duration, writes * word_bytes);
+            previous = Some(fold.duration);
+            if let Some(element_time) = element_time {
+                for _ in 0..read_elements {
+                    bus += element_time;
+                }
+                let start = array_free.max(bus);
+                array_free = start + fold.duration as f64;
+                bus = bus.max(start);
+                for _ in 0..writes {
+                    bus += element_time;
+                }
+            }
+            occupied += u128::from(fold.rows_used * fold.cols_used);
+            folds += 1;
+            durations += fold.duration;
+        }
+        assert_eq!(
+            cycles, durations,
+            "PE grid vs Eq. 3 on tile {m_off}+{m_len}"
+        );
+
+        figures.per_partition_cycles.push(cycles);
+        figures.total_cycles = figures.total_cycles.max(cycles);
+        let sram = [sram.a_reads, sram.b_reads, sram.o_reads, sram.o_writes];
+        for (total, count) in figures.sram.iter_mut().zip(sram) {
+            *total += count;
+        }
+        figures.word_bytes = figures.word_bytes.max(word_bytes);
+        figures.folds = figures.folds.max(folds);
+        for (layer, tile) in figures.bandwidth.iter_mut().zip(&profiles) {
+            layer.concurrent(tile);
+        }
+        let provisioned = u128::from(array.rows() * array.cols()) * u128::from(folds);
+        mapping_sum += occupied as f64 / provisioned as f64;
+        if element_time.is_some() {
+            let stalled = array_free.max(bus).ceil() as u64;
+            if slowest.is_none_or(|worst| stalled > worst) {
+                slowest = Some(stalled);
+            }
+        }
+    }
+
+    let total_cycles = figures.total_cycles;
+    if !tiles.is_empty() {
+        figures.mapping_utilization = mapping_sum / tiles.len() as f64;
+    }
+    let dram_accesses: u64 = figures.dram.iter().sum();
+    let dram_bytes = dram_accesses.saturating_mul(word_bytes);
+    figures.stall = slowest.map(|stalled| {
+        let bandwidth = config.dram_bandwidth.unwrap();
+        let stalled = stalled.max(total_cycles);
+        let bus = if stalled == 0 {
+            0.0
+        } else {
+            (dram_bytes as f64 / (bandwidth * stalled as f64)).min(1.0)
+        };
+        (
+            bandwidth,
+            [total_cycles, stalled, stalled - total_cycles],
+            bus,
+        )
+    });
+    let pe_cycles = u128::from(partitions)
+        * u128::from(array.rows())
+        * u128::from(array.cols())
+        * u128::from(total_cycles);
+    let pe_cycles = u64::try_from(pe_cycles).unwrap_or(u64::MAX);
+    let mac_ops = figures.mac_ops;
+    if pe_cycles > 0 {
+        figures.compute_utilization = mac_ops as f64 / pe_cycles as f64;
+    }
+    let model = EnergyModel::default();
+    figures.energy = [
+        model.mac * mac_ops as f64,
+        model.idle_pe * (pe_cycles - mac_ops) as f64,
+        model.sram * figures.sram.iter().sum::<u64>() as f64,
+        model.dram * dram_accesses as f64,
+    ];
+    figures
 }
 
 /// Histogram of LRU stack distances for a demand stream, built by the

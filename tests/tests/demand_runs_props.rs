@@ -24,6 +24,7 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 
+use scalesim_integration::conv_case;
 use scalesim_integration::oracle::{fold_traffic, DoubleBuffer};
 use scalesim_memory::{
     AddrRuns, ConvAddressMap, DramModel, GemmAddressMap, IntervalSet, OperandBufferSpec,
@@ -312,6 +313,73 @@ fn fitting_os_gemm_walks_its_a_buffer_once_per_fold_row() {
     assert_eq!(a_buffer_walks(&dims, array, &map, 100 * 48), (13, 100 * 48));
 }
 
+/// A streams generated by the dedup walk and A streams shown, summed over
+/// the distinct layers of ResNet-50, AlexNet and the spill workload's
+/// `4000 x 84 x 1024` GEMM on a 32x32 array — the layers of
+/// `spill_ws_is_cold` — under `dataflow`. A layer is counted once however
+/// often a network repeats its geometry, as the layer cache runs it once.
+fn a_streams_of_the_spill_layers(dataflow: Dataflow) -> (u64, u64, usize) {
+    use scalesim_topology::{networks, Layer};
+    let layers: Vec<Layer> = networks::resnet50()
+        .iter()
+        .chain(networks::alexnet().iter())
+        .cloned()
+        .chain([Layer::gemm("seeded", 4000, 84, 1024)])
+        .collect();
+    let mut seen = std::collections::HashSet::new();
+    let (mut generated, mut shown) = (0, 0);
+    let array = ArrayShape::square(32);
+    for layer in &layers {
+        let map: Box<dyn scalesim_memory::AddressMap> = match layer {
+            Layer::Conv(c) => {
+                let geometry = (
+                    (c.ifmap_h(), c.ifmap_w(), c.filter_h(), c.filter_w()),
+                    (c.channels(), c.num_filters(), c.stride_h(), c.stride_w()),
+                );
+                if !seen.insert(format!("{geometry:?}")) {
+                    continue;
+                }
+                Box::new(ConvAddressMap::new(c, RegionOffsets::ZERO))
+            }
+            Layer::Gemm { shape, .. } => {
+                if !seen.insert(format!("{shape:?}")) {
+                    continue;
+                }
+                Box::new(GemmAddressMap::from_shape(*shape, RegionOffsets::ZERO))
+            }
+        };
+        let dims = layer.shape().project(dataflow);
+        let plan = FoldPlan::new(&dims, array);
+        shown += match dataflow {
+            Dataflow::InputStationary => plan.fold_count(),
+            _ => plan.fold_rows(),
+        };
+        let mut demands = fold_demand_runs(&dims, array, &*map);
+        let mut demand = scalesim_systolic::FoldDemandRuns::default();
+        while demands.next_into(&mut demand) {}
+        generated += demands.a_streams_generated();
+    }
+    (generated, shown, seen.len())
+}
+
+/// The counts the translation classes of the A stream rest on: on the
+/// spill workload's 30 distinct layers, only 46 of the 1,525 WS fold-row
+/// streams and 523 of the 13,860 IS fold streams are generated by the
+/// dedup walk; the rest are a class stream shifted by one constant. Keyed
+/// by offset alone (`a_row_phase` beside a `k`-offset phase) the classes
+/// number 1,092 and 3,804; these are the content-class counts.
+#[test]
+fn a_streams_are_generated_once_per_translation_class() {
+    assert_eq!(
+        a_streams_of_the_spill_layers(Dataflow::WeightStationary),
+        (46, 1525, 30)
+    );
+    assert_eq!(
+        a_streams_of_the_spill_layers(Dataflow::InputStationary),
+        (523, 13860, 30)
+    );
+}
+
 /// Whether each of the IFMAP, filter and OFMAP buffers is in the paged
 /// form after each fold of one tile, as `Simulator::run_layer` runs its
 /// fold loop on the buffers of `config` shared among `partitions`.
@@ -368,9 +436,9 @@ fn plan_tiles_paged(plan: &str) -> Vec<(String, Vec<[bool; 3]>)> {
                 for n_off in (0..shape.n).step_by(chunk_n as usize) {
                     let m_len = chunk_m.min(shape.m - m_off);
                     let n_len = chunk_n.min(shape.n - n_off);
-                    let phase = map.a_row_phase(m_off);
+                    let phase = map.a_phase(m_off, m_len, 0, shape.k);
                     let key = format!(
-                        "{config:?} {} {geometry} {m_len} {n_len} {phase}",
+                        "{config:?} {} {geometry} {m_len} {n_len} {phase:?}",
                         point.grid
                     );
                     if !seen.insert(key) {
@@ -469,28 +537,20 @@ proptest! {
     }
 
     /// Convolution (window-overlap aliasing in the A stream), all
-    /// dataflows and strides: run path == element path.
+    /// dataflows, rectangular ifmaps, filters and strides, 1×1, FC and
+    /// `W_i = filter_w` layers: run path == element path.
     #[test]
     fn conv_run_path_matches_element_path(
-        ifmap in 4u64..12,
-        filter in 1u64..4,
+        shape in (0u8..4, (4u64..12, 4u64..12), (1u64..4, 1u64..4), (1u64..3, 1u64..3)),
         channels in 1u64..5,
         filters in 1u64..8,
-        stride in 1u64..3,
         a_buf in 8u64..2048,
         b_buf in 8u64..2048,
         o_buf in 8u64..2048,
         df_idx in 0usize..3,
     ) {
-        prop_assume!(filter <= ifmap);
-        let layer = ConvLayerBuilder::new("p")
-            .ifmap(ifmap, ifmap)
-            .filter(filter, filter)
-            .channels(channels)
-            .num_filters(filters)
-            .stride(stride)
-            .build()
-            .unwrap();
+        let (kind, ifmap, filter, strides) = shape;
+        let layer = conv_case(kind, ifmap, filter, strides, channels, filters);
         let dims = layer.shape().project(Dataflow::ALL[df_idx]);
         let array = ArrayShape::new(4, 4);
         let map = ConvAddressMap::new(&layer, RegionOffsets::default());
@@ -512,25 +572,17 @@ proptest! {
         check_streams_are_faithful(&dims, ArrayShape::new(8, 8), &map)?;
     }
 
-    /// The stream contract for convolutions.
+    /// The stream contract for convolutions, shaped as in
+    /// `conv_run_path_matches_element_path`.
     #[test]
     fn conv_streams_are_faithful(
-        ifmap in 4u64..10,
-        filter in 1u64..4,
+        shape in (0u8..4, (4u64..10, 4u64..10), (1u64..4, 1u64..4), (1u64..3, 1u64..3)),
         channels in 1u64..4,
         filters in 1u64..6,
-        stride in 1u64..3,
         df_idx in 0usize..3,
     ) {
-        prop_assume!(filter <= ifmap);
-        let layer = ConvLayerBuilder::new("p")
-            .ifmap(ifmap, ifmap)
-            .filter(filter, filter)
-            .channels(channels)
-            .num_filters(filters)
-            .stride(stride)
-            .build()
-            .unwrap();
+        let (kind, ifmap, filter, strides) = shape;
+        let layer = conv_case(kind, ifmap, filter, strides, channels, filters);
         let dims = layer.shape().project(Dataflow::ALL[df_idx]);
         let map = ConvAddressMap::new(&layer, RegionOffsets::default());
         check_streams_are_faithful(&dims, ArrayShape::new(4, 4), &map)?;
@@ -546,19 +598,12 @@ proptest! {
         n_off in 1u64..5,
         m_len in 1u64..30,
         n_len in 1u64..8,
-        stride in 1u64..3,
+        strides in (1u64..3, 1u64..3),
         bufs in (8u64..1024, 8u64..1024, 8u64..1024),
         df_idx in 0usize..3,
     ) {
-        // 12x12 ifmap, 3x3x2 filters: 100 or 25 output pixels, 12 filters.
-        let layer = ConvLayerBuilder::new("p")
-            .ifmap(12, 12)
-            .filter(3, 3)
-            .channels(2)
-            .num_filters(12)
-            .stride(stride)
-            .build()
-            .unwrap();
+        // 12x10 ifmap, 3x2x2 filters: 25 to 90 output pixels, 12 filters.
+        let layer = conv_case(0, (12, 10), (3, 2), strides, 2, 12);
         let shape = layer.shape();
         prop_assume!(m_off + m_len <= shape.m && n_off + n_len <= shape.n);
         // Not a multiple of the 4x4 array in either tile dimension.
@@ -659,23 +704,17 @@ proptest! {
     #[test]
     fn spilling_fold_runs_match_the_oracle_fold_for_fold(
         gemm in (8u64..40, 4u64..24, 4u64..24),
-        conv in (5u64..10, 1u64..4, 1u64..4, 1u64..8, 1u64..3),
+        conv in (0u8..4, (5u64..10, 5u64..10), (1u64..4, 1u64..4), (1u64..3, 1u64..3)),
+        sizes in (1u64..4, 1u64..8),
         b_buf in 8u64..512,
         o_buf in 4u64..48,
     ) {
-        let (ifmap, filter, channels, filters, stride) = conv;
-        prop_assume!(filter <= ifmap);
+        let (kind, ifmap, filter, strides) = conv;
+        let (channels, filters) = sizes;
         let array = ArrayShape::new(4, 4);
         let gemm = GemmShape::new(gemm.0, gemm.1, gemm.2);
         let gemm_map = GemmAddressMap::from_shape(gemm, RegionOffsets::default());
-        let conv = ConvLayerBuilder::new("p")
-            .ifmap(ifmap, ifmap)
-            .filter(filter, filter)
-            .channels(channels)
-            .num_filters(filters)
-            .stride(stride)
-            .build()
-            .unwrap();
+        let conv = conv_case(kind, ifmap, filter, strides, channels, filters);
         let conv_map = ConvAddressMap::new(&conv, RegionOffsets::default());
         for df in [Dataflow::WeightStationary, Dataflow::InputStationary] {
             for (dims, map) in [

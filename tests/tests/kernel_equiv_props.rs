@@ -25,6 +25,7 @@ use proptest::prelude::*;
 
 use scalesim::exec::Executor;
 use scalesim::{PartitionGrid, SimConfig, Simulator};
+use scalesim_integration::conv_case;
 use scalesim_integration::oracle::{
     extend_runs_scalar, DoubleBuffer, ElementReuseProfile, ScalarIntervalSet,
 };
@@ -918,21 +919,25 @@ fn run_buffer_matches_double_buffer_gemm_all_dataflows() {
     }
 }
 
+/// Square and rectangular convolutions — ifmaps, filters and strides —
+/// and the 1×1, fully connected and `W_i = filter_w` shapes.
 #[test]
 fn run_buffer_matches_double_buffer_conv_all_dataflows() {
-    let layer = ConvLayerBuilder::new("t")
-        .ifmap(12, 12)
-        .filter(3, 3)
-        .channels(3)
-        .num_filters(4)
-        .stride(1)
-        .build()
-        .unwrap();
-    let map = ConvAddressMap::new(&layer, RegionOffsets::default());
-    for df in Dataflow::ALL {
-        let dims = layer.shape().project(df);
-        for capacity in [5u64, 33, 50_000] {
-            check_buffers_match_on(&dims, ArrayShape::new(4, 8), &map, capacity);
+    let layers = [
+        conv_case(0, (12, 12), (3, 3), (1, 1), 3, 4),
+        conv_case(0, (11, 9), (3, 2), (2, 1), 3, 4),
+        conv_case(0, (9, 12), (2, 3), (1, 3), 2, 5),
+        conv_case(1, (7, 6), (1, 1), (1, 2), 4, 4),
+        conv_case(2, (3, 4), (1, 1), (1, 1), 5, 6),
+        conv_case(3, (10, 4), (2, 1), (2, 1), 2, 4),
+    ];
+    for layer in layers {
+        let map = ConvAddressMap::new(&layer, RegionOffsets::default());
+        for df in Dataflow::ALL {
+            let dims = layer.shape().project(df);
+            for capacity in [5u64, 33, 50_000] {
+                check_buffers_match_on(&dims, ArrayShape::new(4, 8), &map, capacity);
+            }
         }
     }
 }
