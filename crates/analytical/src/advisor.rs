@@ -18,8 +18,7 @@ use serde::{Deserialize, Serialize};
 use scalesim_systolic::{fold_duration, ArrayShape, FoldPlan};
 use scalesim_topology::{Dataflow, MappedDims};
 
-use crate::partition::{scaleout_configs, split_dims, ScaleOutConfig};
-use crate::runtime::RuntimeModel;
+use crate::partition::{scaleout_configs, scaleout_runtime, split_dims, ScaleOutConfig};
 
 /// First-order stall-free DRAM bandwidth requirement of `dims` on `array`,
 /// in *elements per cycle*, assuming dense operands (no convolution window
@@ -92,23 +91,23 @@ impl Recommendation {
 /// (optionally) `bandwidth_budget` elements/cycle of DRAM bandwidth.
 ///
 /// Enumerates every power-of-two scale-up and scale-out configuration
-/// (min dimension `min_dim`), scores each with total runtime (`model`) and
-/// peak bandwidth estimate across workloads, and picks the fastest
-/// configuration that fits the bandwidth budget. If none fits, returns the
-/// configuration with the lowest bandwidth requirement (flagged
-/// `within_budget: false`), mirroring the paper's observation that at
-/// large MAC counts even the sweet spot may exceed traditional DRAM.
+/// (min dimension `min_dim`), scores each with total runtime
+/// ([`scaleout_runtime`]) and peak bandwidth estimate across workloads,
+/// and picks the fastest configuration that fits the bandwidth budget. If
+/// none fits, returns the configuration with the lowest bandwidth
+/// requirement (flagged `within_budget: false`), mirroring the paper's
+/// observation that at large MAC counts even the sweet spot may exceed
+/// traditional DRAM.
 ///
 /// # Panics
 ///
 /// Panics if `workloads` is empty or the budget cannot fit a
 /// `min_dim × min_dim` array.
-pub fn recommend<M: RuntimeModel>(
+pub fn recommend(
     workloads: &[MappedDims],
     mac_budget: u64,
     min_dim: u64,
     bandwidth_budget: Option<f64>,
-    model: &M,
 ) -> Recommendation {
     assert!(!workloads.is_empty(), "workload set must be nonempty");
     let mut best_fit: Option<Recommendation> = None;
@@ -118,7 +117,7 @@ pub fn recommend<M: RuntimeModel>(
         let mut total_cycles = 0u64;
         let mut peak_bw: f64 = 0.0;
         for w in workloads {
-            total_cycles += crate::partition::scaleout_runtime(w, &config, model);
+            total_cycles += scaleout_runtime(w, &config);
             peak_bw = peak_bw.max(estimate_scaleout_bandwidth(w, &config));
         }
         let within = bandwidth_budget.is_none_or(|limit| peak_bw <= limit);
@@ -152,7 +151,6 @@ pub fn recommend<M: RuntimeModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::AnalyticalModel;
     use scalesim_topology::GemmShape;
 
     fn dims(m: u64, k: u64, n: u64) -> MappedDims {
@@ -175,10 +173,9 @@ mod tests {
     #[test]
     fn unlimited_bandwidth_recommends_the_fastest_config() {
         let ws = [dims(31999, 84, 1024)];
-        let model = AnalyticalModel;
-        let rec = recommend(&ws, 1 << 14, 8, None, &model);
+        let rec = recommend(&ws, 1 << 14, 8, None);
         assert!(rec.within_budget);
-        let (best_cfg, best_cycles) = crate::partition::best_scaleout(&ws[0], 1 << 14, 8, &model);
+        let (best_cfg, best_cycles) = crate::partition::best_scaleout(&ws[0], 1 << 14, 8);
         assert_eq!(rec.total_cycles, best_cycles);
         assert_eq!(rec.config, best_cfg);
         assert!(rec.is_scale_out(), "TF0 at 2^14 wants partitions");
@@ -187,10 +184,9 @@ mod tests {
     #[test]
     fn tight_bandwidth_pushes_toward_monolithic() {
         let ws = [dims(31999, 84, 1024)];
-        let model = AnalyticalModel;
-        let free = recommend(&ws, 1 << 14, 8, None, &model);
+        let free = recommend(&ws, 1 << 14, 8, None);
         // Clamp the budget below the free optimum's appetite.
-        let tight = recommend(&ws, 1 << 14, 8, Some(free.peak_bandwidth / 4.0), &model);
+        let tight = recommend(&ws, 1 << 14, 8, Some(free.peak_bandwidth / 4.0));
         assert!(tight.peak_bandwidth <= free.peak_bandwidth);
         assert!(tight.config.grid.count() <= free.config.grid.count());
         // Bandwidth costs runtime: the constrained pick cannot be faster.
@@ -200,8 +196,7 @@ mod tests {
     #[test]
     fn impossible_budget_falls_back_to_thriftiest() {
         let ws = [dims(1024, 64, 1024)];
-        let model = AnalyticalModel;
-        let rec = recommend(&ws, 1 << 12, 8, Some(1e-9), &model);
+        let rec = recommend(&ws, 1 << 12, 8, Some(1e-9));
         assert!(!rec.within_budget);
         assert!(rec.peak_bandwidth > 0.0);
     }
@@ -209,11 +204,10 @@ mod tests {
     #[test]
     fn multi_workload_advice_considers_the_whole_set() {
         let ws = [dims(31999, 84, 1024), dims(128, 4096, 2048)];
-        let model = AnalyticalModel;
-        let rec = recommend(&ws, 1 << 12, 8, None, &model);
+        let rec = recommend(&ws, 1 << 12, 8, None);
         let sum: u64 = ws
             .iter()
-            .map(|w| crate::partition::scaleout_runtime(w, &rec.config, &model))
+            .map(|w| crate::partition::scaleout_runtime(w, &rec.config))
             .sum();
         assert_eq!(rec.total_cycles, sum);
     }
@@ -221,6 +215,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "nonempty")]
     fn empty_workloads_panic() {
-        recommend(&[], 1 << 10, 8, None, &AnalyticalModel);
+        recommend(&[], 1 << 10, 8, None);
     }
 }

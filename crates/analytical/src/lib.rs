@@ -8,16 +8,20 @@
 //! questions around it, fast enough to sweep thousands of configurations:
 //!
 //! * [`runtime`] — the closed-form stall-free runtime model:
-//!   Eq. 1 (unlimited PEs), Eq. 3 (one fold), Eq. 4 (scale-up with
-//!   folding) and Eq. 6 (scale-out).
+//!   Eq. 1 (unlimited PEs), Eq. 4 (scale-up with folding) and the exact
+//!   fold-schedule sum [`exact_scaleup`].
 //! * [`search`] — enumerate and rank all aspect ratios of a monolithic
 //!   array with a given MAC budget (the x-axis of Fig. 9).
 //! * [`partition`] — enumerate scale-out configurations
 //!   (`P_R × P_C` grids of `R × C` arrays, Eq. 5) and find the best
-//!   (Figs. 9–11).
+//!   (Figs. 9–11); Eq. 6 is [`scaleout_runtime`].
 //! * [`pareto`] — multi-workload optimization: gather each workload's
 //!   locally-optimal candidates and pick the global
 //!   `argmin_a Σ_w runtime(w, a)` (Sec. IV-B, Figs. 13–14).
+//!
+//! Every cycle count is Eq. 3 ([`scalesim_systolic::fold_duration`]) summed
+//! by [`exact_scaleup`] over the tile of [`PartitionGrid::largest_tile`].
+//! The one pluggable cost is [`pareto_optimal`]'s closure (Sec. IV-B).
 //! * [`frontier`] — cost/runtime Pareto frontiers, slack-band pruning and
 //!   the acquisition scoring used by analytical-guided exploration.
 
@@ -42,7 +46,7 @@ pub use partition::{
 };
 pub use reconfig::{reconfiguration_gain, ReconfigGain};
 pub use roofline::{achieved_intensity, compulsory_intensity, Roofline};
-pub use runtime::{eq1_unlimited, eq4_scaleup, exact_scaleup, AnalyticalModel, RuntimeModel};
+pub use runtime::{eq1_unlimited, eq4_scaleup, exact_scaleup};
 pub use search::{aspect_ratio_shapes, best_scaleup, rank_scaleup, ScaleUpScore};
 
 // Frequently used alongside this crate.

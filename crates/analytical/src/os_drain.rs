@@ -11,7 +11,7 @@
 //! Quantifying the delta also decomposes Fig. 10's monolithic slowdown: the
 //! taller the array, the larger the share of runtime that is pure drain.
 
-use scalesim_systolic::{ArrayShape, FoldPlan};
+use scalesim_systolic::{fold_duration, ArrayShape, FoldPlan};
 use scalesim_topology::{Dataflow, MappedDims};
 
 /// How OS outputs leave the array.
@@ -28,7 +28,7 @@ pub enum OsDrain {
 /// Per-fold duration under the chosen drain implementation.
 pub fn fold_duration_with(ru: u64, cu: u64, t: u64, drain: OsDrain) -> u64 {
     match drain {
-        OsDrain::ThroughArray => 2 * ru + cu + t - 2,
+        OsDrain::ThroughArray => fold_duration(ru, cu, t),
         OsDrain::SeparatePlane => ru + cu + t - 1,
     }
 }

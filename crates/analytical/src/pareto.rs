@@ -99,7 +99,7 @@ pub fn pareto_optimal<C: Clone>(
 mod tests {
     use super::*;
     use crate::partition::{best_scaleout, scaleout_runtime, ScaleOutConfig};
-    use crate::runtime::{exact_scaleup, AnalyticalModel};
+    use crate::runtime::exact_scaleup;
     use crate::search::best_scaleup;
     use scalesim_systolic::ArrayShape;
     use scalesim_topology::{Dataflow, GemmShape};
@@ -146,10 +146,9 @@ mod tests {
         // The paper's recipe: candidates = each workload's locally optimal
         // config; the pareto optimum is one of them.
         let ws = workloads();
-        let model = AnalyticalModel;
         let candidates: Vec<ArrayShape> = ws
             .iter()
-            .map(|w| best_scaleup(w, 1 << 12, 8, &model).array)
+            .map(|w| best_scaleup(w, 1 << 12, 8).array)
             .collect();
         let outcome = pareto_optimal(&ws, &candidates, |w, a| exact_scaleup(w, *a));
         // The optimum must be at least as good on total as every individual
@@ -160,12 +159,9 @@ mod tests {
     #[test]
     fn works_with_scaleout_configs_too() {
         let ws = workloads();
-        let model = AnalyticalModel;
-        let candidates: Vec<ScaleOutConfig> = ws
-            .iter()
-            .map(|w| best_scaleout(w, 1 << 12, 8, &model).0)
-            .collect();
-        let outcome = pareto_optimal(&ws, &candidates, |w, c| scaleout_runtime(w, c, &model));
+        let candidates: Vec<ScaleOutConfig> =
+            ws.iter().map(|w| best_scaleout(w, 1 << 12, 8).0).collect();
+        let outcome = pareto_optimal(&ws, &candidates, scaleout_runtime);
         assert_eq!(outcome.ranked.len(), ws.len());
         assert_eq!(outcome.losses()[0], 1.0);
     }

@@ -2,18 +2,23 @@
 //!
 //! Instead of one monolithic `R × C` array, the MAC budget is organized as a
 //! `P_R × P_C` grid of smaller `R × C` arrays, each owning one tile of the
-//! output space (Fig. 8 of the paper). Eq. 5 splits the workload,
-//! `S_R′ = ⌈S_R / P_R⌉` and `S_C′ = ⌈S_C / P_C⌉`; partitions run in
-//! parallel, so total runtime is the slowest partition's (Eq. 6).
+//! output space (Fig. 8 of the paper). Eq. 5 splits the workload in output
+//! coordinates, `M′ = ⌈M / P_R⌉` and `N′ = ⌈N / P_C⌉` with `K` whole
+//! ([`PartitionGrid::largest_tile`]), so every partition computes complete
+//! outputs whatever the dataflow; partitions run in parallel, so total
+//! runtime is the slowest partition's (Eq. 6). Under OS, where
+//! `(S_R, S_C) = (M, N)`, this is the paper's `S_R′ = ⌈S_R / P_R⌉`,
+//! `S_C′ = ⌈S_C / P_C⌉`.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use scalesim_systolic::ArrayShape;
-use scalesim_topology::MappedDims;
+use scalesim_topology::{GemmShape, MappedDims};
 
-use crate::runtime::RuntimeModel;
+use crate::runtime::exact_scaleup;
+use crate::search::aspect_ratio_shapes;
 
 /// A grid of identical systolic-array partitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -55,6 +60,18 @@ impl PartitionGrid {
     /// Total partitions (`P = P_R · P_C`).
     pub fn count(&self) -> u64 {
         self.rows * self.cols
+    }
+
+    /// Eq. 5, the one tiling rule of the workspace: the largest tile of
+    /// `shape`'s `M × N` output space a partition receives,
+    /// `(⌈M/P_R⌉, K, ⌈N/P_C⌉)`. It is the first tile, and since Eq. 3 is
+    /// monotone in every extent, the slowest (Eq. 6).
+    pub fn largest_tile(&self, shape: GemmShape) -> GemmShape {
+        GemmShape {
+            m: shape.m.div_ceil(self.rows),
+            k: shape.k,
+            n: shape.n.div_ceil(self.cols),
+        }
     }
 }
 
@@ -119,28 +136,21 @@ impl fmt::Display for ScaleOutConfig {
     }
 }
 
-/// Eq. 5: the workload share of the *largest* partition —
-/// `S_R′ = ⌈S_R / P_R⌉`, `S_C′ = ⌈S_C / P_C⌉`, `T` unchanged.
+/// Eq. 5: the workload share of the *largest* partition, projected like
+/// `dims` — [`PartitionGrid::largest_tile`] of the GEMM `dims` was
+/// projected from.
 ///
 /// Since all partitions execute in parallel and the ceiling share is the
 /// biggest, this partition determines the scale-out runtime.
 pub fn split_dims(dims: &MappedDims, grid: PartitionGrid) -> MappedDims {
-    MappedDims {
-        spatial_rows: dims.spatial_rows.div_ceil(grid.rows()).max(1),
-        spatial_cols: dims.spatial_cols.div_ceil(grid.cols()).max(1),
-        temporal: dims.temporal,
-        dataflow: dims.dataflow,
-    }
+    grid.largest_tile(dims.gemm()).project(dims.dataflow)
 }
 
 /// Eq. 6: scale-out runtime — the slowest (largest-share) partition's
-/// scale-up runtime on its own array.
-pub fn scaleout_runtime<M: RuntimeModel>(
-    dims: &MappedDims,
-    config: &ScaleOutConfig,
-    model: &M,
-) -> u64 {
-    model.runtime(&split_dims(dims, config.grid), config.array)
+/// exact scale-up runtime on its own array, which is what the simulator
+/// reports for a partitioned layer.
+pub fn scaleout_runtime(dims: &MappedDims, config: &ScaleOutConfig) -> u64 {
+    exact_scaleup(&split_dims(dims, config.grid), config.array)
 }
 
 /// Enumerates every scale-out configuration with exactly `mac_budget` MACs:
@@ -167,14 +177,9 @@ pub fn scaleout_configs(mac_budget: u64, min_dim: u64) -> Vec<ScaleOutConfig> {
     while pr * min_dim * min_dim <= mac_budget {
         let mut pc = 1;
         while pr * pc * min_dim * min_dim <= mac_budget {
-            let per_array = mac_budget / (pr * pc);
-            let mut rows = per_array / min_dim;
-            while rows >= min_dim {
-                configs.push(ScaleOutConfig {
-                    grid: PartitionGrid::new(pr, pc),
-                    array: ArrayShape::new(rows, per_array / rows),
-                });
-                rows /= 2;
+            let grid = PartitionGrid::new(pr, pc);
+            for array in aspect_ratio_shapes(mac_budget / (pr * pc), min_dim) {
+                configs.push(ScaleOutConfig { grid, array });
             }
             pc *= 2;
         }
@@ -189,18 +194,10 @@ pub fn scaleout_configs(mac_budget: u64, min_dim: u64) -> Vec<ScaleOutConfig> {
 /// # Panics
 ///
 /// Same conditions as [`scaleout_configs`].
-pub fn best_scaleout<M: RuntimeModel>(
-    dims: &MappedDims,
-    mac_budget: u64,
-    min_dim: u64,
-    model: &M,
-) -> (ScaleOutConfig, u64) {
+pub fn best_scaleout(dims: &MappedDims, mac_budget: u64, min_dim: u64) -> (ScaleOutConfig, u64) {
     scaleout_configs(mac_budget, min_dim)
         .into_iter()
-        .map(|cfg| {
-            let cycles = scaleout_runtime(dims, &cfg, model);
-            (cfg, cycles)
-        })
+        .map(|cfg| (cfg, scaleout_runtime(dims, &cfg)))
         .min_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)))
         .expect("scaleout_configs returns at least one configuration")
 }
@@ -208,7 +205,6 @@ pub fn best_scaleout<M: RuntimeModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::AnalyticalModel;
     use crate::search::best_scaleup;
     use scalesim_topology::{Dataflow, GemmShape};
 
@@ -263,6 +259,29 @@ mod tests {
     }
 
     #[test]
+    fn split_tiles_the_output_space_under_every_dataflow() {
+        // Eq. 5 on the projected S_R/S_C split K under WS/IS: 880 cycles
+        // for a layer the simulator runs in 1,248, and 386 for one it runs
+        // in 302 — not even a lower bound.
+        let array = ArrayShape::square(16);
+        let ws = GemmShape::new(64, 64, 64).project(Dataflow::WeightStationary);
+        let grid = PartitionGrid::new(2, 1);
+        let tile = split_dims(&ws, grid);
+        assert_eq!(
+            tile,
+            GemmShape::new(32, 64, 64).project(Dataflow::WeightStationary)
+        );
+        assert_eq!(
+            scaleout_runtime(&ws, &ScaleOutConfig { grid, array }),
+            1_248
+        );
+        let is = GemmShape::new(100, 30, 70).project(Dataflow::InputStationary);
+        let grid = PartitionGrid::new(4, 2);
+        assert_eq!(split_dims(&is, grid).gemm(), GemmShape::new(25, 30, 35));
+        assert_eq!(scaleout_runtime(&is, &ScaleOutConfig { grid, array }), 302);
+    }
+
+    #[test]
     fn split_never_reaches_zero() {
         let d = dims(2, 5, 2);
         let s = split_dims(&d, PartitionGrid::new(16, 16));
@@ -297,12 +316,11 @@ mod tests {
         // The paper's headline observation (Fig. 10): the best partitioned
         // configuration is never slower than the best monolithic one (the
         // monolithic configs are a subset of the scale-out space).
-        let model = AnalyticalModel;
         for (m, k, n) in [(31999, 84, 1024), (128, 4096, 2048), (2048, 128, 1)] {
             let d = dims(m, k, n);
             let budget = 1 << 14;
-            let up = best_scaleup(&d, budget, 8, &model);
-            let (_, out_cycles) = best_scaleout(&d, budget, 8, &model);
+            let up = best_scaleup(&d, budget, 8);
+            let (_, out_cycles) = best_scaleout(&d, budget, 8);
             assert!(
                 out_cycles <= up.cycles,
                 "scale-out lost for {m}x{k}x{n}: {out_cycles} vs {}",
@@ -314,11 +332,10 @@ mod tests {
     #[test]
     fn relative_slowdown_amplifies_with_scale() {
         // Fig. 10: the monolithic-vs-partitioned gap grows with the budget.
-        let model = AnalyticalModel;
         let d = dims(31999, 84, 1024); // TF0
         let ratio = |budget: u64| {
-            let up = best_scaleup(&d, budget, 8, &model).cycles as f64;
-            let (_, out) = best_scaleout(&d, budget, 8, &model);
+            let up = best_scaleup(&d, budget, 8).cycles as f64;
+            let (_, out) = best_scaleout(&d, budget, 8);
             up / out as f64
         };
         assert!(ratio(1 << 16) > ratio(1 << 10));
@@ -335,13 +352,9 @@ mod tests {
 
     #[test]
     fn monolithic_scaleout_equals_scaleup_runtime() {
-        let model = AnalyticalModel;
         let d = dims(500, 64, 300);
         let array = ArrayShape::new(32, 64);
         let mono = ScaleOutConfig::monolithic(array);
-        assert_eq!(
-            scaleout_runtime(&d, &mono, &model),
-            model.runtime(&d, array)
-        );
+        assert_eq!(scaleout_runtime(&d, &mono), exact_scaleup(&d, array));
     }
 }

@@ -13,7 +13,6 @@ use scalesim_topology::MappedDims;
 
 use crate::pareto::pareto_optimal;
 use crate::partition::{best_scaleout, scaleout_runtime, ScaleOutConfig};
-use crate::runtime::RuntimeModel;
 
 /// Outcome of the fixed-vs-reconfigurable comparison.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -55,23 +54,22 @@ impl ReconfigGain {
 ///
 /// Panics if `workloads` is empty or the budget cannot fit the `min_dim`
 /// floor.
-pub fn reconfiguration_gain<M: RuntimeModel>(
+pub fn reconfiguration_gain(
     workloads: &[MappedDims],
     mac_budget: u64,
     min_dim: u64,
-    model: &M,
 ) -> ReconfigGain {
     assert!(!workloads.is_empty(), "workload set must be nonempty");
     let per_layer: Vec<(ScaleOutConfig, u64)> = workloads
         .iter()
-        .map(|w| best_scaleout(w, mac_budget, min_dim, model))
+        .map(|w| best_scaleout(w, mac_budget, min_dim))
         .collect();
     let reconfigurable_cycles = per_layer.iter().map(|(_, c)| *c).sum();
 
     let mut candidates: Vec<ScaleOutConfig> = per_layer.iter().map(|(c, _)| *c).collect();
     candidates.sort();
     candidates.dedup();
-    let outcome = pareto_optimal(workloads, &candidates, |w, c| scaleout_runtime(w, c, model));
+    let outcome = pareto_optimal(workloads, &candidates, scaleout_runtime);
 
     ReconfigGain {
         fixed_config: outcome.best().config,
@@ -84,7 +82,6 @@ pub fn reconfiguration_gain<M: RuntimeModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::AnalyticalModel;
     use scalesim_topology::{Dataflow, GemmShape};
 
     fn dims(m: u64, k: u64, n: u64) -> MappedDims {
@@ -98,7 +95,7 @@ mod tests {
             dims(128, 4096, 2048),
             dims(2048, 128, 1),
         ];
-        let gain = reconfiguration_gain(&ws, 1 << 14, 8, &AnalyticalModel);
+        let gain = reconfiguration_gain(&ws, 1 << 14, 8);
         assert!(gain.reconfigurable_cycles <= gain.fixed_cycles);
         assert!(gain.speedup() >= 1.0);
         assert_eq!(gain.per_layer_configs.len(), 3);
@@ -108,7 +105,7 @@ mod tests {
     fn homogeneous_workloads_gain_nothing() {
         // Identical layers: the fixed optimum is every layer's optimum.
         let ws = [dims(512, 64, 512); 3];
-        let gain = reconfiguration_gain(&ws, 1 << 12, 8, &AnalyticalModel);
+        let gain = reconfiguration_gain(&ws, 1 << 12, 8);
         assert_eq!(gain.fixed_cycles, gain.reconfigurable_cycles);
         assert_eq!(gain.layers_that_switch(), 0);
     }
@@ -118,7 +115,7 @@ mod tests {
         // A tall-skinny and a wide-flat GEMM want opposite shapes; a fixed
         // config must compromise.
         let ws = [dims(30000, 32, 16), dims(16, 32, 30000)];
-        let gain = reconfiguration_gain(&ws, 1 << 12, 8, &AnalyticalModel);
+        let gain = reconfiguration_gain(&ws, 1 << 12, 8);
         assert!(gain.speedup() > 1.1, "speedup {}", gain.speedup());
         assert!(gain.layers_that_switch() >= 1);
     }
@@ -126,6 +123,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "nonempty")]
     fn empty_workloads_panic() {
-        reconfiguration_gain(&[], 1 << 10, 8, &AnalyticalModel);
+        reconfiguration_gain(&[], 1 << 10, 8);
     }
 }

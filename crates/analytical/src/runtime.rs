@@ -4,11 +4,12 @@
 //! the array fed (the trade-off against bandwidth is the subject of
 //! Section IV-A and the DRAM model).
 
-use scalesim_systolic::{ArrayShape, FoldPlan};
+use scalesim_systolic::{fold_duration, ArrayShape, FoldPlan};
 use scalesim_topology::MappedDims;
 
 /// Eq. 1: runtime with unlimited MAC units, i.e. a single `S_R × S_C` fold:
-/// `τ = 2·S_R + S_C + T − 2`, identical for all three dataflows.
+/// Eq. 3 with the whole workload as the fold, identical in form for all
+/// three dataflows.
 ///
 /// ```
 /// use scalesim_analytical::eq1_unlimited;
@@ -18,7 +19,7 @@ use scalesim_topology::MappedDims;
 /// assert_eq!(eq1_unlimited(&dims), 2 * 128 + 1024 + 84 - 2);
 /// ```
 pub fn eq1_unlimited(dims: &MappedDims) -> u64 {
-    2 * dims.spatial_rows + dims.spatial_cols + dims.temporal - 2
+    fold_duration(dims.spatial_rows, dims.spatial_cols, dims.temporal)
 }
 
 /// Eq. 4 as printed in the paper: `(2R + C + T − 2) · ⌈S_R/R⌉ · ⌈S_C/C⌉`.
@@ -26,48 +27,20 @@ pub fn eq1_unlimited(dims: &MappedDims) -> u64 {
 /// This treats every fold as full-sized; the simulator (and
 /// [`exact_scaleup`]) give ragged edge folds their smaller true cost, so
 /// Eq. 4 is an upper bound that coincides exactly when `R | S_R` and
-/// `C | S_C`.
+/// `C | S_C`. Saturates at `u64::MAX`.
 pub fn eq4_scaleup(dims: &MappedDims, array: ArrayShape) -> u64 {
-    let folds = dims.spatial_rows.div_ceil(array.rows()) * dims.spatial_cols.div_ceil(array.cols());
-    (2 * array.rows() + array.cols() + dims.temporal - 2) * folds
+    fold_duration(array.rows(), array.cols(), dims.temporal)
+        .saturating_mul(FoldPlan::new(dims, array).fold_count())
 }
 
 /// The exact stall-free scale-up runtime: the sum of Eq. 3 over the real
 /// fold schedule (partial edge folds cost less). This is what the
 /// cycle-accurate engine reports ([`scalesim_systolic::analyze`] reads
 /// the same [`FoldPlan::total_cycles`]), so searches built on it agree
-/// with simulation. Saturates at `u64::MAX`.
+/// with simulation. Every search of this crate prices a configuration
+/// with it. Saturates at `u64::MAX`.
 pub fn exact_scaleup(dims: &MappedDims, array: ArrayShape) -> u64 {
     FoldPlan::new(dims, array).total_cycles()
-}
-
-/// A runtime cost oracle: something that can price a workload on an array.
-///
-/// The paper's methodology (Sec. IV-B) works with either the analytical
-/// model or full SCALE-Sim as the cost function; this trait is that
-/// seam. The pareto optimizer and the searches are generic over it.
-pub trait RuntimeModel {
-    /// Stall-free cycles for `dims` on `array`.
-    fn runtime(&self, dims: &MappedDims, array: ArrayShape) -> u64;
-}
-
-/// The analytical cost model (Sec. III): exact fold-schedule runtime.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnalyticalModel;
-
-impl RuntimeModel for AnalyticalModel {
-    fn runtime(&self, dims: &MappedDims, array: ArrayShape) -> u64 {
-        exact_scaleup(dims, array)
-    }
-}
-
-impl<F> RuntimeModel for F
-where
-    F: Fn(&MappedDims, ArrayShape) -> u64,
-{
-    fn runtime(&self, dims: &MappedDims, array: ArrayShape) -> u64 {
-        self(dims, array)
-    }
 }
 
 #[cfg(test)]
@@ -81,14 +54,10 @@ mod tests {
 
     #[test]
     fn eq1_is_dataflow_invariant_in_form() {
+        // 2·S_R + S_C + T − 2 of (10, 30, 20), (20, 30, 10), (20, 10, 30).
         let shape = GemmShape::new(10, 20, 30);
-        for df in Dataflow::ALL {
-            let d = shape.project(df);
-            assert_eq!(
-                eq1_unlimited(&d),
-                2 * d.spatial_rows + d.spatial_cols + d.temporal - 2
-            );
-        }
+        let cycles = Dataflow::ALL.map(|df| eq1_unlimited(&shape.project(df)));
+        assert_eq!(cycles, [68, 78, 78]);
     }
 
     #[test]
@@ -111,13 +80,5 @@ mod tests {
         // The array is larger than the workload: one partial fold whose
         // duration uses the *used* extents, i.e. Eq. 1.
         assert_eq!(exact_scaleup(&d, ArrayShape::square(64)), eq1_unlimited(&d));
-    }
-
-    #[test]
-    fn closures_are_runtime_models() {
-        let flat = |_: &MappedDims, _: ArrayShape| 42u64;
-        assert_eq!(flat.runtime(&dims(2, 2, 2), ArrayShape::square(4)), 42);
-        let model = AnalyticalModel;
-        assert!(model.runtime(&dims(8, 8, 8), ArrayShape::square(4)) > 0);
     }
 }

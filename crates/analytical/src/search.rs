@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use scalesim_systolic::{analyze, ArrayShape};
 use scalesim_topology::MappedDims;
 
-use crate::runtime::RuntimeModel;
+use crate::runtime::exact_scaleup;
 
 /// All `R × C` array shapes with `R·C == mac_budget`, `R` and `C` powers of
 /// two and at least `min_dim` (the paper limits dimensions to ≥ 8).
@@ -53,7 +53,7 @@ pub fn aspect_ratio_shapes(mac_budget: u64, min_dim: u64) -> Vec<ArrayShape> {
 pub struct ScaleUpScore {
     /// The array shape evaluated.
     pub array: ArrayShape,
-    /// Stall-free runtime under the cost model.
+    /// Exact stall-free runtime ([`crate::exact_scaleup`]).
     pub cycles: u64,
     /// Mapping utilization (occupied-PE fraction averaged over folds).
     pub mapping_utilization: f64,
@@ -65,17 +65,12 @@ pub struct ScaleUpScore {
 /// # Panics
 ///
 /// Same conditions as [`aspect_ratio_shapes`].
-pub fn rank_scaleup<M: RuntimeModel>(
-    dims: &MappedDims,
-    mac_budget: u64,
-    min_dim: u64,
-    model: &M,
-) -> Vec<ScaleUpScore> {
+pub fn rank_scaleup(dims: &MappedDims, mac_budget: u64, min_dim: u64) -> Vec<ScaleUpScore> {
     let mut scores: Vec<ScaleUpScore> = aspect_ratio_shapes(mac_budget, min_dim)
         .into_iter()
         .map(|array| ScaleUpScore {
             array,
-            cycles: model.runtime(dims, array),
+            cycles: exact_scaleup(dims, array),
             mapping_utilization: analyze(dims, array).mapping_utilization,
         })
         .collect();
@@ -88,13 +83,8 @@ pub fn rank_scaleup<M: RuntimeModel>(
 /// # Panics
 ///
 /// Same conditions as [`aspect_ratio_shapes`].
-pub fn best_scaleup<M: RuntimeModel>(
-    dims: &MappedDims,
-    mac_budget: u64,
-    min_dim: u64,
-    model: &M,
-) -> ScaleUpScore {
-    rank_scaleup(dims, mac_budget, min_dim, model)
+pub fn best_scaleup(dims: &MappedDims, mac_budget: u64, min_dim: u64) -> ScaleUpScore {
+    rank_scaleup(dims, mac_budget, min_dim)
         .into_iter()
         .next()
         .expect("aspect_ratio_shapes returns at least one shape")
@@ -103,7 +93,6 @@ pub fn best_scaleup<M: RuntimeModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::AnalyticalModel;
     use scalesim_topology::{Dataflow, GemmShape};
 
     fn dims(m: u64, k: u64, n: u64) -> MappedDims {
@@ -144,9 +133,9 @@ mod tests {
     #[test]
     fn ranking_is_sorted_and_best_matches_head() {
         let d = dims(512, 32, 64);
-        let ranked = rank_scaleup(&d, 1 << 12, 8, &AnalyticalModel);
+        let ranked = rank_scaleup(&d, 1 << 12, 8);
         assert!(ranked.windows(2).all(|w| w[0].cycles <= w[1].cycles));
-        let best = best_scaleup(&d, 1 << 12, 8, &AnalyticalModel);
+        let best = best_scaleup(&d, 1 << 12, 8);
         assert_eq!(best, ranked[0]);
     }
 
@@ -155,14 +144,14 @@ mod tests {
         // S_R >> S_C: the best aspect ratio should allocate more rows than
         // columns.
         let d = dims(4096, 16, 32);
-        let best = best_scaleup(&d, 1 << 10, 8, &AnalyticalModel);
+        let best = best_scaleup(&d, 1 << 10, 8);
         assert!(best.array.rows() >= best.array.cols());
     }
 
     #[test]
     fn wide_workload_prefers_wide_array() {
         let d = dims(32, 16, 4096);
-        let best = best_scaleup(&d, 1 << 10, 8, &AnalyticalModel);
+        let best = best_scaleup(&d, 1 << 10, 8);
         assert!(best.array.cols() >= best.array.rows());
     }
 
@@ -171,7 +160,7 @@ mod tests {
         // Fig. 9b-c: with larger arrays the worst/best ratio gap widens.
         let d = dims(31999, 84, 1024); // TF0
         let spread = |budget: u64| {
-            let ranked = rank_scaleup(&d, budget, 8, &AnalyticalModel);
+            let ranked = rank_scaleup(&d, budget, 8);
             ranked.last().unwrap().cycles as f64 / ranked[0].cycles as f64
         };
         assert!(spread(1 << 16) > spread(1 << 10));

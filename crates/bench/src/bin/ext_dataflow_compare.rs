@@ -9,12 +9,11 @@
 //! Run: `cargo run --release -p scalesim-bench --bin ext_dataflow_compare`
 
 use scalesim::ArrayShape;
-use scalesim_analytical::{rank_dataflows, AnalyticalModel};
+use scalesim_analytical::rank_dataflows;
 use scalesim_topology::networks;
 
 fn main() {
     let array = ArrayShape::square(128);
-    let model = AnalyticalModel;
 
     println!("# Extension: best dataflow per layer on a {array} array (stall-free cycles)");
     println!("layer,os_cycles,ws_cycles,is_cycles,winner,worst_over_best");
@@ -28,7 +27,7 @@ fn main() {
     layers.extend(networks::language_models());
 
     for layer in &layers {
-        let ranked = rank_dataflows(layer.shape(), array, &model);
+        let ranked = rank_dataflows(layer.shape(), array);
         let by = |df: scalesim_topology::Dataflow| {
             ranked
                 .iter()

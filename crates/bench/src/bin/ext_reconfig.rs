@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release -p scalesim-bench --bin ext_reconfig`
 
-use scalesim_analytical::{reconfiguration_gain, AnalyticalModel, Dataflow, MappedDims};
+use scalesim_analytical::{reconfiguration_gain, Dataflow, MappedDims};
 use scalesim_topology::{networks, Topology};
 
 fn report(title: &str, topo: &Topology) {
@@ -19,9 +19,8 @@ fn report(title: &str, topo: &Topology) {
         .iter()
         .map(|l| l.shape().project(Dataflow::OutputStationary))
         .collect();
-    let model = AnalyticalModel;
     for exp in [10u32, 12, 14, 16] {
-        let gain = reconfiguration_gain(&workloads, 1 << exp, 8, &model);
+        let gain = reconfiguration_gain(&workloads, 1 << exp, 8);
         println!(
             "2^{exp},{},{},{},{:.3},{}/{}",
             gain.fixed_config,

@@ -9,20 +9,19 @@
 //!
 //! Run: `cargo run --release -p scalesim-bench --bin fig10_best_ratio`
 
-use scalesim_analytical::{best_scaleout, best_scaleup, AnalyticalModel, Dataflow};
+use scalesim_analytical::{best_scaleout, best_scaleup, Dataflow};
 use scalesim_bench::{mac_budgets, print_series, Series};
 use scalesim_topology::{networks, Layer, Topology};
 
 fn ratio_series(topology: &Topology, budgets: &[u64]) -> Vec<Series> {
-    let model = AnalyticalModel;
     topology
         .iter()
         .map(|layer: &Layer| {
             let dims = layer.shape().project(Dataflow::OutputStationary);
             let mut series = Series::new(layer.name());
             for &budget in budgets {
-                let up = best_scaleup(&dims, budget, 8, &model).cycles;
-                let (_, out) = best_scaleout(&dims, budget, 8, &model);
+                let up = best_scaleup(&dims, budget, 8).cycles;
+                let (_, out) = best_scaleout(&dims, budget, 8);
                 series.push(
                     format!("2^{}", budget.trailing_zeros()),
                     up as f64 / out as f64,

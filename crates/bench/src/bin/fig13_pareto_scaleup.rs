@@ -10,7 +10,7 @@
 //! Run: `cargo run --release -p scalesim-bench --bin fig13_pareto_scaleup`
 
 use scalesim_analytical::{
-    best_scaleup, exact_scaleup, pareto_optimal, AnalyticalModel, ArrayShape, Dataflow, MappedDims,
+    best_scaleup, exact_scaleup, pareto_optimal, ArrayShape, Dataflow, MappedDims,
 };
 use scalesim_topology::{networks, Topology};
 
@@ -21,12 +21,11 @@ fn report(title: &str, topology: &Topology) {
         .iter()
         .map(|l| l.shape().project(Dataflow::OutputStationary))
         .collect();
-    let model = AnalyticalModel;
     for exp in [8u32, 10, 12, 14, 16] {
         let budget = 1u64 << exp;
         let mut candidates: Vec<ArrayShape> = workloads
             .iter()
-            .map(|w| best_scaleup(w, budget, 8, &model).array)
+            .map(|w| best_scaleup(w, budget, 8).array)
             .collect();
         candidates.sort();
         candidates.dedup();

@@ -8,8 +8,7 @@
 //! Run: `cargo run --release -p scalesim-bench --bin fig14_pareto_scaleout`
 
 use scalesim_analytical::{
-    best_scaleout, pareto_optimal, scaleout_runtime, AnalyticalModel, Dataflow, MappedDims,
-    ScaleOutConfig,
+    best_scaleout, pareto_optimal, scaleout_runtime, Dataflow, MappedDims, ScaleOutConfig,
 };
 use scalesim_topology::{networks, Topology};
 
@@ -20,18 +19,15 @@ fn report(title: &str, topology: &Topology) {
         .iter()
         .map(|l| l.shape().project(Dataflow::OutputStationary))
         .collect();
-    let model = AnalyticalModel;
     for exp in [8u32, 10, 12, 14, 16] {
         let budget = 1u64 << exp;
         let mut candidates: Vec<ScaleOutConfig> = workloads
             .iter()
-            .map(|w| best_scaleout(w, budget, 8, &model).0)
+            .map(|w| best_scaleout(w, budget, 8).0)
             .collect();
         candidates.sort();
         candidates.dedup();
-        let outcome = pareto_optimal(&workloads, &candidates, |w, c| {
-            scaleout_runtime(w, c, &model)
-        });
+        let outcome = pareto_optimal(&workloads, &candidates, scaleout_runtime);
         for (rank, c) in outcome.ranked.iter().enumerate() {
             println!(
                 "2^{exp},{},{},{},{:.4}",

@@ -9,15 +9,12 @@
 //!
 //! Run: `cargo run --release -p scalesim-bench --bin fig9_search_space`
 
-use scalesim_analytical::{
-    rank_scaleup, scaleout_configs, scaleout_runtime, AnalyticalModel, Dataflow,
-};
+use scalesim_analytical::{rank_scaleup, scaleout_configs, scaleout_runtime, Dataflow};
 use scalesim_topology::networks;
 
 fn main() {
     let tf0 = networks::language_model("TF0").expect("TF0 is built in");
     let dims = tf0.shape().project(Dataflow::OutputStationary);
-    let model = AnalyticalModel;
 
     println!("# Fig. 9(a): normalized stall-free runtime, TF0, OS dataflow");
     println!("# (normalized to the slowest configuration at each MAC budget; lower is better)");
@@ -32,7 +29,7 @@ fn main() {
                     c.grid.count(),
                     c.grid.to_string(),
                     c.array.to_string(),
-                    scaleout_runtime(&dims, c, &model),
+                    scaleout_runtime(&dims, c),
                 )
             })
             .collect();
@@ -52,7 +49,7 @@ fn main() {
             if exp == 14 { 'b' } else { 'c' }
         );
         println!("array,cycles,mapping_utilization");
-        let mut ranked = rank_scaleup(&dims, 1 << exp, 8, &model);
+        let mut ranked = rank_scaleup(&dims, 1 << exp, 8);
         // Present tall-to-wide (the paper's x axis), not by rank.
         ranked.sort_by_key(|s| std::cmp::Reverse(s.array.rows()));
         for s in ranked {

@@ -536,6 +536,29 @@ fn a_batch_whose_rows_overflow_is_a_one_line_error() {
     assert!(!text.contains("total:"), "stdout: {text}");
 }
 
+/// 32 x 2^63 x 32 wrapped to `0 MACs` and `SRAM 1022` and exited 0;
+/// 32 x (2^64 - 16) x 32 wrapped its fold duration and panicked in the
+/// energy model. A MAC count past `u64::MAX` is one located error line.
+#[test]
+fn a_layer_whose_mac_count_overflows_is_a_one_line_error() {
+    let dir = temp_dir("bigmacs");
+    for (i, row) in [
+        "Big,32,9223372036854775808,32",
+        "Big,32,18446744073709551600,32",
+        "Wide,8,8,3,3,1099511627776,1099511627776,1",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let topo = dir.join(format!("big{i}.csv"));
+        fs::write(&topo, format!("A,4,4,4\n{row}\n")).unwrap();
+        let out = scale_sim(&["-t", topo.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{row}");
+        assert_one_line_error(&out, "line 2: invalid layer: its MAC count");
+        assert!(out.stdout.is_empty(), "{row}");
+    }
+}
+
 /// `min_dim = 2^32` squares past `u64::MAX`, and budget `2^63` at
 /// `min_dim = 1` doubles its partition count past it: both panicked in
 /// `--dry-run` (exit 101) before the plan arithmetic was checked.

@@ -47,12 +47,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use scalesim_analytical::{
-    acquisition_score, best_dataflow, exact_scaleup, AnalyticalModel, ErrorStats, Frontier,
-    PartitionGrid,
+    acquisition_score, best_dataflow, exact_scaleup, ErrorStats, Frontier, PartitionGrid,
 };
 use scalesim_systolic::ArrayShape;
 use scalesim_telemetry::{Counter, Gauge, Histogram, Registry};
-use scalesim_topology::{GemmShape, Topology};
+use scalesim_topology::Topology;
 
 use crate::report::NetworkReport;
 use crate::sweep::{
@@ -134,8 +133,8 @@ impl Default for ExploreOptions {
 ///
 /// Mirrors the simulator's partitioning convention exactly: the `M × N`
 /// output space splits into `grid` tiles of at most
-/// `⌈M/P_R⌉ × ⌈N/P_C⌉`; partitions run in parallel, so a layer costs its
-/// largest tile, which is the first one. Under [`DataflowChoice::Auto`]
+/// [`PartitionGrid::largest_tile`]; partitions run in parallel, so a layer
+/// costs its largest tile, which is the first one. Under [`DataflowChoice::Auto`]
 /// the per-layer dataflow is re-selected from the *unsplit* shape, exactly
 /// as [`crate::Simulator`] does. Because fold cycles (Eq. 3) are monotone
 /// in the spatial extents, the first tile dominates every edge tile, and
@@ -177,14 +176,9 @@ pub fn predict_cycles(
             }
             let df = match dataflow {
                 DataflowChoice::Fixed(df) => df,
-                DataflowChoice::Auto => best_dataflow(shape, array, &AnalyticalModel).dataflow,
+                DataflowChoice::Auto => best_dataflow(shape, array).dataflow,
             };
-            let tile = GemmShape::new(
-                shape.m.div_ceil(grid.rows()),
-                shape.k,
-                shape.n.div_ceil(grid.cols()),
-            );
-            exact_scaleup(&tile.project(df), array)
+            exact_scaleup(&grid.largest_tile(shape).project(df), array)
         })
         .fold(0, u64::saturating_add)
 }

@@ -123,34 +123,36 @@ impl NetworkReport {
         self.layers.iter().find(|l| l.name == name)
     }
 
+    /// The sum of `count` over layers. Every total saturates at
+    /// `u64::MAX`, as each layer's counts do.
+    fn sum(&self, count: impl Fn(&LayerReport) -> u64) -> u64 {
+        self.layers.iter().map(count).fold(0, u64::saturating_add)
+    }
+
     /// Total runtime: layers execute serially, so cycles add.
     pub fn total_cycles(&self) -> u64 {
-        self.layers.iter().map(|l| l.total_cycles).sum()
+        self.sum(|l| l.total_cycles)
     }
 
     /// Total useful MACs.
     pub fn total_macs(&self) -> u64 {
-        self.layers.iter().map(|l| l.mac_ops).sum()
+        self.sum(|l| l.mac_ops)
     }
 
-    /// Total DRAM traffic in bytes, saturating at `u64::MAX` as each
-    /// layer's count does.
+    /// Total DRAM traffic in bytes.
     pub fn total_dram_bytes(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| l.dram.total_bytes())
-            .fold(0, u64::saturating_add)
+        self.sum(|l| l.dram.total_bytes())
     }
 
     /// Total SRAM accesses.
     pub fn total_sram_accesses(&self) -> u64 {
-        self.layers.iter().map(|l| l.sram.total()).sum()
+        self.sum(|l| l.sram.total())
     }
 
     /// Total runtime including memory stalls where the stall model ran
     /// (layers execute serially, so effective cycles add).
     pub fn total_effective_cycles(&self) -> u64 {
-        self.layers.iter().map(LayerReport::effective_cycles).sum()
+        self.sum(LayerReport::effective_cycles)
     }
 
     /// Worst per-layer stall-free bandwidth requirement (bytes/cycle).
@@ -211,7 +213,7 @@ impl NetworkReport {
                 l.mac_ops,
                 l.mapping_utilization,
                 l.compute_utilization,
-                l.sram.a_reads + l.sram.b_reads + l.sram.o_reads,
+                l.sram.reads(),
                 l.sram.o_writes,
                 l.dram.reads_a + l.dram.reads_b + l.dram.reads_o,
                 l.dram.writes_o,

@@ -91,11 +91,7 @@ impl Simulator {
     /// and exported traces always describe the same schedule.
     pub fn effective_config(&self, layer: &Layer) -> SimConfig {
         if self.auto_dataflow {
-            let best = scalesim_analytical::best_dataflow(
-                layer.shape(),
-                self.config.array,
-                &scalesim_analytical::AnalyticalModel,
-            );
+            let best = scalesim_analytical::best_dataflow(layer.shape(), self.config.array);
             SimConfig {
                 dataflow: best.dataflow,
                 ..self.config
@@ -203,10 +199,10 @@ impl Simulator {
         for (compute, part_dram, part_stall) in tiles {
             per_partition_cycles.push(compute.total_cycles);
             total_cycles = total_cycles.max(compute.total_cycles);
-            sram.a_reads += compute.sram.a_reads;
-            sram.b_reads += compute.sram.b_reads;
-            sram.o_reads += compute.sram.o_reads;
-            sram.o_writes += compute.sram.o_writes;
+            sram.a_reads = sram.a_reads.saturating_add(compute.sram.a_reads);
+            sram.b_reads = sram.b_reads.saturating_add(compute.sram.b_reads);
+            sram.o_reads = sram.o_reads.saturating_add(compute.sram.o_reads);
+            sram.o_writes = sram.o_writes.saturating_add(compute.sram.o_writes);
             mapping_util_sum += compute.mapping_utilization;
             if dram.folds == 0 && dram.total_accesses() == 0 {
                 dram = part_dram.clone();
@@ -438,26 +434,27 @@ struct Tile {
     n_len: u64,
 }
 
-/// Tiles the `M × N` output space across the grid (Eq. 5 of the paper,
-/// applied in output coordinates so every partition computes complete
-/// outputs regardless of dataflow). Partitions whose ceiling share starts
-/// past the end of a dimension receive no work and are skipped.
+/// Tiles the `M × N` output space across the grid in chunks of
+/// [`PartitionGrid::largest_tile`] (Eq. 5 in output coordinates, so every
+/// partition computes complete outputs regardless of dataflow); the last
+/// row and column of tiles take the remainder. Partitions whose ceiling
+/// share starts past the end of a dimension receive no work and are
+/// skipped.
 fn partition_tiles(shape: GemmShape, grid: PartitionGrid) -> Vec<Tile> {
-    let chunk_m = shape.m.div_ceil(grid.rows());
-    let chunk_n = shape.n.div_ceil(grid.cols());
+    let chunk = grid.largest_tile(shape);
     let mut tiles = Vec::new();
     for pi in 0..grid.rows() {
-        let m_off = pi * chunk_m;
+        let m_off = pi * chunk.m;
         if m_off >= shape.m {
             break;
         }
-        let m_len = chunk_m.min(shape.m - m_off);
+        let m_len = chunk.m.min(shape.m - m_off);
         for pj in 0..grid.cols() {
-            let n_off = pj * chunk_n;
+            let n_off = pj * chunk.n;
             if n_off >= shape.n {
                 break;
             }
-            let n_len = chunk_n.min(shape.n - n_off);
+            let n_len = chunk.n.min(shape.n - n_off);
             tiles.push(Tile {
                 m_off,
                 m_len,

@@ -481,6 +481,35 @@ fn plan_axes_that_overflow_a_u64_are_bad_requests() {
     handle.stop();
 }
 
+/// 32 x 2^63 x 32 wrapped to 0 MACs and answered 200; with a batch, the
+/// check covers `M × batch × K × N`, not only `M × batch`. Both are 400s
+/// naming what overflowed.
+#[test]
+fn a_layer_whose_mac_count_overflows_is_a_bad_request() {
+    let handle = start_server(1);
+    let body = r#"{"topology_csv": "Big,32,9223372036854775808,32"}"#;
+    let response = request(handle.addr(), "POST", "/simulate", Some(body)).unwrap();
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(
+        response
+            .body
+            .contains("line 1: invalid layer: its MAC count"),
+        "{}",
+        response.body
+    );
+    // M × batch fits; times K × N it does not.
+    let body = r#"{"network": "TF0", "batch": 214748364800}"#;
+    let response = request(handle.addr(), "POST", "/simulate", Some(body)).unwrap();
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(
+        response.body.contains("batch 214748364800"),
+        "{}",
+        response.body
+    );
+    assert_eq!(stats_field(&handle, "accepted"), 0);
+    handle.stop();
+}
+
 /// TF0's M = 31,999 times this batch wraps to 15,483 rows: the job ran as
 /// a smaller layer and answered 200. It is a 400 naming the batch.
 #[test]

@@ -159,7 +159,7 @@ impl Iterator for FoldPlan {
             base_cycle: self.cycle,
             duration,
         };
-        self.cycle += duration;
+        self.cycle = self.cycle.saturating_add(duration);
         self.next_index += 1;
         Some(fold)
     }
@@ -178,9 +178,12 @@ pub(crate) fn tile_extent(total: u64, chunk: u64, index: u64) -> u64 {
     chunk.min(total - start)
 }
 
-/// Eq. 3 of the paper: the stall-free duration of one fold.
+/// Eq. 3 of the paper: the stall-free duration of one fold,
+/// `2r′ + c′ + T − 2`. Every stall-free cycle count of the workspace is a
+/// sum of this. Saturates at `u64::MAX`: `T` alone can sit near 2^64.
 pub fn fold_duration(rows_used: u64, cols_used: u64, temporal: u64) -> u64 {
-    2 * rows_used + cols_used + temporal - 2
+    let cycles = 2 * u128::from(rows_used) + u128::from(cols_used) + u128::from(temporal) - 2;
+    u64::try_from(cycles).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -260,5 +263,19 @@ mod tests {
         assert_eq!(folds[0].cols_used, 3);
         // Eq. 1 with the *used* extents: runtime 2*3 + 3 + 2 - 2.
         assert_eq!(folds[0].duration, 9);
+    }
+
+    #[test]
+    fn fold_durations_saturate_when_the_contraction_nears_2_64() {
+        // 32 x (2^64 - 16) x 32 on 32x32 OS wrapped to 79,872 cycles,
+        // fewer than its MACs, and panicked in the energy model.
+        assert_eq!(fold_duration(32, 32, u64::MAX - 15), u64::MAX);
+        assert_eq!(fold_duration(1, 1, u64::MAX), u64::MAX);
+        // A count that fits is exact: 2 + 1 + (2^64 - 3) - 2 = 2^64 - 2.
+        assert_eq!(fold_duration(1, 1, u64::MAX - 2), u64::MAX - 1);
+        let plan = FoldPlan::new(&dims(64, u64::MAX - 15, 32), ArrayShape::square(32));
+        assert_eq!(plan.total_cycles(), u64::MAX);
+        let folds: Vec<Fold> = plan.collect();
+        assert_eq!(folds[1].base_cycle, u64::MAX);
     }
 }

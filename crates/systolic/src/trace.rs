@@ -78,8 +78,16 @@ pub struct SramCounts {
 
 impl SramCounts {
     /// Total SRAM accesses (reads + writes) — the energy model's input.
+    /// Saturates at `u64::MAX`, like each count.
     pub fn total(&self) -> u64 {
-        self.a_reads + self.b_reads + self.o_reads + self.o_writes
+        self.reads().saturating_add(self.o_writes)
+    }
+
+    /// SRAM reads of all three operands, saturating at `u64::MAX`.
+    pub fn reads(&self) -> u64 {
+        [self.b_reads, self.o_reads]
+            .into_iter()
+            .fold(self.a_reads, u64::saturating_add)
     }
 }
 
@@ -311,6 +319,19 @@ impl<W: Write> TraceSink for CsvTraceSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sram_count_sums_saturate() {
+        // Two saturated read counts summed to 1,022 accesses.
+        let huge = SramCounts {
+            a_reads: u64::MAX,
+            b_reads: u64::MAX,
+            o_reads: 0,
+            o_writes: 1024,
+        };
+        assert_eq!(huge.reads(), u64::MAX);
+        assert_eq!(huge.total(), u64::MAX);
+    }
 
     fn fold() -> Fold {
         Fold {

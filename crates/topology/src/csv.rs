@@ -6,7 +6,7 @@
 //! tolerated. As an extension, a 4-column row `name, M, K, N` describes a raw
 //! GEMM layer (the format SCALE-Sim later adopted for language models).
 
-use crate::{ConvLayerBuilder, Layer, ParseTopologyError, Topology};
+use crate::{ConvLayerBuilder, GemmShape, Layer, ParseTopologyError, Topology};
 
 const CONV_COLUMNS: [&str; 8] = [
     "Layer name",
@@ -119,13 +119,14 @@ fn parse_gemm_row(line: usize, fields: &[&str]) -> Result<Layer, ParseTopologyEr
     let m = parse_num(line, "M", fields[1])?;
     let k = parse_num(line, "K", fields[2])?;
     let n = parse_num(line, "N", fields[3])?;
-    if m == 0 || k == 0 || n == 0 {
-        return Err(ParseTopologyError::InvalidLayer {
-            line,
-            source: crate::ValidateLayerError::ZeroDimension { field: "gemm dim" },
-        });
-    }
-    Ok(Layer::gemm(name, m, k, n))
+    let source = if m == 0 || k == 0 || n == 0 {
+        crate::ValidateLayerError::ZeroDimension { field: "gemm dim" }
+    } else if (GemmShape { m, k, n }).checked_macs().is_none() {
+        crate::ValidateLayerError::MacsOverflow
+    } else {
+        return Ok(Layer::gemm(name, m, k, n));
+    };
+    Err(ParseTopologyError::InvalidLayer { line, source })
 }
 
 /// Serializes a topology back to the Table II CSV format.
@@ -232,6 +233,29 @@ mod tests {
     #[test]
     fn zero_gemm_dim_rejected() {
         assert!(parse_topology_csv("n", "G,0,1,1\n").is_err());
+    }
+
+    #[test]
+    fn a_layer_whose_mac_count_overflows_is_rejected_with_its_line() {
+        // 32 x 2^63 x 32 wrapped to 0 MACs; the conv row has 2^80 of them.
+        for (row, kind) in [
+            ("Big,32,9223372036854775808,32", "gemm"),
+            ("Big,32,18446744073709551600,32", "gemm"),
+            ("Wide,8,8,3,3,1099511627776,1099511627776,1", "conv"),
+        ] {
+            let err = parse_topology_csv("n", &format!("A,1,1,1\n{row}\n")).unwrap_err();
+            assert_eq!(
+                err,
+                ParseTopologyError::InvalidLayer {
+                    line: 2,
+                    source: crate::ValidateLayerError::MacsOverflow,
+                },
+                "{kind}"
+            );
+        }
+        // (2^32 - 1)(2^32 + 1) = u64::MAX still parses.
+        let edge = parse_topology_csv("n", "E,1,4294967295,4294967297\n").unwrap();
+        assert_eq!(edge.layers()[0].macs(), u64::MAX);
     }
 
     #[test]

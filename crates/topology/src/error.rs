@@ -23,6 +23,9 @@ pub enum ValidateLayerError {
         /// `"height"` or `"width"`.
         axis: &'static str,
     },
+    /// The layer's multiply-accumulate count, `M·K·N`, does not fit a
+    /// `u64`; unchecked, it wrapped to a small layer.
+    MacsOverflow,
 }
 
 impl fmt::Display for ValidateLayerError {
@@ -36,6 +39,9 @@ impl fmt::Display for ValidateLayerError {
                 ifmap,
                 axis,
             } => write!(f, "filter {axis} ({filter}) exceeds ifmap {axis} ({ifmap})"),
+            ValidateLayerError::MacsOverflow => {
+                write!(f, "its MAC count M x K x N does not fit in 64 bits")
+            }
         }
     }
 }
@@ -101,7 +107,7 @@ impl Error for ParseTopologyError {
     }
 }
 
-/// A batched layer whose GEMM row count, `M × batch`, does not fit a
+/// A batched layer whose MAC count, `M × batch × K × N`, does not fit a
 /// `u64`. Returned by [`crate::networks::batched`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchOverflowError {
@@ -117,7 +123,8 @@ impl fmt::Display for BatchOverflowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "batch {} overflows layer `{}`: M = {} times the batch does not fit in 64 bits",
+            "batch {} overflows layer `{}`: its MAC count, M = {} times the batch times K x N, \
+             does not fit in 64 bits",
             self.batch, self.layer, self.m
         )
     }
@@ -148,6 +155,18 @@ mod tests {
         assert_eq!(
             err.to_string(),
             "filter height (7) exceeds ifmap height (5)"
+        );
+    }
+
+    #[test]
+    fn display_macs_overflow() {
+        let err = ParseTopologyError::InvalidLayer {
+            line: 2,
+            source: ValidateLayerError::MacsOverflow,
+        };
+        assert_eq!(
+            err.to_string(),
+            "line 2: invalid layer: its MAC count M x K x N does not fit in 64 bits"
         );
     }
 

@@ -44,9 +44,15 @@ impl GemmShape {
         GemmShape { m, k, n }
     }
 
-    /// Total multiply-accumulate operations in this product.
+    /// Total multiply-accumulate operations in this product, saturating at
+    /// `u64::MAX`; input boundaries reject a layer whose count does not fit.
     pub fn macs(&self) -> u64 {
-        self.m * self.k * self.n
+        self.checked_macs().unwrap_or(u64::MAX)
+    }
+
+    /// `M·K·N`, or `None` when it overflows a `u64`.
+    pub fn checked_macs(&self) -> Option<u64> {
+        self.m.checked_mul(self.k)?.checked_mul(self.n)
     }
 
     /// Elements in the first (`m × k`) operand.
@@ -106,6 +112,18 @@ pub struct MappedDims {
 }
 
 impl MappedDims {
+    /// The GEMM this projection was made from: the inverse of
+    /// [`GemmShape::project`].
+    pub fn gemm(&self) -> GemmShape {
+        let (sr, sc, t) = (self.spatial_rows, self.spatial_cols, self.temporal);
+        let (m, k, n) = match self.dataflow {
+            Dataflow::OutputStationary => (sr, t, sc),
+            Dataflow::WeightStationary => (t, sr, sc),
+            Dataflow::InputStationary => (sc, sr, t),
+        };
+        GemmShape { m, k, n }
+    }
+
     /// Total MAC operations — invariant under the choice of dataflow.
     pub fn macs(&self) -> u64 {
         self.spatial_rows * self.spatial_cols * self.temporal
@@ -134,6 +152,25 @@ mod tests {
             (is.spatial_rows, is.spatial_cols, is.temporal),
             (20, 10, 30)
         );
+    }
+
+    #[test]
+    fn unprojecting_inverts_every_projection() {
+        let g = GemmShape::new(10, 20, 30);
+        for df in Dataflow::ALL {
+            assert_eq!(g.project(df).gemm(), g, "{df:?}");
+        }
+    }
+
+    #[test]
+    fn mac_counts_that_overflow_are_caught_or_saturate() {
+        let fits = GemmShape::new(1 << 20, 1 << 22, 1 << 21);
+        assert_eq!(fits.checked_macs(), Some(1 << 63));
+        assert_eq!(fits.macs(), 1 << 63);
+        // 32 x 2^63 x 32 wrapped to 0 MACs.
+        let wraps = GemmShape::new(32, 1 << 63, 32);
+        assert_eq!(wraps.checked_macs(), None);
+        assert_eq!(wraps.macs(), u64::MAX);
     }
 
     #[test]

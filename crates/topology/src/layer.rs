@@ -44,8 +44,8 @@ impl ConvLayer {
     ///
     /// # Errors
     ///
-    /// Returns [`ValidateLayerError`] if any dimension is zero or the filter
-    /// does not fit inside the IFMAP.
+    /// Returns [`ValidateLayerError`] if any dimension is zero, the filter
+    /// does not fit inside the IFMAP or the MAC count overflows a `u64`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: impl Into<String>,
@@ -224,7 +224,20 @@ fn validate_fields(
             axis: "width",
         });
     }
-    Ok(())
+    // `M·K·N`: every factor is at least 1, so when the product fits, so
+    // does every partial product the layer's accessors form.
+    let ofmap = |ifmap: u64, filter: u64, stride: u64| (ifmap - filter) / stride + 1;
+    [
+        ofmap(ifmap_w, filter_w, stride_w),
+        filter_h,
+        filter_w,
+        channels,
+        num_filters,
+    ]
+    .into_iter()
+    .try_fold(ofmap(ifmap_h, filter_h, stride_h), u64::checked_mul)
+    .map(drop)
+    .ok_or(ValidateLayerError::MacsOverflow)
 }
 
 /// Incremental constructor for [`ConvLayer`].
@@ -316,8 +329,8 @@ impl ConvLayerBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ValidateLayerError`] if any dimension is zero or the filter
-    /// exceeds the IFMAP extents.
+    /// Returns [`ValidateLayerError`] if any dimension is zero, the filter
+    /// exceeds the IFMAP extents or the MAC count overflows a `u64`.
     pub fn build(self) -> Result<ConvLayer, ValidateLayerError> {
         validate_fields(
             self.ifmap_h,
@@ -488,6 +501,25 @@ mod tests {
         assert!(ConvLayer::new("z", 8, 8, 3, 3, 0, 16, 1).is_err());
         assert!(ConvLayer::new("f", 2, 8, 3, 3, 4, 16, 1).is_err());
         assert!(ConvLayer::new("s", 8, 8, 3, 3, 4, 16, 0).is_err());
+    }
+
+    #[test]
+    fn validation_rejects_a_mac_count_that_overflows() {
+        let overflow = Err(ValidateLayerError::MacsOverflow);
+        // 36 OFMAP pixels x a 9-by-2^40 window x 2^40 filters.
+        assert_eq!(
+            ConvLayer::new("w", 8, 8, 3, 3, 1 << 40, 1 << 40, 1),
+            overflow
+        );
+        // The OFMAP alone has 2^66 pixels.
+        assert_eq!(
+            ConvLayer::new("p", 1 << 33, 1 << 33, 1, 1, 1, 1, 1),
+            overflow
+        );
+        // (2^32 - 1)(2^32 + 1) = u64::MAX still builds.
+        let edge = ConvLayer::new("e", 1, 1, 1, 1, u32::MAX.into(), (1 << 32) + 1, 1).unwrap();
+        assert_eq!(edge.macs(), u64::MAX);
+        assert_eq!(edge.shape().checked_macs(), Some(u64::MAX));
     }
 
     #[test]

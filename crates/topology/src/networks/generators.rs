@@ -81,8 +81,9 @@ pub fn transformer_encoder(
 ///
 /// # Errors
 ///
-/// Returns [`BatchOverflowError`] if a layer's `M × batch` does not fit a
-/// `u64`; an unchecked product wrapped to a smaller layer.
+/// Returns [`BatchOverflowError`] if a layer's MAC count, `M × batch × K ×
+/// N`, does not fit a `u64`; an unchecked product wrapped to a smaller
+/// layer.
 ///
 /// # Panics
 ///
@@ -93,11 +94,14 @@ pub fn batched(topology: &Topology, batch: u64) -> Result<Topology, BatchOverflo
         .iter()
         .map(|layer| {
             let s = layer.shape();
-            let m = s.m.checked_mul(batch).ok_or_else(|| BatchOverflowError {
-                layer: layer.name().to_owned(),
-                m: s.m,
-                batch,
-            })?;
+            let m =
+                s.m.checked_mul(batch)
+                    .filter(|&m| GemmShape { m, ..s }.checked_macs().is_some())
+                    .ok_or_else(|| BatchOverflowError {
+                        layer: layer.name().to_owned(),
+                        m: s.m,
+                        batch,
+                    })?;
             Ok(Layer::Gemm {
                 name: layer.name().to_owned(),
                 shape: GemmShape::new(m, s.k, s.n),
@@ -176,12 +180,20 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("batch 576478767264901"), "{err}");
-        // The largest batch whose product fits still batches.
-        let fits = u64::MAX / 31999;
+        // The largest batch whose MAC count fits still batches; one more
+        // keeps `M × batch` in 64 bits but not `M × batch × K × N`.
+        let fits = u64::MAX / (31999 * 84 * 1024);
         assert_eq!(
             batched(&tf0, fits).unwrap().layers()[0].shape().m,
             31999 * fits
         );
-        assert!(batched(&tf0, fits + 1).is_err());
+        assert_eq!(
+            batched(&tf0, fits + 1).unwrap_err(),
+            BatchOverflowError {
+                layer: "TF0".into(),
+                m: 31999,
+                batch: fits + 1,
+            }
+        );
     }
 }

@@ -10,9 +10,7 @@
 //! Run: `cargo run --release --example design_search`
 
 use scalesim::{Dataflow, SimConfig, Simulator};
-use scalesim_analytical::{
-    best_scaleup, exact_scaleup, pareto_optimal, AnalyticalModel, ArrayShape, MappedDims,
-};
+use scalesim_analytical::{best_scaleup, exact_scaleup, pareto_optimal, ArrayShape, MappedDims};
 use scalesim_topology::{networks, Layer};
 
 fn main() {
@@ -25,7 +23,6 @@ fn main() {
     layers.push(networks::language_model("GNMT0").unwrap());
 
     let budget: u64 = 1 << 14;
-    let model = AnalyticalModel;
     let workloads: Vec<MappedDims> = layers
         .iter()
         .map(|l| l.shape().project(Dataflow::OutputStationary))
@@ -34,7 +31,7 @@ fn main() {
     println!("per-layer optimal aspect ratios at {budget} MACs:");
     let mut candidates: Vec<ArrayShape> = Vec::new();
     for (layer, dims) in layers.iter().zip(&workloads) {
-        let best = best_scaleup(dims, budget, 8, &model);
+        let best = best_scaleup(dims, budget, 8);
         println!(
             "  {:<8} -> {:>9}  ({} cycles)",
             layer.name(),

@@ -9,7 +9,7 @@
 //! Run: `cargo run --release --example scaling_advisor`
 
 use scalesim::Dataflow;
-use scalesim_analytical::{recommend, AnalyticalModel, MappedDims};
+use scalesim_analytical::{recommend, MappedDims};
 use scalesim_topology::networks;
 
 fn main() {
@@ -29,7 +29,6 @@ fn main() {
         .collect();
 
     let budget: u64 = 1 << 16;
-    let model = AnalyticalModel;
 
     println!("workloads: TF0, TF1, GNMT0, CB2a_2 — {budget} MACs\n");
     println!(
@@ -39,7 +38,7 @@ fn main() {
     let mut budgets: Vec<Option<f64>> = vec![None];
     budgets.extend([4096.0, 1024.0, 256.0, 64.0, 16.0].map(Some));
     for bw in budgets {
-        let rec = recommend(&workloads, budget, 8, bw, &model);
+        let rec = recommend(&workloads, budget, 8, bw);
         println!(
             "{:>22} {:>26} {:>14} {:>14.1} {:>8}",
             bw.map(|b| format!("{b} elem/cycle"))

@@ -14,6 +14,11 @@
 //!   `(x, y)` and IS on `(N, K, M)` with `(y, x)` map to the same fold
 //!   plan: their reports are equal bit for bit once the IFMAP and filter
 //!   counts are swapped.
+//!   On a grid, WS over `P_R × P_C` and IS over `P_C × P_R` give WS tile
+//!   `(i, j)` and IS tile `(j, i)` the same dual pair: integers are equal
+//!   (per-partition cycles in the transposed tile order), and the two
+//!   `f64` sums over tiles, mapping utilisation and bandwidth peaks, are
+//!   equal to 1e-12 relative, since the tiles are added in another order.
 //! * *OS transpose (GEMM).* OS on `(M, K, N)` with an `R × C` array and on
 //!   `(N, K, M)` with a `C × R` one take the same cycles and mapping
 //!   utilisation; when one fold dimension is 1 (`F_R = 1` or `F_C = 1`)
@@ -247,6 +252,61 @@ proptest! {
         let ws = Simulator::new(ws).run_layer(&Layer::gemm("g", m, k, n));
         let is = Simulator::new(is).run_layer(&Layer::gemm("g", n, k, m));
         same(&operands_swapped(&ws), &is, "IS on the transposed GEMM")?;
+    }
+
+    fn ws_and_is_are_duals_on_partitioned_gemms(
+        gemm in (1u64..40, 1u64..40, 1u64..40),
+        array in (0u32..3, 0u32..3),
+        grid in (1u64..4, 1u64..4),
+        sram in (1u64..3, 1u64..3, 1u64..3),
+        bandwidth in 0usize..4,
+    ) {
+        let (m, k, n) = gemm;
+        let (pr, pc) = grid;
+        let array = ArrayShape::new(2 << array.0, 2 << array.1);
+        let ws = gemm_config(array, Dataflow::WeightStationary, sram, bandwidth);
+        let is = gemm_config(array, Dataflow::InputStationary, (sram.1, sram.0, sram.2), bandwidth);
+        let ws = Simulator::new(ws)
+            .with_grid(PartitionGrid::new(pr, pc))
+            .run_layer(&Layer::gemm("g", m, k, n));
+        let is = Simulator::new(is)
+            .with_grid(PartitionGrid::new(pc, pr))
+            .run_layer(&Layer::gemm("g", n, k, m));
+        let mut ws = operands_swapped(&ws);
+
+        // Active tiles form an a_r x a_c block; WS lists tile (i, j) at
+        // i·a_c + j, IS lists its dual (j, i) at j·a_r + i.
+        let (a_r, a_c) = (m.div_ceil(m.div_ceil(pr)), n.div_ceil(n.div_ceil(pc)));
+        prop_assert_eq!(ws.active_partitions, a_r * a_c);
+        let transposed: Vec<u64> = (0..a_c * a_r)
+            .map(|t| ws.per_partition_cycles[((t % a_r) * a_c + t / a_r) as usize])
+            .collect();
+        prop_assert_eq!(&transposed, &is.per_partition_cycles);
+
+        let near = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+        prop_assert!(near(ws.mapping_utilization, is.mapping_utilization));
+        prop_assert!(near(ws.dram.read_bw.peak(), is.dram.read_bw.peak()));
+        prop_assert!(near(ws.dram.write_bw.peak(), is.dram.write_bw.peak()));
+        // With the tile-order sums set aside, the rest is bit for bit.
+        ws.grid = is.grid;
+        ws.per_partition_cycles = transposed;
+        ws.mapping_utilization = is.mapping_utilization;
+        let mut bits = f64_bits(&ws);
+        let mut want = f64_bits(&is);
+        for peaks in [8, 6] {
+            bits.remove(peaks);
+            want.remove(peaks);
+        }
+        prop_assert_eq!(bits, want);
+        let (ws_dram, is_dram) = (&ws.dram, &is.dram);
+        prop_assert_eq!(
+            (ws_dram.reads_a, ws_dram.reads_b, ws_dram.reads_o, ws_dram.writes_o, ws_dram.folds),
+            (is_dram.reads_a, is_dram.reads_b, is_dram.reads_o, is_dram.writes_o, is_dram.folds)
+        );
+        prop_assert_eq!(
+            format!("{:?}", (ws.total_cycles, ws.mac_ops, ws.sram, ws.stall.map(|s| s.stalled_cycles))),
+            format!("{:?}", (is.total_cycles, is.mac_ops, is.sram, is.stall.map(|s| s.stalled_cycles)))
+        );
     }
 
     fn os_transposes_on_gemms(

@@ -5,9 +5,7 @@
 //! loudly.
 
 use scalesim::{ArrayShape, Dataflow, EnergyModel, PartitionGrid, SimConfig, Simulator};
-use scalesim_analytical::{
-    best_scaleout, best_scaleup, eq1_unlimited, eq4_scaleup, exact_scaleup, AnalyticalModel,
-};
+use scalesim_analytical::{best_scaleout, best_scaleup, eq1_unlimited, eq4_scaleup, exact_scaleup};
 use scalesim_topology::networks;
 
 /// Sec. III-B: the equation hierarchy. The exact fold schedule equals
@@ -46,10 +44,9 @@ fn fig9_monolithic_is_never_the_best_point_for_tf0() {
         .unwrap()
         .shape()
         .project(Dataflow::OutputStationary);
-    let model = AnalyticalModel;
     for exp in [12u32, 14, 16] {
-        let best_mono = best_scaleup(&dims, 1 << exp, 8, &model).cycles;
-        let (best_cfg, best_out) = best_scaleout(&dims, 1 << exp, 8, &model);
+        let best_mono = best_scaleup(&dims, 1 << exp, 8).cycles;
+        let (best_cfg, best_out) = best_scaleout(&dims, 1 << exp, 8);
         assert!(best_out <= best_mono, "2^{exp}");
         assert!(!best_cfg.is_monolithic(), "2^{exp}: TF0 wants partitions");
     }
@@ -59,14 +56,13 @@ fn fig9_monolithic_is_never_the_best_point_for_tf0() {
 /// grows with scale; language models reach order-tens at 2^16.
 #[test]
 fn fig10_ratio_grows_with_scale() {
-    let model = AnalyticalModel;
     let mut max_ratio: f64 = 0.0;
     for layer in &networks::language_models() {
         let dims = layer.shape().project(Dataflow::OutputStationary);
         let mut prev = 0.0;
         for exp in [10u32, 13, 16] {
-            let up = best_scaleup(&dims, 1 << exp, 8, &model).cycles as f64;
-            let (_, out) = best_scaleout(&dims, 1 << exp, 8, &model);
+            let up = best_scaleup(&dims, 1 << exp, 8).cycles as f64;
+            let (_, out) = best_scaleout(&dims, 1 << exp, 8);
             let ratio = up / out as f64;
             assert!(ratio >= 1.0 - 1e-12, "{} at 2^{exp}", layer.name());
             // Not strictly monotonic for every layer, but never collapsing:

@@ -5,10 +5,10 @@
 use proptest::prelude::*;
 
 use scalesim::{ArrayShape, Dataflow, PartitionGrid, SimConfig, Simulator};
-use scalesim_analytical::{scaleout_runtime, split_dims, AnalyticalModel, ScaleOutConfig};
+use scalesim_analytical::{scaleout_runtime, split_dims, ScaleOutConfig};
 use scalesim_integration::oracle::tile_traffic;
 use scalesim_memory::{AddressMap, ConvAddressMap, GemmAddressMap, SubGemmMap};
-use scalesim_topology::{ConvLayer, GemmShape, Layer};
+use scalesim_topology::{networks, ConvLayer, GemmShape, Layer};
 
 fn config(array_pow: u32) -> SimConfig {
     SimConfig::builder()
@@ -69,10 +69,9 @@ proptest! {
         let grid = PartitionGrid::new(pr, pc);
         let array = ArrayShape::new(8, 8);
         let cfg = ScaleOutConfig { grid, array };
-        let model = AnalyticalModel;
         let split = split_dims(&dims, grid);
         prop_assert_eq!(
-            scaleout_runtime(&dims, &cfg, &model),
+            scaleout_runtime(&dims, &cfg),
             scalesim_analytical::exact_scaleup(&split, array)
         );
         // Splitting never enlarges a dimension.
@@ -81,31 +80,77 @@ proptest! {
         prop_assert_eq!(split.temporal, dims.temporal);
     }
 
-    /// The cycle-accurate partitioned runtime matches the analytical Eq. 6
-    /// prediction for GEMM workloads on even splits (the analytical model
-    /// prices the ceiling share; with divisible dims they coincide).
+    /// Eq. 6 is the cycle-accurate partitioned runtime under every
+    /// dataflow, on ragged splits as on even ones: the simulator tiles the
+    /// `M × N` output space, and `scaleout_runtime` prices the largest of
+    /// those tiles.
     #[test]
-    fn simulator_matches_eq6_on_divisible_splits(
-        mb in 1u64..20,
-        k in 1u64..30,
-        nb in 1u64..20,
-        pr in 1u64..4,
-        pc in 1u64..4,
+    fn simulator_matches_eq6_under_every_dataflow_and_split(
+        m in 1u64..80,
+        k in 1u64..40,
+        n in 1u64..80,
+        pr in 1u64..5,
+        pc in 1u64..5,
+        array_pow in 1u32..4,
+        df_idx in 0usize..3,
     ) {
-        let m = mb * pr * 4;
-        let n = nb * pc * 4;
-        let layer = Layer::gemm("w", m, k, n);
+        let cfg = SimConfig {
+            dataflow: Dataflow::ALL[df_idx],
+            ..config(array_pow)
+        };
         let grid = PartitionGrid::new(pr, pc);
-        let cfg = config(2); // 4x4 arrays
+        let layer = Layer::gemm("w", m, k, n);
         let report = Simulator::new(cfg).with_grid(grid).run_layer(&layer);
-        let dims = GemmShape::new(m, k, n).project(Dataflow::OutputStationary);
-        let model = AnalyticalModel;
-        let predicted = scaleout_runtime(
-            &dims,
-            &ScaleOutConfig { grid, array: cfg.array },
-            &model,
+        let dims = layer.shape().project(cfg.dataflow);
+        let scaleout = ScaleOutConfig { grid, array: cfg.array };
+        prop_assert_eq!(report.total_cycles, scaleout_runtime(&dims, &scaleout));
+    }
+}
+
+/// Eq. 6 against the simulator on the layers where Eq. 5 applied to the
+/// projected `S_R`/`S_C` went wrong under WS and IS (880 cycles for a
+/// layer that takes 1,248; 386, above the true 302), and on ResNet-50
+/// convolutions split raggedly over both grid orientations.
+#[test]
+fn simulator_matches_eq6_on_ws_is_witnesses_and_resnet50_convs() {
+    let run = |layer: &Layer, dataflow, array, grid| {
+        let cfg = SimConfig {
+            dataflow,
+            ..config(array)
+        };
+        let report = Simulator::new(cfg).with_grid(grid).run_layer(layer);
+        let scaleout = ScaleOutConfig {
+            grid,
+            array: cfg.array,
+        };
+        let predicted = scaleout_runtime(&layer.shape().project(dataflow), &scaleout);
+        assert_eq!(
+            report.total_cycles,
+            predicted,
+            "{} {dataflow} {grid}",
+            layer.name()
         );
-        prop_assert_eq!(report.total_cycles, predicted);
+        predicted
+    };
+    let ws = Layer::gemm("ws", 64, 64, 64);
+    let is = Layer::gemm("is", 100, 30, 70);
+    assert_eq!(
+        run(&ws, Dataflow::WeightStationary, 4, PartitionGrid::new(2, 1)),
+        1_248
+    );
+    assert_eq!(
+        run(&is, Dataflow::InputStationary, 4, PartitionGrid::new(4, 2)),
+        302
+    );
+
+    let net = networks::resnet50();
+    for name in ["CB3a_1", "CB4a_2", "CB5a_2", "FC1000"] {
+        let layer = net.layer(name).unwrap();
+        for dataflow in Dataflow::ALL {
+            for grid in [PartitionGrid::new(2, 3), PartitionGrid::new(3, 2)] {
+                run(layer, dataflow, 5, grid);
+            }
+        }
     }
 }
 
