@@ -13,6 +13,7 @@ use scalesim::{
     parse_config, Dataflow, ExploreBudget, ExploreEngine, ExploreOptions, PartitionGrid, SimConfig,
     Simulator,
 };
+use scalesim_server::job::builtin_network;
 use scalesim_topology::{networks, parse_topology_csv, Topology};
 
 const USAGE: &str = "\
@@ -158,21 +159,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .map_err(|e| format!("--grid: {e}"))?;
             }
             "-d" | "--dataflow" => {
-                let text = value("--dataflow")?;
-                args.dataflow = Some(
-                    text.parse()
-                        .map_err(|_| format!("dataflow must be os/ws/is, got `{text}`"))?,
-                );
+                let config = config_flag("--dataflow", "Dataflow", &value("--dataflow")?)?;
+                args.dataflow = Some(config.dataflow);
             }
             "-b" | "--bandwidth" => {
-                let text = value("--bandwidth")?;
-                let bw: f64 = text
-                    .parse()
-                    .map_err(|_| format!("bad bandwidth `{text}`"))?;
-                if !(bw.is_finite() && bw > 0.0) {
-                    return Err("bandwidth must be positive".into());
-                }
-                args.bandwidth = Some(bw);
+                let config = config_flag("--bandwidth", "DramBandwidth", &value("--bandwidth")?)?;
+                args.bandwidth = config.dram_bandwidth;
             }
             "--batch" => {
                 let text = value("--batch")?;
@@ -194,6 +186,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
+/// The default config with Table I parameter `key` set from the text of
+/// `flag`: `-d` and `-b` are read, and checked, by `SimConfig::set`.
+fn config_flag(flag: &str, key: &str, text: &str) -> Result<SimConfig, String> {
+    let mut config = SimConfig::default();
+    config.set(key, text).map_err(|e| format!("{flag}: {e}"))?;
+    Ok(config)
+}
+
 fn load_topology(args: &Args) -> Result<Topology, String> {
     if let Some(path) = &args.topology {
         let text = fs::read_to_string(path)
@@ -206,13 +206,7 @@ fn load_topology(args: &Args) -> Result<Topology, String> {
         return parse_topology_csv(&name, &text).map_err(|e| format!("topology parse error: {e}"));
     }
     match args.network.as_deref() {
-        Some(name) => networks::by_name(name).ok_or_else(|| {
-            format!(
-                "unknown built-in workload `{name}` (try resnet50, resnet18, alexnet, \
-                 googlenet, mobilenet_v1, vgg16, yolo_tiny, language_models, or a \
-                 Table IV layer tag like TF0)"
-            )
-        }),
+        Some(name) => builtin_network(name).map_err(|e| e.to_string()),
         None => Err("no workload: pass --topology <file> or --network <name>".into()),
     }
 }

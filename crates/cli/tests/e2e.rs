@@ -717,6 +717,24 @@ fn batch_without_manifest_is_a_one_line_error() {
     assert_one_line_error(&out, "--manifest");
 }
 
+/// A JSON manifest line whose config value holds a line break is rejected
+/// at its line, before anything runs: the break once smuggled a second
+/// Table I line into the job.
+#[test]
+fn batch_rejects_a_smuggled_config_line_at_its_manifest_line() {
+    let dir = temp_dir("batchsmuggle");
+    let manifest = dir.join("manifest.txt");
+    fs::write(
+        &manifest,
+        "network=TF0\n\
+         {\"network\":\"TF0\",\"config\":{\"ArrayHeight\":\"8\\nArrayWidth : 4\"}}\n",
+    )
+    .unwrap();
+    let out = scale_sim(&["batch", "--manifest", manifest.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_one_line_error(&out, "manifest line 2: config.ArrayHeight");
+}
+
 /// The batch acceptance scenario: a manifest listing every ResNet-50 layer
 /// twice must report exactly a 50% cache-hit rate and produce per-layer
 /// rows byte-identical to a sequential single-shot CLI run.

@@ -19,8 +19,8 @@
 //! ```
 //!
 //! [`parse_config`] accepts that format (`:` or `=` separators, sections
-//! and comments ignored, keys case-insensitive); [`SimConfig::to_config_string`]
-//! writes it back.
+//! and comments ignored), reading each value with [`SimConfig::set`];
+//! [`SimConfig::to_config_string`] writes it back.
 
 use serde::{Deserialize, Serialize};
 
@@ -132,6 +132,90 @@ impl SimConfig {
             },
         )
     }
+
+    /// Sets Table I parameter `key` (any of [`parse_config`]'s, matched
+    /// case-insensitively; key and value trimmed) from its text: the one
+    /// place a key is matched and a value checked, for config files, plan
+    /// and job overrides and the CLI's `-d`/`-b` alike.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseConfigError`] without a line number: a line break in the key
+    /// or value or `:`/`=` in the key is `Malformed`; unknown keys, bad
+    /// numbers or dataflows and zero dimensions are rejected too.
+    ///
+    /// ```
+    /// use scalesim::SimConfig;
+    ///
+    /// let mut cfg = SimConfig::default();
+    /// cfg.set("arrayheight", "16")?;
+    /// assert_eq!(cfg.array.rows(), 16);
+    /// assert!(cfg.set("ArrayHeight", "8\nArrayWidth : 4").is_err());
+    /// # Ok::<(), scalesim::ParseConfigError>(())
+    /// ```
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), ParseConfigError> {
+        self.set_at(0, key, value)
+    }
+
+    /// [`SimConfig::set`] for a value on 1-based file line `line` (0: none).
+    fn set_at(&mut self, line: usize, key: &str, value: &str) -> Result<(), ParseConfigError> {
+        use ParseConfigError::*;
+        if [key, value].iter().any(|s| s.contains(['\n', '\r'])) || key.contains([':', '=']) {
+            let text = format!("{key} : {value}").escape_debug().to_string();
+            return Err(Malformed { line, text });
+        }
+        let (key, value) = (key.trim(), value.trim());
+        let invalid = || InvalidNumber {
+            line,
+            key: key.to_owned(),
+            text: value.to_owned(),
+        };
+        let num = || value.parse::<u64>().map_err(|_| invalid());
+        let zero = |key| ZeroParameter { key };
+        let nonzero = |key| match num()? {
+            0 => Err(zero(key)),
+            n => Ok(n),
+        };
+        let (rows, cols) = (self.array.rows(), self.array.cols());
+        match key.to_ascii_lowercase().as_str() {
+            "arrayheight" => self.array = ArrayShape::new(nonzero("ArrayHeight")?, cols),
+            "arraywidth" => self.array = ArrayShape::new(rows, nonzero("ArrayWidth")?),
+            "ifmapsramsz" => self.ifmap_sram_kb = num()?,
+            "filtersramsz" => self.filter_sram_kb = num()?,
+            "ofmapsramsz" => self.ofmap_sram_kb = num()?,
+            "ifmapoffset" => self.offsets.ifmap = num()?,
+            "filteroffset" => self.offsets.filter = num()?,
+            "ofmapoffset" => self.offsets.ofmap = num()?,
+            "wordbytes" => self.word_bytes = nonzero("WordBytes")?,
+            "drambandwidth" => match value.parse::<f64>().map_err(|_| invalid())? {
+                bw if bw.is_finite() && bw > 0.0 => self.dram_bandwidth = Some(bw),
+                _ => return Err(zero("DramBandwidth")),
+            },
+            "dataflow" => {
+                let text = value.to_owned();
+                self.dataflow = value.parse().map_err(|_| InvalidDataflow { line, text })?;
+            }
+            // Keys present in original config files but consumed elsewhere.
+            "run_name" | "runname" | "topology" => {}
+            _ => {
+                return Err(UnknownKey {
+                    line,
+                    key: key.to_owned(),
+                })
+            }
+        }
+        Ok(())
+    }
+
+    /// [`ParseConfigError::ArrayTooLarge`] unless `ArrayHeight × ArrayWidth`
+    /// fits in 64 bits: what no single [`SimConfig::set`] decides, asked
+    /// once a door's keys are in (a file may raise one dimension first).
+    pub fn check_array(&self) -> Result<(), ParseConfigError> {
+        let (rows, cols) = (self.array.rows(), self.array.cols());
+        rows.checked_mul(cols)
+            .map(drop)
+            .ok_or(ParseConfigError::ArrayTooLarge { rows, cols })
+    }
 }
 
 /// One partition's share of an SRAM of `kb` kilobytes. The byte count
@@ -208,20 +292,20 @@ impl SimConfigBuilder {
     }
 }
 
-/// Parses the SCALE-Sim configuration file format.
-///
-/// Sections (`[...]`), blank lines and comments (`#`, `;`, `//`) are
-/// ignored. Separators may be `:` or `=`. Keys are matched
-/// case-insensitively against Table I (`ArrayHeight`, `ArrayWidth`,
-/// `IfmapSramSz`, `FilterSramSz`, `OfmapSramSz`, `IfmapOffset`,
-/// `FilterOffset`, `OfmapOffset`, `Dataflow`), plus the extensions
-/// `WordBytes`, and the original file keys `run_name` / `topology` (parsed
-/// and ignored here — the CLI consumes them).
+/// Parses the SCALE-Sim configuration file format: the line grammar
+/// around [`SimConfig::set`]. Sections (`[...]`), blank lines and comments
+/// (`#`, `;`, `//`) are ignored; separators may be `:` or `=`. Keys are
+/// Table I's (`ArrayHeight`, `ArrayWidth`, `IfmapSramSz`, `FilterSramSz`,
+/// `OfmapSramSz`, `IfmapOffset`, `FilterOffset`, `OfmapOffset`,
+/// `Dataflow`), the extensions `WordBytes` and `DramBandwidth`, and the
+/// original file keys `run_name` / `topology` (ignored here — the CLI
+/// consumes them). A later line replaces an earlier one's value; every
+/// value must be valid.
 ///
 /// # Errors
 ///
-/// Returns [`ParseConfigError`] on malformed lines, non-numeric values,
-/// unknown keys, invalid dataflow names, or zero array/word dimensions.
+/// [`ParseConfigError`] on malformed lines and on what [`SimConfig::set`]
+/// (at its line) or [`SimConfig::check_array`] rejects.
 ///
 /// ```
 /// use scalesim::parse_config;
@@ -232,11 +316,7 @@ impl SimConfigBuilder {
 /// # Ok::<(), scalesim::ParseConfigError>(())
 /// ```
 pub fn parse_config(text: &str) -> Result<SimConfig, ParseConfigError> {
-    let defaults = SimConfig::default();
-    let mut rows = defaults.array.rows();
-    let mut cols = defaults.array.cols();
-    let mut config = defaults;
-
+    let mut config = SimConfig::default();
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -248,78 +328,15 @@ pub fn parse_config(text: &str) -> Result<SimConfig, ParseConfigError> {
         {
             continue;
         }
-        let (key, value) = line
-            .split_once([':', '='])
-            .map(|(k, v)| (k.trim(), v.trim()))
-            .ok_or_else(|| ParseConfigError::Malformed {
-                line: line_no,
-                text: line.to_owned(),
-            })?;
-        let lower = key.to_ascii_lowercase();
-        let num = |key: &str| -> Result<u64, ParseConfigError> {
-            value
-                .parse::<u64>()
-                .map_err(|_| ParseConfigError::InvalidNumber {
+        let (key, value) =
+            line.split_once([':', '='])
+                .ok_or_else(|| ParseConfigError::Malformed {
                     line: line_no,
-                    key: key.to_owned(),
-                    text: value.to_owned(),
-                })
-        };
-        match lower.as_str() {
-            "arrayheight" => rows = num(key)?,
-            "arraywidth" => cols = num(key)?,
-            "ifmapsramsz" => config.ifmap_sram_kb = num(key)?,
-            "filtersramsz" => config.filter_sram_kb = num(key)?,
-            "ofmapsramsz" => config.ofmap_sram_kb = num(key)?,
-            "ifmapoffset" => config.offsets.ifmap = num(key)?,
-            "filteroffset" => config.offsets.filter = num(key)?,
-            "ofmapoffset" => config.offsets.ofmap = num(key)?,
-            "wordbytes" => config.word_bytes = num(key)?,
-            "drambandwidth" => {
-                let bw: f64 = value.parse().map_err(|_| ParseConfigError::InvalidNumber {
-                    line: line_no,
-                    key: key.to_owned(),
-                    text: value.to_owned(),
+                    text: line.to_owned(),
                 })?;
-                if !(bw.is_finite() && bw > 0.0) {
-                    return Err(ParseConfigError::ZeroParameter {
-                        key: "DramBandwidth",
-                    });
-                }
-                config.dram_bandwidth = Some(bw);
-            }
-            "dataflow" => {
-                config.dataflow = value
-                    .parse()
-                    .map_err(|_| ParseConfigError::InvalidDataflow {
-                        line: line_no,
-                        text: value.to_owned(),
-                    })?;
-            }
-            // Keys present in original config files but consumed elsewhere.
-            "run_name" | "runname" | "topology" => {}
-            _ => {
-                return Err(ParseConfigError::UnknownKey {
-                    line: line_no,
-                    key: key.to_owned(),
-                })
-            }
-        }
+        config.set_at(line_no, key, value)?;
     }
-
-    if rows == 0 {
-        return Err(ParseConfigError::ZeroParameter { key: "ArrayHeight" });
-    }
-    if cols == 0 {
-        return Err(ParseConfigError::ZeroParameter { key: "ArrayWidth" });
-    }
-    if rows.checked_mul(cols).is_none() {
-        return Err(ParseConfigError::ArrayTooLarge { rows, cols });
-    }
-    if config.word_bytes == 0 {
-        return Err(ParseConfigError::ZeroParameter { key: "WordBytes" });
-    }
-    config.array = ArrayShape::new(rows, cols);
+    config.check_array()?;
     Ok(config)
 }
 
@@ -420,6 +437,60 @@ mod tests {
             parse_config("ArrayHeight: 0\n"),
             Err(ParseConfigError::ZeroParameter { key: "ArrayHeight" })
         ));
+    }
+
+    #[test]
+    fn set_rejects_a_smuggled_line_and_a_separator_in_a_key() {
+        let mut c = SimConfig::default();
+        for (key, value) in [
+            ("ArrayHeight", "8\nArrayWidth : 4"),
+            ("ArrayHeight", "8\n"),
+            ("run_name", "x\r\nArrayWidth = 4"),
+            ("ArrayHeight\nArrayWidth", "4"),
+            ("ArrayWidth : 4 #", "8"),
+            ("run_name = x", "y"),
+        ] {
+            let err = c.set(key, value).unwrap_err();
+            assert!(
+                matches!(err, ParseConfigError::Malformed { line: 0, .. }),
+                "{key:?} = {value:?}: {err:?}"
+            );
+            assert!(!err.to_string().contains('\n'), "{err}");
+        }
+        // A comment is no key, and a rejected value changes nothing.
+        assert!(matches!(
+            c.set("# x", "1"),
+            Err(ParseConfigError::UnknownKey { .. })
+        ));
+        assert_eq!(c, SimConfig::default());
+    }
+
+    #[test]
+    fn set_is_the_file_grammar_without_lines() {
+        let mut c = SimConfig::default();
+        c.set(" arrayHEIGHT ", " 16 ").unwrap();
+        c.set("run_name", "anything: at all").unwrap();
+        c.set("DramBandwidth", "12.5").unwrap();
+        assert_eq!(
+            c,
+            parse_config("ArrayHeight = 16\nDramBandwidth : 12.5\n").unwrap()
+        );
+        let err = c.set("ArrayHeight", "many").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parameter `ArrayHeight` is not a number: `many`"
+        );
+        assert_eq!(
+            parse_config("\nArrayHeight: many\n")
+                .unwrap_err()
+                .to_string(),
+            "line 2: parameter `ArrayHeight` is not a number: `many`"
+        );
+        // Every line's value is checked, even one a later line replaces.
+        assert_eq!(
+            parse_config("ArrayHeight: 0\nArrayHeight: 8\n"),
+            Err(ParseConfigError::ZeroParameter { key: "ArrayHeight" })
+        );
     }
 
     #[test]

@@ -3,19 +3,20 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced while parsing a SCALE-Sim configuration file.
+/// Errors produced while parsing a SCALE-Sim configuration file or
+/// setting one of its parameters ([`crate::SimConfig::set`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseConfigError {
     /// A line was not `key = value` / `key : value`.
     Malformed {
-        /// 1-based line number.
+        /// 1-based line number; 0 when the value came from no file line.
         line: usize,
         /// The offending text.
         text: String,
     },
     /// A numeric parameter failed to parse.
     InvalidNumber {
-        /// 1-based line number.
+        /// 1-based line number; 0 when the value came from no file line.
         line: usize,
         /// Parameter name.
         key: String,
@@ -24,14 +25,14 @@ pub enum ParseConfigError {
     },
     /// The `Dataflow` parameter was not `os`, `ws` or `is`.
     InvalidDataflow {
-        /// 1-based line number.
+        /// 1-based line number; 0 when the value came from no file line.
         line: usize,
         /// The rejected text.
         text: String,
     },
     /// An unrecognized parameter name.
     UnknownKey {
-        /// 1-based line number.
+        /// 1-based line number; 0 when the value came from no file line.
         line: usize,
         /// The unknown parameter name.
         key: String,
@@ -53,35 +54,30 @@ pub enum ParseConfigError {
 
 impl fmt::Display for ParseConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use ParseConfigError::*;
+        if let Malformed { line, .. }
+        | InvalidNumber { line, .. }
+        | InvalidDataflow { line, .. }
+        | UnknownKey { line, .. } = self
+        {
+            if *line > 0 {
+                write!(f, "line {line}: ")?;
+            }
+        }
         match self {
-            ParseConfigError::Malformed { line, text } => {
-                write!(f, "line {line}: expected `key = value`, got `{text}`")
+            Malformed { text, .. } => write!(f, "expected `key = value`, got `{text}`"),
+            InvalidNumber { key, text, .. } => {
+                write!(f, "parameter `{key}` is not a number: `{text}`")
             }
-            ParseConfigError::InvalidNumber { line, key, text } => {
-                write!(
-                    f,
-                    "line {line}: parameter `{key}` is not a number: `{text}`"
-                )
+            InvalidDataflow { text, .. } => {
+                write!(f, "dataflow must be `os`, `ws` or `is`, got `{text}`")
             }
-            ParseConfigError::InvalidDataflow { line, text } => {
-                write!(
-                    f,
-                    "line {line}: dataflow must be `os`, `ws` or `is`, got `{text}`"
-                )
-            }
-            ParseConfigError::UnknownKey { line, key } => {
-                write!(f, "line {line}: unknown parameter `{key}`")
-            }
-            ParseConfigError::ZeroParameter { key } => {
-                write!(f, "parameter `{key}` must be nonzero")
-            }
-            ParseConfigError::ArrayTooLarge { rows, cols } => {
-                write!(
-                    f,
-                    "array of {rows} x {cols} PEs: `ArrayHeight` x `ArrayWidth` \
-                     overflows 64 bits"
-                )
-            }
+            UnknownKey { key, .. } => write!(f, "unknown parameter `{key}`"),
+            ZeroParameter { key } => write!(f, "parameter `{key}` must be nonzero"),
+            ArrayTooLarge { rows, cols } => write!(
+                f,
+                "array of {rows} x {cols} PEs: `ArrayHeight` x `ArrayWidth` overflows 64 bits"
+            ),
         }
     }
 }

@@ -40,7 +40,7 @@ use scalesim_systolic::ArrayShape;
 use scalesim_telemetry::{Counter, Registry};
 use scalesim_topology::{networks, Dataflow, Layer, Topology};
 
-use crate::config::{parse_config, SimConfig};
+use crate::config::SimConfig;
 use crate::exec::{ExecSummary, FaultPlan, SimError};
 use crate::pool::{Batch, BatchJob, WorkerPool};
 use crate::report::{LayerReport, NetworkReport};
@@ -55,8 +55,42 @@ pub mod telemetry_names {
     /// Counter: points served without a fresh simulation (a sweep's
     /// in-plan duplicates; the server's cache hits and joins).
     pub const CACHE_HITS: &str = "scalesim_sweep_cache_hits_total";
-    /// Counter: simulations the sweep pool actually executed.
+    /// Counter: simulations executed for sweep points.
     pub const SIMULATIONS: &str = "scalesim_sweep_simulations_total";
+}
+
+/// The [`telemetry_names`] counters of one registry. This is the only
+/// place they are registered: the sweep engine and the server's sweep and
+/// explore routes all count through it, so a registry shows one HELP text
+/// and one family order whichever registers first.
+#[derive(Debug, Clone)]
+pub struct SweepCounters {
+    /// [`telemetry_names::POINTS`].
+    pub points: Arc<Counter>,
+    /// [`telemetry_names::CACHE_HITS`].
+    pub cache_hits: Arc<Counter>,
+    /// [`telemetry_names::SIMULATIONS`].
+    pub simulations: Arc<Counter>,
+}
+
+impl SweepCounters {
+    /// The counters in `registry`, registered by the first call.
+    pub fn new(registry: &Registry) -> SweepCounters {
+        SweepCounters {
+            points: registry.counter(
+                telemetry_names::POINTS,
+                "Sweep points completed (any path).",
+            ),
+            cache_hits: registry.counter(
+                telemetry_names::CACHE_HITS,
+                "Sweep points served without a fresh simulation.",
+            ),
+            simulations: registry.counter(
+                telemetry_names::SIMULATIONS,
+                "Simulations executed for sweep points.",
+            ),
+        }
+    }
 }
 
 /// Splits a power-of-two `n` into the most square `(rows, cols)` pair with
@@ -188,7 +222,8 @@ impl SweepPlan {
     /// [`SweepPlan::parse`]): the plan file is a sequence of these, and
     /// the server's JSON plan maps its fields onto the same keys, so the
     /// two spellings cannot drift. List-valued keys append; a later
-    /// scalar replaces an earlier one.
+    /// scalar replaces an earlier one. `config.<Key>` and `bandwidth`
+    /// (`config.DramBandwidth`) set the base through [`SimConfig::set`].
     ///
     /// # Errors
     ///
@@ -237,32 +272,18 @@ impl SweepPlan {
                     self.dataflows.push(token.parse()?);
                 }
             }
-            "bandwidth" => {
-                let bw: f64 = value
-                    .parse()
-                    .map_err(|_| format!("bad bandwidth `{value}`"))?;
-                if !(bw.is_finite() && bw > 0.0) {
-                    return Err("bandwidth must be positive".into());
-                }
-                self.base.dram_bandwidth = Some(bw);
-            }
             _ => {
-                let cfg_key = key
-                    .strip_prefix("config.")
-                    .ok_or_else(|| format!("unknown plan key `{key}`"))?;
-                // The base written out and read back with the override as
-                // its last line: `parse_config` stays the one place that
-                // knows Table I's keys and their checks.
-                let text = format!("{}{cfg_key} : {value}\n", self.base.to_config_string());
-                self.base = parse_config(&text).map_err(|e| {
-                    // Its line number counts lines of `text`, not of the plan.
-                    let msg = e.to_string();
-                    let msg = match msg.split_once(": ") {
-                        Some((at, rest)) if at.starts_with("line ") => rest,
-                        _ => &msg,
-                    };
-                    format!("{key}: {msg}")
-                })?;
+                let cfg_key = match key {
+                    "bandwidth" => "DramBandwidth",
+                    _ => key
+                        .strip_prefix("config.")
+                        .ok_or_else(|| format!("unknown plan key `{key}`"))?,
+                };
+                let mut base = self.base;
+                base.set(cfg_key, value)
+                    .and_then(|()| base.check_array())
+                    .map_err(|e| format!("{key}: {e}"))?;
+                self.base = base;
             }
         }
         Ok(())
@@ -1067,9 +1088,7 @@ struct PreparedPoint {
 /// `jobs = 1` run — and each point's report is byte-identical to a fresh
 /// single-shot [`Simulator`] run of the same configuration.
 pub struct SweepEngine {
-    points_total: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    simulations: Arc<Counter>,
+    counters: SweepCounters,
     progress: bool,
     faults: Mutex<FaultPlan>,
 }
@@ -1170,18 +1189,7 @@ impl SweepEngine {
     /// engine's scoped registry).
     pub fn with_registry(registry: &Registry) -> SweepEngine {
         SweepEngine {
-            points_total: registry.counter(
-                telemetry_names::POINTS,
-                "Sweep points completed (any path).",
-            ),
-            cache_hits: registry.counter(
-                telemetry_names::CACHE_HITS,
-                "Sweep points served without a fresh simulation.",
-            ),
-            simulations: registry.counter(
-                telemetry_names::SIMULATIONS,
-                "Simulations executed by the sweep pool.",
-            ),
+            counters: SweepCounters::new(registry),
             progress: false,
             faults: Mutex::new(FaultPlan::default()),
         }
@@ -1286,7 +1294,7 @@ impl SweepEngine {
             body(&mut |points, sink| {
                 let (batch, prepared) = session.prepare(points)?;
                 let cache_hits = (prepared.len() - batch.jobs.len()) as u64;
-                self.cache_hits.add(cache_hits);
+                self.counters.cache_hits.add(cache_hits);
                 sink.begin(plan, prepared.len())?;
                 let batch = Arc::new(batch);
                 let mut emitter = Emitter::new(&session, &batch, prepared, cache_hits);
@@ -1301,7 +1309,8 @@ impl SweepEngine {
                 // After an emit error the batch is aborted: the helpers
                 // finish the task in hand and report in.
                 pool.retire(&batch);
-                self.simulations
+                self.counters
+                    .simulations
                     .add(batch.simulated.load(Ordering::Relaxed) as u64);
                 let results = emitted?;
                 sink.end()?;
@@ -1467,7 +1476,7 @@ impl<'b, 'a> Emitter<'b, 'a> {
             });
             match emitted {
                 Ok(report) => {
-                    self.session.engine.points_total.inc();
+                    self.session.engine.counters.points.inc();
                     if let Some(ticker) = self.ticker.as_mut() {
                         ticker.tick(simulated());
                     }
@@ -1837,6 +1846,21 @@ mod tests {
             err.to_string(),
             "line 1: config.ArrayHeight: parameter `ArrayHeight` must be nonzero"
         );
+    }
+
+    #[test]
+    fn a_config_override_cannot_smuggle_a_second_line() {
+        let mut plan = SweepPlan::new("p");
+        let err = plan
+            .set("config.IfmapSramSz", "64\nOfmapSramSz : 1")
+            .unwrap_err();
+        assert!(err.starts_with("config.IfmapSramSz: "), "{err}");
+        assert!(plan.set("config.# x", "1").is_err());
+        assert_eq!(plan.base, SimConfig::default());
+        // `bandwidth` is `config.DramBandwidth`, read by the same check.
+        plan.set("bandwidth", "12.5").unwrap();
+        assert_eq!(plan.base.dram_bandwidth, Some(12.5));
+        assert!(plan.set("bandwidth", "-1").is_err());
     }
 
     #[test]

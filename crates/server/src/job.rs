@@ -19,8 +19,8 @@ use serde::{Deserialize, Serialize};
 
 use scalesim::cache::ContentKey;
 use scalesim::sweep::SweepError;
-use scalesim::{parse_config, PartitionGrid, RegionOffsets, SimConfig};
-use scalesim_topology::{networks, parse_topology_csv, topology_to_csv, Dataflow, Topology};
+use scalesim::{ParseConfigError, PartitionGrid, RegionOffsets, SimConfig};
+use scalesim_topology::{networks, parse_topology_csv, topology_to_csv, Topology};
 
 use crate::json::Json;
 
@@ -75,230 +75,209 @@ impl SimJob {
         }
     }
 
-    /// Parses a job from its JSON object form.
+    /// A job with no field given yet, which each door fills in through
+    /// [`SimJob::set`]: no network, and [`UNSET_GRID`].
+    fn unset() -> SimJob {
+        SimJob {
+            grid: UNSET_GRID,
+            ..SimJob::builtin("")
+        }
+    }
+
+    /// Whether the job names its workload.
+    fn named(&self) -> bool {
+        !matches!(&self.workload, Workload::Builtin(name) if name.is_empty())
+    }
+
+    /// The job a door read, once every field is in: it must name a
+    /// workload (`missing` says how), and runs on `1x1` without a grid.
+    fn finish(mut self, missing: &str) -> Result<SimJob, JobError> {
+        if !self.named() {
+            return Err(JobError::bad_request(missing));
+        }
+        if self.grid == UNSET_GRID {
+            self.grid = (1, 1);
+        }
+        Ok(self)
+    }
+
+    /// Sets one job field from its text: the job-field grammar, which
+    /// [`SimJob::from_json`] and [`SimJob::from_kv_line`] both read
+    /// through. Keys: `network`, `layer`, `grid` (`PRxPC`), `dataflow`
+    /// (`os`/`ws`/`is` in any spelling, or `auto`), `bandwidth`
+    /// (bytes/cycle), `batch`, and `config.<Key>`, a Table I override. An
+    /// inline topology comes from JSON only. Values a [`SimConfig`] holds
+    /// — overrides, a fixed dataflow, the bandwidth — are checked by
+    /// [`SimConfig::set`] here and again by [`SimJob::normalize`].
     ///
-    /// Recognized keys: `network` *or* (`topology_csv` + optional
-    /// `topology_name`), `layer`, `config` (object of Table I overrides),
-    /// `grid` (`"PRxPC"`), `dataflow`, `bandwidth`, `batch`.
+    /// # Errors
+    ///
+    /// [`JobError::BadRequest`] on an unknown key, an invalid value, or a
+    /// field given twice: on a job from [`SimJob::builtin`] the network
+    /// and the `1x1` grid count as given. A repeated `config.<Key>` is
+    /// no error — as in a config file, the last value wins.
+    pub fn set(&mut self, key: &str, text: &str) -> Result<(), JobError> {
+        let given = match key {
+            "network" => self.named(),
+            "layer" => self.layer.is_some(),
+            "grid" => self.grid != UNSET_GRID,
+            "dataflow" => self.dataflow.is_some(),
+            "bandwidth" => self.bandwidth.is_some(),
+            "batch" => self.batch.is_some(),
+            _ => false,
+        };
+        if given {
+            return Err(match (key, &self.workload) {
+                ("network", Workload::InlineCsv { .. }) => either_network_or_csv(),
+                _ => JobError::bad_request(format!("job field `{key}` is given twice")),
+            });
+        }
+        let mut probe = SimConfig::default();
+        let mut check = |cfg_key: &str| {
+            probe
+                .set(cfg_key, text)
+                .map_err(|e| JobError::bad_request(format!("{key}: {e}")))
+        };
+        match key {
+            "network" if text.is_empty() => return Err(JobError::bad_request("empty `network`")),
+            "network" => self.workload = Workload::Builtin(text.to_owned()),
+            "layer" => self.layer = Some(text.to_owned()),
+            "grid" => self.grid = parse_grid(text)?,
+            "dataflow" => {
+                if !text.eq_ignore_ascii_case("auto") {
+                    check("Dataflow")?;
+                }
+                self.dataflow = Some(text.to_owned());
+            }
+            "bandwidth" => {
+                check("DramBandwidth")?;
+                self.bandwidth = probe.dram_bandwidth;
+            }
+            "batch" => {
+                self.batch = Some(
+                    text.parse()
+                        .map_err(|_| JobError::bad_request(format!("bad batch `{text}`")))?,
+                )
+            }
+            _ => match key.strip_prefix("config.") {
+                Some(cfg_key) => {
+                    check(cfg_key)?;
+                    self.config.push((cfg_key.to_owned(), text.to_owned()));
+                }
+                None => return Err(JobError::bad_request(format!("unknown job field `{key}`"))),
+            },
+        }
+        Ok(())
+    }
+
+    /// Parses a job from its JSON object form: each field's JSON type is
+    /// checked and its value mapped onto [`SimJob::set`], a `config`
+    /// object's entries as `config.<Key>`. `topology_csv` (an inline
+    /// topology, instead of `network`) and its optional `topology_name`
+    /// are JSON-only. A field given twice is an error.
     pub fn from_json(value: &Json) -> Result<SimJob, JobError> {
         let obj = value
             .as_object()
             .ok_or_else(|| JobError::bad_request("job must be a JSON object"))?;
-        for (key, _) in obj {
-            match key.as_str() {
-                "network" | "topology_csv" | "topology_name" | "layer" | "config" | "grid"
-                | "dataflow" | "bandwidth" | "batch" => {}
+        let mut job = SimJob::unset();
+        let mut csv_name = None;
+        for (i, (field, value)) in obj.iter().enumerate() {
+            if obj[..i].iter().any(|(k, _)| k == field) {
+                return Err(JobError::bad_request(format!(
+                    "job field `{field}` is given twice"
+                )));
+            }
+            let (text, want) = match field.as_str() {
+                "network" | "layer" | "dataflow" => (value.as_str().map(str::to_owned), "a string"),
+                "grid" => (value.as_str().map(str::to_owned), "a string like \"2x2\""),
+                "bandwidth" => (value.as_f64().and(value.as_text()), "a number"),
+                "batch" => (value.as_u64().map(|n| n.to_string()), "a positive integer"),
+                "topology_name" => {
+                    csv_name = value.as_str();
+                    continue;
+                }
+                "topology_csv" => {
+                    if job.named() {
+                        return Err(either_network_or_csv());
+                    }
+                    let csv = value
+                        .as_str()
+                        .ok_or_else(|| JobError::bad_request("`topology_csv` must be a string"))?;
+                    job.workload = Workload::InlineCsv {
+                        name: String::new(),
+                        csv: csv.to_owned(),
+                    };
+                    continue;
+                }
+                "config" => {
+                    let pairs = value
+                        .as_object()
+                        .ok_or_else(|| JobError::bad_request("`config` must be an object"))?;
+                    for (k, v) in pairs {
+                        let text = v.as_text().ok_or_else(|| {
+                            JobError::bad_request(format!(
+                                "config value for `{k}` must be a string or number"
+                            ))
+                        })?;
+                        job.set(&format!("config.{k}"), &text)?;
+                    }
+                    continue;
+                }
                 other => {
                     return Err(JobError::bad_request(format!(
                         "unknown job field `{other}`"
                     )))
                 }
-            }
+            };
+            let text =
+                text.ok_or_else(|| JobError::bad_request(format!("`{field}` must be {want}")))?;
+            job.set(field, &text)?;
         }
-        let workload = match (value.get("network"), value.get("topology_csv")) {
-            (Some(_), Some(_)) => {
-                return Err(JobError::bad_request(
-                    "give either `network` or `topology_csv`, not both",
-                ))
-            }
-            (Some(n), None) => Workload::Builtin(
-                n.as_str()
-                    .ok_or_else(|| JobError::bad_request("`network` must be a string"))?
-                    .to_owned(),
-            ),
-            (None, Some(csv)) => Workload::InlineCsv {
-                name: value
-                    .get("topology_name")
-                    .and_then(Json::as_str)
-                    .unwrap_or("inline")
-                    .to_owned(),
-                csv: csv
-                    .as_str()
-                    .ok_or_else(|| JobError::bad_request("`topology_csv` must be a string"))?
-                    .to_owned(),
-            },
-            (None, None) => {
-                return Err(JobError::bad_request(
-                    "job needs a workload: `network` or `topology_csv`",
-                ))
-            }
-        };
-        let mut job = SimJob {
-            workload,
-            ..SimJob::builtin("")
-        };
-        if let Some(layer) = value.get("layer") {
-            job.layer = Some(
-                layer
-                    .as_str()
-                    .ok_or_else(|| JobError::bad_request("`layer` must be a string"))?
-                    .to_owned(),
-            );
+        if let Workload::InlineCsv { name, .. } = &mut job.workload {
+            *name = csv_name.unwrap_or("inline").to_owned();
         }
-        if let Some(config) = value.get("config") {
-            let pairs = config
-                .as_object()
-                .ok_or_else(|| JobError::bad_request("`config` must be an object"))?;
-            for (k, v) in pairs {
-                let text = match v {
-                    Json::Str(s) => s.clone(),
-                    Json::Int(i) => i.to_string(),
-                    Json::Float(f) => f.to_string(),
-                    _ => {
-                        return Err(JobError::bad_request(format!(
-                            "config value for `{k}` must be a string or number"
-                        )))
-                    }
-                };
-                job.config.push((k.clone(), text));
-            }
-        }
-        if let Some(grid) = value.get("grid") {
-            let text = grid
-                .as_str()
-                .ok_or_else(|| JobError::bad_request("`grid` must be a string like \"2x2\""))?;
-            job.grid = parse_grid(text)?;
-        }
-        if let Some(df) = value.get("dataflow") {
-            job.dataflow = Some(
-                df.as_str()
-                    .ok_or_else(|| JobError::bad_request("`dataflow` must be a string"))?
-                    .to_owned(),
-            );
-        }
-        if let Some(bw) = value.get("bandwidth") {
-            let bw = bw
-                .as_f64()
-                .ok_or_else(|| JobError::bad_request("`bandwidth` must be a number"))?;
-            job.bandwidth = Some(bw);
-        }
-        if let Some(batch) = value.get("batch") {
-            job.batch = Some(
-                batch
-                    .as_u64()
-                    .ok_or_else(|| JobError::bad_request("`batch` must be a positive integer"))?,
-            );
-        }
-        Ok(job)
+        job.finish("job needs a workload: `network` or `topology_csv`")
     }
 
     /// Parses one `key=value`-pair manifest line, e.g.
-    /// `network=resnet50 layer=Conv1 grid=2x2 dataflow=ws config.ArrayHeight=16`.
+    /// `network=resnet50 layer=Conv1 grid=2x2 dataflow=ws config.ArrayHeight=16`:
+    /// each whitespace-separated token is one [`SimJob::set`].
     pub fn from_kv_line(line: &str) -> Result<SimJob, JobError> {
-        let mut network = None;
-        let mut job = SimJob::builtin("");
+        let mut job = SimJob::unset();
         for token in line.split_whitespace() {
             let (key, value) = token.split_once('=').ok_or_else(|| {
                 JobError::bad_request(format!("manifest token `{token}` is not key=value"))
             })?;
-            match key {
-                "network" => network = Some(value.to_owned()),
-                "layer" => job.layer = Some(value.to_owned()),
-                "grid" => job.grid = parse_grid(value)?,
-                "dataflow" => job.dataflow = Some(value.to_owned()),
-                "bandwidth" => {
-                    job.bandwidth =
-                        Some(value.parse().map_err(|_| {
-                            JobError::bad_request(format!("bad bandwidth `{value}`"))
-                        })?)
-                }
-                "batch" => {
-                    job.batch = Some(
-                        value
-                            .parse()
-                            .map_err(|_| JobError::bad_request(format!("bad batch `{value}`")))?,
-                    )
-                }
-                _ => match key.strip_prefix("config.") {
-                    Some(cfg_key) => job.config.push((cfg_key.to_owned(), value.to_owned())),
-                    None => {
-                        return Err(JobError::bad_request(format!(
-                            "unknown manifest key `{key}`"
-                        )))
-                    }
-                },
-            }
+            job.set(key, value)?;
         }
-        match network {
-            Some(n) => {
-                job.workload = Workload::Builtin(n);
-                Ok(job)
-            }
-            None => Err(JobError::bad_request(
-                "manifest line needs network=<name> (inline CSV is HTTP-only)",
-            )),
-        }
-    }
-
-    /// The JSON object form accepted by [`SimJob::from_json`].
-    pub fn to_json(&self) -> Json {
-        let mut pairs: Vec<(String, Json)> = Vec::new();
-        match &self.workload {
-            Workload::Builtin(name) => pairs.push(("network".into(), Json::str(name.clone()))),
-            Workload::InlineCsv { name, csv } => {
-                pairs.push(("topology_name".into(), Json::str(name.clone())));
-                pairs.push(("topology_csv".into(), Json::str(csv.clone())));
-            }
-        }
-        if let Some(layer) = &self.layer {
-            pairs.push(("layer".into(), Json::str(layer.clone())));
-        }
-        if !self.config.is_empty() {
-            pairs.push((
-                "config".into(),
-                Json::Obj(
-                    self.config
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-                        .collect(),
-                ),
-            ));
-        }
-        if self.grid != (1, 1) {
-            pairs.push((
-                "grid".into(),
-                Json::str(format!("{}x{}", self.grid.0, self.grid.1)),
-            ));
-        }
-        if let Some(df) = &self.dataflow {
-            pairs.push(("dataflow".into(), Json::str(df.clone())));
-        }
-        if let Some(bw) = self.bandwidth {
-            pairs.push(("bandwidth".into(), Json::Float(bw)));
-        }
-        if let Some(batch) = self.batch {
-            pairs.push(("batch".into(), Json::Int(batch.into())));
-        }
-        Json::Obj(pairs)
+        job.finish("manifest line needs network=<name> (inline CSV is HTTP-only)")
     }
 
     /// Resolves the request into its canonical, executable form.
     pub fn normalize(&self) -> Result<NormalizedJob, JobError> {
-        // 1. Effective hardware configuration: defaults + overrides, routed
-        //    through the canonical config parser so key spelling/order and
-        //    numeric formatting wash out.
-        let override_text: String = self
-            .config
-            .iter()
-            .map(|(k, v)| format!("{k} : {v}\n"))
-            .collect();
-        let mut config = parse_config(&override_text)
-            .map_err(|e| JobError::bad_request(format!("config override: {e}")))?;
-        let mut auto_dataflow = false;
-        if let Some(df) = &self.dataflow {
-            if df.eq_ignore_ascii_case("auto") {
-                auto_dataflow = true;
-            } else {
-                config.dataflow = df
-                    .parse::<Dataflow>()
-                    .map_err(|_| JobError::bad_request(format!("bad dataflow `{df}`")))?;
-            }
+        // 1. Effective hardware configuration: the defaults, each override,
+        //    then the dataflow and bandwidth fields, all read by
+        //    `SimConfig::set`, so key spelling/order and numeric formatting
+        //    wash out.
+        let bad = |field: &str, e: ParseConfigError| JobError::bad_request(format!("{field}: {e}"));
+        let mut config = SimConfig::default();
+        for (key, value) in &self.config {
+            config
+                .set(key, value)
+                .map_err(|e| bad(&format!("config.{key}"), e))?;
+        }
+        config.check_array().map_err(|e| bad("config", e))?;
+        let auto_dataflow = self
+            .dataflow
+            .as_ref()
+            .is_some_and(|df| df.eq_ignore_ascii_case("auto"));
+        if let Some(df) = self.dataflow.as_ref().filter(|_| !auto_dataflow) {
+            config.set("Dataflow", df).map_err(|e| bad("dataflow", e))?;
         }
         if let Some(bw) = self.bandwidth {
-            if !(bw.is_finite() && bw > 0.0) {
-                return Err(JobError::bad_request("bandwidth must be positive"));
-            }
-            config.dram_bandwidth = Some(bw);
+            config
+                .set("DramBandwidth", &bw.to_string())
+                .map_err(|e| bad("bandwidth", e))?;
         }
 
         // 2. Workload, resolved to a parsed topology.
@@ -338,6 +317,14 @@ impl SimJob {
             auto_dataflow,
         })
     }
+}
+
+/// The grid of a job whose grid is not given yet: `(0, 0)`, which no grid
+/// parses to.
+const UNSET_GRID: (u64, u64) = (0, 0);
+
+fn either_network_or_csv() -> JobError {
+    JobError::bad_request("give either `network` or `topology_csv`, not both")
 }
 
 /// Builds the topology for a built-in workload name: the shared
@@ -568,16 +555,86 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
-        let mut job = SimJob::builtin("resnet50");
-        job.layer = Some("Conv1".into());
-        job.config = vec![("ArrayHeight".into(), "16".into())];
-        job.grid = (4, 2);
-        job.dataflow = Some("ws".into());
-        job.bandwidth = Some(32.0);
-        job.batch = Some(2);
-        let parsed = SimJob::from_json(&job.to_json()).unwrap();
-        assert_eq!(parsed, job);
+    fn json_and_manifest_doors_read_the_same_job() {
+        let json = Json::parse(
+            r#"{"network": "resnet50", "layer": "Conv1", "grid": "4x2", "dataflow": "ws",
+                "bandwidth": 32, "batch": 2,
+                "config": {"ArrayHeight": 16, "IfmapSramSz": "64", "ArrayWidth": 8.0}}"#,
+        )
+        .unwrap();
+        let kv = "network=resnet50 layer=Conv1 grid=4x2 dataflow=ws bandwidth=32 batch=2 \
+                  config.ArrayHeight=16 config.IfmapSramSz=64 config.ArrayWidth=8";
+        let mut want = SimJob::builtin("resnet50");
+        want.layer = Some("Conv1".into());
+        want.config = vec![
+            ("ArrayHeight".into(), "16".into()),
+            ("IfmapSramSz".into(), "64".into()),
+            ("ArrayWidth".into(), "8".into()),
+        ];
+        want.grid = (4, 2);
+        want.dataflow = Some("ws".into());
+        want.bandwidth = Some(32.0);
+        want.batch = Some(2);
+        assert_eq!(SimJob::from_json(&json).unwrap(), want);
+        assert_eq!(SimJob::from_kv_line(kv).unwrap(), want);
+
+        let inline = Json::parse(r#"{"topology_csv": "L0,8,8,3,3,4,8,1"}"#).unwrap();
+        let job = SimJob::from_json(&inline).unwrap();
+        assert_eq!(
+            job.workload,
+            Workload::InlineCsv {
+                name: "inline".into(),
+                csv: "L0,8,8,3,3,4,8,1".into()
+            }
+        );
+        assert_eq!(job.grid, (1, 1));
+    }
+
+    #[test]
+    fn a_repeated_job_field_is_an_error_in_both_doors() {
+        for body in [
+            r#"{"network": "TF0", "network": "TF1"}"#,
+            r#"{"network": "TF0", "grid": "1x1", "grid": "2x2"}"#,
+            r#"{"network": "TF0", "config": {"ArrayHeight": 8}, "config": {"ArrayWidth": 8}}"#,
+            r#"{"topology_csv": "L0,8,8,3,3,4,8,1", "topology_csv": "L1,8,8,3,3,4,8,1"}"#,
+        ] {
+            let err = SimJob::from_json(&Json::parse(body).unwrap()).unwrap_err();
+            assert!(err.to_string().contains("is given twice"), "{body}: {err}");
+        }
+        for line in [
+            "network=TF0 network=TF1",
+            "network=TF0 grid=1x1 grid=2x2",
+            "network=TF0 dataflow=ws dataflow=os",
+            "network=TF0 batch=1 batch=1",
+        ] {
+            let err = SimJob::from_kv_line(line).unwrap_err();
+            assert!(err.to_string().contains("is given twice"), "{line}: {err}");
+        }
+        // A repeated override keeps the config file's rule: the last wins.
+        let kv = SimJob::from_kv_line("network=TF0 config.ArrayHeight=8 config.arrayheight=16");
+        let json =
+            Json::parse(r#"{"network": "TF0", "config": {"ArrayHeight": 8, "arrayheight": 16}}"#);
+        for job in [kv.unwrap(), SimJob::from_json(&json.unwrap()).unwrap()] {
+            assert_eq!(job.normalize().unwrap().config.array.rows(), 16);
+        }
+    }
+
+    #[test]
+    fn a_smuggled_config_line_is_a_bad_request() {
+        let body = r#"{"network": "TF0", "config": {"ArrayHeight": "8\nArrayWidth : 4"}}"#;
+        let err = SimJob::from_json(&Json::parse(body).unwrap())
+            .and_then(|job| job.normalize())
+            .unwrap_err();
+        assert!(matches!(err, JobError::BadRequest(_)), "{err}");
+        assert!(err.to_string().contains("ArrayHeight"), "{err}");
+        // A job built in code meets the same check in `normalize`, and a
+        // key that is a config-file comment is no longer skipped.
+        for (key, value) in [("ArrayHeight", "8\nArrayWidth : 4"), ("# x", "1")] {
+            let mut job = SimJob::builtin("TF0");
+            job.config = vec![(key.into(), value.into())];
+            let err = job.normalize().unwrap_err();
+            assert!(matches!(err, JobError::BadRequest(_)), "{err}");
+        }
     }
 
     #[test]

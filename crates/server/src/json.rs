@@ -62,6 +62,17 @@ impl Json {
         }
     }
 
+    /// A string, or a number's decimal text: a scalar as the text a
+    /// `key=value` grammar reads.
+    pub fn as_text(&self) -> Option<String> {
+        match self {
+            Json::Str(s) => Some(s.clone()),
+            Json::Int(i) => Some(i.to_string()),
+            Json::Float(f) => Some(f.to_string()),
+            _ => None,
+        }
+    }
+
     /// The value as an `f64` (integers convert).
     pub fn as_f64(&self) -> Option<f64> {
         match self {

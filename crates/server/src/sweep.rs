@@ -31,7 +31,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use scalesim::sweep::{summarize_groups, telemetry_names, DataflowChoice, PointSpec, SweepPlan};
+use scalesim::sweep::{summarize_groups, DataflowChoice, PointSpec, SweepCounters, SweepPlan};
 
 use crate::engine::{Engine, JobContext, Served, ServedResult, SimResult};
 use crate::job::{JobError, NormalizedJob};
@@ -52,15 +52,9 @@ pub fn parse_sweep_plan(value: &Json) -> Result<SweepPlan, JobError> {
     let obj = value
         .as_object()
         .ok_or_else(|| JobError::bad_request("sweep plan must be a JSON object"))?;
-    // A scalar, or a list of them, as the text the plan grammar reads.
-    let scalar = |value: &Json| match value {
-        Json::Str(s) => Some(s.clone()),
-        Json::Int(i) => Some(i.to_string()),
-        Json::Float(f) => Some(f.to_string()),
-        _ => None,
-    };
+    // A list of scalars as the text the plan grammar reads.
     let list = |value: &Json| {
-        let texts: Option<Vec<String>> = value.as_array()?.iter().map(scalar).collect();
+        let texts: Option<Vec<String>> = value.as_array()?.iter().map(Json::as_text).collect();
         Some(texts?.join(","))
     };
     for required in ["workloads", "budgets"] {
@@ -80,13 +74,13 @@ pub fn parse_sweep_plan(value: &Json) -> Result<SweepPlan, JobError> {
                 value.as_str().map(str::to_owned).or_else(|| list(value)),
                 "\"all\" or an array of \"PRxPC\" strings",
             ),
-            "min_dim" | "bandwidth" => (value.as_f64().and_then(|_| scalar(value)), "a number"),
+            "min_dim" | "bandwidth" => (value.as_f64().and(value.as_text()), "a number"),
             "config" => {
                 let pairs = value
                     .as_object()
                     .ok_or_else(|| JobError::bad_request("`config` must be an object"))?;
                 for (k, v) in pairs {
-                    let text = scalar(v).ok_or_else(|| {
+                    let text = v.as_text().ok_or_else(|| {
                         JobError::bad_request(format!(
                             "config value for `{k}` must be a string or number"
                         ))
@@ -137,26 +131,11 @@ pub(crate) fn run_points(
     });
     let served = engine.run_all(jobs, ctx, deadline).map_err(|(_, e)| e)?;
 
-    let registry = engine.registry();
+    let counters = SweepCounters::new(engine.registry());
     let simulations = served.iter().filter(|(_, s)| *s == Served::Fresh).count() as u64;
-    registry
-        .counter(
-            telemetry_names::POINTS,
-            "Sweep points completed (any path).",
-        )
-        .add(served.len() as u64);
-    registry
-        .counter(
-            telemetry_names::SIMULATIONS,
-            "Simulations executed for sweep points.",
-        )
-        .add(simulations);
-    registry
-        .counter(
-            telemetry_names::CACHE_HITS,
-            "Sweep points served without a fresh simulation.",
-        )
-        .add(served.len() as u64 - simulations);
+    counters.points.add(served.len() as u64);
+    counters.simulations.add(simulations);
+    counters.cache_hits.add(served.len() as u64 - simulations);
     Ok(served)
 }
 
@@ -290,6 +269,7 @@ fn point_json(spec: &PointSpec, result: &SimResult, served: Served) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scalesim::sweep::telemetry_names;
 
     fn plan_json(extra: &str) -> Json {
         Json::parse(&format!(

@@ -546,3 +546,64 @@ fn jobs_that_differ_only_in_an_offset_share_one_simulation() {
     assert_eq!(stats_field(&handle, "simulations"), 1);
     handle.stop();
 }
+
+/// A config value holding a line break once smuggled a second Table I
+/// line into the text the server parsed: `ArrayHeight: "8\nArrayWidth : 4"`
+/// simulated an 8x4 array with 200. Every route that takes a `config`
+/// answers 400 naming the key, and nothing reaches the engine.
+#[test]
+fn a_smuggled_config_line_is_a_bad_request_on_every_route() {
+    let handle = start_server(1);
+    let plan = r#""workloads": ["TF0"], "budgets": [1024],
+                  "config": {"IfmapSramSz": "64\nOfmapSramSz : 1"}"#;
+    for (route, body, key) in [
+        (
+            "/simulate",
+            r#"{"network": "TF0", "config": {"ArrayHeight": "8\nArrayWidth : 4"}}"#.to_owned(),
+            "ArrayHeight",
+        ),
+        ("/sweep", format!("{{{plan}}}"), "IfmapSramSz"),
+        ("/explore", format!("{{{plan}}}"), "IfmapSramSz"),
+    ] {
+        let response = request(handle.addr(), "POST", route, Some(&body)).unwrap();
+        assert_eq!(response.status, 400, "{route}: {}", response.body);
+        let error = Json::parse(&response.body).unwrap();
+        let error = error.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains(key), "{route}: {error}");
+    }
+    assert_eq!(stats_field(&handle, "accepted"), 0);
+    handle.stop();
+}
+
+/// The `scalesim_sweep_*` and `scalesim_explore_*` families scrape the
+/// same HELP lines, in the same order, whichever of `/sweep` and
+/// `/explore` a server runs first.
+#[test]
+fn sweep_series_scrape_the_same_whichever_route_runs_first() {
+    let plan = r#"{"workloads": ["TF1"], "budgets": [1024],
+                   "config": {"IfmapSramSz": 64, "FilterSramSz": 64, "OfmapSramSz": 32}}"#;
+    let help_lines = |routes: [&str; 2]| {
+        let handle = start_server(1);
+        for route in routes {
+            let response = request(handle.addr(), "POST", route, Some(plan)).unwrap();
+            assert_eq!(response.status, 200, "{route}: {}", response.body);
+        }
+        let metrics = get(&handle, "/metrics");
+        handle.stop();
+        metrics
+            .body
+            .lines()
+            .filter(|line| {
+                line.starts_with("# HELP scalesim_sweep_")
+                    || line.starts_with("# HELP scalesim_explore_")
+            })
+            .map(str::to_owned)
+            .collect::<Vec<_>>()
+    };
+    let sweep_first = help_lines(["/sweep", "/explore"]);
+    assert_eq!(sweep_first, help_lines(["/explore", "/sweep"]));
+    assert!(sweep_first.contains(
+        &"# HELP scalesim_sweep_simulations_total Simulations executed for sweep points."
+            .to_owned()
+    ));
+}

@@ -5,8 +5,9 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use scalesim::ContentKey;
-use scalesim_server::job::{SimJob, Workload};
+use scalesim::{parse_config, ContentKey, SimConfig};
+use scalesim_server::job::{NormalizedJob, SimJob, Workload};
+use scalesim_server::Json;
 
 /// Table I keys the job model accepts, with a generator for plausible values.
 const CONFIG_KEYS: [&str; 5] = [
@@ -150,6 +151,116 @@ proptest! {
         let mut b = inline_job(&csv);
         b.grid = (grid_b, 1);
         prop_assert_ne!(key_of(&a), key_of(&b));
+    }
+}
+
+/// Table I keys a "doors agree" case may override, in the spellings it
+/// draws (a key's case never matters).
+const TABLE_I_KEYS: [&str; 10] = [
+    "ArrayHeight",
+    "ArrayWidth",
+    "IfmapSramSz",
+    "FilterSramSz",
+    "OfmapSramSz",
+    "IfmapOffset",
+    "FilterOffset",
+    "OfmapOffset",
+    "WordBytes",
+    "Dataflow",
+];
+
+/// The job dataflows a case draws from: every mnemonic, a long spelling,
+/// and `auto`.
+const JOB_DATAFLOWS: [&str; 6] = ["os", "ws", "is", "Weight_Stationary", "auto", "AUTO"];
+
+/// One drawn override as `(key, value text, JSON value text)`.
+fn table_i_override((which, case, raw): (usize, u8, u64)) -> (String, String, String) {
+    let key = TABLE_I_KEYS[which % TABLE_I_KEYS.len()];
+    let key = match case % 3 {
+        0 => key.to_owned(),
+        1 => key.to_ascii_lowercase(),
+        _ => key.to_ascii_uppercase(),
+    };
+    let value = match which % TABLE_I_KEYS.len() {
+        0 | 1 => (raw % 64 + 1).to_string(),
+        5..=7 => (raw * 1_000_003).to_string(),
+        8 => (raw % 4 + 1).to_string(),
+        9 => ["os", "ws", "is"][raw as usize % 3].to_owned(),
+        _ => raw.to_string(),
+    };
+    let json = match which % TABLE_I_KEYS.len() {
+        9 => format!("\"{value}\""),
+        _ => value.clone(),
+    };
+    (key, value, json)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A job read from a JSON body and from a manifest line, and its
+    /// Table I part read from a config file, resolve to one `SimConfig`
+    /// and one `ContentKey`: every door reads through the same grammar.
+    fn the_doors_agree(
+        overrides in prop::collection::vec((0usize..10, 0u8..3, 0u64..1024), 0..=6),
+        grid in (1u64..=4, 1u64..=4),
+        dataflow in prop::option::of(0usize..6),
+        quarter_bandwidth in prop::option::of(1u64..=512),
+        batch in prop::option::of(1u64..=4),
+    ) {
+        let overrides: Vec<_> = overrides.into_iter().map(table_i_override).collect();
+        let dataflow = dataflow.map(|i| JOB_DATAFLOWS[i]);
+        let bandwidth = quarter_bandwidth.map(|q| q as f64 / 4.0);
+
+        let mut json = vec!["\"network\": \"TF1\"".to_owned()];
+        let mut line = vec!["network=TF1".to_owned()];
+        let mut file = String::from("[architecture_presets]\n");
+        let config: Vec<String> = overrides
+            .iter()
+            .map(|(key, _, value)| format!("\"{key}\": {value}"))
+            .collect();
+        json.push(format!("\"config\": {{{}}}", config.join(", ")));
+        for (key, value, _) in &overrides {
+            line.push(format!("config.{key}={value}"));
+            file.push_str(&format!("{key} : {value}\n"));
+        }
+        json.push(format!("\"grid\": \"{}x{}\"", grid.0, grid.1));
+        line.push(format!("grid={}x{}", grid.0, grid.1));
+        if let Some(df) = dataflow {
+            json.push(format!("\"dataflow\": \"{df}\""));
+            line.push(format!("dataflow={df}"));
+            if !df.eq_ignore_ascii_case("auto") {
+                file.push_str(&format!("Dataflow = {df}\n"));
+            }
+        }
+        if let Some(bw) = bandwidth {
+            json.push(format!("\"bandwidth\": {bw}"));
+            line.push(format!("bandwidth={bw}"));
+            file.push_str(&format!("DramBandwidth : {bw}\n"));
+        }
+        if let Some(n) = batch {
+            json.push(format!("\"batch\": {n}"));
+            line.push(format!("batch={n}"));
+        }
+
+        let body = format!("{{{}}}", json.join(", "));
+        let from_json = SimJob::from_json(&Json::parse(&body).expect("valid JSON"))
+            .and_then(|job| job.normalize())
+            .expect("the JSON body normalizes");
+        let from_line = SimJob::from_kv_line(&line.join(" "))
+            .and_then(|job| job.normalize())
+            .expect("the manifest line normalizes");
+        let from_file: SimConfig = parse_config(&file).expect("the config file parses");
+        let file_job = NormalizedJob {
+            config: from_file,
+            ..from_json.clone()
+        };
+
+        prop_assert_eq!(from_json.config, from_line.config);
+        prop_assert_eq!(from_json.config, from_file);
+        prop_assert_eq!(from_json.auto_dataflow, from_line.auto_dataflow);
+        prop_assert_eq!(from_json.key(), from_line.key());
+        prop_assert_eq!(from_json.key(), file_job.key());
     }
 }
 

@@ -128,6 +128,10 @@ impl Registry {
                 families.last_mut().expect("just pushed")
             }
         };
+        debug_assert_eq!(
+            family.help, help,
+            "metric `{name}` registered with two help texts"
+        );
         if let Some(series) = family.series.iter().find(|s| labels_eq(&s.labels, labels)) {
             return series.metric.clone();
         }
@@ -306,6 +310,15 @@ pub fn global() -> &'static Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "registered with two help texts")]
+    fn a_name_registered_with_two_help_texts_is_caught() {
+        let r = Registry::new();
+        r.counter("m", "One help.");
+        r.counter("m", "Another help.");
+    }
 
     #[test]
     fn get_or_create_returns_the_same_series() {
