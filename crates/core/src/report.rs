@@ -215,7 +215,7 @@ impl NetworkReport {
                 l.compute_utilization,
                 l.sram.reads(),
                 l.sram.o_writes,
-                l.dram.reads_a + l.dram.reads_b + l.dram.reads_o,
+                l.dram.reads(),
                 l.dram.writes_o,
                 l.dram.total_bytes(),
                 l.required_bandwidth(),

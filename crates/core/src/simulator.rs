@@ -11,9 +11,10 @@ use scalesim_memory::{
     RegionOffsets, StallModel, StallSummary, SubGemmMap,
 };
 use scalesim_systolic::{
-    analyze, fold_demand_runs_in, fold_demands, simulate, ComputeReport, CsvTraceSink, SramCounts,
+    analyze, fold_demand_runs_in, fold_demands, simulate, ComputeReport, CsvTraceSink, Fold,
+    FoldPlan, SramCounts,
 };
-use scalesim_topology::{GemmShape, Layer, Topology};
+use scalesim_topology::{Dataflow, GemmShape, Layer, MappedDims, Topology};
 
 use crate::config::SimConfig;
 use crate::error::RegionOverflowError;
@@ -154,7 +155,7 @@ impl Simulator {
         let tiles = partition_tiles(shape, self.grid);
         let mut volume = DemandVolume::default();
         let (results, class_of) =
-            LayerRun::new(self.grid, shape, &config, &*map).run_partitions(&tiles, &mut volume);
+            LayerRun::new(self.grid, layer, &config, &*map).run_partitions(&tiles, &mut volume);
         registry
             .counter(
                 telemetry_names::DEMAND_ELEMENTS,
@@ -378,7 +379,8 @@ pub mod telemetry_names {
     /// Counter: demand-stream elements fed to the DRAM model — what an
     /// element-granular walk of the tiles *simulated* would have touched.
     /// A partitioned layer simulates one tile per class, so this is less
-    /// than the elements its partitions demand between them.
+    /// than the elements its partitions demand between them, and a GEMM,
+    /// priced in closed form, walks no stream and adds nothing.
     pub const DEMAND_ELEMENTS: &str = "scalesim_demand_elements_total";
     /// Counter: run-length records the DRAM model actually walked, over
     /// the same tiles as [`DEMAND_ELEMENTS`].
@@ -387,7 +389,8 @@ pub mod telemetry_names {
 
 /// Demand-stream volume of one layer run: how many elements the DRAM
 /// interface model was asked about, and how many run-length records it
-/// walked to answer — over the tiles simulated, one per class.
+/// walked to answer — over the tiles simulated, one per class. Zero for a
+/// GEMM, which walks nothing.
 #[derive(Debug, Default)]
 struct DemandVolume {
     elements: u64,
@@ -472,6 +475,9 @@ type TileResult = (ComputeReport, DramSummary, Option<StallSummary>);
 /// What the tiles of one layer run have in common.
 struct LayerRun<'a> {
     map: &'a dyn AddressMap,
+    /// Whether the layer is a [`Layer::Gemm`], whose DRAM traffic is
+    /// priced in closed form.
+    gemm: bool,
     shape: GemmShape,
     config: &'a SimConfig,
     provisioned: u64,
@@ -481,14 +487,15 @@ struct LayerRun<'a> {
 impl<'a> LayerRun<'a> {
     fn new(
         grid: PartitionGrid,
-        shape: GemmShape,
+        layer: &Layer,
         config: &'a SimConfig,
         map: &'a dyn AddressMap,
     ) -> Self {
         let provisioned = grid.count();
         LayerRun {
             map,
-            shape,
+            gemm: matches!(layer, Layer::Gemm { .. }),
+            shape: layer.shape(),
             config,
             provisioned,
             // Each partition gets an even share of the interface bandwidth.
@@ -561,68 +568,158 @@ impl<'a> LayerRun<'a> {
         (results, class_of)
     }
 
-    /// Simulates one tile: compute schedule, then the DRAM interface walk
-    /// of its fold demands. Demand-stream volume (elements vs runs) is
-    /// added to `volume`.
+    /// Simulates one tile: compute schedule, then the DRAM interface model
+    /// fold by fold — in closed form for a GEMM ([`gemm_fold_misses`]),
+    /// by a walk of the fold demands otherwise. Demand-stream volume
+    /// (elements vs runs) of the walk is added to `volume`; a GEMM adds
+    /// nothing.
+    ///
+    /// A debug build also walks every GEMM tile, with a throw-away
+    /// counter, and holds the closed form to the walk.
     fn run_tile(&self, tile: &Tile, volume: &mut DemandVolume) -> TileResult {
-        let &LayerRun {
-            map,
-            shape,
-            config,
-            provisioned,
-            bandwidth_share,
-        } = self;
-        let sub_map = SubGemmMap::new(map, tile.m_off, tile.n_off);
-        let sub_shape = GemmShape::new(tile.m_len, shape.k, tile.n_len);
-        let dims = sub_shape.project(config.dataflow);
+        let sub_map = SubGemmMap::new(self.map, tile.m_off, tile.n_off);
+        let sub_shape = GemmShape::new(tile.m_len, self.shape.k, tile.n_len);
+        let dims = sub_shape.project(self.config.dataflow);
         let compute = {
             let _phase = scalesim_telemetry::trace::span("phase.compute");
-            analyze(&dims, config.array)
+            analyze(&dims, self.config.array)
         };
         let (dram, stall) = {
             let _phase = scalesim_telemetry::trace::span("phase.dram");
-            // The fold loop draws all of its scratch from this thread's
-            // arena: operand buffers from the pool, the per-fold demand
-            // streams filled in place. After the thread's first layer the
-            // loop performs no steady-state heap allocation.
-            crate::arena::with_arena(|arena| {
-                let mut dram = DramModel::new_in(
-                    config.ifmap_buffer(provisioned),
-                    config.filter_buffer(provisioned),
-                    config.ofmap_buffer(provisioned),
-                    &mut arena.pool,
+            if self.gemm {
+                let priced = self.price_gemm(&dims);
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    self.walk_demand(&dims, &sub_map, &mut DemandVolume::default()),
+                    priced,
+                    "{tile:?}: the closed form is not the walk"
                 );
-                let mut stall = bandwidth_share.map(StallModel::new);
-                let mut demands = fold_demand_runs_in(
-                    &dims,
-                    config.array,
-                    &sub_map,
-                    std::mem::take(&mut arena.a_seen),
-                    std::mem::take(&mut arena.a_scratch),
-                );
-                while demands.next_into(&mut arena.demand) {
-                    let demand = &arena.demand;
-                    volume.elements += demand.element_count();
-                    volume.runs += demand.run_count();
-                    let traffic = dram.fold_runs(
-                        demand.fold.duration,
-                        &demand.a,
-                        &demand.b,
-                        &demand.o_spill,
-                        &demand.o_writes,
-                    );
-                    if let Some(stall) = stall.as_mut() {
-                        stall.fold(traffic.duration, traffic.read_bytes, traffic.write_bytes);
-                    }
-                }
-                (arena.a_seen, arena.a_scratch) = demands.into_scratch();
-                (
-                    dram.finish_into(&mut arena.pool),
-                    stall.map(StallModel::finish),
-                )
-            })
+                priced
+            } else {
+                self.walk_demand(&dims, &sub_map, volume)
+            }
         };
         (compute, dram, stall)
+    }
+
+    /// The DRAM and stall models of a GEMM tile, fed each fold's misses
+    /// from [`gemm_fold_misses`]: no stream is made and no buffer walked.
+    fn price_gemm(&self, dims: &MappedDims) -> (DramSummary, Option<StallSummary>) {
+        let config = self.config;
+        let specs = [
+            config.ifmap_buffer(self.provisioned),
+            config.filter_buffer(self.provisioned),
+            config.ofmap_buffer(self.provisioned),
+        ];
+        let capacities = specs.map(|spec| spec.capacity_elems() as u64);
+        let [a, b, o] = specs;
+        let mut dram = DramModel::new(a, b, o);
+        let mut stall = self.bandwidth_share.map(StallModel::new);
+        for fold in FoldPlan::new(dims, config.array) {
+            let [a_misses, b_misses, o_spill_misses, o_writes] =
+                gemm_fold_misses(dims, &fold, capacities);
+            let traffic = dram.account(fold.duration, a_misses, b_misses, o_spill_misses, o_writes);
+            if let Some(stall) = stall.as_mut() {
+                stall.fold(traffic.duration, traffic.read_bytes, traffic.write_bytes);
+            }
+        }
+        (dram.finish(), stall.map(StallModel::finish))
+    }
+
+    /// The DRAM and stall models of a tile, fed by walking its fold
+    /// demands through the operand buffers.
+    fn walk_demand(
+        &self,
+        dims: &MappedDims,
+        sub_map: &SubGemmMap<'_, dyn AddressMap + 'a>,
+        volume: &mut DemandVolume,
+    ) -> (DramSummary, Option<StallSummary>) {
+        let &LayerRun {
+            config,
+            provisioned,
+            bandwidth_share,
+            ..
+        } = self;
+        // The fold loop draws all of its scratch from this thread's
+        // arena: operand buffers from the pool, the per-fold demand
+        // streams filled in place. After the thread's first layer the
+        // loop performs no steady-state heap allocation.
+        crate::arena::with_arena(|arena| {
+            let mut dram = DramModel::new_in(
+                config.ifmap_buffer(provisioned),
+                config.filter_buffer(provisioned),
+                config.ofmap_buffer(provisioned),
+                &mut arena.pool,
+            );
+            let mut stall = bandwidth_share.map(StallModel::new);
+            let mut demands = fold_demand_runs_in(
+                dims,
+                config.array,
+                sub_map,
+                std::mem::take(&mut arena.a_seen),
+                std::mem::take(&mut arena.a_scratch),
+            );
+            while demands.next_into(&mut arena.demand) {
+                let demand = &arena.demand;
+                volume.elements = volume.elements.saturating_add(demand.element_count());
+                volume.runs = volume.runs.saturating_add(demand.run_count());
+                let traffic = dram.fold_runs(
+                    demand.fold.duration,
+                    &demand.a,
+                    &demand.b,
+                    &demand.o_spill,
+                    &demand.o_writes,
+                );
+                if let Some(stall) = stall.as_mut() {
+                    stall.fold(traffic.duration, traffic.read_bytes, traffic.write_bytes);
+                }
+            }
+            (arena.a_seen, arena.a_scratch) = demands.into_scratch();
+            (
+                dram.finish_into(&mut arena.pool),
+                stall.map(StallModel::finish),
+            )
+        })
+    }
+}
+
+/// The DRAM traffic of one fold of a GEMM in closed form, as
+/// `[A misses, B misses, O spill misses, O writes]`: what
+/// [`DramModel::fold_runs`] counts when fed the fold's demand streams, for
+/// FIFO buffers of `[c_A, c_B, c_O]` elements. With `(S_R, S_C, T)` the
+/// projected dims and `r′ × c′` the fold's tile at `(fr, fc)`:
+///
+/// | dataflow | A misses | B misses | O spill misses | O writes |
+/// |---|---|---|---|---|
+/// | OS | `r′T` if `fc = 0` or `r′T > c_A` | `c′T` if `fr = 0` or `T·S_C > c_B` | 0 | `r′c′` |
+/// | WS | `r′T` if `fc = 0` or `r′T > c_A` | `r′c′` | `c′T` if `fr > 0` and `T·S_C > c_O` | `c′T` |
+/// | IS | `r′c′` | `r′T` if `fc = 0` or `r′T > c_B` | `c′T` if `fr > 0` and `T·S_C > c_O` | `c′T` |
+///
+/// and 0 otherwise. A GEMM's operands have no window overlap, so each
+/// stream a fold reads is read by that fold alone, or repeated unchanged
+/// along `fc` (the fold row's A, IS's B), or one step of a pure cycle over
+/// the whole operand tile (OS's B and the WS/IS partial sums, `T·S_C`
+/// distinct elements a fold row). A FIFO fed a pure cycle of `L` distinct
+/// addresses misses everything on every pass when `L` exceeds its
+/// capacity, and nothing after the first pass otherwise. Products
+/// saturate at `u64::MAX`.
+fn gemm_fold_misses(dims: &MappedDims, fold: &Fold, [c_a, c_b, c_o]: [u64; 3]) -> [u64; 4] {
+    let t = dims.temporal;
+    let row_stream = fold.rows_used.saturating_mul(t);
+    let col_stream = fold.cols_used.saturating_mul(t);
+    let own = fold.rows_used.saturating_mul(fold.cols_used);
+    let cycle = t.saturating_mul(dims.spatial_cols);
+    let when = |misses: bool, elements: u64| if misses { elements } else { 0 };
+    // Shown first at `fc = 0`, then again at every later fold of the row.
+    let repeated = |capacity: u64| when(fold.fc == 0 || row_stream > capacity, row_stream);
+    let spill = when(fold.fr > 0 && cycle > c_o, col_stream);
+    match dims.dataflow {
+        Dataflow::OutputStationary => {
+            let b = when(fold.fr == 0 || cycle > c_b, col_stream);
+            [repeated(c_a), b, 0, own]
+        }
+        Dataflow::WeightStationary => [repeated(c_a), own, spill, col_stream],
+        Dataflow::InputStationary => [own, repeated(c_b), spill, col_stream],
     }
 }
 
@@ -1040,10 +1137,7 @@ mod tests {
         let config = sim.effective_config(layer);
         let map = layer_map(layer, RegionOffsets::ZERO);
         let tiles = partition_tiles(layer.shape(), sim.grid());
-        f(
-            &LayerRun::new(sim.grid(), layer.shape(), &config, &*map),
-            &tiles,
-        )
+        f(&LayerRun::new(sim.grid(), layer, &config, &*map), &tiles)
     }
 
     /// Every tile of `layer` through the tile function, no classes.
@@ -1226,6 +1320,38 @@ mod tests {
             .build();
         let report = Simulator::new(overflowing).run_layer(&layer);
         assert_eq!(report.energy.idle, wide.idle);
+    }
+
+    #[test]
+    fn dram_counts_saturate_instead_of_wrapping() {
+        // 32 x 2^53 x 32 on 1x1 arrays: 2^63 reads of A and 2^63 of B,
+        // whose sum wrapped to 0 — 1024 DRAM bytes, and the energy of
+        // 1024 accesses (a debug build panicked on the add). Monolithic,
+        // and as two tiles whose summaries merge.
+        let layer = Layer::gemm("g", 32, 1 << 53, 32);
+        let config = SimConfig::builder().array(ArrayShape::square(1)).build();
+        let saturated = EnergyModel::default().evaluate(0, 0, 0, u64::MAX).dram;
+        for grid in [PartitionGrid::monolithic(), PartitionGrid::new(1, 2)] {
+            let report = Simulator::new(config).with_grid(grid).run_layer(&layer);
+            let dram = &report.dram;
+            assert_eq!(
+                (dram.reads_a, dram.reads_b, dram.reads_o, dram.writes_o),
+                (1 << 63, 1 << 63, 0, 1024),
+                "{grid}"
+            );
+            assert_eq!(dram.reads(), u64::MAX);
+            assert_eq!(dram.total_accesses(), u64::MAX);
+            assert_eq!(dram.total_bytes(), u64::MAX);
+            assert_eq!(report.energy.dram, saturated);
+        }
+        // Merging saturates each count.
+        let mut merged = DramSummary {
+            reads_a: u64::MAX - 1,
+            writes_o: 3,
+            ..DramSummary::default()
+        };
+        merged.merge_concurrent(&merged.clone());
+        assert_eq!((merged.reads_a, merged.writes_o), (u64::MAX, 6));
     }
 
     #[test]

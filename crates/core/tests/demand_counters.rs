@@ -1,10 +1,25 @@
 //! `scalesim_demand_elements_total` and `scalesim_demand_runs_total` count
-//! work done — the tiles simulated, one per class — not work modeled. The
-//! counters are process-global and unlabeled, so this test has a binary to
-//! itself.
+//! work done — the tiles walked, one per class — not work modeled. A GEMM
+//! is priced in closed form and walks nothing. The counters are
+//! process-global and unlabeled, so these tests have a binary to
+//! themselves and take turns.
 
-use scalesim::telemetry_names::{DEMAND_ELEMENTS, DEMAND_RUNS};
-use scalesim::{ArrayShape, Layer, PartitionGrid, SimConfig, Simulator};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use scalesim::telemetry_names::{DEMAND_ELEMENTS, DEMAND_RUNS, LAYER_CACHE_MISSES};
+use scalesim::{ArrayShape, ConvLayer, Layer, PartitionGrid, SimConfig, Simulator};
+
+/// Held by each test while it reads the counters.
+static COUNTERS: Mutex<()> = Mutex::new(());
+
+fn alone() -> MutexGuard<'static, ()> {
+    COUNTERS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn counters() -> [u64; 2] {
+    let registry = scalesim_telemetry::global();
+    [DEMAND_ELEMENTS, DEMAND_RUNS].map(|name| registry.counter_value(name, &[]).unwrap_or(0))
+}
 
 fn config(sram_kb: (u64, u64, u64), bandwidth: f64) -> SimConfig {
     SimConfig {
@@ -16,21 +31,29 @@ fn config(sram_kb: (u64, u64, u64), bandwidth: f64) -> SimConfig {
     }
 }
 
+/// A 3x3 convolution over a `rows`-high, 10-wide ifmap of 4 channels:
+/// 8-wide output rows, `filters` filters.
+fn conv(name: &str, rows: u64, filters: u64) -> Layer {
+    ConvLayer::new(name, rows, 10, 3, 3, 4, filters, 1)
+        .unwrap()
+        .into()
+}
+
 #[test]
-fn an_even_4x4_gemm_split_adds_one_tile_s_demand_and_reports_all_sixteen() {
-    let registry = scalesim_telemetry::global();
-    let counters = || {
-        [DEMAND_ELEMENTS, DEMAND_RUNS].map(|name| registry.counter_value(name, &[]).unwrap_or(0))
-    };
+fn an_even_4x4_conv_split_adds_one_tile_s_demand_and_reports_all_sixteen() {
+    let _alone = alone();
 
     // One tile on its own: a monolithic run with a sixteenth of the SRAM
     // and of the bandwidth, which is what a 4x4 grid gives each partition.
+    // Its four output rows read the ifmap rows the first tile of the split
+    // reads, at the same addresses, and each later tile's read one
+    // constant further on: the sixteen tiles are one class.
     let before = counters();
-    let tile = Simulator::new(config((4, 4, 2), 2.0)).run_layer(&Layer::gemm("tile", 48, 40, 56));
+    let tile = Simulator::new(config((4, 4, 2), 2.0)).run_layer(&conv("tile", 6, 8));
     let after_tile = counters();
     let split = Simulator::new(config((64, 64, 32), 32.0))
         .with_grid(PartitionGrid::new(4, 4))
-        .run_layer(&Layer::gemm("split", 4 * 48, 40, 4 * 56));
+        .run_layer(&conv("split", 18, 4 * 8));
     let after_split = counters();
 
     // Sixteen tiles of one class: one simulation's demand, in this (dev)
@@ -68,4 +91,23 @@ fn an_even_4x4_gemm_split_adds_one_tile_s_demand_and_reports_all_sixteen() {
     let (split_stall, tile_stall) = (split.stall.unwrap(), tile.stall.unwrap());
     assert_eq!(split_stall.stalled_cycles, tile_stall.stalled_cycles);
     assert_eq!(split_stall.bandwidth, 32.0);
+}
+
+#[test]
+fn a_gemm_walks_no_demand_and_both_counters_stay_registered() {
+    let _alone = alone();
+    let registry = scalesim_telemetry::global();
+    let misses = || registry.counter_value(LAYER_CACHE_MISSES, &[]).unwrap_or(0);
+    let (before, misses_before) = (counters(), misses());
+    let report = Simulator::new(config((4, 4, 2), 2.0))
+        .with_grid(PartitionGrid::new(4, 4))
+        .run_layer(&Layer::gemm("gemm", 4 * 48, 40, 4 * 56));
+    assert_eq!(misses(), misses_before + 1, "a cold run");
+    assert!(report.dram.total_bytes() > 0);
+    assert_eq!(counters(), before);
+    // The series exist all the same: `/metrics` readers find their
+    // `# TYPE` lines from the first layer on.
+    for name in [DEMAND_ELEMENTS, DEMAND_RUNS] {
+        assert!(registry.counter_value(name, &[]).is_some(), "{name}");
+    }
 }

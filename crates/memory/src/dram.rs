@@ -49,7 +49,8 @@ impl OperandBufferSpec {
     }
 }
 
-/// Per-fold interface traffic, returned by [`DramModel::fold_runs`].
+/// Per-fold interface traffic, returned by [`DramModel::account`] and the
+/// walks that end in it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FoldTraffic {
     /// Compute duration of the fold in cycles.
@@ -95,9 +96,18 @@ impl DramSummary {
     ///
     /// Byte counts saturate at `u64::MAX`: a `WordBytes` of 2^62, which a
     /// config file or a `/simulate` body can carry, made the unchecked
-    /// product wrap to 0 bytes (release) or panic (debug).
+    /// product wrap to 0 bytes (release) or panic (debug). So does the sum
+    /// of the read counts, which can pass `u64::MAX` where each fits.
     pub fn read_bytes(&self) -> u64 {
-        (self.reads_a + self.reads_b + self.reads_o).saturating_mul(self.word_bytes)
+        self.reads().saturating_mul(self.word_bytes)
+    }
+
+    /// DRAM reads of all three operands in elements, saturating at
+    /// `u64::MAX`.
+    pub fn reads(&self) -> u64 {
+        [self.reads_b, self.reads_o]
+            .into_iter()
+            .fold(self.reads_a, u64::saturating_add)
     }
 
     /// Total DRAM write traffic in bytes, saturating like
@@ -112,9 +122,10 @@ impl DramSummary {
         self.read_bytes().saturating_add(self.write_bytes())
     }
 
-    /// Total DRAM accesses in elements (for the energy model).
+    /// Total DRAM accesses in elements (for the energy model), saturating
+    /// at `u64::MAX` like [`DramSummary::read_bytes`].
     pub fn total_accesses(&self) -> u64 {
-        self.reads_a + self.reads_b + self.reads_o + self.writes_o
+        self.reads().saturating_add(self.writes_o)
     }
 
     /// Combined stall-free bandwidth requirement in bytes/cycle
@@ -129,12 +140,13 @@ impl DramSummary {
     }
 
     /// Merges the summary of a *concurrently executing* partition
-    /// (scale-out): traffic adds, bandwidth requirements add.
+    /// (scale-out): traffic adds, saturating at `u64::MAX`, and bandwidth
+    /// requirements add.
     pub fn merge_concurrent(&mut self, other: &DramSummary) {
-        self.reads_a += other.reads_a;
-        self.reads_b += other.reads_b;
-        self.reads_o += other.reads_o;
-        self.writes_o += other.writes_o;
+        self.reads_a = self.reads_a.saturating_add(other.reads_a);
+        self.reads_b = self.reads_b.saturating_add(other.reads_b);
+        self.reads_o = self.reads_o.saturating_add(other.reads_o);
+        self.writes_o = self.writes_o.saturating_add(other.writes_o);
         self.word_bytes = self.word_bytes.max(other.word_bytes);
         self.read_bw.merge_concurrent(&other.read_bw);
         self.write_bw.merge_concurrent(&other.write_bw);
@@ -144,8 +156,9 @@ impl DramSummary {
 
 /// The per-layer DRAM interface model.
 ///
-/// Feed it each fold in execution order via [`DramModel::fold_runs`], then
-/// call [`DramModel::finish`].
+/// Feed it each fold in execution order via [`DramModel::fold_runs`] — or
+/// via [`DramModel::account`], when the fold's miss counts are known
+/// without a walk — then call [`DramModel::finish`].
 ///
 /// ```
 /// use scalesim_memory::{AddrRuns, DramModel, OperandBufferSpec};
@@ -358,7 +371,13 @@ impl DramModel {
         ))
     }
 
-    fn account(
+    /// Accounts one fold of `duration` cycles from its miss counts: the
+    /// per-fold entry that [`DramModel::fold_runs`] and
+    /// [`DramModel::fold_traced`] end in, for a caller that knows the
+    /// counts without walking the buffers, which it leaves untouched.
+    /// Folds come in execution order, each once, through one entry or
+    /// another. Every count and byte sum saturates at `u64::MAX`.
+    pub fn account(
         &mut self,
         duration: u64,
         a_misses: u64,
@@ -366,7 +385,9 @@ impl DramModel {
         o_spill_misses: u64,
         o_write_count: u64,
     ) -> FoldTraffic {
-        let read_elems = a_misses + b_misses + o_spill_misses;
+        let read_elems = a_misses
+            .saturating_add(b_misses)
+            .saturating_add(o_spill_misses);
         let read_bytes = read_elems.saturating_mul(self.word_bytes);
         let write_bytes = o_write_count.saturating_mul(self.word_bytes);
 
@@ -377,11 +398,12 @@ impl DramModel {
         self.summary.read_bw.record(window, read_bytes);
         self.summary.write_bw.record(duration, write_bytes);
 
-        self.summary.reads_a += a_misses;
-        self.summary.reads_b += b_misses;
-        self.summary.reads_o += o_spill_misses;
-        self.summary.writes_o += o_write_count;
-        self.summary.folds += 1;
+        let summary = &mut self.summary;
+        summary.reads_a = summary.reads_a.saturating_add(a_misses);
+        summary.reads_b = summary.reads_b.saturating_add(b_misses);
+        summary.reads_o = summary.reads_o.saturating_add(o_spill_misses);
+        summary.writes_o = summary.writes_o.saturating_add(o_write_count);
+        summary.folds += 1;
         self.prev_duration = Some(duration);
 
         FoldTraffic {

@@ -4,8 +4,9 @@
 //! bounded memory, telemetry on the malformed-request path, the set of
 //! `http-conn` threads — no spawn per request, the `max_connections` cap,
 //! what `stop`/`drain` leave behind — and `/explore` and the batch runner
-//! as ordinary clients of the engine: no thread of their own, the shared
-//! cache, the flight recorder, deadlines and drain.
+//! as ordinary clients of the engine: the shared cache, the flight
+//! recorder, deadlines and drain. That neither starts a thread is
+//! `thread_peaks.rs`, a binary of its own.
 //!
 //! Slow simulations are staged with the engine's deterministic
 //! [`FaultPlan`] hook instead of real heavy jobs, so every test is fast
@@ -13,13 +14,13 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use scalesim_server::http::client::{request, request_with_headers};
 use scalesim_server::{
-    run_batch, Engine, EngineOptions, FaultPlan, Json, Server, ServerHandle, ServerOptions, SimJob,
+    Engine, EngineOptions, FaultPlan, Json, Server, ServerHandle, ServerOptions,
 };
 
 /// Thread names are per process and the tests of this file share one: a
@@ -54,27 +55,6 @@ fn threads(counted: impl Fn(&str) -> bool) -> usize {
 /// The `http-conn` threads of this process.
 fn conn_threads() -> usize {
     threads(|name| name == "http-conn")
-}
-
-/// Runs `work` beside a thread that keeps counting this process's
-/// threads, whatever their names: the count before `work` (that thread
-/// included), the highest seen during it, and what `work` returned. Only
-/// for a test that is [`alone`].
-fn peak_threads_during<R>(work: impl FnOnce() -> R) -> (usize, usize, R) {
-    let done = AtomicBool::new(false);
-    let peak = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            while !done.load(Ordering::SeqCst) {
-                peak.fetch_max(threads(|_| true), Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
-        let before = threads(|_| true);
-        let result = work();
-        done.store(true, Ordering::SeqCst);
-        (before, peak.load(Ordering::SeqCst), result)
-    })
 }
 
 /// A stopped server's threads exit on their own time; waits for the count.
@@ -561,78 +541,6 @@ fn shed_and_explore_responses_share_the_access_telemetry() {
     assert_eq!(route_count(&metrics.body, "explore"), 1);
 
     handle.stop();
-}
-
-/// An exploration of AlexNet: eight layers a point, so a per-request
-/// pool of (point, layer) workers would have plenty to start threads for.
-const ALEXNET_EXPLORE: &str = r#"{"name": "robust-explore", "workloads": ["alexnet"],
-    "budgets": [1024, 4096], "aspect": "all", "keep_within": 1000, "budget": 12,
-    "config": {"IfmapSramSz": 64, "FilterSramSz": 64, "OfmapSramSz": 32}}"#;
-
-/// `/explore` simulates on the engine's workers: on a one-worker server
-/// the process has no more threads during the request than before it, the
-/// warmed-up pair of connection threads included.
-#[test]
-fn explore_starts_no_thread() {
-    let _alone = alone();
-    let handle = start(
-        ServerOptions::default(),
-        EngineOptions {
-            workers: 1,
-            ..EngineOptions::default()
-        },
-        FaultPlan::new().delay("alexnet", Duration::from_millis(10)),
-    );
-    for _ in 0..3 {
-        healthz(handle.addr());
-    }
-    wait_for_conn_threads(2);
-
-    let (before, peak, explored) = peak_threads_during(|| {
-        request(handle.addr(), "POST", "/explore", Some(ALEXNET_EXPLORE)).unwrap()
-    });
-    assert_eq!(explored.status, 200, "body: {}", explored.body);
-    let summary = Json::parse(&explored.body).unwrap();
-    let simulated = summary
-        .get("summary")
-        .and_then(|s| s.get("simulated"))
-        .and_then(Json::as_u64);
-    assert_eq!(simulated, Some(12));
-    assert!(
-        peak <= before,
-        "{peak} threads during the /explore, {before} before it"
-    );
-    assert_eq!(conn_threads(), 2);
-    handle.stop();
-}
-
-/// A manifest of twelve distinct slow jobs on one worker behind a one-deep
-/// queue: the submit window keeps the batch from shedding itself (what
-/// its retries used to paper over), and the calling thread is the only
-/// submitter there is.
-#[test]
-fn batch_longer_than_the_queue_neither_sheds_nor_starts_a_thread() {
-    let _alone = alone();
-    let engine = Engine::with_options(EngineOptions {
-        workers: 1,
-        cache_capacity: 16,
-        queue_depth: 1,
-    });
-    engine.inject_faults(FaultPlan::new().delay("tiny", Duration::from_millis(5)));
-    let jobs: Vec<SimJob> = (1..=12)
-        .map(|n| SimJob::from_json(&Json::parse(&tiny_job(n)).unwrap()).unwrap())
-        .collect();
-
-    let (before, peak, outcome) = peak_threads_during(|| run_batch(&engine, &jobs));
-    let outcome = outcome.expect("the batch completes");
-    assert_eq!(outcome.entries.len(), 12);
-    assert_eq!(outcome.simulations, 12);
-    assert_eq!(engine.stats().shed.get(), 0);
-    assert!(
-        peak <= before,
-        "{peak} threads during the batch, {before} before it"
-    );
-    engine.shutdown();
 }
 
 /// The survivors of an `/explore` are ordinary engine jobs: they count in

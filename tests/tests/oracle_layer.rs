@@ -212,6 +212,55 @@ fn run_layer_matches_the_oracle_at_the_ifmap_buffer_s_edges() {
     }
 }
 
+/// A GEMM's DRAM traffic is priced in closed form, whose thresholds turn
+/// where a stream repeated along a fold row (`r′T`, the A stream under OS
+/// and WS, B under IS) or the operand tile a fold row cycles through
+/// (`T·S_C`, B under OS, the partial sums under WS and IS) meets its
+/// buffer. Every dataflow, with that buffer one short of, exactly and one
+/// past the threshold — `r′T` of a full and of the ragged last fold row —
+/// and the other two holding everything.
+#[test]
+fn run_layer_matches_the_oracle_at_the_gemm_buffers_thresholds() {
+    // S_R is 30 (OS) or 22 (WS, IS): the last fold row is two rows.
+    let layer = Layer::gemm("g", 30, 22, 17);
+    let array = ArrayShape::new(4, 4);
+    for dataflow in Dataflow::ALL {
+        let dims = layer.shape().project(dataflow);
+        let t = dims.temporal;
+        let last_rows = dims.spatial_rows - (dims.spatial_rows - 1) / 4 * 4;
+        let cycle = t * dims.spatial_cols;
+        // (buffer: 0 IFMAP, 1 filter, 2 OFMAP; threshold in elements)
+        let (row_buffer, cycle_buffer) = match dataflow {
+            Dataflow::OutputStationary => (0, 1),
+            Dataflow::WeightStationary => (0, 2),
+            Dataflow::InputStationary => (1, 2),
+        };
+        let thresholds = [
+            (row_buffer, 4 * t),
+            (row_buffer, last_rows * t),
+            (cycle_buffer, cycle),
+        ];
+        for (buffer, threshold) in thresholds {
+            for elements in [threshold - 1, threshold, threshold + 1] {
+                let (kb, word_bytes) = sram_holding(elements);
+                let mut config = config(dataflow, array, 1 << 20, word_bytes, Some(1.0));
+                match buffer {
+                    0 => config.ifmap_sram_kb = kb,
+                    1 => config.filter_sram_kb = kb,
+                    _ => config.ofmap_sram_kb = kb,
+                }
+                let specs = [
+                    config.ifmap_buffer(1),
+                    config.filter_buffer(1),
+                    config.ofmap_buffer(1),
+                ];
+                assert_eq!(specs[buffer].capacity_elems() as u64, elements);
+                check(&layer, &config, PartitionGrid::monolithic()).unwrap();
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
