@@ -32,7 +32,6 @@ pub mod os_drain;
 pub mod pareto;
 pub mod partition;
 pub mod reconfig;
-pub mod roofline;
 pub mod runtime;
 pub mod search;
 
@@ -45,7 +44,6 @@ pub use partition::{
     best_scaleout, scaleout_configs, scaleout_runtime, split_dims, PartitionGrid, ScaleOutConfig,
 };
 pub use reconfig::{reconfiguration_gain, ReconfigGain};
-pub use roofline::{achieved_intensity, compulsory_intensity, Roofline};
 pub use runtime::{eq1_unlimited, eq4_scaleup, exact_scaleup};
 pub use search::{aspect_ratio_shapes, best_scaleup, rank_scaleup, ScaleUpScore};
 

@@ -1,11 +1,12 @@
-//! End-to-end graceful shutdown of `scale-sim serve`: a real process, a
-//! real SIGTERM, a clean exit-code-0 drain.
+//! End-to-end tests of a real `scale-sim serve` process: a real SIGTERM
+//! and a clean exit-code-0 drain, and an accept loop that runs out of file
+//! descriptors.
 
 #![cfg(unix)]
 
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
+use std::io::{BufRead, BufReader, Lines};
+use std::net::{SocketAddr, TcpStream};
+use std::process::{Child, ChildStderr, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use scalesim_server::http::client::request;
@@ -20,18 +21,10 @@ impl Drop for ChildGuard {
     }
 }
 
-#[test]
-fn sigterm_drains_and_exits_zero() {
-    let child = Command::new(env!("CARGO_BIN_EXE_scale-sim"))
-        .args([
-            "serve",
-            "--port",
-            "0",
-            "--workers",
-            "1",
-            "--grace-ms",
-            "8000",
-        ])
+/// Starts `command` (which runs `scale-sim serve --port 0`) and reads the
+/// ephemeral port off its startup banner.
+fn serve(mut command: Command) -> (ChildGuard, SocketAddr, Lines<BufReader<ChildStderr>>) {
+    let child = command
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -39,9 +32,7 @@ fn sigterm_drains_and_exits_zero() {
     let mut child = ChildGuard(child);
     let stderr = child.0.stderr.take().expect("stderr piped");
     let mut lines = BufReader::new(stderr).lines();
-
-    // The startup banner announces the ephemeral port.
-    let addr: SocketAddr = loop {
+    let addr = loop {
         let line = lines
             .next()
             .expect("serve exited before announcing its address")
@@ -55,6 +46,22 @@ fn sigterm_drains_and_exits_zero() {
                 .expect("parseable address");
         }
     };
+    (child, addr, lines)
+}
+
+#[test]
+fn sigterm_drains_and_exits_zero() {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_scale-sim"));
+    command.args([
+        "serve",
+        "--port",
+        "0",
+        "--workers",
+        "1",
+        "--grace-ms",
+        "8000",
+    ]);
+    let (mut child, addr, lines) = serve(command);
     // Drain the rest of stderr in the background so the child never
     // blocks on a full pipe, and keep it for assertions after exit.
     let tail = std::thread::spawn(move || {
@@ -96,4 +103,35 @@ fn sigterm_drains_and_exits_zero() {
         "shutdown is announced, got: {stderr_text}"
     );
     assert!(stderr_text.contains("drained cleanly"));
+}
+
+/// Under a 16-descriptor limit, 24 idle connections leave `accept` failing
+/// with EMFILE: each failure is counted in
+/// `scalesim_http_accept_errors_total` and backed off, and once the
+/// connections close the same process serves again.
+#[test]
+fn descriptor_exhaustion_is_counted_and_outlived() {
+    let mut command = Command::new("sh");
+    command.args([
+        "-c",
+        "ulimit -n 16 && exec \"$0\" serve --port 0 --workers 1",
+        env!("CARGO_BIN_EXE_scale-sim"),
+    ]);
+    let (_child, addr, _lines) = serve(command);
+    let held: Vec<TcpStream> = (0..24)
+        .map(|_| TcpStream::connect(addr).expect("the backlog takes the connection"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+    drop(held);
+
+    let metrics = request(addr, "GET", "/metrics", None).expect("served after the burst");
+    assert_eq!(metrics.status, 200);
+    let errors: u64 = metrics
+        .body
+        .lines()
+        .find_map(|line| line.strip_prefix("scalesim_http_accept_errors_total "))
+        .expect("the accept-error counter is rendered")
+        .parse()
+        .unwrap();
+    assert!(errors > 0, "{}", metrics.body);
 }

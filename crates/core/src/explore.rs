@@ -50,7 +50,7 @@ use scalesim_analytical::{
     acquisition_score, best_dataflow, exact_scaleup, ErrorStats, Frontier, PartitionGrid,
 };
 use scalesim_systolic::ArrayShape;
-use scalesim_telemetry::{Counter, Gauge, Histogram, Registry};
+use scalesim_telemetry::{Counter, Registry};
 use scalesim_topology::Topology;
 
 use crate::report::NetworkReport;
@@ -68,12 +68,6 @@ pub mod telemetry_names {
     pub const PRUNED: &str = "scalesim_explore_pruned_total";
     /// Counter: candidates simulated cycle-accurately (stage 2).
     pub const SIMULATED: &str = "scalesim_explore_simulated_total";
-    /// Histogram: wall time per stage, seconds, labeled `stage=analytical
-    /// |prune|simulate`.
-    pub const STAGE_SECONDS: &str = "scalesim_explore_stage_seconds";
-    /// Gauge: measured-frontier points across workloads after the last
-    /// explore run.
-    pub const FRONTIER_SIZE: &str = "scalesim_explore_frontier_size";
 }
 
 /// How many survivors stage 2 simulates per refinement step. A fixed
@@ -385,10 +379,6 @@ pub struct ExploreEngine {
     candidates: Arc<Counter>,
     pruned: Arc<Counter>,
     simulated: Arc<Counter>,
-    frontier_size: Arc<Gauge>,
-    stage_analytical: Arc<Histogram>,
-    stage_prune: Arc<Histogram>,
-    stage_simulate: Arc<Histogram>,
 }
 
 impl Default for ExploreEngine {
@@ -407,14 +397,6 @@ impl ExploreEngine {
 
     /// An engine recording its metrics into `registry`.
     pub fn with_registry(registry: &Registry) -> ExploreEngine {
-        let stage = |label: &str| {
-            registry.histogram_with(
-                telemetry_names::STAGE_SECONDS,
-                "Wall time per explore stage.",
-                &Histogram::duration_buckets(),
-                &[("stage", label)],
-            )
-        };
         ExploreEngine {
             sweep: SweepEngine::with_registry(registry),
             candidates: registry.counter(
@@ -429,13 +411,6 @@ impl ExploreEngine {
                 telemetry_names::SIMULATED,
                 "Explore candidates simulated cycle-accurately.",
             ),
-            frontier_size: registry.gauge(
-                telemetry_names::FRONTIER_SIZE,
-                "Measured-frontier points across workloads, last explore run.",
-            ),
-            stage_analytical: stage("analytical"),
-            stage_prune: stage("prune"),
-            stage_simulate: stage("simulate"),
         }
     }
 
@@ -499,7 +474,6 @@ impl ExploreEngine {
         let candidates = predictions.len();
         self.candidates.add(candidates as u64);
         let analytical_seconds = started.elapsed().as_secs_f64();
-        self.stage_analytical.observe(analytical_seconds);
         drop(stage0_span);
 
         // Stage 1: per-workload analytical frontiers; keep the slack band.
@@ -533,7 +507,6 @@ impl ExploreEngine {
         // Rank by predicted runtime, plan order on ties.
         survivors.sort_by_key(|s| (s.predicted, s.spec.index));
         let prune_seconds = started.elapsed().as_secs_f64();
-        self.stage_prune.observe(prune_seconds);
         drop(stage1_span);
 
         Ok(PruneOutcome {
@@ -695,11 +668,10 @@ impl ExploreEngine {
         let simulated = measured.len();
         self.simulated.add(simulated as u64);
         stage_seconds.simulate = started.elapsed().as_secs_f64();
-        self.stage_simulate.observe(stage_seconds.simulate);
 
         let error_stats =
             ErrorStats::from_ratios(measured.iter().map(|p| p.error_ratio()).collect());
-        let outcome = ExploreOutcome {
+        Ok(ExploreOutcome {
             plan_name: plan.name.clone(),
             candidates,
             pruned,
@@ -709,10 +681,7 @@ impl ExploreEngine {
             measured,
             error_stats,
             stage_seconds,
-        };
-        let frontier_points: usize = outcome.frontiers().iter().map(|(_, p)| p.len()).sum();
-        self.frontier_size.set(frontier_points as i64);
-        Ok(outcome)
+        })
     }
 }
 

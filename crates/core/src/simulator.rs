@@ -37,7 +37,6 @@ use crate::report::{LayerReport, NetworkReport};
 pub struct Simulator {
     config: SimConfig,
     grid: PartitionGrid,
-    energy_model: EnergyModel,
     auto_dataflow: bool,
 }
 
@@ -47,7 +46,6 @@ impl Simulator {
         Simulator {
             config,
             grid: PartitionGrid::monolithic(),
-            energy_model: EnergyModel::default(),
             auto_dataflow: false,
         }
     }
@@ -55,12 +53,6 @@ impl Simulator {
     /// Runs on a `P_R × P_C` partition grid instead of a single array.
     pub fn with_grid(mut self, grid: PartitionGrid) -> Self {
         self.grid = grid;
-        self
-    }
-
-    /// Overrides the energy constants.
-    pub fn with_energy_model(mut self, model: EnergyModel) -> Self {
-        self.energy_model = model;
         self
     }
 
@@ -122,7 +114,7 @@ impl Simulator {
         // is a label. Whole networks repeat shapes, and sweeps re-run the
         // unchanged layers of neighbouring design points, so this removes
         // entire simulations from the cold path.
-        let cache_key = layer_cache::key(&config, self.grid, &self.energy_model, layer);
+        let cache_key = layer_cache::key(&config, self.grid, &EnergyModel::default(), layer);
         let registry = scalesim_telemetry::global();
         let cached = {
             let _phase = scalesim_telemetry::trace::span("phase.cache_probe");
@@ -257,8 +249,7 @@ impl Simulator {
             .saturating_mul(total_cycles);
         let energy = {
             let _phase = scalesim_telemetry::trace::span("phase.energy");
-            self.energy_model
-                .evaluate(mac_ops, pe_cycles, sram.total(), dram.total_accesses())
+            EnergyModel::default().evaluate(mac_ops, pe_cycles, sram.total(), dram.total_accesses())
         };
 
         LayerReport {
@@ -1352,6 +1343,44 @@ mod tests {
         };
         merged.merge_concurrent(&merged.clone());
         assert_eq!((merged.reads_a, merged.writes_o), (u64::MAX, 6));
+    }
+
+    #[test]
+    fn layer_energy_is_the_default_model_over_the_layers_counts() {
+        let conv: Layer = ConvLayer::new("c", 18, 10, 3, 3, 4, 16, 1).unwrap().into();
+        for df in Dataflow::ALL {
+            let config = SimConfig {
+                dataflow: df,
+                ..small_config()
+            };
+            let r = Simulator::new(config).run_layer(&conv);
+            let expected = EnergyModel::default().evaluate(
+                r.mac_ops,
+                r.array.macs() * r.total_cycles,
+                r.sram.total(),
+                r.dram.total_accesses(),
+            );
+            assert_eq!(r.energy, expected, "{df:?}");
+            assert!(r.energy.mac > 0.0 && r.energy.sram > 0.0 && r.energy.dram > 0.0);
+        }
+    }
+
+    /// A partition with no work still idles for the whole layer.
+    #[test]
+    fn idle_energy_charges_every_provisioned_partition() {
+        let grid = PartitionGrid::new(4, 4);
+        let r = Simulator::new(small_config())
+            .with_grid(grid)
+            .run_layer(&Layer::gemm("g", 1, 64, 64));
+        assert!(
+            r.active_partitions < grid.count(),
+            "{} active",
+            r.active_partitions
+        );
+        let pe_cycles = grid.count() * r.array.macs() * r.total_cycles;
+        let idle = EnergyModel::default().idle_pe * (pe_cycles - r.mac_ops) as f64;
+        assert_eq!(r.energy.idle, idle);
+        assert_eq!(r.compute_utilization, r.mac_ops as f64 / pe_cycles as f64);
     }
 
     #[test]

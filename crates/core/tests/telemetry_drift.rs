@@ -42,7 +42,7 @@ fn every_declared_metric_name_is_emitted_and_documented() {
         .into_iter()
         .flat_map(declared_names)
         .collect();
-    assert_eq!(names.len(), 4 + 3 + 5, "{names:?}");
+    assert_eq!(names.len(), 4 + 3 + 3, "{names:?}");
 
     // A run whose second layer repeats the first one's shape: a
     // layer-cache miss, then a hit.
@@ -85,6 +85,8 @@ fn every_declared_metric_name_is_emitted_and_documented() {
         "scalesim_sweep_cache_resident_entries",
         "scalesim_exec_tasks_total",
         "scalesim_exec_steals_total",
+        "scalesim_explore_stage_seconds",
+        "scalesim_explore_frontier_size",
     ] {
         assert!(
             !rendered.contains(removed),

@@ -39,9 +39,11 @@ pub struct EpochStats {
 /// a paged bitmap from the first time it holds more until
 /// [`RunBuffer::clear`] or [`RunBuffer::reset`]. As spans, a probe is a
 /// binary search and an insert or front eviction a splice that moves the
-/// spans behind it: cheap for the few spans of contiguous demand (the
-/// IFMAP buffer of Fig. 9's TF0 layer under OS holds fewer than 16 at every
-/// walk), but the IFMAP of an IS fold fragments into hundreds or thousands
+/// spans behind it: cheap for the few spans of contiguous demand (after
+/// every fold of `examples/scaleout_conv.plan`, an IFMAP buffer of its OS
+/// convolutions holds at most 16, and no filter or OFMAP buffer of that
+/// plan or of `spill_ws_is.plan` more than 12), but the IFMAP of an IS fold
+/// fragments into hundreds or thousands
 /// (on the spill workload an IS miss moved 1,189 spans per front eviction
 /// on average). As pages
 /// of 4,096 addresses, each operation costs the pages it touches, whatever
@@ -215,11 +217,15 @@ impl RunBuffer {
     /// [`RunBuffer::clear`] and [`RunBuffer::reset`] forget. Nothing is
     /// keyed or evicted and nothing is approximate: one seal and one
     /// `EpochStats` are all that is remembered.
-    // `always`: left to the compiler, `epoch` stops being inlined into
+    // `always`: left to the compiler, `epoch` is not inlined into
     // `DramModel::fold_runs` once rule 4 exists (`#[inline]` does not bring
-    // it back), and the serial `fig9_tf0.plan` sweep, which never takes
-    // rule 4, goes from 81 to 97 ms (medians of 15 runs, 2 shared vCPUs).
-    // Rule 4 itself stays out of line, below.
+    // it back; CI checks the symbol is absent). The serial release
+    // `spill_ws_is.plan` sweep, which walks IFMAP, filter and OFMAP buffers,
+    // measured the same either way: medians 269 and 257 ms with `always`
+    // against 266 and 265 ms without, in two rounds of 14 and 12
+    // alternating runs (quartiles about 30 ms apart, 2 shared vCPUs;
+    // `always` faster in 17 of 26 pairs). Rule 4 itself stays out of line,
+    // below.
     #[inline(always)]
     pub fn epoch(&mut self, demand: &AddrRuns) -> EpochStats {
         let seal = demand.seal();

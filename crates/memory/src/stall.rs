@@ -14,8 +14,8 @@
 //! * A fold's output writes occupy the bus from the fold's start (outputs
 //!   stream out as produced) and delay later prefetches behind them.
 //!
-//! The result interpolates between the compute-bound and bandwidth-bound
-//! rooflines exactly, per fold.
+//! Over a layer the result is never below either roofline bound: the
+//! compute cycles, and the DRAM bytes over the bandwidth.
 
 use serde::{Deserialize, Serialize};
 

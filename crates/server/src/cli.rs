@@ -111,7 +111,6 @@ pub fn run_serve(argv: &[String]) -> Result<(), String> {
         "routes: POST /simulate, POST /sweep, POST /explore, GET /stats, GET /metrics, \
          GET /healthz, GET /debug/jobs, GET /debug/trace"
     );
-    eprintln!("logging: set SCALESIM_LOG=info (or debug,json) for access logs");
 
     signals::install();
     let handle = server.spawn();

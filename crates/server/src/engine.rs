@@ -33,7 +33,7 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 #[cfg(test)]
 use std::time::Duration;
@@ -46,7 +46,7 @@ use scalesim::{ExploreEngine, NetworkReport, Simulator};
 
 // Core's one fault-injection hook, re-exported for the server's API.
 pub use scalesim::exec::FaultPlan;
-use scalesim_telemetry::{log, Counter, FlightRecorder, Gauge, Histogram, Registry};
+use scalesim_telemetry::{Counter, FlightRecorder, Gauge, Histogram, Registry};
 
 use crate::job::{JobError, NormalizedJob, SimJob};
 use crate::json::Json;
@@ -251,9 +251,6 @@ pub struct Stats {
     /// Requests that joined an identical in-flight simulation
     /// (`scalesim_requests_total{outcome="joined"}`).
     pub joins: Arc<Counter>,
-    /// Requests whose simulation failed (a joiner of a failed leader counts
-    /// here *and* in `joins`).
-    pub errors: Arc<Counter>,
     /// Jobs currently being simulated.
     pub in_flight: Arc<Gauge>,
     /// Total simulation wall time in microseconds (fresh runs only).
@@ -262,9 +259,6 @@ pub struct Stats {
     pub queue_wait: Arc<Histogram>,
     /// Simulation wall time (fresh runs only), seconds.
     pub sim_duration: Arc<Histogram>,
-    /// Joiners that piled onto each completed leader (single-flight fan-in
-    /// per key; counts joiners present when the leader finished).
-    pub joiners_per_key: Arc<Histogram>,
     /// Jobs shed because the bounded queue was full
     /// (`scalesim_jobs_shed_total`).
     pub shed: Arc<Counter>,
@@ -301,10 +295,6 @@ impl Stats {
             fresh: outcome("fresh"),
             lru_hits: outcome("hit"),
             joins: outcome("joined"),
-            errors: registry.counter(
-                "scalesim_job_errors_total",
-                "Requests whose simulation failed.",
-            ),
             in_flight: registry.gauge("scalesim_jobs_in_flight", "Jobs currently being simulated."),
             total_sim_micros: registry.counter(
                 "scalesim_sim_wall_micros_total",
@@ -319,11 +309,6 @@ impl Stats {
                 "scalesim_sim_seconds",
                 "Simulation wall time (fresh runs only).",
                 &Histogram::duration_buckets(),
-            ),
-            joiners_per_key: registry.histogram(
-                "scalesim_dedup_joiners",
-                "Joiners that piled onto each completed leader (per job key).",
-                &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
             ),
             shed: registry.counter(
                 "scalesim_jobs_shed_total",
@@ -374,15 +359,8 @@ impl Stats {
 }
 
 /// One single-flight leader in progress: the completion slot it and its
-/// joiners wait on, and how many joined.
-#[derive(Default)]
-struct Flight {
-    result: Slot<Result<Arc<SimResult>, JobError>>,
-    /// Joiners registered so far; sampled into the `joiners_per_key`
-    /// histogram when the leader finishes (joiners racing in after the
-    /// fill are missed — acceptable for telemetry).
-    joiners: AtomicU64,
-}
+/// joiners wait on.
+type Flight = Slot<Result<Arc<SimResult>, JobError>>;
 
 /// Sizing knobs for an [`Engine`]. `..Default::default()` keeps the
 /// historical behavior everywhere a knob is not set explicitly.
@@ -675,13 +653,6 @@ impl Engine {
                 Err(Refused::Full(waiting)) => {
                     let retry_after_ms = self.retry_after_hint_ms(waiting);
                     stats.shed.inc();
-                    log::info(
-                        "engine.job_shed",
-                        &[
-                            ("key", &key.to_string()),
-                            ("retry_after_ms", &retry_after_ms.to_string()),
-                        ],
-                    );
                     record("shed", 0);
                     return Err(self.abandon_leader(
                         &key,
@@ -691,7 +662,6 @@ impl Engine {
                 }
             }
         } else {
-            slot.joiners.fetch_add(1, Ordering::Relaxed);
             stats.joins.inc();
         }
         Ok(Ticket {
@@ -790,7 +760,7 @@ impl Engine {
     /// then any joiners that raced in are released with the same error.
     fn abandon_leader(&self, key: &ContentKey, slot: &Flight, err: JobError) -> JobError {
         self.shared.inflight.lock().unwrap().remove(key);
-        slot.result.fill(Err(err.clone()));
+        slot.fill(Err(err.clone()));
         err
     }
 
@@ -845,11 +815,7 @@ impl Engine {
                 }
             };
             shared.inflight.lock().unwrap().remove(&key);
-            shared
-                .stats
-                .joiners_per_key
-                .observe(flight.joiners.load(Ordering::Relaxed) as f64);
-            flight.result.fill(outcome);
+            flight.fill(outcome);
         }
     }
 
@@ -910,7 +876,7 @@ impl Ticket<'_> {
         let stats = &shared.stats;
         let record =
             |outcome, sim_micros| shared.record_job(&key, ctx, outcome, (0, sim_micros), "");
-        let Some(outcome) = slot.result.wait(deadline) else {
+        let Some(outcome) = slot.wait(deadline) else {
             stats.deadline_expired.inc();
             record("deadline", 0);
             return Err(JobError::DeadlineExpired);
@@ -919,13 +885,7 @@ impl Ticket<'_> {
         match &outcome {
             Ok(_) if leader => stats.fresh.inc(),
             Ok(result) => record("joined", result.sim_wall_micros),
-            Err(e) => {
-                stats.errors.inc();
-                log::error(
-                    "engine.job_failed",
-                    &[("key", &key.to_string()), ("error", &e.to_string())],
-                );
-            }
+            Err(_) => {}
         }
         let served = if leader {
             Served::Fresh
@@ -1110,7 +1070,6 @@ mod tests {
         assert!(text.contains("scalesim_sim_seconds_count 1"));
         assert!(text.contains("scalesim_cache_resident_entries 1"));
         assert!(text.contains("scalesim_cache_evictions_total 0"));
-        assert!(text.contains("scalesim_dedup_joiners_count 1"));
         engine.shutdown();
     }
 
@@ -1263,6 +1222,34 @@ mod tests {
         engine.inject_faults(FaultPlan::new());
         let (_, served) = engine.run(&small_job()).unwrap();
         assert_eq!(served, Served::Fresh, "worker survived the panic");
+        engine.shutdown();
+    }
+
+    /// A joiner of a leader whose simulation fails is released with the
+    /// leader's error, and the failure is not cached: the next run of the
+    /// job simulates afresh.
+    #[test]
+    fn a_failed_leader_releases_its_joiner_with_its_error() {
+        let engine = Engine::new(1, 16);
+        engine.inject_faults(
+            FaultPlan::new()
+                .delay("tiny", Duration::from_millis(20))
+                .panic("tiny", "injected fault"),
+        );
+        let ctx = JobContext::internal();
+        let job = small_job().normalize().unwrap();
+        let leader = engine.submit(job.clone(), ctx).unwrap();
+        let joiner = engine.submit(job, ctx).unwrap();
+        assert_eq!(engine.stats().joins.get(), 1);
+        for ticket in [joiner, leader] {
+            match ticket.wait(None) {
+                Err(JobError::Internal(msg)) => assert!(msg.contains("injected fault"), "{msg}"),
+                other => panic!("expected Internal, got {other:?}"),
+            }
+        }
+        engine.inject_faults(FaultPlan::new());
+        let (_, served) = engine.run(&small_job()).unwrap();
+        assert_eq!(served, Served::Fresh, "the failure was not cached");
         engine.shutdown();
     }
 

@@ -97,11 +97,11 @@
 //!
 //! Every response carries an `X-Scalesim-Request-Id` header — the client's
 //! own if it sent one, a generated `pid-sequence` id otherwise — and every
-//! request (including malformed ones rejected before routing) emits one
-//! `http.request` access-log event and one latency-histogram observation,
-//! so attack traffic is as visible as well-formed traffic. Request ids
-//! live in headers and logs only, never in bodies: responses for equal
-//! jobs stay byte-identical regardless of telemetry.
+//! request (including malformed ones rejected before routing) makes one
+//! latency-histogram observation, so attack traffic is as visible as
+//! well-formed traffic. Request ids live in headers and the flight
+//! recorder only, never in bodies: responses for equal jobs stay
+//! byte-identical regardless of telemetry.
 //!
 //! The subset implemented is deliberately small: one request per
 //! connection (`Connection: close`), `Content-Length` bodies only, 16 KiB
@@ -116,7 +116,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use scalesim_telemetry::{log, Counter, Gauge, Histogram};
+use scalesim_telemetry::{Counter, Gauge, Histogram};
 
 use crate::engine::Engine;
 use crate::job::{JobError, SimJob};
@@ -395,7 +395,7 @@ impl<'a> Busy<'a> {
         };
         if grow {
             if let Err(e) = spawn_conn_thread(context) {
-                log::error("http.spawn_failed", &[("error", &e.to_string())]);
+                eprintln!("error: http-conn thread not started: {e}");
             }
         }
     }
@@ -442,12 +442,13 @@ fn conn_thread(context: &Arc<Context>) {
                 // closes unanswered), not this thread.
                 let handler = AssertUnwindSafe(|| handle_connection(&stream, context, &mut busy));
                 if catch_unwind(handler).is_err() {
-                    log::error("http.handler_panicked", &[]);
+                    eprintln!(
+                        "error: request handler panicked; its connection was closed unanswered"
+                    );
                 }
             }
-            Err(e) => {
+            Err(_) => {
                 context.accept_errors.inc();
-                log::debug("http.accept_error", &[("error", &e.to_string())]);
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(Duration::from_millis(100));
             }
@@ -574,9 +575,9 @@ fn handle_connection(
     let received = Instant::now();
 
     // Malformed requests flow through the same response/telemetry tail as
-    // routed ones — id header, latency histogram, access log — so attack
-    // traffic is visible in `/metrics` and logs.
-    let (method, path, request_id, routed) = match read_request(&mut reader) {
+    // routed ones — id header, latency histogram — so attack traffic is
+    // visible in `/metrics`.
+    let (path, request_id, routed) = match read_request(&mut reader) {
         Ok(req) => {
             let request_id = req.request_id.clone().unwrap_or_else(|| mint_id(context));
             let deadline = req
@@ -585,10 +586,9 @@ fn handle_connection(
                 .or(context.options.default_deadline)
                 .map(|budget| received + budget);
             let routed = route(context, &req, deadline, &request_id);
-            (req.method, req.path, request_id, routed)
+            (req.path, request_id, routed)
         }
         Err(msg) => (
-            "-".to_owned(),
             "-".to_owned(),
             mint_id(context),
             Routed::json(400, error_body(&msg).to_string()),
@@ -602,21 +602,7 @@ fn handle_connection(
     // the body it may immediately scrape `/metrics` and must see this
     // request in the histogram. (The wire time is not in `elapsed`, but
     // the histogram's contract is request handling, not socket flush.)
-    let elapsed = received.elapsed();
-    context.latency[route_index(&path)].observe_duration(elapsed);
-
-    if log::enabled(log::Level::Info) {
-        log::info(
-            "http.request",
-            &[
-                ("id", &request_id),
-                ("method", &method),
-                ("path", &path),
-                ("status", &routed.status.to_string()),
-                ("micros", &(elapsed.as_micros() as u64).to_string()),
-            ],
-        );
-    }
+    context.latency[route_index(&path)].observe_duration(received.elapsed());
     let reply = render_reply(routed.status, &headers, routed.content_type, &routed.body);
     write_reply(stream, reply.as_bytes(), busy)
 }
@@ -653,7 +639,7 @@ fn route(context: &Context, req: &Request, deadline: Option<Instant>, request_id
         ("GET", "/stats") => Routed::json(200, engine.stats().to_json().to_string()),
         ("GET", "/metrics") => {
             // Engine-scoped metrics first, then the process-global
-            // registry (simulator, sweep, explore, executor, trace ring).
+            // registry (layer cache, demand volume, trace ring).
             let mut text = engine.registry().render();
             text.push_str(&scalesim_telemetry::global().render());
             Routed {
@@ -1026,6 +1012,201 @@ pub mod client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::Shutdown;
+
+    /// `raw`, sent by a peer that then closes its side, as
+    /// [`read_request`] reads it off the server's end of the connection.
+    fn read(raw: &[u8]) -> Result<Request, String> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let raw = raw.to_vec();
+        // A writer of its own: a request larger than the socket buffers
+        // would block a write made before the read.
+        let writer = std::thread::spawn(move || {
+            let _ = peer.write_all(&raw);
+            let _ = peer.shutdown(Shutdown::Write);
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let request = read_request(&mut BufReader::new((&stream).take(MAX_HEADER_BYTES as u64)));
+        drop(stream);
+        writer.join().unwrap();
+        request
+    }
+
+    #[test]
+    fn route_index_labels_every_route_and_collapses_the_rest() {
+        for (path, label) in [
+            ("/simulate", "simulate"),
+            ("/sweep", "sweep"),
+            ("/explore", "explore"),
+            ("/stats", "stats"),
+            ("/healthz", "healthz"),
+            ("/metrics", "metrics"),
+            ("/debug/jobs", "debug_jobs"),
+            ("/debug/trace", "debug_trace"),
+        ] {
+            assert_eq!(ROUTE_LABELS[route_index(path)], label, "{path}");
+        }
+        // An unparseable request is observed under the path `-`.
+        for path in [
+            "-",
+            "",
+            "/",
+            "/simulate/",
+            "/SIMULATE",
+            "/debug",
+            "/debug/panic",
+        ] {
+            assert_eq!(ROUTE_LABELS[route_index(path)], "other", "{path:?}");
+        }
+    }
+
+    #[test]
+    fn job_errors_map_to_their_statuses_with_a_json_error_body() {
+        let cases = [
+            (JobError::BadRequest("no \"layer\"".into()), 400, None),
+            (JobError::Internal("boom".into()), 500, None),
+            (JobError::ShuttingDown, 503, Some("1")),
+            (JobError::DeadlineExpired, 504, None),
+        ];
+        for (error, status, retry_after) in cases {
+            let routed = error_response(&error);
+            assert_eq!(routed.status, status, "{error}");
+            assert_eq!(routed.content_type, "application/json");
+            let retry = routed
+                .headers
+                .iter()
+                .find(|(name, _)| *name == "Retry-After");
+            assert_eq!(
+                retry.map(|(_, value)| value.as_str()),
+                retry_after,
+                "{error}"
+            );
+            let body = Json::parse(&routed.body).expect("the body is JSON");
+            let message = body.get("error").and_then(Json::as_str);
+            assert_eq!(message, Some(error.to_string().as_str()));
+        }
+    }
+
+    #[test]
+    fn overloaded_retry_after_is_whole_seconds_rounded_up() {
+        for (retry_after_ms, seconds) in [(0, "1"), (1, "1"), (1000, "1"), (1001, "2"), (2500, "3")]
+        {
+            let routed = error_response(&JobError::Overloaded { retry_after_ms });
+            assert_eq!(routed.status, 503);
+            assert_eq!(
+                routed.headers,
+                vec![("Retry-After", seconds.to_owned())],
+                "{retry_after_ms} ms"
+            );
+        }
+    }
+
+    #[test]
+    fn a_reply_counts_its_body_in_bytes_and_ends_its_headers_once() {
+        let reply = render_reply(
+            503,
+            &[("X-Scalesim-Request-Id", "r1"), ("Retry-After", "2")],
+            "application/json",
+            "{\"error\":\"µs\"}",
+        );
+        assert_eq!(
+            reply,
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 15\r\nConnection: close\r\nX-Scalesim-Request-Id: r1\r\n\
+             Retry-After: 2\r\n\r\n{\"error\":\"µs\"}"
+        );
+        let unknown = render_reply(418, &[], "text/plain", "");
+        assert!(unknown.starts_with("HTTP/1.1 418 Unknown\r\n"), "{unknown}");
+        assert!(unknown.ends_with("Content-Length: 0\r\nConnection: close\r\n\r\n"));
+    }
+
+    #[test]
+    fn a_request_reads_its_headers_by_any_case() {
+        let request = read(
+            b"POST /simulate HTTP/1.1\r\nhost: x\r\nCONTENT-LENGTH: 4\r\n\
+              x-scalesim-request-id:  abc \r\nX-Scalesim-Deadline-Ms: 250\r\n\r\nbody",
+        )
+        .unwrap();
+        assert_eq!(
+            (request.method.as_str(), request.path.as_str()),
+            ("POST", "/simulate")
+        );
+        assert_eq!(request.body, "body");
+        assert_eq!(request.request_id.as_deref(), Some("abc"));
+        assert_eq!(request.deadline_ms, Some(250));
+
+        let bare = read(b"GET /healthz HTTP/1.0\n\n").unwrap();
+        assert_eq!(
+            (bare.method.as_str(), bare.path.as_str()),
+            ("GET", "/healthz")
+        );
+        assert_eq!(
+            (bare.body.as_str(), bare.request_id, bare.deadline_ms),
+            ("", None, None)
+        );
+    }
+
+    #[test]
+    fn a_body_longer_than_the_header_cap_is_read_whole() {
+        let body = "x".repeat(MAX_HEADER_BYTES + 4096);
+        let raw = format!(
+            "POST /sweep HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        assert_eq!(read(raw.as_bytes()).unwrap().body, body);
+    }
+
+    #[test]
+    fn malformed_requests_are_refused_with_their_reason() {
+        let refused = |raw: &[u8]| read(raw).err().expect("refused");
+        assert_eq!(refused(b""), "empty request line");
+        assert_eq!(refused(b"GET\r\n\r\n"), "request line missing path");
+        assert_eq!(refused(b"GET /\r\n\r\n"), "request line missing version");
+        assert_eq!(
+            refused(b"GET / HTTP/2\r\n\r\n"),
+            "unsupported protocol `HTTP/2`"
+        );
+        assert_eq!(
+            refused(b"POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n"),
+            "bad Content-Length `-1`"
+        );
+        assert_eq!(
+            refused(b"GET / HTTP/1.1\r\nX-Scalesim-Deadline-Ms: soon\r\n\r\n"),
+            "bad X-Scalesim-Deadline-Ms `soon`"
+        );
+        let too_long = format!(
+            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        assert_eq!(refused(too_long.as_bytes()), "body too large");
+        assert_eq!(
+            refused(b"POST / HTTP/1.1\r\nContent-Length: 2\r\n\r\n\xff\xfe"),
+            "body is not UTF-8"
+        );
+        let short = refused(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc");
+        assert!(short.starts_with("read body: "), "{short}");
+    }
+
+    #[test]
+    fn the_header_block_is_capped() {
+        // One header line longer than the cap: `take` ends it without a
+        // line terminator.
+        let endless = format!("GET / HTTP/1.1\r\nX-Pad: {}", "a".repeat(MAX_HEADER_BYTES));
+        let refused = read(endless.as_bytes()).err().expect("refused");
+        assert_eq!(
+            refused,
+            format!("headers too large (cap {MAX_HEADER_BYTES} bytes)")
+        );
+        // Many short lines that add up to more than the cap.
+        let line = format!("X-Pad: {}\r\n", "a".repeat(100));
+        let many = format!(
+            "GET / HTTP/1.1\r\n{}\r\n",
+            line.repeat(MAX_HEADER_BYTES / line.len() + 1)
+        );
+        let refused = read(many.as_bytes()).err().expect("refused");
+        assert!(refused.starts_with("headers too large"), "{refused}");
+    }
 
     /// With a single connection thread, losing it to a panic would leave
     /// nobody to answer: a handler that unwinds must cost its connection

@@ -37,10 +37,10 @@
 //! * **Telemetry** — every service counter is a `scalesim-telemetry`
 //!   metric: the [`Stats`] snapshot served at `/stats` and the Prometheus
 //!   exposition at `/metrics` read the *same* counters, so the two views
-//!   can never drift. Queue wait, simulation wall time and dedup fan-in
-//!   are histograms; cache occupancy and evictions come from the LRU
-//!   itself. Structured logs (access lines, job failures) are gated by the
-//!   `SCALESIM_LOG` environment variable.
+//!   can never drift. Queue wait, simulation wall time and request
+//!   latency are histograms; cache occupancy and evictions come from the
+//!   LRU itself. Job outcomes (fresh, shed, failed, …) are records of the
+//!   engine's flight recorder (`GET /debug/jobs`), not log lines.
 //! * **Overload & shutdown policy** — a bounded queue, deadlines and a
 //!   graceful drain on `SIGINT`/`SIGTERM` ([`signals`]): the engine's
 //!   module docs state it, [`http`]'s give the HTTP mapping (503 +

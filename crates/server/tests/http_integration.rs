@@ -342,7 +342,6 @@ fn explore_route_prunes_and_reports_a_frontier() {
     // Explore metrics are exported on /metrics alongside the engine's.
     let metrics = get(&handle, "/metrics");
     assert!(metrics.body.contains("scalesim_explore_candidates_total"));
-    assert!(metrics.body.contains("scalesim_explore_frontier_size"));
 
     // Bad explore knobs fail clean with a 400.
     let bad = request(

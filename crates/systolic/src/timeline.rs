@@ -207,7 +207,7 @@ mod tests {
         let dims = GemmShape::new(33, 12, 29).project(Dataflow::WeightStationary);
         let array = ArrayShape::new(8, 8);
         let hist = occupancy_histogram(&dims, array);
-        assert_eq!(hist.total_activity(), dims.macs());
+        assert_eq!(hist.total_activity(), dims.gemm().macs());
         let report = crate::analyze(&dims, array);
         assert_eq!(hist.total_cycles(), report.total_cycles);
         assert!((hist.mean() / (array.macs() as f64) - report.compute_utilization).abs() < 1e-12);

@@ -17,18 +17,18 @@
 //!   default and one branch per span when disabled.
 //! * **Flight recorder** ([`recorder`]) — a bounded ring of recent
 //!   records (e.g. one per server job) for in-memory post-mortems.
-//! * **Structured logging** ([`log`]) — leveled `key=value` or JSON line
-//!   events on stderr, gated by the `SCALESIM_LOG` environment variable
-//!   (off by default).
 //!
-//! The cost model is deliberate: disabled logging is one branch, metric
+//! These three are the whole surface: there is no log channel, and a
+//! signal stays only while something reads it (DESIGN.md §2 lists each
+//! series and route with its reader).
+//!
+//! The cost model is deliberate: disabled tracing is one branch, metric
 //! updates held as `Arc` handles are one relaxed atomic op, and registry
 //! lookups (a short mutex + linear scan) only appear on per-layer or
 //! per-request paths, never inside per-cycle or per-fold loops.
 
 #![warn(missing_docs)]
 
-pub mod log;
 pub mod metrics;
 pub mod recorder;
 pub mod registry;

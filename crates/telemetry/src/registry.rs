@@ -285,26 +285,10 @@ fn escape_help(v: &str) -> String {
 
 /// The process-wide default registry, used by the simulator crates so
 /// instrumentation needs no plumbing. Servers typically render this
-/// *plus* their own per-engine registry. Initialization registers the
-/// `scalesim_build_info` identity gauge (value 1, labeled with the crate
-/// version and — when the build set `SCALESIM_GIT_HASH` — the git hash),
-/// so any `/metrics` scrape identifies the binary in a fleet.
+/// *plus* their own per-engine registry.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let registry = Registry::new();
-        registry
-            .gauge_with(
-                "scalesim_build_info",
-                "Build identity; the value is always 1.",
-                &[
-                    ("version", env!("CARGO_PKG_VERSION")),
-                    ("git", option_env!("SCALESIM_GIT_HASH").unwrap_or("unknown")),
-                ],
-            )
-            .set(1);
-        registry
-    })
+    GLOBAL.get_or_init(Registry::new)
 }
 
 #[cfg(test)]
@@ -501,17 +485,5 @@ phase_micros{phase=\"compute\",layer=\"Conv2\"} 1
                 Some(INCS as u64)
             );
         }
-    }
-
-    #[test]
-    fn global_registry_exports_build_info() {
-        let text = global().render();
-        let line = text
-            .lines()
-            .find(|l| l.starts_with("scalesim_build_info"))
-            .expect("build info gauge registered");
-        assert!(line.contains(&format!("version=\"{}\"", env!("CARGO_PKG_VERSION"))));
-        assert!(line.contains("git=\""));
-        assert!(line.ends_with(" 1"));
     }
 }

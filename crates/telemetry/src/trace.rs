@@ -38,12 +38,11 @@
 //! exported `args`, so consumers can rebuild the tree exactly.
 
 use std::cell::{Cell, RefCell};
+use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-use crate::log::json_escape;
 
 /// Default ring capacity for [`install`]: deep enough for a full
 /// sweep/explore run at per-layer/per-phase granularity, small enough
@@ -367,6 +366,25 @@ pub fn export_chrome_json(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "]}}")
 }
 
+/// `s` as the inside of a JSON string literal.
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 fn comma(w: &mut dyn Write, first: &mut bool) -> io::Result<()> {
     if !*first {
         w.write_all(b",")?;
@@ -484,6 +502,32 @@ mod tests {
         assert_eq!(other.parent, 0, "a span on a fresh thread is a root");
         assert_ne!(other.tid, outer.tid, "threads get distinct rows");
         assert!(outer.dur_micros >= inner.dur_micros);
+    }
+
+    #[test]
+    fn json_escape_escapes_what_json_requires_and_nothing_else() {
+        assert_eq!(json_escape(r#"a "b" \c"#), r#"a \"b\" \\c"#);
+        assert_eq!(json_escape("\n\r\t"), r"\n\r\t");
+        assert_eq!(json_escape("\u{0}\u{1}\u{1f}"), r"\u0000\u0001\u001f");
+        // DEL, `/` and non-ASCII are legal inside a JSON string.
+        assert_eq!(json_escape("\u{7f}/µs→"), "\u{7f}/µs→");
+        assert_eq!(json_escape(""), "");
+    }
+
+    #[test]
+    fn the_drop_counter_is_exported_by_the_global_registry() {
+        let dropped = events_dropped();
+        let text = crate::global().render();
+        assert!(
+            text.contains(&format!("# TYPE {DROPPED_COUNTER} counter\n")),
+            "{text}"
+        );
+        // Other tests may drop events meanwhile; the count never falls.
+        let rendered = text
+            .lines()
+            .find_map(|line| line.strip_prefix(&format!("{DROPPED_COUNTER} ")))
+            .expect("one unlabeled series");
+        assert!(rendered.parse::<u64>().unwrap() >= dropped);
     }
 
     #[test]

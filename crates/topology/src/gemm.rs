@@ -123,11 +123,6 @@ impl MappedDims {
         };
         GemmShape { m, k, n }
     }
-
-    /// Total MAC operations — invariant under the choice of dataflow.
-    pub fn macs(&self) -> u64 {
-        self.spatial_rows * self.spatial_cols * self.temporal
-    }
 }
 
 #[cfg(test)]
@@ -162,6 +157,19 @@ mod tests {
         }
     }
 
+    /// Table III only reassigns M, K and N to rows, columns and time: each
+    /// projection keeps the MAC count.
+    #[test]
+    fn projection_keeps_the_mac_count() {
+        for g in [GemmShape::new(7, 11, 13), GemmShape::new(1, 64, 3)] {
+            for df in Dataflow::ALL {
+                let dims = g.project(df);
+                let macs = dims.spatial_rows * dims.spatial_cols * dims.temporal;
+                assert_eq!(macs, g.macs(), "{df:?}");
+            }
+        }
+    }
+
     #[test]
     fn mac_counts_that_overflow_are_caught_or_saturate() {
         let fits = GemmShape::new(1 << 20, 1 << 22, 1 << 21);
@@ -171,14 +179,6 @@ mod tests {
         let wraps = GemmShape::new(32, 1 << 63, 32);
         assert_eq!(wraps.checked_macs(), None);
         assert_eq!(wraps.macs(), u64::MAX);
-    }
-
-    #[test]
-    fn macs_invariant_across_dataflows() {
-        let g = GemmShape::new(7, 11, 13);
-        for df in Dataflow::ALL {
-            assert_eq!(g.project(df).macs(), g.macs());
-        }
     }
 
     #[test]

@@ -427,20 +427,6 @@ impl Layer {
             Layer::Gemm { shape, .. } => shape.operand_b_elems(),
         }
     }
-
-    /// Arithmetic intensity upper bound: MACs per element if every operand
-    /// and output crossed the interface exactly once.
-    pub fn macs_per_element(&self) -> f64 {
-        let s = self.shape();
-        let traffic = match self {
-            // Convolution input is the real (overlap-free) ifmap.
-            Layer::Conv(c) => c.ifmap_elems() + c.filter_elems() + c.ofmap_elems(),
-            Layer::Gemm { shape, .. } => {
-                shape.operand_a_elems() + shape.operand_b_elems() + shape.output_elems()
-            }
-        };
-        s.macs() as f64 / traffic as f64
-    }
 }
 
 impl From<ConvLayer> for Layer {
@@ -544,14 +530,11 @@ mod tests {
     }
 
     #[test]
-    fn param_and_intensity_helpers() {
+    fn param_elems_count_the_weights() {
         let conv: Layer = sample().into();
         assert_eq!(conv.param_elems(), 36 * 16);
-        assert!(conv.macs_per_element() > 1.0);
         let gemm = Layer::gemm("g", 4, 5, 6);
         assert_eq!(gemm.param_elems(), 30);
-        let expected = (4.0 * 5.0 * 6.0) / (20.0 + 30.0 + 24.0);
-        assert!((gemm.macs_per_element() - expected).abs() < 1e-12);
     }
 
     #[test]

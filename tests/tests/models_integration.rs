@@ -1,13 +1,12 @@
 //! Cross-checks among the auxiliary models: occupancy timelines vs the
-//! simulator, the sweep API vs raw runs, the pipeline vs serial execution,
-//! roofline vs the stall model.
+//! simulator, the sweep API vs raw runs, the pipeline vs serial execution.
+//! The stall model's roofline floor is a property of `metamorphic.rs`.
 
 use scalesim::{
     run_partition_sweep, sweet_spot, ArrayShape, Dataflow, PartitionGrid, SimConfig, Simulator,
 };
-use scalesim_analytical::{achieved_intensity, compulsory_intensity, Roofline};
 use scalesim_systolic::occupancy_histogram;
-use scalesim_topology::{networks, Layer};
+use scalesim_topology::networks;
 
 fn config() -> SimConfig {
     SimConfig::builder()
@@ -71,41 +70,6 @@ fn pipeline_stage_latencies_match_layer_reports() {
         pipe.fill_cycles,
         pipe.stages.iter().map(|s| s.cycles).sum::<u64>()
     );
-}
-
-#[test]
-fn roofline_bound_is_respected_by_the_stall_model() {
-    // The roofline is a lower bound on runtime; the fold-granular stall
-    // model must never beat it by more than fill/drain slack.
-    let layer = Layer::gemm("g", 256, 64, 256);
-    let bandwidth = 4.0;
-    let cfg = SimConfig {
-        dram_bandwidth: Some(bandwidth),
-        ..config()
-    };
-    let report = Simulator::new(cfg).run_layer(&layer);
-    let stall = report.stall.unwrap();
-
-    // Roofline with the *measured* intensity (MACs per byte the DRAM model
-    // actually moved) lower-bounds the stalled runtime: the run can be no
-    // faster than its compute ceiling or its own traffic over the bus.
-    let roof = Roofline::new(config().array.macs() as f64, bandwidth);
-    let measured_intensity = report.mac_ops as f64 / report.dram.total_bytes() as f64;
-    let bound = roof.runtime_bound(report.mac_ops, measured_intensity);
-    assert!(
-        stall.stalled_cycles as f64 >= 0.95 * bound,
-        "stalled {} vs roofline bound {bound}",
-        stall.stalled_cycles
-    );
-
-    // The first-order analytical intensity is deliberately conservative
-    // (it charges every fold's tiles as fresh): it must not exceed the
-    // measured one, and both sit below the compulsory ceiling.
-    let dims = layer.shape().project(Dataflow::OutputStationary);
-    let analytical = achieved_intensity(&dims, config().array);
-    assert!(analytical <= measured_intensity * 1.05);
-    assert!(analytical <= compulsory_intensity(layer.shape()) * 1.05);
-    assert!(measured_intensity <= compulsory_intensity(layer.shape()) * 1.05);
 }
 
 #[test]

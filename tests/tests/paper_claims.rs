@@ -4,7 +4,7 @@
 //! evaluation section's observations so a regression in any model breaks
 //! loudly.
 
-use scalesim::{ArrayShape, Dataflow, EnergyModel, PartitionGrid, SimConfig, Simulator};
+use scalesim::{ArrayShape, Dataflow, PartitionGrid, SimConfig, Simulator};
 use scalesim_analytical::{best_scaleout, best_scaleup, eq1_unlimited, eq4_scaleup, exact_scaleup};
 use scalesim_topology::networks;
 
@@ -177,7 +177,6 @@ fn dram_dominates_partitioned_energy() {
     let layer = networks::language_model("DB1").unwrap();
     let report = Simulator::new(SimConfig::builder().array(ArrayShape::square(8)).build())
         .with_grid(PartitionGrid::new(4, 4))
-        .with_energy_model(EnergyModel::default())
         .run_layer(&layer);
     assert!(report.energy.dram_fraction() > 0.5);
 }
