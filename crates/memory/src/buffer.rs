@@ -219,13 +219,8 @@ impl RunBuffer {
     /// `EpochStats` are all that is remembered.
     // `always`: left to the compiler, `epoch` is not inlined into
     // `DramModel::fold_runs` once rule 4 exists (`#[inline]` does not bring
-    // it back; CI checks the symbol is absent). The serial release
-    // `spill_ws_is.plan` sweep, which walks IFMAP, filter and OFMAP buffers,
-    // measured the same either way: medians 269 and 257 ms with `always`
-    // against 266 and 265 ms without, in two rounds of 14 and 12
-    // alternating runs (quartiles about 30 ms apart, 2 shared vCPUs;
-    // `always` faster in 17 of 26 pairs). Rule 4 itself stays out of line,
-    // below.
+    // it back; CI checks the symbol is absent). No workload measures a
+    // difference either way (DESIGN §3.10). Rule 4 stays out of line, below.
     #[inline(always)]
     pub fn epoch(&mut self, demand: &AddrRuns) -> EpochStats {
         let seal = demand.seal();

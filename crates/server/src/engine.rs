@@ -885,7 +885,9 @@ impl Ticket<'_> {
         match &outcome {
             Ok(_) if leader => stats.fresh.inc(),
             Ok(result) => record("joined", result.sim_wall_micros),
-            Err(_) => {}
+            // The worker filed the leader's failure.
+            Err(_) if leader => {}
+            Err(_) => record("failed", 0),
         }
         let served = if leader {
             Served::Fresh
@@ -1247,6 +1249,22 @@ mod tests {
                 other => panic!("expected Internal, got {other:?}"),
             }
         }
+        let failed: Vec<_> = engine
+            .recent_jobs()
+            .into_iter()
+            .filter(|r| r.outcome == "failed")
+            .map(|r| r.worker)
+            .collect();
+        assert_eq!(
+            failed.len(),
+            2,
+            "leader and joiner each recorded: {failed:?}"
+        );
+        assert_eq!(
+            failed.iter().filter(|w| w.is_empty()).count(),
+            1,
+            "only the leader's record names a worker: {failed:?}"
+        );
         engine.inject_faults(FaultPlan::new());
         let (_, served) = engine.run(&small_job()).unwrap();
         assert_eq!(served, Served::Fresh, "the failure was not cached");

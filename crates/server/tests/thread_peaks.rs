@@ -4,9 +4,6 @@
 //! turns. In a binary shared with other tests, the harness starts a
 //! thread for the next test whenever one ends, and a count taken meanwhile
 //! saw it (`new: ["debug_jobs_repo"]`, the first 15 bytes of a test name).
-//! The harness may also start this binary's other test late, while one
-//! counts (`new: ["explore_starts_"]`): a count leaves out the harness's
-//! threads.
 //!
 //! Slow simulations are staged with the engine's deterministic
 //! [`FaultPlan`] hook instead of real heavy jobs.
@@ -21,38 +18,6 @@ use scalesim_server::{
 };
 
 static TURN: Mutex<()> = Mutex::new(());
-
-/// The tests of this binary, by the names the harness gives their threads.
-const TESTS: [&str; 2] = [
-    "explore_starts_no_thread",
-    "batch_longer_than_the_queue_neither_sheds_nor_starts_a_thread",
-];
-
-/// The names of the harness's threads, which a count leaves out: those of
-/// this binary's tests other than the calling one (a thread's `comm` keeps
-/// the first 15 bytes of its name), and the main thread's, which a thread
-/// the harness has just started carries until it names itself
-/// (`new: ["thread_peaks-2c"]`). A thread the calling test starts takes
-/// the caller's name until it names itself, so it is never among these.
-fn harness_threads() -> Vec<String> {
-    let me = std::thread::current();
-    let me = me.name().unwrap_or_default();
-    assert!(
-        me == "main" || TESTS.contains(&me),
-        "`{me}` is missing from TESTS"
-    );
-    let main = std::process::id().to_string();
-    let (_, main) = tasks()
-        .into_iter()
-        .find(|(tid, _)| *tid == main)
-        .expect("the main thread is a task of this process");
-    TESTS
-        .iter()
-        .filter(|test| **test != me)
-        .map(|test| test[..test.len().min(15)].to_owned())
-        .chain([main])
-        .collect()
-}
 
 /// The calling test is the only one running, and the threads the other
 /// one stopped have exited.
@@ -97,24 +62,17 @@ fn wait_for_conn_threads(want: usize) {
 }
 
 /// Runs `work` beside a thread that keeps counting this process's
-/// threads, whatever their names, but the harness's
-/// ([`harness_threads`]): the count before `work` (that thread
+/// threads, whatever their names: the count before `work` (that thread
 /// included), the highest seen during it, the names of the threads at that
 /// highest count that were not there before, and what `work` returned.
 /// Only for a test that is [`alone`].
 fn peak_threads_during<R>(work: impl FnOnce() -> R) -> (usize, usize, Vec<String>, R) {
-    let harness = harness_threads();
-    let counted = || {
-        let mut now = tasks();
-        now.retain(|(_, name)| !harness.contains(name));
-        now
-    };
     let done = AtomicBool::new(false);
     let peak = Mutex::new(Vec::new());
     std::thread::scope(|s| {
         s.spawn(|| {
             while !done.load(Ordering::SeqCst) {
-                let now = counted();
+                let now = tasks();
                 let mut peak = peak.lock().unwrap_or_else(PoisonError::into_inner);
                 if now.len() > peak.len() {
                     *peak = now;
@@ -123,7 +81,7 @@ fn peak_threads_during<R>(work: impl FnOnce() -> R) -> (usize, usize, Vec<String
                 std::thread::sleep(Duration::from_millis(1));
             }
         });
-        let before = counted();
+        let before = tasks();
         let result = work();
         done.store(true, Ordering::SeqCst);
         let peak = std::mem::take(&mut *peak.lock().unwrap_or_else(PoisonError::into_inner));
