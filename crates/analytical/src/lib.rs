@@ -19,31 +19,33 @@
 //!   locally-optimal candidates and pick the global
 //!   `argmin_a Σ_w runtime(w, a)` (Sec. IV-B, Figs. 13–14).
 //!
+//! * [`dataflow_choice`] — the dataflow with the least stall-free runtime
+//!   (Sec. III-B), which `Simulator::with_auto_dataflow` runs each layer
+//!   under.
+//! * [`frontier`] — cost/runtime Pareto frontiers, slack-band pruning and
+//!   the acquisition scoring used by analytical-guided exploration.
+//!
 //! Every cycle count is Eq. 3 ([`scalesim_systolic::fold_duration`]) summed
 //! by [`exact_scaleup`] over the tile of [`PartitionGrid::largest_tile`].
 //! The one pluggable cost is [`pareto_optimal`]'s closure (Sec. IV-B).
-//! * [`frontier`] — cost/runtime Pareto frontiers, slack-band pruning and
-//!   the acquisition scoring used by analytical-guided exploration.
+//!
+//! The extension studies built on these calls (the scaling advisor, the
+//! reconfiguration gain, the OS drain plane) live in the `scalesim-bench`
+//! binaries that print them.
 
-pub mod advisor;
 pub mod dataflow_choice;
 pub mod frontier;
-pub mod os_drain;
 pub mod pareto;
 pub mod partition;
-pub mod reconfig;
 pub mod runtime;
 pub mod search;
 
-pub use advisor::{estimate_bandwidth, estimate_scaleout_bandwidth, recommend, Recommendation};
-pub use dataflow_choice::{best_dataflow, rank_dataflows, DataflowScore};
+pub use dataflow_choice::best_dataflow;
 pub use frontier::{acquisition_score, ErrorStats, Frontier, FrontierPoint};
-pub use os_drain::{drain_fraction, fold_duration_with, scaleup_with_drain, OsDrain};
 pub use pareto::{pareto_optimal, CandidateScore, ParetoOutcome};
 pub use partition::{
     best_scaleout, scaleout_configs, scaleout_runtime, split_dims, PartitionGrid, ScaleOutConfig,
 };
-pub use reconfig::{reconfiguration_gain, ReconfigGain};
 pub use runtime::{eq1_unlimited, eq4_scaleup, exact_scaleup};
 pub use search::{aspect_ratio_shapes, best_scaleup, rank_scaleup, ScaleUpScore};
 

@@ -50,13 +50,13 @@ use scalesim_analytical::{
     acquisition_score, best_dataflow, exact_scaleup, ErrorStats, Frontier, PartitionGrid,
 };
 use scalesim_systolic::ArrayShape;
-use scalesim_telemetry::{Counter, Registry};
+use scalesim_telemetry::{Counter, JsonStr, Registry};
 use scalesim_topology::Topology;
 
 use crate::report::NetworkReport;
 use crate::sweep::{
-    escape_json, sweep_row_fields, DataflowChoice, NullSink, PointSpec, ProgressTicker,
-    SweepEngine, SweepError, SweepPlan,
+    sweep_row_fields, DataflowChoice, NullSink, PointSpec, ProgressTicker, SweepEngine, SweepError,
+    SweepPlan,
 };
 
 /// Metric names the explore engine records. Part of the public API:
@@ -170,7 +170,7 @@ pub fn predict_cycles(
             }
             let df = match dataflow {
                 DataflowChoice::Fixed(df) => df,
-                DataflowChoice::Auto => best_dataflow(shape, array).dataflow,
+                DataflowChoice::Auto => best_dataflow(shape, array),
             };
             exact_scaleup(&grid.largest_tile(shape).project(df), array)
         })
@@ -343,7 +343,7 @@ impl ExploreOutcome {
                  \"array\":\"{}\",\"dataflow\":\"{}\",\"predicted_cycles\":{},\"cycles\":{},\
                  \"effective_cycles\":{},\"macs\":{},\"overall_util\":{:.4},\"dram_bytes\":{},\
                  \"peak_bw_bytes_per_cycle\":{:.3},\"energy\":{:.1},\"on_frontier\":{}}}",
-                escape_json(&point.spec.workload),
+                JsonStr(&point.spec.workload),
                 point.spec.budget,
                 point.spec.partitions(),
                 point.spec.grid,

@@ -20,6 +20,9 @@
 //!   search, multi-workload pareto optimization;
 //! * [`scalesim_energy`] — the relative energy model of Fig. 12.
 //!
+//! Studies built on the simulator, such as inter-layer pipelining, live in
+//! the `scalesim-bench` binaries that print them.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -62,7 +65,6 @@ mod error;
 pub mod exec;
 pub mod explore;
 pub mod layer_cache;
-pub mod pipeline;
 pub mod pool;
 mod report;
 mod simulator;
@@ -77,12 +79,11 @@ pub use crate::explore::{
     predict_cycles, ExploreBudget, ExploreEngine, ExploreOptions, ExploreOutcome, MeasuredPoint,
     PruneOutcome, SurvivorPoint,
 };
-pub use crate::pipeline::{balance_stages, run_pipeline, PipelineReport, StageReport};
 pub use crate::report::{LayerReport, NetworkReport};
 pub use crate::simulator::{telemetry_names, Simulator};
 pub use crate::sweep::{
-    run_partition_sweep, sweet_spot, sweet_spot_index, DataflowChoice, PlanSpaceSummary, PointSpec,
-    SweepEngine, SweepOutcome, SweepPlan, SweepPoint,
+    run_partition_sweep, sweet_spot, DataflowChoice, PlanSpaceSummary, PointSpec, SweepEngine,
+    SweepOutcome, SweepPlan, SweepPoint,
 };
 
 // The vocabulary types users need with the facade.

@@ -144,11 +144,6 @@ impl NetworkReport {
         self.sum(|l| l.dram.total_bytes())
     }
 
-    /// Total SRAM accesses.
-    pub fn total_sram_accesses(&self) -> u64 {
-        self.sum(|l| l.sram.total())
-    }
-
     /// Total runtime including memory stalls where the stall model ran
     /// (layers execute serially, so effective cycles add).
     pub fn total_effective_cycles(&self) -> u64 {
@@ -285,7 +280,6 @@ mod tests {
         let report = NetworkReport::new("net", vec![dummy_layer("a", 100), dummy_layer("b", 50)]);
         assert_eq!(report.total_cycles(), 150);
         assert_eq!(report.total_macs(), 1500);
-        assert_eq!(report.total_sram_accesses(), 24);
         assert_eq!(report.total_energy().total(), 20.0);
         assert!(report.layer("a").is_some());
         assert!(report.layer("z").is_none());

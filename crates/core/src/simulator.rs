@@ -84,9 +84,8 @@ impl Simulator {
     /// and exported traces always describe the same schedule.
     pub fn effective_config(&self, layer: &Layer) -> SimConfig {
         if self.auto_dataflow {
-            let best = scalesim_analytical::best_dataflow(layer.shape(), self.config.array);
             SimConfig {
-                dataflow: best.dataflow,
+                dataflow: scalesim_analytical::best_dataflow(layer.shape(), self.config.array),
                 ..self.config
             }
         } else {

@@ -37,7 +37,7 @@ use serde::{Deserialize, Serialize};
 
 use scalesim_analytical::{aspect_ratio_shapes, PartitionGrid};
 use scalesim_systolic::ArrayShape;
-use scalesim_telemetry::{Counter, Registry};
+use scalesim_telemetry::{Counter, JsonStr, Registry};
 use scalesim_topology::{networks, Dataflow, Layer, Topology};
 
 use crate::config::SimConfig;
@@ -979,19 +979,6 @@ impl<W: io::Write> JsonLinesSink<W> {
     }
 }
 
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl<W: io::Write> SweepSink for JsonLinesSink<W> {
     fn point(&mut self, spec: &PointSpec, report: &NetworkReport) -> io::Result<()> {
         writeln!(
@@ -1000,7 +987,7 @@ impl<W: io::Write> SweepSink for JsonLinesSink<W> {
              \"array\":\"{}\",\"dataflow\":\"{}\",\"cycles\":{},\"effective_cycles\":{},\
              \"macs\":{},\"overall_util\":{:.4},\"dram_bytes\":{},\
              \"peak_bw_bytes_per_cycle\":{:.3},\"energy\":{:.1}}}",
-            escape_json(&spec.workload),
+            JsonStr(&spec.workload),
             spec.budget,
             spec.partitions(),
             spec.grid,
@@ -1587,7 +1574,7 @@ pub fn run_partition_sweep(
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn sweet_spot_index(cycles: &[u64], bandwidth: &[f64]) -> Option<usize> {
+fn sweet_spot_index(cycles: &[u64], bandwidth: &[f64]) -> Option<usize> {
     assert_eq!(cycles.len(), bandwidth.len(), "series must align");
     if cycles.is_empty() {
         return None;

@@ -217,11 +217,6 @@ impl RunBuffer {
     /// [`RunBuffer::clear`] and [`RunBuffer::reset`] forget. Nothing is
     /// keyed or evicted and nothing is approximate: one seal and one
     /// `EpochStats` are all that is remembered.
-    // `always`: left to the compiler, `epoch` is not inlined into
-    // `DramModel::fold_runs` once rule 4 exists (`#[inline]` does not bring
-    // it back; CI checks the symbol is absent). No workload measures a
-    // difference either way (DESIGN §3.10). Rule 4 stays out of line, below.
-    #[inline(always)]
     pub fn epoch(&mut self, demand: &AddrRuns) -> EpochStats {
         let seal = demand.seal();
         if seal != 0 && seal == self.repeat_seal {
@@ -295,8 +290,8 @@ impl RunBuffer {
     /// epoch that misses everywhere, with the FIFO left holding the
     /// stream's last `capacity` elements.
     ///
-    /// Out of line and cold, so that `epoch` stays small enough to inline
-    /// into the fold loop, which shows most epochs a repeat.
+    /// Out of line and cold, so that `epoch`'s path for a repeat, which
+    /// most epochs of the fold loop take, stays small.
     #[cold]
     #[inline(never)]
     fn epoch_missing_everywhere(&mut self, demand: &AddrRuns) -> Option<EpochStats> {

@@ -171,19 +171,6 @@ impl ReuseProfile {
             1.0 - self.misses_at(capacity) as f64 / self.total as f64
         }
     }
-
-    /// The miss curve sampled at the given capacities — the input for an
-    /// SRAM sizing plot.
-    pub fn miss_curve(&self, capacities: &[usize]) -> Vec<(usize, u64)> {
-        capacities.iter().map(|&c| (c, self.misses_at(c))).collect()
-    }
-
-    /// The smallest capacity achieving at least `target` hit rate, if any
-    /// capacity does (cold misses bound the maximum achievable rate).
-    pub fn capacity_for_hit_rate(&self, target: f64) -> Option<usize> {
-        let max_needed = self.histogram.len();
-        (0..=max_needed).find(|&c| self.hit_rate_at(c) >= target)
-    }
 }
 
 /// Reusable scratch for [`ReuseProfile::from_runs_in`]: Fenwick storage,
@@ -331,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn miss_curve_is_monotone_nonincreasing() {
+    fn misses_are_monotone_nonincreasing_in_capacity() {
         // A mixed stream with several working-set sizes.
         let mut demands = Vec::new();
         for round in 0..10u64 {
@@ -340,18 +327,19 @@ mod tests {
             }
         }
         let profile = profile_of(demands);
-        let caps: Vec<usize> = (0..10).collect();
-        let curve = profile.miss_curve(&caps);
-        assert!(curve.windows(2).all(|w| w[0].1 >= w[1].1));
+        let curve: Vec<u64> = (0..10).map(|c| profile.misses_at(c)).collect();
+        assert!(curve.windows(2).all(|w| w[0] >= w[1]), "{curve:?}");
+        assert_eq!(curve[9], profile.cold_accesses());
     }
 
     #[test]
-    fn capacity_for_hit_rate_finds_the_knee() {
+    fn hit_rate_knee_sits_at_the_reuse_distance() {
         let profile = profile_of([1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3]);
-        // 9 of 12 accesses can hit with capacity 3.
-        assert_eq!(profile.capacity_for_hit_rate(0.7), Some(3));
-        // Cold misses cap the hit rate at 75%.
-        assert_eq!(profile.capacity_for_hit_rate(0.9), None);
+        // 9 of 12 accesses hit from capacity 3 on; below it, none does.
+        assert_eq!(profile.hit_rate_at(2), 0.0);
+        assert_eq!(profile.hit_rate_at(3), 0.75);
+        // Cold misses cap the hit rate at 75%, however large the SRAM.
+        assert_eq!(profile.hit_rate_at(1_000), 0.75);
     }
 
     #[test]

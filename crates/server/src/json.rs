@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use scalesim_telemetry::JsonStr;
+
 /// A JSON document node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -282,22 +284,6 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn escape_into(out: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(out, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(out, "\\\"")?,
-            '\\' => write!(out, "\\\\")?,
-            '\n' => write!(out, "\\n")?,
-            '\r' => write!(out, "\\r")?,
-            '\t' => write!(out, "\\t")?,
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-            c => write!(out, "{c}")?,
-        }
-    }
-    write!(out, "\"")
-}
-
 impl fmt::Display for Json {
     /// Compact (no whitespace) serialization; deterministic for identical
     /// values, which the cache relies on for byte-identical responses.
@@ -308,7 +294,7 @@ impl fmt::Display for Json {
             Json::Int(i) => write!(f, "{i}"),
             Json::Float(x) if x.is_finite() => write!(f, "{x}"),
             Json::Float(_) => write!(f, "null"), // NaN/inf are not JSON
-            Json::Str(s) => escape_into(f, s),
+            Json::Str(s) => write!(f, "\"{}\"", JsonStr(s)),
             Json::Arr(items) => {
                 write!(f, "[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -325,8 +311,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         write!(f, ",")?;
                     }
-                    escape_into(f, k)?;
-                    write!(f, ":{v}")?;
+                    write!(f, "\"{}\":{v}", JsonStr(k))?;
                 }
                 write!(f, "}}")
             }

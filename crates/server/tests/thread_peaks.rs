@@ -1,31 +1,22 @@
 //! `/explore` and the batch runner start no thread: the process has no
 //! more threads while they run than before. The count is of every thread
-//! of the process, so these tests have a binary to themselves, and take
-//! turns. In a binary shared with other tests, the harness starts a
-//! thread for the next test whenever one ends, and a count taken meanwhile
-//! saw it (`new: ["debug_jobs_repo"]`, the first 15 bytes of a test name).
+//! of the process, so both scenarios run in turn in the one test of a
+//! binary of their own. The test harness starts a thread for each test,
+//! and a count taken while it started another saw that thread (`new:
+//! ["debug_jobs_repo"]` in a shared binary, `new: ["explore_starts_"]`
+//! with two tests here; a thread's name keeps 15 bytes).
 //!
 //! Slow simulations are staged with the engine's deterministic
 //! [`FaultPlan`] hook instead of real heavy jobs.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use scalesim_server::http::client::request;
 use scalesim_server::{
     run_batch, Engine, EngineOptions, FaultPlan, Json, Server, ServerHandle, ServerOptions, SimJob,
 };
-
-static TURN: Mutex<()> = Mutex::new(());
-
-/// The calling test is the only one running, and the threads the other
-/// one stopped have exited.
-fn alone() -> MutexGuard<'static, ()> {
-    let guard = TURN.lock().unwrap_or_else(PoisonError::into_inner);
-    wait_for_conn_threads(0);
-    guard
-}
 
 /// The threads of this process, as `(tid, name)`.
 fn tasks() -> Vec<(String, String)> {
@@ -65,7 +56,6 @@ fn wait_for_conn_threads(want: usize) {
 /// threads, whatever their names: the count before `work` (that thread
 /// included), the highest seen during it, the names of the threads at that
 /// highest count that were not there before, and what `work` returned.
-/// Only for a test that is [`alone`].
 fn peak_threads_during<R>(work: impl FnOnce() -> R) -> (usize, usize, Vec<String>, R) {
     let done = AtomicBool::new(false);
     let peak = Mutex::new(Vec::new());
@@ -127,9 +117,7 @@ const ALEXNET_EXPLORE: &str = r#"{"name": "robust-explore", "workloads": ["alexn
 /// `/explore` simulates on the engine's workers: on a one-worker server
 /// the process has no more threads during the request than before it, the
 /// warmed-up pair of connection threads included.
-#[test]
 fn explore_starts_no_thread() {
-    let _alone = alone();
     let handle = start(
         ServerOptions::default(),
         EngineOptions {
@@ -165,9 +153,7 @@ fn explore_starts_no_thread() {
 /// queue: the submit window keeps the batch from shedding itself (what
 /// its retries used to paper over), and the calling thread is the only
 /// submitter there is.
-#[test]
 fn batch_longer_than_the_queue_neither_sheds_nor_starts_a_thread() {
-    let _alone = alone();
     let engine = Engine::with_options(EngineOptions {
         workers: 1,
         cache_capacity: 16,
@@ -188,4 +174,12 @@ fn batch_longer_than_the_queue_neither_sheds_nor_starts_a_thread() {
         "{peak} threads during the batch, {before} before it; new: {appeared:?}"
     );
     engine.shutdown();
+}
+
+#[test]
+fn explore_and_batch_start_no_thread() {
+    explore_starts_no_thread();
+    // The stopped server's connection threads exit on their own time.
+    wait_for_conn_threads(0);
+    batch_longer_than_the_queue_neither_sheds_nor_starts_a_thread();
 }

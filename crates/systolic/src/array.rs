@@ -54,11 +54,6 @@ impl ArrayShape {
         self.rows.saturating_mul(self.cols)
     }
 
-    /// Aspect ratio `R / C` as a float (1.0 for square arrays).
-    pub fn aspect_ratio(&self) -> f64 {
-        self.rows as f64 / self.cols as f64
-    }
-
     /// The transposed shape (`C × R`).
     pub fn transposed(&self) -> ArrayShape {
         ArrayShape {
@@ -95,7 +90,6 @@ mod tests {
         assert_eq!(a.rows(), 8);
         assert_eq!(a.cols(), 32);
         assert_eq!(a.macs(), 256);
-        assert_eq!(a.aspect_ratio(), 0.25);
     }
 
     #[test]

@@ -33,13 +33,6 @@ pub struct Fold {
     pub duration: u64,
 }
 
-impl Fold {
-    /// MAC operations performed by this fold (`r′ · c′ · T`).
-    pub fn macs(&self, temporal: u64) -> u64 {
-        self.rows_used * self.cols_used * temporal
-    }
-}
-
 /// The serialized schedule of folds for a workload on an array.
 ///
 /// Iterates row-major (all column folds of row-fold 0, then row-fold 1, …),

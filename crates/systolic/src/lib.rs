@@ -27,6 +27,9 @@
 //!   Fig. 4; the test suite checks the trace engines cycle-for-cycle
 //!   against it.
 //!
+//! The per-cycle occupancy profile a fold schedule implies is drawn by the
+//! `utilization_profile` binary of `scalesim-bench`.
+//!
 //! # Example
 //!
 //! ```
@@ -51,7 +54,6 @@ mod fold;
 mod is_df;
 mod os;
 pub mod pe_grid;
-mod timeline;
 mod trace;
 mod ws;
 
@@ -62,7 +64,6 @@ pub use crate::demand::{
 };
 pub use crate::engine::{analyze, simulate, ComputeReport};
 pub use crate::fold::{fold_duration, Fold, FoldPlan};
-pub use crate::timeline::{occupancy_histogram, OccupancyHistogram};
 pub use crate::trace::{CountingSink, CsvTraceSink, NullSink, SramCounts, TeeSink, TraceSink};
 
 // Re-export the mapping types callers need alongside the engines.

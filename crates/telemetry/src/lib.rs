@@ -18,7 +18,10 @@
 //! * **Flight recorder** ([`recorder`]) — a bounded ring of recent
 //!   records (e.g. one per server job) for in-memory post-mortems.
 //!
-//! These three are the whole surface: there is no log channel, and a
+//! * **JSON strings** ([`JsonStr`]) — the one escaper the trace export,
+//!   the sweep and explore JSONL rows and the server's JSON write through.
+//!
+//! These four are the whole surface: there is no log channel, and a
 //! signal stays only while something reads it (DESIGN.md §2 lists each
 //! series and route with its reader).
 //!
@@ -29,11 +32,13 @@
 
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod registry;
 pub mod trace;
 
+pub use json::JsonStr;
 pub use metrics::{Counter, Gauge, Histogram};
 pub use recorder::FlightRecorder;
 pub use registry::{global, Labels, Registry};

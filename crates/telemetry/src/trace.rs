@@ -38,11 +38,12 @@
 //! exported `args`, so consumers can rebuild the tree exactly.
 
 use std::cell::{Cell, RefCell};
-use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::JsonStr;
 
 /// Default ring capacity for [`install`]: deep enough for a full
 /// sweep/explore run at per-layer/per-phase granularity, small enough
@@ -341,7 +342,7 @@ pub fn export_chrome_json(w: &mut dyn Write) -> io::Result<()> {
                 w,
                 "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
                  \"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(name)
+                JsonStr(name)
             )?;
         }
     }
@@ -351,7 +352,7 @@ pub fn export_chrome_json(w: &mut dyn Write) -> io::Result<()> {
             w,
             "{{\"name\":\"{}\",\"cat\":\"scalesim\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
              \"pid\":1,\"tid\":{},\"args\":{{\"id\":{},\"parent\":{}",
-            json_escape(e.name),
+            JsonStr(e.name),
             e.start_micros,
             e.dur_micros,
             e.tid,
@@ -359,30 +360,11 @@ pub fn export_chrome_json(w: &mut dyn Write) -> io::Result<()> {
             e.parent,
         )?;
         for (k, v) in &e.args {
-            write!(w, ",\"{}\":\"{}\"", json_escape(k), json_escape(v))?;
+            write!(w, ",\"{}\":\"{}\"", JsonStr(k), JsonStr(v))?;
         }
         writeln!(w, "}}}}")?;
     }
     writeln!(w, "]}}")
-}
-
-/// `s` as the inside of a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn comma(w: &mut dyn Write, first: &mut bool) -> io::Result<()> {
@@ -502,16 +484,6 @@ mod tests {
         assert_eq!(other.parent, 0, "a span on a fresh thread is a root");
         assert_ne!(other.tid, outer.tid, "threads get distinct rows");
         assert!(outer.dur_micros >= inner.dur_micros);
-    }
-
-    #[test]
-    fn json_escape_escapes_what_json_requires_and_nothing_else() {
-        assert_eq!(json_escape(r#"a "b" \c"#), r#"a \"b\" \\c"#);
-        assert_eq!(json_escape("\n\r\t"), r"\n\r\t");
-        assert_eq!(json_escape("\u{0}\u{1}\u{1f}"), r"\u0000\u0001\u001f");
-        // DEL, `/` and non-ASCII are legal inside a JSON string.
-        assert_eq!(json_escape("\u{7f}/µs→"), "\u{7f}/µs→");
-        assert_eq!(json_escape(""), "");
     }
 
     #[test]

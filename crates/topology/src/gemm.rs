@@ -55,19 +55,9 @@ impl GemmShape {
         self.m.checked_mul(self.k)?.checked_mul(self.n)
     }
 
-    /// Elements in the first (`m × k`) operand.
-    pub fn operand_a_elems(&self) -> u64 {
-        self.m * self.k
-    }
-
     /// Elements in the second (`k × n`) operand.
     pub fn operand_b_elems(&self) -> u64 {
         self.k * self.n
-    }
-
-    /// Elements in the `m × n` result.
-    pub fn output_elems(&self) -> u64 {
-        self.m * self.n
     }
 
     /// Projects the GEMM onto array rows / columns / time for `dataflow`.
@@ -182,11 +172,9 @@ mod tests {
     }
 
     #[test]
-    fn operand_and_output_counts() {
+    fn operand_b_elems_is_k_times_n() {
         let g = GemmShape::new(4, 5, 6);
-        assert_eq!(g.operand_a_elems(), 20);
         assert_eq!(g.operand_b_elems(), 30);
-        assert_eq!(g.output_elems(), 24);
     }
 
     #[test]

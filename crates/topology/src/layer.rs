@@ -142,11 +142,6 @@ impl ConvLayer {
         self.window_size() * self.num_filters
     }
 
-    /// Total OFMAP elements (`ofmap_pixels · num_filters`).
-    pub fn ofmap_elems(&self) -> u64 {
-        self.ofmap_pixels() * self.num_filters
-    }
-
     /// Total multiply-accumulate operations for this layer.
     pub fn macs(&self) -> u64 {
         self.ofmap_pixels() * self.window_size() * self.num_filters
@@ -461,7 +456,6 @@ mod tests {
         assert_eq!(l.macs(), 36 * 36 * 16);
         assert_eq!(l.ifmap_elems(), 8 * 8 * 4);
         assert_eq!(l.filter_elems(), 36 * 16);
-        assert_eq!(l.ofmap_elems(), 36 * 16);
     }
 
     #[test]

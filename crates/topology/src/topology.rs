@@ -82,12 +82,6 @@ impl Topology {
         self.layers.iter().map(Layer::macs).sum()
     }
 
-    /// Sum of trainable parameter elements over all layers (the model's
-    /// weight footprint in elements).
-    pub fn total_param_elems(&self) -> u64 {
-        self.layers.iter().map(Layer::param_elems).sum()
-    }
-
     /// Returns a new topology containing only the layers whose tags satisfy
     /// `keep` — handy for the paper's "first and last five layers" subsets.
     pub fn filtered(&self, keep: impl Fn(&Layer) -> bool) -> Topology {
@@ -145,11 +139,6 @@ mod tests {
     #[test]
     fn total_macs_sums_layers() {
         assert_eq!(sample().total_macs(), 2 * 3 * 4 + 5 * 6 * 7);
-    }
-
-    #[test]
-    fn total_params_sums_weight_matrices() {
-        assert_eq!(sample().total_param_elems(), 3 * 4 + 6 * 7);
     }
 
     #[test]

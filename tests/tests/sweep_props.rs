@@ -9,6 +9,7 @@ use scalesim::sweep::{
     SweepWorkload,
 };
 use scalesim::{ArrayShape, Dataflow, SimConfig, Simulator};
+use scalesim_server::Json;
 use scalesim_topology::{Layer, Topology};
 
 /// A small randomized plan: one GEMM workload, power-of-two budgets in
@@ -136,5 +137,36 @@ proptest! {
         let (csv_parallel, jsonl_parallel) = stream(jobs);
         prop_assert_eq!(csv_serial, csv_parallel, "CSV diverged at jobs={}", jobs);
         prop_assert_eq!(jsonl_serial, jsonl_parallel, "JSONL diverged at jobs={}", jobs);
+    }
+}
+
+/// A workload label with control characters (a programmatic
+/// `SweepWorkload`; plan files take labels from `networks::by_name`) comes
+/// back whole from a JSONL row, escaped byte for byte as the server's
+/// `Json::Str` escapes it.
+#[test]
+fn jsonl_labels_round_trip_through_the_servers_json() {
+    let label = "a\tb\n";
+    let mut plan = plan(16, 8, 16, 6, false, 0);
+    plan.workloads[0].label = label.into();
+    let mut sink = JsonLinesSink::new(Vec::new());
+    SweepEngine::default()
+        .run_streaming(&plan, 1, &mut sink)
+        .expect("plan is valid");
+    let text = String::from_utf8(sink.into_inner()).expect("rows are UTF-8");
+    let escaped = Json::Str(label.into()).to_string();
+    assert_eq!(escaped, r#""a\tb\n""#);
+    assert!(text.lines().count() > 0);
+    for row in text.lines() {
+        assert!(
+            row.starts_with(&format!("{{\"workload\":{escaped},")),
+            "{row}"
+        );
+        let parsed = Json::parse(row).expect("a row is one JSON object");
+        assert_eq!(
+            parsed.get("workload").and_then(Json::as_str),
+            Some(label),
+            "{row}"
+        );
     }
 }
