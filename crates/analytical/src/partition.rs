@@ -111,22 +111,9 @@ pub struct ScaleOutConfig {
 }
 
 impl ScaleOutConfig {
-    /// A monolithic configuration (grid 1×1).
-    pub fn monolithic(array: ArrayShape) -> Self {
-        ScaleOutConfig {
-            grid: PartitionGrid::monolithic(),
-            array,
-        }
-    }
-
     /// Total MAC units across all partitions.
     pub fn total_macs(&self) -> u64 {
         self.grid.count().saturating_mul(self.array.macs())
-    }
-
-    /// Whether this is the single-partition (scale-up) case.
-    pub fn is_monolithic(&self) -> bool {
-        self.grid.count() == 1
     }
 }
 
@@ -295,7 +282,7 @@ mod tests {
         assert!(!configs.is_empty());
         assert!(configs.iter().all(|c| c.total_macs() == 1 << 12));
         // Contains the monolithic row.
-        assert!(configs.iter().any(|c| c.is_monolithic()));
+        assert!(configs.iter().any(|c| c.grid.count() == 1));
         // No per-partition dimension below the floor.
         assert!(configs
             .iter()
@@ -354,7 +341,10 @@ mod tests {
     fn monolithic_scaleout_equals_scaleup_runtime() {
         let d = dims(500, 64, 300);
         let array = ArrayShape::new(32, 64);
-        let mono = ScaleOutConfig::monolithic(array);
+        let mono = ScaleOutConfig {
+            grid: PartitionGrid::monolithic(),
+            array,
+        };
         assert_eq!(scaleout_runtime(&d, &mono), exact_scaleup(&d, array));
     }
 }

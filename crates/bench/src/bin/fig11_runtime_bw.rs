@@ -10,13 +10,13 @@
 //! while the aggregate DRAM bandwidth requirement rises — the sweet spot is
 //! where the curves cross.
 //!
-//! Points are evaluated by the parallel, memoizing
-//! [`scalesim::run_partition_sweep`] engine; each row is byte-identical to
-//! a direct single-shot `Simulator::run_layer` of the same point.
+//! Points are evaluated by [`scalesim_bench::partition_sweep`], a one-layer
+//! plan on the parallel `SweepEngine`; each row is byte-identical to a
+//! direct single-shot `Simulator::run_layer` of the same point.
 //!
 //! Run: `cargo run --release -p scalesim-bench --bin fig11_runtime_bw`
 
-use scalesim::{run_partition_sweep, SimConfig};
+use scalesim_bench::partition_sweep;
 use scalesim_topology::{networks, Layer};
 
 fn sweep_layer(layer: &Layer, budget_exp: u32) {
@@ -27,13 +27,13 @@ fn sweep_layer(layer: &Layer, budget_exp: u32) {
     println!(
         "partitions,grid,array,cycles,req_bw_bytes_per_cycle,avg_bw_bytes_per_cycle,dram_bytes"
     );
-    for point in run_partition_sweep(layer, &SimConfig::default(), 1 << budget_exp, 8) {
-        let report = &point.report;
+    for point in partition_sweep(layer, 1 << budget_exp) {
+        let report = &point.report.layers()[0];
         println!(
             "{},{},{},{},{:.3},{:.3},{}",
-            point.partitions(),
-            point.grid,
-            point.array,
+            point.spec.partitions(),
+            point.spec.grid,
+            point.spec.array,
             report.total_cycles,
             report.required_bandwidth(),
             report.average_bandwidth(),

@@ -7,13 +7,13 @@
 //! the idle energy a slow monolithic array burns across its huge PE count
 //! outweighs the reuse (SRAM/DRAM) energy partitioning sacrifices.
 //!
-//! Points are evaluated by the parallel, memoizing
-//! [`scalesim::run_partition_sweep`] engine; each row is byte-identical to
-//! a direct single-shot `Simulator::run_layer` of the same point.
+//! Points are evaluated by [`scalesim_bench::partition_sweep`], a one-layer
+//! plan on the parallel `SweepEngine`; each row is byte-identical to a
+//! direct single-shot `Simulator::run_layer` of the same point.
 //!
 //! Run: `cargo run --release -p scalesim-bench --bin fig12_energy`
 
-use scalesim::{run_partition_sweep, SimConfig};
+use scalesim_bench::partition_sweep;
 use scalesim_topology::{networks, Layer};
 
 fn sweep_layer(layer: &Layer, budget_exp: u32) {
@@ -23,14 +23,14 @@ fn sweep_layer(layer: &Layer, budget_exp: u32) {
     );
     println!("partitions,grid,array,cycles,e_total,e_mac,e_idle,e_sram,e_dram");
     let mut best: Option<(u64, f64)> = None;
-    for point in run_partition_sweep(layer, &SimConfig::default(), 1 << budget_exp, 8) {
-        let report = &point.report;
+    for point in partition_sweep(layer, 1 << budget_exp) {
+        let report = &point.report.layers()[0];
         let e = &report.energy;
         println!(
             "{},{},{},{},{:.0},{:.0},{:.0},{:.0},{:.0}",
-            point.partitions(),
-            point.grid,
-            point.array,
+            point.spec.partitions(),
+            point.spec.grid,
+            point.spec.array,
             report.total_cycles,
             e.total(),
             e.mac,
@@ -39,7 +39,7 @@ fn sweep_layer(layer: &Layer, budget_exp: u32) {
             e.dram,
         );
         if best.is_none_or(|(_, b)| e.total() < b) {
-            best = Some((point.partitions(), e.total()));
+            best = Some((point.spec.partitions(), e.total()));
         }
     }
     if let Some((parts, _)) = best {

@@ -202,7 +202,7 @@ mod tests {
         let (best_cfg, best_cycles) = best_scaleout(&ws[0], 1 << 14, MIN_DIM);
         assert_eq!(rec.total_cycles, best_cycles);
         assert_eq!(rec.config, best_cfg);
-        assert!(!rec.config.is_monolithic(), "TF0 at 2^14 wants partitions");
+        assert!(rec.config.grid.count() != 1, "TF0 at 2^14 wants partitions");
     }
 
     #[test]

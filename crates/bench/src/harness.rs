@@ -1,4 +1,8 @@
-//! Tiny table/series printing helpers shared by the figure harnesses.
+//! Tiny table/series printing helpers shared by the figure harnesses, and
+//! the Fig. 11/12 partition sweep.
+
+use scalesim::sweep::{SweepEngine, SweepPlan, SweepResult, SweepWorkload};
+use scalesim_topology::{Layer, Topology};
 
 /// A named data series: `(x, y)` pairs plus a label, printed as CSV.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,6 +56,30 @@ pub fn print_series(title: &str, x_name: &str, series: &[Series]) {
 /// `2^lo` to `2^hi` inclusive.
 pub fn mac_budgets(lo: u32, hi: u32) -> Vec<u64> {
     (lo..=hi).map(|e| 1u64 << e).collect()
+}
+
+/// The Fig. 11/12 experiment: `layer` alone at every power-of-two
+/// partition count of `budget` MACs, down to 8×8 arrays, square-ish grids
+/// of square-ish arrays over the default configuration (the paper's SRAM,
+/// divided evenly among partitions). Results come monolithic first, in
+/// ascending partition count; each report is byte-identical to a
+/// single-shot `Simulator::run_layer` of its point.
+///
+/// # Panics
+///
+/// Panics if `budget` is not a power of two of at least 64 MACs.
+pub fn partition_sweep(layer: &Layer, budget: u64) -> Vec<SweepResult> {
+    let mut plan = SweepPlan::new(layer.name());
+    plan.workloads.push(SweepWorkload {
+        label: layer.name().to_owned(),
+        topology: Topology::from_layers(layer.name(), vec![layer.clone()]),
+    });
+    plan.budgets.push(budget);
+    let jobs = std::thread::available_parallelism().map_or(4, |n| n.get());
+    SweepEngine::default()
+        .run(&plan, jobs)
+        .expect("a power-of-two budget of at least 8x8 MACs")
+        .results
 }
 
 #[cfg(test)]

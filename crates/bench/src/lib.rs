@@ -7,4 +7,4 @@
 
 pub mod harness;
 
-pub use harness::{mac_budgets, print_series, Series};
+pub use harness::{mac_budgets, partition_sweep, print_series, Series};

@@ -8,7 +8,9 @@ use std::io;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use scalesim::sweep::{CsvSink, JsonLinesSink, SweepEngine, SweepOutcome, SweepPlan};
+use scalesim::sweep::{
+    summarize_groups, CsvSink, JsonLinesSink, SweepEngine, SweepOutcome, SweepPlan,
+};
 use scalesim::{
     parse_config, Dataflow, ExploreBudget, ExploreEngine, ExploreOptions, PartitionGrid, SimConfig,
     Simulator,
@@ -408,9 +410,10 @@ fn run_sweep_cli(argv: &[String]) -> Result<(), String> {
         jobs,
         wall.as_secs_f64(),
     );
-    for group in outcome.summarize() {
-        let best = group.best;
-        let sweet = match group.sweet_spot {
+    let results = &outcome.results;
+    for group in summarize_groups(results.iter().map(|r| (&r.spec, &*r.report))) {
+        let best = &results[group.best];
+        let sweet = match group.sweet_spot.map(|i| &results[i]) {
             Some(s) => format!(
                 ", sweet spot {} partitions ({} grid, {:.3} B/cycle)",
                 s.spec.partitions(),
@@ -421,9 +424,9 @@ fn run_sweep_cli(argv: &[String]) -> Result<(), String> {
         };
         eprintln!(
             "  {} @ {} MACs [{}]: best {} grid of {} arrays, {} effective cycles{}",
-            group.workload,
-            group.budget,
-            group.dataflow,
+            best.spec.workload,
+            best.spec.budget,
+            best.spec.dataflow,
             best.spec.grid,
             best.spec.array,
             best.report.total_effective_cycles(),

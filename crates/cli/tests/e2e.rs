@@ -584,6 +584,39 @@ fn plan_axes_that_overflow_a_u64_are_one_line_errors() {
     }
 }
 
+/// An empty grid list is a plan error at its line. It used to run a
+/// 0-point sweep or explore and exit 0.
+#[test]
+fn an_empty_grid_list_is_a_one_line_error_at_its_line() {
+    let dir = temp_dir("emptygrid");
+    let plan = dir.join("g.plan");
+    fs::write(&plan, "workload = TF1\nbudget = 2^10\ngrid = ,\n").unwrap();
+    let plan = plan.to_str().unwrap();
+    for command in ["sweep", "explore"] {
+        let out = scale_sim(&[command, "--plan", plan]);
+        assert_eq!(out.status.code(), Some(1), "{command}");
+        assert_one_line_error(&out, "g.plan:3: grid list is empty");
+    }
+}
+
+/// `--dry-run` counts distinct grids: a repeated grid, apart from its copy,
+/// is one grid, not two.
+#[test]
+fn dry_run_counts_a_repeated_grid_once() {
+    let dir = temp_dir("repeatgrid");
+    let plan = dir.join("r.plan");
+    fs::write(
+        &plan,
+        "workload = TF1\nbudget = 2^10\ngrid = 1x1, 2x2, 1x1\n",
+    )
+    .unwrap();
+    let out = scale_sim(&["sweep", "--plan", plan.to_str().unwrap(), "--dry-run"]);
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap() + &String::from_utf8(out.stderr).unwrap();
+    assert!(text.contains(" 2 grids,"), "{text}");
+    assert!(text.contains(" 3 (grid, array) combos,"), "{text}");
+}
+
 /// An array whose PE count overflows a u64 is a one-line config error:
 /// 2^32 x 2^32 panicked in the energy model (exit 101), and 2^32 + 1 x
 /// 2^32 printed the energy of a 65536x65536 array and exited 0.

@@ -50,13 +50,13 @@ use scalesim_analytical::{
     acquisition_score, best_dataflow, exact_scaleup, ErrorStats, Frontier, PartitionGrid,
 };
 use scalesim_systolic::ArrayShape;
-use scalesim_telemetry::{Counter, JsonStr, Registry};
+use scalesim_telemetry::{Counter, Registry};
 use scalesim_topology::Topology;
 
 use crate::report::NetworkReport;
 use crate::sweep::{
-    sweep_row_fields, DataflowChoice, NullSink, PointSpec, ProgressTicker, SweepEngine, SweepError,
-    SweepPlan,
+    row_halves, DataflowChoice, NullSink, PointSpec, ProgressTicker, RowFormat, SweepEngine,
+    SweepError, SweepPlan,
 };
 
 /// Metric names the explore engine records. Part of the public API:
@@ -318,10 +318,10 @@ impl ExploreOutcome {
     pub fn write_csv<W: io::Write>(&self, mut writer: W) -> io::Result<()> {
         writer.write_all(EXPLORE_CSV_HEADER.as_bytes())?;
         for (point, frontier) in self.measured.iter().zip(self.frontier_membership()) {
-            let (prefix, suffix) = sweep_row_fields(&point.spec, &point.report);
+            let (spec, measured) = row_halves(&point.spec, &point.report, RowFormat::Csv);
             writeln!(
                 writer,
-                "{prefix},{},{suffix},{}",
+                "{spec},{},{measured},{}",
                 point.predicted, frontier as u8
             )?;
         }
@@ -336,28 +336,11 @@ impl ExploreOutcome {
     /// Propagates writer errors.
     pub fn write_jsonl<W: io::Write>(&self, mut writer: W) -> io::Result<()> {
         for (point, frontier) in self.measured.iter().zip(self.frontier_membership()) {
-            let report = &point.report;
+            let (spec, measured) = row_halves(&point.spec, &point.report, RowFormat::Json);
             writeln!(
                 writer,
-                "{{\"workload\":\"{}\",\"budget\":{},\"partitions\":{},\"grid\":\"{}\",\
-                 \"array\":\"{}\",\"dataflow\":\"{}\",\"predicted_cycles\":{},\"cycles\":{},\
-                 \"effective_cycles\":{},\"macs\":{},\"overall_util\":{:.4},\"dram_bytes\":{},\
-                 \"peak_bw_bytes_per_cycle\":{:.3},\"energy\":{:.1},\"on_frontier\":{}}}",
-                JsonStr(&point.spec.workload),
-                point.spec.budget,
-                point.spec.partitions(),
-                point.spec.grid,
-                point.spec.array,
-                point.spec.dataflow,
-                point.predicted,
-                report.total_cycles(),
-                report.total_effective_cycles(),
-                report.total_macs(),
-                report.overall_utilization(),
-                report.total_dram_bytes(),
-                report.peak_required_bandwidth(),
-                report.total_energy().total(),
-                frontier,
+                "{{{spec},\"predicted_cycles\":{},{measured},\"on_frontier\":{frontier}}}",
+                point.predicted
             )?;
         }
         writer.flush()

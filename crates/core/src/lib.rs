@@ -82,8 +82,7 @@ pub use crate::explore::{
 pub use crate::report::{LayerReport, NetworkReport};
 pub use crate::simulator::{telemetry_names, Simulator};
 pub use crate::sweep::{
-    run_partition_sweep, sweet_spot, DataflowChoice, PlanSpaceSummary, PointSpec, SweepEngine,
-    SweepOutcome, SweepPlan, SweepPoint,
+    DataflowChoice, PlanSpaceSummary, PointSpec, SweepEngine, SweepOutcome, SweepPlan,
 };
 
 // The vocabulary types users need with the facade.

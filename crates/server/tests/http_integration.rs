@@ -302,6 +302,19 @@ fn sweep_route_runs_plans_and_reuses_the_cache() {
         assert!(bad.body.contains(overflow), "{route}: {}", bad.body);
     }
 
+    // An empty grid list used to run a 0-point sweep or explore and answer
+    // 200; on both plan routes it is a 400 naming the list.
+    for route in ["/sweep", "/explore"] {
+        let body = r#"{"workloads":["TF1"],"budgets":[1024],"grids":[]}"#;
+        let bad = request(handle.addr(), "POST", route, Some(body)).unwrap();
+        assert_eq!(bad.status, 400, "{route}: {}", bad.body);
+        assert!(
+            bad.body.contains("grid list is empty"),
+            "{route}: {}",
+            bad.body
+        );
+    }
+
     handle.stop();
 }
 

@@ -55,11 +55,6 @@ impl GemmShape {
         self.m.checked_mul(self.k)?.checked_mul(self.n)
     }
 
-    /// Elements in the second (`k × n`) operand.
-    pub fn operand_b_elems(&self) -> u64 {
-        self.k * self.n
-    }
-
     /// Projects the GEMM onto array rows / columns / time for `dataflow`.
     ///
     /// This is Table III of the paper:
@@ -169,12 +164,6 @@ mod tests {
         let wraps = GemmShape::new(32, 1 << 63, 32);
         assert_eq!(wraps.checked_macs(), None);
         assert_eq!(wraps.macs(), u64::MAX);
-    }
-
-    #[test]
-    fn operand_b_elems_is_k_times_n() {
-        let g = GemmShape::new(4, 5, 6);
-        assert_eq!(g.operand_b_elems(), 30);
     }
 
     #[test]

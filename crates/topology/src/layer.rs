@@ -413,15 +413,6 @@ impl Layer {
     pub fn macs(&self) -> u64 {
         self.shape().macs()
     }
-
-    /// Trainable parameter elements: the filter tensor for a convolution,
-    /// the `K × N` weight matrix for a GEMM.
-    pub fn param_elems(&self) -> u64 {
-        match self {
-            Layer::Conv(c) => c.filter_elems(),
-            Layer::Gemm { shape, .. } => shape.operand_b_elems(),
-        }
-    }
 }
 
 impl From<ConvLayer> for Layer {
@@ -521,14 +512,6 @@ mod tests {
             .unwrap();
         assert_eq!(l.ofmap_h(), 7);
         assert_eq!(l.ofmap_w(), 14);
-    }
-
-    #[test]
-    fn param_elems_count_the_weights() {
-        let conv: Layer = sample().into();
-        assert_eq!(conv.param_elems(), 36 * 16);
-        let gemm = Layer::gemm("g", 4, 5, 6);
-        assert_eq!(gemm.param_elems(), 30);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! the workload generators end to end.
 //! The stall model's roofline floor is a property of `metamorphic.rs`.
 
-use scalesim::{run_partition_sweep, sweet_spot, ArrayShape, SimConfig, Simulator};
-use scalesim_topology::networks;
+use scalesim::sweep::{summarize_groups, SweepEngine, SweepPlan, SweepWorkload};
+use scalesim::{ArrayShape, SimConfig, Simulator};
+use scalesim_topology::{networks, Topology};
 
 fn config() -> SimConfig {
     SimConfig::builder()
@@ -16,19 +17,27 @@ fn config() -> SimConfig {
 fn sweep_points_match_individual_runs() {
     let layer = networks::language_model("NCF1").unwrap();
     let base = config();
-    let points = run_partition_sweep(&layer, &base, 1 << 10, 8);
+    let mut plan = SweepPlan::new("ncf1");
+    plan.base = base;
+    plan.workloads.push(SweepWorkload {
+        label: layer.name().to_owned(),
+        topology: Topology::from_layers(layer.name(), vec![layer.clone()]),
+    });
+    plan.budgets.push(1 << 10);
+    let points = SweepEngine::default().run(&plan, 2).unwrap().results;
     for p in &points {
         let manual = Simulator::new(SimConfig {
-            array: p.array,
+            array: p.spec.array,
             ..base
         })
-        .with_grid(p.grid)
+        .with_grid(p.spec.grid)
         .run_layer(&layer);
-        assert_eq!(&manual, &p.report);
+        assert_eq!(p.report.layers(), [manual]);
     }
     // The sweet spot is a real point of the sweep.
-    let spot = sweet_spot(&points).unwrap();
-    assert!(points.iter().any(|p| p == spot));
+    let groups = summarize_groups(points.iter().map(|p| (&p.spec, &*p.report)));
+    let spot = groups[0].sweet_spot.unwrap();
+    assert!(spot < points.len());
 }
 
 #[test]

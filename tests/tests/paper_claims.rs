@@ -48,7 +48,7 @@ fn fig9_monolithic_is_never_the_best_point_for_tf0() {
         let best_mono = best_scaleup(&dims, 1 << exp, 8).cycles;
         let (best_cfg, best_out) = best_scaleout(&dims, 1 << exp, 8);
         assert!(best_out <= best_mono, "2^{exp}");
-        assert!(!best_cfg.is_monolithic(), "2^{exp}: TF0 wants partitions");
+        assert!(best_cfg.grid.count() != 1, "2^{exp}: TF0 wants partitions");
     }
 }
 
