@@ -2,20 +2,25 @@
 //! interface (Fig. 2 of the paper): a hardware config file plus a topology
 //! CSV in, reports and optional cycle-accurate traces out.
 
+mod signals;
+
 use std::env;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
 
 use scalesim::sweep::{
     summarize_groups, CsvSink, JsonLinesSink, SweepEngine, SweepOutcome, SweepPlan,
 };
 use scalesim::{
-    parse_config, Dataflow, ExploreBudget, ExploreEngine, ExploreOptions, PartitionGrid, SimConfig,
-    Simulator,
+    parse_config, Dataflow, ExploreEngine, ExploreOptions, PartitionGrid, SimConfig, Simulator,
 };
+use scalesim_server::engine::DEFAULT_QUEUE_DEPTH;
 use scalesim_server::job::builtin_network;
+use scalesim_server::{parse_manifest, run_batch, Engine, EngineOptions, Server, ServerOptions};
 use scalesim_topology::{networks, parse_topology_csv, Topology};
 
 const USAGE: &str = "\
@@ -30,7 +35,7 @@ USAGE:
     scale-sim sweep --plan <FILE> [--jobs <N>] [--output <FILE>]
                     [--format csv|jsonl] [--dry-run]
                     [--trace-out <FILE>] [--progress]
-    scale-sim explore --plan <FILE> [--budget <N|30s|5m>] [--keep-within <PCT>]
+    scale-sim explore --plan <FILE> [--budget <N|30s|1.5m>] [--keep-within <PCT>]
                       [--jobs <N>] [--output <FILE>] [--format csv|jsonl]
                       [--trace-out <FILE>] [--progress]
 
@@ -58,11 +63,12 @@ SUBCOMMANDS:
              points within --keep-within percent of the per-workload
              cost/runtime frontier, stage 2 simulates survivors through
              the sweep engine under --budget (a point count, or a
-             wall-clock limit like 30s/5m), refining toward the largest
-             analytical-vs-measured gaps; rows carry predicted + measured
-             cycles and a frontier flag, and the final report (frontier
-             table, pruning counts, error stats) goes to stderr. With a
-             point-count budget the output is byte-identical at any --jobs
+             positive wall-clock limit like 30s/1.5m), refining toward
+             the largest analytical-vs-measured gaps; rows carry
+             predicted + measured cycles and a frontier flag, and the
+             final report (frontier table, pruning counts, error stats)
+             goes to stderr. With a point-count budget the output is
+             byte-identical at any --jobs
 
 OPTIONS:
     -c, --config <FILE>     hardware config file (Table I format); defaults
@@ -87,8 +93,69 @@ OPTIONS:
                             and explore
         --progress          (sweep/explore) live progress on stderr:
                             points done/total, rows/s, cache hits, ETA
+    -j, --jobs <N>          (sweep/explore/batch) simulating threads, and
+                            serve's --workers: default one per core
     -h, --help              show this help
 ";
+
+/// Reads one subcommand's command line left to right: each flag, then,
+/// for a flag that takes one, its value — as text, parsed, or parsed and
+/// nonzero. Every subcommand reads its argv through this.
+struct Flags<'a> {
+    /// The subcommand, for the unknown-argument error.
+    command: &'static str,
+    args: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Flags<'a> {
+    fn new(command: &'static str, argv: &'a [String]) -> Self {
+        Flags {
+            command,
+            args: argv.iter(),
+        }
+    }
+
+    /// The next argument, or `None` once the line is read.
+    fn next(&mut self) -> Option<&'a str> {
+        self.args.next().map(String::as_str)
+    }
+
+    /// The value of `flag`: the argument after it.
+    fn text(&mut self, flag: &str) -> Result<&'a str, String> {
+        self.next()
+            .ok_or_else(|| format!("{flag} requires a value"))
+    }
+
+    /// The value of `flag`, parsed.
+    fn parse<T: FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        let text = self.text(flag)?;
+        text.parse()
+            .map_err(|_| format!("bad value for {flag}: `{text}`"))
+    }
+
+    /// The value of `flag`, parsed and nonzero.
+    fn nonzero<T: FromStr + PartialEq + From<u8>>(&mut self, flag: &str) -> Result<T, String> {
+        let n: T = self.parse(flag)?;
+        if n == T::from(0) {
+            return Err(format!("{flag} must be nonzero"));
+        }
+        Ok(n)
+    }
+
+    /// The error for an argument that no flag of the subcommand matches.
+    fn unknown(&self, arg: &str) -> String {
+        match self.command {
+            "run" => format!("unknown argument `{arg}`"),
+            command => format!("unknown {command} argument `{arg}`"),
+        }
+    }
+}
+
+/// Default number of simulating threads (`--jobs`, `serve --workers`): one
+/// per available core, or one when the core count cannot be read.
+fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
 
 struct Args {
     config: Option<PathBuf>,
@@ -144,45 +211,35 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         dump_config: false,
         trace_out: None,
     };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "-c" | "--config" => args.config = Some(PathBuf::from(value("--config")?)),
-            "-t" | "--topology" => args.topology = Some(PathBuf::from(value("--topology")?)),
-            "-n" | "--network" => args.network = Some(value("--network")?),
+    let mut flags = Flags::new("run", argv);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "-c" | "--config" => args.config = Some(flags.text("--config")?.into()),
+            "-t" | "--topology" => args.topology = Some(flags.text("--topology")?.into()),
+            "-n" | "--network" => args.network = Some(flags.text("--network")?.to_owned()),
             "-g" | "--grid" => {
-                args.grid = value("--grid")?
+                args.grid = flags
+                    .text("--grid")?
                     .parse()
                     .map_err(|e| format!("--grid: {e}"))?;
             }
             "-d" | "--dataflow" => {
-                let config = config_flag("--dataflow", "Dataflow", &value("--dataflow")?)?;
+                let config = config_flag("--dataflow", "Dataflow", flags.text("--dataflow")?)?;
                 args.dataflow = Some(config.dataflow);
             }
             "-b" | "--bandwidth" => {
-                let config = config_flag("--bandwidth", "DramBandwidth", &value("--bandwidth")?)?;
+                let config =
+                    config_flag("--bandwidth", "DramBandwidth", flags.text("--bandwidth")?)?;
                 args.bandwidth = config.dram_bandwidth;
             }
-            "--batch" => {
-                let text = value("--batch")?;
-                let n: u64 = text.parse().map_err(|_| format!("bad batch `{text}`"))?;
-                if n == 0 {
-                    return Err("batch must be nonzero".into());
-                }
-                args.batch = Some(n);
-            }
-            "-o" | "--output" => args.output = Some(PathBuf::from(value("--output")?)),
+            "--batch" => args.batch = Some(flags.nonzero("--batch")?),
+            "-o" | "--output" => args.output = Some(flags.text("--output")?.into()),
             "--traces" => args.traces = true,
             "--profile" => args.profile = true,
             "--dump-config" => args.dump_config = true,
-            "--trace-out" => args.trace_out = Some(PathBuf::from(value("--trace-out")?)),
+            "--trace-out" => args.trace_out = Some(flags.text("--trace-out")?.into()),
             "-h" | "--help" => return Err(String::new()),
-            other => return Err(format!("unknown argument `{other}`")),
+            other => return Err(flags.unknown(other)),
         }
     }
     Ok(args)
@@ -232,32 +289,13 @@ struct PlanArgs {
     progress: bool,
     /// `sweep --dry-run`.
     dry_run: bool,
-    /// `explore --budget`.
-    budget: ExploreBudget,
-    /// `explore --keep-within`, percent.
-    keep_within: f64,
-}
-
-/// `--budget` grammar: a bare integer is a simulation count; an `s`/`m`
-/// suffix is a wall-clock limit.
-fn parse_explore_budget(text: &str) -> Result<ExploreBudget, String> {
-    let bad = || format!("bad budget `{text}` (want a point count, or 30s / 5m wall-clock)");
-    if let Some(secs) = text.strip_suffix('s') {
-        let n: u64 = secs.parse().map_err(|_| bad())?;
-        Ok(ExploreBudget::WallClock(std::time::Duration::from_secs(n)))
-    } else if let Some(mins) = text.strip_suffix('m') {
-        let n: u64 = mins.parse().map_err(|_| bad())?;
-        Ok(ExploreBudget::WallClock(std::time::Duration::from_secs(
-            n * 60,
-        )))
-    } else {
-        let n: usize = text.parse().map_err(|_| bad())?;
-        Ok(ExploreBudget::Sims(n))
-    }
+    /// `explore --budget` and `--keep-within`, read by
+    /// [`ExploreOptions::set`].
+    explore: ExploreOptions,
 }
 
 /// Parses the arguments of `command`, which is `sweep` or `explore`.
-fn parse_plan_args(command: &str, argv: &[String]) -> Result<PlanArgs, String> {
+fn parse_plan_args(command: &'static str, argv: &[String]) -> Result<PlanArgs, String> {
     let explore = command == "explore";
     let mut plan = None;
     let mut args = PlanArgs {
@@ -268,50 +306,32 @@ fn parse_plan_args(command: &str, argv: &[String]) -> Result<PlanArgs, String> {
         trace_out: None,
         progress: false,
         dry_run: false,
-        budget: ExploreBudget::Unlimited,
-        keep_within: 10.0,
+        explore: ExploreOptions::default(),
     };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "-p" | "--plan" => plan = Some(PathBuf::from(value("--plan")?)),
-            "-j" | "--jobs" => {
-                let text = value("--jobs")?;
-                let n: usize = text.parse().map_err(|_| format!("bad jobs `{text}`"))?;
-                if n == 0 {
-                    return Err("jobs must be nonzero".into());
-                }
-                args.jobs = Some(n);
-            }
-            "-o" | "--output" => args.output = Some(PathBuf::from(value("--output")?)),
+    let mut flags = Flags::new(command, argv);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "-p" | "--plan" => plan = Some(PathBuf::from(flags.text("--plan")?)),
+            "-j" | "--jobs" => args.jobs = Some(flags.nonzero("--jobs")?),
+            "-o" | "--output" => args.output = Some(flags.text("--output")?.into()),
             "--format" => {
-                let text = value("--format")?;
-                args.format = match text.as_str() {
+                args.format = match flags.text("--format")? {
                     "csv" => SweepFormat::Csv,
                     "jsonl" => SweepFormat::JsonLines,
                     other => return Err(format!("format must be csv or jsonl, got `{other}`")),
                 };
             }
-            "--trace-out" => args.trace_out = Some(PathBuf::from(value("--trace-out")?)),
+            "--trace-out" => args.trace_out = Some(flags.text("--trace-out")?.into()),
             "--progress" => args.progress = true,
             "--dry-run" if !explore => args.dry_run = true,
-            "--budget" if explore => args.budget = parse_explore_budget(&value("--budget")?)?,
-            "--keep-within" if explore => {
-                let text = value("--keep-within")?;
-                let pct: f64 = text
-                    .parse()
-                    .map_err(|_| format!("bad keep-within `{text}`"))?;
-                if !(pct.is_finite() && pct >= 0.0) {
-                    return Err("keep-within must be a nonnegative percentage".into());
-                }
-                args.keep_within = pct;
+            "--budget" | "--keep-within" if explore => {
+                // The flag is the knob's name, dashed.
+                let knob = arg[2..].replace('-', "_");
+                args.explore
+                    .set(&knob, flags.text(arg)?)
+                    .map_err(|e| format!("{arg}: {e}"))?;
             }
-            other => return Err(format!("unknown {command} argument `{other}`")),
+            other => return Err(flags.unknown(other)),
         }
     }
     args.plan = plan.ok_or_else(|| format!("{command} requires --plan <FILE>"))?;
@@ -348,12 +368,6 @@ fn load_plan(path: &std::path::Path) -> Result<SweepPlan, String> {
         .map_err(|e| format!("plan parse error: {e}"))
 }
 
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 /// `sweep --dry-run`: the candidate space, sized but not simulated.
 fn print_dry_run(plan: &SweepPlan) -> Result<(), String> {
     let space = plan
@@ -386,7 +400,7 @@ fn run_sweep_cli(argv: &[String]) -> Result<(), String> {
     if args.dry_run {
         return print_dry_run(&plan);
     }
-    let jobs = args.jobs.unwrap_or_else(default_jobs);
+    let jobs = args.jobs.unwrap_or_else(default_workers);
     enable_tracing(args.trace_out.is_some());
     let engine = SweepEngine::default().with_progress(args.progress);
 
@@ -443,13 +457,12 @@ fn run_sweep_cli(argv: &[String]) -> Result<(), String> {
 fn run_explore_cli(argv: &[String]) -> Result<(), String> {
     let args = parse_explore_args(argv)?;
     let plan = load_plan(&args.plan)?;
-    let jobs = args.jobs.unwrap_or_else(default_jobs);
+    let jobs = args.jobs.unwrap_or_else(default_workers);
     enable_tracing(args.trace_out.is_some());
     let options = ExploreOptions {
-        keep_within_pct: args.keep_within,
-        budget: args.budget,
         jobs,
         progress: args.progress,
+        ..args.explore
     };
     let engine = ExploreEngine::default();
     let outcome = engine
@@ -528,6 +541,124 @@ fn run_explore_cli(argv: &[String]) -> Result<(), String> {
         eprintln!("wrote {}", path.display());
     }
     write_trace(&args.trace_out)?;
+    Ok(())
+}
+
+/// `scale-sim serve`: run the HTTP simulation service until `SIGINT` /
+/// `SIGTERM`, then drain gracefully.
+///
+/// Flags: `--port <P>` (default 7878), `--host <ADDR>` (default 127.0.0.1),
+/// `--workers <N>` (default: one per core), `--cache <N>` results
+/// (default 256), `--queue-depth <N>` pending jobs before shedding with
+/// 503 (default 256), `--max-connections <N>` concurrent connections
+/// (default 256), `--deadline-ms <MS>` default per-request deadline
+/// (default 120000; 0 disables), `--grace-ms <MS>` shutdown drain budget
+/// (default 10000).
+fn run_serve(argv: &[String]) -> Result<(), String> {
+    let mut port: u16 = 7878;
+    let mut host = "127.0.0.1";
+    let mut workers = default_workers();
+    let mut cache = 256usize;
+    let mut queue_depth = DEFAULT_QUEUE_DEPTH;
+    let mut max_connections = 256usize;
+    let mut deadline_ms: u64 = 120_000;
+    let mut grace_ms: u64 = 10_000;
+    let mut flags = Flags::new("serve", argv);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "-p" | "--port" => port = flags.parse("--port")?,
+            "--host" => host = flags.text("--host")?,
+            "--workers" => workers = flags.nonzero("--workers")?,
+            "--cache" => cache = flags.nonzero("--cache")?,
+            "--queue-depth" => queue_depth = flags.nonzero("--queue-depth")?,
+            "--max-connections" => max_connections = flags.nonzero("--max-connections")?,
+            "--deadline-ms" => deadline_ms = flags.parse("--deadline-ms")?,
+            "--grace-ms" => grace_ms = flags.parse("--grace-ms")?,
+            other => return Err(flags.unknown(other)),
+        }
+    }
+
+    // The service keeps the trace ring live for its whole lifetime:
+    // `GET /debug/trace` then works without any restart, and the ring is
+    // bounded so always-on recording costs fixed memory.
+    scalesim_telemetry::trace::install(scalesim_telemetry::trace::DEFAULT_CAPACITY);
+
+    let engine = Engine::with_options(EngineOptions {
+        workers,
+        cache_capacity: cache,
+        queue_depth,
+    });
+    let options = ServerOptions {
+        max_connections,
+        default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
+        ..ServerOptions::default()
+    };
+    let server = Server::bind_with(&format!("{host}:{port}"), engine, options)
+        .map_err(|e| format!("cannot bind {host}:{port}: {e}"))?;
+    eprintln!(
+        "scale-sim serve: listening on http://{} ({workers} workers, {cache}-entry cache, \
+         queue depth {queue_depth}, {max_connections} max connections)",
+        server.local_addr()
+    );
+    eprintln!(
+        "routes: POST /simulate, POST /sweep, POST /explore, GET /stats, GET /metrics, \
+         GET /healthz, GET /debug/jobs, GET /debug/trace"
+    );
+
+    signals::install();
+    let handle = server.spawn();
+    while !signals::shutdown_requested() {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    eprintln!("scale-sim serve: shutdown signal received, draining (grace {grace_ms} ms)");
+    handle.engine().dump_flight_recorder("drain");
+    if handle.drain(Duration::from_millis(grace_ms)) {
+        eprintln!("scale-sim serve: drained cleanly, exiting");
+        Ok(())
+    } else {
+        Err(format!(
+            "drain grace period of {grace_ms} ms expired with work still in flight"
+        ))
+    }
+}
+
+/// `scale-sim batch`: run a manifest of jobs concurrently and emit one
+/// combined REPORT CSV plus a cache summary.
+///
+/// Flags: `--manifest <FILE>` (required), `--jobs <N>` simulator workers
+/// (default: one per core), `--output <FILE>` for the CSV (default:
+/// stdout). The result cache holds the whole manifest.
+fn run_batch_cli(argv: &[String]) -> Result<(), String> {
+    let mut manifest_path = None;
+    let mut jobs_n = default_workers();
+    let mut output = None;
+    let mut flags = Flags::new("batch", argv);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "-m" | "--manifest" => manifest_path = Some(flags.text("--manifest")?),
+            "-j" | "--jobs" => jobs_n = flags.nonzero("--jobs")?,
+            "-o" | "--output" => output = Some(flags.text("--output")?),
+            other => return Err(flags.unknown(other)),
+        }
+    }
+    let manifest_path = manifest_path.ok_or("batch requires --manifest <FILE>")?;
+    let text = fs::read_to_string(manifest_path)
+        .map_err(|e| format!("cannot read manifest {manifest_path}: {e}"))?;
+    let jobs = parse_manifest(&text).map_err(|e| e.to_string())?;
+
+    let engine = Engine::new(jobs_n, jobs.len().max(16));
+    let outcome = run_batch(&engine, &jobs).map_err(|e| e.to_string())?;
+    engine.shutdown();
+
+    let csv = outcome.to_csv();
+    match output {
+        Some(path) => {
+            fs::write(path, &csv).map_err(|e| format!("cannot write {path}: {e}"))?;
+            eprintln!("wrote {path}");
+        }
+        None => print!("{csv}"),
+    }
+    eprintln!("{}", outcome.summary());
     Ok(())
 }
 
@@ -682,12 +813,11 @@ fn profile_table(report: &scalesim::NetworkReport) -> Result<String, String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = env::args().skip(1).collect();
-    // Subcommands dispatch to the server crate; their errors are always
-    // runtime-style (one line, no usage dump). `run` is the explicit
-    // spelling of the default simulate path.
+    // Subcommand errors are always runtime-style (one line, no usage
+    // dump). `run` is the explicit spelling of the default simulate path.
     let outcome = match argv.first().map(String::as_str) {
-        Some("serve") => scalesim_server::cli::run_serve(&argv[1..]).map_err(CliError::Runtime),
-        Some("batch") => scalesim_server::cli::run_batch_cli(&argv[1..]).map_err(CliError::Runtime),
+        Some("serve") => run_serve(&argv[1..]).map_err(CliError::Runtime),
+        Some("batch") => run_batch_cli(&argv[1..]).map_err(CliError::Runtime),
         Some("sweep") => run_sweep_cli(&argv[1..]).map_err(CliError::Runtime),
         Some("explore") => run_explore_cli(&argv[1..]).map_err(CliError::Runtime),
         Some("run") => run(&argv[1..]),
@@ -714,6 +844,8 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
+    use scalesim::ExploreBudget;
+
     use super::*;
 
     fn argv(args: &[&str]) -> Vec<String> {
@@ -882,8 +1014,8 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(a.plan, PathBuf::from("fig9.plan"));
-        assert_eq!(a.budget, ExploreBudget::Sims(250));
-        assert_eq!(a.keep_within, 7.5);
+        assert_eq!(a.explore.budget, ExploreBudget::Sims(250));
+        assert_eq!(a.explore.keep_within_pct, 7.5);
         assert_eq!(a.jobs, Some(4));
         assert_eq!(a.output, Some(PathBuf::from("out.csv")));
         assert_eq!(a.format, SweepFormat::JsonLines);
@@ -891,28 +1023,64 @@ mod tests {
         assert!(a.progress);
     }
 
+    /// The values `ExploreOptions::set` accepts and refuses, in this door's
+    /// spelling; the server's `/explore` request tests hold the same.
     #[test]
     fn explore_budget_tokens() {
-        use std::time::Duration;
-        assert_eq!(parse_explore_budget("100"), Ok(ExploreBudget::Sims(100)));
+        let flag = |flag: &str, text: &str| {
+            parse_explore_args(&argv(&["--plan", "p", flag, text])).map(|a| a.explore)
+        };
+        let budget = |text| flag("--budget", text).map(|o| o.budget);
+        assert_eq!(budget("100").unwrap(), ExploreBudget::Sims(100));
+        assert_eq!(budget("0").unwrap(), ExploreBudget::Sims(0));
         assert_eq!(
-            parse_explore_budget("30s"),
-            Ok(ExploreBudget::WallClock(Duration::from_secs(30)))
+            budget("30s").unwrap(),
+            ExploreBudget::WallClock(Duration::from_secs(30))
         );
         assert_eq!(
-            parse_explore_budget("5m"),
-            Ok(ExploreBudget::WallClock(Duration::from_secs(300)))
+            budget("5m").unwrap(),
+            ExploreBudget::WallClock(Duration::from_secs(300))
         );
-        assert!(parse_explore_budget("fast").is_err());
-        assert!(parse_explore_budget("-3").is_err());
-        assert!(parse_explore_budget("2h").is_err());
+        assert_eq!(
+            budget("1.5s").unwrap(),
+            ExploreBudget::WallClock(Duration::from_millis(1500))
+        );
+        for (text, message) in [
+            ("fast", "--budget: `fast` is not a point count"),
+            ("-3", "--budget: `-3` is not a point count"),
+            ("1.5", "--budget: `1.5` is not a point count"),
+            ("2h", "--budget: `2h` is not a point count"),
+            ("0s", "--budget: wall clock `0s` is shorter than 1 ns"),
+            ("-1s", "--budget: wall clock `-1s` is shorter than 1 ns"),
+            (
+                "1e-12s",
+                "--budget: wall clock `1e-12s` is shorter than 1 ns",
+            ),
+            ("1e300s", "--budget: wall clock `1e300s` is out of range"),
+            // `n * 60` wrapped this to 44 s in release and panicked in debug.
+            (
+                "307445734561825861m",
+                "--budget: wall clock `307445734561825861m` is out of range",
+            ),
+        ] {
+            assert!(budget(text).unwrap_err().starts_with(message), "{text}");
+        }
+
+        let keep_within = |text| flag("--keep-within", text).map(|o| o.keep_within_pct);
+        assert_eq!(keep_within("7.5"), Ok(7.5));
+        assert_eq!(keep_within("0"), Ok(0.0));
+        assert_eq!(
+            keep_within("-1").unwrap_err(),
+            "--keep-within: `-1` is not a nonnegative percentage"
+        );
+        assert!(keep_within("lots").is_err());
     }
 
     #[test]
     fn explore_defaults_and_errors() {
         let a = parse_explore_args(&argv(&["--plan", "p"])).unwrap();
-        assert_eq!(a.budget, ExploreBudget::Unlimited);
-        assert_eq!(a.keep_within, 10.0);
+        assert_eq!(a.explore.budget, ExploreBudget::Unlimited);
+        assert_eq!(a.explore.keep_within_pct, 10.0);
         assert_eq!(a.jobs, None);
         assert_eq!(a.format, SweepFormat::Csv);
         assert_eq!(a.trace_out, None);
@@ -925,5 +1093,85 @@ mod tests {
         assert!(parse_explore_args(&argv(&["--plan", "p", "--budget", "soon"])).is_err());
         let err = parse_explore_args(&argv(&["--frobnicate"])).unwrap_err();
         assert!(err.contains("unknown explore argument"));
+    }
+
+    #[test]
+    fn serve_rejects_bad_flags() {
+        assert!(run_serve(&argv(&["--port", "notaport"])).is_err());
+        assert!(run_serve(&argv(&["--workers", "0"])).is_err());
+        assert!(run_serve(&argv(&["--frobnicate"])).is_err());
+        assert!(run_serve(&argv(&["--queue-depth", "0"])).is_err());
+        assert!(run_serve(&argv(&["--max-connections", "0"])).is_err());
+        assert!(run_serve(&argv(&["--deadline-ms", "soon"])).is_err());
+        assert!(run_serve(&argv(&["--grace-ms", "-1"])).is_err());
+    }
+
+    #[test]
+    fn batch_requires_manifest() {
+        let err = run_batch_cli(&argv(&["--jobs", "2"])).unwrap_err();
+        assert!(err.contains("--manifest"));
+        assert!(run_batch_cli(&argv(&["--manifest", "/no/such/file"])).is_err());
+        assert!(run_batch_cli(&argv(&["--jobs", "0"])).is_err());
+        let err = run_batch_cli(&argv(&["--retries", "3"])).unwrap_err();
+        assert!(err.contains("unknown batch argument"));
+    }
+
+    #[test]
+    fn batch_runs_a_manifest_end_to_end() {
+        let dir = std::env::temp_dir().join("scalesim-batch-cli-test");
+        fs::create_dir_all(&dir).unwrap();
+        let manifest = dir.join("manifest.txt");
+        let out = dir.join("report.csv");
+        fs::write(
+            &manifest,
+            "# two identical tiny jobs\n\
+             {\"topology_csv\": \"L1,8,8,3,3,4,8,1\", \"config\": {\"ArrayHeight\": 8, \"ArrayWidth\": 8}}\n\
+             {\"topology_csv\": \"L1,8,8,3,3,4,8,1\", \"config\": {\"ArrayWidth\": 8, \"ArrayHeight\": 8}}\n",
+        )
+        .unwrap();
+        run_batch_cli(&argv(&[
+            "--manifest",
+            manifest.to_str().unwrap(),
+            "--jobs",
+            "2",
+            "--output",
+            out.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let csv = fs::read_to_string(&out).unwrap();
+        assert_eq!(csv.lines().count(), 3, "header + one row per job");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_subcommand_words_a_flag_error_the_same_way() {
+        assert_eq!(
+            parse_args(&argv(&["--batch", "0"])).err().unwrap(),
+            "--batch must be nonzero"
+        );
+        assert_eq!(
+            parse_sweep_args(&argv(&["--jobs", "0"])).unwrap_err(),
+            "--jobs must be nonzero"
+        );
+        assert_eq!(
+            run_batch_cli(&argv(&["--jobs", "0"])).unwrap_err(),
+            "--jobs must be nonzero"
+        );
+        assert_eq!(
+            run_serve(&argv(&["--workers", "0"])).unwrap_err(),
+            "--workers must be nonzero"
+        );
+        assert_eq!(
+            run_serve(&argv(&["--port", "notaport"])).unwrap_err(),
+            "bad value for --port: `notaport`"
+        );
+        assert_eq!(
+            parse_explore_args(&argv(&["--jobs", "two"])).unwrap_err(),
+            "bad value for --jobs: `two`"
+        );
+        assert_eq!(
+            parse_args(&argv(&["--batch"])).err().unwrap(),
+            "--batch requires a value"
+        );
     }
 }

@@ -738,6 +738,29 @@ fn an_ifmap_offset_near_the_top_of_the_address_space_drops_no_reads() {
     }
 }
 
+/// A wall-clock `--budget` past what a `Duration` holds is refused: in
+/// minutes its integer product wrapped (44 s in release) or panicked
+/// (debug); in seconds `1e300s` is the `/explore` repro spelled as a flag.
+#[test]
+fn a_huge_explore_budget_is_a_one_line_error() {
+    let plan = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/explore_smoke.plan");
+    for budget in ["307445734561825861m", "1e300s"] {
+        let out = scale_sim(&[
+            "explore",
+            "--plan",
+            plan.to_str().unwrap(),
+            "--budget",
+            budget,
+        ]);
+        assert_eq!(out.status.code(), Some(1));
+        assert_one_line_error(
+            &out,
+            &format!("--budget: wall clock `{budget}` is out of range"),
+        );
+        assert!(out.stdout.is_empty(), "nothing explored");
+    }
+}
+
 #[test]
 fn serve_with_bad_flag_is_a_one_line_error() {
     let out = scale_sim(&["serve", "--frobnicate"]);

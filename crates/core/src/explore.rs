@@ -121,6 +121,62 @@ impl Default for ExploreOptions {
     }
 }
 
+impl ExploreOptions {
+    /// Sets one explore knob from its text — the one grammar of the knobs
+    /// whichever door (CLI flag, HTTP field) they come through:
+    ///
+    /// * `keep_within` — the stage-1 slack band, a finite nonnegative
+    ///   percentage (`7.5`);
+    /// * `budget` — a point count `N`, or a wall clock `<x>s` or `<x>m`
+    ///   (`30s`, `1.5m`, `x` a decimal) of at least 1 ns that fits a
+    ///   [`Duration`]. The wall clock is scaled in `f64` and converted by
+    ///   [`Duration::try_from_secs_f64`], so no product wraps; zero,
+    ///   negative and sub-nanosecond clocks are one error.
+    ///
+    /// # Errors
+    ///
+    /// An unknown key, or text outside its knob's grammar; the message
+    /// describes the value, and each door prefixes its own name for the
+    /// knob.
+    pub fn set(&mut self, key: &str, text: &str) -> Result<(), String> {
+        match key {
+            "keep_within" => {
+                self.keep_within_pct = text
+                    .parse()
+                    .ok()
+                    .filter(|pct: &f64| pct.is_finite() && *pct >= 0.0)
+                    .ok_or_else(|| format!("`{text}` is not a nonnegative percentage"))?;
+            }
+            "budget" => {
+                let bad = || format!("`{text}` is not a point count or a wall clock (30s, 1.5m)");
+                let (number, unit) = match (text.strip_suffix('s'), text.strip_suffix('m')) {
+                    (Some(secs), _) => (secs, 1.0),
+                    (_, Some(mins)) => (mins, 60.0),
+                    _ => {
+                        self.budget = ExploreBudget::Sims(text.parse().map_err(|_| bad())?);
+                        return Ok(());
+                    }
+                };
+                let secs = number
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|x| !x.is_nan())
+                    .ok_or_else(bad)?
+                    * unit;
+                match Duration::try_from_secs_f64(secs) {
+                    Ok(limit) if !limit.is_zero() => self.budget = ExploreBudget::WallClock(limit),
+                    Err(_) if secs > 0.0 => {
+                        return Err(format!("wall clock `{text}` is out of range"));
+                    }
+                    _ => return Err(format!("wall clock `{text}` is shorter than 1 ns")),
+                }
+            }
+            _ => return Err(format!("unknown explore knob `{key}`")),
+        }
+        Ok(())
+    }
+}
+
 /// The analytical lower bound the explore pipeline prunes with: the exact
 /// stall-free cycles the simulator would report for `topology` on a
 /// `grid` of `array`s — computed in closed form, no simulation.
@@ -1447,5 +1503,59 @@ mod tests {
         assert_eq!(read(telemetry_names::CANDIDATES), outcome.candidates as u64);
         assert_eq!(read(telemetry_names::PRUNED), outcome.pruned as u64);
         assert_eq!(read(telemetry_names::SIMULATED), outcome.simulated as u64);
+    }
+
+    #[test]
+    fn set_reads_every_knob_and_refuses_what_is_outside_its_grammar() {
+        let set = |key: &str, text: &str| {
+            let mut options = ExploreOptions::default();
+            options.set(key, text).map(|()| options)
+        };
+        let budget = |text| set("budget", text).map(|o| o.budget);
+        assert_eq!(budget("100"), Ok(ExploreBudget::Sims(100)));
+        assert_eq!(budget("0"), Ok(ExploreBudget::Sims(0)));
+        assert_eq!(
+            budget("30s"),
+            Ok(ExploreBudget::WallClock(Duration::from_secs(30)))
+        );
+        assert_eq!(
+            budget("5m"),
+            Ok(ExploreBudget::WallClock(Duration::from_secs(300)))
+        );
+        assert_eq!(
+            budget("1.5s"),
+            Ok(ExploreBudget::WallClock(Duration::from_millis(1500)))
+        );
+        assert_eq!(
+            budget("0.5m"),
+            Ok(ExploreBudget::WallClock(Duration::from_secs(30)))
+        );
+        for bad in ["fast", "-3", "2h", "", "s", "1.5", "5ms", "NaNs"] {
+            assert!(
+                budget(bad).unwrap_err().contains("is not a point count"),
+                "{bad}"
+            );
+        }
+        for zero in ["0s", "0m", "-1s", "-0.5m", "1e-12s", "-infs"] {
+            assert!(
+                budget(zero).unwrap_err().contains("is shorter than 1 ns"),
+                "{zero}"
+            );
+        }
+        // `n * 60` in integers wrapped this to a 44-second budget (and
+        // panicked in a debug build); 1e300 s panicked `from_secs_f64`.
+        for huge in ["307445734561825861m", "1e300s", "infs"] {
+            assert!(budget(huge).unwrap_err().contains("out of range"), "{huge}");
+        }
+
+        let keep_within = |text| set("keep_within", text).map(|o| o.keep_within_pct);
+        assert_eq!(keep_within("7.5"), Ok(7.5));
+        assert_eq!(keep_within("0"), Ok(0.0));
+        for bad in ["-1", "NaN", "inf", "lots"] {
+            assert!(keep_within(bad).is_err(), "{bad}");
+        }
+        assert!(set("jobs", "2")
+            .unwrap_err()
+            .contains("unknown explore knob"));
     }
 }

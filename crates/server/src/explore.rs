@@ -29,21 +29,25 @@
 //! server's `--workers` is the parallelism.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use scalesim::{ExploreBudget, ExploreOptions, ExploreOutcome, MeasuredPoint};
+use scalesim::{ExploreOptions, ExploreOutcome, MeasuredPoint};
 
 use crate::engine::{Engine, JobContext, Served};
 use crate::job::JobError;
 use crate::json::Json;
 
 /// Splits the request body into the core sweep plan and the explore
-/// options.
+/// options. Each knob's JSON spelling — `keep_within` a number, `budget` an
+/// integer point count, `budget_seconds` a number of seconds, sent as
+/// `"<x>s"` — is handed as text to [`ExploreOptions::set`], which does
+/// all the checking.
 ///
 /// # Errors
 ///
-/// [`JobError::BadRequest`] on malformed explore knobs or (via
-/// [`crate::sweep::parse_sweep_plan`]) a malformed plan.
+/// [`JobError::BadRequest`] naming the field on a malformed explore knob,
+/// on `budget` and `budget_seconds` together, or (via
+/// [`crate::sweep::parse_sweep_plan`]) on a malformed plan.
 pub fn parse_explore_request(
     value: &Json,
 ) -> Result<(scalesim::SweepPlan, ExploreOptions), JobError> {
@@ -53,45 +57,36 @@ pub fn parse_explore_request(
 
     let mut options = ExploreOptions::default();
     let mut plan_fields: Vec<(String, Json)> = Vec::new();
-    let mut sim_budget = None;
-    let mut wall_budget = None;
+    let mut budget_field: Option<&String> = None;
     for (key, val) in obj {
-        match key.as_str() {
-            "keep_within" => {
-                let pct = val
-                    .as_f64()
-                    .filter(|p| p.is_finite() && *p >= 0.0)
-                    .ok_or_else(|| {
-                        JobError::bad_request("`keep_within` must be a nonnegative percentage")
-                    })?;
-                options.keep_within_pct = pct;
+        // (knob, its text, what the JSON value must be to have one)
+        let (knob, text, want) = match key.as_str() {
+            "keep_within" => (
+                "keep_within",
+                val.as_f64().map(|p| format!("{p:?}")),
+                "a number",
+            ),
+            "budget" => ("budget", val.as_u64().map(|n| n.to_string()), "an integer"),
+            "budget_seconds" => (
+                "budget",
+                val.as_f64().map(|s| format!("{s:?}s")),
+                "a number",
+            ),
+            _ => {
+                plan_fields.push((key.clone(), val.clone()));
+                continue;
             }
-            "budget" => {
-                let n = val.as_u64().ok_or_else(|| {
-                    JobError::bad_request("`budget` must be an integer point count")
-                })?;
-                sim_budget = Some(ExploreBudget::Sims(n as usize));
-            }
-            "budget_seconds" => {
-                let secs = val
-                    .as_f64()
-                    .filter(|s| s.is_finite() && *s > 0.0)
-                    .ok_or_else(|| {
-                        JobError::bad_request("`budget_seconds` must be a positive number")
-                    })?;
-                wall_budget = Some(ExploreBudget::WallClock(Duration::from_secs_f64(secs)));
-            }
-            _ => plan_fields.push((key.clone(), val.clone())),
+        };
+        if knob == "budget" && budget_field.replace(key).is_some_and(|field| field != key) {
+            return Err(JobError::bad_request(
+                "`budget` and `budget_seconds` are mutually exclusive",
+            ));
         }
+        let text = text.ok_or_else(|| JobError::bad_request(format!("`{key}` must be {want}")))?;
+        options
+            .set(knob, &text)
+            .map_err(|e| JobError::bad_request(format!("`{key}`: {e}")))?;
     }
-    if sim_budget.is_some() && wall_budget.is_some() {
-        return Err(JobError::bad_request(
-            "`budget` and `budget_seconds` are mutually exclusive",
-        ));
-    }
-    options.budget = sim_budget
-        .or(wall_budget)
-        .unwrap_or(ExploreBudget::Unlimited);
 
     let plan = crate::sweep::parse_sweep_plan(&Json::Obj(plan_fields))?;
     Ok((plan, options))
@@ -207,6 +202,10 @@ fn outcome_json(outcome: &ExploreOutcome) -> Json {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use scalesim::ExploreBudget;
+
     use super::*;
 
     fn body(extra: &str) -> Json {
@@ -225,6 +224,9 @@ mod tests {
         assert_eq!(options.budget, ExploreBudget::Unlimited);
     }
 
+    /// The knobs in this door's spelling, read by `ExploreOptions::set`:
+    /// the CLI's `explore_budget_tokens` accepts and refuses the same
+    /// values.
     #[test]
     fn request_parses_explore_knobs() {
         let (_, options) = parse_explore_request(&body(r#","keep_within":25,"budget":7"#)).unwrap();
@@ -234,8 +236,18 @@ mod tests {
         let (_, options) = parse_explore_request(&body(r#","budget_seconds":1.5"#)).unwrap();
         assert_eq!(
             options.budget,
-            ExploreBudget::WallClock(Duration::from_secs_f64(1.5))
+            ExploreBudget::WallClock(Duration::from_millis(1500))
         );
+
+        let knobs = |extra: &str| parse_explore_request(&body(extra)).unwrap().1;
+        assert_eq!(knobs(r#","budget":100"#).budget, ExploreBudget::Sims(100));
+        assert_eq!(knobs(r#","budget":0"#).budget, ExploreBudget::Sims(0));
+        assert_eq!(
+            knobs(r#","budget_seconds":300"#).budget,
+            ExploreBudget::WallClock(Duration::from_secs(300))
+        );
+        assert_eq!(knobs(r#","keep_within":7.5"#).keep_within_pct, 7.5);
+        assert_eq!(knobs(r#","keep_within":0"#).keep_within_pct, 0.0);
     }
 
     #[test]
@@ -247,6 +259,54 @@ mod tests {
         assert!(parse_explore_request(&body(r#","budget":1,"budget_seconds":1"#)).is_err());
         // Unknown fields still fall through to the plan parser and fail.
         assert!(parse_explore_request(&body(r#","bogus":1"#)).is_err());
+
+        let refused = [
+            (r#","budget":"fast""#, "`budget` must be an integer"),
+            (r#","budget":-3"#, "`budget` must be an integer"),
+            (r#","budget":1.5"#, "`budget` must be an integer"),
+            (
+                r#","budget_seconds":0"#,
+                "`budget_seconds`: wall clock `0.0s` is shorter than 1 ns",
+            ),
+            (
+                r#","budget_seconds":-1"#,
+                "`budget_seconds`: wall clock `-1.0s` is shorter than 1 ns",
+            ),
+            (
+                r#","budget_seconds":1e-12"#,
+                "`budget_seconds`: wall clock `1e-12s` is shorter than 1 ns",
+            ),
+            // Passed the old `is_finite() && > 0` filter and panicked
+            // `Duration::from_secs_f64` on the connection thread.
+            (
+                r#","budget_seconds":1e300"#,
+                "`budget_seconds`: wall clock `1e300s` is out of range",
+            ),
+            // 307445734561825861 minutes, the CLI's wrapping `--budget`.
+            (
+                r#","budget_seconds":18446744073709551660"#,
+                "`budget_seconds`: wall clock `1.8446744073709552e19s` is out of range",
+            ),
+            (
+                r#","budget_seconds":"30""#,
+                "`budget_seconds` must be a number",
+            ),
+            (
+                r#","keep_within":-1"#,
+                "`keep_within`: `-1.0` is not a nonnegative percentage",
+            ),
+            (r#","keep_within":"lots""#, "`keep_within` must be a number"),
+            (
+                r#","budget":1,"budget_seconds":1"#,
+                "`budget` and `budget_seconds` are mutually exclusive",
+            ),
+        ];
+        for (extra, message) in refused {
+            match parse_explore_request(&body(extra)) {
+                Err(JobError::BadRequest(e)) => assert_eq!(e, message, "{extra}"),
+                other => panic!("{extra}: {other:?}"),
+            }
+        }
     }
 
     #[test]

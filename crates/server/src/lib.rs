@@ -20,9 +20,10 @@
 //! * **Front ends** — an HTTP/1.1 service ([`http`]; `POST /simulate`,
 //!   `POST /sweep`, `POST /explore`, `GET /stats`, `GET /metrics`,
 //!   `GET /healthz`) and a manifest-driven batch runner ([`batch`]) that
-//!   emits one combined REPORT CSV. Both are wired to the `scale-sim`
-//!   binary's `serve` and `batch` subcommands via [`cli`]. The three that
-//!   run many jobs — `/sweep`, `/explore`, `batch` — do it one way,
+//!   emits one combined REPORT CSV. The `scale-sim` binary's `serve` and
+//!   `batch` subcommands drive them; the binary owns argv, signals and
+//!   exit codes, and this crate parses none of them. The three that run
+//!   many jobs — `/sweep`, `/explore`, `batch` — do it one way,
 //!   [`Engine::run_all`]: from the calling thread, a bounded window of
 //!   jobs ahead of the one waited for, no thread of their own.
 //! * **Sweeps** ([`sweep`]) — `POST /sweep` walks a design-space plan
@@ -42,8 +43,8 @@
 //!   LRU itself. Job outcomes (fresh, shed, failed, …) are records of the
 //!   engine's flight recorder (`GET /debug/jobs`), not log lines.
 //! * **Overload & shutdown policy** — a bounded queue, deadlines and a
-//!   graceful drain on `SIGINT`/`SIGTERM` ([`signals`]): the engine's
-//!   module docs state it, [`http`]'s give the HTTP mapping (503 +
+//!   graceful drain ([`ServerHandle::drain`], which `scale-sim serve`
+//!   calls on `SIGINT`/`SIGTERM`): the engine's module docs state it, [`http`]'s give the HTTP mapping (503 +
 //!   `Retry-After`, 504). A test-only fault-injection hook ([`FaultPlan`])
 //!   exercises every failure path without real overload.
 //!
@@ -54,13 +55,11 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod cli;
 pub mod engine;
 pub mod explore;
 pub mod http;
 pub mod job;
 pub mod json;
-pub mod signals;
 pub mod sweep;
 
 pub use batch::{parse_manifest, run_batch, BatchOutcome};

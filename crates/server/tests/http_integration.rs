@@ -370,6 +370,30 @@ fn explore_route_prunes_and_reports_a_frontier() {
     handle.stop();
 }
 
+/// A `budget_seconds` past what a `Duration` holds is a 400 naming the
+/// field: 1e300 passed the old `is_finite() && > 0` filter and panicked
+/// the connection thread, which closed the connection with no reply.
+#[test]
+fn a_huge_explore_wall_clock_is_a_400_naming_the_field() {
+    let handle = start_server(1);
+    for seconds in ["1e300", "18446744073709551660"] {
+        let body =
+            format!(r#"{{"workloads":["TF1"],"budgets":[1024],"budget_seconds":{seconds}}}"#);
+        let response = request(handle.addr(), "POST", "/explore", Some(&body)).unwrap();
+        assert_eq!(response.status, 400, "body: {}", response.body);
+        let error = Json::parse(&response.body).unwrap();
+        let message = error.get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            message.starts_with("`budget_seconds`: wall clock"),
+            "{message}"
+        );
+        assert!(message.ends_with("is out of range"), "{message}");
+    }
+    // The connection threads survived: the server still answers.
+    assert_eq!(get(&handle, "/healthz").status, 200);
+    handle.stop();
+}
+
 /// A `config` of 2^62-byte words goes through the `parse_config` a config
 /// file does: every DRAM byte count saturates, where it wrapped to 0.
 #[test]

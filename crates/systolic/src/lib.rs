@@ -64,7 +64,7 @@ pub use crate::demand::{
 };
 pub use crate::engine::{analyze, simulate, ComputeReport};
 pub use crate::fold::{fold_duration, Fold, FoldPlan};
-pub use crate::trace::{CountingSink, CsvTraceSink, NullSink, SramCounts, TeeSink, TraceSink};
+pub use crate::trace::{CountingSink, CsvTraceSink, NullSink, SramCounts, TraceSink};
 
 // Re-export the mapping types callers need alongside the engines.
 pub use scalesim_topology::{Dataflow, MappedDims};

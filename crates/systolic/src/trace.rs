@@ -153,54 +153,6 @@ impl TraceSink for CountingSink {
     }
 }
 
-/// Fans events out to two sinks.
-#[derive(Debug, Default)]
-pub struct TeeSink<A, B> {
-    /// First receiver.
-    pub first: A,
-    /// Second receiver.
-    pub second: B,
-}
-
-impl<A, B> TeeSink<A, B> {
-    /// Combines two sinks.
-    pub fn new(first: A, second: B) -> Self {
-        TeeSink { first, second }
-    }
-}
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn fold_begin(&mut self, fold: &Fold) {
-        self.first.fold_begin(fold);
-        self.second.fold_begin(fold);
-    }
-
-    fn read_a(&mut self, cycle: u64, addr: u64) {
-        self.first.read_a(cycle, addr);
-        self.second.read_a(cycle, addr);
-    }
-
-    fn read_b(&mut self, cycle: u64, addr: u64) {
-        self.first.read_b(cycle, addr);
-        self.second.read_b(cycle, addr);
-    }
-
-    fn read_o(&mut self, cycle: u64, addr: u64) {
-        self.first.read_o(cycle, addr);
-        self.second.read_o(cycle, addr);
-    }
-
-    fn write_o(&mut self, cycle: u64, addr: u64) {
-        self.first.write_o(cycle, addr);
-        self.second.write_o(cycle, addr);
-    }
-
-    fn fold_end(&mut self, fold: &Fold) {
-        self.first.fold_end(fold);
-        self.second.fold_end(fold);
-    }
-}
-
 /// Writes SCALE-Sim-style CSV traces: one row per cycle,
 /// `cycle, addr, addr, …`, in three streams (SRAM reads for IFMAP and
 /// filter, SRAM writes for OFMAP; partial-sum re-reads go to the read
@@ -367,15 +319,6 @@ mod tests {
         assert_eq!(sink.counts().total(), 4);
         assert_eq!(sink.last_cycle(), 9);
         assert_eq!(sink.folds_seen(), 1);
-    }
-
-    #[test]
-    fn tee_feeds_both_sinks() {
-        let mut tee = TeeSink::new(CountingSink::new(), CountingSink::new());
-        tee.read_a(0, 0);
-        tee.write_o(1, 1);
-        assert_eq!(tee.first.counts().total(), 2);
-        assert_eq!(tee.second.counts().total(), 2);
     }
 
     #[test]

@@ -137,11 +137,6 @@ impl ConvLayer {
         self.ifmap_h * self.ifmap_w * self.channels
     }
 
-    /// Total filter elements across all filters.
-    pub fn filter_elems(&self) -> u64 {
-        self.window_size() * self.num_filters
-    }
-
     /// Total multiply-accumulate operations for this layer.
     pub fn macs(&self) -> u64 {
         self.ofmap_pixels() * self.window_size() * self.num_filters
@@ -446,7 +441,6 @@ mod tests {
         assert_eq!(l.window_size(), 36);
         assert_eq!(l.macs(), 36 * 36 * 16);
         assert_eq!(l.ifmap_elems(), 8 * 8 * 4);
-        assert_eq!(l.filter_elems(), 36 * 16);
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn check(layer: &ConvLayer, array: ArrayShape, df: Dataflow, seed: i64) {
     let ifmap: Vec<i64> = (0..layer.ifmap_elems())
         .map(|i| ((i as i64 * 7 + seed) % 11) - 5)
         .collect();
-    let filters: Vec<i64> = (0..layer.filter_elems())
+    let filters: Vec<i64> = (0..layer.window_size() * layer.num_filters())
         .map(|i| ((i as i64 * 13 - seed) % 9) - 4)
         .collect();
     let reference = direct_conv(layer, &ifmap, &filters);

@@ -90,7 +90,7 @@ proptest! {
         let summary = dram.finish();
         // With infinite capacity each unique address misses exactly once.
         prop_assert!(summary.reads_a <= layer.ifmap_elems());
-        prop_assert_eq!(summary.reads_b, layer.filter_elems());
+        prop_assert_eq!(summary.reads_b, layer.window_size() * layer.num_filters());
         prop_assert_eq!(summary.reads_o, 0);
     }
 
