@@ -75,8 +75,11 @@ OPTIONS:
                             to the paper's 32x32 OS / 512+512+256 KB setup
     -t, --topology <FILE>   topology CSV (Table II format)
     -n, --network <NAME>    built-in workload instead of --topology:
-                            resnet50 | alexnet | yolo_tiny | language_models
-                            | a Table IV layer tag (TF0, GNMT2, NCF1, ...)
+                            resnet50 | resnet18 | alexnet | googlenet
+                            | mobilenet_v1 | vgg16 | yolo_tiny
+                            | language_models, or one Table IV layer of it:
+                            GNMT0 | GNMT1 | GNMT2 | GNMT3 | DB0 | DB1
+                            | TF0 | TF1 | NCF0 | NCF1
     -g, --grid <PRxPC>      scale-out partition grid (e.g. 4x2); default 1x1
     -d, --dataflow <DF>     override the dataflow: os | ws | is
     -b, --bandwidth <B>     DRAM bandwidth in bytes/cycle; enables the
@@ -115,14 +118,21 @@ impl<'a> Flags<'a> {
         }
     }
 
-    /// The next argument, or `None` once the line is read.
-    fn next(&mut self) -> Option<&'a str> {
-        self.args.next().map(String::as_str)
+    /// The next flag, or `None` once the line is read. `-h`/`--help` is
+    /// every subcommand's flag: it stops the line with the help signal,
+    /// an empty error.
+    fn next(&mut self) -> Result<Option<&'a str>, String> {
+        match self.args.next().map(String::as_str) {
+            Some("-h" | "--help") => Err(String::new()),
+            arg => Ok(arg),
+        }
     }
 
     /// The value of `flag`: the argument after it.
     fn text(&mut self, flag: &str) -> Result<&'a str, String> {
-        self.next()
+        self.args
+            .next()
+            .map(String::as_str)
             .ok_or_else(|| format!("{flag} requires a value"))
     }
 
@@ -212,7 +222,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         trace_out: None,
     };
     let mut flags = Flags::new("run", argv);
-    while let Some(arg) = flags.next() {
+    while let Some(arg) = flags.next()? {
         match arg {
             "-c" | "--config" => args.config = Some(flags.text("--config")?.into()),
             "-t" | "--topology" => args.topology = Some(flags.text("--topology")?.into()),
@@ -238,7 +248,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--profile" => args.profile = true,
             "--dump-config" => args.dump_config = true,
             "--trace-out" => args.trace_out = Some(flags.text("--trace-out")?.into()),
-            "-h" | "--help" => return Err(String::new()),
             other => return Err(flags.unknown(other)),
         }
     }
@@ -309,7 +318,7 @@ fn parse_plan_args(command: &'static str, argv: &[String]) -> Result<PlanArgs, S
         explore: ExploreOptions::default(),
     };
     let mut flags = Flags::new(command, argv);
-    while let Some(arg) = flags.next() {
+    while let Some(arg) = flags.next()? {
         match arg {
             "-p" | "--plan" => plan = Some(PathBuf::from(flags.text("--plan")?)),
             "-j" | "--jobs" => args.jobs = Some(flags.nonzero("--jobs")?),
@@ -564,7 +573,7 @@ fn run_serve(argv: &[String]) -> Result<(), String> {
     let mut deadline_ms: u64 = 120_000;
     let mut grace_ms: u64 = 10_000;
     let mut flags = Flags::new("serve", argv);
-    while let Some(arg) = flags.next() {
+    while let Some(arg) = flags.next()? {
         match arg {
             "-p" | "--port" => port = flags.parse("--port")?,
             "--host" => host = flags.text("--host")?,
@@ -633,7 +642,7 @@ fn run_batch_cli(argv: &[String]) -> Result<(), String> {
     let mut jobs_n = default_workers();
     let mut output = None;
     let mut flags = Flags::new("batch", argv);
-    while let Some(arg) = flags.next() {
+    while let Some(arg) = flags.next()? {
         match arg {
             "-m" | "--manifest" => manifest_path = Some(flags.text("--manifest")?),
             "-j" | "--jobs" => jobs_n = flags.nonzero("--jobs")?,
@@ -674,14 +683,20 @@ enum CliError {
     Runtime(String),
 }
 
-fn run(argv: &[String]) -> Result<(), CliError> {
-    let args = parse_args(argv).map_err(|msg| {
+impl CliError {
+    /// The error of a command line read by [`Flags`]: the help signal (an
+    /// empty message, see [`Flags::next`]), else `error(msg)`.
+    fn or_help(msg: String, error: fn(String) -> Self) -> Self {
         if msg.is_empty() {
             CliError::Help
         } else {
-            CliError::Usage(msg)
+            error(msg)
         }
-    })?;
+    }
+}
+
+fn run(argv: &[String]) -> Result<(), CliError> {
+    let args = parse_args(argv).map_err(|msg| CliError::or_help(msg, CliError::Usage))?;
     run_simulation(&args).map_err(CliError::Runtime)
 }
 
@@ -815,11 +830,14 @@ fn main() -> ExitCode {
     let argv: Vec<String> = env::args().skip(1).collect();
     // Subcommand errors are always runtime-style (one line, no usage
     // dump). `run` is the explicit spelling of the default simulate path.
+    let subcommand = |command: fn(&[String]) -> Result<(), String>| {
+        command(&argv[1..]).map_err(|msg| CliError::or_help(msg, CliError::Runtime))
+    };
     let outcome = match argv.first().map(String::as_str) {
-        Some("serve") => run_serve(&argv[1..]).map_err(CliError::Runtime),
-        Some("batch") => run_batch_cli(&argv[1..]).map_err(CliError::Runtime),
-        Some("sweep") => run_sweep_cli(&argv[1..]).map_err(CliError::Runtime),
-        Some("explore") => run_explore_cli(&argv[1..]).map_err(CliError::Runtime),
+        Some("serve") => subcommand(run_serve),
+        Some("batch") => subcommand(run_batch_cli),
+        Some("sweep") => subcommand(run_sweep_cli),
+        Some("explore") => subcommand(run_explore_cli),
         Some("run") => run(&argv[1..]),
         _ => run(&argv),
     };
@@ -913,16 +931,7 @@ mod tests {
 
     #[test]
     fn builtin_networks_resolve() {
-        for name in [
-            "resnet50",
-            "resnet18",
-            "alexnet",
-            "googlenet",
-            "mobilenet_v1",
-            "vgg16",
-            "yolo_tiny",
-            "language_models",
-        ] {
+        for (name, _) in networks::BUILTIN {
             let mut a = parse_args(&[]).unwrap();
             a.network = Some(name.into());
             assert!(load_topology(&a).is_ok(), "{name} should load");
@@ -930,6 +939,18 @@ mod tests {
         let mut a = parse_args(&[]).unwrap();
         a.network = Some("vgg".into());
         assert!(load_topology(&a).is_err());
+    }
+
+    #[test]
+    fn usage_names_every_builtin_network_and_layer_tag() {
+        let words: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .collect();
+        let tags = networks::language_models();
+        let names = networks::BUILTIN.iter().map(|(name, _)| *name);
+        for name in names.chain(tags.iter().map(|l| l.name())) {
+            assert!(words.contains(&name), "USAGE does not name `{name}`");
+        }
     }
 
     #[test]

@@ -28,6 +28,19 @@ fn help_prints_usage_and_succeeds() {
 }
 
 #[test]
+fn every_subcommand_prints_usage_on_help() {
+    let usage = scale_sim(&["--help"]).stdout;
+    for command in ["run", "serve", "batch", "sweep", "explore"] {
+        for help in ["-h", "--help"] {
+            let out = scale_sim(&[command, help]);
+            assert!(out.status.success(), "{command} {help}: {:?}", out.status);
+            assert_eq!(out.stdout, usage, "{command} {help}");
+            assert!(out.stderr.is_empty(), "{command} {help}");
+        }
+    }
+}
+
+#[test]
 fn unknown_flag_fails_with_usage() {
     let out = scale_sim(&["--bogus"]);
     assert!(!out.status.success());

@@ -332,9 +332,10 @@ fn either_network_or_csv() -> JobError {
 /// layer tags like `TF0`), with server-flavored errors.
 pub fn builtin_network(name: &str) -> Result<Topology, JobError> {
     networks::by_name(name).ok_or_else(|| {
+        let names: Vec<&str> = networks::BUILTIN.iter().map(|(n, _)| *n).collect();
         JobError::bad_request(format!(
-            "unknown built-in workload `{name}` (try resnet50, resnet18, alexnet, googlenet, \
-             mobilenet_v1, vgg16, yolo_tiny, language_models, or a Table IV layer tag like TF0)"
+            "unknown built-in workload `{name}` (try {}, or a Table IV layer tag like TF0)",
+            names.join(", ")
         ))
     })
 }

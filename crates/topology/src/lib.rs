@@ -5,8 +5,8 @@
 //! This crate implements the *input side* of SCALE-Sim (Samajdar et al.,
 //! ISPASS 2020): neural-network layer descriptions, the topology CSV file
 //! format of Table II, the spatio-temporal GEMM projection of Table III, and
-//! a library of built-in networks used throughout the paper's evaluation
-//! (ResNet-50, AlexNet, YOLO-tiny and the Table IV language-model layers).
+//! the built-in networks of the paper's evaluation (ResNet-50, the Table IV
+//! language-model layers and six more CNNs), each a shipped Table II file.
 //!
 //! # Quick example
 //!

@@ -1,8 +1,11 @@
-//! The shipped asset files (`assets/`) must stay loadable and faithful to
-//! the built-in workloads they were exported from.
+//! The shipped asset files (`assets/`) must stay loadable, and each
+//! built-in network must be its asset file.
+
+use std::fs;
+use std::path::Path;
 
 use scalesim::{parse_config, SimConfig};
-use scalesim_topology::{networks, parse_topology_csv};
+use scalesim_topology::{networks, topology_to_csv};
 
 #[test]
 fn shipped_config_matches_the_paper_defaults() {
@@ -12,40 +15,22 @@ fn shipped_config_matches_the_paper_defaults() {
 }
 
 #[test]
-fn shipped_topologies_parse_back_to_the_builtins() {
-    let cases = [
-        (
-            include_str!("../../assets/alexnet.csv"),
-            networks::alexnet(),
-        ),
-        (
-            include_str!("../../assets/resnet18.csv"),
-            networks::resnet18(),
-        ),
-        (
-            include_str!("../../assets/resnet50.csv"),
-            networks::resnet50(),
-        ),
-        (
-            include_str!("../../assets/googlenet.csv"),
-            networks::googlenet(),
-        ),
-        (
-            include_str!("../../assets/mobilenet_v1.csv"),
-            networks::mobilenet_v1(),
-        ),
-        (include_str!("../../assets/vgg16.csv"), networks::vgg16()),
-        (
-            include_str!("../../assets/yolo_tiny.csv"),
-            networks::yolo_tiny(),
-        ),
-        (
-            include_str!("../../assets/language_models.csv"),
-            networks::language_models(),
-        ),
-    ];
-    for (text, builtin) in cases {
-        let parsed = parse_topology_csv(builtin.name(), text).unwrap();
-        assert_eq!(parsed, builtin, "asset diverged for {}", builtin.name());
+fn each_builtin_writes_back_its_asset_byte_for_byte() {
+    let assets = Path::new(env!("CARGO_MANIFEST_DIR")).join("../assets");
+    for (name, _) in networks::BUILTIN {
+        let asset = fs::read_to_string(assets.join(format!("{name}.csv"))).unwrap();
+        let builtin = networks::by_name(name).unwrap();
+        assert_eq!(builtin.name(), name);
+        assert_eq!(topology_to_csv(&builtin), asset, "assets/{name}.csv");
     }
+    // ... and every topology file in `assets/` is a built-in.
+    let mut files: Vec<String> = fs::read_dir(&assets)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter_map(|file| file.strip_suffix(".csv").map(str::to_owned))
+        .collect();
+    files.sort_unstable();
+    let mut names: Vec<&str> = networks::BUILTIN.iter().map(|(name, _)| *name).collect();
+    names.sort_unstable();
+    assert_eq!(files, names);
 }
