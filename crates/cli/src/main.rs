@@ -15,13 +15,11 @@ use std::time::Duration;
 use scalesim::sweep::{
     summarize_groups, CsvSink, JsonLinesSink, SweepEngine, SweepOutcome, SweepPlan,
 };
-use scalesim::{
-    parse_config, Dataflow, ExploreEngine, ExploreOptions, PartitionGrid, SimConfig, Simulator,
-};
+use scalesim::{parse_config, ExploreEngine, ExploreOptions};
 use scalesim_server::engine::DEFAULT_QUEUE_DEPTH;
-use scalesim_server::job::builtin_network;
-use scalesim_server::{parse_manifest, run_batch, Engine, EngineOptions, Server, ServerOptions};
-use scalesim_topology::{networks, parse_topology_csv, Topology};
+use scalesim_server::{
+    parse_manifest, run_batch, Engine, EngineOptions, Server, ServerOptions, SimJob, Workload,
+};
 
 const USAGE: &str = "\
 scale-sim — systolic-array DNN accelerator simulator (SCALE-Sim in Rust)
@@ -81,7 +79,8 @@ OPTIONS:
                             GNMT0 | GNMT1 | GNMT2 | GNMT3 | DB0 | DB1
                             | TF0 | TF1 | NCF0 | NCF1
     -g, --grid <PRxPC>      scale-out partition grid (e.g. 4x2); default 1x1
-    -d, --dataflow <DF>     override the dataflow: os | ws | is
+    -d, --dataflow <DF>     override the dataflow: os | ws | is | auto
+                            (auto: the fastest per layer)
     -b, --bandwidth <B>     DRAM bandwidth in bytes/cycle; enables the
                             finite-bandwidth stall model
         --batch <N>         batch the workload N times (lowers convs to GEMM)
@@ -167,14 +166,14 @@ fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+/// A parsed `run` command line.
 struct Args {
+    /// The job: `-n`, `-g`, `-d`, `-b` and `--batch` are its fields, read
+    /// by [`SimJob::set`]; the `-c` and `-t` files fill in its config and
+    /// workload when they are read.
+    job: SimJob,
     config: Option<PathBuf>,
     topology: Option<PathBuf>,
-    network: Option<String>,
-    grid: PartitionGrid,
-    dataflow: Option<Dataflow>,
-    bandwidth: Option<f64>,
-    batch: Option<u64>,
     output: Option<PathBuf>,
     traces: bool,
     profile: bool,
@@ -208,13 +207,9 @@ fn write_trace(trace_out: &Option<PathBuf>) -> Result<(), String> {
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
+        job: SimJob::default(),
         config: None,
         topology: None,
-        network: None,
-        grid: PartitionGrid::monolithic(),
-        dataflow: None,
-        bandwidth: None,
-        batch: None,
         output: None,
         traces: false,
         profile: false,
@@ -226,23 +221,20 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match arg {
             "-c" | "--config" => args.config = Some(flags.text("--config")?.into()),
             "-t" | "--topology" => args.topology = Some(flags.text("--topology")?.into()),
-            "-n" | "--network" => args.network = Some(flags.text("--network")?.to_owned()),
-            "-g" | "--grid" => {
-                args.grid = flags
-                    .text("--grid")?
-                    .parse()
-                    .map_err(|e| format!("--grid: {e}"))?;
+            "-n" | "--network" | "-g" | "--grid" | "-d" | "--dataflow" | "-b" | "--bandwidth"
+            | "--batch" => {
+                // Each job flag is its job field, dashed.
+                let flag = match arg {
+                    "-n" => "--network",
+                    "-g" => "--grid",
+                    "-d" => "--dataflow",
+                    "-b" => "--bandwidth",
+                    long => long,
+                };
+                args.job
+                    .set(&flag[2..], flags.text(flag)?)
+                    .map_err(|e| format!("{flag}: {e}"))?;
             }
-            "-d" | "--dataflow" => {
-                let config = config_flag("--dataflow", "Dataflow", flags.text("--dataflow")?)?;
-                args.dataflow = Some(config.dataflow);
-            }
-            "-b" | "--bandwidth" => {
-                let config =
-                    config_flag("--bandwidth", "DramBandwidth", flags.text("--bandwidth")?)?;
-                args.bandwidth = config.dram_bandwidth;
-            }
-            "--batch" => args.batch = Some(flags.nonzero("--batch")?),
             "-o" | "--output" => args.output = Some(flags.text("--output")?.into()),
             "--traces" => args.traces = true,
             "--profile" => args.profile = true,
@@ -252,31 +244,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-/// The default config with Table I parameter `key` set from the text of
-/// `flag`: `-d` and `-b` are read, and checked, by `SimConfig::set`.
-fn config_flag(flag: &str, key: &str, text: &str) -> Result<SimConfig, String> {
-    let mut config = SimConfig::default();
-    config.set(key, text).map_err(|e| format!("{flag}: {e}"))?;
-    Ok(config)
-}
-
-fn load_topology(args: &Args) -> Result<Topology, String> {
-    if let Some(path) = &args.topology {
-        let text = fs::read_to_string(path)
-            .map_err(|e| format!("cannot read topology {}: {e}", path.display()))?;
-        let name = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("topology")
-            .to_owned();
-        return parse_topology_csv(&name, &text).map_err(|e| format!("topology parse error: {e}"));
-    }
-    match args.network.as_deref() {
-        Some(name) => builtin_network(name).map_err(|e| e.to_string()),
-        None => Err("no workload: pass --topology <file> or --network <name>".into()),
-    }
 }
 
 /// Output encoding for `scale-sim sweep`.
@@ -697,49 +664,52 @@ impl CliError {
 
 fn run(argv: &[String]) -> Result<(), CliError> {
     let args = parse_args(argv).map_err(|msg| CliError::or_help(msg, CliError::Usage))?;
-    run_simulation(&args).map_err(CliError::Runtime)
+    run_simulation(args).map_err(CliError::Runtime)
 }
 
-fn run_simulation(args: &Args) -> Result<(), String> {
-    let mut config: SimConfig = match &args.config {
-        Some(path) => {
-            let text = fs::read_to_string(path)
-                .map_err(|e| format!("cannot read config {}: {e}", path.display()))?;
-            parse_config(&text).map_err(|e| format!("config parse error: {e}"))?
-        }
-        None => SimConfig::default(),
-    };
-    if let Some(df) = args.dataflow {
-        config.dataflow = df;
+fn run_simulation(args: Args) -> Result<(), String> {
+    let mut job = args.job;
+    if let Some(path) = &args.config {
+        let text = fs::read_to_string(path)
+            .map_err(|e| format!("cannot read config {}: {e}", path.display()))?;
+        job.config = parse_config(&text).map_err(|e| format!("config parse error: {e}"))?;
     }
-    if let Some(bw) = args.bandwidth {
-        config.dram_bandwidth = Some(bw);
-    }
-
     if args.dump_config {
+        let config = job.effective_config().map_err(|e| e.to_string())?;
         print!("{}", config.to_config_string());
         return Ok(());
     }
-
-    let mut topology = load_topology(args)?;
-    if let Some(batch) = args.batch {
-        topology = networks::batched(&topology, batch).map_err(|e| e.to_string())?;
+    if let Some(path) = &args.topology {
+        let csv = fs::read_to_string(path)
+            .map_err(|e| format!("cannot read topology {}: {e}", path.display()))?;
+        let name = path.file_stem().and_then(|s| s.to_str());
+        job.workload = Workload::InlineCsv {
+            name: name.unwrap_or("topology").to_owned(),
+            csv,
+        };
     }
-    let sim = Simulator::new(config).with_grid(args.grid);
+    let job = job
+        .finish("no workload: pass --topology <file> or --network <name>")
+        .and_then(|job| job.normalize())
+        .map_err(|e| e.to_string())?;
+    let (topology, sim) = (&job.topology, job.simulator());
 
     eprintln!(
         "running {} ({} layers) on {} grid of {} arrays, dataflow {}",
         topology.name(),
         topology.len(),
-        args.grid,
-        config.array,
-        config.dataflow,
+        job.grid,
+        job.config.array,
+        match job.auto_dataflow {
+            true => "auto".to_owned(),
+            false => job.config.dataflow.to_string(),
+        },
     );
 
     if let Some(dir) = &args.output {
         fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         if args.traces {
-            for layer in &topology {
+            for layer in topology {
                 let create = |suffix: &str| {
                     fs::File::create(dir.join(format!("{}_{suffix}.csv", layer.name())))
                         .map_err(|e| format!("cannot create trace file: {e}"))
@@ -753,7 +723,7 @@ fn run_simulation(args: &Args) -> Result<(), String> {
     }
 
     enable_tracing(args.profile || args.trace_out.is_some());
-    let report = sim.run_topology(&topology);
+    let report = sim.run_topology(topology);
     println!("{report}");
     if args.profile {
         print!("{}", profile_table(&report)?);
@@ -862,7 +832,10 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use scalesim::ExploreBudget;
+    use std::num::NonZeroU64;
+
+    use scalesim::{Dataflow, DataflowChoice, ExploreBudget, PartitionGrid};
+    use scalesim_topology::networks;
 
     use super::*;
 
@@ -884,7 +857,7 @@ mod tests {
             "--traces",
         ]))
         .unwrap();
-        assert_eq!(a.grid, PartitionGrid::new(4, 2));
+        assert_eq!(a.job.grid, Some(PartitionGrid::new(4, 2)));
         assert!(a.traces);
         assert_eq!(a.config.unwrap(), PathBuf::from("x.cfg"));
     }
@@ -900,9 +873,13 @@ mod tests {
             "8",
         ]))
         .unwrap();
-        assert_eq!(a.dataflow, Some(Dataflow::WeightStationary));
-        assert_eq!(a.bandwidth, Some(32.5));
-        assert_eq!(a.batch, Some(8));
+        let job = a.job;
+        let ws = DataflowChoice::Fixed(Dataflow::WeightStationary);
+        assert_eq!(job.dataflow, Some(ws));
+        assert_eq!(job.bandwidth, Some(32.5));
+        assert_eq!(job.batch, NonZeroU64::new(8));
+        let auto = parse_args(&argv(&["-d", "auto"])).unwrap().job;
+        assert_eq!(auto.dataflow, Some(DataflowChoice::Auto));
     }
 
     #[test]
@@ -929,16 +906,18 @@ mod tests {
         assert_eq!(parse_args(&argv(&["--help"])).err(), Some(String::new()));
     }
 
+    /// The job `-n name` reads, normalized.
+    fn network_job(name: &str) -> Result<scalesim_server::NormalizedJob, String> {
+        let args = parse_args(&argv(&["-n", name]))?;
+        args.job.normalize().map_err(|e| e.to_string())
+    }
+
     #[test]
     fn builtin_networks_resolve() {
         for (name, _) in networks::BUILTIN {
-            let mut a = parse_args(&[]).unwrap();
-            a.network = Some(name.into());
-            assert!(load_topology(&a).is_ok(), "{name} should load");
+            assert!(network_job(name).is_ok(), "{name} should load");
         }
-        let mut a = parse_args(&[]).unwrap();
-        a.network = Some("vgg".into());
-        assert!(load_topology(&a).is_err());
+        assert!(network_job("vgg").is_err());
     }
 
     #[test]
@@ -956,15 +935,13 @@ mod tests {
     #[test]
     fn missing_workload_is_an_error() {
         let a = parse_args(&[]).unwrap();
-        assert!(load_topology(&a).is_err());
+        let err = run_simulation(a).unwrap_err();
+        assert!(err.starts_with("no workload"), "{err}");
     }
 
     #[test]
     fn layer_tag_workloads_resolve() {
-        let mut a = parse_args(&[]).unwrap();
-        a.network = Some("TF0".into());
-        let topo = load_topology(&a).unwrap();
-        assert_eq!(topo.len(), 1);
+        assert_eq!(network_job("TF0").unwrap().topology.len(), 1);
     }
 
     #[test]
@@ -1166,10 +1143,34 @@ mod tests {
 
     #[test]
     fn every_subcommand_words_a_flag_error_the_same_way() {
-        assert_eq!(
-            parse_args(&argv(&["--batch", "0"])).err().unwrap(),
-            "--batch must be nonzero"
-        );
+        // A `run` job flag's error is `SimJob::set`'s, which names its
+        // field once, after the flag.
+        let job_flags: [(&[&str], &str); 6] = [
+            (
+                &["--batch", "0"],
+                "--batch: batch `0` is not a positive integer",
+            ),
+            (
+                &["-g", "4"],
+                "--grid: grid `4` is not PRxPC with nonzero counts",
+            ),
+            (
+                &["-d", "rs"],
+                "--dataflow: bad dataflow `rs` (want os/ws/is/auto)",
+            ),
+            (
+                &["-b", "-3"],
+                "--bandwidth: parameter `DramBandwidth` must be nonzero",
+            ),
+            (&["--network", ""], "--network: empty `network`"),
+            (
+                &["-n", "TF0", "-n", "TF1"],
+                "--network: job field `network` is given twice",
+            ),
+        ];
+        for (args, message) in job_flags {
+            assert_eq!(parse_args(&argv(args)).err().unwrap(), message);
+        }
         assert_eq!(
             parse_sweep_args(&argv(&["--jobs", "0"])).unwrap_err(),
             "--jobs must be nonzero"

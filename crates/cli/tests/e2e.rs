@@ -804,6 +804,88 @@ fn batch_rejects_a_smuggled_config_line_at_its_manifest_line() {
     assert_one_line_error(&out, "manifest line 2: config.ArrayHeight");
 }
 
+/// `scale-sim run` and `scale-sim batch` read one job: for every workload
+/// and flag set, `run … -o DIR` writes the `REPORT.csv` that `batch`
+/// writes for the manifest line holding the same fields — a `key=value`
+/// line for a built-in network, a JSON line for a topology file.
+#[test]
+fn run_and_batch_read_one_job() {
+    let dir = temp_dir("onejob");
+    let topo = dir.join("tiny_net.csv");
+    fs::write(
+        &topo,
+        "Conv,16,16,3,3,4,8,1\nFc,1,1,1,1,64,10,1\nGemm,24,16,40\n",
+    )
+    .unwrap();
+    let csv = fs::read_to_string(&topo).unwrap();
+    let flag_sets: [&[(&str, &str, &str)]; 9] = [
+        &[],
+        &[("-g", "grid", "2x2")],
+        &[("-d", "dataflow", "os")],
+        &[("-d", "dataflow", "ws")],
+        &[("-d", "dataflow", "is")],
+        &[("-d", "dataflow", "auto")],
+        &[("-b", "bandwidth", "16")],
+        &[("--batch", "batch", "2")],
+        &[
+            ("-g", "grid", "2x2"),
+            ("-d", "dataflow", "auto"),
+            ("-b", "bandwidth", "16"),
+            ("--batch", "batch", "2"),
+        ],
+    ];
+    let workloads = [
+        ("-n", "TF1", "network=TF1".to_owned()),
+        ("-n", "alexnet", "network=alexnet".to_owned()),
+        (
+            "-t",
+            topo.to_str().unwrap(),
+            format!(
+                "\"topology_csv\": \"{}\", \"topology_name\": \"tiny_net\"",
+                csv.replace('\n', "\\n")
+            ),
+        ),
+    ];
+    for (w, (flag, value, job)) in workloads.iter().enumerate() {
+        for (f, flags) in flag_sets.iter().enumerate() {
+            let out = dir.join(format!("run{w}_{f}"));
+            let mut argv = vec!["run", flag, value, "-o", out.to_str().unwrap()];
+            argv.extend(flags.iter().flat_map(|(flag, _, text)| [*flag, *text]));
+            let run = scale_sim(&argv);
+            assert!(run.status.success(), "{argv:?}: {run:?}");
+
+            let line = if *flag == "-t" {
+                let fields = flags.iter().map(|(_, key, text)| match *key {
+                    "grid" | "dataflow" => format!(", \"{key}\": \"{text}\""),
+                    _ => format!(", \"{key}\": {text}"),
+                });
+                format!("{{{job}{}}}", fields.collect::<String>())
+            } else {
+                let fields = flags.iter().map(|(_, key, text)| format!(" {key}={text}"));
+                format!("{job}{}", fields.collect::<String>())
+            };
+            let manifest = dir.join(format!("manifest{w}_{f}.txt"));
+            fs::write(&manifest, format!("{line}\n")).unwrap();
+            let batch_csv = dir.join(format!("batch{w}_{f}.csv"));
+            let batch = scale_sim(&[
+                "batch",
+                "--manifest",
+                manifest.to_str().unwrap(),
+                "--jobs",
+                "1",
+                "--output",
+                batch_csv.to_str().unwrap(),
+            ]);
+            assert!(batch.status.success(), "{line}: {batch:?}");
+            assert_eq!(
+                fs::read_to_string(out.join("REPORT.csv")).unwrap(),
+                fs::read_to_string(&batch_csv).unwrap(),
+                "{argv:?} vs {line}"
+            );
+        }
+    }
+}
+
 /// The batch acceptance scenario: a manifest listing every ResNet-50 layer
 /// twice must report exactly a 50% cache-hit rate and produce per-layer
 /// rows byte-identical to a sequential single-shot CLI run.

@@ -149,27 +149,29 @@ pub fn run_batch(engine: &Engine, jobs: &[SimJob]) -> Result<BatchOutcome, JobEr
 
 #[cfg(test)]
 mod tests {
+    use scalesim::{Dataflow, DataflowChoice};
+
     use super::*;
 
     const TINY_CSV: &str = "Layer,IfmapH,IfmapW,FilterH,FilterW,Channels,Filters,Strides\n\
                             L1,8,8,3,3,4,8,1\nL2,8,8,1,1,8,8,1\n";
 
     fn tiny_manifest_job(dataflow: &str) -> SimJob {
-        SimJob {
+        let mut job = SimJob {
             workload: crate::job::Workload::InlineCsv {
                 name: "tiny".into(),
                 csv: TINY_CSV.into(),
             },
-            layer: None,
-            config: vec![
-                ("ArrayHeight".into(), "8".into()),
-                ("ArrayWidth".into(), "8".into()),
-            ],
-            grid: (1, 1),
-            dataflow: Some(dataflow.into()),
-            bandwidth: None,
-            batch: None,
+            ..SimJob::default()
+        };
+        for (key, text) in [
+            ("config.ArrayHeight", "8"),
+            ("config.ArrayWidth", "8"),
+            ("dataflow", dataflow),
+        ] {
+            job.set(key, text).unwrap();
         }
+        job
     }
 
     #[test]
@@ -179,7 +181,10 @@ mod tests {
         let jobs = parse_manifest(text).unwrap();
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[0].layer.as_deref(), Some("Conv1"));
-        assert_eq!(jobs[1].dataflow.as_deref(), Some("ws"));
+        assert_eq!(
+            jobs[1].dataflow,
+            Some(DataflowChoice::Fixed(Dataflow::WeightStationary))
+        );
         assert!(parse_manifest("# only comments\n").is_err());
         assert!(parse_manifest("network=resnet50 nonsense\n").is_err());
     }

@@ -42,7 +42,7 @@ use std::time::Instant;
 use scalesim::cache::{ContentKey, ShardedLru};
 use scalesim::exec::Slot;
 use scalesim::pool::{Batch, BatchJob, JobOutcome, Refused, WorkerPool};
-use scalesim::{ExploreEngine, NetworkReport, Simulator};
+use scalesim::{ExploreEngine, NetworkReport};
 
 // Core's one fault-injection hook, re-exported for the server's API.
 pub use scalesim::exec::FaultPlan;
@@ -631,12 +631,8 @@ impl Engine {
         };
 
         if leader {
-            let mut sim = Simulator::new(normalized.config).with_grid(normalized.grid);
-            if normalized.auto_dataflow {
-                sim = sim.with_auto_dataflow();
-            }
             let job = BatchJob {
-                sim,
+                sim: normalized.simulator(),
                 topology: Cow::Owned(normalized.topology),
             };
             let faults = shared.faults.lock().unwrap().clone();
@@ -904,23 +900,25 @@ mod tests {
 
     fn small_job() -> SimJob {
         // Single tiny layer so engine tests stay fast.
-        SimJob {
+        let mut job = SimJob {
             workload: crate::job::Workload::InlineCsv {
                 name: "tiny".into(),
                 csv: "Layer,IfmapH,IfmapW,FilterH,FilterW,Channels,Filters,Strides\n\
                       L1,8,8,3,3,4,8,1\n"
                     .into(),
             },
-            layer: None,
-            config: vec![
-                ("ArrayHeight".into(), "8".into()),
-                ("ArrayWidth".into(), "8".into()),
-            ],
-            grid: (1, 1),
-            dataflow: None,
-            bandwidth: None,
-            batch: None,
-        }
+            ..SimJob::default()
+        };
+        job.set("config.ArrayHeight", "8").unwrap();
+        job.set("config.ArrayWidth", "8").unwrap();
+        job
+    }
+
+    /// [`small_job`] with one more field set.
+    fn small_job_with(key: &str, text: &str) -> SimJob {
+        let mut job = small_job();
+        job.set(key, text).unwrap();
+        job
     }
 
     #[test]
@@ -972,9 +970,9 @@ mod tests {
         let engine = Engine::new(1, 64);
         engine.inject_faults(FaultPlan::new().delay("tiny", Duration::from_millis(20)));
         let job_n = |n: u64| {
-            let mut job = small_job();
-            job.config.push(("IfmapSramSz".into(), n.to_string()));
-            job.normalize().unwrap()
+            small_job_with("config.IfmapSramSz", &n.to_string())
+                .normalize()
+                .unwrap()
         };
         engine.run_normalized(job_n(0)).unwrap();
         let ctx = JobContext::internal();
@@ -1001,8 +999,7 @@ mod tests {
     fn distinct_jobs_each_simulate() {
         let engine = Engine::new(2, 64);
         let a = small_job();
-        let mut b = small_job();
-        b.config.push(("Dataflow".into(), "is".into()));
+        let b = small_job_with("config.Dataflow", "is");
         engine.run(&a).unwrap();
         engine.run(&b).unwrap();
         assert_eq!(engine.stats().simulations.get(), 2);
@@ -1078,8 +1075,7 @@ mod tests {
     #[test]
     fn auto_dataflow_jobs_simulate_per_layer_selection() {
         let engine = Engine::new(2, 64);
-        let mut auto = small_job();
-        auto.dataflow = Some("auto".into());
+        let auto = small_job_with("dataflow", "auto");
         let fixed = small_job();
         let (auto_result, _) = engine.run(&auto).unwrap();
         let (fixed_result, _) = engine.run(&fixed).unwrap();
@@ -1147,9 +1143,7 @@ mod tests {
         });
         engine.inject_faults(FaultPlan::new().delay("tiny", Duration::from_millis(400)));
         fn job_n(n: u64) -> SimJob {
-            let mut job = small_job();
-            job.config.push(("IfmapSramSz".into(), n.to_string()));
-            job
+            small_job_with("config.IfmapSramSz", &n.to_string())
         }
 
         let (first, second) = std::thread::scope(|s| {
@@ -1276,8 +1270,7 @@ mod tests {
         // Capacity 1, single shard: the second distinct job evicts the first.
         let engine = Engine::new(1, 1);
         let a = small_job();
-        let mut b = small_job();
-        b.config.push(("Dataflow".into(), "is".into()));
+        let b = small_job_with("config.Dataflow", "is");
         engine.run(&a).unwrap();
         engine.run(&b).unwrap();
         let registry = engine.registry();

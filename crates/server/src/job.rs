@@ -1,25 +1,30 @@
 //! The job model: a simulation request, its normalized form, and the
 //! content-addressed key that names its result.
 //!
+//! A [`SimJob`] is read once: every door (a `/simulate` body, a manifest
+//! line, the `scale-sim run` flags) hands each field's text to
+//! [`SimJob::set`], which keeps the typed value; normalizing reads no text.
+//!
 //! Two requests that *mean* the same simulation — reordered config keys,
 //! `"ws"` vs `"weight_stationary"`, gratuitous whitespace in an inline
 //! topology CSV, a different region offset — must map to the same
 //! [`ContentKey`], because the key is what the server's result cache and
-//! its single-flight dedup table are addressed by. Normalization therefore
-//! resolves every field to the simulator's own canonical serializations
+//! its single-flight dedup table are addressed by. The key therefore
+//! hashes the simulator's own canonical serializations
 //! (`SimConfig::to_config_string`, `topology_to_csv`), and the canonical
-//! job text drops what no simulation reads, before hashing. The key names
-//! whole jobs in this crate only: the layer cache beneath it keys layers
-//! by [`scalesim::layer_cache::LayerKey`], and a sweep batch dedups its
+//! job text drops what no simulation reads. The key names whole jobs in
+//! this crate only: the layer cache beneath it keys layers by
+//! [`scalesim::layer_cache::LayerKey`], and a sweep batch dedups its
 //! points by their workload, grid, array and dataflow choice.
 
 use std::fmt;
+use std::num::NonZeroU64;
 
 use serde::{Deserialize, Serialize};
 
 use scalesim::cache::ContentKey;
-use scalesim::sweep::SweepError;
-use scalesim::{ParseConfigError, PartitionGrid, RegionOffsets, SimConfig};
+use scalesim::sweep::{DataflowChoice, SweepError};
+use scalesim::{PartitionGrid, RegionOffsets, SimConfig, Simulator};
 use scalesim_topology::{networks, parse_topology_csv, topology_to_csv, Topology};
 
 use crate::json::Json;
@@ -38,27 +43,43 @@ pub enum Workload {
     },
 }
 
-/// A simulation request, as accepted over HTTP (`POST /simulate`) and in
-/// batch manifests. Field semantics mirror the CLI flags.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A simulation request, as accepted over HTTP (`POST /simulate`), in
+/// batch manifests and on the `scale-sim run` command line, each field
+/// holding the value [`SimJob::set`] read.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimJob {
     /// The workload to run.
     pub workload: Workload,
     /// Restrict to a single layer of the workload, by layer name.
     pub layer: Option<String>,
-    /// Table I config overrides (`ArrayHeight`, `IfmapSramSz`, ...), applied
-    /// over the paper's default configuration. Order-insensitive.
-    pub config: Vec<(String, String)>,
-    /// Scale-out partition grid (rows, cols); `(1, 1)` = monolithic.
-    pub grid: (u64, u64),
-    /// Dataflow override in any accepted spelling (`os`, `WS`,
-    /// `weight_stationary`, ...), or `auto` to let the analytical model
-    /// pick the fastest dataflow per layer.
-    pub dataflow: Option<String>,
+    /// The paper's default configuration with each Table I override
+    /// (`config.ArrayHeight`, ...) applied as it arrived.
+    pub config: SimConfig,
+    /// Scale-out partition grid; monolithic when not given.
+    pub grid: Option<PartitionGrid>,
+    /// Dataflow override: a fixed dataflow, or [`DataflowChoice::Auto`]
+    /// to let the analytical model pick the fastest one per layer.
+    pub dataflow: Option<DataflowChoice>,
     /// DRAM bandwidth in bytes/cycle; enables the stall model.
     pub bandwidth: Option<f64>,
     /// Batch the workload N times (lowers convs to GEMM).
-    pub batch: Option<u64>,
+    pub batch: Option<NonZeroU64>,
+}
+
+impl Default for SimJob {
+    /// A job with no field given yet, no workload either, which a door
+    /// fills in through [`SimJob::set`] and then [`SimJob::finish`]es.
+    fn default() -> SimJob {
+        SimJob {
+            workload: Workload::Builtin(String::new()),
+            layer: None,
+            config: SimConfig::default(),
+            grid: None,
+            dataflow: None,
+            bandwidth: None,
+            batch: None,
+        }
+    }
 }
 
 impl SimJob {
@@ -66,21 +87,7 @@ impl SimJob {
     pub fn builtin(network: impl Into<String>) -> SimJob {
         SimJob {
             workload: Workload::Builtin(network.into()),
-            layer: None,
-            config: Vec::new(),
-            grid: (1, 1),
-            dataflow: None,
-            bandwidth: None,
-            batch: None,
-        }
-    }
-
-    /// A job with no field given yet, which each door fills in through
-    /// [`SimJob::set`]: no network, and [`UNSET_GRID`].
-    fn unset() -> SimJob {
-        SimJob {
-            grid: UNSET_GRID,
-            ..SimJob::builtin("")
+            ..SimJob::default()
         }
     }
 
@@ -89,38 +96,36 @@ impl SimJob {
         !matches!(&self.workload, Workload::Builtin(name) if name.is_empty())
     }
 
-    /// The job a door read, once every field is in: it must name a
-    /// workload (`missing` says how), and runs on `1x1` without a grid.
-    fn finish(mut self, missing: &str) -> Result<SimJob, JobError> {
+    /// The job a door read, once every field is in: an error worded
+    /// `missing` when it names no workload.
+    pub fn finish(self, missing: &str) -> Result<SimJob, JobError> {
         if !self.named() {
             return Err(JobError::bad_request(missing));
-        }
-        if self.grid == UNSET_GRID {
-            self.grid = (1, 1);
         }
         Ok(self)
     }
 
     /// Sets one job field from its text: the job-field grammar, which
-    /// [`SimJob::from_json`] and [`SimJob::from_kv_line`] both read
-    /// through. Keys: `network`, `layer`, `grid` (`PRxPC`), `dataflow`
-    /// (`os`/`ws`/`is` in any spelling, or `auto`), `bandwidth`
-    /// (bytes/cycle), `batch`, and `config.<Key>`, a Table I override. An
-    /// inline topology comes from JSON only. Values a [`SimConfig`] holds
-    /// — overrides, a fixed dataflow, the bandwidth — are checked by
-    /// [`SimConfig::set`] here and again by [`SimJob::normalize`].
+    /// [`SimJob::from_json`], [`SimJob::from_kv_line`] and the `scale-sim
+    /// run` flags all read through. Keys: `network`, `layer`, `grid`
+    /// (`PRxPC`), `dataflow` (`os`/`ws`/`is` in any spelling, or `auto`),
+    /// `bandwidth` (bytes/cycle, read as `DramBandwidth`), `batch`, and
+    /// `config.<Key>`, a Table I override applied to [`SimJob::config`] by
+    /// [`SimConfig::set`]. An inline topology is no key: JSON and `run -t`
+    /// give the [`Workload`] itself.
     ///
     /// # Errors
     ///
     /// [`JobError::BadRequest`] on an unknown key, an invalid value, or a
     /// field given twice: on a job from [`SimJob::builtin`] the network
-    /// and the `1x1` grid count as given. A repeated `config.<Key>` is
-    /// no error — as in a config file, the last value wins.
+    /// counts as given. A repeated `config.<Key>` is no error — as in a
+    /// config file, the last value wins. A message names its field once,
+    /// so the command line can put its flag in front.
     pub fn set(&mut self, key: &str, text: &str) -> Result<(), JobError> {
         let given = match key {
             "network" => self.named(),
             "layer" => self.layer.is_some(),
-            "grid" => self.grid != UNSET_GRID,
+            "grid" => self.grid.is_some(),
             "dataflow" => self.dataflow.is_some(),
             "bandwidth" => self.bandwidth.is_some(),
             "batch" => self.batch.is_some(),
@@ -132,39 +137,32 @@ impl SimJob {
                 _ => JobError::bad_request(format!("job field `{key}` is given twice")),
             });
         }
-        let mut probe = SimConfig::default();
-        let mut check = |cfg_key: &str| {
-            probe
-                .set(cfg_key, text)
-                .map_err(|e| JobError::bad_request(format!("{key}: {e}")))
-        };
+        let bad = JobError::BadRequest;
         match key {
-            "network" if text.is_empty() => return Err(JobError::bad_request("empty `network`")),
+            "network" if text.is_empty() => return Err(bad("empty `network`".into())),
             "network" => self.workload = Workload::Builtin(text.to_owned()),
             "layer" => self.layer = Some(text.to_owned()),
-            "grid" => self.grid = parse_grid(text)?,
-            "dataflow" => {
-                if !text.eq_ignore_ascii_case("auto") {
-                    check("Dataflow")?;
-                }
-                self.dataflow = Some(text.to_owned());
-            }
+            "grid" => self.grid = Some(text.parse().map_err(bad)?),
+            "dataflow" => self.dataflow = Some(text.parse().map_err(bad)?),
             "bandwidth" => {
-                check("DramBandwidth")?;
+                let mut probe = SimConfig::default();
+                probe
+                    .set("DramBandwidth", text)
+                    .map_err(|e| bad(e.to_string()))?;
                 self.bandwidth = probe.dram_bandwidth;
             }
             "batch" => {
-                self.batch = Some(
-                    text.parse()
-                        .map_err(|_| JobError::bad_request(format!("bad batch `{text}`")))?,
-                )
+                let batch = text
+                    .parse()
+                    .map_err(|_| bad(format!("batch `{text}` is not a positive integer")))?;
+                self.batch = Some(batch);
             }
             _ => match key.strip_prefix("config.") {
-                Some(cfg_key) => {
-                    check(cfg_key)?;
-                    self.config.push((cfg_key.to_owned(), text.to_owned()));
-                }
-                None => return Err(JobError::bad_request(format!("unknown job field `{key}`"))),
+                Some(cfg_key) => self
+                    .config
+                    .set(cfg_key, text)
+                    .map_err(|e| bad(format!("{key}: {e}")))?,
+                None => return Err(bad(format!("unknown job field `{key}`"))),
             },
         }
         Ok(())
@@ -179,7 +177,7 @@ impl SimJob {
         let obj = value
             .as_object()
             .ok_or_else(|| JobError::bad_request("job must be a JSON object"))?;
-        let mut job = SimJob::unset();
+        let mut job = SimJob::default();
         let mut csv_name = None;
         for (i, (field, value)) in obj.iter().enumerate() {
             if obj[..i].iter().any(|(k, _)| k == field) {
@@ -243,7 +241,7 @@ impl SimJob {
     /// `network=resnet50 layer=Conv1 grid=2x2 dataflow=ws config.ArrayHeight=16`:
     /// each whitespace-separated token is one [`SimJob::set`].
     pub fn from_kv_line(line: &str) -> Result<SimJob, JobError> {
-        let mut job = SimJob::unset();
+        let mut job = SimJob::default();
         for token in line.split_whitespace() {
             let (key, value) = token.split_once('=').ok_or_else(|| {
                 JobError::bad_request(format!("manifest token `{token}` is not key=value"))
@@ -253,38 +251,29 @@ impl SimJob {
         job.finish("manifest line needs network=<name> (inline CSV is HTTP-only)")
     }
 
-    /// Resolves the request into its canonical, executable form.
-    pub fn normalize(&self) -> Result<NormalizedJob, JobError> {
-        // 1. Effective hardware configuration: the defaults, each override,
-        //    then the dataflow and bandwidth fields, all read by
-        //    `SimConfig::set`, so key spelling/order and numeric formatting
-        //    wash out.
-        let bad = |field: &str, e: ParseConfigError| JobError::bad_request(format!("{field}: {e}"));
-        let mut config = SimConfig::default();
-        for (key, value) in &self.config {
-            config
-                .set(key, value)
-                .map_err(|e| bad(&format!("config.{key}"), e))?;
+    /// The configuration the job simulates: [`SimJob::config`], its PE
+    /// count checked, under a fixed dataflow and the bandwidth when given.
+    pub fn effective_config(&self) -> Result<SimConfig, JobError> {
+        self.config
+            .check_array()
+            .map_err(|e| JobError::bad_request(format!("config: {e}")))?;
+        let mut config = self.config;
+        if let Some(DataflowChoice::Fixed(dataflow)) = self.dataflow {
+            config.dataflow = dataflow;
         }
-        config.check_array().map_err(|e| bad("config", e))?;
-        let auto_dataflow = self
-            .dataflow
-            .as_ref()
-            .is_some_and(|df| df.eq_ignore_ascii_case("auto"));
-        if let Some(df) = self.dataflow.as_ref().filter(|_| !auto_dataflow) {
-            config.set("Dataflow", df).map_err(|e| bad("dataflow", e))?;
-        }
-        if let Some(bw) = self.bandwidth {
-            config
-                .set("DramBandwidth", &bw.to_string())
-                .map_err(|e| bad("bandwidth", e))?;
-        }
+        config.dram_bandwidth = self.bandwidth.or(config.dram_bandwidth);
+        Ok(config)
+    }
 
-        // 2. Workload, resolved to a parsed topology.
+    /// Resolves the request into its canonical, executable form: the
+    /// [`SimJob::effective_config`] and the workload, parsed, then
+    /// layer-filtered and batched as asked.
+    pub fn normalize(&self) -> Result<NormalizedJob, JobError> {
+        let config = self.effective_config()?;
         let mut topology = match &self.workload {
             Workload::Builtin(name) => builtin_network(name)?,
             Workload::InlineCsv { name, csv } => parse_topology_csv(name, csv)
-                .map_err(|e| JobError::bad_request(format!("topology csv: {e}")))?,
+                .map_err(|e| JobError::bad_request(format!("topology parse error: {e}")))?,
         };
         if let Some(layer) = &self.layer {
             let filtered = topology.filtered(|l| l.name() == layer);
@@ -297,31 +286,17 @@ impl SimJob {
             topology = filtered;
         }
         if let Some(batch) = self.batch {
-            if batch == 0 {
-                return Err(JobError::bad_request("batch must be nonzero"));
-            }
-            topology = networks::batched(&topology, batch)
+            topology = networks::batched(&topology, batch.get())
                 .map_err(|e| JobError::bad_request(e.to_string()))?;
         }
-
-        // 3. Grid, checked by the parser every spelling of it goes through
-        //    (a grid set in code has not been).
-        let grid: PartitionGrid = format!("{}x{}", self.grid.0, self.grid.1)
-            .parse()
-            .map_err(JobError::bad_request)?;
-
         Ok(NormalizedJob {
             config,
             topology,
-            grid,
-            auto_dataflow,
+            grid: self.grid.unwrap_or_else(PartitionGrid::monolithic),
+            auto_dataflow: self.dataflow == Some(DataflowChoice::Auto),
         })
     }
 }
-
-/// The grid of a job whose grid is not given yet: `(0, 0)`, which no grid
-/// parses to.
-const UNSET_GRID: (u64, u64) = (0, 0);
 
 fn either_network_or_csv() -> JobError {
     JobError::bad_request("give either `network` or `topology_csv`, not both")
@@ -340,11 +315,6 @@ pub fn builtin_network(name: &str) -> Result<Topology, JobError> {
     })
 }
 
-fn parse_grid(text: &str) -> Result<(u64, u64), JobError> {
-    let grid: PartitionGrid = text.parse().map_err(JobError::bad_request)?;
-    Ok((grid.rows(), grid.cols()))
-}
-
 /// A fully resolved job: canonical configuration, parsed topology, grid.
 #[derive(Debug, Clone)]
 pub struct NormalizedJob {
@@ -359,6 +329,16 @@ pub struct NormalizedJob {
 }
 
 impl NormalizedJob {
+    /// The simulator the job runs on: the one place a job becomes a
+    /// [`Simulator`], for the engine's workers and `scale-sim run` alike.
+    pub fn simulator(&self) -> Simulator {
+        let sim = Simulator::new(self.config).with_grid(self.grid);
+        match self.auto_dataflow {
+            true => sim.with_auto_dataflow(),
+            false => sim,
+        }
+    }
+
     /// The content-addressed key naming this job's result: the
     /// FNV-1a/128 hash of its canonical job text.
     pub fn key(&self) -> ContentKey {
@@ -457,7 +437,18 @@ impl std::error::Error for JobError {}
 
 #[cfg(test)]
 mod tests {
+    use scalesim::{ArrayShape, Dataflow};
+
     use super::*;
+
+    /// `SimJob::builtin(network)` with each `(key, text)` set in order.
+    fn job(network: &str, fields: &[(&str, &str)]) -> SimJob {
+        let mut job = SimJob::builtin(network);
+        for (key, text) in fields {
+            job.set(key, text).unwrap();
+        }
+        job
+    }
 
     #[test]
     fn builtin_job_normalizes_and_keys() {
@@ -469,32 +460,27 @@ mod tests {
 
     #[test]
     fn config_key_order_is_irrelevant() {
-        let mut a = SimJob::builtin("alexnet");
-        a.config = vec![
-            ("ArrayHeight".into(), "16".into()),
-            ("IfmapSramSz".into(), "64".into()),
-        ];
-        let mut b = SimJob::builtin("alexnet");
-        b.config = vec![
-            ("ifmapsramsz".into(), "64".into()),
-            ("arrayheight".into(), "16".into()),
-        ];
+        let a = job(
+            "alexnet",
+            &[("config.ArrayHeight", "16"), ("config.IfmapSramSz", "64")],
+        );
+        let b = job(
+            "alexnet",
+            &[("config.ifmapsramsz", "64"), ("config.arrayheight", "16")],
+        );
         assert_eq!(a.normalize().unwrap().key(), b.normalize().unwrap().key());
     }
 
     #[test]
     fn dataflow_spellings_are_equivalent() {
-        let mut a = SimJob::builtin("alexnet");
-        a.dataflow = Some("ws".into());
-        let mut b = SimJob::builtin("alexnet");
-        b.dataflow = Some("Weight_Stationary".into());
+        let a = job("alexnet", &[("dataflow", "ws")]);
+        let b = job("alexnet", &[("dataflow", "Weight_Stationary")]);
         assert_eq!(a.normalize().unwrap().key(), b.normalize().unwrap().key());
     }
 
     #[test]
     fn auto_dataflow_normalizes_and_keys_separately() {
-        let mut auto = SimJob::builtin("alexnet");
-        auto.dataflow = Some("Auto".into());
+        let auto = job("alexnet", &[("dataflow", "Auto")]);
         let norm = auto.normalize().unwrap();
         assert!(norm.auto_dataflow);
         // `auto` must not collide with the dataflow it would select.
@@ -534,25 +520,24 @@ mod tests {
     #[test]
     fn distinct_jobs_get_distinct_keys() {
         let a = SimJob::builtin("alexnet").normalize().unwrap().key();
-        let mut j = SimJob::builtin("alexnet");
-        j.grid = (2, 2);
-        let b = j.normalize().unwrap().key();
+        let b = job("alexnet", &[("grid", "2x2")])
+            .normalize()
+            .unwrap()
+            .key();
         let c = SimJob::builtin("resnet18").normalize().unwrap().key();
         assert!(a != b && b != c && a != c);
     }
 
     #[test]
     fn layer_filter_selects_one_layer() {
-        let mut job = SimJob::builtin("alexnet");
         let full = SimJob::builtin("alexnet").normalize().unwrap();
         let first = full.topology.layers()[0].name().to_owned();
-        job.layer = Some(first.clone());
-        let norm = job.normalize().unwrap();
+        let norm = job("alexnet", &[("layer", &first)]).normalize().unwrap();
         assert_eq!(norm.topology.len(), 1);
         assert_eq!(norm.topology.layers()[0].name(), first);
 
-        job.layer = Some("no_such_layer".into());
-        assert!(job.normalize().is_err());
+        let missing = job("alexnet", &[("layer", "no_such_layer")]);
+        assert!(missing.normalize().is_err());
     }
 
     #[test]
@@ -565,17 +550,19 @@ mod tests {
         .unwrap();
         let kv = "network=resnet50 layer=Conv1 grid=4x2 dataflow=ws bandwidth=32 batch=2 \
                   config.ArrayHeight=16 config.IfmapSramSz=64 config.ArrayWidth=8";
-        let mut want = SimJob::builtin("resnet50");
-        want.layer = Some("Conv1".into());
-        want.config = vec![
-            ("ArrayHeight".into(), "16".into()),
-            ("IfmapSramSz".into(), "64".into()),
-            ("ArrayWidth".into(), "8".into()),
-        ];
-        want.grid = (4, 2);
-        want.dataflow = Some("ws".into());
-        want.bandwidth = Some(32.0);
-        want.batch = Some(2);
+        let want = SimJob {
+            workload: Workload::Builtin("resnet50".into()),
+            layer: Some("Conv1".into()),
+            config: SimConfig {
+                array: ArrayShape::new(16, 8),
+                ifmap_sram_kb: 64,
+                ..SimConfig::default()
+            },
+            grid: Some(PartitionGrid::new(4, 2)),
+            dataflow: Some(DataflowChoice::Fixed(Dataflow::WeightStationary)),
+            bandwidth: Some(32.0),
+            batch: NonZeroU64::new(2),
+        };
         assert_eq!(SimJob::from_json(&json).unwrap(), want);
         assert_eq!(SimJob::from_kv_line(kv).unwrap(), want);
 
@@ -588,7 +575,8 @@ mod tests {
                 csv: "L0,8,8,3,3,4,8,1".into()
             }
         );
-        assert_eq!(job.grid, (1, 1));
+        assert_eq!(job.grid, None);
+        assert_eq!(job.normalize().unwrap().grid, PartitionGrid::monolithic());
     }
 
     #[test]
@@ -623,17 +611,15 @@ mod tests {
     #[test]
     fn a_smuggled_config_line_is_a_bad_request() {
         let body = r#"{"network": "TF0", "config": {"ArrayHeight": "8\nArrayWidth : 4"}}"#;
-        let err = SimJob::from_json(&Json::parse(body).unwrap())
-            .and_then(|job| job.normalize())
-            .unwrap_err();
+        let err = SimJob::from_json(&Json::parse(body).unwrap()).unwrap_err();
         assert!(matches!(err, JobError::BadRequest(_)), "{err}");
         assert!(err.to_string().contains("ArrayHeight"), "{err}");
-        // A job built in code meets the same check in `normalize`, and a
-        // key that is a config-file comment is no longer skipped.
+        // `set` refuses it at every door, and a key that is a config-file
+        // comment is no longer skipped.
         for (key, value) in [("ArrayHeight", "8\nArrayWidth : 4"), ("# x", "1")] {
-            let mut job = SimJob::builtin("TF0");
-            job.config = vec![(key.into(), value.into())];
-            let err = job.normalize().unwrap_err();
+            let err = SimJob::builtin("TF0")
+                .set(&format!("config.{key}"), value)
+                .unwrap_err();
             assert!(matches!(err, JobError::BadRequest(_)), "{err}");
         }
     }
@@ -646,13 +632,130 @@ mod tests {
         .unwrap();
         assert_eq!(job.workload, Workload::Builtin("resnet50".into()));
         assert_eq!(job.layer.as_deref(), Some("Conv1"));
-        assert_eq!(job.grid, (2, 2));
-        assert_eq!(
-            job.config,
-            vec![("ArrayHeight".to_string(), "16".to_string())]
-        );
+        assert_eq!(job.grid, Some(PartitionGrid::new(2, 2)));
+        assert_eq!(job.config.array.rows(), 16);
         assert!(SimJob::from_kv_line("layer=Conv1").is_err());
         assert!(SimJob::from_kv_line("network=resnet50 bogus").is_err());
+    }
+
+    /// Each value error names its field once, so a door that puts its own
+    /// name in front (the command line's flag) does not repeat it.
+    #[test]
+    fn set_words_each_value_error_once() {
+        for (key, text, message) in [
+            ("grid", "4", "grid `4` is not PRxPC with nonzero counts"),
+            ("dataflow", "rs", "bad dataflow `rs` (want os/ws/is/auto)"),
+            (
+                "bandwidth",
+                "-3",
+                "parameter `DramBandwidth` must be nonzero",
+            ),
+            ("batch", "0", "batch `0` is not a positive integer"),
+            ("batch", "x", "batch `x` is not a positive integer"),
+            ("network", "", "empty `network`"),
+            (
+                "config.ArrayWidth",
+                "0",
+                "config.ArrayWidth: parameter `ArrayWidth` must be nonzero",
+            ),
+        ] {
+            let err = SimJob::default().set(key, text).unwrap_err();
+            assert_eq!(err, JobError::BadRequest(message.into()), "{key}={text}");
+        }
+    }
+
+    #[test]
+    fn a_job_without_a_workload_does_not_finish() {
+        let err = SimJob::default().finish("no workload given").unwrap_err();
+        assert_eq!(err, JobError::BadRequest("no workload given".into()));
+        let mut named = SimJob::default();
+        named.set("network", "TF1").unwrap();
+        assert_eq!(named.clone().finish("unused").unwrap(), named);
+        let inline = SimJob {
+            workload: Workload::InlineCsv {
+                name: "tiny".into(),
+                csv: "L0,8,8,3,3,4,8,1".into(),
+            },
+            ..SimJob::default()
+        };
+        assert_eq!(inline.clone().finish("unused").unwrap(), inline);
+    }
+
+    #[test]
+    fn effective_config_lays_dataflow_and_bandwidth_over_the_config() {
+        let base = job(
+            "TF1",
+            &[("config.Dataflow", "os"), ("config.DramBandwidth", "8")],
+        );
+        let config = base.effective_config().unwrap();
+        assert_eq!(config, base.config);
+        assert_eq!(config.dataflow, Dataflow::OutputStationary);
+        assert_eq!(config.dram_bandwidth, Some(8.0));
+
+        let over = job(
+            "TF1",
+            &[
+                ("config.Dataflow", "os"),
+                ("config.DramBandwidth", "8"),
+                ("dataflow", "is"),
+                ("bandwidth", "32"),
+            ],
+        );
+        let config = over.effective_config().unwrap();
+        assert_eq!(config.dataflow, Dataflow::InputStationary);
+        assert_eq!(config.dram_bandwidth, Some(32.0));
+        assert_eq!(over.normalize().unwrap().config, config);
+
+        // `auto` is no fixed dataflow: the config's stays as the label.
+        let auto = job("TF1", &[("config.Dataflow", "ws"), ("dataflow", "auto")]);
+        let config = auto.effective_config().unwrap();
+        assert_eq!(config.dataflow, Dataflow::WeightStationary);
+        assert_eq!(config.dram_bandwidth, None);
+    }
+
+    #[test]
+    fn effective_config_refuses_an_array_whose_pe_count_overflows() {
+        let rows = 1u64 << 32;
+        let big = job(
+            "TF1",
+            &[
+                ("config.ArrayHeight", &rows.to_string()),
+                ("config.ArrayWidth", &rows.to_string()),
+            ],
+        );
+        let err = big.effective_config().unwrap_err();
+        assert!(matches!(err, JobError::BadRequest(_)), "{err}");
+        assert!(err.to_string().starts_with("config: "), "{err}");
+        assert_eq!(big.normalize().unwrap_err(), err);
+    }
+
+    #[test]
+    fn a_normalized_job_runs_on_its_config_grid_and_dataflow_choice() {
+        for (dataflow, auto) in [("os", false), ("auto", true)] {
+            let norm = job("alexnet", &[("grid", "2x4"), ("dataflow", dataflow)])
+                .normalize()
+                .unwrap();
+            assert_eq!(norm.auto_dataflow, auto);
+            let sim = norm.simulator();
+            assert_eq!(sim.config(), &norm.config);
+            assert_eq!(sim.grid(), PartitionGrid::new(2, 4));
+            // A fixed dataflow runs every layer on the job's config; `auto`
+            // re-selects per layer as an auto-dataflow simulator does.
+            let auto_sim = Simulator::new(norm.config).with_auto_dataflow();
+            for layer in norm.topology.layers() {
+                let want = match auto {
+                    true => auto_sim.effective_config(layer),
+                    false => norm.config,
+                };
+                assert_eq!(sim.effective_config(layer), want, "{}", layer.name());
+            }
+            let relabelled = norm
+                .topology
+                .layers()
+                .iter()
+                .any(|l| sim.effective_config(l).dataflow != norm.config.dataflow);
+            assert_eq!(relabelled, auto, "{dataflow}");
+        }
     }
 
     #[test]
@@ -671,11 +774,8 @@ mod tests {
         assert!(
             SimJob::from_json(&Json::parse(r#"{"network": "x", "blah": 1}"#).unwrap()).is_err()
         );
-        let mut job = SimJob::builtin("not_a_network");
-        assert!(job.normalize().is_err());
-        job = SimJob::builtin("alexnet");
-        job.grid = (0, 2);
-        assert!(job.normalize().is_err());
+        assert!(SimJob::builtin("not_a_network").normalize().is_err());
+        assert!(SimJob::builtin("alexnet").set("grid", "0x2").is_err());
     }
 
     #[test]
@@ -686,9 +786,15 @@ mod tests {
         assert!(err.to_string().contains("9223372036854775809x2"), "{err}");
         let err = SimJob::from_kv_line("network=TF1 grid=9223372036854775809x2").unwrap_err();
         assert!(matches!(err, JobError::BadRequest(_)), "{err}");
-        // A grid set in code goes through the same check.
-        let mut job = SimJob::builtin("TF1");
-        job.grid = (1 << 63, 2);
-        assert!(matches!(job.normalize(), Err(JobError::BadRequest(_))));
+    }
+
+    #[test]
+    fn a_bad_inline_csv_is_a_topology_parse_error() {
+        let json = Json::parse(r#"{"topology_csv": "L0,8,8"}"#).unwrap();
+        let err = SimJob::from_json(&json).unwrap().normalize().unwrap_err();
+        assert!(
+            err.to_string().starts_with("topology parse error: "),
+            "{err}"
+        );
     }
 }

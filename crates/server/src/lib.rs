@@ -9,10 +9,12 @@
 //!
 //! * **Job model** ([`job`]) — a [`SimJob`] names a workload (built-in
 //!   network or inline topology CSV), config overrides, partition grid,
-//!   dataflow and bandwidth. Normalization routes every field through the
-//!   simulator's canonical serializers, so equivalent requests — reordered
-//!   config keys, `ws` vs `weight_stationary`, reformatted CSV, moved
-//!   region offsets — collapse to one content-addressed [`ContentKey`].
+//!   dataflow and bandwidth, each read once by [`SimJob::set`] — for a
+//!   `/simulate` body, a manifest line and the `scale-sim run` flags
+//!   alike — and held as its value. The job's key hashes the simulator's
+//!   canonical serializations, so equivalent requests — reordered config
+//!   keys, `ws` vs `weight_stationary`, reformatted CSV, moved region
+//!   offsets — collapse to one content-addressed [`ContentKey`].
 //! * **Engine** ([`engine`]) — *single-flight* deduplication (concurrent
 //!   identical jobs run one simulation; the rest join it) and a sharded LRU
 //!   result cache ([`ShardedLru`]) in front of core's one worker pool,

@@ -376,13 +376,15 @@ mod tests {
         let sims_after_sweep = engine.stats().simulations.get();
 
         let mut job = crate::job::SimJob::builtin("TF1");
-        job.config = vec![
-            ("IfmapSramSz".into(), "64".into()),
-            ("FilterSramSz".into(), "64".into()),
-            ("OfmapSramSz".into(), "32".into()),
-            ("ArrayHeight".into(), "32".into()),
-            ("ArrayWidth".into(), "32".into()),
-        ];
+        for (key, text) in [
+            ("config.IfmapSramSz", "64"),
+            ("config.FilterSramSz", "64"),
+            ("config.OfmapSramSz", "32"),
+            ("config.ArrayHeight", "32"),
+            ("config.ArrayWidth", "32"),
+        ] {
+            job.set(key, text).unwrap();
+        }
         let (_, served) = engine.run(&job).unwrap();
         assert_eq!(served, Served::Cache);
         assert_eq!(engine.stats().simulations.get(), sims_after_sweep);

@@ -24,13 +24,18 @@ fn inline_job(csv: &str) -> SimJob {
             name: "prop".into(),
             csv: csv.into(),
         },
-        layer: None,
-        config: Vec::new(),
-        grid: (1, 1),
-        dataflow: None,
-        bandwidth: None,
-        batch: None,
+        ..SimJob::default()
     }
+}
+
+/// `job` with each `(key, text)` set in order: every job field goes
+/// through `SimJob::set`, as at every door.
+fn set_all<K: AsRef<str>, V: AsRef<str>>(mut job: SimJob, fields: &[(K, V)]) -> SimJob {
+    for (key, text) in fields {
+        job.set(key.as_ref(), text.as_ref())
+            .expect("field is valid");
+    }
+    job
 }
 
 fn key_of(job: &SimJob) -> ContentKey {
@@ -45,15 +50,15 @@ proptest! {
         values in prop::collection::vec(1u64..=512, 2..=5),
         rotation in 0usize..5,
     ) {
-        let mut job = SimJob::builtin("alexnet");
-        job.config = values
+        let mut fields: Vec<(String, String)> = values
             .iter()
             .enumerate()
-            .map(|(i, v)| (CONFIG_KEYS[i].to_string(), v.to_string()))
+            .map(|(i, v)| (format!("config.{}", CONFIG_KEYS[i]), v.to_string()))
             .collect();
-        let mut rotated = job.clone();
-        let len = rotated.config.len();
-        rotated.config.rotate_left(rotation % len);
+        let job = set_all(SimJob::builtin("alexnet"), &fields);
+        let len = fields.len();
+        fields.rotate_left(rotation % len);
+        let rotated = set_all(SimJob::builtin("alexnet"), &fields);
         prop_assert_eq!(key_of(&job), key_of(&rotated));
     }
 
@@ -63,12 +68,12 @@ proptest! {
         which in 0usize..5,
     ) {
         let key = CONFIG_KEYS[which % CONFIG_KEYS.len()];
-        let mut a = SimJob::builtin("alexnet");
-        a.config = vec![(key.to_string(), value.to_string())];
-        let mut b = SimJob::builtin("alexnet");
-        b.config = vec![(key.to_ascii_lowercase(), value.to_string())];
-        let mut c = SimJob::builtin("alexnet");
-        c.config = vec![(key.to_ascii_uppercase(), value.to_string())];
+        let with_key = |key: String| {
+            set_all(SimJob::builtin("alexnet"), &[(format!("config.{key}"), value.to_string())])
+        };
+        let a = with_key(key.to_string());
+        let b = with_key(key.to_ascii_lowercase());
+        let c = with_key(key.to_ascii_uppercase());
         prop_assert_eq!(key_of(&a), key_of(&b));
         prop_assert_eq!(key_of(&a), key_of(&c));
     }
@@ -84,14 +89,12 @@ proptest! {
         let pair = spellings[which % 3];
         let mut keys = Vec::new();
         for spelling in pair {
-            let mut job = SimJob::builtin("alexnet");
             let text = if case_flip == 1 {
                 spelling.to_ascii_uppercase()
             } else {
                 (*spelling).to_string()
             };
-            job.dataflow = Some(text);
-            keys.push(key_of(&job));
+            keys.push(key_of(&set_all(SimJob::builtin("alexnet"), &[("dataflow", text)])));
         }
         prop_assert_eq!(keys[0], keys[1]);
         if pair[0] == "os" {
@@ -129,13 +132,13 @@ proptest! {
             ("FilterOffset", offsets.1),
             ("OfmapOffset", offsets.2),
         ];
-        let mut job = SimJob::builtin("TF1");
-        job.config = set
+        let fields: Vec<(String, String)> = set
             .iter()
             .enumerate()
             .filter(|&(i, _)| which == 3 || i == which)
-            .map(|(_, (k, v))| (k.to_string(), v.to_string()))
+            .map(|(_, (k, v))| (format!("config.{k}"), v.to_string()))
             .collect();
+        let job = set_all(SimJob::builtin("TF1"), &fields);
         prop_assert_eq!(key_of(&job), key_of(&SimJob::builtin("TF1")));
     }
 
@@ -146,10 +149,8 @@ proptest! {
     ) {
         prop_assume!(grid_a != grid_b);
         let csv = format!("L0,{height},{height},3,3,4,8,1");
-        let mut a = inline_job(&csv);
-        a.grid = (grid_a, 1);
-        let mut b = inline_job(&csv);
-        b.grid = (grid_b, 1);
+        let a = set_all(inline_job(&csv), &[("grid", format!("{grid_a}x1"))]);
+        let b = set_all(inline_job(&csv), &[("grid", format!("{grid_b}x1"))]);
         prop_assert_ne!(key_of(&a), key_of(&b));
     }
 }
@@ -275,17 +276,16 @@ fn ten_thousand_distinct_jobs_no_collision() {
             for (di, df) in ["os", "ws", "is"].iter().enumerate() {
                 for array in [4u64, 8, 16, 32, 64] {
                     for ih in 0..30u64 {
-                        let mut job = inline_job(&format!(
-                            "L0,{h},{h},3,3,{c},8,1",
-                            h = 8 + ih,
-                            c = 1 + di as u64,
-                        ));
-                        job.grid = (grid_r, grid_c);
-                        job.dataflow = Some((*df).to_string());
-                        job.config = vec![
-                            ("ArrayHeight".into(), array.to_string()),
-                            ("ArrayWidth".into(), array.to_string()),
-                        ];
+                        let csv = format!("L0,{h},{h},3,3,{c},8,1", h = 8 + ih, c = 1 + di as u64);
+                        let job = set_all(
+                            inline_job(&csv),
+                            &[
+                                ("grid", format!("{grid_r}x{grid_c}")),
+                                ("dataflow", df.to_string()),
+                                ("config.ArrayHeight", array.to_string()),
+                                ("config.ArrayWidth", array.to_string()),
+                            ],
+                        );
                         let key = key_of(&job);
                         assert!(
                             keys.insert(key.0),

@@ -2,8 +2,8 @@
 //!
 //! Each built-in network is its Table II topology file in `assets/`,
 //! compiled in and parsed by [`parse_topology_csv`] on every call; the
-//! table [`BUILTIN`] names them, and feeds [`by_name`], [`all`] and each
-//! named constructor.
+//! table [`BUILTIN`] names them, and feeds [`by_name`] and each named
+//! constructor.
 //!
 //! * [`resnet50`] — the convolution + FC layers of ResNet-50 (He et al.),
 //!   the CNN workload of Figs. 10–14.
@@ -14,12 +14,11 @@
 //!   examples and tests.
 //!
 //! As in the original tool's topology files, IFMAP extents include padding
-//! and pooling layers are elided. [`mlp`], [`transformer_encoder`] and
-//! [`batched`] generate workloads instead.
+//! and pooling layers are elided. [`batched`] batches any workload.
 
 mod generators;
 
-pub use generators::{batched, mlp, transformer_encoder};
+pub use generators::batched;
 
 use crate::{parse_topology_csv, Layer, Topology};
 
@@ -33,8 +32,7 @@ macro_rules! asset {
     };
 }
 
-/// Every built-in network: its name and the text of `assets/<name>.csv`,
-/// in the order [`all`] returns them.
+/// Every built-in network: its name and the text of `assets/<name>.csv`.
 pub const BUILTIN: [(&str, &str); 8] = [
     asset!("resnet50"),
     asset!("resnet18"),
@@ -146,18 +144,13 @@ pub fn by_name(name: &str) -> Option<Topology> {
     }
 }
 
-/// Every built-in topology, for sweep-style tests and examples.
-pub fn all() -> Vec<Topology> {
-    BUILTIN.iter().map(|(name, _)| network(name)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_networks_are_nonempty_and_valid() {
-        for topo in all() {
+        for topo in BUILTIN.iter().map(|(name, _)| network(name)) {
             assert!(!topo.is_empty(), "{} has no layers", topo.name());
             for layer in &topo {
                 if let Some(conv) = layer.as_conv() {
@@ -183,7 +176,7 @@ mod tests {
 
     #[test]
     fn layer_names_are_unique_within_each_network() {
-        for topo in all() {
+        for topo in BUILTIN.iter().map(|(name, _)| network(name)) {
             let mut names: Vec<&str> = topo.iter().map(|l| l.name()).collect();
             names.sort_unstable();
             let before = names.len();

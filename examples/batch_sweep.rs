@@ -28,11 +28,9 @@ network=resnet50 layer=Conv1 grid=4x4
 
     println!("{}", outcome.to_csv());
     for entry in &outcome.entries {
-        let grid = entry.job.grid;
+        let grid = entry.job.grid.expect("every manifest line sets a grid");
         println!(
-            "grid {}x{}: {:>12} cycles  served: {}",
-            grid.0,
-            grid.1,
+            "grid {grid}: {:>12} cycles  served: {}",
             entry.result.report.total_cycles(),
             entry.served.tag(),
         );

@@ -1,5 +1,4 @@
-//! Cross-checks among the auxiliary models: the sweep API vs raw runs, and
-//! the workload generators end to end.
+//! Cross-checks among the auxiliary models: the sweep API vs raw runs.
 //! The stall model's roofline floor is a property of `metamorphic.rs`.
 
 use scalesim::sweep::{summarize_groups, SweepEngine, SweepPlan, SweepWorkload};
@@ -38,21 +37,4 @@ fn sweep_points_match_individual_runs() {
     let groups = summarize_groups(points.iter().map(|p| (&p.spec, &*p.report)));
     let spot = groups[0].sweet_spot.unwrap();
     assert!(spot < points.len());
-}
-
-#[test]
-fn transformer_generator_runs_end_to_end() {
-    let net = networks::transformer_encoder("tiny_tf", 64, 128, 256, 2);
-    let report = Simulator::new(config()).run_topology(&net);
-    assert_eq!(report.layers().len(), 12);
-    assert_eq!(report.total_macs(), net.total_macs());
-}
-
-#[test]
-fn mlp_generator_with_batch_runs_end_to_end() {
-    let net = networks::mlp("m", 16, &[256, 512, 128, 10]);
-    let auto = Simulator::new(config()).with_auto_dataflow();
-    let report = auto.run_topology(&net);
-    assert_eq!(report.layers().len(), 3);
-    assert!(report.total_cycles() > 0);
 }
